@@ -38,10 +38,7 @@
 //
 // The measurement entrypoints take one consolidated Options struct —
 // Run("vacation-high", Options{System: "stm-mv", Threads: 8}) — whose
-// Validate reports every invalid field at once; the positional RunCM /
-// RunOpts / CharacterizeCM / CharacterizeOpts / MeasureSpeedupCM /
-// MeasureSpeedupOpts forms are deprecated wrappers kept for source
-// compatibility.
+// Validate reports every invalid field at once.
 //
 // Contention management is pluggable. Every software-managed runtime draws
 // a per-thread, seeded policy from a registry — CMNames() lists "randlin"

@@ -112,8 +112,10 @@ type Options struct {
 	Records int
 	// OpBudget sizes the arena's operation slack: the number of requests
 	// the server is provisioned to absorb over its lifetime (0 = 1<<18).
-	// Transactional allocation is bump-only (aborted attempts leak words,
-	// like STAMP's tmalloc), so a long-lived server must budget for churn;
+	// Transactional frees and aborted attempts' allocations recycle through
+	// the per-thread free lists, and an epoch swap compacts the store into
+	// a fresh arena when the high-water mark still climbs (see SwapAt), so
+	// the budget sets how often the server swaps, not how long it lives;
 	// New fails fast if the arena cannot hold the store plus this slack.
 	OpBudget int
 	// ArenaWords overrides the derived arena size entirely (0 = derive
@@ -191,8 +193,8 @@ func (o Options) withDefaults() Options {
 }
 
 // opSlackWords is the arena-churn budget per served operation: a reserve
-// session may insert a customer (rb node + list header + list node) and the
-// bump allocator additionally leaks every aborted attempt's allocations.
+// session may insert a customer (rb node + list header + list node), and
+// chunk tails and size-class mismatches keep recycling short of perfect.
 const opSlackWords = 40
 
 // Validate reports every invalid field at once (errors.Join), in the same

@@ -107,6 +107,48 @@ func TestAllocExhaustedTerminalTyped(t *testing.T) {
 	}
 }
 
+// TestHTMLazySerialModeEndsWithItsBlock pins that htm-lazy's overflow
+// (serial) mode is per-block state on every exit path: block A overflows the
+// speculative buffer, retries serially, and then unwinds terminally through
+// arena exhaustion; block B on the same thread must start speculative again
+// — observable as B's own htm-capacity abort — instead of inheriting A's
+// serial mode and taking the system-wide lock for an overflow it never had.
+func TestHTMLazySerialModeEndsWithItsBlock(t *testing.T) {
+	const capLines = 8
+	arena := mem.NewArena(1 << 12)
+	base := arena.AllocLines(4 * capLines * mem.WordsPerLine)
+	sys, err := New("htm-lazy", tm.Config{Arena: arena, Threads: 1, CapacityLines: capLines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := sys.Thread(0)
+	overCapacity := func(tx tm.Tx) {
+		for l := 0; l < 2*capLines; l++ {
+			tx.Load(base + mem.Addr(l*mem.WordsPerLine))
+		}
+	}
+	func() {
+		defer func() {
+			if _, ok := recover().(tm.AllocFailure); !ok {
+				t.Fatal("block A did not unwind with tm.AllocFailure")
+			}
+		}()
+		th.Atomic(func(tx tm.Tx) {
+			overCapacity(tx)
+			tx.Alloc(arena.Cap()) // cannot fit: terminal
+		})
+	}()
+	capacityAborts := func() uint64 { return sys.Stats().AbortCauses()[tm.CauseHTMCapacity] }
+	if got := capacityAborts(); got != 1 {
+		t.Fatalf("block A recorded %d htm-capacity aborts, want 1", got)
+	}
+	th.Atomic(overCapacity)
+	if got := capacityAborts(); got != 2 {
+		t.Fatalf("block B recorded %d htm-capacity aborts, want 1: it began in block A's serial mode", got-1)
+	}
+	assertCauseAccounting(t, "htm-lazy", sys.Stats())
+}
+
 // TestSeqIgnoresAllocExhaustChaos pins the documented asymmetry: seq has no
 // chaos injector (it has no escalation layer, so a probability-1 arm could
 // never terminate), so an armed alloc-exhaust site must not fire there and

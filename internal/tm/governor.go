@@ -10,8 +10,9 @@ import (
 )
 
 // The governor is the liveness layer every contention-management policy runs
-// under. CMPool.ForThread wraps the selected policy in one, so all ten
-// runtimes inherit three guarantees without touching their retry loops:
+// under. CMPool.ForThread wraps the selected policy in one, so every
+// concurrent runtime inherits three guarantees through the driver's three
+// contention-manager calls:
 //
 //   - starvation escalation: past Config.StarveAfter consecutive aborts (or
 //     Config.StarveAfterNs of age, or the serialize policy's own threshold),

@@ -94,7 +94,7 @@ func TestEagerAssociativitySpills(t *testing.T) {
 			t.Fatalf("word %d = %d after sig-mode commit", i, got)
 		}
 	}
-	if sys.txs[0].overflowed.Load() {
+	if sys.Txs[0].overflowed.Load() {
 		t.Fatal("overflow flag must clear after commit")
 	}
 }

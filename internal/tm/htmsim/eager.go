@@ -24,222 +24,94 @@ import (
 // moves a transaction's addresses into a Bloom-filter signature whose false
 // positives cause the conservative extra aborts the paper observes.
 type Eager struct {
-	cfg     tm.Config
-	dir     *directory
-	threads []*eagerThread
-	txs     []*eagerTx
-	chaos   *chaos.Injector // nil unless Config.Chaos armed failpoints
+	*tm.Runtime[*eagerTx]
+	dir *directory
 }
 
 // NewEager constructs the LogTM-style HTM simulation.
 func NewEager(cfg tm.Config) (*Eager, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	// Hardware conflict resolution (requester loses, priority escape) is
 	// part of the simulated machine and stays fixed; the pluggable policy
 	// only governs the restart delay, which the paper's HTM does not apply
 	// — hence the "none" default.
-	pool, err := tm.NewCMPool(cfg, tm.NoCM)
+	rt, err := tm.NewRuntime[*eagerTx]("htm-eager", cfg, tm.NoCM)
 	if err != nil {
 		return nil, err
 	}
-	s := &Eager{cfg: cfg, dir: newDirectory(), chaos: pool.Chaos()}
-	s.threads = make([]*eagerThread, cfg.Threads)
-	s.txs = make([]*eagerTx, cfg.Threads)
-	for i := range s.threads {
-		x := &eagerTx{
-			sys:        s,
-			slot:       i,
-			res:        cfg.NewReserver(),
-			sets:       newSetTracker(cfg),
-			readLines:  make(map[mem.Line]struct{}),
-			writeLines: make(map[mem.Line]struct{}),
-		}
-		s.txs[i] = x
-		t := &eagerThread{id: i, sys: s, tx: x}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		s.threads[i] = t
-	}
+	s := &Eager{Runtime: rt, dir: newDirectory()}
+	rt.Bind(func(int) *eagerTx {
+		x := &eagerTx{sys: s, sets: newSetTracker(rt.Cfg)}
+		// The line maps are protocol state here, not profiling: the lines
+		// this transaction holds directory marks (or signature entries) on.
+		x.ReadLines = make(map[mem.Line]struct{})
+		x.WriteLines = make(map[mem.Line]struct{})
+		return x
+	})
 	return s, nil
 }
 
-// Name implements tm.System.
-func (s *Eager) Name() string { return "htm-eager" }
-
-// Arena implements tm.System.
-func (s *Eager) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *Eager) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *Eager) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *Eager) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
-}
-
-// blockOf returns the atomic block the transaction in slot is currently
-// executing (tm.NoBlock when idle or out of range), for blaming the enemy
-// call site in conflict attribution.
-func (s *Eager) blockOf(slot int) tm.BlockID {
-	if slot >= 0 && slot < len(s.threads) {
-		return tm.BlockID(s.threads[slot].curBlock.Load())
-	}
-	return tm.NoBlock
-}
-
-type eagerThread struct {
-	id    int
-	sys   *Eager
-	stats tm.ThreadStats
-	tx    *eagerTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-
-	// curBlock publishes the block this thread is currently inside, so
-	// enemies that abort against us (or that we kill) can blame the call
-	// site.
-	curBlock atomic.Int32
-}
-
-func (t *eagerThread) ID() int                { return t.id }
-func (t *eagerThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *eagerThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *eagerThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.curBlock.Store(int32(b))
-	t.cm.OnStart()
-	aborts := 0
-	for {
-		t.tx.begin(aborts >= t.sys.cfg.PriorityAfter)
-		if tm.Attempt(t.tx, fn) && t.tx.commit() {
-			break
-		}
-		t.tx.rollback()
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted, rollback
-			// replayed the undo log and withdrew the directory marks —
-			// unwind the block instead of retrying.
-			t.curBlock.Store(int32(tm.NoBlock))
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		// Default policy is "none": immediate restart, no backoff (Section
-		// IV); the undo-log replay itself is the only delay, as the paper
-		// notes. An explicit Config.CM adds its delay here.
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.curBlock.Store(int32(tm.NoBlock))
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "htm-eager", uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-	t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
-
 type eagerTx struct {
-	sys  *Eager
-	slot int
-	res  *mem.Reserver // thread-private allocation chunk
+	tm.TxCore
+	tm.Flagged // killed by priority transactions (arbitration, cm-kill)
+	sys        *Eager
 
-	active   atomic.Bool
-	aborted  atomic.Bool
 	priority atomic.Bool
-	killedBy atomic.Uint64 // who flagged us and on what line (see killPack)
-	info     tm.AbortInfo  // pending-abort cause/location/blame registers
-
-	readLines  map[mem.Line]struct{} // lines I hold reader marks on (or sig entries)
-	writeLines map[mem.Line]struct{} // lines I hold the writer mark on (or sig entries)
-	sets       *setTracker           // associativity model (Table V: 4-way)
-	undo       txset.WriteSet        // addr → old value; doubles as the written-set
+	sets     *setTracker    // associativity model (Table V: 4-way)
+	undo     txset.WriteSet // addr → old value; doubles as the written-set
 
 	// Overflow mode: addresses past capacity live in signatures instead of
 	// the directory; other transactions test them conservatively.
 	overflowed atomic.Bool
 	readSig    sig.Signature
 	writeSig   sig.Signature
-
-	loads  uint64
-	stores uint64
 }
 
-func (x *eagerTx) begin(priority bool) {
-	x.loads, x.stores = 0, 0
-	x.info.Reset()
-	clear(x.readLines)
-	clear(x.writeLines)
+// Begin opens the attempt; a block that has aborted PriorityAfter times
+// runs it with high priority (the paper's livelock escape).
+func (x *eagerTx) Begin(_ tm.BlockID, aborts int) {
 	x.sets.reset()
 	x.undo.Reset()
-	x.killedBy.Store(0)
-	x.aborted.Store(false)
-	x.priority.Store(priority)
+	x.priority.Store(aborts >= x.Cfg.PriorityAfter)
 	x.readSig.Clear()
 	x.writeSig.Clear()
 	x.overflowed.Store(false)
-	x.active.Store(true)
+	x.Arm()
 }
 
-// rollback restores memory from the undo log and withdraws all conflict-
+// Rollback restores memory from the undo log and withdraws all conflict-
 // detection state, then leaves the transaction inactive.
-func (x *eagerTx) rollback() {
+func (x *eagerTx) Rollback() {
 	undo := x.undo.Entries()
 	for i := len(undo) - 1; i >= 0; i-- {
-		x.sys.cfg.Arena.Store(undo[i].Addr, undo[i].Val)
+		x.Mem.Store(undo[i].Addr, undo[i].Val)
 	}
 	x.undo.Reset()
 	x.releaseMarks()
-	x.active.Store(false)
+	x.Active.Store(false)
 }
 
-// commit publishes by withdrawing conflict-detection state; the data is
+// Commit publishes by withdrawing conflict-detection state; the data is
 // already in place.
-func (x *eagerTx) commit() bool {
+func (x *eagerTx) Commit() bool {
 	// Eager conflict detection keeps running transactions disjoint, so no
 	// commit-time validation is needed; only a pending abort request (from a
 	// priority transaction) can invalidate us here.
-	if x.aborted.Load() {
-		blame, key := tm.KillUnpack(x.killedBy.Load())
-		x.info.Set(tm.CauseCMKill, key, blame)
+	if x.Killed() {
+		x.Blame(&x.Info, tm.CauseCMKill)
 		return false
 	}
 	x.undo.Reset()
 	x.releaseMarks()
-	x.active.Store(false)
+	x.Active.Store(false)
 	return true
 }
 
 func (x *eagerTx) releaseMarks() {
-	for l := range x.readLines {
-		x.sys.dir.dropReader(l, x.slot)
+	for l := range x.ReadLines {
+		x.sys.dir.dropReader(l, x.ID)
 	}
-	for l := range x.writeLines {
-		x.sys.dir.dropWriter(l, x.slot)
+	for l := range x.WriteLines {
+		x.sys.dir.dropWriter(l, x.ID)
 	}
 	// Signatures are cleared only after memory is restored (rollback runs
 	// the undo log first), so a reader that raced past a cleared signature
@@ -250,10 +122,10 @@ func (x *eagerTx) releaseMarks() {
 }
 
 func (x *eagerTx) pollAbort() {
-	if x.aborted.Load() {
+	if x.Killed() {
 		// Flagged by a priority transaction — arbitration killed us.
-		blame, key := tm.KillUnpack(x.killedBy.Load())
-		x.info.Fail(tm.CauseCMKill, key, blame)
+		x.Blame(&x.Info, tm.CauseCMKill)
+		tm.Retry()
 	}
 }
 
@@ -267,16 +139,15 @@ func (x *eagerTx) pollAbort() {
 // livelock. Returns only when the caller may retry the barrier.
 func (x *eagerTx) conflictWith(victim *eagerTx, l mem.Line, cause tm.AbortCause) {
 	if victim == nil {
-		x.info.Fail(cause, trace.LineKey(uint64(l)), tm.NoBlock)
+		x.Info.Fail(cause, trace.LineKey(uint64(l)), tm.NoBlock)
 	}
-	win := x.priority.Load() && (!victim.priority.Load() || x.slot < victim.slot)
+	win := x.priority.Load() && (!victim.priority.Load() || x.ID < victim.ID)
 	if !win {
 		// Requester loses; blame the line's current holder.
-		x.info.Fail(cause, trace.LineKey(uint64(l)), x.sys.blockOf(victim.slot))
+		x.Info.Fail(cause, trace.LineKey(uint64(l)), x.BlockOf(victim.ID))
 	}
-	victim.killedBy.Store(tm.KillPack(x.sys.blockOf(x.slot), l))
-	victim.aborted.Store(true)
-	for victim.active.Load() && victim.aborted.Load() {
+	victim.Kill(x.BlockOf(x.ID), l)
+	for victim.Active.Load() && victim.Killed() {
 		x.pollAbort() // a cycle of priority waits resolves through flags
 		tm.Spin(64)
 		runtime.Gosched() // the victim may need our core to roll back
@@ -288,11 +159,11 @@ func (x *eagerTx) conflictWith(victim *eagerTx, l mem.Line, cause tm.AbortCause)
 // already published its own mark (directory entry or signature bit), so of
 // two racing conflicting transactions at least one sees the other.
 func (x *eagerTx) checkOverflowSigs(l mem.Line, write bool) {
-	for _, other := range x.sys.txs {
-		if other.slot == x.slot {
+	for _, other := range x.sys.Txs {
+		if other == x {
 			continue
 		}
-		for other.active.Load() && other.overflowed.Load() &&
+		for other.Active.Load() && other.overflowed.Load() &&
 			(other.writeSig.Test(uint32(l)) || (write && other.readSig.Test(uint32(l)))) {
 			// Retries us, or waits out the victim. Bloom hits include false
 			// positives, so they carry their own cause.
@@ -305,7 +176,7 @@ func (x *eagerTx) checkOverflowSigs(l mem.Line, write bool) {
 // reports whether the speculative buffer still holds everything (false
 // means the transaction must spill to signatures).
 func (x *eagerTx) trackCapacity(l mem.Line) bool {
-	if len(x.readLines)+len(x.writeLines) >= x.sys.cfg.CapacityLines {
+	if len(x.ReadLines)+len(x.WriteLines) >= x.Cfg.CapacityLines {
 		return false
 	}
 	return x.sets.add(l)
@@ -313,21 +184,21 @@ func (x *eagerTx) trackCapacity(l mem.Line) bool {
 
 // Load implements the eager read barrier.
 func (x *eagerTx) Load(a mem.Addr) uint64 {
-	x.loads++
+	x.Loads++
 	x.pollAbort()
 	l := mem.LineOf(a)
-	if _, mine := x.readLines[l]; mine {
-		return x.sys.cfg.Arena.Load(a)
+	if _, mine := x.ReadLines[l]; mine {
+		return x.Mem.Load(a)
 	}
-	if _, mine := x.writeLines[l]; mine {
-		return x.sys.cfg.Arena.Load(a)
+	if _, mine := x.WriteLines[l]; mine {
+		return x.Mem.Load(a)
 	}
 	// Ordering matters: (1) publish our own access (signature bit when
 	// overflowed), (2) the directory operation (atomic publish+check for
 	// directory-tracked transactions), (3) probe other transactions'
 	// signatures, (4) touch memory. With every transaction publishing
 	// before it probes, at least one side of any race sees the other.
-	x.readLines[l] = struct{}{}
+	x.ReadLines[l] = struct{}{}
 	if !x.overflowed.Load() && !x.trackCapacity(l) {
 		x.spillToSignatures()
 	}
@@ -337,32 +208,32 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 	}
 	for {
 		x.pollAbort()
-		writer := x.sys.dir.addReader(l, x.slot, sigOnly)
+		writer := x.sys.dir.addReader(l, x.ID, sigOnly)
 		if writer < 0 {
 			break
 		}
-		x.conflictWith(x.sys.txs[writer], l, tm.CauseHTMConflict)
+		x.conflictWith(x.sys.Txs[writer], l, tm.CauseHTMConflict)
 	}
 	x.checkOverflowSigs(l, false)
-	return x.sys.cfg.Arena.Load(a)
+	return x.Mem.Load(a)
 }
 
 // Store implements the eager write barrier: gain exclusive ownership, log
 // the old value, write in place.
 func (x *eagerTx) Store(a mem.Addr, v uint64) {
-	x.stores++
+	x.Stores++
 	x.pollAbort()
 	l := mem.LineOf(a)
 	// Failpoint: a spurious abort at the ownership claim looks exactly like
 	// a precise directory conflict, so it carries that site's natural cause.
 	// The undo log makes aborting here safe at any point in the attempt.
-	if x.sys.chaos.Fire(chaos.HTMArbitrate, x.slot) {
-		x.info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)), tm.NoBlock)
+	if x.Chaos.Fire(chaos.HTMArbitrate, x.ID) {
+		x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)), tm.NoBlock)
 	}
-	if _, mine := x.writeLines[l]; !mine {
+	if _, mine := x.WriteLines[l]; !mine {
 		// Publish-then-probe; see the ordering comment in Load.
-		x.writeLines[l] = struct{}{}
-		if _, alsoRead := x.readLines[l]; !alsoRead && !x.overflowed.Load() && !x.trackCapacity(l) {
+		x.WriteLines[l] = struct{}{}
+		if _, alsoRead := x.ReadLines[l]; !alsoRead && !x.overflowed.Load() && !x.trackCapacity(l) {
 			x.spillToSignatures()
 		}
 		sigOnly := x.overflowed.Load()
@@ -371,9 +242,9 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 		}
 		for {
 			x.pollAbort()
-			writerVictim, readers := x.sys.dir.claimWriter(l, x.slot, sigOnly, x.priority.Load())
+			writerVictim, readers := x.sys.dir.claimWriter(l, x.ID, sigOnly, x.priority.Load())
 			if writerVictim >= 0 {
-				x.conflictWith(x.sys.txs[writerVictim], l, tm.CauseHTMConflict)
+				x.conflictWith(x.sys.Txs[writerVictim], l, tm.CauseHTMConflict)
 				continue
 			}
 			if readers == 0 {
@@ -382,8 +253,8 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 			if !x.priority.Load() {
 				// Requester loses against the reader set; blame the first
 				// reader holding the line.
-				x.info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)),
-					x.sys.blockOf(bits.TrailingZeros64(readers)))
+				x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)),
+					x.BlockOf(bits.TrailingZeros64(readers)))
 			}
 			// Priority: the reservation above blocks new readers; flag the
 			// current ones and wait until each drops its mark.
@@ -391,16 +262,15 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 				if readers&(1<<uint(r)) == 0 {
 					continue
 				}
-				victim := x.sys.txs[r]
+				victim := x.sys.Txs[r]
 				for x.sys.dir.hasReader(l, r) {
 					x.pollAbort()
-					if !victim.priority.Load() || x.slot < victim.slot {
-						victim.killedBy.Store(tm.KillPack(x.sys.blockOf(x.slot), l))
-						victim.aborted.Store(true)
+					if !victim.priority.Load() || x.ID < victim.ID {
+						victim.Kill(x.BlockOf(x.ID), l)
 					} else {
 						// Outranked; give way.
-						x.info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)),
-							x.sys.blockOf(victim.slot))
+						x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)),
+							x.BlockOf(victim.ID))
 					}
 					tm.Spin(64)
 					runtime.Gosched()
@@ -411,9 +281,9 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 	}
 	// Log the old value only on the first store to a.
 	if !x.undo.Contains(a) {
-		x.undo.Insert(a, x.sys.cfg.Arena.Load(a))
+		x.undo.Insert(a, x.Mem.Load(a))
 	}
-	x.sys.cfg.Arena.Store(a, v)
+	x.Mem.Store(a, v)
 }
 
 // spillToSignatures enters overflow mode: current and future lines are
@@ -421,64 +291,36 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 // conservatively. Directory marks for already-held lines are kept (they are
 // precise and harmless); new lines stop acquiring directory marks.
 func (x *eagerTx) spillToSignatures() {
-	for l := range x.readLines {
+	for l := range x.ReadLines {
 		x.readSig.Insert(uint32(l))
 	}
-	for l := range x.writeLines {
+	for l := range x.WriteLines {
 		x.writeSig.Insert(uint32(l))
 	}
 	x.overflowed.Store(true)
 }
-
-// Alloc draws from the thread-private reservation chunk; line-aligned
-// chunks keep one thread's allocations off another's conflict-detection
-// lines (line granularity makes allocator false sharing a real abort —
-// recycled free-list blocks weaken that disjointness, trading spurious
-// conflicts for a bounded arena high-water). A real capacity miss unwinds
-// terminally via FailAlloc; the alloc-exhaust failpoint injects only the
-// abort (the undo log makes either a plain rollback).
-func (x *eagerTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.slot) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (rollback drops it), recycling the
-// block through the thread's free lists.
-func (x *eagerTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 
 // EarlyRelease drops the reader mark for a line ("the eager HTM cannot
 // perform early-release on addresses that hit in the Bloom filter", so in
 // overflow mode the signature entry stays and keeps generating conflicts —
 // the exact labyrinth+ behaviour from Section V).
 func (x *eagerTx) EarlyRelease(a mem.Addr) {
-	if !x.sys.cfg.EnableEarlyRelease {
+	if !x.Cfg.EnableEarlyRelease {
 		return
 	}
 	l := mem.LineOf(a)
-	if _, mine := x.readLines[l]; !mine {
+	if _, mine := x.ReadLines[l]; !mine {
 		return
 	}
-	if _, alsoWrite := x.writeLines[l]; alsoWrite {
+	if _, alsoWrite := x.WriteLines[l]; alsoWrite {
 		return
 	}
 	if x.overflowed.Load() {
 		return // cannot remove from a Bloom filter
 	}
-	x.sys.dir.dropReader(l, x.slot)
-	delete(x.readLines, l)
+	x.sys.dir.dropReader(l, x.ID)
+	delete(x.ReadLines, l)
 }
-
-// Peek is an uninstrumented read (see the lazy HTM note).
-func (x *eagerTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *eagerTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }
 
 // directory models the coherence-protocol side of conflict detection: for
 // each line touched by a running transaction it records the writing

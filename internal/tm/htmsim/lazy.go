@@ -1,9 +1,7 @@
 package htmsim
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm"
@@ -14,167 +12,45 @@ import (
 
 // Lazy simulates the paper's TCC-style lazy HTM: speculative writes are
 // buffered, conflict detection happens at commit through the "coherence
-// protocol" (here: a commit arbiter that probes every active transaction's
-// line sets and aborts overlapping ones — committer wins), detection is at
+// protocol" (here: tm.Arbiter, a commit arbiter that probes every active
+// transaction's line sets and aborts overlapping ones — committer wins, with
+// a seqlock epoch keeping racing read barriers consistent), detection is at
 // 32-byte line granularity, aborted transactions restart immediately with no
 // backoff, and capacity overflow temporarily serializes transaction
 // execution, exactly as described in Section IV.
-//
-// Commit atomicity versus racing read barriers uses a seqlock-style epoch:
-// the arbiter makes the epoch odd while it probes victim sets and writes
-// back; a read barrier that overlaps an odd epoch (or observes the epoch
-// change under it) retries its insert+load, so a victim can never keep a
-// stale value without either being flagged or re-reading the committed one.
 type Lazy struct {
-	cfg      tm.Config
-	commitMu sync.Mutex
+	*tm.Runtime[*lazyTx]
+	arb      tm.Arbiter
 	serialMu sync.RWMutex
-	epoch    atomic.Uint64
-	threads  []*lazyThread
-	txs      []*lazyTx
-	chaos    *chaos.Injector // nil unless Config.Chaos armed failpoints
 }
 
 // NewLazy constructs the TCC-style HTM simulation.
 func NewLazy(cfg tm.Config) (*Lazy, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	// As on the eager HTM, hardware conflict resolution (committer wins)
 	// stays fixed; the pluggable policy only governs the restart delay,
 	// defaulting to the paper's immediate restart.
-	pool, err := tm.NewCMPool(cfg, tm.NoCM)
+	rt, err := tm.NewRuntime[*lazyTx]("htm-lazy", cfg, tm.NoCM)
 	if err != nil {
 		return nil, err
 	}
-	s := &Lazy{cfg: cfg, chaos: pool.Chaos()}
-	s.threads = make([]*lazyThread, cfg.Threads)
-	s.txs = make([]*lazyTx, cfg.Threads)
-	for i := range s.threads {
-		x := &lazyTx{
+	s := &Lazy{Runtime: rt}
+	rt.Bind(func(int) *lazyTx {
+		return &lazyTx{
 			sys:        s,
-			slot:       i,
-			res:        cfg.NewReserver(),
-			readSet:    newLineSet(cfg.CapacityLines),
-			writeSet:   newLineSet(cfg.CapacityLines),
-			sets:       newSetTracker(cfg),
+			readSet:    newLineSet(rt.Cfg.CapacityLines),
+			writeSet:   newLineSet(rt.Cfg.CapacityLines),
+			sets:       newSetTracker(rt.Cfg),
 			serialRead: make(map[mem.Line]struct{}),
 			serialWrit: make(map[mem.Line]struct{}),
 		}
-		s.txs[i] = x
-		t := &lazyThread{id: i, sys: s, tx: x}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		s.threads[i] = t
-	}
+	})
 	return s, nil
 }
 
-// Name implements tm.System.
-func (s *Lazy) Name() string { return "htm-lazy" }
-
-// Arena implements tm.System.
-func (s *Lazy) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *Lazy) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *Lazy) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *Lazy) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
-}
-
-type lazyThread struct {
-	id    int
-	sys   *Lazy
-	stats tm.ThreadStats
-	tx    *lazyTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-
-	// curBlock publishes the block this thread is currently inside, so a
-	// committer that flags us can blame the call site in the attribution
-	// it deposits (see killPack).
-	curBlock atomic.Int32
-}
-
-func (t *lazyThread) ID() int                { return t.id }
-func (t *lazyThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *lazyThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *lazyThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.curBlock.Store(int32(b))
-	t.cm.OnStart()
-	aborts := 0
-	for {
-		t.tx.begin()
-		ok := tm.Attempt(t.tx, fn) && t.tx.commit()
-		if !ok {
-			// Serial (overflow) attempts store in place; replay their undo
-			// log before end releases the serial lock, so no other
-			// transaction observes a failed attempt's partial writes.
-			t.tx.rollbackSerial()
-		}
-		t.tx.end()
-		if ok {
-			break
-		}
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted and end
-			// already released the serial/active state — unwind the block
-			// instead of retrying.
-			t.curBlock.Store(int32(tm.NoBlock))
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		// Default policy is "none": the lazy HTM restarts aborted
-		// transactions immediately (Section IV). Overflowed attempts retry
-		// in serial mode; that switch happens inside begin via tx.serial.
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.curBlock.Store(int32(tm.NoBlock))
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "htm-lazy", uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	t.stats.ReadLinesHist.Add(t.tx.readLineCount())
-	t.stats.WriteLinesHist.Add(t.tx.writeLineCount())
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-	t.tx.serial = false
-}
-
 type lazyTx struct {
-	sys  *Lazy
-	slot int
-	res  *mem.Reserver // thread-private allocation chunk
-
-	active   atomic.Bool
-	aborted  atomic.Bool
-	killedBy atomic.Uint64 // who flagged us and on what line (see killPack)
-	info     tm.AbortInfo  // pending-abort cause/location/blame registers
+	tm.TxCore
+	tm.Flagged // killed by committers whose write lines we hold
+	sys        *Lazy
 
 	readSet  *lineSet
 	writeSet *lineSet
@@ -183,16 +59,13 @@ type lazyTx struct {
 
 	// serial (overflow) mode: the transaction runs alone with direct memory
 	// access; plain maps suffice and have no capacity limit. serial selects
-	// the mode for the next attempt; heldSerial records which lock the
-	// current attempt actually took (overflow flips serial mid-attempt).
+	// the mode for the block's next attempt; heldSerial records which lock
+	// the current attempt actually took (overflow flips serial mid-attempt).
 	serial     bool
 	heldSerial bool
 	serialRead map[mem.Line]struct{}
 	serialWrit map[mem.Line]struct{}
 	serialUndo []undoRec // old values of serial-mode in-place stores
-
-	loads  uint64
-	stores uint64
 }
 
 // undoRec is one serial-mode in-place store's pre-image (see rollbackSerial).
@@ -201,23 +74,23 @@ type undoRec struct {
 	v uint64
 }
 
-func (x *lazyTx) readLineCount() int {
+// LineCounts overrides the core's: the line sets live in the speculative
+// buffer model (or the serial maps), not in the profiling maps.
+func (x *lazyTx) LineCounts() (reads, writes int, ok bool) {
 	if x.serial {
-		return len(x.serialRead)
+		return len(x.serialRead), len(x.serialWrit), true
 	}
-	return x.readSet.len()
+	return x.readSet.len(), x.writeSet.len(), true
 }
 
-func (x *lazyTx) writeLineCount() int {
-	if x.serial {
-		return len(x.serialWrit)
+// Begin starts every block speculative: serial mode is per-block state, so
+// the first attempt clears it — on every exit path of the previous block,
+// commit or terminal unwind alike, the next block must not serialize the
+// system for an overflow it did not have.
+func (x *lazyTx) Begin(_ tm.BlockID, aborts int) {
+	if aborts == 0 {
+		x.serial = false
 	}
-	return x.writeSet.len()
-}
-
-func (x *lazyTx) begin() {
-	x.loads, x.stores = 0, 0
-	x.info.Reset()
 	x.heldSerial = x.serial
 	if x.serial {
 		// Overflow: wait until we are the only transaction in the system,
@@ -234,23 +107,22 @@ func (x *lazyTx) begin() {
 	x.writeSet.clear()
 	x.sets.reset()
 	x.wbuf.Reset()
-	x.killedBy.Store(0)
-	x.aborted.Store(false)
-	x.active.Store(true)
+	x.Arm()
 }
 
-// setKilled stamps the pending-abort registers from the attribution the
-// flagging committer deposited in killedBy.
-func (x *lazyTx) setKilled() {
-	blame, key := tm.KillUnpack(x.killedBy.Load())
-	x.info.Set(tm.CauseHTMConflict, key, blame)
-}
-
-// failKilled is setKilled plus the retry unwind, for flag polls inside the
-// attempt.
+// failKilled unwinds an attempt a committer flagged.
 func (x *lazyTx) failKilled() {
-	x.setKilled()
+	x.Blame(&x.Info, tm.CauseHTMConflict)
 	tm.Retry()
+}
+
+// Touches implements tm.Victim over the precise line sets.
+func (x *lazyTx) Touches(l mem.Line) bool { return x.readSet.contains(l) || x.writeSet.contains(l) }
+
+// Rollback runs after every failed attempt: undo, then release begin's lock.
+func (x *lazyTx) Rollback() {
+	x.rollbackSerial()
+	x.end()
 }
 
 // rollbackSerial replays a failed serial attempt's undo log (newest first)
@@ -262,7 +134,7 @@ func (x *lazyTx) rollbackSerial() {
 		return
 	}
 	for i := len(x.serialUndo) - 1; i >= 0; i-- {
-		x.sys.cfg.Arena.Store(x.serialUndo[i].a, x.serialUndo[i].v)
+		x.Mem.Store(x.serialUndo[i].a, x.serialUndo[i].v)
 	}
 	x.serialUndo = x.serialUndo[:0]
 }
@@ -273,7 +145,7 @@ func (x *lazyTx) end() {
 		x.sys.serialMu.Unlock()
 		return
 	}
-	x.active.Store(false)
+	x.Active.Store(false)
 	x.sys.serialMu.RUnlock()
 }
 
@@ -282,71 +154,54 @@ func (x *lazyTx) end() {
 // associativity limit.
 func (x *lazyTx) overflow(l mem.Line) {
 	x.serial = true
-	x.info.Fail(tm.CauseHTMCapacity, trace.LineKey(uint64(l)), tm.NoBlock)
+	x.Info.Fail(tm.CauseHTMCapacity, trace.LineKey(uint64(l)), tm.NoBlock)
 }
 
 // Load implements the HTM read barrier (in hardware this is an implicit,
 // free cache access; the bookkeeping here is the simulation's price).
 func (x *lazyTx) Load(a mem.Addr) uint64 {
-	x.loads++
+	x.Loads++
 	if x.serial {
 		x.serialRead[mem.LineOf(a)] = struct{}{}
-		return x.sys.cfg.Arena.Load(a)
+		return x.Mem.Load(a)
 	}
 	if v, ok := x.wbuf.Get(a); ok {
 		return v
 	}
-	l := mem.LineOf(a)
-	for {
-		if x.aborted.Load() {
-			x.failKilled()
-		}
-		e := x.sys.epoch.Load()
-		if e&1 == 1 { // a commit is being arbitrated; wait like a snooping cache
-			runtime.Gosched()
-			continue
-		}
-		added, ok := x.readSet.insert(l)
-		if !ok || (added && x.readSet.len()+x.writeSet.len() > x.sys.cfg.CapacityLines) {
-			x.overflow(l)
-		}
-		if added && !x.writeSet.contains(l) && !x.sets.add(l) {
-			x.overflow(l) // associativity conflict in the speculative buffer
-		}
-		v := x.sys.cfg.Arena.Load(a)
-		if x.sys.epoch.Load() == e {
-			// Recheck the flag after the stable-epoch confirmation: a commit
-			// that flagged us can complete entirely between the loop-top flag
-			// poll and the first epoch load (flag store precedes its closing
-			// epoch bump, so a stable epoch makes the flag visible here). The
-			// loop-top poll alone can read a stale false and return the
-			// committed value while earlier loads predate the writeback.
-			if x.aborted.Load() {
-				x.failKilled()
-			}
-			return v
-		}
-		// A commit overlapped this insert+load window; redo so the value is
-		// either pre-commit-with-visible-insert or the committed one.
+	if x.Killed() {
+		x.failKilled()
 	}
+	l := mem.LineOf(a)
+	added, ok := x.readSet.insert(l)
+	if !ok || (added && x.readSet.len()+x.writeSet.len() > x.Cfg.CapacityLines) {
+		x.overflow(l)
+	}
+	if added && !x.writeSet.contains(l) && !x.sets.add(l) {
+		x.overflow(l) // associativity conflict in the speculative buffer
+	}
+	v, ok := x.sys.arb.Read(&x.Flagged, x.Mem, a)
+	if !ok {
+		x.failKilled()
+	}
+	return v
 }
 
 // Store implements the HTM write barrier: buffer the word, track the line.
 func (x *lazyTx) Store(a mem.Addr, v uint64) {
-	x.stores++
+	x.Stores++
 	if x.serial {
 		x.serialWrit[mem.LineOf(a)] = struct{}{}
-		x.serialUndo = append(x.serialUndo, undoRec{a: a, v: x.sys.cfg.Arena.Load(a)})
-		x.sys.cfg.Arena.Store(a, v)
+		x.serialUndo = append(x.serialUndo, undoRec{a: a, v: x.Mem.Load(a)})
+		x.Mem.Store(a, v)
 		return
 	}
-	if x.aborted.Load() {
+	if x.Killed() {
 		x.failKilled()
 	}
 	x.wbuf.Put(a, v)
 	l := mem.LineOf(a)
 	added, ok := x.writeSet.insert(l)
-	if !ok || (added && x.readSet.len()+x.writeSet.len() > x.sys.cfg.CapacityLines) {
+	if !ok || (added && x.readSet.len()+x.writeSet.len() > x.Cfg.CapacityLines) {
 		x.overflow(l)
 	}
 	if added && !x.readSet.contains(l) && !x.sets.add(l) {
@@ -354,34 +209,11 @@ func (x *lazyTx) Store(a mem.Addr, v uint64) {
 	}
 }
 
-// Alloc draws from the thread-private reservation chunk; line-aligned
-// chunks keep one thread's allocations off another's conflict-detection
-// lines (line granularity makes allocator false sharing a real abort —
-// recycled free-list blocks weaken that disjointness, trading spurious
-// conflicts for a bounded arena high-water). A real capacity miss unwinds
-// terminally via FailAlloc; the alloc-exhaust failpoint injects only the
-// abort (safe even mid serial attempt — rollbackSerial undoes the in-place
-// stores before the retry).
-func (x *lazyTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.slot) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (abort drops it), recycling the
-// block through the thread's free lists.
-func (x *lazyTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
-
 // EarlyRelease drops a line from the speculative read set so it no longer
 // raises conflicts — the labyrinth optimization. Lines also in the write set
 // stay tracked.
 func (x *lazyTx) EarlyRelease(a mem.Addr) {
-	if !x.sys.cfg.EnableEarlyRelease {
+	if !x.Cfg.EnableEarlyRelease {
 		return
 	}
 	l := mem.LineOf(a)
@@ -397,65 +229,36 @@ func (x *lazyTx) EarlyRelease(a mem.Addr) {
 	}
 }
 
-// Peek is an uninstrumented read. On a real HTM all accesses are implicitly
-// tracked, so STAMP only uses Peek on software/hybrid systems; it is still
-// provided here for API uniformity.
-func (x *lazyTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *lazyTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }
-
-// commit arbitrates: flag every active transaction whose read or write set
+// Commit arbitrates: flag every active transaction whose read or write set
 // overlaps our write set, then write back. Committer wins.
-func (x *lazyTx) commit() bool {
+func (x *lazyTx) Commit() bool {
+	if !x.arbitrate() {
+		return false
+	}
+	x.end()
+	return true
+}
+
+func (x *lazyTx) arbitrate() bool {
 	if x.serial {
-		// Never inject here: serial mode already wrote memory in place, so a
-		// spurious abort would be unrecoverable (there is no undo log).
-		return true // ran alone with direct stores
+		// Never inject here: serial mode already wrote memory in place, and
+		// nothing can conflict with a transaction that runs alone.
+		return true
 	}
 	// Failpoint: a spurious abort at commit arbitration looks exactly like
 	// losing the committer-wins race, so it carries that natural cause.
-	if x.sys.chaos.Fire(chaos.HTMArbitrate, x.slot) {
-		x.info.Set(tm.CauseHTMConflict, 0, tm.NoBlock)
+	if x.Chaos.Fire(chaos.HTMArbitrate, x.ID) {
+		x.Info.Set(tm.CauseHTMConflict, 0, tm.NoBlock)
 		return false
 	}
-	if x.wbuf.Len() == 0 {
-		// Read-only: correctness is guaranteed by the abort flag (any
-		// conflicting committer flagged us before writing back).
-		if x.aborted.Load() {
-			x.setKilled()
-			return false
-		}
-		return true
+	// Read-only: correctness is guaranteed by the abort flag (any
+	// conflicting committer flagged us before writing back).
+	ok := !x.Killed()
+	if x.wbuf.Len() > 0 {
+		ok = tm.CommitWins(&x.sys.arb, x, x.sys.Txs, x.BlockOf(x.ID), x.wbuf.Entries(), x.Mem)
 	}
-	x.sys.commitMu.Lock()
-	if x.aborted.Load() {
-		x.setKilled()
-		x.sys.commitMu.Unlock()
-		return false
+	if !ok {
+		x.Blame(&x.Info, tm.CauseHTMConflict)
 	}
-	writes := x.wbuf.Entries()
-	myBlock := tm.BlockID(x.sys.threads[x.slot].curBlock.Load())
-	x.sys.epoch.Add(1) // odd: commit in progress
-	for _, other := range x.sys.txs {
-		if other.slot == x.slot || !other.active.Load() {
-			continue
-		}
-		for _, e := range writes {
-			l := mem.LineOf(e.Addr)
-			if other.readSet.contains(l) || other.writeSet.contains(l) {
-				// Deposit the attribution before raising the flag so the
-				// victim's flag poll always finds it.
-				other.killedBy.Store(tm.KillPack(myBlock, l))
-				other.aborted.Store(true)
-				break
-			}
-		}
-	}
-	for _, e := range writes {
-		x.sys.cfg.Arena.Store(e.Addr, e.Val)
-	}
-	x.sys.epoch.Add(1) // even: done
-	x.sys.commitMu.Unlock()
-	return true
+	return ok
 }

@@ -21,189 +21,57 @@ import (
 // livelock-prone on genome, exactly as the paper reports; priority policies
 // (greedy, karma) arbitrate at these same probe points instead.
 type Eager struct {
-	cfg     tm.Config
-	threads []*eagerThread
-	txs     []*eagerTx
-	cms     []tm.ContentionManager // per-slot, for conflict arbitration
-	chaos   *chaos.Injector        // nil unless Config.Chaos armed failpoints
+	*tm.Runtime[*eagerTx]
 }
 
 // NewEager constructs the eager hybrid.
 func NewEager(cfg tm.Config) (*Eager, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	pool, err := tm.NewCMPool(cfg, tm.DefaultCM)
+	rt, err := tm.NewRuntime[*eagerTx]("hybrid-eager", cfg, tm.DefaultCM)
 	if err != nil {
 		return nil, err
 	}
-	s := &Eager{cfg: cfg, chaos: pool.Chaos()}
-	s.threads = make([]*eagerThread, cfg.Threads)
-	s.txs = make([]*eagerTx, cfg.Threads)
-	s.cms = make([]tm.ContentionManager, cfg.Threads)
-	for i := range s.threads {
-		x := &eagerTx{sys: s, slot: i, res: cfg.NewReserver()}
-		if cfg.ProfileSets {
-			x.readLines = make(map[mem.Line]struct{})
-			x.writeLines = make(map[mem.Line]struct{})
-		}
-		s.txs[i] = x
-		t := &eagerThread{id: i, sys: s, tx: x}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		s.cms[i] = t.cm
-		x.cm = t.cm
-		s.threads[i] = t
-	}
+	s := &Eager{Runtime: rt}
+	rt.Bind(func(int) *eagerTx { return &eagerTx{sys: s} })
 	return s, nil
 }
 
-// Name implements tm.System.
-func (s *Eager) Name() string { return "hybrid-eager" }
-
-// Arena implements tm.System.
-func (s *Eager) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *Eager) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *Eager) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *Eager) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
-}
-
-// blockOf returns the atomic block the transaction in slot is currently
-// executing (tm.NoBlock when idle), for blaming the enemy's call site at
-// signature-probe conflicts.
-func (s *Eager) blockOf(slot int) tm.BlockID {
-	if slot >= 0 && slot < len(s.threads) {
-		return tm.BlockID(s.threads[slot].curBlock.Load())
-	}
-	return tm.NoBlock
-}
-
-type eagerThread struct {
-	id    int
-	sys   *Eager
-	stats tm.ThreadStats
-	tx    *eagerTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-
-	// curBlock publishes the block this thread is currently inside, so
-	// enemies that abort against our signatures can blame the call site.
-	curBlock atomic.Int32
-}
-
-func (t *eagerThread) ID() int                { return t.id }
-func (t *eagerThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *eagerThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *eagerThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.curBlock.Store(int32(b))
-	t.cm.OnStart()
-	aborts := 0
-	for {
-		t.tx.begin()
-		if tm.Attempt(t.tx, fn) {
-			t.tx.commit()
-			break
-		}
-		t.tx.rollback()
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted, rollback
-			// replayed the undo log and cleared the signatures — unwind
-			// instead of retrying.
-			t.curBlock.Store(int32(tm.NoBlock))
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.curBlock.Store(int32(tm.NoBlock))
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "hybrid-eager", uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	if t.tx.readLines != nil {
-		t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-		t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	}
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
-
 type eagerTx struct {
-	sys  *Eager
-	slot int
-	cm   tm.ContentionManager
-	res  *mem.Reserver // thread-private allocation chunk
+	tm.TxCore
+	sys *Eager
 
-	active atomic.Bool
-	info   tm.AbortInfo // pending-abort cause/location/blame registers
-
+	active   atomic.Bool
 	readSig  sig.Signature
 	writeSig sig.Signature
 	undo     txset.WriteSet // addr → old value; doubles as the written-set
-
-	loads  uint64
-	stores uint64
-
-	readLines  map[mem.Line]struct{} // profiling only
-	writeLines map[mem.Line]struct{}
 }
 
-func (x *eagerTx) begin() {
-	x.loads, x.stores = 0, 0
-	x.info.Reset()
+func (x *eagerTx) Begin(tm.BlockID, int) {
 	x.readSig.Clear()
 	x.writeSig.Clear()
 	x.undo.Reset()
-	if x.readLines != nil {
-		clear(x.readLines)
-		clear(x.writeLines)
-	}
 	x.active.Store(true)
 }
 
-// rollback replays the undo log before clearing signatures, so a racing
+// Rollback replays the undo log before clearing signatures, so a racing
 // reader that passes a cleared signature can only observe restored data.
-func (x *eagerTx) rollback() {
+func (x *eagerTx) Rollback() {
 	undo := x.undo.Entries()
 	for i := len(undo) - 1; i >= 0; i-- {
-		x.sys.cfg.Arena.Store(undo[i].Addr, undo[i].Val)
+		x.Mem.Store(undo[i].Addr, undo[i].Val)
 	}
-	x.undo.Reset()
-	x.readSig.Clear()
-	x.writeSig.Clear()
-	x.active.Store(false)
+	x.close()
 }
 
-// commit needs no validation: a writer that would have invalidated one of
-// our reads saw our read signature and aborted itself instead.
-func (x *eagerTx) commit() {
+// Commit needs no validation and cannot fail: a writer that would have
+// invalidated one of our reads saw our read signature and aborted itself
+// instead.
+func (x *eagerTx) Commit() bool {
+	x.close()
+	return true
+}
+
+// close drops the undo log and withdraws the signatures.
+func (x *eagerTx) close() {
 	x.undo.Reset()
 	x.readSig.Clear()
 	x.writeSig.Clear()
@@ -216,88 +84,55 @@ func (x *eagerTx) commit() {
 // conflict: requester-loses policies abort here, priority policies may wait
 // the writer out and re-probe.
 func (x *eagerTx) Load(a mem.Addr) uint64 {
-	x.loads++
+	x.Loads++
 	l := uint32(mem.LineOf(a))
 	x.readSig.Insert(l)
-	for _, other := range x.sys.txs {
-		if other.slot == x.slot {
+	for _, other := range x.sys.Txs {
+		if other == x {
 			continue
 		}
 		for probe := 0; other.active.Load() && other.writeSig.Test(l); probe++ {
-			if tm.WaitOrAbort(x.cm, x.sys.cms[other.slot], probe) {
-				x.info.Fail(tm.CauseOrDisplaced(x.cm, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
-					x.sys.blockOf(other.slot))
+			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), probe) {
+				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
+					x.BlockOf(other.ID))
 			}
 		}
 	}
-	if x.readLines != nil {
-		x.readLines[mem.LineOf(a)] = struct{}{}
-	}
-	return x.sys.cfg.Arena.Load(a)
+	x.NoteRead(a)
+	return x.Mem.Load(a)
 }
 
 // Store publishes the line in the write signature, probes every other
 // active transaction's read and write signatures, then writes in place
 // under the undo log.
 func (x *eagerTx) Store(a mem.Addr, v uint64) {
-	x.stores++
+	x.Stores++
 	l := uint32(mem.LineOf(a))
 	// Failpoint: a spurious abort at the write-barrier probe looks exactly
 	// like a Bloom-signature hit, so it carries that site's natural cause.
-	if x.sys.chaos.Fire(chaos.HybridSigCheck, x.slot) {
-		x.info.Fail(tm.CauseSignatureConflict, trace.LineKey(uint64(l)), tm.NoBlock)
+	if x.Chaos.Fire(chaos.HybridSigCheck, x.ID) {
+		x.Info.Fail(tm.CauseSignatureConflict, trace.LineKey(uint64(l)), tm.NoBlock)
 	}
 	x.writeSig.Insert(l)
-	for _, other := range x.sys.txs {
-		if other.slot == x.slot {
+	for _, other := range x.sys.Txs {
+		if other == x {
 			continue
 		}
 		for probe := 0; other.active.Load() && (other.readSig.Test(l) || other.writeSig.Test(l)); probe++ {
-			if tm.WaitOrAbort(x.cm, x.sys.cms[other.slot], probe) {
-				x.info.Fail(tm.CauseOrDisplaced(x.cm, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
-					x.sys.blockOf(other.slot))
+			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), probe) {
+				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
+					x.BlockOf(other.ID))
 			}
 		}
 	}
 	// Log the old value only on the first store to a.
 	if !x.undo.Contains(a) {
-		x.undo.Insert(a, x.sys.cfg.Arena.Load(a))
+		x.undo.Insert(a, x.Mem.Load(a))
 	}
-	x.sys.cfg.Arena.Store(a, v)
-	if x.writeLines != nil {
-		x.writeLines[mem.LineOf(a)] = struct{}{}
-	}
+	x.Mem.Store(a, v)
+	x.NoteWrite(a)
 }
-
-// Alloc draws from the thread-private reservation chunk; line-aligned
-// chunks also keep one thread's allocations off another's signature lines
-// (recycled free-list blocks weaken that disjointness, trading spurious
-// signature hits for a bounded arena high-water). A real capacity miss
-// unwinds terminally via FailAlloc; the alloc-exhaust failpoint injects
-// only the abort (the undo log makes either a plain rollback).
-func (x *eagerTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.slot) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (rollback drops it), recycling the
-// block through the thread's free lists.
-func (x *eagerTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 
 // EarlyRelease is unsupported on signatures (no removal from a Bloom
 // filter); it is a no-op, as on the lazy hybrid.
 func (x *eagerTx) EarlyRelease(mem.Addr) {}
-
-// Peek is an uninstrumented read; with eager versioning it may observe
-// in-flight speculative data (see the eager STM note — the only sanctioned
-// use revalidates transactionally).
-func (x *eagerTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *eagerTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }

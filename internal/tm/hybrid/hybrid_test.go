@@ -17,7 +17,7 @@ func TestLazySignaturesClearBetweenTransactions(t *testing.T) {
 	}
 	th := sys.Thread(0)
 	th.Atomic(func(tx tm.Tx) { tx.Store(a, 1) })
-	x := sys.txs[0]
+	x := sys.Txs[0]
 	// After commit the write signature is cleared (conflict window closed).
 	if !x.writeSig.Empty() || !x.readSig.Empty() {
 		t.Fatal("signatures survive commit")

@@ -12,337 +12,128 @@
 package hybrid
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/sig"
-	"github.com/stamp-go/stamp/internal/tm/trace"
 	"github.com/stamp-go/stamp/internal/tm/txset"
 )
 
 // Lazy is the SigTM-style lazy hybrid: software write buffer, read/write
-// signatures, committer-wins conflict detection at commit.
+// signatures, committer-wins conflict detection at commit. It arbitrates
+// exactly like the TCC HTM (tm.Arbiter), but peers probe signatures instead
+// of precise line sets.
 type Lazy struct {
-	cfg      tm.Config
-	commitMu sync.Mutex
-	epoch    atomic.Uint64
-	threads  []*lazyThread
-	txs      []*lazyTx
-	chaos    *chaos.Injector // nil unless Config.Chaos armed failpoints
+	*tm.Runtime[*lazyTx]
+	arb tm.Arbiter
 }
 
 // NewLazy constructs the lazy hybrid.
 func NewLazy(cfg tm.Config) (*Lazy, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	pool, err := tm.NewCMPool(cfg, tm.DefaultCM)
+	rt, err := tm.NewRuntime[*lazyTx]("hybrid-lazy", cfg, tm.DefaultCM)
 	if err != nil {
 		return nil, err
 	}
-	s := &Lazy{cfg: cfg, chaos: pool.Chaos()}
-	s.threads = make([]*lazyThread, cfg.Threads)
-	s.txs = make([]*lazyTx, cfg.Threads)
-	for i := range s.threads {
-		x := &lazyTx{sys: s, slot: i, res: cfg.NewReserver()}
-		if cfg.ProfileSets {
-			x.readLines = make(map[mem.Line]struct{})
-			x.writeLines = make(map[mem.Line]struct{})
-		}
-		s.txs[i] = x
-		t := &lazyThread{id: i, sys: s, tx: x}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		s.threads[i] = t
-	}
+	s := &Lazy{Runtime: rt}
+	rt.Bind(func(int) *lazyTx { return &lazyTx{sys: s} })
 	return s, nil
 }
 
-// Name implements tm.System.
-func (s *Lazy) Name() string { return "hybrid-lazy" }
-
-// Arena implements tm.System.
-func (s *Lazy) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *Lazy) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *Lazy) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *Lazy) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
-}
-
-// blockOf returns the atomic block the transaction in slot is currently
-// executing (tm.NoBlock when idle), for blaming the killer's call site.
-func (s *Lazy) blockOf(slot int) tm.BlockID {
-	if slot >= 0 && slot < len(s.threads) {
-		return tm.BlockID(s.threads[slot].curBlock.Load())
-	}
-	return tm.NoBlock
-}
-
-type lazyThread struct {
-	id    int
-	sys   *Lazy
-	stats tm.ThreadStats
-	tx    *lazyTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-
-	// curBlock publishes the block this thread is currently inside, so a
-	// committer that flags us can blame the call site.
-	curBlock atomic.Int32
-}
-
-func (t *lazyThread) ID() int                { return t.id }
-func (t *lazyThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *lazyThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *lazyThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.curBlock.Store(int32(b))
-	t.cm.OnStart()
-	aborts := 0
-	for {
-		t.tx.begin()
-		ok := tm.Attempt(t.tx, fn) && t.tx.commit()
-		t.tx.end()
-		if ok {
-			break
-		}
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted and end
-			// already cleared the signatures — unwind instead of retrying.
-			t.curBlock.Store(int32(tm.NoBlock))
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		// Conflicts here are commit-time (committer wins, victims are only
-		// flagged), so there is no encounter-time arbitration point; the
-		// delay hooks are the whole policy surface on this runtime.
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.curBlock.Store(int32(tm.NoBlock))
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "hybrid-lazy", uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	if t.tx.readLines != nil {
-		t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-		t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	}
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
-
 type lazyTx struct {
-	sys  *Lazy
-	slot int
-	res  *mem.Reserver // thread-private allocation chunk
-
-	active   atomic.Bool
-	aborted  atomic.Bool
-	killedBy atomic.Uint64 // who flagged us and on what line (see tm.KillPack)
-	info     tm.AbortInfo  // pending-abort cause/location/blame registers
+	tm.TxCore
+	tm.Flagged // killed by committers whose write lines our signatures admit
+	sys        *Lazy
 
 	readSig  sig.Signature
 	writeSig sig.Signature
 	wset     txset.WriteSet // redo log (insertion order = writeback order)
-
-	loads  uint64
-	stores uint64
-
-	readLines  map[mem.Line]struct{} // profiling only
-	writeLines map[mem.Line]struct{}
 }
 
-func (x *lazyTx) begin() {
-	x.loads, x.stores = 0, 0
-	x.info.Reset()
-	x.killedBy.Store(0)
+func (x *lazyTx) Begin(tm.BlockID, int) {
 	x.readSig.Clear()
 	x.writeSig.Clear()
 	x.wset.Reset()
-	if x.readLines != nil {
-		clear(x.readLines)
-		clear(x.writeLines)
-	}
-	x.aborted.Store(false)
-	x.active.Store(true)
+	x.Arm()
 }
 
-// end closes the conflict window: once active is clear, peers stop probing
-// these signatures, and clearing them keeps no stale conflict state between
-// transactions.
+// end closes the conflict window after a commit or an abort: once Active is
+// clear, peers stop probing these signatures, and clearing them keeps no
+// stale conflict state between transactions.
 func (x *lazyTx) end() {
-	x.active.Store(false)
+	x.Active.Store(false)
 	x.readSig.Clear()
 	x.writeSig.Clear()
 }
 
-// setKilled stamps the pending abort from the killedBy word a committer
-// deposited before flagging us. All flag aborts here are signature hits —
-// possibly false positives, which is exactly why the cause is its own bucket.
-func (x *lazyTx) setKilled() {
-	blame, key := tm.KillUnpack(x.killedBy.Load())
-	x.info.Set(tm.CauseSignatureConflict, key, blame)
-}
+func (x *lazyTx) Rollback() { x.end() }
 
+// failKilled unwinds an attempt a committer flagged. All flag aborts here
+// are signature hits — possibly false positives, which is exactly why the
+// cause is its own bucket.
 func (x *lazyTx) failKilled() {
-	x.setKilled()
+	x.Blame(&x.Info, tm.CauseSignatureConflict)
 	tm.Retry()
 }
 
-// Load: write-buffer lookup, then a signature-tracked read. The epoch
-// seqlock (see commit) guarantees a read that overlaps a commit is redone,
-// so doomed transactions never hold an inconsistent snapshot.
+// Touches implements tm.Victim over the Bloom signatures.
+func (x *lazyTx) Touches(l mem.Line) bool {
+	return x.readSig.Test(uint32(l)) || x.writeSig.Test(uint32(l))
+}
+
+// Load: write-buffer lookup, then a signature-tracked read. The arbiter's
+// epoch seqlock guarantees a read that overlaps a commit is redone, so
+// doomed transactions never hold an inconsistent snapshot.
 func (x *lazyTx) Load(a mem.Addr) uint64 {
-	x.loads++
+	x.Loads++
 	if v, ok := x.wset.Get(a); ok {
 		return v
 	}
-	l := mem.LineOf(a)
-	for {
-		if x.aborted.Load() {
-			x.failKilled()
-		}
-		e := x.sys.epoch.Load()
-		if e&1 == 1 {
-			runtime.Gosched()
-			continue
-		}
-		x.readSig.Insert(uint32(l))
-		v := x.sys.cfg.Arena.Load(a)
-		if x.sys.epoch.Load() == e {
-			// Recheck the flag after the stable-epoch confirmation: a commit
-			// that flagged us can complete entirely between the loop-top flag
-			// poll and the first epoch load, so the poll alone can read a
-			// stale false and return the committed value while earlier loads
-			// predate the writeback (see htmsim/lazy.go).
-			if x.aborted.Load() {
-				x.failKilled()
-			}
-			if x.readLines != nil {
-				x.readLines[l] = struct{}{}
-			}
-			return v
-		}
+	if x.Killed() {
+		x.failKilled()
 	}
+	x.readSig.Insert(uint32(mem.LineOf(a)))
+	v, ok := x.sys.arb.Read(&x.Flagged, x.Mem, a)
+	if !ok {
+		x.failKilled()
+	}
+	x.NoteRead(a)
+	return v
 }
 
 // Store buffers the word and records the line in the write signature.
 func (x *lazyTx) Store(a mem.Addr, v uint64) {
-	x.stores++
-	if x.aborted.Load() {
+	x.Stores++
+	if x.Killed() {
 		x.failKilled()
 	}
 	x.wset.Put(a, v)
 	x.writeSig.Insert(uint32(mem.LineOf(a)))
-	if x.writeLines != nil {
-		x.writeLines[mem.LineOf(a)] = struct{}{}
-	}
+	x.NoteWrite(a)
 }
-
-// Alloc draws from the thread-private reservation chunk; line-aligned
-// chunks also keep one thread's allocations off another's signature lines
-// (recycled free-list blocks weaken that disjointness, trading spurious
-// signature hits for a bounded arena high-water). A real capacity miss
-// unwinds terminally via FailAlloc; the alloc-exhaust failpoint injects
-// only the abort.
-func (x *lazyTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.slot) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (abort drops it), recycling the
-// block through the thread's free lists.
-func (x *lazyTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 
 // EarlyRelease cannot remove a line from a Bloom filter; like SigTM, the
 // hybrid simply does not support it (labyrinth avoids needing it on hybrids
 // by using uninstrumented Peek reads, as the paper explains).
 func (x *lazyTx) EarlyRelease(mem.Addr) {}
 
-// Peek is an uninstrumented read; does not see own buffered writes.
-func (x *lazyTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *lazyTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }
-
-// commit arbitrates exactly like the TCC HTM, but probes signatures instead
-// of precise line sets: flag every active transaction whose read or write
-// signature admits one of our write lines, then write back.
-func (x *lazyTx) commit() bool {
-	if x.wset.Len() == 0 {
-		if x.aborted.Load() {
-			x.setKilled()
+// Commit flags every active transaction whose read or write signature
+// admits one of our write lines, then writes back (committer wins).
+func (x *lazyTx) Commit() bool {
+	// Read-only: any conflicting committer flagged us before writing back.
+	ok := !x.Killed()
+	if x.wset.Len() > 0 {
+		// Failpoint: a spurious abort at the committer's signature sweep looks
+		// exactly like being flagged by a racing committer (a signature hit).
+		if x.Chaos.Fire(chaos.HybridSigCheck, x.ID) {
+			x.Info.Set(tm.CauseSignatureConflict, 0, tm.NoBlock)
 			return false
 		}
-		return true
+		ok = tm.CommitWins(&x.sys.arb, x, x.sys.Txs, x.BlockOf(x.ID), x.wset.Entries(), x.Mem)
 	}
-	// Failpoint: a spurious abort at the committer's signature sweep looks
-	// exactly like being flagged by a racing committer (a signature hit).
-	if x.sys.chaos.Fire(chaos.HybridSigCheck, x.slot) {
-		x.info.Set(tm.CauseSignatureConflict, 0, tm.NoBlock)
+	if !ok {
+		x.Blame(&x.Info, tm.CauseSignatureConflict)
 		return false
 	}
-	x.sys.commitMu.Lock()
-	if x.aborted.Load() {
-		x.sys.commitMu.Unlock()
-		x.setKilled()
-		return false
-	}
-	writes := x.wset.Entries()
-	myBlock := x.sys.blockOf(x.slot)
-	x.sys.epoch.Add(1)
-	for _, other := range x.sys.txs {
-		if other.slot == x.slot || !other.active.Load() {
-			continue
-		}
-		for _, e := range writes {
-			l := uint32(mem.LineOf(e.Addr))
-			if other.readSig.Test(l) || other.writeSig.Test(l) {
-				other.killedBy.Store(tm.KillPack(myBlock, mem.LineOf(e.Addr)))
-				other.aborted.Store(true)
-				break
-			}
-		}
-	}
-	for _, e := range writes {
-		x.sys.cfg.Arena.Store(e.Addr, e.Val)
-	}
-	x.sys.epoch.Add(1)
-	x.sys.commitMu.Unlock()
+	x.end()
 	return true
 }

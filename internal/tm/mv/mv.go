@@ -1,8 +1,9 @@
 // Package mv implements stm-mv, a multi-version STM for abort-free
-// read-only traffic. Writers run a TL2-style protocol — per-stripe
-// versioned locks, a pluggable commit clock (tm.VersionClock), redo-log
-// writeback — and additionally append every committed value to a bounded
-// per-stripe ring of (version, address, value) records. Read-only
+// read-only traffic. Writers are TL2 itself — the transaction embeds
+// tl2.LazyTx and shares its versioned-lock table, commit clock
+// (tm.VersionClock) and commit phases — and additionally append every
+// committed value to a bounded per-stripe ring of (version, address, value)
+// records between acquiring their stripes and writing back. Read-only
 // transactions pick a snapshot timestamp at begin and serve every load
 // from that snapshot: the arena when the stripe has not been committed
 // past the snapshot, the version ring when it has. Snapshot reads perform
@@ -69,51 +70,30 @@ import (
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
+	"github.com/stamp-go/stamp/internal/tm/tl2"
 	"github.com/stamp-go/stamp/internal/tm/trace"
-	"github.com/stamp-go/stamp/internal/tm/txset"
 )
 
 // Stripe-table size bounds, in log2 stripes. Same derivation as the TL2
 // lock table (one stripe per arena word, clamped), but with a lower
-// ceiling: each mv stripe carries a padded header plus MVVersions ring
-// slots, so 2^20 stripes would cost hundreds of megabytes where TL2 pays
-// eight. Beyond 2^maxTableBits words, addresses hash onto stripes, which
-// only adds (rare, harmless) false conflicts — and makes ring sharing
-// slightly more likely, which the pre-image records keep correct.
+// ceiling: each mv stripe carries a ring header plus MVVersions ring slots
+// next to its lock word, so 2^20 stripes would cost hundreds of megabytes
+// where TL2 pays eight. Beyond 2^maxTableBits words, addresses hash onto
+// stripes, which only adds (rare, harmless) false conflicts — and makes
+// ring sharing slightly more likely, which the pre-image records keep
+// correct.
 const (
 	minTableBits = 12
 	maxTableBits = 16
 )
 
-func tableBitsFor(cfg tm.Config) int {
-	bits := cfg.LockTableBits
-	if bits == 0 {
-		bits = minTableBits
-		for bits < maxTableBits && 1<<bits < cfg.Arena.Cap() {
-			bits++
-		}
-		return bits
-	}
-	if bits < minTableBits {
-		return minTableBits
-	}
-	if bits > maxTableBits {
-		return maxTableBits
-	}
-	return bits
-}
-
-// stripe is one unit of conflict detection and version retention: a
-// TL2-encoded versioned lock (version<<1 unlocked, owner<<1|1 locked), the
-// ring's validity epoch, and the ring head. head is written only by the
-// stripe-lock holder (the lock word's release/acquire chain orders the
-// holders); readers never touch it — they scan every slot. Padded so a hot
-// stripe does not false-share its neighbors.
-type stripe struct {
-	lock  atomic.Uint64
+// ring is one stripe's version-retention header: the ring's validity epoch
+// and its head. head is written only by the stripe-lock holder (the lock
+// word's release/acquire chain orders the holders); readers never touch it
+// — they scan every slot.
+type ring struct {
 	epoch atomic.Uint64
 	head  uint32
-	_     [44]byte
 }
 
 // slot is one ring record. version holds the record's commit version
@@ -128,88 +108,53 @@ type slot struct {
 	addr    atomic.Uint32
 }
 
-func lockedBy(e uint64) (owner uint64, locked bool) { return e >> 1, e&1 == 1 }
-
-func versionOf(e uint64) uint64 { return e >> 1 }
-
-type lockRec struct {
-	idx uint32
-	old uint64 // entry value before acquisition (restored on abort)
-}
-
 // System is the stm-mv runtime.
 type System struct {
-	cfg     tm.Config
-	clock   tm.VersionClock
-	stripes []stripe
-	slots   []slot // stripe i owns slots[i*k : (i+1)*k]
-	shift   uint32
-	k       int // ring depth (Config.MVVersions)
+	*tm.Runtime[*mvTx]
+	clock tm.VersionClock
+	locks *tl2.LockTable // the unit of conflict detection and version retention
+	rings []ring         // parallel to the lock table's stripes
+	slots []slot         // stripe i owns slots[i*k : (i+1)*k]
+	k     int            // ring depth (Config.MVVersions)
 
 	// ringEpoch invalidates every stripe ring at once: bumped by OnHandoff
 	// when another stm-adaptive delegate may have written the arena behind
 	// the rings' back. A stripe whose epoch lags is treated as empty by
 	// readers and re-initialized by the next committing writer.
 	ringEpoch atomic.Uint64
-
-	threads []*mvThread
-	chaos   *chaos.Injector // nil unless Config.Chaos armed failpoints
-	cms     []tm.ContentionManager
 }
 
 // New constructs the stm-mv runtime.
 func New(cfg tm.Config) (*System, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	pool, err := tm.NewCMPool(cfg, tm.DefaultCM)
+	rt, err := tm.NewRuntime[*mvTx]("stm-mv", cfg, tm.DefaultCM)
 	if err != nil {
 		return nil, err
 	}
-	clock, err := tm.NewVersionClock(cfg)
+	clock, err := tm.NewVersionClock(rt.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	bits := tableBitsFor(cfg)
-	n := 1 << bits
+	locks := tl2.NewLockTable(tl2.TableBits(rt.Cfg, minTableBits, maxTableBits))
 	s := &System{
-		cfg:     cfg,
+		Runtime: rt,
 		clock:   clock,
-		stripes: make([]stripe, n),
-		slots:   make([]slot, n*cfg.MVVersions),
-		shift:   uint32(32 - bits),
-		k:       cfg.MVVersions,
-		chaos:   pool.Chaos(),
+		locks:   locks,
+		rings:   make([]ring, locks.Stripes()),
+		slots:   make([]slot, locks.Stripes()*rt.Cfg.MVVersions),
+		k:       rt.Cfg.MVVersions,
 	}
-	s.threads = make([]*mvThread, cfg.Threads)
-	s.cms = make([]tm.ContentionManager, cfg.Threads)
-	for i := range s.threads {
-		t := &mvThread{id: i, sys: s}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		s.cms[i] = t.cm
-		t.tx = &mvTx{sys: s, slot: uint64(i), th: t, res: cfg.NewReserver()}
-		if cfg.ProfileSets {
-			t.tx.readLines = make(map[mem.Line]struct{})
-			t.tx.writeLines = make(map[mem.Line]struct{})
-		}
-		s.threads[i] = t
-	}
+	rt.Bind(func(int) *mvTx { return &mvTx{LazyTx: tl2.LazyTx{Locks: locks, Clock: clock}, sys: s} })
 	return s, nil
 }
 
-// index maps a word address to its stripe (the TL2 Knuth mix; the high
-// product bits keep their spread on small tables).
-func (s *System) index(a mem.Addr) uint32 {
-	return (uint32(a) * 2654435761) >> s.shift
-}
+// index maps a word address to its stripe.
+func (s *System) index(a mem.Addr) uint32 { return s.locks.Index(a) }
 
 // ClockNow returns the current version-clock value (stats/bench hook).
 func (s *System) ClockNow() uint64 { return s.clock.Now() }
 
 // Stripes returns the stripe count of this instance's version table.
-func (s *System) Stripes() int { return len(s.stripes) }
+func (s *System) Stripes() int { return s.locks.Stripes() }
 
 // RingDepth returns the per-stripe ring depth (Config.MVVersions resolved).
 func (s *System) RingDepth() int { return s.k }
@@ -222,57 +167,19 @@ func (s *System) OnHandoff() { s.ringEpoch.Add(1) }
 
 // LockAcquires returns how many stripe-lock acquisitions the run performed
 // across all threads. Snapshot (read-only) transactions never acquire a
-// stripe lock, which ThreadLockAcquires pins per thread.
+// stripe lock, which ThreadLockAcquires pins per thread — the headline
+// snapshot-path assertion.
 func (s *System) LockAcquires() uint64 {
 	var n uint64
-	for _, t := range s.threads {
-		n += t.lockAcquires
+	for _, x := range s.Txs {
+		n += x.LockAcquires
 	}
 	return n
 }
 
 // ThreadLockAcquires returns thread id's stripe-lock acquisition count
 // (read after the team joins; the worker itself advances it).
-func (s *System) ThreadLockAcquires(id int) uint64 { return s.threads[id].lockAcquires }
-
-// cmOf returns the contention manager of the transaction occupying slot,
-// or nil for an out-of-range slot.
-func (s *System) cmOf(slot uint64) tm.ContentionManager {
-	if slot < uint64(len(s.cms)) {
-		return s.cms[slot]
-	}
-	return nil
-}
-
-// blockOf returns the atomic block the transaction occupying slot is
-// currently executing, for blaming the enemy call site.
-func (s *System) blockOf(slot uint64) tm.BlockID {
-	if slot < uint64(len(s.threads)) {
-		return tm.BlockID(s.threads[slot].curBlock.Load())
-	}
-	return tm.NoBlock
-}
-
-// Name implements tm.System.
-func (s *System) Name() string { return "stm-mv" }
-
-// Arena implements tm.System.
-func (s *System) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *System) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *System) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *System) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
-}
+func (s *System) ThreadLockAcquires(id int) uint64 { return s.Txs[id].LockAcquires }
 
 // ringScan returns the newest ring record of address a with version <= rv
 // in stripe idx. The caller must have read the stripe lock word unlocked
@@ -280,8 +187,7 @@ func (s *System) Stats() tm.Stats {
 // on the result — that recheck, not the per-slot seqlock alone, is what
 // discards scans that raced a committing writer's appends or evictions.
 func (s *System) ringScan(idx uint32, a mem.Addr, rv uint64) (val uint64, ok bool) {
-	st := &s.stripes[idx]
-	if st.epoch.Load() != s.ringEpoch.Load() {
+	if s.rings[idx].epoch.Load() != s.ringEpoch.Load() {
 		return 0, false // stale ring: another delegate's tenure wrote the arena
 	}
 	base := int(idx) * s.k
@@ -318,7 +224,7 @@ func (s *System) ringHas(idx uint32, a mem.Addr) bool {
 // ringAppend writes one record (biased version) at the ring head and
 // advances it, evicting the oldest record. Caller holds the stripe lock.
 func (s *System) ringAppend(idx uint32, biased uint64, a mem.Addr, val uint64) {
-	st := &s.stripes[idx]
+	st := &s.rings[idx]
 	sl := &s.slots[int(idx)*s.k+int(st.head)]
 	sl.version.Store(0)
 	sl.addr.Store(uint32(a))
@@ -337,147 +243,42 @@ func (s *System) ringReset(idx uint32, epoch uint64) {
 	for i := 0; i < s.k; i++ {
 		s.slots[base+i].version.Store(0)
 	}
-	st := &s.stripes[idx]
+	st := &s.rings[idx]
 	st.head = 0
 	st.epoch.Store(epoch)
 }
 
-type mvThread struct {
-	id    int
-	sys   *System
-	stats tm.ThreadStats
-	tx    *mvTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-
-	// lockAcquires counts this worker's stripe-lock acquisitions (owner
-	// written, read after join) — the headline snapshot-path assertion.
-	lockAcquires uint64
-
-	// curBlock publishes the block this thread is currently inside.
-	curBlock atomic.Int32
-}
-
-func (t *mvThread) ID() int                { return t.id }
-func (t *mvThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *mvThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *mvThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.curBlock.Store(int32(b))
-	t.cm.OnStart()
-	ro := tm.BlockReadOnly(b)
-	aborts := 0
-	for {
-		// A marked block begins on the snapshot path; after any abort
-		// (a store inside the marked block failing write-path validation
-		// against its ring-age snapshot, or a ring overflow) the retry
-		// runs plain TL2 so progress never depends on ring retention.
-		t.tx.begin(ro && aborts == 0)
-		if tm.Attempt(t.tx, fn) && t.tx.commit() {
-			break
-		}
-		t.tx.abort()
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted, locks are
-			// released — unwind the block instead of retrying.
-			t.curBlock.Store(int32(tm.NoBlock))
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.curBlock.Store(int32(tm.NoBlock))
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "stm-mv", uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	if t.tx.readLines != nil {
-		t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-		t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	}
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
-
+// mvTx is a TL2 lazy transaction plus the snapshot read path and the
+// commit-time ring appends.
 type mvTx struct {
-	sys  *System
-	th   *mvThread
-	slot uint64
-	res  *mem.Reserver
-
-	ro       bool // this attempt reads the begin-timestamp snapshot
-	rv       uint64
-	reads    txset.IndexSet // stripes read, for write-path commit validation
-	wset     txset.WriteSet // redo log (insertion order = writeback order)
-	acquired []lockRec
-	info     tm.AbortInfo
-
-	loads  uint64
-	stores uint64
-
-	readLines  map[mem.Line]struct{} // profiling only
-	writeLines map[mem.Line]struct{}
+	tl2.LazyTx
+	sys *System
+	ro  bool // this attempt reads the begin-timestamp snapshot
 }
 
-func (x *mvTx) begin(ro bool) {
-	x.ro = ro
-	x.rv = x.sys.clock.Begin()
-	x.reads.Reset()
-	x.wset.Reset()
-	x.acquired = x.acquired[:0]
-	x.info.Reset()
-	x.loads, x.stores = 0, 0
-	if x.readLines != nil {
-		clear(x.readLines)
-		clear(x.writeLines)
-	}
+// Begin starts a marked block's first attempt on the snapshot path; after
+// any abort (a store inside the marked block failing write-path validation
+// against its ring-age snapshot, or a ring overflow) the retry runs plain
+// TL2 so progress never depends on ring retention.
+func (x *mvTx) Begin(b tm.BlockID, aborts int) {
+	x.ro = aborts == 0 && tm.BlockReadOnly(b)
+	x.LazyTx.Begin(b, aborts)
 }
 
-func (x *mvTx) abort() { x.sys.clock.OnAbort(x.rv) }
-
-// Load is the read barrier: write-buffer lookup, then either the snapshot
-// read (marked blocks) or the TL2 validated read.
+// Load is the read barrier: the TL2 validated read, or for snapshot attempts
+// the write-buffer lookup and then the snapshot read. Stores stay legal on
+// snapshot attempts: their recorded reads make the write-path commit
+// validation sound, at the cost of an abort when a ring-served read is older
+// than memory.
 func (x *mvTx) Load(a mem.Addr) uint64 {
-	x.loads++
-	if v, ok := x.wset.Get(a); ok {
+	if !x.ro {
+		return x.LazyTx.Load(a)
+	}
+	x.Loads++
+	if v, ok := x.Wset.Get(a); ok {
 		return v
 	}
-	idx := x.sys.index(a)
-	if x.ro {
-		return x.snapshotLoad(idx, a)
-	}
-	st := &x.sys.stripes[idx]
-	e1 := st.lock.Load()
-	for probe := 0; ; probe++ {
-		owner, locked := lockedBy(e1)
-		if !locked {
-			break
-		}
-		if tm.WaitOrAbort(x.th.cm, x.sys.cmOf(owner), probe) {
-			x.info.Fail(tm.CauseOrDisplaced(x.th.cm, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.sys.blockOf(owner))
-		}
-		e1 = st.lock.Load()
-	}
-	v := x.sys.cfg.Arena.Load(a)
-	if st.lock.Load() != e1 || versionOf(e1) > x.rv {
-		x.info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
-	}
-	x.record(idx, a)
-	return v
+	return x.snapshotLoad(x.Locks.Index(a), a)
 }
 
 // snapshotLoad serves a load at the begin timestamp without ever acquiring
@@ -485,188 +286,70 @@ func (x *mvTx) Load(a mem.Addr) uint64 {
 // when the stripe has not moved past rv, fall back to the version ring
 // when it has. The only abort is mv-version-missing (ring overflow).
 func (x *mvTx) snapshotLoad(idx uint32, a mem.Addr) uint64 {
-	st := &x.sys.stripes[idx]
 	for {
-		e1 := st.lock.Load()
-		if _, locked := lockedBy(e1); locked {
+		e1 := x.Locks.Load(idx)
+		if _, locked := tl2.LockedBy(e1); locked {
 			// A writer is committing this stripe. Waiting (not aborting)
 			// both preserves the zero-abort property and excludes the
 			// committer that ticked wv <= rv but has not published yet.
 			runtime.Gosched()
 			continue
 		}
-		if versionOf(e1) <= x.rv {
-			v := x.sys.cfg.Arena.Load(a)
-			if st.lock.Load() != e1 {
+		if tl2.VersionOf(e1) <= x.RV {
+			v := x.Mem.Load(a)
+			if x.Locks.Load(idx) != e1 {
 				continue // a writer locked mid-read; retry
 			}
-			x.record(idx, a)
+			x.NoteLoad(idx, a)
 			return v
 		}
 		// Committed past the snapshot: the ring is the only source.
-		v, ok := x.sys.ringScan(idx, a, x.rv)
-		if st.lock.Load() != e1 {
+		v, ok := x.sys.ringScan(idx, a, x.RV)
+		if x.Locks.Load(idx) != e1 {
 			continue // the ring mutated under the scan; rescan
 		}
 		if !ok {
-			x.info.Fail(tm.CauseMVVersionMissing, trace.AddrKey(uint64(a)), tm.NoBlock)
+			x.Info.Fail(tm.CauseMVVersionMissing, trace.AddrKey(uint64(a)), tm.NoBlock)
 		}
-		x.record(idx, a)
+		x.NoteLoad(idx, a)
 		return v
 	}
 }
 
-func (x *mvTx) record(idx uint32, a mem.Addr) {
-	x.reads.Add(idx)
-	if x.readLines != nil {
-		x.readLines[mem.LineOf(a)] = struct{}{}
-	}
-}
-
-// Store buffers the value (lazy versioning, like TL2). Legal on snapshot
-// attempts too: their recorded reads make the write-path commit validation
-// sound, at the cost of an abort when a ring-served read is older than
-// memory.
-func (x *mvTx) Store(a mem.Addr, v uint64) {
-	x.stores++
-	x.wset.Put(a, v)
-	if x.writeLines != nil {
-		x.writeLines[mem.LineOf(a)] = struct{}{}
-	}
-}
-
-// Alloc carves from the thread's reserver; a real capacity miss unwinds
-// terminally via FailAlloc, the alloc-exhaust failpoint injects only the
-// abort. Snapshot (read-only) attempts allocate too — e.g. query scratch —
-// and follow the same path.
-func (x *mvTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.th.id) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (abort drops it), recycling the
-// block through the thread's free lists.
-func (x *mvTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
-
-// EarlyRelease is a no-op, as on the TL2 runtimes.
-func (x *mvTx) EarlyRelease(mem.Addr) {}
-
-// Peek is an uninstrumented read; it does not see the transaction's own
-// buffered writes (documented on tm.Tx).
-func (x *mvTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *mvTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }
-
-func (x *mvTx) releaseAcquired() {
-	for _, rec := range x.acquired {
-		x.sys.stripes[rec.idx].lock.Store(rec.old)
-	}
-	x.acquired = x.acquired[:0]
-}
-
-// oldVersionOf returns the pre-acquisition version of an acquired stripe.
-func (x *mvTx) oldVersionOf(idx uint32) uint64 {
-	for _, rec := range x.acquired {
-		if rec.idx == idx {
-			return versionOf(rec.old)
-		}
-	}
-	return 0 // unreachable: every written stripe is in acquired
-}
-
-// commit is the TL2 commit — lock the write set, tick the clock, validate
+// Commit is the TL2 commit — lock the write set, tick the clock, validate
 // the read set, write back, release with the new version — plus the ring
 // appends that retain the overwritten history for snapshot readers.
 // Read-only transactions (snapshot or not) commit with zero validation.
-func (x *mvTx) commit() bool {
-	if x.wset.Len() == 0 {
+func (x *mvTx) Commit() bool {
+	if x.Wset.Len() == 0 {
 		return true
 	}
-	// Failpoint: a spurious abort at lock acquisition looks exactly like
-	// losing a writer-writer race, so it carries that site's natural cause.
-	if x.sys.chaos.Fire(chaos.TL2LockAcquire, x.th.id) {
-		x.info.Set(tm.CauseWriteWrite, 0, tm.NoBlock)
+	wv, ok := x.Acquire()
+	if !ok {
 		return false
-	}
-	for _, e := range x.wset.Entries() {
-		idx := x.sys.index(e.Addr)
-		st := &x.sys.stripes[idx]
-		lw := st.lock.Load()
-		if owner, locked := lockedBy(lw); locked {
-			if owner == x.slot {
-				continue // stripe already acquired (another word, same stripe)
-			}
-			x.info.Set(tm.CauseWriteWrite, trace.AddrKey(uint64(e.Addr)), x.sys.blockOf(owner))
-			x.releaseAcquired()
-			return false
-		}
-		if versionOf(lw) > x.rv {
-			// Committed past our snapshot; acquiring would hide it from
-			// read-set validation (the standard TL2 guard). This is also
-			// what keeps per-stripe versions strictly increasing, which
-			// the ring lookup's newest-record argument rests on.
-			x.info.Set(tm.CauseWriteWrite, trace.AddrKey(uint64(e.Addr)), tm.NoBlock)
-			x.releaseAcquired()
-			return false
-		}
-		if !st.lock.CompareAndSwap(lw, x.slot<<1|1) {
-			x.info.Set(tm.CauseWriteWrite, trace.AddrKey(uint64(e.Addr)), tm.NoBlock)
-			x.releaseAcquired()
-			return false
-		}
-		x.th.lockAcquires++
-		x.acquired = append(x.acquired, lockRec{idx: idx, old: lw})
-	}
-	wv, validate := x.sys.clock.CommitTick(x.rv)
-	if validate {
-		for _, idx := range x.reads.Slice() {
-			e := x.sys.stripes[idx].lock.Load()
-			if owner, locked := lockedBy(e); locked {
-				if owner != x.slot {
-					x.info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), x.sys.blockOf(owner))
-					x.releaseAcquired()
-					return false
-				}
-			} else if versionOf(e) > x.rv {
-				x.info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), tm.NoBlock)
-				x.releaseAcquired()
-				return false
-			}
-		}
 	}
 	// Ring maintenance, before the writeback so pre-image records can read
 	// the overwritten values, while every written stripe is still locked
 	// (snapshot readers wait on the lock, so append order is invisible).
-	epoch := x.sys.ringEpoch.Load()
-	for _, e := range x.wset.Entries() {
-		idx := x.sys.index(e.Addr)
-		if x.sys.stripes[idx].epoch.Load() != epoch {
-			x.sys.ringReset(idx, epoch)
+	sys := x.sys
+	epoch := sys.ringEpoch.Load()
+	for _, e := range x.Wset.Entries() {
+		idx := x.Locks.Index(e.Addr)
+		if sys.rings[idx].epoch.Load() != epoch {
+			sys.ringReset(idx, epoch)
 		}
-		if !x.sys.ringHas(idx, e.Addr) {
+		if !sys.ringHas(idx, e.Addr) {
 			// First ring-era write to this address: retain the pre-image
 			// from the stripe's pre-commit version, so snapshots older
 			// than this commit can still be served.
-			x.sys.ringAppend(idx, x.oldVersionOf(idx)+1, e.Addr, x.sys.cfg.Arena.Load(e.Addr))
+			sys.ringAppend(idx, x.OldVersion(idx)+1, e.Addr, x.Mem.Load(e.Addr))
 		}
-		x.sys.ringAppend(idx, wv+1, e.Addr, e.Val)
+		sys.ringAppend(idx, wv+1, e.Addr, e.Val)
 	}
-	for _, e := range x.wset.Entries() {
-		x.sys.cfg.Arena.Store(e.Addr, e.Val)
-	}
+	x.WriteBack()
 	// Failpoint: stall after ring publication and writeback, while every
 	// written stripe is still locked and snapshot readers wait on us.
-	x.sys.chaos.Stall(chaos.MVRingPublish, x.th.id)
-	for _, rec := range x.acquired {
-		x.sys.stripes[rec.idx].lock.Store(wv << 1)
-	}
-	x.acquired = x.acquired[:0]
+	x.Chaos.Stall(chaos.MVRingPublish, x.ID)
+	x.Release(wv)
 	return true
 }

@@ -105,8 +105,7 @@ type combineReq struct {
 // algorithm is the seq word plus the combining array; everything else is
 // per-thread.
 type System struct {
-	cfg    tm.Config
-	name   string
+	*tm.Runtime[*norecTx]
 	roFast bool // read-only commit fast path (the stm-norec-ro variant)
 
 	// seq is the global sequence lock: even = quiescent, odd = a committer
@@ -133,10 +132,6 @@ type System struct {
 	inCommit atomic.Int32
 
 	combine []combineReq // one slot per thread
-
-	chaos *chaos.Injector // nil unless Config.Chaos armed failpoints
-
-	threads []*norecThread
 }
 
 // New constructs the plain NOrec runtime ("stm-norec").
@@ -147,50 +142,14 @@ func New(cfg tm.Config) (*System, error) { return newSystem(cfg, "stm-norec", fa
 func NewRO(cfg tm.Config) (*System, error) { return newSystem(cfg, "stm-norec-ro", true) }
 
 func newSystem(cfg tm.Config, name string, roFast bool) (*System, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	pool, err := tm.NewCMPool(cfg, tm.DefaultCM)
+	rt, err := tm.NewRuntime[*norecTx](name, cfg, tm.DefaultCM)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, name: name, roFast: roFast, combining: !cfg.NoCombine, chaos: pool.Chaos()}
-	s.combine = make([]combineReq, cfg.Threads)
-	s.threads = make([]*norecThread, cfg.Threads)
-	for i := range s.threads {
-		t := &norecThread{id: i, sys: s}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		t.tx = &norecTx{sys: s, th: t, res: cfg.NewReserver()}
-		if cfg.ProfileSets {
-			t.tx.readLines = make(map[mem.Line]struct{})
-			t.tx.writeLines = make(map[mem.Line]struct{})
-		}
-		s.threads[i] = t
-	}
+	s := &System{Runtime: rt, roFast: roFast, combining: !rt.Cfg.NoCombine}
+	s.combine = make([]combineReq, rt.Cfg.Threads)
+	rt.Bind(func(int) *norecTx { return &norecTx{sys: s} })
 	return s, nil
-}
-
-// Name implements tm.System.
-func (s *System) Name() string { return s.name }
-
-// Arena implements tm.System.
-func (s *System) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *System) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *System) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *System) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
 }
 
 // Seq returns the current sequence-lock value (even = quiescent).
@@ -239,7 +198,7 @@ func (s *System) drainCombine(self int) {
 			}
 			valid := true
 			for _, e := range r.reads {
-				if s.cfg.Arena.Load(e.Addr) != e.Val {
+				if s.Cfg.Arena.Load(e.Addr) != e.Val {
 					valid = false
 					break
 				}
@@ -249,7 +208,7 @@ func (s *System) drainCombine(self int) {
 				continue
 			}
 			for _, e := range r.writes {
-				s.cfg.Arena.Store(e.Addr, e.Val)
+				s.Cfg.Arena.Store(e.Addr, e.Val)
 			}
 			r.status.Store(reqDone)
 			absorbed = true
@@ -270,95 +229,28 @@ func (s *System) drainCombine(self int) {
 	}
 }
 
-type norecThread struct {
-	id    int
-	sys   *System
-	stats tm.ThreadStats
-	tx    *norecTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-}
-
-func (t *norecThread) ID() int                { return t.id }
-func (t *norecThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *norecThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *norecThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.cm.OnStart()
-	aborts := 0
-	for {
-		t.tx.begin()
-		if tm.Attempt(t.tx, fn) && t.tx.commit() {
-			break
-		}
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted and NOrec
-			// holds no protocol state between attempts (the combining slot is
-			// idle outside commit) — unwind instead of retrying.
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		// NOrec conflicts surface as value-validation failures with no
-		// identifiable enemy, so only the delay hooks apply here; priority
-		// policies degrade to their delay behavior on this runtime (and
-		// conflict attribution blames no block — only the first stale
-		// address the revalidation pass tripped on is known).
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, t.sys.name, uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	if t.tx.readLines != nil {
-		t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-		t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	}
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
-
 type norecTx struct {
+	tm.TxCore
 	sys *System
-	th  *norecThread
-	res *mem.Reserver // thread-private allocation chunk
 
 	snapshot uint64         // even seq value the read set is known valid at
 	rset     txset.ReadSet  // value-validation log (NOrec validates by value)
 	wset     txset.WriteSet // redo log (insertion order = writeback order)
-	info     tm.AbortInfo   // pending-abort cause/location registers
-
-	loads  uint64
-	stores uint64
-
-	readLines  map[mem.Line]struct{} // profiling only
-	writeLines map[mem.Line]struct{}
 }
 
-func (x *norecTx) begin() {
+func (x *norecTx) Begin(tm.BlockID, int) {
 	x.snapshot = x.sys.waitQuiescent()
 	x.rset.Reset()
 	x.wset.Reset()
-	x.info.Reset()
-	x.loads, x.stores = 0, 0
-	if x.readLines != nil {
-		clear(x.readLines)
-		clear(x.writeLines)
-	}
 }
+
+// Rollback has nothing to undo: NOrec holds no protocol state between
+// attempts (writes are buffered, the combining slot is idle outside
+// Commit). Its conflicts surface as value-validation failures with no
+// identifiable enemy, so priority policies degrade to their delay behavior
+// on this runtime, and conflict attribution blames no block — only the
+// first stale address the revalidation pass tripped on is known.
+func (x *norecTx) Rollback() {}
 
 // Load implements the NOrec read barrier: write-buffer lookup (one filter
 // word rejects the common no-possible-hit case before any probing), then a
@@ -367,23 +259,21 @@ func (x *norecTx) begin() {
 // is retried, so a doomed transaction can never observe a mixed-epoch state
 // (opacity).
 func (x *norecTx) Load(a mem.Addr) uint64 {
-	x.loads++
+	x.Loads++
 	if v, ok := x.wset.Get(a); ok {
 		return v
 	}
-	v := x.sys.cfg.Arena.Load(a)
+	v := x.Mem.Load(a)
 	for x.sys.seq.Load() != x.snapshot {
 		s, bad, ok := x.revalidate()
 		if !ok {
-			x.info.Fail(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
+			x.Info.Fail(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
 		}
 		x.snapshot = s
-		v = x.sys.cfg.Arena.Load(a)
+		v = x.Mem.Load(a)
 	}
 	x.rset.Add(a, v)
-	if x.readLines != nil {
-		x.readLines[mem.LineOf(a)] = struct{}{}
-	}
+	x.NoteRead(a)
 	return v
 }
 
@@ -400,7 +290,7 @@ func (x *norecTx) revalidate() (seq uint64, bad mem.Addr, ok bool) {
 	for {
 		t := x.sys.waitQuiescent()
 		for _, r := range x.rset.Entries() {
-			if x.sys.cfg.Arena.Load(r.Addr) != r.Val {
+			if x.Mem.Load(r.Addr) != r.Val {
 				return 0, r.Addr, false
 			}
 		}
@@ -412,30 +302,10 @@ func (x *norecTx) revalidate() (seq uint64, bad mem.Addr, ok bool) {
 
 // Store implements the lazy write barrier: buffer the value.
 func (x *norecTx) Store(a mem.Addr, v uint64) {
-	x.stores++
+	x.Stores++
 	x.wset.Put(a, v)
-	if x.writeLines != nil {
-		x.writeLines[mem.LineOf(a)] = struct{}{}
-	}
+	x.NoteWrite(a)
 }
-
-// Alloc carves from the thread's reserver; a real capacity miss unwinds
-// terminally via FailAlloc, the alloc-exhaust failpoint injects only the
-// abort.
-func (x *norecTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.th.id) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (abort drops it), recycling the
-// block through the thread's free lists.
-func (x *norecTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 
 // EarlyRelease is a no-op: there is no per-location metadata to release,
 // and dropping a read record would only skip one value comparison. Keeping
@@ -443,14 +313,7 @@ func (x *norecTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 // conflicts at word granularity).
 func (x *norecTx) EarlyRelease(mem.Addr) {}
 
-// Peek is an uninstrumented read; with lazy versioning it does not see the
-// transaction's own buffered writes (documented on tm.Tx).
-func (x *norecTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *norecTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }
-
-// commit acquires the sequence lock (CAS even -> odd), writes the redo log
+// Commit acquires the sequence lock (CAS even -> odd), writes the redo log
 // back, and releases (snapshot+2). A failed CAS means some other commit
 // ticked the clock; with combining enabled the transaction's logs are
 // published for the lock holder to absorb, otherwise (and as the fallback)
@@ -458,12 +321,12 @@ func (x *norecTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) 
 // With the read-only fast path enabled, an empty write set commits
 // immediately: every Load already validated against a quiescent snapshot,
 // so the read set was atomically valid at that snapshot.
-func (x *norecTx) commit() bool {
+func (x *norecTx) Commit() bool {
 	// Failpoint: a spurious abort at writer-commit validation looks exactly
 	// like a value-validation failure, so it carries that natural cause.
 	// Read-only commits are exempt — they have nothing to starve on.
-	if x.wset.Len() > 0 && x.sys.chaos.Fire(chaos.NorecValidate, x.th.id) {
-		x.info.Set(tm.CauseSeqChanged, 0, tm.NoBlock)
+	if x.wset.Len() > 0 && x.Chaos.Fire(chaos.NorecValidate, x.ID) {
+		x.Info.Set(tm.CauseSeqChanged, 0, tm.NoBlock)
 		return false
 	}
 	if x.wset.Len() == 0 {
@@ -488,18 +351,18 @@ func (x *norecTx) commitDirect() bool {
 	for !x.sys.seq.CompareAndSwap(x.snapshot, x.snapshot+1) {
 		s, bad, ok := x.revalidate()
 		if !ok {
-			x.info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
+			x.Info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
 			return false
 		}
 		x.snapshot = s
 	}
 	x.sys.lockAcquires.Add(1)
 	for _, e := range x.wset.Entries() {
-		x.sys.cfg.Arena.Store(e.Addr, e.Val)
+		x.Mem.Store(e.Addr, e.Val)
 	}
 	// Failpoint: stall between writeback and the release tick — the window
 	// where this committer holds the one global lock and everyone waits.
-	x.sys.chaos.Stall(chaos.NorecSeqTick, x.th.id)
+	x.Chaos.Stall(chaos.NorecSeqTick, x.ID)
 	x.sys.seq.Store(x.snapshot + 2)
 	return true
 }
@@ -511,11 +374,11 @@ func (x *norecTx) commitCombining() bool {
 	sys := x.sys
 	sys.inCommit.Add(1)
 	defer sys.inCommit.Add(-1)
-	r := &sys.combine[x.th.id]
+	r := &sys.combine[x.ID]
 	r.reads = x.rset.Entries()
 	r.writes = x.wset.Entries()
 	r.status.Store(reqPending)
-	if sys.cfg.Threads >= combineYieldMinThreads || sys.inCommit.Load() > 1 {
+	if sys.Cfg.Threads >= combineYieldMinThreads || sys.inCommit.Load() > 1 {
 		// One yield between publish and the first CAS lets batches form even
 		// when goroutines outnumber cores: every writer scheduled in this
 		// beat parks its request first, and whichever one wins the lock
@@ -527,7 +390,7 @@ func (x *norecTx) commitCombining() bool {
 		switch r.status.Load() {
 		case reqDone:
 			r.status.Store(reqIdle)
-			x.th.stats.CombinedCommits++
+			x.Stats.CombinedCommits++
 			return true
 		case reqRejected:
 			// The combiner saw one of our read values change under its
@@ -535,10 +398,10 @@ func (x *norecTx) commitCombining() bool {
 			// usually aborts (and tolerates the rare value that changed
 			// back, in which case we republish).
 			r.status.Store(reqIdle)
-			x.th.stats.CombineFallbacks++
+			x.Stats.CombineFallbacks++
 			s, bad, ok := x.revalidate()
 			if !ok {
-				x.info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
+				x.Info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
 				return false
 			}
 			x.snapshot = s
@@ -560,12 +423,12 @@ func (x *norecTx) commitCombining() bool {
 			r.status.Store(reqIdle)
 			sys.lockAcquires.Add(1)
 			for _, e := range x.wset.Entries() {
-				sys.cfg.Arena.Store(e.Addr, e.Val)
+				x.Mem.Store(e.Addr, e.Val)
 			}
-			sys.drainCombine(x.th.id)
+			sys.drainCombine(x.ID)
 			// Failpoint: stall while holding the sequence lock (see
 			// commitDirect); with combining the whole batch is held open.
-			sys.chaos.Stall(chaos.NorecSeqTick, x.th.id)
+			x.Chaos.Stall(chaos.NorecSeqTick, x.ID)
 			sys.seq.Store(x.snapshot + 2)
 			return true
 		}
@@ -584,13 +447,13 @@ func (x *norecTx) commitCombining() bool {
 		switch r.status.Load() {
 		case reqDone:
 			r.status.Store(reqIdle)
-			x.th.stats.CombinedCommits++
+			x.Stats.CombinedCommits++
 			return true
 		case reqRejected:
 			r.status.Store(reqIdle)
-			x.th.stats.CombineFallbacks++
+			x.Stats.CombineFallbacks++
 			if !ok {
-				x.info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
+				x.Info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
 				return false
 			}
 			x.snapshot = s
@@ -604,7 +467,7 @@ func (x *norecTx) commitCombining() bool {
 			// race to a claimer means the outcome is about to be decided
 			// for us, so loop and honor it instead.
 			if r.status.CompareAndSwap(reqPending, reqIdle) {
-				x.info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
+				x.Info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
 				return false
 			}
 			continue

@@ -3,7 +3,6 @@ package tm
 import (
 	"sort"
 
-	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm/trace"
 )
 
@@ -67,7 +66,7 @@ const DefaultTraceBuf = 4096
 
 // NewTracer allocates one per-thread event ring according to the config, or
 // returns nil when tracing is off (Config.Trace == 0) — the nil ring's
-// methods are no-ops, so runtimes store the result unconditionally. Every
+// methods are no-ops, so the result is stored unconditionally. The shared
 // runtime constructor calls this once per worker slot.
 func (c Config) NewTracer() *trace.Ring {
 	if c.Trace <= 0 {
@@ -83,8 +82,8 @@ func (c Config) NewTracer() *trace.Ring {
 // AbortInfo is the pending-abort registers a transaction carries between
 // the conflict site that detects the abort and the retry loop that accounts
 // it: the taxonomy cause, the contended location, and the enemy's block
-// where the owner was identifiable. Runtimes embed one in their per-attempt
-// transaction state, Reset it at attempt start, and stamp it at every abort
+// where the owner was identifiable. Every transaction has one in its TxCore;
+// the driver resets it at attempt start and runtimes stamp it at every abort
 // site.
 type AbortInfo struct {
 	Cause AbortCause
@@ -127,33 +126,13 @@ func (a *AbortInfo) FailAlloc(err error) {
 
 // BailAlloc finishes a terminal alloc-exhaustion abort from the retry loop:
 // called after the abort has been accounted, it clears the pending error
-// and unwinds the whole atomic block with AllocFailure. Runtimes call it
-// when info.Err is non-nil, after releasing their contention-manager state
+// and unwinds the whole atomic block with AllocFailure. The driver calls it
+// when Err is non-nil, after releasing the block's contention-manager state
 // (see AbandonBlock). It never returns.
 func (a *AbortInfo) BailAlloc() {
 	err := a.Err
 	a.Err = nil
 	panic(AllocFailure{Err: err})
-}
-
-// KillPack encodes a flag-based kill's attribution into one word. Flag-based
-// aborts (committer-wins arbitration, priority kills) are detected far from
-// the conflicting access: the victim just polls its aborted flag. So the
-// killer deposits the attribution — its own current block and the contended
-// line — into the victim's killedBy word *before* raising the flag, packed
-// into one atomic store. Bit 63 marks the word as set, distinguishing a real
-// (block 0, line 0) attribution from "never written".
-func KillPack(blk BlockID, line mem.Line) uint64 {
-	return 1<<63 | uint64(uint32(blk)&0x7fffffff)<<32 | uint64(line)&0xffffffff
-}
-
-// KillUnpack decodes a killedBy word into the blamed block and conflict key
-// (NoBlock and no key when the word was never written).
-func KillUnpack(k uint64) (BlockID, ConflictKey) {
-	if k == 0 {
-		return NoBlock, 0
-	}
-	return BlockID(int32(uint32(k>>32) & 0x7fffffff)), trace.LineKey(k & 0xffffffff)
 }
 
 // eventSource is the optional System interface for runtimes whose worker

@@ -1,9 +1,6 @@
 package tm
 
-import (
-	"github.com/stamp-go/stamp/internal/mem"
-	"github.com/stamp-go/stamp/internal/tm/trace"
-)
+import "github.com/stamp-go/stamp/internal/mem"
 
 // Seq is the sequential baseline system: no concurrency control at all.
 // It is the denominator of every Figure 1 speedup curve ("normalized to
@@ -15,162 +12,61 @@ import (
 // code, but correctness is only guaranteed at Threads == 1 (it performs no
 // synchronization, exactly like the original sequential builds).
 type Seq struct {
-	cfg     Config
-	threads []*seqThread
+	*Runtime[*seqTx]
 }
 
-// NewSeq constructs the sequential system.
+// NewSeq constructs the sequential system. It runs under the same driver as
+// the concurrent runtimes with a contention manager that never delays,
+// never arbitrates and only credits the watchdog: Config.CM and Config.Chaos
+// are validated but have nothing to act on.
 func NewSeq(cfg Config) (*Seq, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Seq{cfg: cfg}
-	s.threads = make([]*seqThread, cfg.Threads)
-	for i := range s.threads {
-		t := &seqThread{id: i, sys: s}
-		t.tx.t = t
-		t.tx.res = cfg.NewReserver()
-		t.stats.Tracer = cfg.NewTracer()
-		if cfg.ProfileSets {
-			t.tx.readLines = make(map[mem.Line]struct{})
-			t.tx.writeLines = make(map[mem.Line]struct{})
-		}
-		s.threads[i] = t
-	}
-	return s, nil
+	rt := &Runtime[*seqTx]{Shared: Shared{Cfg: cfg, name: "seq"}}
+	rt.cmFor = func(id int, _ *ThreadStats) ContentionManager { return seqCM{watch: cfg.Watch, id: id} }
+	rt.Bind(func(int) *seqTx { return &seqTx{} })
+	return &Seq{rt}, nil
 }
 
-// Name implements System.
-func (s *Seq) Name() string { return "seq" }
-
-// Arena implements System.
-func (s *Seq) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements System.
-func (s *Seq) NThreads() int { return s.cfg.Threads }
-
-// Thread implements System.
-func (s *Seq) Thread(id int) Thread { return s.threads[id] }
-
-// Stats implements System.
-func (s *Seq) Stats() Stats {
-	per := make([]*ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return Aggregate(per)
-}
-
-type seqThread struct {
+// seqCM is noneCM plus the one duty the liveness governor performs for the
+// concurrent runtimes that seq still needs: crediting commits to the
+// watchdog.
+type seqCM struct {
+	noneCM
+	watch *Watch
 	id    int
-	sys   *Seq
-	stats ThreadStats
-	tx    seqTx
-	timer AtomicTimer
 }
 
-func (t *seqThread) ID() int             { return t.id }
-func (t *seqThread) Stats() *ThreadStats { return &t.stats }
+func (c seqCM) OnCommit() { c.watch.Bump(c.id) }
 
-func (t *seqThread) Atomic(fn func(Tx)) { t.AtomicAt(NoBlock, fn) }
-
-func (t *seqThread) AtomicAt(b BlockID, fn func(Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	aborts := uint64(0)
-	for {
-		t.tx.reset()
-		if Attempt(&t.tx, fn) {
-			break
-		}
-		// A user Restart or a terminal allocation miss gets here; sequential
-		// code has no conflicts, so a restart loop would be an application
-		// bug, but we honor the retry semantics anyway.
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), 0)
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			t.tx.info.BailAlloc()
-		}
-	}
-	t.tx.res.OnCommit()
-	t.stats.Commits++
-	t.sys.cfg.Watch.Bump(t.id)
-	t.stats.Tracer.Emit(trace.EvCommit, CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "seq", aborts, t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	if t.tx.readLines != nil {
-		t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-		t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	}
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
-
-// seqTx applies every barrier directly to the arena.
+// seqTx applies every barrier directly to the arena. A user Restart or a
+// terminal allocation miss still unwinds and is accounted like any abort;
+// sequential code has no conflicts, so a restart loop would be an
+// application bug, but the retry semantics are honored anyway.
 type seqTx struct {
-	t          *seqThread
-	res        *mem.Reserver
-	info       AbortInfo
-	loads      uint64
-	stores     uint64
-	readLines  map[mem.Line]struct{} // nil unless profiling
-	writeLines map[mem.Line]struct{}
+	TxCore
 }
 
-func (x *seqTx) reset() {
-	x.info.Reset()
-	x.loads, x.stores = 0, 0
-	if x.readLines != nil {
-		clear(x.readLines)
-		clear(x.writeLines)
-	}
-}
+func (x *seqTx) Begin(BlockID, int) {}
+func (x *seqTx) Commit() bool       { return true }
+func (x *seqTx) Rollback()          {}
 
 func (x *seqTx) Load(a mem.Addr) uint64 {
-	x.loads++
-	if x.readLines != nil {
-		x.readLines[mem.LineOf(a)] = struct{}{}
-	}
-	return x.t.sys.cfg.Arena.Load(a)
+	x.Loads++
+	x.NoteRead(a)
+	return x.Mem.Load(a)
 }
 
 func (x *seqTx) Store(a mem.Addr, v uint64) {
-	x.stores++
-	if x.writeLines != nil {
-		x.writeLines[mem.LineOf(a)] = struct{}{}
-	}
-	x.t.sys.cfg.Arena.Store(a, v)
+	x.Stores++
+	x.NoteWrite(a)
+	x.Mem.Store(a, v)
 }
-
-// Alloc carves from the thread's reserver; a capacity miss unwinds the
-// block with AllocFailure (after one accounted alloc-exhausted abort) just
-// like the concurrent runtimes, so the harness sees one typed failure shape
-// everywhere.
-func (x *seqTx) Alloc(n int) mem.Addr {
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time and recycles through the thread's
-// free lists (sequential blocks always commit unless explicitly restarted).
-func (x *seqTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 
 func (x *seqTx) EarlyRelease(a mem.Addr) {
-	if x.readLines != nil {
-		delete(x.readLines, mem.LineOf(a))
+	if x.ReadLines != nil {
+		delete(x.ReadLines, mem.LineOf(a))
 	}
 }
-
-func (x *seqTx) Peek(a mem.Addr) uint64 { return x.t.sys.cfg.Arena.Load(a) }
-
-func (x *seqTx) Restart() { x.info.Fail(CauseExplicitRetry, 0, NoBlock) }

@@ -1,8 +1,6 @@
 package tl2
 
 import (
-	"sync/atomic"
-
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
@@ -18,43 +16,23 @@ import (
 // barriers are shorter than the lazy STM's (no write-buffer lookup), which
 // is why the eager STM wins on read-heavy kmeans.
 type Eager struct {
-	cfg     tm.Config
-	locks   *lockTable
-	clock   tm.VersionClock
-	threads []*eagerThread
-	cms     []tm.ContentionManager // per-slot, for conflict arbitration
-	chaos   *chaos.Injector        // nil unless Config.Chaos armed failpoints
+	*tm.Runtime[*eagerTx]
+	locks *LockTable
+	clock tm.VersionClock
 }
 
 // NewEager constructs the eager STM.
 func NewEager(cfg tm.Config) (*Eager, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	pool, err := tm.NewCMPool(cfg, tm.DefaultCM)
+	rt, err := tm.NewRuntime[*eagerTx]("stm-eager", cfg, tm.DefaultCM)
 	if err != nil {
 		return nil, err
 	}
-	clock, err := tm.NewVersionClock(cfg)
+	clock, err := tm.NewVersionClock(rt.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Eager{cfg: cfg, locks: newLockTable(lockTableBitsFor(cfg)), clock: clock, chaos: pool.Chaos()}
-	s.threads = make([]*eagerThread, cfg.Threads)
-	s.cms = make([]tm.ContentionManager, cfg.Threads)
-	for i := range s.threads {
-		t := &eagerThread{id: i, sys: s}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		s.cms[i] = t.cm
-		t.tx = &eagerTx{sys: s, slot: uint64(i), th: t, res: cfg.NewReserver()}
-		if cfg.ProfileSets {
-			t.tx.readLines = make(map[mem.Line]struct{})
-			t.tx.writeLines = make(map[mem.Line]struct{})
-		}
-		s.threads[i] = t
-	}
+	s := &Eager{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: clock}
+	rt.Bind(func(slot int) *eagerTx { return &eagerTx{locks: s.locks, clock: clock, slot: uint64(slot)} })
 	return s, nil
 }
 
@@ -62,222 +40,102 @@ func NewEager(cfg tm.Config) (*Eager, error) {
 func (s *Eager) ClockNow() uint64 { return s.clock.Now() }
 
 // LockTableStripes returns the stripe count of this instance's lock table.
-func (s *Eager) LockTableStripes() int { return len(s.locks.entries) }
-
-// cmOf returns the contention manager of the transaction occupying slot, or
-// nil for an out-of-range slot.
-func (s *Eager) cmOf(slot uint64) tm.ContentionManager {
-	if slot < uint64(len(s.cms)) {
-		return s.cms[slot]
-	}
-	return nil
-}
-
-// blockOf returns the atomic block the transaction occupying slot is
-// currently executing (tm.NoBlock when idle or out of range), for blaming
-// the enemy call site in conflict attribution.
-func (s *Eager) blockOf(slot uint64) tm.BlockID {
-	if slot < uint64(len(s.threads)) {
-		return tm.BlockID(s.threads[slot].curBlock.Load())
-	}
-	return tm.NoBlock
-}
-
-// Name implements tm.System.
-func (s *Eager) Name() string { return "stm-eager" }
-
-// Arena implements tm.System.
-func (s *Eager) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *Eager) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *Eager) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *Eager) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
-}
-
-type eagerThread struct {
-	id    int
-	sys   *Eager
-	stats tm.ThreadStats
-	tx    *eagerTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-
-	// curBlock publishes the block this thread is currently inside, so
-	// enemies that abort against our stripe locks can blame the call site.
-	curBlock atomic.Int32
-}
-
-func (t *eagerThread) ID() int                { return t.id }
-func (t *eagerThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *eagerThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *eagerThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.curBlock.Store(int32(b))
-	t.cm.OnStart()
-	aborts := 0
-	for {
-		t.tx.begin()
-		if tm.Attempt(t.tx, fn) && t.tx.commit() {
-			break
-		}
-		t.tx.rollback()
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted, the undo log
-			// replayed, locks released — unwind instead of retrying.
-			t.curBlock.Store(int32(tm.NoBlock))
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.curBlock.Store(int32(tm.NoBlock))
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "stm-eager", uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	if t.tx.readLines != nil {
-		t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-		t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	}
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
+func (s *Eager) LockTableStripes() int { return s.locks.Stripes() }
 
 type eagerTx struct {
-	sys  *Eager
-	th   *eagerThread
-	slot uint64
-	res  *mem.Reserver // thread-private allocation chunk
+	tm.TxCore
+	locks *LockTable
+	clock tm.VersionClock
+	slot  uint64
 
 	rv       uint64
 	reads    txset.IndexSet
 	acquired []lockRec
 	undo     txset.WriteSet // addr → old value; doubles as the written-set
-	info     tm.AbortInfo   // pending-abort cause/location/blame registers
-
-	loads  uint64
-	stores uint64
-
-	readLines  map[mem.Line]struct{}
-	writeLines map[mem.Line]struct{}
 }
 
-func (x *eagerTx) begin() {
-	x.rv = x.sys.clock.Begin()
+func (x *eagerTx) Begin(tm.BlockID, int) {
+	x.rv = x.clock.Begin()
 	x.reads.Reset()
 	x.acquired = x.acquired[:0]
 	x.undo.Reset()
-	x.info.Reset()
-	x.loads, x.stores = 0, 0
-	if x.readLines != nil {
-		clear(x.readLines)
-		clear(x.writeLines)
-	}
 }
 
-// rollback replays the undo log (newest first), releases the stripe locks
+// Rollback replays the undo log (newest first), releases the stripe locks
 // (restoring their pre-acquisition entries), and notifies the clock scheme
 // (gv5 advances an epoch the aborted attempt tripped on).
-func (x *eagerTx) rollback() {
-	x.sys.clock.OnAbort(x.rv)
+func (x *eagerTx) Rollback() {
+	x.clock.OnAbort(x.rv)
 	undo := x.undo.Entries()
 	for i := len(undo) - 1; i >= 0; i-- {
-		x.sys.cfg.Arena.Store(undo[i].Addr, undo[i].Val)
+		x.Mem.Store(undo[i].Addr, undo[i].Val)
 	}
 	x.undo.Reset()
-	for i := len(x.acquired) - 1; i >= 0; i-- {
-		x.sys.locks.store(x.acquired[i].idx, x.acquired[i].old)
-	}
+	x.locks.restore(x.acquired)
 	x.acquired = x.acquired[:0]
 }
 
 // Load implements the eager read barrier: no write-buffer lookup; stripes
 // locked by this transaction read their in-place value directly.
 func (x *eagerTx) Load(a mem.Addr) uint64 {
-	x.loads++
-	idx := x.sys.locks.index(a)
-	e1 := x.sys.locks.load(idx)
+	x.Loads++
+	idx := x.locks.Index(a)
+	e1 := x.locks.Load(idx)
 	for probe := 0; ; probe++ {
-		owner, locked := lockedBy(e1)
+		owner, locked := LockedBy(e1)
 		if !locked {
 			break
 		}
 		if owner == x.slot {
-			return x.sys.cfg.Arena.Load(a)
+			return x.Mem.Load(a)
 		}
 		// Early conflict detection: the stripe is held by a running writer.
 		// Requester-loses policies fail fast here; priority policies may
 		// wait the holder out and re-probe.
-		if tm.WaitOrAbort(x.th.cm, x.sys.cmOf(owner), probe) {
-			x.info.Fail(tm.CauseOrDisplaced(x.th.cm, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.sys.blockOf(owner))
+		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), probe) {
+			x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
 		}
-		e1 = x.sys.locks.load(idx)
+		e1 = x.locks.Load(idx)
 	}
-	if versionOf(e1) > x.rv {
-		x.info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
+	if VersionOf(e1) > x.rv {
+		x.Info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
 	}
-	v := x.sys.cfg.Arena.Load(a)
-	if x.sys.locks.load(idx) != e1 {
-		x.info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
+	v := x.Mem.Load(a)
+	if x.locks.Load(idx) != e1 {
+		x.Info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
 	}
 	x.reads.Add(idx)
-	if x.readLines != nil {
-		x.readLines[mem.LineOf(a)] = struct{}{}
-	}
+	x.NoteRead(a)
 	return v
 }
 
 // Store implements the eager write barrier: acquire the stripe lock, log the
 // old value, write in place.
 func (x *eagerTx) Store(a mem.Addr, v uint64) {
-	x.stores++
+	x.Stores++
 	// Failpoint: a spurious abort at encounter-time acquisition looks like
 	// losing a writer-writer race, so it carries that site's natural cause.
-	if x.sys.chaos.Fire(chaos.TL2LockAcquire, x.th.id) {
-		x.info.Fail(tm.CauseWriteWrite, trace.AddrKey(uint64(a)), tm.NoBlock)
+	if x.Chaos.Fire(chaos.TL2LockAcquire, x.ID) {
+		x.Info.Fail(tm.CauseWriteWrite, trace.AddrKey(uint64(a)), tm.NoBlock)
 	}
-	idx := x.sys.locks.index(a)
+	idx := x.locks.Index(a)
 	for probe := 0; ; probe++ {
-		e := x.sys.locks.load(idx)
-		owner, locked := lockedBy(e)
+		e := x.locks.Load(idx)
+		owner, locked := LockedBy(e)
 		if locked && owner == x.slot {
 			break // stripe already held
 		}
 		if locked {
-			if tm.WaitOrAbort(x.th.cm, x.sys.cmOf(owner), probe) {
-				x.info.Fail(tm.CauseOrDisplaced(x.th.cm, tm.CauseWriteWrite), trace.AddrKey(uint64(a)), x.sys.blockOf(owner))
+			if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), probe) {
+				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseWriteWrite), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
 			}
 			continue
 		}
-		if versionOf(e) > x.rv {
+		if VersionOf(e) > x.rv {
 			// Stripe committed past our snapshot; keep it simple and retry.
-			x.info.Fail(tm.CauseWriteWrite, trace.AddrKey(uint64(a)), tm.NoBlock)
+			x.Info.Fail(tm.CauseWriteWrite, trace.AddrKey(uint64(a)), tm.NoBlock)
 		}
-		if x.sys.locks.cas(idx, e, x.slot<<1|1) {
+		if x.locks.cas(idx, e, x.slot<<1|1) {
 			x.acquired = append(x.acquired, lockRec{idx: idx, old: e})
 			break
 		}
@@ -286,88 +144,31 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 	// Log the old value only on the first store to a (undo-log semantics);
 	// the Contains guard keeps repeat stores from even reading the arena.
 	if !x.undo.Contains(a) {
-		x.undo.Insert(a, x.sys.cfg.Arena.Load(a))
+		x.undo.Insert(a, x.Mem.Load(a))
 	}
-	x.sys.cfg.Arena.Store(a, v)
-	if x.writeLines != nil {
-		x.writeLines[mem.LineOf(a)] = struct{}{}
-	}
+	x.Mem.Store(a, v)
+	x.NoteWrite(a)
 }
-
-// Alloc carves from the thread's reserver; a real capacity miss unwinds
-// terminally via FailAlloc, the alloc-exhaust failpoint injects only the
-// abort (the undo log makes either path a plain rollback).
-func (x *eagerTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.th.id) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (rollback drops it), recycling the
-// block through the thread's free lists.
-func (x *eagerTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 
 // EarlyRelease is a no-op for the STM, as in the paper.
 func (x *eagerTx) EarlyRelease(mem.Addr) {}
 
-// Peek is an uninstrumented read. With eager versioning it may observe
-// another transaction's in-place speculative value; the only sanctioned use
-// (labyrinth privatization) tolerates stale or in-flight grid data by
-// revalidating inside the transaction, exactly as the paper describes.
-func (x *eagerTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *eagerTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }
-
-// commit validates the read set and publishes by releasing locks at the new
-// version; data is already in place.
-func (x *eagerTx) commit() bool {
+// Commit validates the read set and publishes by releasing locks at the new
+// version; data is already in place. A failed validation leaves the undo
+// log and the locks to Rollback.
+func (x *eagerTx) Commit() bool {
 	if len(x.acquired) == 0 && x.undo.Len() == 0 {
 		return true // read-only
 	}
-	wv, validate := x.sys.clock.CommitTick(x.rv)
-	if validate {
-		for _, idx := range x.reads.Slice() {
-			e := x.sys.locks.load(idx)
-			if owner, locked := lockedBy(e); locked {
-				if owner != x.slot {
-					x.info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), x.sys.blockOf(owner))
-					x.failCommit()
-					return false
-				}
-			} else if versionOf(e) > x.rv {
-				x.info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), tm.NoBlock)
-				x.failCommit()
-				return false
-			}
-		}
+	wv, validate := x.clock.CommitTick(x.rv)
+	if validate && !x.locks.validateReads(&x.TxCore, x.reads.Slice(), x.rv, x.slot) {
+		return false
 	}
 	// Failpoint: stall before release — data is already in place and every
 	// written stripe is still locked, so peers pile up on this transaction.
-	x.sys.chaos.Stall(chaos.TL2LockRelease, x.th.id)
-	for i := range x.acquired {
-		x.sys.locks.store(x.acquired[i].idx, wv<<1)
-	}
+	x.Chaos.Stall(chaos.TL2LockRelease, x.ID)
+	x.locks.publish(x.acquired, wv)
 	x.acquired = x.acquired[:0]
 	x.undo.Reset()
 	return true
-}
-
-// failCommit rolls back in-place writes and releases locks after a failed
-// commit-time validation.
-func (x *eagerTx) failCommit() {
-	undo := x.undo.Entries()
-	for i := len(undo) - 1; i >= 0; i-- {
-		x.sys.cfg.Arena.Store(undo[i].Addr, undo[i].Val)
-	}
-	x.undo.Reset()
-	for i := len(x.acquired) - 1; i >= 0; i-- {
-		x.sys.locks.store(x.acquired[i].idx, x.acquired[i].old)
-	}
-	x.acquired = x.acquired[:0]
 }

@@ -1,8 +1,6 @@
 package tl2
 
 import (
-	"sync/atomic"
-
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
@@ -22,43 +20,23 @@ import (
 // table size through tm.Config.LockTableBits (derived from the arena by
 // default).
 type Lazy struct {
-	cfg     tm.Config
-	locks   *lockTable
-	clock   tm.VersionClock
-	threads []*lazyThread
-	cms     []tm.ContentionManager // per-slot, for conflict arbitration
-	chaos   *chaos.Injector        // nil unless Config.Chaos armed failpoints
+	*tm.Runtime[*LazyTx]
+	locks *LockTable
+	clock tm.VersionClock
 }
 
 // NewLazy constructs the lazy STM.
 func NewLazy(cfg tm.Config) (*Lazy, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	pool, err := tm.NewCMPool(cfg, tm.DefaultCM)
+	rt, err := tm.NewRuntime[*LazyTx]("stm-lazy", cfg, tm.DefaultCM)
 	if err != nil {
 		return nil, err
 	}
-	clock, err := tm.NewVersionClock(cfg)
+	clock, err := tm.NewVersionClock(rt.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Lazy{cfg: cfg, locks: newLockTable(lockTableBitsFor(cfg)), clock: clock, chaos: pool.Chaos()}
-	s.threads = make([]*lazyThread, cfg.Threads)
-	s.cms = make([]tm.ContentionManager, cfg.Threads)
-	for i := range s.threads {
-		t := &lazyThread{id: i, sys: s}
-		t.stats.Tracer = cfg.NewTracer()
-		t.cm = pool.ForThread(i, &t.stats)
-		s.cms[i] = t.cm
-		t.tx = &lazyTx{sys: s, slot: uint64(i), th: t, res: cfg.NewReserver()}
-		if cfg.ProfileSets {
-			t.tx.readLines = make(map[mem.Line]struct{})
-			t.tx.writeLines = make(map[mem.Line]struct{})
-		}
-		s.threads[i] = t
-	}
+	s := &Lazy{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: clock}
+	rt.Bind(func(int) *LazyTx { return &LazyTx{Locks: s.locks, Clock: clock} })
 	return s, nil
 }
 
@@ -67,296 +45,180 @@ func NewLazy(cfg tm.Config) (*Lazy, error) {
 func (s *Lazy) ClockNow() uint64 { return s.clock.Now() }
 
 // LockTableStripes returns the stripe count of this instance's lock table.
-func (s *Lazy) LockTableStripes() int { return len(s.locks.entries) }
+func (s *Lazy) LockTableStripes() int { return s.locks.Stripes() }
 
-// cmOf returns the contention manager of the transaction occupying slot, or
-// nil for an out-of-range slot (a corrupt lock word arbitrates as unknown).
-func (s *Lazy) cmOf(slot uint64) tm.ContentionManager {
-	if slot < uint64(len(s.cms)) {
-		return s.cms[slot]
-	}
-	return nil
-}
+// LazyTx is the TL2 lazy transaction: stm-lazy's whole protocol, and the
+// writer half of stm-mv (which embeds it, adds the snapshot read path, and
+// splices its ring appends between the exported commit phases).
+type LazyTx struct {
+	tm.TxCore
+	Locks *LockTable
+	Clock tm.VersionClock
 
-// blockOf returns the atomic block the transaction occupying slot is
-// currently executing (tm.NoBlock when idle or out of range), for blaming
-// the enemy call site in conflict attribution.
-func (s *Lazy) blockOf(slot uint64) tm.BlockID {
-	if slot < uint64(len(s.threads)) {
-		return tm.BlockID(s.threads[slot].curBlock.Load())
-	}
-	return tm.NoBlock
-}
+	RV    uint64         // read version: the clock at begin
+	Reads txset.IndexSet // stripe indices for commit-time validation
+	Wset  txset.WriteSet // redo log (insertion order = writeback order)
 
-// Name implements tm.System.
-func (s *Lazy) Name() string { return "stm-lazy" }
+	// LockAcquires counts this worker's stripe-lock acquisitions (owner
+	// written, read after join).
+	LockAcquires uint64
 
-// Arena implements tm.System.
-func (s *Lazy) Arena() *mem.Arena { return s.cfg.Arena }
-
-// NThreads implements tm.System.
-func (s *Lazy) NThreads() int { return s.cfg.Threads }
-
-// Thread implements tm.System.
-func (s *Lazy) Thread(id int) tm.Thread { return s.threads[id] }
-
-// Stats implements tm.System.
-func (s *Lazy) Stats() tm.Stats {
-	per := make([]*tm.ThreadStats, len(s.threads))
-	for i, t := range s.threads {
-		per[i] = &t.stats
-	}
-	return tm.Aggregate(per)
-}
-
-type lazyThread struct {
-	id    int
-	sys   *Lazy
-	stats tm.ThreadStats
-	tx    *lazyTx
-	cm    tm.ContentionManager
-	timer tm.AtomicTimer
-
-	// curBlock publishes the block this thread is currently inside, so
-	// enemies that abort against our stripe locks can blame the call site.
-	curBlock atomic.Int32
-}
-
-func (t *lazyThread) ID() int                { return t.id }
-func (t *lazyThread) Stats() *tm.ThreadStats { return &t.stats }
-
-func (t *lazyThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
-
-func (t *lazyThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
-	t.timer.BeginBlock()
-	t.stats.Starts++
-	t.stats.Tracer.SampleBlock(t.id, int32(b))
-	t.curBlock.Store(int32(b))
-	t.cm.OnStart()
-	aborts := 0
-	for {
-		t.tx.begin()
-		if tm.Attempt(t.tx, fn) && t.tx.commit() {
-			break
-		}
-		t.tx.abort()
-		aborts++
-		t.stats.Aborts++
-		t.stats.RecordAbort(b, t.tx.info.Cause, t.tx.info.Key, t.tx.info.Blame)
-		t.stats.Tracer.Emit(trace.EvAbort, t.tx.info.Cause, t.id, int32(b), t.tx.info.Key)
-		t.stats.Wasted += t.tx.loads + t.tx.stores
-		t.tx.res.OnAbort()
-		if t.tx.info.Err != nil {
-			// Terminal alloc exhaustion: the abort is accounted, protocol
-			// state is released — unwind the block instead of retrying.
-			t.curBlock.Store(int32(tm.NoBlock))
-			tm.AbandonBlock(t.cm)
-			t.tx.info.BailAlloc()
-		}
-		t.cm.OnAbort(aborts)
-	}
-	t.tx.res.OnCommit()
-	t.curBlock.Store(int32(tm.NoBlock))
-	t.cm.OnCommit()
-	t.stats.Commits++
-	t.stats.Tracer.Emit(trace.EvCommit, tm.CauseUnknown, t.id, int32(b), 0)
-	t.stats.RecordBlock(b, "stm-lazy", uint64(aborts), t.tx.loads, t.tx.stores)
-	t.stats.Loads += t.tx.loads
-	t.stats.Stores += t.tx.stores
-	t.stats.LoadsHist.Add(int(t.tx.loads))
-	t.stats.StoresHist.Add(int(t.tx.stores))
-	if t.tx.readLines != nil {
-		t.stats.ReadLinesHist.Add(len(t.tx.readLines))
-		t.stats.WriteLinesHist.Add(len(t.tx.writeLines))
-	}
-	t.stats.TxTimeNs += int64(t.timer.EndBlock())
-}
-
-type lazyTx struct {
-	sys  *Lazy
-	th   *lazyThread
-	slot uint64
-	res  *mem.Reserver // thread-private allocation chunk
-
-	rv       uint64
-	reads    txset.IndexSet // stripe indices for commit-time validation
-	wset     txset.WriteSet // redo log (insertion order = writeback order)
 	acquired []lockRec
-	info     tm.AbortInfo // pending-abort cause/location/blame registers
-
-	loads  uint64
-	stores uint64
-
-	readLines  map[mem.Line]struct{} // profiling only
-	writeLines map[mem.Line]struct{}
 }
 
-func (x *lazyTx) begin() {
-	x.rv = x.sys.clock.Begin()
-	x.reads.Reset()
-	x.wset.Reset()
+// Begin implements tm.Protocol.
+func (x *LazyTx) Begin(tm.BlockID, int) {
+	x.RV = x.Clock.Begin()
+	x.Reads.Reset()
+	x.Wset.Reset()
 	x.acquired = x.acquired[:0]
-	x.info.Reset()
-	x.loads, x.stores = 0, 0
-	if x.readLines != nil {
-		clear(x.readLines)
-		clear(x.writeLines)
-	}
 }
 
-// abort releases nothing (locks are only held inside commit, which releases
-// them itself on failure); it only notifies the clock scheme, which gv5
-// uses to advance an epoch the aborted attempt tripped on.
-func (x *lazyTx) abort() { x.sys.clock.OnAbort(x.rv) }
+// Rollback releases nothing (locks are only held inside Commit, which
+// releases them itself on failure); it only notifies the clock scheme, which
+// gv5 uses to advance an epoch the aborted attempt tripped on.
+func (x *LazyTx) Rollback() { x.Clock.OnAbort(x.RV) }
 
 // Load implements the TL2 read barrier: write-buffer lookup first (the cost
 // the paper calls out for lazy STM read barriers — the txset write filter
 // reduces it to one multiply and a branch when the buffer cannot hit), then
 // a validated read.
-func (x *lazyTx) Load(a mem.Addr) uint64 {
-	x.loads++
-	if v, ok := x.wset.Get(a); ok {
+func (x *LazyTx) Load(a mem.Addr) uint64 {
+	x.Loads++
+	if v, ok := x.Wset.Get(a); ok {
 		return v
 	}
-	idx := x.sys.locks.index(a)
-	e1 := x.sys.locks.load(idx)
+	idx := x.Locks.Index(a)
+	e1 := x.Locks.Load(idx)
 	for probe := 0; ; probe++ {
-		owner, locked := lockedBy(e1)
+		owner, locked := LockedBy(e1)
 		if !locked {
 			break
 		}
 		// Conflict point: the stripe is locked by a committing writer.
 		// Arbitrate — requester-loses policies abort here; priority
 		// policies may wait the (short) commit out and re-probe.
-		if tm.WaitOrAbort(x.th.cm, x.sys.cmOf(owner), probe) {
-			x.info.Fail(tm.CauseOrDisplaced(x.th.cm, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.sys.blockOf(owner))
+		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), probe) {
+			x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
 		}
-		e1 = x.sys.locks.load(idx)
+		e1 = x.Locks.Load(idx)
 	}
-	v := x.sys.cfg.Arena.Load(a)
-	e2 := x.sys.locks.load(idx)
-	if e2 != e1 || versionOf(e1) > x.rv {
-		x.info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
+	v := x.Mem.Load(a)
+	e2 := x.Locks.Load(idx)
+	if e2 != e1 || VersionOf(e1) > x.RV {
+		x.Info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
 	}
-	x.reads.Add(idx)
-	if x.readLines != nil {
-		x.readLines[mem.LineOf(a)] = struct{}{}
-	}
+	x.NoteLoad(idx, a)
 	return v
 }
 
+// NoteLoad records a validated read of a in stripe idx.
+func (x *LazyTx) NoteLoad(idx uint32, a mem.Addr) {
+	x.Reads.Add(idx)
+	x.NoteRead(a)
+}
+
 // Store implements the lazy write barrier: buffer the value.
-func (x *lazyTx) Store(a mem.Addr, v uint64) {
-	x.stores++
-	x.wset.Put(a, v)
-	if x.writeLines != nil {
-		x.writeLines[mem.LineOf(a)] = struct{}{}
-	}
+func (x *LazyTx) Store(a mem.Addr, v uint64) {
+	x.Stores++
+	x.Wset.Put(a, v)
+	x.NoteWrite(a)
 }
-
-// Alloc carves from the thread's reserver (free lists, then the private
-// chunk, then the shared arena). A real capacity miss unwinds terminally
-// via FailAlloc; the alloc-exhaust failpoint injects only the abort.
-func (x *lazyTx) Alloc(n int) mem.Addr {
-	if x.sys.chaos.Fire(chaos.AllocExhaust, x.th.id) {
-		x.info.Fail(tm.CauseAllocExhausted, 0, tm.NoBlock)
-	}
-	a, err := x.res.TxAlloc(n)
-	if err != nil {
-		x.info.FailAlloc(err)
-	}
-	return a
-}
-
-// Free defers the release to commit time (abort drops it), recycling the
-// block through the thread's free lists.
-func (x *lazyTx) Free(a mem.Addr, n int) { x.res.TxFree(a, n) }
 
 // EarlyRelease is a no-op: TL2's commit-time validation makes removal of
 // individual read entries unnecessary for the workloads that use it (the
 // paper notes STMs avoid early release in labyrinth by using uninstrumented
 // reads instead, which is what Peek provides).
-func (x *lazyTx) EarlyRelease(mem.Addr) {}
+func (x *LazyTx) EarlyRelease(mem.Addr) {}
 
-// Peek is an uninstrumented read; it does not see the transaction's own
-// buffered writes (documented on tm.Tx).
-func (x *lazyTx) Peek(a mem.Addr) uint64 { return x.sys.cfg.Arena.Load(a) }
-
-// Restart implements tm.Tx.
-func (x *lazyTx) Restart() { x.info.Fail(tm.CauseExplicitRetry, 0, tm.NoBlock) }
-
-func (x *lazyTx) releaseAcquired() {
-	for _, rec := range x.acquired {
-		x.sys.locks.store(rec.idx, rec.old)
+// Commit performs the TL2 commit: lock the write set, increment the global
+// clock, validate the read set, write back, release with the new version.
+func (x *LazyTx) Commit() bool {
+	if x.Wset.Len() == 0 {
+		return true // read-only transactions were validated on every read
 	}
+	wv, ok := x.Acquire()
+	if !ok {
+		return false
+	}
+	x.WriteBack()
+	// Failpoint: stall between writeback and release — the window where this
+	// transaction holds every write-set stripe lock and peers pile up on it.
+	x.Chaos.Stall(chaos.TL2LockRelease, x.ID)
+	x.Release(wv)
+	return true
+}
+
+// Acquire runs the first two commit phases: lock every write-set stripe,
+// then tick the clock and validate the read set. On success the caller
+// holds the stripes and wv is the commit version to Release them at; on
+// failure the abort registers are stamped and no stripe is held.
+func (x *LazyTx) Acquire() (wv uint64, ok bool) {
+	// Failpoint: a spurious abort at lock acquisition looks exactly like
+	// losing a writer-writer race, so it carries that site's natural cause.
+	if x.Chaos.Fire(chaos.TL2LockAcquire, x.ID) {
+		x.Info.Set(tm.CauseWriteWrite, 0, tm.NoBlock)
+		return 0, false
+	}
+	slot := uint64(x.ID)
+	for _, e := range x.Wset.Entries() {
+		idx := x.Locks.Index(e.Addr)
+		lw := x.Locks.Load(idx)
+		blame := tm.NoBlock
+		if owner, locked := LockedBy(lw); locked {
+			if owner == slot {
+				continue // stripe already acquired (another word, same stripe)
+			}
+			blame = x.BlockOf(int(owner))
+		} else if VersionOf(lw) <= x.RV && x.Locks.cas(idx, lw, slot<<1|1) {
+			x.LockAcquires++
+			x.acquired = append(x.acquired, lockRec{idx: idx, old: lw})
+			continue
+		}
+		// Held by a peer, lost the CAS to one, or committed past our
+		// snapshot. Acquiring a stripe newer than RV would hide that from
+		// read-set validation (a self-locked stripe validates trivially), so
+		// abort instead — the standard TL2 guard, slightly conservative for
+		// blind writes. It is also what keeps per-stripe versions strictly
+		// increasing, which stm-mv's ring lookup rests on.
+		x.Info.Set(tm.CauseWriteWrite, trace.AddrKey(uint64(e.Addr)), blame)
+		x.unlock()
+		return 0, false
+	}
+	wv, validate := x.Clock.CommitTick(x.RV)
+	if validate && !x.Locks.validateReads(&x.TxCore, x.Reads.Slice(), x.RV, slot) {
+		x.unlock()
+		return 0, false
+	}
+	return wv, true
+}
+
+// OldVersion returns the version stripe idx had before the commit in
+// progress acquired it (stm-mv stamps pre-image ring records with it).
+func (x *LazyTx) OldVersion(idx uint32) uint64 {
+	for _, rec := range x.acquired {
+		if rec.idx == idx {
+			return VersionOf(rec.old)
+		}
+	}
+	return 0 // unreachable: every written stripe is in acquired
+}
+
+// WriteBack applies the redo log to the arena. Caller holds the stripes.
+func (x *LazyTx) WriteBack() {
+	for _, e := range x.Wset.Entries() {
+		x.Mem.Store(e.Addr, e.Val)
+	}
+}
+
+// Release publishes the commit: every held stripe is unlocked at version wv.
+func (x *LazyTx) Release(wv uint64) {
+	x.Locks.publish(x.acquired, wv)
 	x.acquired = x.acquired[:0]
 }
 
-// commit performs the TL2 commit: lock the write set, increment the global
-// clock, validate the read set, write back, release with the new version.
-func (x *lazyTx) commit() bool {
-	if x.wset.Len() == 0 {
-		return true // read-only transactions were validated on every read
-	}
-	// Failpoint: a spurious abort at lock acquisition looks exactly like
-	// losing a writer-writer race, so it carries that site's natural cause.
-	if x.sys.chaos.Fire(chaos.TL2LockAcquire, x.th.id) {
-		x.info.Set(tm.CauseWriteWrite, 0, tm.NoBlock)
-		return false
-	}
-	for _, e := range x.wset.Entries() {
-		idx := x.sys.locks.index(e.Addr)
-		lw := x.sys.locks.load(idx)
-		if owner, locked := lockedBy(lw); locked {
-			if owner == x.slot {
-				continue // stripe already acquired (another word, same stripe)
-			}
-			x.info.Set(tm.CauseWriteWrite, trace.AddrKey(uint64(e.Addr)), x.sys.blockOf(owner))
-			x.releaseAcquired()
-			return false
-		}
-		if versionOf(lw) > x.rv {
-			// The stripe was committed past our snapshot. Acquiring it would
-			// hide that from read-set validation (a self-locked stripe
-			// validates trivially), so abort here. This is the standard TL2
-			// guard; it is slightly conservative for blind writes.
-			x.info.Set(tm.CauseWriteWrite, trace.AddrKey(uint64(e.Addr)), tm.NoBlock)
-			x.releaseAcquired()
-			return false
-		}
-		if !x.sys.locks.cas(idx, lw, x.slot<<1|1) {
-			x.info.Set(tm.CauseWriteWrite, trace.AddrKey(uint64(e.Addr)), tm.NoBlock)
-			x.releaseAcquired()
-			return false
-		}
-		x.acquired = append(x.acquired, lockRec{idx: idx, old: lw})
-	}
-	wv, validate := x.sys.clock.CommitTick(x.rv)
-	if validate {
-		for _, idx := range x.reads.Slice() {
-			e := x.sys.locks.load(idx)
-			if owner, locked := lockedBy(e); locked {
-				if owner != x.slot {
-					x.info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), x.sys.blockOf(owner))
-					x.releaseAcquired()
-					return false
-				}
-			} else if versionOf(e) > x.rv {
-				x.info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), tm.NoBlock)
-				x.releaseAcquired()
-				return false
-			}
-		}
-	}
-	for _, e := range x.wset.Entries() {
-		x.sys.cfg.Arena.Store(e.Addr, e.Val)
-	}
-	// Failpoint: stall between writeback and release — the window where this
-	// transaction holds every write-set stripe lock and peers pile up on it.
-	x.sys.chaos.Stall(chaos.TL2LockRelease, x.th.id)
-	for _, rec := range x.acquired {
-		x.sys.locks.store(rec.idx, wv<<1)
-	}
+// unlock backs a failed commit out, restoring the stripes' old entries.
+func (x *LazyTx) unlock() {
+	x.Locks.restore(x.acquired)
 	x.acquired = x.acquired[:0]
-	return true
 }

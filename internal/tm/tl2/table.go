@@ -3,7 +3,8 @@
 // II"), and the paper's eager variant of TL2 (undo log plus encounter-time
 // write locks). Both detect conflicts at word granularity, which is the
 // property that lets the STMs beat the line-granularity HTMs on bayes and
-// vacation in the paper.
+// vacation in the paper. The lazy transaction (LazyTx) and the versioned
+// lock table are exported: stm-mv is LazyTx plus version rings.
 package tl2
 
 import (
@@ -11,6 +12,7 @@ import (
 
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm"
+	"github.com/stamp-go/stamp/internal/tm/trace"
 )
 
 // Lock-table size bounds, in log2 stripes. The table is sized from the
@@ -27,59 +29,97 @@ const (
 	maxLockTableBits = 20 // 2^20 stripes, 8 MiB — the historical fixed size
 )
 
-// lockTableBitsFor derives the stripe count for a config: explicit
-// LockTableBits clamped to the bounds, else the smallest power of two
-// covering the arena word for word.
-func lockTableBitsFor(cfg tm.Config) int {
+// TableBits derives the stripe count for a config within [lo, hi] log2
+// stripes: explicit LockTableBits clamped to the bounds, else the smallest
+// power of two covering the arena word for word.
+func TableBits(cfg tm.Config, lo, hi int) int {
 	bits := cfg.LockTableBits
 	if bits == 0 {
-		bits = minLockTableBits
-		for bits < maxLockTableBits && 1<<bits < cfg.Arena.Cap() {
+		bits = lo
+		for bits < hi && 1<<bits < cfg.Arena.Cap() {
 			bits++
 		}
 		return bits
 	}
-	if bits < minLockTableBits {
-		return minLockTableBits
-	}
-	if bits > maxLockTableBits {
-		return maxLockTableBits
-	}
-	return bits
+	return min(max(bits, lo), hi)
 }
 
-// A lock entry encodes either a version (unlocked) or an owner (locked):
+// LockTable is the per-stripe versioned-lock array. An entry encodes either
+// a version (unlocked) or an owner (locked):
 //
 //	unlocked: version<<1 | 0
 //	locked:   owner<<1   | 1
-type lockTable struct {
+type LockTable struct {
 	entries []atomic.Uint64
 	shift   uint32
 }
 
-func newLockTable(bits int) *lockTable {
-	return &lockTable{entries: make([]atomic.Uint64, uint32(1)<<bits), shift: uint32(32 - bits)}
+// NewLockTable builds a table of 2^bits unlocked stripes at version 0.
+func NewLockTable(bits int) *LockTable {
+	return &LockTable{entries: make([]atomic.Uint64, uint32(1)<<bits), shift: uint32(32 - bits)}
 }
 
-// index maps a word address to its stripe (word granularity).
-func (t *lockTable) index(a mem.Addr) uint32 {
+// Stripes returns the stripe count.
+func (t *LockTable) Stripes() int { return len(t.entries) }
+
+// Index maps a word address to its stripe (word granularity).
+func (t *LockTable) Index(a mem.Addr) uint32 {
 	// Knuth multiplicative mix spreads structured address patterns; the
 	// high product bits carry the mixing, so a right-sized (smaller) table
 	// keeps them rather than the low bits.
 	return (uint32(a) * 2654435761) >> t.shift
 }
 
-func (t *lockTable) load(idx uint32) uint64     { return t.entries[idx].Load() }
-func (t *lockTable) store(idx uint32, v uint64) { t.entries[idx].Store(v) }
-func (t *lockTable) cas(idx uint32, o, n uint64) bool {
+// Load returns stripe idx's entry.
+func (t *LockTable) Load(idx uint32) uint64 { return t.entries[idx].Load() }
+
+func (t *LockTable) store(idx uint32, v uint64) { t.entries[idx].Store(v) }
+func (t *LockTable) cas(idx uint32, o, n uint64) bool {
 	return t.entries[idx].CompareAndSwap(o, n)
 }
 
-func lockedBy(e uint64) (owner uint64, locked bool) { return e >> 1, e&1 == 1 }
+// LockedBy decodes an entry's owner slot and whether it is locked at all.
+func LockedBy(e uint64) (owner uint64, locked bool) { return e >> 1, e&1 == 1 }
 
-func versionOf(e uint64) uint64 { return e >> 1 }
+// VersionOf decodes an unlocked entry's version.
+func VersionOf(e uint64) uint64 { return e >> 1 }
 
+// lockRec is one acquired stripe.
 type lockRec struct {
 	idx uint32
 	old uint64 // entry value before acquisition (restored on abort)
+}
+
+// restore releases acquired stripes at their pre-acquisition entries,
+// newest first.
+func (t *LockTable) restore(acquired []lockRec) {
+	for i := len(acquired) - 1; i >= 0; i-- {
+		t.store(acquired[i].idx, acquired[i].old)
+	}
+}
+
+// publish releases acquired stripes at the commit version wv.
+func (t *LockTable) publish(acquired []lockRec, wv uint64) {
+	for _, rec := range acquired {
+		t.store(rec.idx, wv<<1)
+	}
+}
+
+// validateReads is TL2's commit-time read-set check, shared by both
+// variants: every stripe read must be unlocked (or locked by slot itself)
+// and not committed past rv. On failure the abort registers are stamped.
+func (t *LockTable) validateReads(c *tm.TxCore, reads []uint32, rv, slot uint64) bool {
+	for _, idx := range reads {
+		e := t.Load(idx)
+		if owner, locked := LockedBy(e); locked {
+			if owner != slot {
+				c.Info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), c.BlockOf(int(owner)))
+				return false
+			}
+		} else if VersionOf(e) > rv {
+			c.Info.Set(tm.CauseReadValidation, trace.StripeKey(uint64(idx)), tm.NoBlock)
+			return false
+		}
+	}
+	return true
 }

@@ -9,25 +9,25 @@ import (
 
 func TestLockEntryEncoding(t *testing.T) {
 	// unlocked: version<<1; locked: owner<<1|1.
-	if owner, locked := lockedBy(0); locked || owner != 0 {
+	if owner, locked := LockedBy(0); locked || owner != 0 {
 		t.Fatal("zero entry must be unlocked version 0")
 	}
-	if v := versionOf(42 << 1); v != 42 {
+	if v := VersionOf(42 << 1); v != 42 {
 		t.Fatalf("version = %d", v)
 	}
-	if owner, locked := lockedBy(7<<1 | 1); !locked || owner != 7 {
+	if owner, locked := LockedBy(7<<1 | 1); !locked || owner != 7 {
 		t.Fatalf("owner = %d locked = %v", owner, locked)
 	}
 }
 
 func TestLockTableIndexStable(t *testing.T) {
 	for _, bits := range []int{minLockTableBits, 16, maxLockTableBits} {
-		lt := newLockTable(bits)
+		lt := NewLockTable(bits)
 		for _, a := range []mem.Addr{0, 1, 4, 1 << 20, 1<<31 - 1} {
-			if lt.index(a) != lt.index(a) {
+			if lt.Index(a) != lt.Index(a) {
 				t.Fatal("index not deterministic")
 			}
-			if int(lt.index(a)) >= len(lt.entries) {
+			if int(lt.Index(a)) >= len(lt.entries) {
 				t.Fatal("index out of range")
 			}
 		}
@@ -109,11 +109,11 @@ func TestLazyLocksReleasedAfterCommit(t *testing.T) {
 	a := arena.Alloc(1)
 	sys, _ := NewLazy(tm.Config{Arena: arena, Threads: 1})
 	sys.Thread(0).Atomic(func(tx tm.Tx) { tx.Store(a, 9) })
-	e := sys.locks.load(sys.locks.index(a))
-	if _, locked := lockedBy(e); locked {
+	e := sys.locks.Load(sys.locks.Index(a))
+	if _, locked := LockedBy(e); locked {
 		t.Fatal("stripe still locked after commit")
 	}
-	if versionOf(e) == 0 {
+	if VersionOf(e) == 0 {
 		t.Fatal("stripe version not published")
 	}
 }
@@ -129,14 +129,14 @@ func TestEagerLocksReleasedAfterAbortAndCommit(t *testing.T) {
 		if first {
 			first = false
 			// Mid-transaction the stripe must be encounter-locked.
-			if _, locked := lockedBy(sys.locks.load(sys.locks.index(a))); !locked {
+			if _, locked := LockedBy(sys.locks.Load(sys.locks.Index(a))); !locked {
 				t.Error("stripe not locked at encounter time")
 			}
 			tx.Restart()
 		}
 	})
-	e := sys.locks.load(sys.locks.index(a))
-	if _, locked := lockedBy(e); locked {
+	e := sys.locks.Load(sys.locks.Index(a))
+	if _, locked := LockedBy(e); locked {
 		t.Fatal("stripe still locked after commit")
 	}
 	if arena.Load(a) != 6 {
@@ -178,10 +178,10 @@ func TestLazyStripeCollisionSelfCompatible(t *testing.T) {
 	// Find two addresses sharing a stripe.
 	var a1, a2 mem.Addr
 	a1 = arena.Alloc(1)
-	idx := sys.locks.index(a1)
+	idx := sys.locks.Index(a1)
 	for {
 		c := arena.Alloc(1)
-		if sys.locks.index(c) == idx {
+		if sys.locks.Index(c) == idx {
 			a2 = c
 			break
 		}

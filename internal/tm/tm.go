@@ -2,7 +2,7 @@
 // application in this suite is written against, mirroring the C macro layer
 // of the original benchmark (TM_BEGIN / TM_SHARED_READ / TM_SHARED_WRITE /
 // TM_EARLY_RELEASE / TM_RESTART). The same application code runs unchanged
-// on all nine runtimes:
+// on every runtime:
 //
 //	seq           sequential baseline (no concurrency control; speedup denominator)
 //	stm-lazy      TL2-style lazy STM (write buffer, commit-time locking, word granularity)
@@ -35,8 +35,9 @@
 //
 // Transactional data lives in a mem.Arena; Tx.Load and Tx.Store are the read
 // and write barriers. Conflicts abort the current attempt by panicking with
-// a private signal that Thread.Atomic recovers from before retrying, so an
-// atomic block may execute any number of times. The one rule applications
+// a private signal that the transaction driver (driver.go — the one retry
+// loop every runtime runs under) recovers from before retrying, so an atomic
+// block may execute any number of times. The one rule applications
 // must follow (the same rule the C suite follows implicitly via setjmp):
 // any non-arena state mutated inside the block must be reset at block entry.
 //
@@ -49,7 +50,6 @@ package tm
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
@@ -420,9 +420,9 @@ func (c Config) ReserveChunk() int {
 }
 
 // NewReserver builds one worker slot's allocation handle per the config:
-// chunk size from ReserveChunk, free-list recycling per NoRecycle. Every
-// runtime constructor calls this once per thread so tx.Alloc/tx.Free share
-// one policy across protocols.
+// chunk size from ReserveChunk, free-list recycling per NoRecycle.
+// Runtime.Bind calls this once per slot, so tx.Alloc/tx.Free share one
+// policy across protocols.
 func (c Config) NewReserver() *mem.Reserver {
 	r := c.Arena.NewReserver(c.ReserveChunk())
 	r.SetRecycle(!c.NoRecycle)
@@ -430,8 +430,8 @@ func (c Config) NewReserver() *mem.Reserver {
 }
 
 // RetrySignal is the panic value used to unwind an aborted attempt. It is
-// exported so runtime subpackages (tl2, htmsim, hybrid) can raise it; the
-// application-facing way to raise it is Tx.Restart.
+// exported so runtime subpackages can raise it (through Retry or
+// AbortInfo.Fail); the application-facing way to raise it is Tx.Restart.
 type RetrySignal struct{}
 
 // AllocFailure is the panic value that unwinds an atomic block after a real
@@ -488,17 +488,3 @@ func LoadInt(m Mem, a mem.Addr) int64 { return int64(m.Load(a)) }
 
 // StoreInt writes a signed integer at a.
 func StoreInt(m Mem, a mem.Addr, v int64) { m.Store(a, uint64(v)) }
-
-// AtomicTimer wraps the common bookkeeping every runtime performs around an
-// atomic block: attempt loop timing and commit/abort accounting. Runtime
-// implementations call Begin/Commit once per block and Abort per failed
-// attempt.
-type AtomicTimer struct {
-	start time.Time
-}
-
-// BeginBlock starts timing an atomic block.
-func (t *AtomicTimer) BeginBlock() { t.start = time.Now() }
-
-// EndBlock returns the elapsed wall time of the block.
-func (t *AtomicTimer) EndBlock() time.Duration { return time.Since(t.start) }

@@ -153,12 +153,12 @@ func TestAttemptConvertsRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	th := s.threads[0]
-	th.tx.reset()
-	if ok := Attempt(&th.tx, func(Tx) { Retry() }); ok {
+	th := s.Txs[0]
+	th.reset()
+	if ok := Attempt(th, func(Tx) { Retry() }); ok {
 		t.Fatal("retry reported as success")
 	}
-	if ok := Attempt(&th.tx, func(Tx) {}); !ok {
+	if ok := Attempt(th, func(Tx) {}); !ok {
 		t.Fatal("clean attempt reported as failure")
 	}
 }
@@ -166,13 +166,13 @@ func TestAttemptConvertsRetry(t *testing.T) {
 func TestAttemptPropagatesRealPanic(t *testing.T) {
 	arena := mem.NewArena(64)
 	s, _ := NewSeq(Config{Arena: arena, Threads: 1})
-	th := s.threads[0]
+	th := s.Txs[0]
 	defer func() {
 		if recover() == nil {
 			t.Fatal("application panic swallowed")
 		}
 	}()
-	Attempt(&th.tx, func(Tx) { panic("app bug") })
+	Attempt(th, func(Tx) { panic("app bug") })
 }
 
 func TestSeqProfileSets(t *testing.T) {

@@ -335,9 +335,8 @@ func FindVariant(name string) (Variant, error) { return harness.FindVariant(name
 
 // Run executes one variant on opt.System (required) at opt.Threads workers
 // (0 = 1), at opt.Scale (0 = 1.0, the paper's configuration), with every
-// other per-run knob read from opt. It is the single entrypoint the former
-// Run/RunCM/RunOpts accretion collapsed into; Options.Validate reports
-// every configuration problem at once before anything runs.
+// other per-run knob read from opt. Options.Validate reports every
+// configuration problem at once before anything runs.
 func Run(variantName string, opt Options) (Result, error) {
 	v, err := harness.FindVariant(variantName)
 	if err != nil {
@@ -350,7 +349,7 @@ func Run(variantName string, opt Options) (Result, error) {
 // with the retry columns run at opt.RetryThreads (0 = 16, the paper's) and
 // extended by opt.ExtraRetrySystems. The per-run knobs of opt apply to the
 // retry-column runs; opt.System and opt.Threads are ignored — the columns
-// pick their own. It replaces Characterize/CharacterizeCM/CharacterizeOpts.
+// pick their own.
 func Characterize(variantName string, opt Options) (Characterization, error) {
 	v, err := harness.FindVariant(variantName)
 	if err != nil {
@@ -361,57 +360,11 @@ func Characterize(variantName string, opt Options) (Characterization, error) {
 
 // MeasureSpeedup runs one Figure 1 panel for a variant at opt.Scale:
 // opt.Systems (nil = the paper's six) swept over opt.ThreadCounts (nil =
-// 1,2,4,8,16) against the sequential baseline. It replaces
-// MeasureSpeedup/MeasureSpeedupCM/MeasureSpeedupOpts.
+// 1,2,4,8,16) against the sequential baseline.
 func MeasureSpeedup(variantName string, opt Options) (SpeedupSeries, error) {
 	v, err := harness.FindVariant(variantName)
 	if err != nil {
 		return SpeedupSeries{}, err
 	}
 	return harness.MeasureSpeedup(v, opt)
-}
-
-// Deprecated: RunCM is the legacy positional form. Use Run with
-// Options{Scale: scale, System: system, Threads: threads, CM: cm}.
-func RunCM(variantName string, scale float64, system string, threads int, cm string) (Result, error) {
-	return RunOpts(variantName, scale, system, threads, Options{CM: cm})
-}
-
-// Deprecated: RunOpts is the legacy positional form; the positional
-// arguments override the corresponding opt fields. Use Run and set
-// Options.Scale, Options.System, and Options.Threads directly.
-func RunOpts(variantName string, scale float64, system string, threads int, opt Options) (Result, error) {
-	opt.Scale, opt.System, opt.Threads = scale, system, threads
-	return Run(variantName, opt)
-}
-
-// Deprecated: CharacterizeCM is the legacy positional form. Use
-// Characterize with Options{Scale: scale, RetryThreads: retryThreads,
-// CM: cm}.
-func CharacterizeCM(variantName string, scale float64, retryThreads int, cm string) (Characterization, error) {
-	return CharacterizeOpts(variantName, scale, retryThreads, Options{CM: cm})
-}
-
-// Deprecated: CharacterizeOpts is the legacy positional form; the
-// positional arguments override the corresponding opt fields. Use
-// Characterize and set Options.Scale and Options.RetryThreads directly.
-func CharacterizeOpts(variantName string, scale float64, retryThreads int, opt Options) (Characterization, error) {
-	opt.Scale, opt.RetryThreads = scale, retryThreads
-	return Characterize(variantName, opt)
-}
-
-// Deprecated: MeasureSpeedupCM is the legacy positional form. Use
-// MeasureSpeedup with Options{Scale: scale, ThreadCounts: threads,
-// Systems: systems, CM: cm}.
-func MeasureSpeedupCM(variantName string, scale float64, threads []int, systems []string, cm string) (SpeedupSeries, error) {
-	return MeasureSpeedupOpts(variantName, scale, threads, systems, Options{CM: cm})
-}
-
-// Deprecated: MeasureSpeedupOpts is the legacy positional form; the
-// positional arguments override the corresponding opt fields. Use
-// MeasureSpeedup and set Options.Scale, Options.ThreadCounts, and
-// Options.Systems directly.
-func MeasureSpeedupOpts(variantName string, scale float64, threads []int, systems []string, opt Options) (SpeedupSeries, error) {
-	opt.Scale, opt.ThreadCounts, opt.Systems = scale, threads, systems
-	return MeasureSpeedup(variantName, opt)
 }
