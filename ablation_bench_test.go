@@ -256,68 +256,6 @@ func BenchmarkAblationSTMProtocol(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationNOrecCombining: write-heavy disjoint transactions on
-// NOrec at 8 threads with commit combining on vs off. With combining, the
-// committer that wins the sequence-lock CAS drains its peers' published
-// redo logs under one acquisition, so the serialized-writeback wall the
-// single lock imposes moves: commits per lock acquisition rise (reported
-// as combined/run) and each batch costs concurrent readers one
-// revalidation instead of one per commit. Caveat for reading ns/op: on a
-// host with fewer cores than threads, the batches are formed by the
-// publish-yield (a scheduler hop per writer commit) while the lock itself
-// has no waiting cost to save, so wall time favors combine=false there;
-// the lock-acquires/combined metrics are the protocol-level effect that
-// translates to wall time once commits actually contend in parallel.
-func BenchmarkAblationNOrecCombining(b *testing.B) {
-	const threads = 8
-	const perT = 1500
-	const cellsPer = 8
-	for _, combine := range []bool{true, false} {
-		b.Run(fmt.Sprintf("combine=%v", combine), func(b *testing.B) {
-			var combined, fallbacks, acquires, commits uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer() // keep arena/system construction out of ns/op
-				arena := stamp.NewArena(1 << 12)
-				cells := make([]stamp.Addr, threads*cellsPer)
-				for j := range cells {
-					cells[j] = arena.Alloc(1)
-				}
-				sys, err := factory.New("stm-norec", tm.Config{
-					Arena: arena, Threads: threads, NoCombine: !combine,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				team := thread.NewTeam(threads)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					mine := cells[tid*cellsPer : (tid+1)*cellsPer]
-					for j := 0; j < perT; j++ {
-						th.Atomic(func(tx tm.Tx) {
-							for k := 0; k < 4; k++ {
-								a := mine[(j+k)%cellsPer]
-								tx.Store(a, tx.Load(a)+1)
-							}
-						})
-					}
-				})
-				st := sys.Stats()
-				combined += st.Total.CombinedCommits
-				fallbacks += st.Total.CombineFallbacks
-				commits += st.Total.Commits
-				if la, ok := sys.(interface{ LockAcquires() uint64 }); ok {
-					acquires += la.LockAcquires()
-				}
-			}
-			b.ReportMetric(float64(combined)/float64(b.N), "combined/run")
-			b.ReportMetric(float64(fallbacks)/float64(b.N), "fallbacks/run")
-			b.ReportMetric(float64(acquires)/float64(b.N), "lock-acquires/run")
-			b.ReportMetric(float64(commits)/float64(b.N), "tx/run")
-		})
-	}
-}
-
 // BenchmarkAblationAdaptive sweeps the two static STM protocols and the
 // stm-adaptive meta-runtime over two synthetic phases with opposite
 // protocol preferences — the Synchrobench finding (protocol choice

@@ -153,9 +153,6 @@ func main() {
 		fmt.Printf("clock        %s\n", clockName)
 		fmt.Printf("wall time    %v\n", res.Wall)
 		fmt.Printf("transactions %d\n", res.Stats.Total.Commits)
-		if c, f := res.Stats.Total.CombinedCommits, res.Stats.Total.CombineFallbacks; c+f > 0 {
-			fmt.Printf("combining    %d commits absorbed, %d fallbacks\n", c, f)
-		}
 		fmt.Printf("aborts       %d (%.3f retries/tx)\n", res.Stats.Total.Aborts, res.RetriesPerTx())
 		fmt.Printf("barriers     %d loads, %d stores (%d wasted in aborted attempts)\n",
 			res.Stats.Total.Loads, res.Stats.Total.Stores, res.Stats.Total.Wasted)

@@ -77,35 +77,41 @@ import (
 // Stripe-table size bounds, in log2 stripes. Same derivation as the TL2
 // lock table (one stripe per arena word, clamped), but with a lower
 // ceiling: each mv stripe carries a ring header plus MVVersions ring slots
-// next to its lock word, so 2^20 stripes would cost hundreds of megabytes
-// where TL2 pays eight. Beyond 2^maxTableBits words, addresses hash onto
-// stripes, which only adds (rare, harmless) false conflicts — and makes
-// ring sharing slightly more likely, which the pre-image records keep
-// correct.
+// besides its lock word, so 2^20 stripes would cost hundreds of megabytes
+// where TL2 pays eight. Beyond 2^maxTableBits words the table wraps
+// (tl2.LockTable.Index folds the high address bits in), which only adds
+// (rare, harmless) false conflicts — and makes addresses share a ring,
+// which the pre-image records keep correct.
 const (
 	minTableBits = 12
 	maxTableBits = 16
 )
 
-// ring is one stripe's version-retention header: the ring's validity epoch
-// and its head. head is written only by the stripe-lock holder (the lock
-// word's release/acquire chain orders the holders); readers never touch it
-// — they scan every slot.
-type ring struct {
-	epoch atomic.Uint64
-	head  uint32
-}
-
-// slot is one ring record. version holds the record's commit version
-// biased by +1 (0 = empty or mid-write), so pre-image records at stripe
-// version 0 are representable. All three fields are atomics: writers store
-// them under the stripe lock in seqlock order (version 0, addr, val,
-// version), and concurrent snapshot readers reject torn records by the
-// version sandwich plus the caller's stripe-lock recheck.
+// slot is one 24-byte cell of a stripe's run. A run is a header cell
+// followed by k record cells, contiguous, so a committed write touches one
+// run of memory per stripe.
+//
+// In a record cell, version holds the record's commit version biased by +1
+// (0 = empty), so pre-image records at stripe version 0 are representable.
+// In the header cell, version holds the ring's validity epoch and head the
+// index of the record the next append overwrites; head is written only by
+// the stripe-lock holder (the lock word's release/acquire chain orders the
+// holders) and readers never touch it — they scan every record.
+//
+// Writers store a record's fields only while holding the stripe lock,
+// between a successful Acquire and Release(wv), and never mark it
+// mid-write: snapshot readers read the stripe's lock word unlocked before
+// a scan and re-check it unchanged after, and a scan that saw any store of
+// an overlapping append also sees the lock CAS that preceded it (the
+// atomics are sequentially consistent) — the word then reads locked, or
+// released at wv, which exceeds the version read before. Every torn record
+// is discarded by that recheck, which is why the fields are atomics but
+// carry no per-record seqlock.
 type slot struct {
 	version atomic.Uint64
 	val     atomic.Uint64
 	addr    atomic.Uint32
+	head    uint32
 }
 
 // System is the stm-mv runtime.
@@ -113,8 +119,7 @@ type System struct {
 	*tm.Runtime[*mvTx]
 	clock tm.VersionClock
 	locks *tl2.LockTable // the unit of conflict detection and version retention
-	rings []ring         // parallel to the lock table's stripes
-	slots []slot         // stripe i owns slots[i*k : (i+1)*k]
+	slots []slot         // stripe i's run: slots[i*(k+1)] header, then k records
 	k     int            // ring depth (Config.MVVersions)
 
 	// ringEpoch invalidates every stripe ring at once: bumped by OnHandoff
@@ -139,8 +144,7 @@ func New(cfg tm.Config) (*System, error) {
 		Runtime: rt,
 		clock:   clock,
 		locks:   locks,
-		rings:   make([]ring, locks.Stripes()),
-		slots:   make([]slot, locks.Stripes()*rt.Cfg.MVVersions),
+		slots:   make([]slot, locks.Stripes()*(rt.Cfg.MVVersions+1)),
 		k:       rt.Cfg.MVVersions,
 	}
 	rt.Bind(func(int) *mvTx { return &mvTx{LazyTx: tl2.LazyTx{Locks: locks, Clock: clock}, sys: s} })
@@ -149,6 +153,12 @@ func New(cfg tm.Config) (*System, error) {
 
 // index maps a word address to its stripe.
 func (s *System) index(a mem.Addr) uint32 { return s.locks.Index(a) }
+
+// run returns stripe idx's ring header and its k records.
+func (s *System) run(idx uint32) (hdr *slot, recs []slot) {
+	r := s.slots[int(idx)*(s.k+1):][:s.k+1]
+	return &r[0], r[1:]
+}
 
 // ClockNow returns the current version-clock value (stats/bench hook).
 func (s *System) ClockNow() uint64 { return s.clock.Now() }
@@ -184,37 +194,30 @@ func (s *System) ThreadLockAcquires(id int) uint64 { return s.Txs[id].LockAcquir
 // ringScan returns the newest ring record of address a with version <= rv
 // in stripe idx. The caller must have read the stripe lock word unlocked
 // before the scan and must re-check it unchanged afterwards before acting
-// on the result — that recheck, not the per-slot seqlock alone, is what
-// discards scans that raced a committing writer's appends or evictions.
+// on the result — that recheck is what discards scans that raced a
+// committing writer's appends or evictions (see slot).
 func (s *System) ringScan(idx uint32, a mem.Addr, rv uint64) (val uint64, ok bool) {
-	if s.rings[idx].epoch.Load() != s.ringEpoch.Load() {
+	hdr, recs := s.run(idx)
+	if hdr.version.Load() != s.ringEpoch.Load() {
 		return 0, false // stale ring: another delegate's tenure wrote the arena
 	}
-	base := int(idx) * s.k
 	var best uint64 // biased: record version + 1
-	for i := 0; i < s.k; i++ {
-		sl := &s.slots[base+i]
+	for i := range recs {
+		sl := &recs[i]
 		v1 := sl.version.Load()
-		if v1 == 0 || v1 > rv+1 || v1 <= best {
+		if v1 == 0 || v1 > rv+1 || v1 <= best || mem.Addr(sl.addr.Load()) != a {
 			continue
 		}
-		addr := sl.addr.Load()
-		v := sl.val.Load()
-		if sl.version.Load() != v1 || mem.Addr(addr) != a {
-			continue
-		}
-		best, val = v1, v
+		best, val = v1, sl.val.Load()
 	}
 	return val, best != 0
 }
 
-// ringHas reports whether stripe idx retains any record of address a.
-// Caller holds the stripe lock.
-func (s *System) ringHas(idx uint32, a mem.Addr) bool {
-	base := int(idx) * s.k
-	for i := 0; i < s.k; i++ {
-		sl := &s.slots[base+i]
-		if sl.version.Load() != 0 && mem.Addr(sl.addr.Load()) == a {
+// ringHas reports whether recs retains any record of address a. Caller
+// holds the stripe lock.
+func ringHas(recs []slot, a mem.Addr) bool {
+	for i := range recs {
+		if recs[i].version.Load() != 0 && mem.Addr(recs[i].addr.Load()) == a {
 			return true
 		}
 	}
@@ -223,29 +226,25 @@ func (s *System) ringHas(idx uint32, a mem.Addr) bool {
 
 // ringAppend writes one record (biased version) at the ring head and
 // advances it, evicting the oldest record. Caller holds the stripe lock.
-func (s *System) ringAppend(idx uint32, biased uint64, a mem.Addr, val uint64) {
-	st := &s.rings[idx]
-	sl := &s.slots[int(idx)*s.k+int(st.head)]
-	sl.version.Store(0)
+func ringAppend(hdr *slot, recs []slot, biased uint64, a mem.Addr, val uint64) {
+	sl := &recs[hdr.head]
 	sl.addr.Store(uint32(a))
 	sl.val.Store(val)
 	sl.version.Store(biased)
-	st.head++
-	if st.head == uint32(s.k) {
-		st.head = 0
+	hdr.head++
+	if int(hdr.head) == len(recs) {
+		hdr.head = 0
 	}
 }
 
 // ringReset clears a stale ring and stamps it with the current epoch.
 // Caller holds the stripe lock.
-func (s *System) ringReset(idx uint32, epoch uint64) {
-	base := int(idx) * s.k
-	for i := 0; i < s.k; i++ {
-		s.slots[base+i].version.Store(0)
+func ringReset(hdr *slot, recs []slot, epoch uint64) {
+	for i := range recs {
+		recs[i].version.Store(0)
 	}
-	st := &s.rings[idx]
-	st.head = 0
-	st.epoch.Store(epoch)
+	hdr.head = 0
+	hdr.version.Store(epoch)
 }
 
 // mvTx is a TL2 lazy transaction plus the snapshot read path and the
@@ -335,16 +334,17 @@ func (x *mvTx) Commit() bool {
 	epoch := sys.ringEpoch.Load()
 	for _, e := range x.Wset.Entries() {
 		idx := x.Locks.Index(e.Addr)
-		if sys.rings[idx].epoch.Load() != epoch {
-			sys.ringReset(idx, epoch)
+		hdr, recs := sys.run(idx)
+		if hdr.version.Load() != epoch {
+			ringReset(hdr, recs, epoch)
 		}
-		if !sys.ringHas(idx, e.Addr) {
+		if !ringHas(recs, e.Addr) {
 			// First ring-era write to this address: retain the pre-image
 			// from the stripe's pre-commit version, so snapshots older
 			// than this commit can still be served.
-			sys.ringAppend(idx, x.OldVersion(idx)+1, e.Addr, x.Mem.Load(e.Addr))
+			ringAppend(hdr, recs, x.OldVersion(idx)+1, e.Addr, x.Mem.Load(e.Addr))
 		}
-		sys.ringAppend(idx, wv+1, e.Addr, e.Val)
+		ringAppend(hdr, recs, wv+1, e.Addr, e.Val)
 	}
 	x.WriteBack()
 	// Failpoint: stall after ring publication and writeback, while every

@@ -203,10 +203,6 @@ type ThreadStats struct {
 	Escalations      uint64
 	EscalatedCommits uint64
 
-	// NOrec commit-combining accounting (see internal/tm/norec).
-	CombinedCommits  uint64 // commits absorbed by another thread's lock acquisition
-	CombineFallbacks uint64 // combining requests rejected (read set invalid under the combiner)
-
 	// Per committed transaction distributions.
 	LoadsHist      Hist // read barriers
 	StoresHist     Hist // write barriers
@@ -293,8 +289,6 @@ func (s *ThreadStats) merge(o *ThreadStats) {
 	s.CMSerialized += o.CMSerialized
 	s.Escalations += o.Escalations
 	s.EscalatedCommits += o.EscalatedCommits
-	s.CombinedCommits += o.CombinedCommits
-	s.CombineFallbacks += o.CombineFallbacks
 	for c := range o.AbortCauses {
 		s.AbortCauses[c] += o.AbortCauses[c]
 	}

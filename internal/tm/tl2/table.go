@@ -21,8 +21,8 @@ import (
 // [minLockTableBits, maxLockTableBits]. The historical table was a fixed
 // 2^20 stripes (8 MiB of metadata) regardless of workload — small
 // workloads paid that in cold cache misses on every barrier, and
-// stm-adaptive paid it twice. Beyond 2^maxLockTableBits words, addresses
-// hash onto stripes, which only introduces (rare, harmless) false
+// stm-adaptive paid it twice. Beyond 2^maxLockTableBits words the table
+// wraps (see Index), which only introduces (rare, harmless) false
 // conflicts.
 const (
 	minLockTableBits = 12 // 4096 stripes, 32 KiB — floor for tiny arenas
@@ -51,23 +51,32 @@ func TableBits(cfg tm.Config, lo, hi int) int {
 //	locked:   owner<<1   | 1
 type LockTable struct {
 	entries []atomic.Uint64
-	shift   uint32
+	bits    uint32
 }
 
 // NewLockTable builds a table of 2^bits unlocked stripes at version 0.
 func NewLockTable(bits int) *LockTable {
-	return &LockTable{entries: make([]atomic.Uint64, uint32(1)<<bits), shift: uint32(32 - bits)}
+	return &LockTable{entries: make([]atomic.Uint64, uint32(1)<<bits), bits: uint32(bits)}
 }
 
 // Stripes returns the stripe count.
 func (t *LockTable) Stripes() int { return len(t.entries) }
 
-// Index maps a word address to its stripe (word granularity).
+// Index maps a word address to its stripe (word granularity). The map keeps
+// the metadata as local as the data:
+//
+//   - The 8 words of an aligned 64-byte arena line map onto the 8 entries of
+//     one aligned 64-byte table line (a>>bits is constant across the line,
+//     so the xor only permutes entries within the group): a transaction
+//     that touches one data line touches one metadata line.
+//   - With stripes >= arena words (the default sizing) a>>bits is 0 and the
+//     map is the identity: injective, so no false conflicts.
+//   - When the table wraps, the bits above the table size are xor-folded
+//     in, so addresses a power-of-two stride of the table size (or a
+//     multiple) apart land on distinct stripes instead of all on one.
 func (t *LockTable) Index(a mem.Addr) uint32 {
-	// Knuth multiplicative mix spreads structured address patterns; the
-	// high product bits carry the mixing, so a right-sized (smaller) table
-	// keeps them rather than the low bits.
-	return (uint32(a) * 2654435761) >> t.shift
+	x := uint32(a)
+	return (x ^ x>>t.bits) & uint32(len(t.entries)-1)
 }
 
 // Load returns stripe idx's entry.

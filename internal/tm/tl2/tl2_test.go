@@ -34,6 +34,54 @@ func TestLockTableIndexStable(t *testing.T) {
 	}
 }
 
+// TestStripeMapProperties pins the three properties LockTable.Index
+// documents, per table size: (1) the 8 words of an aligned arena line map
+// onto the 8 entries of one aligned table line, wrapped or not; (2) the map
+// is injective over [0, stripes), i.e. whenever the table covers the arena;
+// (3) on a wrapped table, addresses a stride of the table size (or twice
+// it) apart spread over at least half as many stripes as there are
+// addresses — a plain a&mask puts them all on one.
+func TestStripeMapProperties(t *testing.T) {
+	const words = 8 // per 64-byte line, arena and table alike
+	for _, bits := range []int{minLockTableBits, 16, maxLockTableBits} {
+		lt := NewLockTable(bits)
+		n := uint32(lt.Stripes())
+
+		seen := make([]bool, n)
+		for a := uint32(0); a < n; a++ {
+			idx := lt.Index(mem.Addr(a))
+			if seen[idx] {
+				t.Fatalf("bits=%d: not injective below the table size: address %d reuses stripe %d", bits, a, idx)
+			}
+			seen[idx] = true
+		}
+
+		// Lines inside the table, straddling its end, and far past it.
+		for _, base := range []uint32{0, words, n - words, n, 3*n + 5*words, n * 257, 1<<31 - words} {
+			group := lt.Index(mem.Addr(base)) / words
+			var hit [words]bool
+			for w := uint32(0); w < words; w++ {
+				idx := lt.Index(mem.Addr(base + w))
+				if idx/words != group || hit[idx%words] {
+					t.Errorf("bits=%d: line %#x: word %d maps to stripe %d, outside table line %d or onto a taken entry", bits, base, w, idx, group)
+				}
+				hit[idx%words] = true
+			}
+		}
+
+		const addrs = 256
+		for _, stride := range []uint32{n, 2 * n} {
+			distinct := map[uint32]bool{}
+			for k := uint32(0); k < addrs; k++ {
+				distinct[lt.Index(mem.Addr(3+k*stride))] = true
+			}
+			if len(distinct) < addrs/2 {
+				t.Errorf("bits=%d: %d addresses at stride %d share %d stripes, want >= %d", bits, addrs, stride, len(distinct), addrs/2)
+			}
+		}
+	}
+}
+
 // TestLockTableRightSizing pins the arena-derived table size and the
 // clamping of explicit tm.Config.LockTableBits values.
 func TestLockTableRightSizing(t *testing.T) {

@@ -8,8 +8,8 @@
 //	stm-lazy      TL2-style lazy STM (write buffer, commit-time locking, word granularity)
 //	stm-eager     eager TL2 variant (undo log, encounter-time locking, word granularity)
 //	stm-norec     NOrec STM (single global sequence lock, value-based validation,
-//	              no per-location metadata; every commit serializes through the
-//	              lock, with commit combining batching disjoint writers)
+//	              no per-location metadata; every commit serializes through
+//	              the lock)
 //	stm-norec-ro  NOrec with the read-only commit fast path (empty write set
 //	              commits without acquiring the sequence lock)
 //	htm-lazy      simulated TCC-style HTM (lazy versioning, commit arbitration,
@@ -214,12 +214,6 @@ type Config struct {
 	// HTM simulators ("since early-release is not available on all TM
 	// systems, its use can be disabled").
 	EnableEarlyRelease bool
-
-	// NoCombine disables NOrec commit combining (losing committers publish
-	// their validated redo logs so the sequence-lock holder can drain
-	// disjoint write sets under one acquisition). Combining is on by
-	// default; this switch exists for ablations of the writeback wall.
-	NoCombine bool
 
 	// AdaptiveRead and AdaptiveWrite name the two delegate runtimes of the
 	// stm-adaptive meta-runtime: the protocol preferred in read-dominated /

@@ -20,11 +20,8 @@
 //   - IndexSet is the append-only stripe log the TL2 runtimes validate at
 //     commit, with the same last-entry dedup.
 //
-// All three types are owner-thread-only, except that a published
-// WriteSet/ReadSet Entries() slice may be read by another thread while the
-// owner is quiescent (the NOrec commit-combining protocol relies on this).
-// Reset is O(1): the hash index is invalidated by bumping an epoch instead
-// of clearing slots.
+// All three types are owner-thread-only. Reset is O(1): the hash index is
+// invalidated by bumping an epoch instead of clearing slots.
 package txset
 
 import "github.com/stamp-go/stamp/internal/mem"
@@ -262,9 +259,11 @@ func (r *ReadSet) Add(a mem.Addr, v uint64) {
 func (r *ReadSet) Entries() []ReadEntry { return r.entries }
 
 // IndexSet is the append-only log of stripe (lock-table) indices the TL2
-// runtimes validate at commit, with last-entry dedup: adjacent words of one
-// container node usually map to the same stripe, so the common field-walk
-// costs one entry. The zero value is ready to use.
+// runtimes validate at commit, with last-entry dedup. Stripes are word
+// granular (distinct words share one only when the table wraps), so what
+// the dedup collapses is the tight re-read of one word — a loop polling a
+// field — not a walk over a node's adjacent fields. The zero value is ready
+// to use.
 type IndexSet struct {
 	idx []uint32
 }
