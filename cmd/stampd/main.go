@@ -1,14 +1,15 @@
 // Command stampd runs the STAMP vacation workload as a long-lived service:
-// a persistent transactional arena behind a bounded admission queue and a
-// worker pool, with open-loop load generation and tail-latency reporting —
-// the serving-mode counterpart of the batch `stamp` command.
+// a persistent transactional arena served on a fixed set of leased
+// transaction slots (a bounded queue takes the overflow), with open-loop
+// load generation and tail-latency reporting — the serving-mode counterpart
+// of the batch `stamp` command.
 //
 // Usage:
 //
-//	stampd -bench [-system stm-mv] [-systems stm-mv,stm-lazy] [-workers 8] \
+//	stampd -bench [-system NAME] [-systems stm-norec,stm-lazy] [-workers 8] \
 //	       [-clients 4,16] [-rate 20000] [-duration 2s] [-ro 0,50] \
 //	       [-user 90] [-queries 4] [-qrange 60]
-//	stampd -listen :8080 [-system stm-mv] [-workers 8] [-timeout 2s]
+//	stampd -listen :8080 [-system NAME] [-workers 8] [-timeout 2s]
 //
 // Bench mode prints one human-readable report per (system × clients ×
 // ro-mix) cell plus `go test -bench`-formatted result lines
@@ -42,10 +43,10 @@ func main() {
 	var (
 		bench   = flag.Bool("bench", false, "run the built-in load generator and report latency percentiles")
 		listen  = flag.String("listen", "", "serve the operations over HTTP on this address (e.g. :8080)")
-		system  = flag.String("system", "stm-mv", "TM runtime for the worker pool (stm-mv serves queries snapshot-style)")
+		system  = flag.String("system", "", "TM runtime the slots run on (default: the server's, see stamp.ServerOptions.System)")
 		systems = flag.String("systems", "", "comma-separated TM runtimes to sweep in bench mode (overrides -system)")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "worker goroutines (one TM thread slot each, max 64)")
-		queueN  = flag.Int("queue", 0, "admission queue bound (0 = 4×workers); full queue rejects, not buffers")
+		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "TM thread slots = most transactions at once (max 64); requests run on their caller's goroutine while a slot is free")
+		queueN  = flag.Int("queue", 0, "overflow queue bound (0 = 4×workers); with every slot busy and the queue full, requests are rejected, not buffered")
 		records = flag.Int("records", 16384, "rows per reservation table (vacation -r)")
 		budget  = flag.Int("op-budget", 0, "arena slack in operations the server can absorb (0 = 1<<18)")
 
@@ -62,7 +63,7 @@ func main() {
 		clkFlag = flag.String("clock", "", "TL2 commit-clock scheme (default: gv1)")
 		chaos   = flag.String("chaos", "", "deterministic failpoints: seed:site:prob[,site:prob...]")
 		mvVers  = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default)")
-		timeout = flag.Duration("timeout", 0, "progress watchdog: halt the pool and fail pending requests if commits stall this long with work in flight (0 = off)")
+		timeout = flag.Duration("timeout", 0, "progress watchdog: halt the runtime and fail pending requests if commits stall this long with work in flight (0 = off)")
 
 		swapAt    = flag.Float64("swap-at", 0, "arena high-water fraction that triggers an epoch swap (0 = 0.85)")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline from admission to completion (0 = none)")
@@ -209,9 +210,10 @@ func benchCell(opts stamp.ServerOptions, cfg benchConfig, nc, roPct int) error {
 	fmt.Printf("# tm          starts=%d commits=%d aborts=%d escalations=%d cm-waits=%d\n",
 		tot.Starts, tot.Commits, tot.Aborts, tot.Escalations, tot.CMWaits)
 	if g := srv.Snapshot(); g.Swaps > 0 {
-		fmt.Printf("# lifecycle   epoch=%d swaps=%d swap-pause-total=%v swap-pause-last=%v arena=%d/%d words\n",
+		fmt.Printf("# lifecycle   epoch=%d swaps=%d swap-pause-total=%v swap-pause-last=%v swap-pause-max=%v arena=%d/%d words\n",
 			g.Epoch, g.Swaps, time.Duration(g.SwapPauseNs).Round(time.Microsecond),
-			time.Duration(g.LastSwapPauseNs).Round(time.Microsecond), g.ArenaUsed, g.ArenaCap)
+			time.Duration(g.LastSwapPauseNs).Round(time.Microsecond),
+			time.Duration(g.MaxSwapPauseNs).Round(time.Microsecond), g.ArenaUsed, g.ArenaCap)
 	}
 	names := stamp.CauseNames()
 	var causes []string

@@ -14,7 +14,8 @@
 //     "stm-norec-ro" with the read-only commit fast path), "stm-mv" —
 //     multi-version: writers keep per-stripe rings of Config.MVVersions
 //     committed values, and blocks registered through NewROBlock read a
-//     begin-time snapshot with zero validation and zero aborts —
+//     begin-time snapshot with zero validation and, while the per-stripe
+//     ring (MVVersions) still retains the snapshot, zero aborts —
 //     simulated TCC-style (lazy) and LogTM-style (eager) HTMs, SigTM-style
 //     lazy and eager hybrids, and "stm-adaptive", which wraps two of the
 //     STMs
@@ -31,9 +32,10 @@
 //     characterization and Figure 1 speedup curves.
 //   - A serving mode (Serve, ServerOptions, RunLoad, LoadOptions; the
 //     cmd/stampd daemon) that runs the vacation workload as a long-lived
-//     service: a persistent arena, a worker pool of Thread slots, and a
-//     bounded admission queue that sheds load with ErrQueueFull when
-//     full, with client-observed p50/p99/p999 latency histograms and the
+//     service: a persistent arena and a fixed set of Thread slots that
+//     Server.Do leases to run each request on its caller's goroutine,
+//     with a bounded overflow queue that sheds load with ErrQueueFull
+//     when full, client-observed p50/p99/p999 latency histograms and the
 //     same per-block transactional statistics as batch runs.
 //
 // The measurement entrypoints take one consolidated Options struct —

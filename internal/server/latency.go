@@ -1,8 +1,8 @@
 // Package server is the serving harness: a long-lived transactional arena
-// behind a bounded admission queue and a goroutine worker pool mapped onto
-// tm.Thread slots, exposing the vacation operations (see
-// internal/apps/vacation.Store) as request handlers — the paper's batch
-// benchmark recast as an open-loop service with tail-latency accounting.
+// and a fixed set of tm.Thread slots that callers lease to run the vacation
+// operations (see internal/apps/vacation.Store) to completion on their own
+// goroutines, with a bounded queue and a small pool for the overflow — the
+// paper's batch benchmark recast as a service with tail-latency accounting.
 package server
 
 import (
@@ -15,7 +15,7 @@ import (
 // sub-buckets per power of two of nanoseconds, so relative error is bounded
 // by 1/latSub (~3%) at every magnitude, the Add path is one atomic
 // increment, and the whole histogram is a fixed ~10 KiB array — safe to
-// share between worker goroutines with no locks.
+// read (or share between goroutines) with no locks.
 const (
 	latSubBits = 5
 	latSub     = 1 << latSubBits // 32 linear buckets per octave
@@ -50,7 +50,6 @@ func latUpper(idx int) uint64 {
 // Summary reads a racy-but-consistent-enough snapshot (each counter is
 // individually atomic), which is exact once writers have quiesced.
 type LatHist struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	max     atomic.Uint64
 	buckets [latBuckets]atomic.Uint64
@@ -62,7 +61,6 @@ func (h *LatHist) Add(d time.Duration) {
 	if d < 0 {
 		ns = 0
 	}
-	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
 		cur := h.max.Load()
@@ -72,9 +70,6 @@ func (h *LatHist) Add(d time.Duration) {
 	}
 	h.buckets[latIndex(ns)].Add(1)
 }
-
-// Count returns the number of observations.
-func (h *LatHist) Count() uint64 { return h.count.Load() }
 
 // LatSummary is one histogram's percentile readout, in nanoseconds.
 type LatSummary struct {
@@ -86,35 +81,51 @@ type LatSummary struct {
 	MaxNs  uint64  `json:"max_ns"`
 }
 
+// latCounts is a plain (non-atomic) accumulation of one or more LatHists:
+// the merge step between the per-slot histograms and one LatSummary.
+type latCounts struct {
+	buckets  [latBuckets]uint64
+	sum, max uint64
+}
+
+// add folds h's current contents into c.
+func (c *latCounts) add(h *LatHist) {
+	for i := range h.buckets {
+		c.buckets[i] += h.buckets[i].Load()
+	}
+	c.sum += h.sum.Load()
+	c.max = max(c.max, h.max.Load())
+}
+
 // Summary computes count, mean, p50/p99/p999 (bucket upper bounds, ≤3.2%
 // relative error) and the exact max.
 func (h *LatHist) Summary() LatSummary {
-	var counts [latBuckets]uint64
+	var c latCounts
+	c.add(h)
+	return c.summary()
+}
+
+func (c *latCounts) summary() LatSummary {
 	var total uint64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		counts[i] = c
-		total += c
+	for _, n := range c.buckets {
+		total += n
 	}
-	s := LatSummary{Count: total, MaxNs: h.max.Load()}
+	s := LatSummary{Count: total, MaxNs: c.max}
 	if total == 0 {
 		return s
 	}
-	s.MeanNs = float64(h.sum.Load()) / float64(total)
+	s.MeanNs = float64(c.sum) / float64(total)
 	quantile := func(q float64) uint64 {
 		rank := uint64(q * float64(total))
 		if rank >= total {
 			rank = total - 1
 		}
 		var seen uint64
-		for i, c := range counts {
-			seen += c
+		for i, n := range c.buckets {
+			seen += n
 			if seen > rank {
-				u := latUpper(i)
-				if u > s.MaxNs {
-					u = s.MaxNs // never report past the observed max
-				}
-				return u
+				// never report past the observed max
+				return min(latUpper(i), s.MaxNs)
 			}
 		}
 		return s.MaxNs

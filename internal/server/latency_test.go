@@ -103,7 +103,7 @@ func TestLatHistConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Count(); got != workers*each {
+	if got := h.Summary().Count; got != workers*each {
 		t.Fatalf("lost observations: %d of %d", got, workers*each)
 	}
 }

@@ -105,7 +105,7 @@ type Report struct {
 	Completed uint64 // requests that returned success
 	Rejected  uint64 // admission rejections (ErrQueueFull)
 	Failed    uint64 // requests that returned any other error
-	Lost      uint64 // accepted requests unanswered at drain timeout (wedged worker)
+	Lost      uint64 // accepted requests unanswered at drain timeout (wedged slot)
 	Torn      uint64 // query snapshot violations observed (must stay 0)
 
 	Latency LatSummary
@@ -156,9 +156,10 @@ func nextRequest(r *rng.Rand, opt LoadOptions, records int) *Request {
 	}
 }
 
-// RunLoad drives opt's request mix at the server and blocks until every
+// RunLoad drives opt's request mix at the server — closed-loop clients
+// through Do, open-loop ones through Submit — and blocks until every
 // accepted request has answered (or a drain timeout expires — a halted pool
-// answers its queue fast, so a long drain means a wedged worker). The server
+// answers its queue fast, so a long drain means a wedged slot). The server
 // stays open: callers own its lifecycle and may run several loads in
 // sequence.
 func RunLoad(s *Server, opt LoadOptions) (Report, error) {
@@ -172,10 +173,11 @@ func RunLoad(s *Server, opt LoadOptions) (Report, error) {
 	responses := make(chan Response, 1024)
 
 	// Collector: single goroutine owns the per-run histograms (the server's
-	// own histograms are cumulative across runs). Every worker's response
-	// send happens-before its receive here, and the collector's exit
-	// happens-before RunLoad returns — that chain is what makes the final
-	// TMStats read race-free.
+	// own histograms are cumulative across runs). Every response's send —
+	// by the client that ran it or the pool goroutine that did — happens
+	// after its transaction and before its receive here, and the
+	// collector's exit happens-before RunLoad returns — that chain is what
+	// makes the final TMStats read race-free.
 	var latAll LatHist
 	var latOp [numOps]LatHist
 	var completed, failed, torn uint64
@@ -248,31 +250,30 @@ func RunLoad(s *Server, opt LoadOptions) (Report, error) {
 				}
 				return
 			}
-			// Closed loop: wait for each response, then forward it to the
-			// collector and issue the next request.
-			mine := make(chan Response, 1)
+			// Closed loop: Do runs each request on this goroutine when a
+			// slot is free; its response goes to the collector and the
+			// next request follows.
 			for time.Now().Before(deadline) {
-				req := nextRequest(r, opt, s.opt.Records)
-				req.done = mine
 				offered.Add(1)
-				if err := s.Submit(req); err != nil {
-					if errors.Is(err, ErrQueueFull) {
-						rejected.Add(1)
-						continue
-					}
-					return // halted or closed
+				resp := s.Do(nextRequest(r, opt, s.opt.Records))
+				if errors.Is(resp.Err, ErrQueueFull) {
+					rejected.Add(1)
+					continue
 				}
 				accepted.Add(1)
-				responses <- <-mine
+				responses <- resp
+				if resp.Err != nil && (s.Err() != nil || errors.Is(resp.Err, ErrClosed)) {
+					return // halted or closed
+				}
 			}
 		}(c)
 	}
 	clientWG.Wait()
 	rep.Elapsed = time.Since(start)
 
-	// Drain: each accepted request produces exactly one response (halted
-	// workers answer their queue with fast errors), so wait for the counts
-	// to meet. Only a wedged worker can make this time out.
+	// Drain: each accepted request produces exactly one response (a halted
+	// pool answers its queue with fast errors), so wait for the counts to
+	// meet. Only a wedged slot can make this time out.
 	drainDeadline := time.Now().Add(30 * time.Second)
 	for collected.Load() < accepted.Load() && time.Now().Before(drainDeadline) {
 		time.Sleep(2 * time.Millisecond)
@@ -295,8 +296,8 @@ func RunLoad(s *Server, opt LoadOptions) (Report, error) {
 		}
 	}
 	if rep.Lost == 0 {
-		// Quiescent: every worker's last response delivery happens-before
-		// this read. With lost requests a worker may still be running, so
+		// Quiescent: every request's response delivery happens-before
+		// this read. With lost requests one may still be running, so
 		// leave TM zeroed rather than read unsynchronized counters.
 		rep.TM = s.TMStats()
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -32,13 +33,14 @@ const (
 	OpUpdate
 	// OpQuery sums the free inventory of Request.Items — the read-only
 	// operation, registered through tm.NewROBlock so stm-mv serves it from
-	// begin-timestamp snapshots with zero aborts.
+	// begin-timestamp snapshots, abort-free while the per-stripe ring
+	// (MVVersions) still retains the snapshot.
 	OpQuery
 	numOps
 )
 
 // opProbe is the test hook: it runs Request.probe as the atomic block, so
-// tests can wedge or instrument a worker deterministically. Not reachable
+// tests can wedge or instrument a slot deterministically. Not reachable
 // through the public surface.
 const opProbe OpKind = 255
 
@@ -71,11 +73,12 @@ var (
 // Errors of the admission path. ErrStalled (the watchdog verdict) is
 // harness.ErrStalled so one sentinel spans batch and serving modes.
 var (
-	// ErrQueueFull reports an admission rejection: the bounded queue was at
-	// capacity when the request arrived. Open-loop clients count it and move
-	// on; closed-loop clients may retry with backoff.
+	// ErrQueueFull reports an admission rejection: every slot was busy and
+	// the bounded overflow queue was at capacity when the request arrived.
+	// Open-loop clients count it and move on; closed-loop clients may retry
+	// with backoff.
 	ErrQueueFull = errors.New("server: admission queue full")
-	// ErrClosed reports a Submit after Close.
+	// ErrClosed reports a Submit or Do after Close.
 	ErrClosed = errors.New("server: closed")
 	// ErrStalled re-exports the progress-watchdog sentinel: once the pool
 	// is halted every pending and future request fails wrapping it.
@@ -95,17 +98,24 @@ var (
 )
 
 // Options configures a Server. The zero value serves the default store on
-// stm-mv; Validate reports every invalid field at once.
+// stm-norec; Validate reports every invalid field at once.
 type Options struct {
-	// System names the TM runtime the pool runs on ("" = "stm-mv", whose
-	// multi-version rings serve OpQuery snapshots abort-free).
+	// System names the TM runtime the slots run on ("" = "stm-norec": with
+	// no hand-off left the protocol is the largest cost a request pays, and
+	// NOrec's single sequence lock beat stm-lazy's and stm-mv's lock table
+	// (and version rings) on both serving mixes of the repository benchmark;
+	// ARCHITECTURE.md, "Serving", has the table).
 	System string
-	// Workers is the goroutine pool size, each owning one tm.Thread slot
+	// Workers is the number of tm.Thread slots, i.e. the most transactions
+	// that run at once: Do leases one for the length of a request and runs
+	// it on the caller's goroutine; the same number of pool goroutines drain
+	// the overflow queue, leasing a slot per request like any other caller
 	// (0 = 4; max 64, the runtime's reader-mask width).
 	Workers int
-	// Queue bounds the admission queue (0 = 4×Workers). Submit rejects
-	// with ErrQueueFull when it is at capacity — load shedding, not
-	// buffering, is the overload response.
+	// Queue bounds the overflow queue (0 = 4×Workers): where Submit's
+	// requests wait for a pool goroutine, and Do's when every slot is busy.
+	// Both reject with ErrQueueFull when it is at capacity — load shedding,
+	// not buffering, is the overload response.
 	Queue int
 	// Records sizes the store: rows per reservation table (0 = 16384, the
 	// paper's vacation-high -r).
@@ -119,19 +129,20 @@ type Options struct {
 	// New fails fast if the arena cannot hold the store plus this slack.
 	OpBudget int
 	// ArenaWords overrides the derived arena size entirely (0 = derive
-	// from Records and OpBudget).
+	// from Records and OpBudget). New refuses, wrapping ErrArenaFull, a size
+	// that cannot hold the store plus one operation's slack per slot.
 	ArenaWords int
 
 	// SwapAt is the arena high-water fraction that triggers a proactive
-	// epoch swap: once Used/Cap crosses it after a served request, the pool
-	// quiesces, the live store is compacted into a fresh arena, and serving
-	// resumes (0 = 0.85; must be < 1). Reactive swaps — a request actually
+	// epoch swap: the first request to find Used/Cap past it quiesces the
+	// slots, compacts the live store into a fresh arena, and is served
+	// there (0 = 0.85; must be < 1). Reactive swaps — a request actually
 	// hitting arena exhaustion — happen regardless.
 	SwapAt float64
 	// RequestDeadline bounds each request's admission-to-completion time:
-	// a request still unserved past it (queued behind a stalled swap, or
-	// burning its retry budget) fails with an ErrDeadline-wrapped error
-	// instead of waiting forever (0 = no deadline).
+	// a request still unserved past it (waiting for a slot behind a stalled
+	// swap, or burning its retry budget) fails with an ErrDeadline-wrapped
+	// error instead of waiting forever (0 = no deadline).
 	RequestDeadline time.Duration
 	// RequestRetries is how many times a request that hits arena
 	// exhaustion is retried, each retry behind an epoch swap, before
@@ -151,9 +162,9 @@ type Options struct {
 	AdaptiveRead  string
 	AdaptiveWrite string
 
-	// ProgressTimeout arms the progress watchdog: if the pool has requests
-	// in flight but the global commit count stays flat across a full
-	// window, the pool is halted, diagnostics are dumped to Diagnostics,
+	// ProgressTimeout arms the progress watchdog: if slots are leased but
+	// the global commit count stays flat across a full window, the runtime
+	// is halted, diagnostics are dumped to Diagnostics,
 	// and every pending and future request fails with an
 	// ErrStalled-wrapped error instead of the listener hanging (0 = off).
 	ProgressTimeout time.Duration
@@ -166,7 +177,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.System == "" {
-		o.System = "stm-mv"
+		o.System = "stm-norec"
 	}
 	if o.Workers == 0 {
 		o.Workers = 4
@@ -196,6 +207,14 @@ func (o Options) withDefaults() Options {
 // session may insert a customer (rb node + list header + list node), and
 // chunk tails and size-class mismatches keep recycling short of perfect.
 const opSlackWords = 40
+
+// minArenaWords is the smallest arena New accepts: StoreWords' bound on the
+// rows NewStore allocates, what it leaves out (the arena burns line 0, each
+// of the four trees has a two-word header), and one operation's churn on
+// every slot.
+func minArenaWords(records, workers int) int {
+	return mem.WordsPerLine + vacation.StoreWords(records) + 2*(vacation.NumTypes+1) + workers*opSlackWords
+}
 
 // Validate reports every invalid field at once (errors.Join), in the same
 // all-errors-at-once style as harness.Options.Validate.
@@ -227,7 +246,7 @@ func (o Options) Validate() error {
 		bad("request retries must be >= 0 (0 = 3), got %d", o.RequestRetries)
 	}
 	if o.System == "seq" {
-		bad("seq has no concurrency control and cannot serve a worker pool")
+		bad("seq has no concurrency control and cannot serve concurrent slots")
 	}
 	// Delegate the per-knob registry checks to the harness validator so the
 	// two Options surfaces cannot drift.
@@ -256,8 +275,8 @@ type Request struct {
 }
 
 // Response is one operation's outcome. Latency is measured from admission
-// (Submit) to completion, so it includes queue wait — the client-visible
-// number, not just service time.
+// (Submit or Do) to completion, so it includes any wait for a slot — the
+// client-visible number, not just service time.
 type Response struct {
 	Op      OpKind // echoes the request's op (shared-channel consumers key on it)
 	Value   uint64 // OpQuery: total free inventory seen
@@ -266,30 +285,38 @@ type Response struct {
 	Err     error
 }
 
-// Gauges is the server's live operational readout. Every field is
-// maintained with atomics, so Snapshot is safe (and exact per counter)
-// while requests are in flight — unlike TMStats, which wants quiescence.
+// Gauges is the server's live operational readout. Every field is read
+// from atomics, so Snapshot is safe (and exact per counter) while requests
+// are in flight — unlike TMStats, which wants quiescence.
 type Gauges struct {
-	Served     uint64 `json:"served"`
-	Rejected   uint64 `json:"rejected"`
-	Failed     uint64 `json:"failed"`
-	Inflight   int64  `json:"inflight"`
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_cap"`
-	QueueHW    int64  `json:"queue_high_water"`
-	Workers    int    `json:"workers"`
-	ArenaUsed  int    `json:"arena_used_words"`
-	ArenaCap   int    `json:"arena_cap_words"`
+	Served   uint64 `json:"served"`
+	Rejected uint64 `json:"rejected"`
+	Failed   uint64 `json:"failed"`
+	// Inline counts the requests that ran on their caller's goroutine (Do
+	// found a free slot); the rest of Served+Failed came through the queue.
+	Inline uint64 `json:"inline"`
+	// Inflight is the number of leased slots; an epoch swap in progress
+	// holds all of them.
+	Inflight int64 `json:"inflight"`
+	// QueueDepth, QueueCap and QueueHW describe the overflow queue: a load
+	// that never finds every slot busy leaves the high-water mark at 0.
+	QueueDepth int   `json:"queue_depth"`
+	QueueCap   int   `json:"queue_cap"`
+	QueueHW    int64 `json:"queue_high_water"`
+	Workers    int   `json:"workers"`
+	ArenaUsed  int   `json:"arena_used_words"`
+	ArenaCap   int   `json:"arena_cap_words"`
 
 	// Epoch counts arena generations (0 = the arena New built); Swaps is
 	// the number of completed epoch swaps (== Epoch). SwapPauseNs is the
-	// cumulative quiesce-to-resume pause across all swaps and
-	// LastSwapPauseNs the most recent one — the serving-mode availability
-	// cost of arena compaction.
+	// cumulative quiesce-to-resume pause across all swaps, LastSwapPauseNs
+	// the most recent one and MaxSwapPauseNs the longest — the serving-mode
+	// availability cost of arena compaction.
 	Epoch           uint64 `json:"epoch"`
 	Swaps           uint64 `json:"swaps"`
 	SwapPauseNs     int64  `json:"swap_pause_ns_total"`
 	LastSwapPauseNs int64  `json:"last_swap_pause_ns"`
+	MaxSwapPauseNs  int64  `json:"max_swap_pause_ns"`
 
 	Latency LatSummary            `json:"latency"`
 	PerOp   map[string]LatSummary `json:"per_op"`
@@ -297,8 +324,8 @@ type Gauges struct {
 
 // epochState is one arena generation: the arena, the TM system running on
 // it, and the store rooted in it. The three swap together atomically — a
-// worker serving a request resolves all of them from one pointer load under
-// the swap gate's read lock.
+// slot holder resolves all of them from one pointer load, and the pointer
+// only changes while a swap holds every slot.
 type epochState struct {
 	epoch uint64
 	arena *mem.Arena
@@ -306,25 +333,79 @@ type epochState struct {
 	store vacation.Store
 }
 
-// Server is a long-lived worker pool serving vacation operations over a
-// sequence of arena epochs: when the current arena's high-water crosses
-// Options.SwapAt (or a request actually hits exhaustion), the pool
-// quiesces, the live store is compacted into a fresh arena, and serving
-// resumes on the new epoch.
+// slot is one tm.Thread slot of every epoch's system together with
+// everything its holder writes while serving: the request the pre-bound
+// block bodies read, and this slot's share of the counters and latency
+// histograms (Snapshot sums them over the slots). A slot is held from lease
+// to release by exactly one goroutine, so nothing here is contended; the
+// counters are atomics only so Snapshot may read them mid-flight.
+type slot struct {
+	id int
+
+	// The request in progress, read by the block bodies below. They are
+	// bound once in New: a closure over (ep, req, &resp) built per request
+	// would be two heap allocations on every Do.
+	ep          *epochState
+	req         *Request
+	value, torn uint64 // OpQuery's result
+	reserve     func(tm.Tx)
+	cancel      func(tm.Tx)
+	update      func(tm.Tx)
+	query       func(tm.Tx)
+
+	served, failed, inline atomic.Uint64
+	lat                    [numOps]LatHist
+
+	// The next slot's hot fields start a full line past this slot's
+	// histograms, whatever the allocator's alignment.
+	_ [64]byte
+}
+
+func (sl *slot) bind() {
+	sl.reserve = func(tx tm.Tx) { sl.ep.store.MakeReservation(tx, sl.req.Customer, sl.req.Items) }
+	sl.cancel = func(tx tm.Tx) { sl.ep.store.DeleteCustomer(tx, sl.req.Customer) }
+	sl.update = func(tx tm.Tx) { sl.ep.store.UpdateTables(tx, sl.req.Updates) }
+	sl.query = func(tx tm.Tx) {
+		free, torn := sl.ep.store.QueryFree(tx, sl.req.Items)
+		sl.value, sl.torn = free, uint64(torn)
+	}
+}
+
+// Server serves vacation operations on a fixed set of tm.Thread slots over
+// a sequence of arena epochs. The slot lease is its one concurrency
+// mechanism: a request runs, on whichever goroutine brought it, while that
+// goroutine holds a slot; an epoch swap and Close quiesce the server by
+// leasing every slot. When the current arena's high-water crosses
+// Options.SwapAt (or a request actually hits exhaustion), the live store is
+// compacted into a fresh arena under such a quiesce and serving resumes on
+// the new epoch.
 type Server struct {
 	opt        Options
 	arenaWords int // per-epoch arena size
 	watch      *tm.Watch
 	chaos      *chaos.Injector // serving-mode failpoints (swap-stall)
+	slots      []slot
 
-	// cur is the live epoch. Workers read it under swapGate.RLock; trySwap
-	// replaces it under swapGate.Lock (the quiesce barrier). swapMu
-	// single-flights swaps and guards retired, the retired epochs'
-	// transactional statistics.
-	cur      atomic.Pointer[epochState]
-	swapGate sync.RWMutex
-	swapMu   sync.Mutex
-	retired  []tm.Stats
+	// Read on every request, written only by swap, halt, Close and a
+	// goroutine about to block for a slot.
+	cur     atomic.Pointer[epochState] // replaced only with every slot held
+	fatal   atomic.Pointer[error]
+	stopped atomic.Bool  // Close has drained the queue; slots answer ErrClosed
+	waiters atomic.Int32 // goroutines blocked in lease; see tryLease
+
+	// free has bit i set while slot i is unleased: the one word every
+	// request writes, on a line of its own.
+	_    [64]byte
+	free atomic.Uint64
+	_    [56]byte
+
+	// waitMu and freed park the goroutines waiting in lease. swapMu
+	// single-flights the quiescers (swaps and Close) and guards retired,
+	// the retired epochs' transactional statistics.
+	waitMu  sync.Mutex
+	freed   sync.Cond
+	swapMu  sync.Mutex
+	retired []tm.Stats
 
 	mu     sync.RWMutex // guards queue close vs Submit sends
 	queue  chan *Request
@@ -334,23 +415,19 @@ type Server struct {
 	stopMonitor chan struct{}
 	monitorDone chan struct{}
 
-	fatal    atomic.Pointer[error]
-	inflight atomic.Int64
-	served   atomic.Uint64
-	rejected atomic.Uint64
-	failed   atomic.Uint64
-	queueHW  atomic.Int64
-
+	// Written off the per-request path only: by a rejection, by an answer
+	// given without a slot (halted pool), by a queued admission, by a swap.
+	rejected        atomic.Uint64
+	failedNoSlot    atomic.Uint64
+	queueHW         atomic.Int64
 	swaps           atomic.Uint64
 	swapPauseNs     atomic.Int64
 	lastSwapPauseNs atomic.Int64
-
-	latAll LatHist
-	lat    [numOps]LatHist
+	maxSwapPauseNs  atomic.Int64
 }
 
 // New builds the store in a fresh long-lived arena, constructs the TM
-// system with one thread slot per worker, and starts the pool.
+// system with one thread slot per worker, and starts the overflow pool.
 func New(opt Options) (*Server, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("server: invalid options: %w", err)
@@ -360,12 +437,22 @@ func New(opt Options) (*Server, error) {
 	if words == 0 {
 		words = vacation.StoreWords(opt.Records) + opt.OpBudget*opSlackWords + 1<<16
 	}
+	if floor := minArenaWords(opt.Records, opt.Workers); words < floor {
+		return nil, fmt.Errorf("server: a %d-record store and one operation's slack on each of %d slots need %d arena words, have %d: %w",
+			opt.Records, opt.Workers, floor, words, ErrArenaFull)
+	}
 	s := &Server{
 		opt:         opt,
 		arenaWords:  words,
+		slots:       make([]slot, opt.Workers),
 		queue:       make(chan *Request, opt.Queue),
 		stopMonitor: make(chan struct{}),
 		monitorDone: make(chan struct{}),
+	}
+	s.freed.L = &s.waitMu
+	for i := range s.slots {
+		s.slots[i].id = i
+		s.slots[i].bind()
 	}
 	// The server's own injector drives the serving-layer failpoints
 	// (swap-stall); the runtime sites are armed independently inside each
@@ -385,9 +472,10 @@ func New(opt Options) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.cur.Store(&epochState{arena: arena, sys: sys, store: store})
+	s.free.Store(^uint64(0) >> (64 - len(s.slots))) // every slot unleased
 	s.wg.Add(opt.Workers)
-	for tid := 0; tid < opt.Workers; tid++ {
-		go s.worker(tid)
+	for i := 0; i < opt.Workers; i++ {
+		go s.worker()
 	}
 	if s.watch != nil {
 		go s.monitor()
@@ -416,9 +504,9 @@ func (s *Server) newSystem(arena *mem.Arena) (tm.System, error) {
 	})
 }
 
-// Err returns the server's fatal error: non-nil once the pool has been
-// halted by the watchdog or a worker hit an unrecoverable panic. Every
-// Submit after that fails fast with it.
+// Err returns the server's fatal error: non-nil once the runtime has been
+// halted by the watchdog or a request hit an unrecoverable panic. Every
+// Submit and Do after that fails fast with it.
 func (s *Server) Err() error {
 	if p := s.fatal.Load(); p != nil {
 		return *p
@@ -428,15 +516,96 @@ func (s *Server) Err() error {
 
 func (s *Server) fail(err error) { s.fatal.CompareAndSwap(nil, &err) }
 
+// leased counts the slots held right now.
+func (s *Server) leased() int { return len(s.slots) - bits.OnesCount64(s.free.Load()) }
+
+// grab takes the lowest free slot, or returns nil when all are held.
+// Lowest-first keeps a lone caller on slot 0 and its warm descriptor.
+func (s *Server) grab() *slot {
+	for {
+		free := s.free.Load()
+		if free == 0 {
+			return nil
+		}
+		i := bits.TrailingZeros64(free)
+		if s.free.CompareAndSwap(free, free&^(1<<i)) {
+			return &s.slots[i]
+		}
+	}
+}
+
+// tryLease is Do's non-blocking lease. It stands aside while anyone is
+// parked in lease: a queued request or a quiescing swap gets the next free
+// slot, not whichever caller arrives as it is released — otherwise a
+// closed loop of inline callers could starve both forever.
+func (s *Server) tryLease() *slot {
+	if s.waiters.Load() != 0 {
+		return nil
+	}
+	return s.grab()
+}
+
+// lease blocks until it holds a slot. Announcing itself in waiters before
+// the last failed grab, and release reading waiters after freeing its bit,
+// means one of the two always sees the other: no wake-up is lost.
+func (s *Server) lease() *slot {
+	if sl := s.tryLease(); sl != nil {
+		return sl
+	}
+	s.waitMu.Lock()
+	s.waiters.Add(1)
+	sl := s.grab()
+	for sl == nil {
+		s.freed.Wait()
+		sl = s.grab()
+	}
+	s.waiters.Add(-1)
+	s.waitMu.Unlock()
+	return sl
+}
+
+// release returns a leased slot and wakes one waiter, if there is any.
+func (s *Server) release(sl *slot) {
+	sl.ep, sl.req = nil, nil // a retired epoch's arena must not outlive its last request here
+	s.free.Or(1 << sl.id)
+	if s.waiters.Load() != 0 {
+		s.waitMu.Lock()
+		s.freed.Signal()
+		s.waitMu.Unlock()
+	}
+}
+
+// quiesce leases every slot, so that on return no request is executing and
+// none can start; resume gives them all back. The caller holds swapMu and
+// no slot. It cannot deadlock: there is one quiescer at a time, it starts
+// with nothing, and a slot holder never waits for a second slot or for
+// swapMu — so every held slot is released after a bounded wait, and tryLease
+// lets nobody take it before the quiescer does.
+func (s *Server) quiesce() {
+	for range s.slots {
+		s.lease()
+	}
+}
+
+func (s *Server) resume() {
+	for i := range s.slots {
+		s.release(&s.slots[i])
+	}
+}
+
 // Submit enqueues a request without blocking: ErrQueueFull when the
-// admission queue is at capacity, ErrClosed after Close, the fatal error
-// once the pool is halted. On success the response is delivered on
-// req.done (if non-nil) when a worker completes the operation.
+// overflow queue is at capacity, ErrClosed after Close, the fatal error
+// once the runtime is halted. On success the response is delivered on
+// req.done (if non-nil) when a pool goroutine completes the operation.
 func (s *Server) Submit(req *Request) error {
 	if err := s.Err(); err != nil {
 		return err
 	}
 	req.arrive = time.Now()
+	return s.enqueue(req)
+}
+
+func (s *Server) enqueue(req *Request) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -454,41 +623,44 @@ func (s *Server) Submit(req *Request) error {
 	}
 }
 
-// Do submits req and waits for its response (closed-loop convenience).
+// Do runs req to completion and returns its response. With a slot free —
+// the common case whenever callers number no more than Options.Workers —
+// the operation executes right here, on the caller's goroutine: no queue,
+// no goroutine switch, no reply channel. Only with every slot busy (or a
+// swap quiescing them) does the request go through the overflow queue to
+// the pool, and Do waits for the reply; a full queue answers ErrQueueFull.
 func (s *Server) Do(req *Request) Response {
-	req.done = make(chan Response, 1)
-	if err := s.Submit(req); err != nil {
-		return Response{Err: err}
+	if err := s.Err(); err != nil {
+		return Response{Op: req.Op, Err: err}
 	}
-	return <-req.done
+	req.arrive = time.Now()
+	if sl := s.tryLease(); sl != nil {
+		sl.inline.Add(1)
+		return s.run(sl, req)
+	}
+	done := make(chan Response, 1)
+	req.done = done
+	resp := Response{Op: req.Op, Err: s.enqueue(req)}
+	if resp.Err == nil {
+		resp = <-done
+	}
+	req.done = nil // the caller may reuse req; nobody reads this channel again
+	return resp
 }
 
-// worker owns tm.Thread slot tid (of every epoch's system) for the server's
-// lifetime and drains the admission queue into named atomic blocks.
-func (s *Server) worker(tid int) {
+// worker drains the overflow queue, leasing a slot for each request like
+// any inline caller.
+func (s *Server) worker() {
 	defer s.wg.Done()
 	for req := range s.queue {
 		var resp Response
 		if err := s.Err(); err != nil {
-			// Halted pool: drain the queue with fast errors, never
-			// touching the TM runtime again (a halted or panicked
-			// protocol may hold locks).
-			resp.Err = err
+			// Halted: answer the queue with fast errors and wait for no
+			// slot — a halted or panicked protocol may never release one.
+			s.failedNoSlot.Add(1)
+			resp = Response{Op: req.Op, Err: err, Latency: time.Since(req.arrive)}
 		} else {
-			s.inflight.Add(1)
-			resp = s.execute(tid, req)
-			s.inflight.Add(-1)
-		}
-		resp.Op = req.Op
-		resp.Latency = time.Since(req.arrive)
-		if resp.Err == nil {
-			s.served.Add(1)
-			s.latAll.Add(resp.Latency)
-			if req.Op >= 0 && req.Op < numOps {
-				s.lat[req.Op].Add(resp.Latency)
-			}
-		} else {
-			s.failed.Add(1)
+			resp = s.run(s.lease(), req)
 		}
 		if req.done != nil {
 			req.done <- resp
@@ -496,56 +668,75 @@ func (s *Server) worker(tid int) {
 	}
 }
 
-// execute runs one request to completion across epoch swaps: each attempt
-// serves on the current epoch under the swap gate's read lock; an attempt
-// that hits arena exhaustion triggers a swap and retries on the fresh
-// epoch, up to the retry budget and the request deadline. A request that
-// arrives while a swap holds the gate waits at admission — and fails with
-// ErrDeadline instead of serving if the wait consumed its deadline.
-func (s *Server) execute(tid int, req *Request) Response {
-	var deadline time.Time
-	if s.opt.RequestDeadline > 0 {
-		deadline = req.arrive.Add(s.opt.RequestDeadline)
-	}
-	expired := func() bool { return !deadline.IsZero() && time.Now().After(deadline) }
-	for attempt := 0; ; attempt++ {
-		if expired() {
-			return Response{Err: fmt.Errorf("%w (%v since admission)",
-				ErrDeadline, time.Since(req.arrive).Round(time.Millisecond))}
+// run executes req on the leased slot sl, books the outcome on the slot it
+// finished on, and releases that slot.
+func (s *Server) run(sl *slot, req *Request) Response {
+	resp, sl := s.execute(sl, req)
+	resp.Op = req.Op
+	resp.Latency = time.Since(req.arrive)
+	if resp.Err != nil {
+		sl.failed.Add(1)
+	} else {
+		sl.served.Add(1)
+		if req.Op >= 0 && req.Op < numOps {
+			sl.lat[req.Op].Add(resp.Latency)
 		}
-		s.swapGate.RLock()
-		if expired() {
-			// The wait for an in-progress swap consumed the deadline.
-			s.swapGate.RUnlock()
-			return Response{Err: fmt.Errorf("%w (%v since admission, held at epoch swap)",
-				ErrDeadline, time.Since(req.arrive).Round(time.Millisecond))}
+	}
+	s.release(sl)
+	return resp
+}
+
+// execute runs one request to completion across epoch swaps, entered and
+// left holding a slot (not necessarily the same one). Each attempt serves
+// on the current epoch. A request that arrives to find the arena past
+// SwapAt, and any attempt that hits arena exhaustion, gives its slot up,
+// swaps the epoch, leases again and goes on on the fresh one, up to the
+// retry budget and the request deadline. A request that arrives during a
+// swap waits for its slot — and fails with ErrDeadline instead of serving
+// if the wait consumed its deadline.
+func (s *Server) execute(sl *slot, req *Request) (Response, *slot) {
+	// attempt counts serves; only the first look at the arena may swap
+	// ahead of need, or a live set past SwapAt would swap here forever.
+	for attempt, first := 0, true; ; first = false {
+		if err := s.Err(); err != nil {
+			// Never re-enter a halted runtime: it may hold locks.
+			return Response{Err: err}, sl
+		}
+		if s.stopped.Load() {
+			return Response{Err: ErrClosed}, sl
+		}
+		if d := s.opt.RequestDeadline; d > 0 {
+			if since := time.Since(req.arrive); since > d {
+				return Response{Err: fmt.Errorf("%w (%v since admission)",
+					ErrDeadline, since.Round(time.Millisecond))}, sl
+			}
 		}
 		ep := s.cur.Load()
-		resp := s.serve(ep, tid, req)
-		s.swapGate.RUnlock()
-		if resp.Err == nil || !errors.Is(resp.Err, mem.ErrArenaFull) {
-			if resp.Err == nil && float64(ep.arena.Used()) >= s.opt.SwapAt*float64(ep.arena.Cap()) {
-				s.trySwap(ep.epoch) // proactive: high-water crossed the threshold
+		if !first || float64(ep.arena.Used()) < s.opt.SwapAt*float64(ep.arena.Cap()) {
+			resp := s.serve(ep, sl, req)
+			if !errors.Is(resp.Err, mem.ErrArenaFull) {
+				return resp, sl
 			}
-			return resp
+			if attempt++; attempt > s.opt.RequestRetries {
+				return Response{Err: fmt.Errorf("%w (%d attempts): %w",
+					ErrRetriesExhausted, attempt, resp.Err)}, sl
+			}
 		}
-		if err := s.Err(); err != nil {
-			return Response{Err: err}
-		}
-		if attempt >= s.opt.RequestRetries {
-			return Response{Err: fmt.Errorf("%w (%d attempts): %w",
-				ErrRetriesExhausted, attempt+1, resp.Err)}
-		}
-		s.trySwap(ep.epoch) // reactive: this request could not be placed
+		// Proactive (high-water past the threshold) or reactive (this
+		// request could not be placed). The swap needs every slot, ours
+		// included.
+		s.release(sl)
+		s.trySwap(ep.epoch)
+		sl = s.lease()
 	}
 }
 
-// serve executes one request as one named atomic block on epoch ep,
-// converting watchdog halts (and any other panic out of the runtime) into
-// errors on the response instead of killing the worker. Arena exhaustion
-// (tm.AllocFailure) is a per-request, recoverable outcome — execute retries
-// it behind an epoch swap — not a pool-fatal one.
-func (s *Server) serve(ep *epochState, tid int, req *Request) (resp Response) {
+// serve executes one request as one named atomic block on epoch ep and slot
+// sl, converting watchdog halts (and any other panic out of the runtime)
+// into errors on the response instead of killing the caller. Arena
+// exhaustion (tm.AllocFailure) is a per-request, recoverable outcome —
+// execute retries it behind an epoch swap — not a server-fatal one.
+func (s *Server) serve(ep *epochState, sl *slot, req *Request) (resp Response) {
 	defer func() {
 		r := recover()
 		if r == nil {
@@ -561,29 +752,22 @@ func (s *Server) serve(ep *epochState, tid int, req *Request) (resp Response) {
 			resp.Err = fmt.Errorf("server: %s: %w", req.Op, af.Err)
 			return
 		}
-		err := fmt.Errorf("server: %s worker panicked: %v", req.Op, r)
+		err := fmt.Errorf("server: %s panicked: %v", req.Op, r)
 		s.fail(err)
 		resp.Err = err
 	}()
-	th := ep.sys.Thread(tid)
+	sl.ep, sl.req = ep, req
+	th := ep.sys.Thread(sl.id)
 	switch req.Op {
 	case OpReserve:
-		th.AtomicAt(blkReserve, func(tx tm.Tx) {
-			ep.store.MakeReservation(tx, req.Customer, req.Items)
-		})
+		th.AtomicAt(blkReserve, sl.reserve)
 	case OpCancel:
-		th.AtomicAt(blkCancel, func(tx tm.Tx) {
-			ep.store.DeleteCustomer(tx, req.Customer)
-		})
+		th.AtomicAt(blkCancel, sl.cancel)
 	case OpUpdate:
-		th.AtomicAt(blkUpdate, func(tx tm.Tx) {
-			ep.store.UpdateTables(tx, req.Updates)
-		})
+		th.AtomicAt(blkUpdate, sl.update)
 	case OpQuery:
-		th.AtomicAt(blkQuery, func(tx tm.Tx) {
-			free, torn := ep.store.QueryFree(tx, req.Items)
-			resp.Value, resp.Torn = free, uint64(torn)
-		})
+		th.AtomicAt(blkQuery, sl.query)
+		resp.Value, resp.Torn = sl.value, sl.torn
 	case opProbe:
 		th.AtomicAt(blkProbe, req.probe)
 	default:
@@ -592,49 +776,49 @@ func (s *Server) serve(ep *epochState, tid int, req *Request) (resp Response) {
 	return resp
 }
 
-// trySwap retires the epoch numbered fromEpoch: it quiesces the worker pool
-// (write-locking the swap gate drains every in-flight serve), compacts the
-// live store into a fresh arena, installs a new system, and resumes.
-// Swaps are single-flight — concurrent triggers for the same epoch collapse
-// into one, and a caller whose epoch has already been retired returns
-// immediately (its request simply retries on the fresh one).
+// trySwap retires the epoch numbered fromEpoch: it quiesces the server,
+// compacts the live store into a fresh arena, installs a new system, and
+// resumes. The caller holds no slot. Swaps are single-flight — concurrent
+// triggers for the same epoch collapse into one, and a caller whose epoch
+// has already been retired returns immediately (its request simply retries
+// on the fresh one).
 func (s *Server) trySwap(fromEpoch uint64) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	old := s.cur.Load()
-	if old.epoch != fromEpoch || s.Err() != nil {
+	if old.epoch != fromEpoch || s.Err() != nil || s.stopped.Load() {
 		return
 	}
 	start := time.Now()
-	s.swapGate.Lock()
-	// Failpoint: wedge between worker-pool quiesce and arena install — the
-	// window where every request is held at admission.
+	s.quiesce()
+	defer s.resume()
+	// Failpoint: wedge between quiesce and arena install — the window where
+	// every request waits for a slot.
 	s.chaos.Stall(chaos.SwapStall, 0)
 	arena := mem.NewArena(s.arenaWords)
 	store := old.store.CompactInto(mem.Direct{A: old.arena}, mem.Direct{A: arena})
 	sys, err := s.newSystem(arena)
 	if err != nil {
 		// Unreachable in practice: the same options built the old epoch.
-		s.swapGate.Unlock()
 		s.fail(fmt.Errorf("server: epoch swap: %w", err))
 		return
 	}
-	// The pool is quiesced, so the retiring system's per-thread counters
-	// are exact; bank them for TMStats before dropping the epoch (and its
+	// Every slot is ours, so the retiring system's per-thread counters are
+	// exact; bank them for TMStats before dropping the epoch (and its
 	// arena) to the collector.
 	s.retired = append(s.retired, old.sys.Stats())
 	s.cur.Store(&epochState{epoch: old.epoch + 1, arena: arena, sys: sys, store: store})
-	s.swapGate.Unlock()
 	pause := time.Since(start).Nanoseconds()
 	s.swaps.Add(1)
 	s.swapPauseNs.Add(pause)
 	s.lastSwapPauseNs.Store(pause)
+	s.maxSwapPauseNs.Store(max(pause, s.maxSwapPauseNs.Load())) // single writer: swapMu
 }
 
 // monitor is the serving-mode progress watchdog: unlike the batch
 // harness's (which expects the run to finish), an idle server legitimately
 // commits nothing, so a stall verdict additionally requires requests in
-// flight at both edges of a flat-commit window.
+// flight — slots leased — at both edges of a flat-commit window.
 func (s *Server) monitor() {
 	defer close(s.monitorDone)
 	window := s.opt.ProgressTimeout
@@ -648,7 +832,7 @@ func (s *Server) monitor() {
 			return
 		case <-ticker.C:
 			commits := s.watch.Commits()
-			busy := s.inflight.Load() > 0
+			busy := s.leased() > 0
 			if commits != lastCommits || !busy || !lastBusy {
 				lastCommits, lastBusy = commits, busy
 				continue
@@ -658,9 +842,9 @@ func (s *Server) monitor() {
 			err := fmt.Errorf("%w: %s", ErrStalled, reason)
 			s.fail(err)
 			s.watch.Halt(reason)
-			// Grace period: workers observe the halt at their next poll and
-			// unwind; if every in-flight request drains we can read exact
-			// statistics, otherwise dump partial counters only.
+			// Grace period: slot holders observe the halt at their next
+			// poll and unwind; if every in-flight request drains we can
+			// read exact statistics, otherwise dump partial counters only.
 			grace := window
 			if grace < time.Second {
 				grace = time.Second
@@ -668,7 +852,7 @@ func (s *Server) monitor() {
 			deadline := time.Now().Add(grace)
 			quiesced := false
 			for time.Now().Before(deadline) {
-				if s.inflight.Load() == 0 {
+				if s.leased() == 0 {
 					quiesced = true
 					break
 				}
@@ -685,9 +869,9 @@ func (s *Server) monitor() {
 func (s *Server) dumpStall(reason string, quiesced bool) {
 	out := s.opt.Diagnostics
 	fmt.Fprintf(out, "server: progress watchdog: %s\n", reason)
+	g := s.Snapshot()
 	fmt.Fprintf(out, "server: system=%s workers=%d epoch=%d served=%d rejected=%d inflight=%d queued=%d/%d\n",
-		s.System(), s.opt.Workers, s.cur.Load().epoch, s.served.Load(), s.rejected.Load(),
-		s.inflight.Load(), len(s.queue), cap(s.queue))
+		s.System(), g.Workers, g.Epoch, g.Served, g.Rejected, g.Inflight, g.QueueDepth, g.QueueCap)
 	if !quiesced {
 		fmt.Fprintf(out, "server: pool did not quiesce within the grace period; partial diagnostics only\n")
 		return
@@ -710,15 +894,14 @@ func (s *Server) dumpStall(reason string, quiesced bool) {
 	}
 }
 
-// Snapshot returns the live gauges: admission counters, queue depth and
-// high-water, arena usage, and latency percentiles overall and per op.
+// Snapshot returns the live gauges: the slots' counters and latency
+// histograms summed, queue depth and high-water, arena usage, swap pauses.
 func (s *Server) Snapshot() Gauges {
 	ep := s.cur.Load()
 	g := Gauges{
-		Served:          s.served.Load(),
 		Rejected:        s.rejected.Load(),
-		Failed:          s.failed.Load(),
-		Inflight:        s.inflight.Load(),
+		Failed:          s.failedNoSlot.Load(),
+		Inflight:        int64(s.leased()),
 		QueueDepth:      len(s.queue),
 		QueueCap:        cap(s.queue),
 		QueueHW:         s.queueHW.Load(),
@@ -729,18 +912,31 @@ func (s *Server) Snapshot() Gauges {
 		Swaps:           s.swaps.Load(),
 		SwapPauseNs:     s.swapPauseNs.Load(),
 		LastSwapPauseNs: s.lastSwapPauseNs.Load(),
-		Latency:         s.latAll.Summary(),
+		MaxSwapPauseNs:  s.maxSwapPauseNs.Load(),
 		PerOp:           make(map[string]LatSummary, int(numOps)),
 	}
+	var all latCounts
 	for op := OpKind(0); op < numOps; op++ {
-		if sum := s.lat[op].Summary(); sum.Count > 0 {
+		var c latCounts
+		for i := range s.slots {
+			c.add(&s.slots[i].lat[op])
+			all.add(&s.slots[i].lat[op])
+		}
+		if sum := c.summary(); sum.Count > 0 {
 			g.PerOp[op.String()] = sum
 		}
+	}
+	g.Latency = all.summary()
+	for i := range s.slots {
+		sl := &s.slots[i]
+		g.Served += sl.served.Load()
+		g.Failed += sl.failed.Load()
+		g.Inline += sl.inline.Load()
 	}
 	return g
 }
 
-// TMStats returns the pool's transactional statistics (abort causes,
+// TMStats returns the slots' transactional statistics (abort causes,
 // escalations, CM waits, per-block rows), merged across every retired
 // epoch plus the current one. The live system's per-thread counters are
 // unsynchronized by design, so call it quiescently: after Close, or after
@@ -760,7 +956,7 @@ func (s *Server) TMStats() tm.Stats {
 	return st
 }
 
-// System exposes the pool's runtime name.
+// System exposes the runtime's name.
 func (s *Server) System() string { return s.cur.Load().sys.Name() }
 
 // CheckInvariants re-counts the store's conserved quantities (per-record
@@ -771,21 +967,29 @@ func (s *Server) CheckInvariants() error {
 	return ep.store.Check(mem.Direct{A: ep.arena}, s.opt.Records)
 }
 
-// Close stops admission, drains the queue, joins the workers and the
-// watchdog monitor, and returns the server's fatal error, if any.
+// Close stops admission, drains the queue, joins the pool goroutines, waits
+// out every request still running on a caller's goroutine (a Do racing
+// Close either completes or returns ErrClosed), joins the watchdog monitor,
+// and returns the server's fatal error, if any.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		<-s.monitorDone
-		return s.Err()
+	first := !s.closed
+	if first {
+		s.closed = true
+		close(s.queue)
 	}
-	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
 	s.wg.Wait()
-	close(s.stopMonitor)
+	if first {
+		// A request that leased before it could see stopped is still
+		// running; every later one answers ErrClosed from its slot.
+		s.stopped.Store(true)
+		s.swapMu.Lock()
+		s.quiesce()
+		s.resume()
+		s.swapMu.Unlock()
+		close(s.stopMonitor)
+	}
 	<-s.monitorDone
 	return s.Err()
 }

@@ -68,10 +68,11 @@ func TestLoadOptionsValidate(t *testing.T) {
 // TestServerMixedLoad is the serving-mode e2e: a mixed read-write /
 // read-only load at several client counts against one warm server, then
 // table invariants, snapshot consistency, and abort-cause hygiene. Run
-// under -race this is also the data-race proof for the whole admission →
-// worker → response → stats path.
+// under -race this is also the data-race proof for the whole lease →
+// execute → release → stats path, and (8 clients on 4 slots) for the
+// overflow queue beside it.
 func TestServerMixedLoad(t *testing.T) {
-	for _, sys := range []string{"stm-mv", "stm-lazy"} {
+	for _, sys := range []string{"stm-norec", "stm-lazy", "stm-mv"} {
 		t.Run(sys, func(t *testing.T) {
 			opt := testOptions()
 			opt.System = sys
@@ -118,12 +119,20 @@ func TestServerMixedLoad(t *testing.T) {
 					}
 				}
 			}
-			// On stm-mv the read-only block must have been snapshot-served:
-			// its row may not abort.
+			// On stm-mv a query's first attempt is snapshot-served, and the
+			// only way that attempt aborts is the ring having dropped the
+			// snapshot's version: a reader descheduled behind 4 slots and
+			// 8 clients is lapped by the 8-deep ring a few times a run.
+			// The retry is an ordinary TL2 attempt (which may abort for
+			// TL2's reasons), and every request above still succeeded.
+			// The exact properties — zero aborts within the ring's depth,
+			// mv-version-missing past it — are pinned deterministically by
+			// mv_test.go.
 			if sys == "stm-mv" {
 				for _, row := range s.TMStats().Blocks() {
-					if row.Name == "stampd/query" && row.Aborts != 0 {
-						t.Fatalf("stm-mv query block aborted %d times", row.Aborts)
+					if row.Name == "stampd/query" && row.Aborts != 0 && row.Causes[tm.CauseMVVersionMissing] == 0 {
+						t.Fatalf("stm-mv query block aborted %d times, none of them mv-version-missing: %v",
+							row.Aborts, row.Causes)
 					}
 				}
 			}
@@ -158,7 +167,8 @@ func TestServerOpenLoopRate(t *testing.T) {
 	}
 }
 
-// wedge blocks n workers inside transactions until release is closed.
+// wedge blocks n slots (each under a pool goroutine) inside transactions
+// until release is closed.
 func wedge(t *testing.T, s *Server, n int) (release chan struct{}, done chan Response) {
 	t.Helper()
 	release = make(chan struct{})
@@ -169,18 +179,18 @@ func wedge(t *testing.T, s *Server, n int) (release chan struct{}, done chan Res
 			t.Fatalf("wedge submit %d: %v", i, err)
 		}
 	}
-	// Wait until all n probes are actually inside workers.
+	// Wait until all n probes are actually running on slots.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.inflight.Load() < int64(n) {
+	for s.leased() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("probes not picked up: inflight=%d", s.inflight.Load())
+			t.Fatalf("probes not picked up: leased=%d", s.leased())
 		}
 		time.Sleep(time.Millisecond)
 	}
 	return release, done
 }
 
-// TestServerQueueRejection: with every worker wedged, the bounded queue
+// TestServerQueueRejection: with every slot wedged, the bounded queue
 // fills and Submit sheds load with ErrQueueFull instead of buffering.
 func TestServerQueueRejection(t *testing.T) {
 	opt := testOptions()
@@ -193,7 +203,7 @@ func TestServerQueueRejection(t *testing.T) {
 	defer s.Close()
 	release, done := wedge(t, s, 2)
 
-	// Workers are busy; the next Queue submissions park, then rejection.
+	// The slots are busy; the next Queue submissions park, then rejection.
 	for i := 0; i < opt.Queue; i++ {
 		if err := s.Submit(&Request{Op: OpQuery, Items: nil, done: done}); err != nil {
 			t.Fatalf("fill submit %d: %v", i, err)

@@ -60,7 +60,7 @@ func soak(t *testing.T, s *Server, want uint64) (completed uint64) {
 // hanging request, table invariants intact, statistics continuous across
 // the retired epochs, and the abort-cause taxonomy still closed.
 func TestServerEpochSwapSoak(t *testing.T) {
-	for _, sys := range []string{"stm-mv", "stm-lazy"} {
+	for _, sys := range []string{"stm-norec", "stm-mv", "stm-lazy"} {
 		t.Run(sys, func(t *testing.T) {
 			s, err := New(swapOptions(sys))
 			if err != nil {
@@ -76,8 +76,10 @@ func TestServerEpochSwapSoak(t *testing.T) {
 			if g.Epoch != g.Swaps {
 				t.Fatalf("epoch %d != swaps %d", g.Epoch, g.Swaps)
 			}
-			if g.SwapPauseNs <= 0 || g.LastSwapPauseNs <= 0 || g.SwapPauseNs < g.LastSwapPauseNs {
-				t.Fatalf("swap pause gauges inconsistent: total=%d last=%d", g.SwapPauseNs, g.LastSwapPauseNs)
+			if g.LastSwapPauseNs <= 0 || g.MaxSwapPauseNs < g.LastSwapPauseNs || g.SwapPauseNs < g.MaxSwapPauseNs ||
+				g.SwapPauseNs > int64(g.Swaps)*g.MaxSwapPauseNs {
+				t.Fatalf("swap pause gauges inconsistent: total=%d last=%d max=%d over %d swaps",
+					g.SwapPauseNs, g.LastSwapPauseNs, g.MaxSwapPauseNs, g.Swaps)
 			}
 			if g.ArenaUsed > g.ArenaCap {
 				t.Fatalf("arena gauge %d/%d", g.ArenaUsed, g.ArenaCap)
@@ -110,7 +112,7 @@ func TestServerEpochSwapSoak(t *testing.T) {
 
 // TestChaosSwapStallStorm arms the swap-stall failpoint at probability 1 on
 // every registered concurrent runtime: every epoch swap wedges inside its
-// quiesce window (workers held at the gate, requests parked at admission).
+// quiesce window (every slot held by the swap, requests waiting for one).
 // The server must still come out the other side — swaps complete, no
 // request fails or hangs, invariants hold. The name keeps it inside the CI
 // liveness job's chaos regex.
@@ -225,6 +227,14 @@ func TestServerRequestDeadline(t *testing.T) {
 	if !errors.Is(resp.Err, ErrDeadline) {
 		t.Fatalf("response error %v, want ErrDeadline", resp.Err)
 	}
+	// An inline caller gets the same typed failure, booked on its slot.
+	probe := func(tm.Tx) { t.Error("request past its deadline was served") }
+	if resp := s.Do(&Request{Op: opProbe, probe: probe}); !errors.Is(resp.Err, ErrDeadline) {
+		t.Fatalf("Do response error %v, want ErrDeadline", resp.Err)
+	}
+	if g := s.Snapshot(); g.Failed != 2 || g.Inline != 1 {
+		t.Fatalf("deadline misses not booked on the slots: %+v", g)
+	}
 	if s.Err() != nil {
 		t.Fatalf("deadline miss must not fail the server: %v", s.Err())
 	}
@@ -242,7 +252,7 @@ func skipSimulatedHWShort(t *testing.T, sys string) {
 }
 
 // serverSystems is factory.Names() minus the sequential baseline, which
-// serving mode rejects (a worker pool needs a concurrent runtime).
+// serving mode rejects (concurrent slots need a concurrent runtime).
 func serverSystems() []string {
 	names := factory.Names()
 	out := names[:0:0]

@@ -26,8 +26,10 @@
 //	stm-mv        multi-version STM: TL2-style writers append committed values
 //	              to per-stripe bounded version rings (Config.MVVersions), so
 //	              read-only transactions read a consistent snapshot at their
-//	              begin timestamp with zero validation, zero aborts, and zero
-//	              lock acquisitions while writers commit concurrently
+//	              begin timestamp with zero validation, zero lock
+//	              acquisitions and — while the per-stripe ring (MVVersions)
+//	              still retains the snapshot — zero aborts while writers
+//	              commit concurrently
 //
 // The paper's evaluation covers six of these (factory.TMNames()); the NOrec
 // and adaptive runtimes extend the comparison axis beyond the paper and are

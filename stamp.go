@@ -166,8 +166,9 @@ func NewSystem(name string, cfg Config) (System, error) { return factory.New(nam
 func NewBlock(name string) BlockID { return tm.NewBlock(name) }
 
 // NewROBlock registers an atomic-block call site like NewBlock and marks it
-// read-mostly: runtimes with a read-optimized begin path (stm-mv's
-// zero-abort snapshot reads) start the block's attempts there. The mark is
+// read-mostly: runtimes with a read-optimized begin path (stm-mv's snapshot
+// reads, abort-free while the per-stripe ring — MVVersions — still retains
+// the snapshot) start the block's attempts there. The mark is
 // a hint — a marked block that stores still commits correctly on every
 // runtime.
 func NewROBlock(name string) BlockID { return tm.NewROBlock(name) }

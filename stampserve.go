@@ -5,24 +5,28 @@ import (
 )
 
 // Serving mode: the batch benchmark recast as a long-lived service. Serve
-// builds a persistent transactional arena behind a bounded admission queue
-// and a worker pool of tm.Thread slots, handling vacation operations as
-// requests; RunLoad drives an open- or closed-loop client mix at it and
-// reports tail latency plus the pool's transactional statistics.
+// builds a persistent transactional arena and a fixed set of tm.Thread
+// slots; Server.Do leases one and runs the vacation operation on the
+// caller's goroutine, a bounded queue and a small pool take the overflow
+// (and Server.Submit's asynchronous requests); RunLoad drives an open- or
+// closed-loop client mix at it and reports tail latency plus the slots'
+// transactional statistics.
 
 // Server is a long-lived serving instance (see Serve).
 type Server = server.Server
 
 // ServerOptions configures Serve. The zero value serves the default
-// vacation store on stm-mv (read-only queries are snapshot-served with zero
-// aborts); Validate reports every invalid field at once.
+// vacation store on stm-norec, the runtime the repository benchmark's
+// serving mixes picked (on stm-mv read-only queries are snapshot-served,
+// abort-free while the per-stripe ring — MVVersions — still retains the
+// snapshot); Validate reports every invalid field at once.
 type ServerOptions = server.Options
 
 // ServerRequest is one operation submission for Server.Submit / Server.Do.
 type ServerRequest = server.Request
 
 // ServerResponse is one operation's outcome, including client-observed
-// latency (queue wait included).
+// latency (any wait for a slot included).
 type ServerResponse = server.Response
 
 // ServerGauges is the live operational readout returned by
@@ -48,13 +52,14 @@ const (
 	OpQuery   = server.OpQuery
 )
 
-// ErrQueueFull reports an admission rejection: the server sheds load when
-// its bounded queue is full rather than buffering without bound.
+// ErrQueueFull reports an admission rejection: with every slot busy and its
+// bounded overflow queue full, the server sheds load rather than buffering
+// without bound.
 var ErrQueueFull = server.ErrQueueFull
 
 // ErrDeadline reports a served request that exceeded
-// ServerOptions.RequestDeadline (admission to completion, queue wait and
-// epoch-swap hold time included).
+// ServerOptions.RequestDeadline (admission to completion, the wait for a
+// slot — behind other requests or an epoch swap — included).
 var ErrDeadline = server.ErrDeadline
 
 // ErrRetriesExhausted reports a served request that hit arena exhaustion on
@@ -63,11 +68,12 @@ var ErrDeadline = server.ErrDeadline
 var ErrRetriesExhausted = server.ErrRetriesExhausted
 
 // Serve starts a serving-mode instance: it populates the store in a fresh
-// long-lived arena, starts opt.Workers worker goroutines (one tm.Thread
-// slot each), and begins accepting requests. The caller owns the lifecycle
-// and must Close it. With opt.ProgressTimeout set, a stalled pool is halted
-// and every pending and future request fails with an ErrStalled-wrapped
-// error instead of hanging.
+// long-lived arena, builds opt.Workers tm.Thread slots (and as many pool
+// goroutines for the overflow queue), and begins accepting requests. It
+// fails, wrapping ErrArenaFull, when the arena cannot hold the store. The
+// caller owns the lifecycle and must Close it. With opt.ProgressTimeout
+// set, a stalled runtime is halted and every pending and future request
+// fails with an ErrStalled-wrapped error instead of hanging.
 func Serve(opt ServerOptions) (*Server, error) { return server.New(opt) }
 
 // RunLoad drives opt's request mix at a served instance and blocks until

@@ -18,8 +18,8 @@ func TestServeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.System() != "stm-mv" {
-		t.Fatalf("default system = %q, want stm-mv", srv.System())
+	if srv.System() != "stm-norec" {
+		t.Fatalf("default system = %q, want stm-norec", srv.System())
 	}
 
 	rep, err := stamp.RunLoad(srv, stamp.LoadOptions{
@@ -39,7 +39,7 @@ func TestServeEndToEnd(t *testing.T) {
 	if resp.Err != nil || resp.Op != stamp.OpQuery {
 		t.Fatalf("Do response: %+v", resp)
 	}
-	if g := srv.Snapshot(); g.Served == 0 || g.QueueCap == 0 {
+	if g := srv.Snapshot(); g.Served == 0 || g.Inline == 0 || g.QueueCap == 0 {
 		t.Fatalf("gauges: %+v", g)
 	}
 	if err := srv.CheckInvariants(); err != nil {
