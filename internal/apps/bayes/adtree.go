@@ -35,43 +35,64 @@ const (
 
 // buildADTree constructs the tree for the given record subset (indices into
 // records) considering variables [startVar, nVars).
-func buildADTree(d mem.Direct, records []uint64, subset []int, startVar, nVars int) mem.Addr {
-	node := d.Alloc(adWords)
-	d.Store(node+adCount, uint64(len(subset)))
-	d.Store(node+adStartVar, uint64(startVar))
-	if len(subset) < leafCutoff || startVar >= nVars {
-		d.Store(node+adLeafLen, uint64(len(subset)))
-		leaf := d.Alloc(maxInt(len(subset), 1))
+func buildADTree(m tm.Mem, records []uint64, subset []int, startVar, nVars int) mem.Addr {
+	b := adBuilder{m: m, records: records, nVars: nVars}
+	return b.build(subset, startVar)
+}
+
+// adBuilder is one tree build. A child's record subset — the minority side
+// of its parent's split on one variable — is appended to scratch for the
+// child's build and popped after it, so a build allocates no per-node
+// slices (a paper-size tree has millions of nodes).
+type adBuilder struct {
+	m       tm.Mem
+	records []uint64
+	nVars   int
+	scratch []int
+}
+
+func (b *adBuilder) build(subset []int, startVar int) mem.Addr {
+	m := b.m
+	node := m.Alloc(adWords)
+	m.Store(node+adCount, uint64(len(subset)))
+	m.Store(node+adStartVar, uint64(startVar))
+	if len(subset) < leafCutoff || startVar >= b.nVars {
+		m.Store(node+adLeafLen, uint64(len(subset)))
+		leaf := m.Alloc(maxInt(len(subset), 1))
 		for i, rec := range subset {
-			d.Store(leaf+mem.Addr(i), uint64(rec))
+			m.Store(leaf+mem.Addr(i), uint64(rec))
 		}
-		d.Store(node+adPtr, uint64(leaf))
+		m.Store(node+adPtr, uint64(leaf))
 		return node
 	}
-	d.Store(node+adLeafLen, 0)
-	vary := d.Alloc(2 * (nVars - startVar))
-	d.Store(node+adPtr, uint64(vary))
-	for j := startVar; j < nVars; j++ {
-		var zero, one []int
+	m.Store(node+adLeafLen, 0)
+	vary := m.Alloc(2 * (b.nVars - startVar))
+	m.Store(node+adPtr, uint64(vary))
+	for j := startVar; j < b.nVars; j++ {
+		ones := 0
 		for _, rec := range subset {
-			if records[rec]>>uint(j)&1 == 1 {
-				one = append(one, rec)
-			} else {
-				zero = append(zero, rec)
-			}
+			ones += int(b.records[rec] >> uint(j) & 1)
 		}
-		mcv, minority := uint64(0), one
-		if len(one) > len(zero) {
-			mcv, minority = 1, zero
+		// Materialize the less common value's side (value 1 on a tie).
+		mcv, minority, size := uint64(0), uint64(1), ones
+		if ones > len(subset)-ones {
+			mcv, minority, size = 1, 0, len(subset)-ones
 		}
 		entry := vary + mem.Addr(2*(j-startVar))
-		d.Store(entry, mcv)
-		if len(minority) == 0 {
-			d.Store(entry+1, 0)
-		} else {
-			child := buildADTree(d, records, minority, j+1, nVars)
-			d.Store(entry+1, uint64(child))
+		m.Store(entry, mcv)
+		if size == 0 {
+			m.Store(entry+1, 0)
+			continue
 		}
+		base := len(b.scratch)
+		for _, rec := range subset {
+			if b.records[rec]>>uint(j)&1 == minority {
+				b.scratch = append(b.scratch, rec)
+			}
+		}
+		child := b.build(b.scratch[base:], j+1)
+		b.scratch = b.scratch[:base]
+		m.Store(entry+1, uint64(child))
 	}
 	return node
 }

@@ -60,7 +60,8 @@ type App struct {
 	edges   mem.Addr         // per-var learned edge counter
 	tasks   container.Queue  // variable work queue
 
-	ran bool
+	words int // ArenaWords, computed on first use
+	ran   bool
 }
 
 // New generates a random ground-truth network and samples records from it.
@@ -135,33 +136,65 @@ func New(cfg Config) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "bayes" }
 
-// ArenaWords implements apps.App: adtree dominates; size it empirically
-// generous (MCV trees are near-linear in records × vars).
+// ArenaWords implements apps.App. Setup's part is counted, not estimated:
+// the layout Setup allocates is replayed on a word counter. Run adds at
+// most one list node per learnable edge, allocated through per-thread
+// tx.Alloc chunks whose unused tails tm.Config.ReserveChunk keeps under an
+// eighth of the arena; the rest of that eighth's headroom covers the
+// chunks' line alignment.
 func (a *App) ArenaWords() int {
-	ad := a.cfg.Records * a.cfg.Vars * 8
-	net := a.cfg.Vars * (2 + maxLearnParents*4)
-	return ad + net + a.cfg.Vars*8 + 4096
+	if a.words == 0 {
+		var c wordCounter
+		a.layout(&c)
+		setup := mem.WordsPerLine + c.n // the arena never allocates line 0
+		run := a.cfg.Vars * min(maxLearnParents, a.cfg.MaxEdgeLearn) * container.ListNodeWords
+		a.words = setup + run + (setup+run)/7 + 1024
+	}
+	return a.words
 }
 
 // Setup implements apps.App: builds the adtree and the empty network.
 func (a *App) Setup(ar *mem.Arena) {
 	d := mem.Direct{A: ar}
-	subset := make([]int, len(a.records))
-	for i := range subset {
-		subset[i] = i
-	}
-	a.adRoot = buildADTree(d, a.records, subset, 0, a.cfg.Vars)
-	a.parents = make([]container.List, a.cfg.Vars)
-	for v := range a.parents {
-		a.parents[v] = container.NewList(d)
-	}
-	a.edges = ar.Alloc(a.cfg.Vars)
-	a.tasks = container.NewQueue(d, a.cfg.Vars+1)
+	a.adRoot, a.parents, a.edges, a.tasks = a.layout(d)
 	for v := 0; v < a.cfg.Vars; v++ {
 		a.tasks.Push(d, uint64(v))
 	}
 	a.ran = false
 }
+
+// layout allocates and fills Setup's arena structures through m: the
+// adtree, an empty learned-parent list per variable, the learned-edge
+// counters and the task queue — sized Vars+1, so Setup's pushes and Run's
+// re-pushes never grow it. It never reads m, so ArenaWords can replay it
+// on a wordCounter.
+func (a *App) layout(m tm.Mem) (root mem.Addr, parents []container.List, edges mem.Addr, tasks container.Queue) {
+	subset := make([]int, len(a.records))
+	for i := range subset {
+		subset[i] = i
+	}
+	root = buildADTree(m, a.records, subset, 0, a.cfg.Vars)
+	parents = make([]container.List, a.cfg.Vars)
+	for v := range parents {
+		parents[v] = container.NewList(m)
+	}
+	edges = m.Alloc(a.cfg.Vars)
+	tasks = container.NewQueue(m, a.cfg.Vars+1)
+	return root, parents, edges, tasks
+}
+
+// wordCounter is the tm.Mem ArenaWords replays layout on: it counts the
+// words allocated, rounding a request below one word up to one as
+// mem.Arena.Alloc does, and drops the stores.
+type wordCounter struct{ n int }
+
+func (c *wordCounter) Alloc(n int) mem.Addr {
+	c.n += max(n, 1)
+	return mem.Addr(c.n)
+}
+func (c *wordCounter) Load(mem.Addr) uint64   { panic("bayes: layout read the arena it is sizing") }
+func (c *wordCounter) Store(mem.Addr, uint64) {}
+func (c *wordCounter) Free(mem.Addr, int)     {}
 
 // familyScore computes the log-likelihood of variable y given the parent
 // set pa (sorted), via adtree counts read through m.

@@ -25,11 +25,14 @@ const (
 	listSize  = 0 // header word offsets
 	listFirst = 1
 
-	nodeKey       = 0 // node word offsets
-	nodeVal       = 1
-	nodeNext      = 2
-	listNodeWords = 3
+	nodeKey  = 0 // node word offsets
+	nodeVal  = 1
+	nodeNext = 2
 )
+
+// ListNodeWords is the arena footprint of one list element, for sizing
+// arenas that lists grow into.
+const ListNodeWords = 3
 
 // NewList allocates an empty list.
 func NewList(m tm.Mem) List {
@@ -63,7 +66,7 @@ func (l List) Insert(m tm.Mem, k, v uint64) bool {
 	if cur != mem.Nil && m.Load(cur+nodeKey) == k {
 		return false
 	}
-	n := m.Alloc(listNodeWords)
+	n := m.Alloc(ListNodeWords)
 	m.Store(n+nodeKey, k)
 	m.Store(n+nodeVal, v)
 	m.Store(n+nodeNext, uint64(cur))
@@ -88,7 +91,7 @@ func (l List) Remove(m tm.Mem, k uint64) bool {
 	} else {
 		m.Store(prev+nodeNext, next)
 	}
-	m.Free(cur, listNodeWords)
+	m.Free(cur, ListNodeWords)
 	m.Store(l.H+listSize, m.Load(l.H+listSize)-1)
 	return true
 }

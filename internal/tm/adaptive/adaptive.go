@@ -78,11 +78,11 @@ package adaptive
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 )
@@ -244,11 +244,12 @@ func (s *System) TraceEvents() []tm.TraceEvent {
 // Current returns the registry name of the active delegate (waiting out an
 // in-progress handoff, so it never reports the transient switching state).
 func (s *System) Current() string {
+	w := thread.Waiter{Parties: s.cfg.Threads}
 	for {
 		if m := s.mode.Load(); m >= 0 {
 			return s.dels[m].Name()
 		}
-		runtime.Gosched()
+		w.Pause()
 	}
 }
 
@@ -287,9 +288,10 @@ func (s *System) switchTo(m int32) {
 	}
 	s.mode.Store(modeSwitching)
 	for _, t := range s.threads {
+		w := thread.Waiter{Parties: s.cfg.Threads}
 		for t.active.Load() != 0 {
 			s.cfg.Watch.Poll()
-			runtime.Gosched()
+			w.Pause()
 		}
 	}
 	// Failpoint: stall the handoff while the whole team is quiesced — the
@@ -436,12 +438,13 @@ func (t *adaptiveThread) Atomic(fn func(tm.Tx)) { t.AtomicAt(tm.NoBlock, fn) }
 func (t *adaptiveThread) AtomicAt(b tm.BlockID, fn func(tm.Tx)) {
 	s := t.sys
 	var m int32
+	w := thread.Waiter{Parties: s.cfg.Threads}
 	for {
 		m = s.mode.Load()
 		if m < 0 {
 			// Handoff in progress: wait for the new mode to install.
 			s.cfg.Watch.Poll()
-			runtime.Gosched()
+			w.Pause()
 			continue
 		}
 		// Claim m, then re-check it. The store/load pair pairs with

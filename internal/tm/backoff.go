@@ -1,8 +1,9 @@
 package tm
 
 import (
-	"runtime"
 	"sync/atomic"
+
+	"github.com/stamp-go/stamp/internal/thread"
 )
 
 // backoffUnit is the spin-loop budget per abort past the threshold for the
@@ -20,9 +21,10 @@ var spinSink atomic.Uint64
 // progress even when goroutines outnumber cores (notably single-CPU hosts,
 // where a pure busy wait would block the victim it is waiting for).
 func Spin(n int) {
+	var w thread.Waiter // no party count: every pause yields
 	for i := 0; i < n; i++ {
 		if i&1023 == 1023 {
-			runtime.Gosched()
+			w.Pause()
 		}
 		_ = spinSink.Load()
 	}

@@ -1,6 +1,10 @@
 package tm
 
-import "sync"
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+)
 
 // BlockID identifies one atomic-block call site for per-block statistics
 // attribution (the paper's per-region breakdowns: genome's phases, the
@@ -29,6 +33,12 @@ var blockReg = struct {
 	ro:    []bool{false},
 }
 
+// roMarks is a copy of blockReg.ro, replaced whole whenever a block is
+// marked, so the per-attempt BlockReadOnly lookup (stm-mv's Begin) reads
+// one pointer instead of taking the registry lock, whose reader count
+// every core would otherwise write on every begin.
+var roMarks atomic.Pointer[[]bool]
+
 // NewBlock registers an atomic-block call site under a stable name
 // (conventionally "app/phase", e.g. "genome/dedup") and returns its ID.
 // Registration is idempotent: the same name always yields the same ID, so
@@ -52,28 +62,29 @@ func newBlock(name string, ro bool) BlockID {
 	}
 	blockReg.Lock()
 	defer blockReg.Unlock()
-	if id, ok := blockReg.ids[name]; ok {
-		if ro {
-			blockReg.ro[id] = true
-		}
-		return id
+	id, ok := blockReg.ids[name]
+	if !ok {
+		id = BlockID(len(blockReg.names))
+		blockReg.ids[name] = id
+		blockReg.names = append(blockReg.names, name)
+		blockReg.ro = append(blockReg.ro, false)
 	}
-	id := BlockID(len(blockReg.names))
-	blockReg.ids[name] = id
-	blockReg.names = append(blockReg.names, name)
-	blockReg.ro = append(blockReg.ro, ro)
+	if ro && !blockReg.ro[id] {
+		blockReg.ro[id] = true
+		marks := slices.Clone(blockReg.ro)
+		roMarks.Store(&marks)
+	}
 	return id
 }
 
 // BlockReadOnly reports whether id was registered through NewROBlock (false
 // for unknown IDs and NoBlock).
 func BlockReadOnly(id BlockID) bool {
-	blockReg.RLock()
-	defer blockReg.RUnlock()
-	if id < 0 || int(id) >= len(blockReg.ro) {
+	marks := roMarks.Load()
+	if marks == nil || id < 0 || int(id) >= len(*marks) {
 		return false
 	}
-	return blockReg.ro[id]
+	return (*marks)[id]
 }
 
 // BlockName returns the registered name of id ("" for an unknown ID).

@@ -29,11 +29,11 @@ package chaos
 
 import (
 	"fmt"
-	"runtime"
 	"strconv"
 	"strings"
 
 	"github.com/stamp-go/stamp/internal/rng"
+	"github.com/stamp-go/stamp/internal/thread"
 )
 
 // Site names one failpoint location in a runtime's conflict/commit path.
@@ -278,9 +278,10 @@ func (inj *Injector) Stall(site Site, tid int) {
 	if !inj.Fire(site, tid) {
 		return
 	}
+	var w thread.Waiter // no party count: every pause yields
 	for i := 0; i < stallSpins; i++ {
 		if i%1024 == 1023 {
-			runtime.Gosched()
+			w.Pause()
 		}
 	}
 }

@@ -2,12 +2,12 @@ package tm
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync/atomic"
 	"time"
 
 	"github.com/stamp-go/stamp/internal/rng"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/trace"
 )
@@ -239,19 +239,17 @@ const maxConflictProbes = 512
 
 // WaitOrAbort is the conflict-point arbitration helper runtimes call when
 // the enemy transaction is identifiable. It returns true when the caller
-// must abort its attempt now; false means the policy chose to wait — a short
-// spin has already been applied and the caller should re-probe the
-// conflicting location. probe counts the caller's re-probes of this
-// conflict; past maxConflictProbes the wait is cut off.
-func WaitOrAbort(self, enemy ContentionManager, probe int) bool {
-	if self == nil || probe >= maxConflictProbes || self.ShouldAbort(enemy) {
+// must abort its attempt now; false means the policy chose to wait — w has
+// paced the wait (a spin while every thread holds a P, else a yield, since
+// the enemy may need this core to finish or to notice it lost and roll
+// back) and the caller should re-probe the conflicting location. w is the
+// caller's waiter for this one conflict; past maxConflictProbes pauses the
+// wait is cut off.
+func WaitOrAbort(self, enemy ContentionManager, w *thread.Waiter) bool {
+	if self == nil || w.Polls() >= maxConflictProbes || self.ShouldAbort(enemy) {
 		return true
 	}
-	// Spin briefly, then yield: the enemy we are waiting out may need this
-	// core to finish (or to notice it lost the arbitration and roll back),
-	// notably on hosts with fewer cores than worker threads.
-	Spin(64)
-	runtime.Gosched()
+	w.Pause()
 	return false
 }
 

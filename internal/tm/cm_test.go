@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 )
 
 // unwrap strips the liveness governor off a ForThread manager so tests can
@@ -217,14 +218,15 @@ func TestSerializeEscalation(t *testing.T) {
 }
 
 // TestWaitOrAbortBounds: requester-loses policies abort immediately; a
-// waiting policy is cut off after maxConflictProbes.
+// waiting policy pauses its waiter once per probe and is cut off after
+// exactly maxConflictProbes of them.
 func TestWaitOrAbortBounds(t *testing.T) {
-	if !WaitOrAbort(nil, nil, 0) {
+	if !WaitOrAbort(nil, nil, &thread.Waiter{}) {
 		t.Fatal("nil self must abort")
 	}
 	var st ThreadStats
 	rl := cmPool(t, "randlin").ForThread(0, &st)
-	if !WaitOrAbort(rl, nil, 0) {
+	if !WaitOrAbort(rl, nil, &thread.Waiter{}) {
 		t.Fatal("randlin must abort at any conflict")
 	}
 	p := cmPool(t, "greedy")
@@ -233,10 +235,16 @@ func TestWaitOrAbortBounds(t *testing.T) {
 	younger := p.ForThread(1, &st1)
 	older.OnStart()
 	younger.OnStart()
-	if WaitOrAbort(older, younger, 0) {
-		t.Fatal("older greedy transaction must wait, not abort")
+	w := thread.Waiter{Parties: 2}
+	for probe := 0; probe < maxConflictProbes; probe++ {
+		if WaitOrAbort(older, younger, &w) {
+			t.Fatalf("older greedy transaction aborted at probe %d, want it to wait", probe)
+		}
 	}
-	if !WaitOrAbort(older, younger, maxConflictProbes) {
+	if w.Polls() != maxConflictProbes {
+		t.Fatalf("waiter paused %d times over %d probes", w.Polls(), maxConflictProbes)
+	}
+	if !WaitOrAbort(older, younger, &w) {
 		t.Fatal("probe bound did not cut the wait off")
 	}
 }

@@ -1,11 +1,11 @@
 package tm
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm/trace"
 	"github.com/stamp-go/stamp/internal/tm/txset"
 )
@@ -88,6 +88,10 @@ type Victim interface {
 // under it) is redone, so a victim can never keep a stale value without
 // either being flagged or re-reading the committed one.
 type Arbiter struct {
+	// Parties is the runtime's thread count, which paces a read's wait for
+	// an odd epoch (see thread.Waiter); the runtime sets it at construction.
+	Parties int
+
 	mu    sync.Mutex
 	epoch atomic.Uint64
 }
@@ -97,13 +101,14 @@ type Arbiter struct {
 // line in the set peers probe (Touches). ok is false when the transaction
 // was flagged; the caller unwinds.
 func (ar *Arbiter) Read(f *Flagged, arena *mem.Arena, a mem.Addr) (v uint64, ok bool) {
+	w := thread.Waiter{Parties: ar.Parties}
 	for {
 		if f.Killed() {
 			return 0, false
 		}
 		e := ar.epoch.Load()
 		if e&1 == 1 { // a commit is being arbitrated; wait like a snooping cache
-			runtime.Gosched()
+			w.Pause()
 			continue
 		}
 		v = arena.Load(a)

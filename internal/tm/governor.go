@@ -1,10 +1,10 @@
 package tm
 
 import (
-	"runtime"
 	"sync/atomic"
 	"time"
 
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/trace"
 )
@@ -80,10 +80,10 @@ func (g *governor) enterGate() {
 		}
 		// An escalator is draining or running: retreat and wait it out.
 		p.flags[g.id].Store(0)
+		w := thread.Waiter{Parties: p.cfg.Threads}
 		for p.gatePending.Load() != 0 {
 			p.watch.Poll()
-			Spin(64)
-			runtime.Gosched()
+			w.Pause()
 		}
 	}
 }
@@ -125,19 +125,19 @@ func (g *governor) escalate(viaSerialize bool) {
 	p := g.pool
 	p.gatePending.Add(1)
 	p.flags[g.id].Store(0)
+	w := thread.Waiter{Parties: p.cfg.Threads}
 	for !p.gateLock.CompareAndSwap(0, 1) {
 		p.watch.Poll()
-		Spin(64)
-		runtime.Gosched()
+		w.Pause()
 	}
 	for i := range p.flags {
 		if i == g.id {
 			continue
 		}
+		drain := thread.Waiter{Parties: p.cfg.Threads}
 		for p.flags[i].Load() != 0 {
 			p.watch.Poll()
-			Spin(64)
-			runtime.Gosched()
+			drain.Pause()
 		}
 	}
 	p.flags[g.id].Store(1)

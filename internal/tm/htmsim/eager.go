@@ -2,11 +2,11 @@ package htmsim
 
 import (
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/sig"
@@ -147,10 +147,10 @@ func (x *eagerTx) conflictWith(victim *eagerTx, l mem.Line, cause tm.AbortCause)
 		x.Info.Fail(cause, trace.LineKey(uint64(l)), x.BlockOf(victim.ID))
 	}
 	victim.Kill(x.BlockOf(x.ID), l)
+	w := thread.Waiter{Parties: x.Cfg.Threads} // the victim may need our core to roll back
 	for victim.Active.Load() && victim.Killed() {
 		x.pollAbort() // a cycle of priority waits resolves through flags
-		tm.Spin(64)
-		runtime.Gosched() // the victim may need our core to roll back
+		w.Pause()
 	}
 }
 
@@ -263,6 +263,7 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 					continue
 				}
 				victim := x.sys.Txs[r]
+				w := thread.Waiter{Parties: x.Cfg.Threads}
 				for x.sys.dir.hasReader(l, r) {
 					x.pollAbort()
 					if !victim.priority.Load() || x.ID < victim.ID {
@@ -272,8 +273,7 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 						x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)),
 							x.BlockOf(victim.ID))
 					}
-					tm.Spin(64)
-					runtime.Gosched()
+					w.Pause()
 				}
 			}
 		}

@@ -34,6 +34,7 @@ func NewLazy(cfg tm.Config) (*Lazy, error) {
 		return nil, err
 	}
 	s := &Lazy{Runtime: rt}
+	s.arb.Parties = rt.Cfg.Threads
 	rt.Bind(func(int) *lazyTx {
 		return &lazyTx{
 			sys:        s,

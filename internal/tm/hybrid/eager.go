@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/sig"
@@ -91,8 +92,9 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 		if other == x {
 			continue
 		}
-		for probe := 0; other.active.Load() && other.writeSig.Test(l); probe++ {
-			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), probe) {
+		w := thread.Waiter{Parties: x.Cfg.Threads}
+		for other.active.Load() && other.writeSig.Test(l) {
+			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), &w) {
 				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
 					x.BlockOf(other.ID))
 			}
@@ -118,8 +120,9 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 		if other == x {
 			continue
 		}
-		for probe := 0; other.active.Load() && (other.readSig.Test(l) || other.writeSig.Test(l)); probe++ {
-			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), probe) {
+		w := thread.Waiter{Parties: x.Cfg.Threads}
+		for other.active.Load() && (other.readSig.Test(l) || other.writeSig.Test(l)) {
+			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), &w) {
 				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
 					x.BlockOf(other.ID))
 			}

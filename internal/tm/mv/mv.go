@@ -1,9 +1,10 @@
 // Package mv implements stm-mv, a multi-version STM for abort-free
 // read-only traffic. Writers are TL2 itself — the transaction embeds
 // tl2.LazyTx and shares its versioned-lock table, commit clock
-// (tm.VersionClock) and commit phases — and additionally append every
-// committed value to a bounded per-stripe ring of (version, address, value)
-// records between acquiring their stripes and writing back. Read-only
+// (tm.VersionClock) and commit phases — and, from the first snapshot
+// reader on, additionally append every committed value to a bounded
+// per-stripe ring of (version, address, value) records between acquiring
+// their stripes and writing back. Read-only
 // transactions pick a snapshot timestamp at begin and serve every load
 // from that snapshot: the arena when the stripe has not been committed
 // past the snapshot, the version ring when it has. Snapshot reads perform
@@ -53,6 +54,26 @@
 // snapshot that began before the address was ever ring-written can still
 // be served.
 //
+// # Versions are retained from the first snapshot reader on
+//
+// A ring record is only ever read by a snapshot attempt, and most workloads
+// register no read-only block at all, so rings start off: ringEpoch 0 means
+// no commit maintains them. The first snapshot attempt's Begin CASes the
+// epoch 0 -> 1 before it reads its snapshot clock; every writer loads the
+// epoch after its CommitTick and skips ring maintenance while it reads 0.
+// The stale-epoch reset and the pre-image record then rebuild each ring at
+// its stripe's next commit. No reader loses a version to the skipped
+// appends: the epoch is sequentially consistent, so a commit that read 0
+// ticked before the first reader's CAS, hence before that reader (and every
+// later one) read the clock — under gv1 and gv4, whose CommitTick leaves
+// the clock at >= wv, its wv <= rv, and a version the snapshot admits is
+// served from the arena, never from the ring. Under gv5 a commit publishes
+// clock+1 without ticking, so a commit that missed the epoch can carry
+// wv > rv; a snapshot that meets that stripe finds no record and aborts
+// mv-version-missing, conservatively (it retries on the write path), never
+// wrongly. The same conservative miss meets an address whose wrapped stripe
+// (tl2.LockTable.Index) a later commit reset while writing another address.
+//
 // # Delegate handoffs
 //
 // As an stm-adaptive delegate, mv's rings go stale whenever the other
@@ -64,10 +85,10 @@
 package mv
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/tl2"
@@ -122,10 +143,12 @@ type System struct {
 	slots []slot         // stripe i's run: slots[i*(k+1)] header, then k records
 	k     int            // ring depth (Config.MVVersions)
 
-	// ringEpoch invalidates every stripe ring at once: bumped by OnHandoff
-	// when another stm-adaptive delegate may have written the arena behind
-	// the rings' back. A stripe whose epoch lags is treated as empty by
-	// readers and re-initialized by the next committing writer.
+	// ringEpoch is 0 until the first snapshot attempt begins (rings off: no
+	// commit appends), then only grows. Bumping it invalidates every stripe
+	// ring at once — OnHandoff does, when another stm-adaptive delegate may
+	// have written the arena behind the rings' back. A stripe whose epoch
+	// lags is treated as empty by readers and re-initialized by the next
+	// committing writer.
 	ringEpoch atomic.Uint64
 }
 
@@ -172,8 +195,13 @@ func (s *System) RingDepth() int { return s.k }
 // OnHandoff invalidates every stripe's version ring. The stm-adaptive
 // meta-runtime calls it on the delegate it is about to activate, after the
 // quiesce — so no snapshot reader is live — because the other delegate's
-// tenure wrote the arena without maintaining the rings.
-func (s *System) OnHandoff() { s.ringEpoch.Add(1) }
+// tenure wrote the arena without maintaining the rings. Rings that are
+// still off stay off.
+func (s *System) OnHandoff() {
+	if s.ringEpoch.Load() != 0 {
+		s.ringEpoch.Add(1)
+	}
+}
 
 // LockAcquires returns how many stripe-lock acquisitions the run performed
 // across all threads. Snapshot (read-only) transactions never acquire a
@@ -248,19 +276,25 @@ func ringReset(hdr *slot, recs []slot, epoch uint64) {
 }
 
 // mvTx is a TL2 lazy transaction plus the snapshot read path and the
-// commit-time ring appends.
+// commit-time ring appends. Its own fields come first, so the embedded
+// LazyTx's trailing pad still ends the descriptor.
 type mvTx struct {
-	tl2.LazyTx
 	sys *System
 	ro  bool // this attempt reads the begin-timestamp snapshot
+	tl2.LazyTx
 }
 
 // Begin starts a marked block's first attempt on the snapshot path; after
 // any abort (a store inside the marked block failing write-path validation
 // against its ring-age snapshot, or a ring overflow) the retry runs plain
-// TL2 so progress never depends on ring retention.
+// TL2 so progress never depends on ring retention. The first snapshot
+// attempt of the system's life turns the rings on, before it reads the
+// clock (see "Versions are retained from the first snapshot reader on").
 func (x *mvTx) Begin(b tm.BlockID, aborts int) {
 	x.ro = aborts == 0 && tm.BlockReadOnly(b)
+	if x.ro && x.sys.ringEpoch.Load() == 0 {
+		x.sys.ringEpoch.CompareAndSwap(0, 1)
+	}
 	x.LazyTx.Begin(b, aborts)
 }
 
@@ -283,15 +317,17 @@ func (x *mvTx) Load(a mem.Addr) uint64 {
 // snapshotLoad serves a load at the begin timestamp without ever acquiring
 // a lock or aborting a writer: wait out in-flight commits, read the arena
 // when the stripe has not moved past rv, fall back to the version ring
-// when it has. The only abort is mv-version-missing (ring overflow).
+// when it has. The only abort is mv-version-missing: the ring overflowed,
+// or never retained the version (see the package doc).
 func (x *mvTx) snapshotLoad(idx uint32, a mem.Addr) uint64 {
+	w := thread.Waiter{Parties: x.Cfg.Threads}
 	for {
 		e1 := x.Locks.Load(idx)
 		if _, locked := tl2.LockedBy(e1); locked {
 			// A writer is committing this stripe. Waiting (not aborting)
 			// both preserves the zero-abort property and excludes the
 			// committer that ticked wv <= rv but has not published yet.
-			runtime.Gosched()
+			w.Pause()
 			continue
 		}
 		if tl2.VersionOf(e1) <= x.RV {
@@ -316,9 +352,10 @@ func (x *mvTx) snapshotLoad(idx uint32, a mem.Addr) uint64 {
 }
 
 // Commit is the TL2 commit — lock the write set, tick the clock, validate
-// the read set, write back, release with the new version — plus the ring
-// appends that retain the overwritten history for snapshot readers.
-// Read-only transactions (snapshot or not) commit with zero validation.
+// the read set, write back, release with the new version — plus, once a
+// snapshot reader has begun, the ring appends that retain the overwritten
+// history for snapshot readers. Read-only transactions (snapshot or not)
+// commit with zero validation.
 func (x *mvTx) Commit() bool {
 	if x.Wset.Len() == 0 {
 		return true
@@ -330,11 +367,27 @@ func (x *mvTx) Commit() bool {
 	// Ring maintenance, before the writeback so pre-image records can read
 	// the overwritten values, while every written stripe is still locked
 	// (snapshot readers wait on the lock, so append order is invisible).
-	sys := x.sys
-	epoch := sys.ringEpoch.Load()
+	// The epoch is loaded after Acquire's CommitTick: that order is what
+	// makes skipping the appends at epoch 0 safe.
+	if epoch := x.sys.ringEpoch.Load(); epoch != 0 {
+		x.appendVersions(wv, epoch)
+	}
+	x.WriteBack()
+	// Failpoint: stall after ring publication and writeback, while every
+	// written stripe is still locked and snapshot readers wait on us.
+	x.Chaos.Stall(chaos.MVRingPublish, x.ID)
+	x.Release(wv)
+	return true
+}
+
+// appendVersions retains the write set's committed values (and, on an
+// address's first ring-era write, its pre-image) in the stripe rings,
+// resetting rings stamped with an older epoch. Caller holds every written
+// stripe at commit version wv.
+func (x *mvTx) appendVersions(wv, epoch uint64) {
 	for _, e := range x.Wset.Entries() {
 		idx := x.Locks.Index(e.Addr)
-		hdr, recs := sys.run(idx)
+		hdr, recs := x.sys.run(idx)
 		if hdr.version.Load() != epoch {
 			ringReset(hdr, recs, epoch)
 		}
@@ -346,10 +399,4 @@ func (x *mvTx) Commit() bool {
 		}
 		ringAppend(hdr, recs, wv+1, e.Addr, e.Val)
 	}
-	x.WriteBack()
-	// Failpoint: stall after ring publication and writeback, while every
-	// written stripe is still locked and snapshot readers wait on us.
-	x.Chaos.Stall(chaos.MVRingPublish, x.ID)
-	x.Release(wv)
-	return true
 }

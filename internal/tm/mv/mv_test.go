@@ -215,7 +215,8 @@ func TestSingleVersionDegrades(t *testing.T) {
 // sequence of single-threaded commits, ringScan must return, for every
 // snapshot timestamp, exactly the value that was current at it — including
 // the pre-commit value through the pre-image record — and miss only below
-// the pre-image's version once the ring has evicted it.
+// the pre-image's version once the ring has evicted it. A snapshot reader
+// runs first: rings are kept only from the first snapshot reader on.
 func TestRingScanHistory(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	x := arena.Alloc(1)
@@ -225,6 +226,7 @@ func TestRingScanHistory(t *testing.T) {
 		t.Fatalf("RingDepth = %d, want the default %d", got, tm.DefaultMVVersions)
 	}
 	th := sys.Thread(0)
+	th.AtomicAt(tm.NewROBlock("mv-test/history-reader"), func(tx tm.Tx) { _ = tx.Load(x) })
 	c0 := sys.ClockNow()
 	for i := 1; i <= 5; i++ {
 		v := uint64(i * 10)
@@ -297,5 +299,155 @@ func TestConfigValidation(t *testing.T) {
 	big := newSys(t, tm.Config{Arena: arena, Threads: 1, LockTableBits: 30})
 	if got := big.Stripes(); got != 1<<maxTableBits {
 		t.Errorf("stripes = %d, want the clamped %d", got, 1<<maxTableBits)
+	}
+}
+
+// TestWriterOnlyRunKeepsRingsOff: with no read-only block ever begun, no
+// commit maintains a ring — every header stays at epoch 0 and every record
+// slot empty — however many writers commit.
+func TestWriterOnlyRunKeepsRingsOff(t *testing.T) {
+	const threads, perT = 4, 200
+	arena := mem.NewArena(1 << 10)
+	words := make([]mem.Addr, 16)
+	for i := range words {
+		words[i] = arena.Alloc(1)
+	}
+	sys := newSys(t, tm.Config{Arena: arena, Threads: threads})
+	thread.NewTeam(threads).Run(func(tid int) {
+		th := sys.Thread(tid)
+		for i := 0; i < perT; i++ {
+			a := words[(tid+i)%len(words)]
+			th.Atomic(func(tx tm.Tx) { tx.Store(a, tx.Load(a)+1) })
+		}
+	})
+	if got := sys.Stats().Total.Commits; got != threads*perT {
+		t.Fatalf("commits = %d, want %d", got, threads*perT)
+	}
+	if e := sys.ringEpoch.Load(); e != 0 {
+		t.Errorf("ring epoch = %d after a writer-only run, want 0 (rings off)", e)
+	}
+	for i := range sys.slots {
+		if v := sys.slots[i].version.Load(); v != 0 {
+			t.Fatalf("slot %d (stripe %d) holds version word %d, want every header at epoch 0 and every record empty",
+				i, i/(sys.k+1), v)
+		}
+	}
+}
+
+// TestLateReaderZeroAborts: under gv1 and gv4 a snapshot reader that starts
+// after a writer-only history — rings still off, every stripe committed
+// without a record — reads consistent snapshots with zero aborts while the
+// writers keep committing. Every commit that missed the epoch ticked before
+// the reader read its clock, so the reader serves those versions from the
+// arena; the first commits that see the epoch rebuild the rings with
+// pre-images.
+func TestLateReaderZeroAborts(t *testing.T) {
+	for _, clock := range []string{"gv1", "gv4"} {
+		t.Run(clock, func(t *testing.T) {
+			const (
+				threads = 4 // readers 0,1; writers 2,3
+				history = 100
+				perW    = 100
+				ringK   = 256 // > 2*perW + pre-images: eviction can't outrun a snapshot
+			)
+			blk := tm.NewROBlock("mv-test/late-reader-sum")
+			arena := mem.NewArena(1 << 12)
+			a := arena.Alloc(1)
+			b := arena.Alloc(1)
+			sys := newSys(t, tm.Config{Arena: arena, Threads: threads, MVVersions: ringK, Clock: clock})
+			bump := func(th tm.Thread) {
+				th.Atomic(func(tx tm.Tx) {
+					la := tx.Load(a)
+					runtime.Gosched() // let readers interleave mid-attempt
+					tx.Store(a, la+1)
+					tx.Store(b, tx.Load(b)+1)
+				})
+			}
+
+			var done atomic.Bool
+			var torn [2]int64
+			team := thread.NewTeam(threads)
+			team.Run(func(tid int) {
+				th := sys.Thread(tid)
+				if tid >= 2 {
+					for i := 0; i < history; i++ {
+						bump(th)
+					}
+				}
+				team.Barrier().Wait()
+				if tid == 0 && sys.ringEpoch.Load() != 0 {
+					t.Error("rings turned on during the writer-only history")
+				}
+				team.Barrier().Wait()
+				if tid >= 2 {
+					for i := 0; i < perW; i++ {
+						bump(th)
+					}
+					if tid == 3 {
+						done.Store(true)
+					}
+					return
+				}
+				for !done.Load() {
+					th.AtomicAt(blk, func(tx tm.Tx) {
+						la := tx.Load(a)
+						runtime.Gosched() // a commit landing here forces a ring read
+						if lb := tx.Load(b); la != lb {
+							torn[tid]++
+						}
+					})
+				}
+			})
+
+			for tid := 0; tid < 2; tid++ {
+				if torn[tid] != 0 {
+					t.Errorf("reader %d observed %d torn a/b pairs", tid, torn[tid])
+				}
+				if got := sys.Thread(tid).Stats().Aborts; got != 0 {
+					t.Errorf("reader %d recorded %d aborts, want 0: %v", tid, got, sys.Stats().AbortCauses())
+				}
+			}
+			if got, want := arena.Load(a), uint64(2*(history+perW)); got != want || arena.Load(b) != want {
+				t.Errorf("a, b = %d, %d; want %d, %d", got, arena.Load(b), want, want)
+			}
+			if sys.ringEpoch.Load() == 0 {
+				t.Error("no snapshot reader turned the rings on")
+			}
+		})
+	}
+}
+
+// TestFirstReaderAfterUnrecordedCommit pins the one place retention from
+// the first reader on costs an abort, deterministically on one thread: a
+// commit with the rings off, then the first snapshot reader of that word.
+// gv1 and gv4 tick the clock at commit, so the reader's snapshot admits the
+// commit and it reads the arena with no abort. gv5 publishes clock+1
+// without ticking, so the commit is newer than the reader's snapshot, no
+// ring holds the older value, and the reader aborts mv-version-missing
+// once — conservative, never wrong: the abort advances gv5's clock and the
+// write-path retry reads the committed value.
+func TestFirstReaderAfterUnrecordedCommit(t *testing.T) {
+	blk := tm.NewROBlock("mv-test/first-reader")
+	for _, c := range []struct {
+		clock   string
+		missing uint64
+	}{{"gv1", 0}, {"gv4", 0}, {"gv5", 1}} {
+		t.Run(c.clock, func(t *testing.T) {
+			arena := mem.NewArena(1 << 10)
+			x := arena.Alloc(1)
+			sys := newSys(t, tm.Config{Arena: arena, Threads: 1, Clock: c.clock})
+			th := sys.Thread(0)
+			th.Atomic(func(tx tm.Tx) { tx.Store(x, 42) })
+			var got uint64
+			th.AtomicAt(blk, func(tx tm.Tx) { got = tx.Load(x) })
+			if got != 42 {
+				t.Errorf("reader saw %d, want 42", got)
+			}
+			st := sys.Stats()
+			causes := st.AbortCauses()
+			if st.Total.Aborts != c.missing || causes[tm.CauseMVVersionMissing] != c.missing {
+				t.Errorf("aborts = %d (%v), want %d, all mv-version-missing", st.Total.Aborts, causes, c.missing)
+			}
+		})
 	}
 }

@@ -117,8 +117,10 @@ func TestCommitStorm(t *testing.T) {
 
 // TestCommitNeverYields keeps scheduler yields off the commit path (a
 // yield on every contended writer commit is what made the batching scheme
-// PR 13 deleted lose 1.8-2.8x): the only runtime.Gosched in this package is
-// waitQuiescent's bounded-spin backoff behind a lock holder.
+// PR 13 deleted lose 1.8-2.8x): the only wait in this package is
+// waitQuiescent's, behind a lock holder, and it waits through the
+// thread.Waiter every runtime uses (tm's TestOneYieldSite fences
+// runtime.Gosched itself into that helper).
 func TestCommitNeverYields(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -140,14 +142,14 @@ func TestCommitNeverYields(t *testing.T) {
 				continue
 			}
 			ast.Inspect(fn, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Gosched" {
-					yielders = append(yielders, fn.Name.Name)
+				if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Gosched" || sel.Sel.Name == "Pause") {
+					yielders = append(yielders, fn.Name.Name+"."+sel.Sel.Name)
 				}
 				return true
 			})
 		}
 	}
-	if want := []string{"waitQuiescent"}; !reflect.DeepEqual(yielders, want) {
-		t.Fatalf("runtime.Gosched is called from %v, want only %v", yielders, want)
+	if want := []string{"waitQuiescent.Pause"}; !reflect.DeepEqual(yielders, want) {
+		t.Fatalf("NOrec waits or yields in %v, want only %v", yielders, want)
 	}
 }

@@ -34,9 +34,8 @@
 package norec
 
 import (
-	"runtime"
-
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/trace"
@@ -89,17 +88,17 @@ func (s *System) LockAcquires() uint64 {
 	return n
 }
 
-// waitQuiescent spins until seq is even and returns it. It yields to the
-// scheduler periodically so a committer that holds the lock can finish its
-// writeback even when goroutines outnumber cores.
+// waitQuiescent waits until seq is even and returns it. The waiter spins
+// while every worker can hold a P and yields otherwise, so a committer that
+// holds the lock can finish its writeback even when goroutines outnumber
+// cores.
 func (s *System) waitQuiescent() uint64 {
-	for spins := 0; ; spins++ {
+	w := thread.Waiter{Parties: s.Cfg.Threads}
+	for {
 		if v := s.seq.Load(); v&1 == 0 {
 			return v
 		}
-		if spins&127 == 127 {
-			runtime.Gosched()
-		}
+		w.Pause()
 	}
 }
 
@@ -112,6 +111,8 @@ type norecTx struct {
 	wset     txset.WriteSet // redo log (insertion order = writeback order)
 
 	lockAcquires uint64 // sequence-lock acquisitions (owner written, read after join)
+
+	_ [64]byte // keep the next worker's descriptor off this one's last line
 }
 
 func (x *norecTx) Begin(tm.BlockID, int) {

@@ -2,6 +2,7 @@ package tl2
 
 import (
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/trace"
@@ -52,6 +53,8 @@ type eagerTx struct {
 	reads    txset.IndexSet
 	acquired []lockRec
 	undo     txset.WriteSet // addr → old value; doubles as the written-set
+
+	_ [64]byte // keep the next worker's descriptor off this one's last line
 }
 
 func (x *eagerTx) Begin(tm.BlockID, int) {
@@ -81,7 +84,8 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 	x.Loads++
 	idx := x.locks.Index(a)
 	e1 := x.locks.Load(idx)
-	for probe := 0; ; probe++ {
+	w := thread.Waiter{Parties: x.Cfg.Threads}
+	for {
 		owner, locked := LockedBy(e1)
 		if !locked {
 			break
@@ -92,7 +96,7 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 		// Early conflict detection: the stripe is held by a running writer.
 		// Requester-loses policies fail fast here; priority policies may
 		// wait the holder out and re-probe.
-		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), probe) {
+		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), &w) {
 			x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
 		}
 		e1 = x.locks.Load(idx)
@@ -119,14 +123,15 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 		x.Info.Fail(tm.CauseWriteWrite, trace.AddrKey(uint64(a)), tm.NoBlock)
 	}
 	idx := x.locks.Index(a)
-	for probe := 0; ; probe++ {
+	w := thread.Waiter{Parties: x.Cfg.Threads}
+	for {
 		e := x.locks.Load(idx)
 		owner, locked := LockedBy(e)
 		if locked && owner == x.slot {
 			break // stripe already held
 		}
 		if locked {
-			if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), probe) {
+			if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), &w) {
 				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseWriteWrite), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
 			}
 			continue

@@ -2,6 +2,7 @@ package tl2
 
 import (
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/trace"
@@ -64,6 +65,8 @@ type LazyTx struct {
 	LockAcquires uint64
 
 	acquired []lockRec
+
+	_ [64]byte // keep the next worker's descriptor off this one's last line
 }
 
 // Begin implements tm.Protocol.
@@ -90,7 +93,8 @@ func (x *LazyTx) Load(a mem.Addr) uint64 {
 	}
 	idx := x.Locks.Index(a)
 	e1 := x.Locks.Load(idx)
-	for probe := 0; ; probe++ {
+	w := thread.Waiter{Parties: x.Cfg.Threads}
+	for {
 		owner, locked := LockedBy(e1)
 		if !locked {
 			break
@@ -98,7 +102,7 @@ func (x *LazyTx) Load(a mem.Addr) uint64 {
 		// Conflict point: the stripe is locked by a committing writer.
 		// Arbitrate — requester-loses policies abort here; priority
 		// policies may wait the (short) commit out and re-probe.
-		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), probe) {
+		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), &w) {
 			x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
 		}
 		e1 = x.Locks.Load(idx)
