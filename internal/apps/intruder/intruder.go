@@ -165,50 +165,60 @@ func (a *App) Run(sys tm.System, team *thread.Team) {
 	a.reassembled = make([][]flowResult, team.N())
 	team.Run(func(tid int) {
 		th := sys.Thread(tid)
+		// The three atomic blocks are built once per worker and exchange
+		// their operands through these variables, so a packet costs no
+		// closure allocations and the Go collector stays out of the timed
+		// region as far as the application's own data allows.
+		var (
+			pktIdx    int
+			pkt       *packet
+			completed []int // packet indices in fragment order
+		)
+		capture := func(tx tm.Tx) {
+			pktIdx = -1
+			if v, ok := a.capture.Pop(tx); ok {
+				pktIdx = int(v)
+			}
+		}
+		flag := func(tx tm.Tx) { a.detected.Insert(tx, uint64(pkt.flow), 1) }
+		reassemble := func(tx tm.Tx) {
+			completed = completed[:0]
+			sesA, ok := a.sessions.Get(tx, uint64(pkt.flow))
+			var ses mem.Addr
+			if !ok {
+				ses = tx.Alloc(sesWords)
+				tx.Store(ses+sesRecv, 0)
+				tx.Store(ses+sesTotal, uint64(pkt.nfrag))
+				tx.Store(ses+sesList, uint64(container.NewList(tx).H))
+				a.sessions.Insert(tx, uint64(pkt.flow), uint64(ses))
+			} else {
+				ses = mem.Addr(sesA)
+			}
+			frags := container.List{H: mem.Addr(tx.Load(ses + sesList))}
+			if !frags.Insert(tx, uint64(pkt.frag), uint64(pktIdx)) {
+				return // duplicate fragment (cannot happen with our generator)
+			}
+			recv := tx.Load(ses+sesRecv) + 1
+			tx.Store(ses+sesRecv, recv)
+			if recv == tx.Load(ses+sesTotal) {
+				frags.Each(tx, func(_, v uint64) bool {
+					completed = append(completed, int(v))
+					return true
+				})
+				a.sessions.Remove(tx, uint64(pkt.flow))
+			}
+		}
 		for {
 			// Phase 1: capture (one transaction).
-			pktIdx := -1
-			th.AtomicAt(blkCapture, func(tx tm.Tx) {
-				pktIdx = -1
-				if v, ok := a.capture.Pop(tx); ok {
-					pktIdx = int(v)
-				}
-			})
+			th.AtomicAt(blkCapture, capture)
 			if pktIdx < 0 {
 				return // stream drained; every enqueued fragment is handled
 			}
-			pkt := &a.packets[pktIdx]
+			pkt = &a.packets[pktIdx]
 
 			// Phase 2: reassembly (one transaction). If the fragment
 			// completes its session, collect the fragment list for decoding.
-			var completed []int // packet indices in fragment order
-			th.AtomicAt(blkReassembly, func(tx tm.Tx) {
-				completed = completed[:0]
-				sesA, ok := a.sessions.Get(tx, uint64(pkt.flow))
-				var ses mem.Addr
-				if !ok {
-					ses = tx.Alloc(sesWords)
-					tx.Store(ses+sesRecv, 0)
-					tx.Store(ses+sesTotal, uint64(pkt.nfrag))
-					tx.Store(ses+sesList, uint64(container.NewList(tx).H))
-					a.sessions.Insert(tx, uint64(pkt.flow), uint64(ses))
-				} else {
-					ses = mem.Addr(sesA)
-				}
-				frags := container.List{H: mem.Addr(tx.Load(ses + sesList))}
-				if !frags.Insert(tx, uint64(pkt.frag), uint64(pktIdx)) {
-					return // duplicate fragment (cannot happen with our generator)
-				}
-				recv := tx.Load(ses+sesRecv) + 1
-				tx.Store(ses+sesRecv, recv)
-				if recv == tx.Load(ses+sesTotal) {
-					frags.Each(tx, func(_, v uint64) bool {
-						completed = append(completed, int(v))
-						return true
-					})
-					a.sessions.Remove(tx, uint64(pkt.flow))
-				}
-			})
+			th.AtomicAt(blkReassembly, reassemble)
 			if len(completed) == 0 {
 				continue
 			}
@@ -222,10 +232,7 @@ func (a *App) Run(sys tm.System, team *thread.Team) {
 			content := sb.String()
 			a.reassembled[tid] = append(a.reassembled[tid], flowResult{flow: pkt.flow, content: content})
 			if a.detector.Match(content) {
-				flow := pkt.flow
-				th.AtomicAt(blkFlag, func(tx tm.Tx) {
-					a.detected.Insert(tx, uint64(flow), 1)
-				})
+				th.AtomicAt(blkFlag, flag)
 			}
 		}
 	})

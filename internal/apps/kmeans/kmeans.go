@@ -125,6 +125,19 @@ func (a *App) runOnce(sys tm.System, team *thread.Team, k int) {
 	team.Run(func(tid int) {
 		th := sys.Thread(tid)
 		lo, hi := tid*n/team.N(), (tid+1)*n/team.N()
+		// The transaction of the paper: add point pt to the shared center
+		// accumulator of cluster best. Built once per worker with its operands
+		// in these variables, so the timed region allocates nothing per point
+		// and the Go collector stays out of it.
+		var best, pt int
+		update := func(tx tm.Tx) {
+			row := a.accAddr(best)
+			for j := 0; j < d; j++ {
+				addr := row + mem.Addr(j)
+				tm.StoreF64(tx, addr, tm.LoadF64(tx, addr)+a.points[pt*d+j])
+			}
+			tx.Store(row+mem.Addr(d), tx.Load(row+mem.Addr(d))+1)
+		}
 		for {
 			team.Barrier().Wait()
 			if stop {
@@ -132,32 +145,23 @@ func (a *App) runOnce(sys tm.System, team *thread.Team, k int) {
 			}
 			local := int64(0)
 			for p := lo; p < hi; p++ {
-				best, bestDist := 0, math.MaxFloat64
+				nearest, nearestDist := 0, math.MaxFloat64
 				for c := 0; c < k; c++ {
 					dist := 0.0
 					for j := 0; j < d; j++ {
 						diff := a.points[p*d+j] - centers[c*d+j]
 						dist += diff * diff
 					}
-					if dist < bestDist {
-						best, bestDist = c, dist
+					if dist < nearestDist {
+						nearest, nearestDist = c, dist
 					}
 				}
-				if membership[p] != int32(best) {
-					membership[p] = int32(best)
+				if membership[p] != int32(nearest) {
+					membership[p] = int32(nearest)
 					local++
 				}
-				p := p
-				// The transaction of the paper: update the shared center
-				// accumulator for the chosen cluster.
-				th.AtomicAt(blkCenter, func(tx tm.Tx) {
-					row := a.accAddr(best)
-					for j := 0; j < d; j++ {
-						addr := row + mem.Addr(j)
-						tm.StoreF64(tx, addr, tm.LoadF64(tx, addr)+a.points[p*d+j])
-					}
-					tx.Store(row+mem.Addr(d), tx.Load(row+mem.Addr(d))+1)
-				})
+				best, pt = nearest, p
+				th.AtomicAt(blkCenter, update)
 			}
 			deltas[tid*8] = local
 			team.Barrier().Wait()

@@ -175,7 +175,10 @@ func (a *App) Run(sys tm.System, team *thread.Team) {
 			var path []int32
 
 			th.AtomicAt(blkRoute, func(tx tm.Tx) {
-				path = path[:0]
+				// Reset both outputs per attempt: an attempt that set pathID
+				// and then aborted must not leave it set for a retry that finds
+				// no route, or an empty path would be recorded as routed.
+				path, pathID = path[:0], -1
 				// Privatize the grid ("a per-thread copy of the grid is
 				// created and used for the route calculation").
 				for c := 0; c < a.cells; c++ {

@@ -24,7 +24,10 @@ type Characterization struct {
 	// Retries per transaction at the given thread count, per system.
 	Retries map[string]float64
 
-	ArenaWords int // workload footprint (working-set proxy)
+	// FootprintWords is the workload footprint (a working-set proxy): the
+	// words the seq run drew from its arena (Result.ArenaUsed), not the
+	// app's ArenaWords sizing estimate, which provisions slack on top.
+	FootprintWords int
 }
 
 // Characterize reproduces one Table VI row for a variant at opt.Scale: the
@@ -44,7 +47,6 @@ func Characterize(v Variant, opt Options) (Characterization, error) {
 	}
 	opt = opt.withDefaults()
 	app := v.Make(opt.Scale)
-	c.ArenaWords = app.ArenaWords()
 
 	seq, err := RunOne(app, v.Name, Options{System: "seq", Threads: 1, Profile: true})
 	if err != nil {
@@ -53,6 +55,7 @@ func Characterize(v Variant, opt Options) (Characterization, error) {
 	if seq.Verify != nil {
 		return c, fmt.Errorf("characterize %s: seq run failed verification: %w", v.Name, seq.Verify)
 	}
+	c.FootprintWords = seq.ArenaUsed
 	c.TxCount = seq.Stats.Total.Commits
 	if c.TxCount > 0 {
 		c.NsPerTx = float64(seq.Stats.Total.TxTimeNs) / float64(c.TxCount)
@@ -138,7 +141,7 @@ func WriteTableVI(w io.Writer, rows []Characterization) {
 		for _, sys := range extra {
 			fmt.Fprintf(w, " %14.2f", c.Retries[sys])
 		}
-		fmt.Fprintf(w, " %9.1fMB\n", float64(c.ArenaWords)*8/(1<<20))
+		fmt.Fprintf(w, " %9.1fMB\n", float64(c.FootprintWords)*8/(1<<20))
 	}
 }
 

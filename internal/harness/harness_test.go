@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -130,6 +131,38 @@ func TestCharacterizeSmoke(t *testing.T) {
 	WriteTableIII(&buf3, []Qualitative{q})
 	if !strings.Contains(buf3.String(), "kmeans-high") {
 		t.Fatal("table III output missing row")
+	}
+}
+
+// TestFootprintIsWhatTheSeqRunDrew pins Table VI's "Footprint" column to the
+// seq run's arena high-water mark. It used to print the app's ArenaWords
+// sizing estimate, which for vacation is several times what a run draws.
+func TestFootprintIsWhatTheSeqRunDrew(t *testing.T) {
+	const scale = 0.05
+	v, err := FindVariant("vacation-low")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := RunVariant(v, Options{Scale: scale, System: "seq"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	estimate := v.Make(scale).ArenaWords()
+	if seq.ArenaUsed <= 4 || seq.ArenaUsed >= estimate/2 {
+		t.Fatalf("seq run drew %d words of a %d-word estimate; want a real draw well under it", seq.ArenaUsed, estimate)
+	}
+	c, err := Characterize(v, Options{Scale: scale, RetryThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.FootprintWords != seq.ArenaUsed {
+		t.Fatalf("Characterize footprint %d words, seq run drew %d", c.FootprintWords, seq.ArenaUsed)
+	}
+	var buf bytes.Buffer
+	WriteTableVI(&buf, []Characterization{c})
+	mb := func(words int) string { return fmt.Sprintf("%.1fMB", float64(words)*8/(1<<20)) }
+	if !strings.HasSuffix(strings.TrimSpace(buf.String()), " "+mb(seq.ArenaUsed)) {
+		t.Fatalf("Table VI row does not end in the drawn footprint %s (estimate %s):\n%s", mb(seq.ArenaUsed), mb(estimate), buf.String())
 	}
 }
 

@@ -216,10 +216,13 @@ type Result struct {
 	CM      string // contention manager requested ("" = runtime default)
 	Clock   string // commit-clock scheme requested ("" = gv1)
 
-	Wall   time.Duration // wall time of the parallel region (app.Run)
-	Stats  tm.Stats
-	Trace  []tm.TraceEvent // sampled tracer events (nil when Options.Trace == 0)
-	Verify error
+	Wall time.Duration // wall time of the parallel region (app.Run)
+	// ArenaUsed is the arena's high-water mark in words (mem.Arena.Used)
+	// when the run ended: what Setup and Run drew, not what was provisioned.
+	ArenaUsed int
+	Stats     tm.Stats
+	Trace     []tm.TraceEvent // sampled tracer events (nil when Options.Trace == 0)
+	Verify    error
 }
 
 // RetriesPerTx is a convenience accessor.
@@ -290,15 +293,16 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 	}
 	wall := time.Since(start)
 	return Result{
-		Variant: variant,
-		System:  opt.System,
-		Threads: opt.Threads,
-		CM:      opt.CM,
-		Clock:   opt.Clock,
-		Wall:    wall,
-		Stats:   sys.Stats(),
-		Trace:   tm.TraceEvents(sys),
-		Verify:  app.Verify(arena),
+		Variant:   variant,
+		System:    opt.System,
+		Threads:   opt.Threads,
+		CM:        opt.CM,
+		Clock:     opt.Clock,
+		Wall:      wall,
+		ArenaUsed: arena.Used(),
+		Stats:     sys.Stats(),
+		Trace:     tm.TraceEvents(sys),
+		Verify:    app.Verify(arena),
 	}, nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -54,25 +55,53 @@ var ErrArenaFull = errors.New("mem: arena exhausted")
 // lock-free bump pointer; freed words are recycled only through per-thread
 // Reserver free lists (mirroring STAMP's tmalloc, where transactional frees
 // are deferred and most benchmark allocations live for the whole run).
+//
+// The words live in a platform backing store (see back): on Linux an
+// anonymous mapping that the kernel commits page by page on first write and
+// that is unmapped by a cleanup once the *Arena is unreachable. That is
+// sound because of how words are reached:
+//
+//   - only through the Load, Store and CompareAndSwap methods — nothing in
+//     this package returns a slice of the words or a pointer into them, and
+//     every other method touches only the bump pointer and the capacity;
+//   - each of those methods keeps its receiver reachable until the access
+//     has completed (runtime.KeepAlive), so a caller that holds the *Arena
+//     for a call holds the mapping for that call, even if the call is its
+//     last use of the arena.
+//
+// So the cleanup, which runs only after the *Arena is unreachable, cannot
+// unmap a word that some caller is about to touch. Keep both points true:
+// a new accessor must go through a method that ends in runtime.KeepAlive,
+// and no slice or pointer into words may leave the package.
 type Arena struct {
 	words []uint64
 	next  atomic.Uint32 // next free word
 }
 
+// MaxWords is the largest arena capacity NewArena accepts: an Addr and the
+// bump pointer are 32-bit word indices, and the end of the last allocation
+// must fit in one.
+const MaxWords = math.MaxUint32
+
 // exhausted is the one construction site of every capacity-miss failure, so
 // Alloc, TryAlloc, and the aligned paths cannot drift apart in wording or in
 // the sentinel they wrap.
-func (a *Arena) exhausted(need uint32) error {
+func (a *Arena) exhausted(need uint64) error {
 	return fmt.Errorf("%w (cap %d words, need %d)", ErrArenaFull, len(a.words), need)
 }
 
-// NewArena returns an arena with capacity for nWords 8-byte words.
-// Word 0 is reserved so that Addr 0 can serve as nil.
+// NewArena returns an arena with capacity for nWords 8-byte words, all
+// zero. Word 0 is reserved so that Addr 0 can serve as nil. It panics if
+// nWords exceeds the 32-bit word-address range (2^32 - 1 words, 32 GiB).
 func NewArena(nWords int) *Arena {
 	if nWords < WordsPerLine {
 		nWords = WordsPerLine
 	}
-	a := &Arena{words: make([]uint64, nWords)}
+	if uint64(nWords) > MaxWords {
+		panic(fmt.Sprintf("mem: arena of %d words exceeds the 32-bit word-address range (at most %d words)", nWords, uint64(MaxWords)))
+	}
+	a := new(Arena)
+	a.words = back(a, nWords)
 	a.next.Store(WordsPerLine) // burn line 0 so Nil is never allocated
 	return a
 }
@@ -102,11 +131,13 @@ func (a *Arena) TryAlloc(n int) (Addr, error) {
 	}
 	for {
 		cur := a.next.Load()
-		end := cur + uint32(n)
-		if int(end) > len(a.words) {
+		// 64-bit: cur < 2^32 and 0 < n < 2^63, so the sum cannot wrap, and
+		// end <= len(a.words) <= MaxWords makes the uint32 store exact.
+		end := uint64(cur) + uint64(n)
+		if end > uint64(len(a.words)) {
 			return Nil, a.exhausted(end)
 		}
-		if a.next.CompareAndSwap(cur, end) {
+		if a.next.CompareAndSwap(cur, uint32(end)) {
 			return Addr(cur), nil
 		}
 	}
@@ -133,26 +164,27 @@ func (a *Arena) AllocLines(n int) Addr {
 	if n <= 0 {
 		n = 1
 	}
-	addr, err := a.tryAllocAligned((n + WordsPerLine - 1) &^ (WordsPerLine - 1))
+	addr, err := a.tryAllocAligned(n)
 	if err != nil {
 		panic(err.Error())
 	}
 	return addr
 }
 
-// tryAllocAligned carves n words (a whole-line multiple) off the shared bump
-// pointer, starting on a line boundary. Shared by AllocLines and Reserver
-// refills, so both report exhaustion through the same ErrArenaFull failure
-// path as TryAlloc.
+// tryAllocAligned carves n > 0 words, rounded up to whole lines, off the
+// shared bump pointer, starting on a line boundary. Shared by AllocLines and
+// Reserver refills, so both report exhaustion through the same ErrArenaFull
+// failure path as TryAlloc.
 func (a *Arena) tryAllocAligned(n int) (Addr, error) {
+	size := (uint64(n) + WordsPerLine - 1) &^ (WordsPerLine - 1)
 	for {
 		cur := a.next.Load()
-		start := (cur + WordsPerLine - 1) &^ (WordsPerLine - 1)
-		end := start + uint32(n)
-		if int(end) > len(a.words) {
+		start := (uint64(cur) + WordsPerLine - 1) &^ (WordsPerLine - 1)
+		end := start + size // 64-bit, as in TryAlloc
+		if end > uint64(len(a.words)) {
 			return Nil, a.exhausted(end)
 		}
-		if a.next.CompareAndSwap(cur, end) {
+		if a.next.CompareAndSwap(cur, uint32(end)) {
 			return Addr(start), nil
 		}
 	}
@@ -281,6 +313,9 @@ func (r *Reserver) alloc(n int) (Addr, error) {
 			return addr, nil
 		}
 	}
+	if uint64(n) > uint64(len(r.a.words)) { // also keeps uint32(n) below exact
+		return Nil, r.a.exhausted(uint64(n))
+	}
 	if r.chunk == 0 { // passthrough mode
 		if addr, ok := r.carveSpare(uint32(n)); ok {
 			return addr, nil
@@ -291,9 +326,9 @@ func (r *Reserver) alloc(n int) (Addr, error) {
 		if addr, ok := r.carveSpare(uint32(n)); ok {
 			return addr, nil
 		}
-		return r.a.tryAllocAligned((n + WordsPerLine - 1) &^ (WordsPerLine - 1))
+		return r.a.tryAllocAligned(n)
 	}
-	if r.next+uint32(n) > r.limit {
+	if uint32(n) > r.limit-r.next { // next <= limit: no wrap
 		if err := r.refill(uint32(n)); err != nil {
 			// Arena dry: fall back to carving any spare that fits before
 			// reporting exhaustion.
@@ -428,15 +463,30 @@ func (r *Reserver) Refills() uint64 { return r.refills }
 // arena high-water mark.
 func (r *Reserver) Recycled() uint64 { return r.recycled }
 
+// The three word accessors end in runtime.KeepAlive(a): the receiver must
+// stay reachable until the access completes, or the backing store's cleanup
+// could unmap the word between the address computation and the access (see
+// Arena). KeepAlive is not a call; it costs at most a spill of the receiver
+// to the stack.
+
 // Load atomically reads the word at addr.
-func (a *Arena) Load(addr Addr) uint64 { return atomic.LoadUint64(&a.words[addr]) }
+func (a *Arena) Load(addr Addr) uint64 {
+	v := atomic.LoadUint64(&a.words[addr])
+	runtime.KeepAlive(a)
+	return v
+}
 
 // Store atomically writes the word at addr.
-func (a *Arena) Store(addr Addr, v uint64) { atomic.StoreUint64(&a.words[addr], v) }
+func (a *Arena) Store(addr Addr, v uint64) {
+	atomic.StoreUint64(&a.words[addr], v)
+	runtime.KeepAlive(a)
+}
 
 // CompareAndSwap atomically CASes the word at addr.
 func (a *Arena) CompareAndSwap(addr Addr, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(&a.words[addr], old, new)
+	ok := atomic.CompareAndSwapUint64(&a.words[addr], old, new)
+	runtime.KeepAlive(a)
+	return ok
 }
 
 // Float helpers: several applications (kmeans, yada, bayes) store float64

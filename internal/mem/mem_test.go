@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"errors"
+	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -41,6 +44,71 @@ func TestAllocExhaustionPanics(t *testing.T) {
 	}()
 	a := NewArena(8)
 	a.Alloc(100)
+}
+
+// TestHugeRequestsDoNotWrapTheBumpPointer: a request whose end lies past
+// 2^32 words must fail like any other capacity miss and leave the bump
+// pointer alone. Computed in 32 bits, 1<<32 - 8 words from address 14 ended
+// at 6, so TryAlloc handed out address 14 and moved Used() back to 6, and a
+// request of 1<<32 + 8 words was truncated to 8.
+func TestHugeRequestsDoNotWrapTheBumpPointer(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("requests of 2^32 words need a 64-bit int")
+	}
+	for _, huge := range []uint64{1<<32 - 8, 1<<32 + 8, 1 << 40} {
+		n := int(huge)
+		a := NewArena(1000)
+		a.Alloc(10)
+		used := a.Used()
+		allocs := map[string]func() (Addr, error){
+			"TryAlloc":            func() (Addr, error) { return a.TryAlloc(n) },
+			"tryAllocAligned":     func() (Addr, error) { return a.tryAllocAligned(n) },
+			"Reserver.TxAlloc":    func() (Addr, error) { return a.NewReserver(64).TxAlloc(n) },
+			"passthrough.TxAlloc": func() (Addr, error) { return a.NewReserver(0).TxAlloc(n) },
+		}
+		for name, alloc := range allocs {
+			addr, err := alloc()
+			if !errors.Is(err, ErrArenaFull) {
+				t.Fatalf("%s(%d) on a 1000-word arena = %d, %v; want ErrArenaFull", name, n, addr, err)
+			}
+			if got := a.Used(); got != used {
+				t.Fatalf("%s(%d) moved Used() from %d to %d", name, n, used, got)
+			}
+		}
+		if _, err := a.TryAlloc(a.Cap() - used); err != nil {
+			t.Fatalf("the rest of the arena no longer fits after the misses: %v", err)
+		}
+	}
+}
+
+func TestNewArenaRefusesCapacityBeyondAddrRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("2^32 words need a 64-bit int")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewArena(2^32) did not panic: its last word has no Addr")
+		}
+	}()
+	NewArena(int(uint64(1) << 32))
+}
+
+// TestFreshArenaReadsZero: every word of a new arena reads zero, also when
+// an arena of the same size was fully written and collected just before.
+func TestFreshArenaReadsZero(t *testing.T) {
+	const words = 1 << 18
+	dirty := NewArena(words)
+	for i := 0; i < words; i++ {
+		dirty.Store(Addr(i), ^uint64(0))
+	}
+	dirty = nil
+	runtime.GC()
+	a := NewArena(words)
+	for i := 0; i < words; i++ {
+		if v := a.Load(Addr(i)); v != 0 {
+			t.Fatalf("word %d of a fresh arena = %#x", i, v)
+		}
+	}
 }
 
 func TestAllocLinesAlignment(t *testing.T) {

@@ -2,11 +2,13 @@ package server
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/stamp-go/stamp/internal/apps/vacation"
+	"github.com/stamp-go/stamp/internal/mem"
 )
 
 // TestDoRunsInline: with a slot free, Do executes on the caller's
@@ -188,5 +190,16 @@ func TestNewRefusesArenaBelowStore(t *testing.T) {
 	}
 	if resp := s.Do(&Request{Op: OpQuery, Items: []vacation.Item{{Typ: 0, ID: 1}}}); resp.Err != nil {
 		t.Fatal(resp.Err)
+	}
+}
+
+// TestNewRefusesArenaBeyondAddrRange: an arena too large to address is an
+// error from New, not a panic from mem.NewArena.
+func TestNewRefusesArenaBeyondAddrRange(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("2^32 words need a 64-bit int")
+	}
+	if _, err := New(Options{Records: 64, ArenaWords: int(uint64(mem.MaxWords) + 1)}); err == nil {
+		t.Fatal("New accepted an arena of 2^32 words")
 	}
 }

@@ -441,6 +441,9 @@ func New(opt Options) (*Server, error) {
 		return nil, fmt.Errorf("server: a %d-record store and one operation's slack on each of %d slots need %d arena words, have %d: %w",
 			opt.Records, opt.Workers, floor, words, ErrArenaFull)
 	}
+	if uint64(words) > mem.MaxWords {
+		return nil, fmt.Errorf("server: %d arena words exceed the 32-bit word-address range (at most %d)", words, uint64(mem.MaxWords))
+	}
 	s := &Server{
 		opt:         opt,
 		arenaWords:  words,
