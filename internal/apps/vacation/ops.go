@@ -39,7 +39,9 @@ type Store struct {
 
 // NewStore populates the four tables with records initial rows each, using
 // the same RNG stream as the batch benchmark's Setup, so a served store and
-// a batch run over equal seeds start from identical databases.
+// a batch run over equal seeds start from identical databases. Rows are
+// loaded in ascending id order (container.RBLoader), which leaves the same
+// arena words as inserting them one by one.
 func NewStore(m tm.Mem, records int, seed uint64) Store {
 	if records < 1 {
 		records = 1
@@ -47,28 +49,34 @@ func NewStore(m tm.Mem, records int, seed uint64) Store {
 	var st Store
 	r := rng.New(seed ^ 0x696e6974)
 	for t := 0; t < NumTypes; t++ {
-		st.Tables[t] = container.NewRBTree(m)
+		tl := container.NewRBLoader(m)
 		for id := 1; id <= records; id++ {
 			rec := newReservation(m, id, r.Intn(300)+100, r.Intn(450)+50)
-			st.Tables[t].Insert(m, uint64(id), uint64(rec))
+			tl.Append(uint64(id), uint64(rec))
 		}
+		st.Tables[t] = tl.Finish()
 	}
-	st.Customers = container.NewRBTree(m)
+	cl := container.NewRBLoader(m)
 	for id := 1; id <= records; id++ {
-		st.Customers.Insert(m, uint64(id), uint64(newCustomer(m)))
+		cl.Append(uint64(id), uint64(newCustomer(m)))
 	}
+	st.Customers = cl.Finish()
 	return st
 }
 
-// StoreWords returns the arena words NewStore allocates for records rows,
-// plus per-operation slack is the caller's business (see App.ArenaWords for
-// the batch sizing rule).
+// StoreWords bounds the arena words NewStore allocates for records rows;
+// per-operation slack is the caller's business (see App.ArenaWords for the
+// batch sizing rule). The bound is deliberately loose: a tree node is
+// counted as 8 words and a customer as 8 + 4, where NewStore draws 6 and
+// 6 + 2 (an rb node and a 2-word list header). Keep it so: the server sizes
+// its arena from this number, and so where its epoch swaps fall, and the
+// surplus is headroom for the bookings and records requests add.
 func StoreWords(records int) int {
 	if records < 1 {
 		records = 1
 	}
-	perRecord := resWords + 8 /* rb node */
-	perCustomer := 8 + 4      /* rb node + list header */
+	perRecord := resWords + 8 /* rb node (6 words) rounded up */
+	perCustomer := 8 + 4      /* rb node (6) + list header (2), rounded up */
 	return NumTypes*records*perRecord + records*perCustomer
 }
 
@@ -208,30 +216,37 @@ func (st *Store) QueryFree(tx tm.Mem, items []Item) (free uint64, torn int) {
 // live set — everything the bump allocator leaked to aborted attempts and
 // everything the free lists could not recycle is left behind in the source
 // arena. Quiescent use only (both sides are typically mem.Direct).
+//
+// Every table and list is walked in ascending key order and rebuilt by
+// appending (container.RBLoader, container.ListLoader), so the copy costs
+// O(live) and its words are exactly those that inserting the same rows one
+// by one would leave.
 func (st *Store) CompactInto(src, dst tm.Mem) Store {
 	var out Store
 	for t := 0; t < NumTypes; t++ {
-		out.Tables[t] = container.NewRBTree(dst)
+		tl := container.NewRBLoader(dst)
 		st.Tables[t].Each(src, func(id, recA uint64) bool {
 			rec := mem.Addr(recA)
 			nrec := dst.Alloc(resWords)
 			for w := 0; w < resWords; w++ {
 				dst.Store(nrec+mem.Addr(w), src.Load(rec+mem.Addr(w)))
 			}
-			out.Tables[t].Insert(dst, id, uint64(nrec))
+			tl.Append(id, uint64(nrec))
 			return true
 		})
+		out.Tables[t] = tl.Finish()
 	}
-	out.Customers = container.NewRBTree(dst)
+	cl := container.NewRBLoader(dst)
 	st.Customers.Each(src, func(id, custA uint64) bool {
-		nl := container.NewList(dst)
+		ll := container.NewListLoader(dst)
 		container.List{H: mem.Addr(custA)}.Each(src, func(k, v uint64) bool {
-			nl.Insert(dst, k, v)
+			ll.Append(k, v)
 			return true
 		})
-		out.Customers.Insert(dst, id, uint64(nl.H))
+		cl.Append(id, uint64(ll.Finish().H))
 		return true
 	})
+	out.Customers = cl.Finish()
 	return out
 }
 

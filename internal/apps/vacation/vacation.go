@@ -123,10 +123,14 @@ func (a *App) Name() string { return "vacation" }
 
 // ArenaWords implements apps.App: trees, records, customer lists, and slack
 // for session-created records plus abort-retry allocation churn (the bump
-// allocator leaks aborted attempts' allocations, like STAMP's tmalloc).
+// allocator leaks aborted attempts' allocations, like STAMP's tmalloc). As
+// in StoreWords, a tree node is counted as 8 words and a customer as 8 + 4
+// where NewStore draws 6 and 6 + 2: deliberate upper bounds. The surplus
+// is headroom for the list nodes and records Run adds, and words never
+// drawn cost only address space (mem.NewArena).
 func (a *App) ArenaWords() int {
-	perRecord := resWords + 8 /* rb node */
-	perCustomer := 8 + 4      /* rb node + list header */
+	perRecord := resWords + 8 /* rb node (6 words) rounded up */
+	perCustomer := 8 + 4      /* rb node (6) + list header (2), rounded up */
 	slack := a.cfg.Transactions * (a.cfg.QueriesPerTx + 2) * 40
 	return numTypes*a.cfg.Records*perRecord + a.cfg.Records*perCustomer + slack + 1<<16
 }

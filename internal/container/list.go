@@ -12,6 +12,8 @@
 package container
 
 import (
+	"fmt"
+
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/tm"
 )
@@ -129,6 +131,54 @@ func (l List) Each(m tm.Mem, fn func(k, v uint64) bool) {
 			return
 		}
 	}
+}
+
+// ListLoader bulk-builds a List from keys appended in strictly ascending
+// order, leaving word for word the arena that NewList followed by the same
+// Insert calls leaves. Each append links at the tail instead of walking the
+// list from its head, and, as with RBLoader, each word is written once, when
+// it is final. Quiescent use only: the list is unreadable until Finish.
+type ListLoader struct {
+	m          tm.Mem
+	h, tail    mem.Addr
+	size, last uint64
+}
+
+// NewListLoader allocates the list header, as NewList does; the header
+// words are written by Append and Finish.
+func NewListLoader(m tm.Mem) ListLoader {
+	return ListLoader{m: m, h: m.Alloc(2)}
+}
+
+// Append adds (k, v) as Insert would. It panics unless k is greater than
+// every key appended before it.
+func (b *ListLoader) Append(k, v uint64) {
+	if b.tail != mem.Nil && k <= b.last {
+		panic(fmt.Sprintf("container: ListLoader.Append(%d) after %d: keys must ascend", k, b.last))
+	}
+	b.last = k
+	n := b.m.Alloc(ListNodeWords)
+	b.m.Store(n+nodeKey, k)
+	b.m.Store(n+nodeVal, v)
+	if b.tail == mem.Nil {
+		b.m.Store(b.h+listFirst, uint64(n))
+	} else {
+		b.m.Store(b.tail+nodeNext, uint64(n))
+	}
+	b.tail = n
+	b.size++
+}
+
+// Finish terminates the list, writes its size and returns it. The loader
+// must not be used afterwards.
+func (b *ListLoader) Finish() List {
+	if b.tail == mem.Nil {
+		b.m.Store(b.h+listFirst, uint64(mem.Nil))
+	} else {
+		b.m.Store(b.tail+nodeNext, uint64(mem.Nil))
+	}
+	b.m.Store(b.h+listSize, b.size)
+	return List{H: b.h}
 }
 
 // First returns the smallest key and its value.

@@ -3,11 +3,15 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/stamp-go/stamp/internal/apps/vacation"
+	"github.com/stamp-go/stamp/internal/rng"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/factory"
 )
@@ -27,25 +31,62 @@ func swapOptions(system string) Options {
 	}
 }
 
-// soak drives closed-loop mixed load at s in rounds until want swaps have
-// happened (or the round budget runs out), asserting every round completes
-// with zero failed, lost, or torn requests — an epoch swap must be
-// invisible to clients apart from latency.
+// driveCallers is how many goroutines drive runs, each calling Do in a
+// closed loop: twice the four slots of the servers it drives, so requests
+// also take the overflow path, not only the inline one.
+const driveCallers = 8
+
+// drive runs one round of n requests through Do from driveCallers
+// goroutines: vacation's default mix with roPct% read-only queries, seeded
+// per round. Each request must succeed and no query may see a torn record —
+// an epoch swap must be invisible to clients apart from latency — and a
+// request unanswered after a minute fails the test as lost. The round is a
+// request count, not a wall-clock window, so what it covers does not depend
+// on how fast the host or the swap is.
+func drive(t *testing.T, s *Server, n, roPct int, seed uint64) {
+	t.Helper()
+	opt := LoadOptions{ROPct: roPct}.withDefaults()
+	var answered atomic.Int64
+	errs := make(chan error, driveCallers)
+	var wg sync.WaitGroup
+	for c := range driveCallers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r := rng.New(seed ^ 0x6c6f6164 ^ uint64(c)<<32)
+			for i := c; i < n; i += driveCallers {
+				resp := s.Do(nextRequest(r, opt, s.opt.Records))
+				answered.Add(1)
+				if resp.Err != nil || resp.Torn != 0 {
+					errs <- fmt.Errorf("%s: err=%v torn=%d (swaps so far %d)",
+						resp.Op, resp.Err, resp.Torn, s.Snapshot().Swaps)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		t.Fatalf("round %d: %d of %d requests unanswered after a minute", seed, int64(n)-answered.Load(), n)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatalf("round %d: %v", seed, err)
+	}
+}
+
+// soak drives rounds of mixed load (30% queries) at s until want swaps have
+// happened, or fails once the round budget runs out. It returns the number
+// of requests served.
 func soak(t *testing.T, s *Server, want uint64) (completed uint64) {
 	t.Helper()
-	for round := 0; round < 60; round++ {
-		rep, err := RunLoad(s, LoadOptions{
-			Clients: 8, Duration: 50 * time.Millisecond,
-			ROPct: 30, Seed: uint64(round + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Failed != 0 || rep.Lost != 0 || rep.Torn != 0 {
-			t.Fatalf("round %d: failed=%d lost=%d torn=%d (swaps so far %d)",
-				round, rep.Failed, rep.Lost, rep.Torn, s.Snapshot().Swaps)
-		}
-		completed += rep.Completed
+	const perRound = 1000
+	for round := 1; round <= 60; round++ {
+		drive(t, s, perRound, 30, uint64(round))
+		completed += perRound
 		if s.Snapshot().Swaps >= want {
 			return completed
 		}
@@ -184,23 +225,11 @@ func TestServerTinyOpBudgetSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	var completed uint64
-	budget := uint64(opt.OpBudget)
-	for round := 0; round < 120 && completed < 10*budget; round++ {
-		rep, err := RunLoad(s, LoadOptions{
-			Clients: 8, Duration: 25 * time.Millisecond, ROPct: 20, Seed: uint64(round + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Failed != 0 || rep.Lost != 0 {
-			t.Fatalf("round %d: failed=%d lost=%d after %d completed (budget %d)",
-				round, rep.Failed, rep.Lost, completed, budget)
-		}
-		completed += rep.Completed
+	for round := 1; round <= 10; round++ {
+		drive(t, s, opt.OpBudget, 20, uint64(round))
 	}
-	if completed < 10*budget {
-		t.Fatalf("completed %d, want >= 10x the %d-op budget", completed, budget)
+	if g := s.Snapshot(); g.Served != uint64(10*opt.OpBudget) {
+		t.Fatalf("served %d, want 10x the %d-op budget", g.Served, opt.OpBudget)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
