@@ -11,7 +11,9 @@
 //     word-addressed shared-memory Arena, with eleven interchangeable
 //     runtimes: a sequential baseline, TL2-style lazy and eager STMs,
 //     NOrec STMs with value-based validation ("stm-norec", and
-//     "stm-norec-ro" with the read-only commit fast path), "stm-mv" —
+//     "stm-norec-ro" with the read-only commit fast path; on both, a block
+//     registered through NewROBlock runs its first attempt without a read
+//     log or, when it stores nothing, a sequence-lock acquisition), "stm-mv" —
 //     multi-version: writers keep per-stripe rings of Config.MVVersions
 //     committed values, and blocks registered through NewROBlock read a
 //     begin-time snapshot with zero validation and, while the per-stripe

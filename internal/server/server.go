@@ -34,7 +34,8 @@ const (
 	// OpQuery sums the free inventory of Request.Items — the read-only
 	// operation, registered through tm.NewROBlock so stm-mv serves it from
 	// begin-timestamp snapshots, abort-free while the per-stripe ring
-	// (MVVersions) still retains the snapshot.
+	// (MVVersions) still retains the snapshot, and the NOrec pair runs its
+	// first attempt without a read log or a sequence-lock tick.
 	OpQuery
 	numOps
 )

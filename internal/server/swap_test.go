@@ -31,30 +31,30 @@ func swapOptions(system string) Options {
 	}
 }
 
-// driveCallers is how many goroutines drive runs, each calling Do in a
-// closed loop: twice the four slots of the servers it drives, so requests
-// also take the overflow path, not only the inline one.
+// driveCallers is how many goroutines the swap tests drive with, each
+// calling Do in a closed loop: twice the four slots of the servers they
+// drive, so requests also take the overflow path, not only the inline one.
 const driveCallers = 8
 
-// drive runs one round of n requests through Do from driveCallers
-// goroutines: vacation's default mix with roPct% read-only queries, seeded
-// per round. Each request must succeed and no query may see a torn record —
-// an epoch swap must be invisible to clients apart from latency — and a
-// request unanswered after a minute fails the test as lost. The round is a
-// request count, not a wall-clock window, so what it covers does not depend
-// on how fast the host or the swap is.
-func drive(t *testing.T, s *Server, n, roPct int, seed uint64) {
+// drive runs one round of n requests through Do from callers goroutines:
+// vacation's default mix with roPct% read-only queries, seeded per round.
+// Each request must succeed and no query may see a torn record — an epoch
+// swap must be invisible to clients apart from latency — and a request
+// unanswered after a minute fails the test as lost. The round is a request
+// count, not a wall-clock window, so what it covers does not depend on how
+// fast the host or the swap is.
+func drive(t *testing.T, s *Server, callers, n, roPct int, seed uint64) {
 	t.Helper()
 	opt := LoadOptions{ROPct: roPct}.withDefaults()
 	var answered atomic.Int64
-	errs := make(chan error, driveCallers)
+	errs := make(chan error, callers)
 	var wg sync.WaitGroup
-	for c := range driveCallers {
+	for c := range callers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			r := rng.New(seed ^ 0x6c6f6164 ^ uint64(c)<<32)
-			for i := c; i < n; i += driveCallers {
+			for i := c; i < n; i += callers {
 				resp := s.Do(nextRequest(r, opt, s.opt.Records))
 				answered.Add(1)
 				if resp.Err != nil || resp.Torn != 0 {
@@ -85,7 +85,7 @@ func soak(t *testing.T, s *Server, want uint64) (completed uint64) {
 	t.Helper()
 	const perRound = 1000
 	for round := 1; round <= 60; round++ {
-		drive(t, s, perRound, 30, uint64(round))
+		drive(t, s, driveCallers, perRound, 30, uint64(round))
 		completed += perRound
 		if s.Snapshot().Swaps >= want {
 			return completed
@@ -226,7 +226,7 @@ func TestServerTinyOpBudgetSurvives(t *testing.T) {
 	}
 	defer s.Close()
 	for round := 1; round <= 10; round++ {
-		drive(t, s, opt.OpBudget, 20, uint64(round))
+		drive(t, s, driveCallers, opt.OpBudget, 20, uint64(round))
 	}
 	if g := s.Snapshot(); g.Served != uint64(10*opt.OpBudget) {
 		t.Fatalf("served %d, want 10x the %d-op budget", g.Served, opt.OpBudget)

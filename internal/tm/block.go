@@ -34,9 +34,9 @@ var blockReg = struct {
 }
 
 // roMarks is a copy of blockReg.ro, replaced whole whenever a block is
-// marked, so the per-attempt BlockReadOnly lookup (stm-mv's Begin) reads
-// one pointer instead of taking the registry lock, whose reader count
-// every core would otherwise write on every begin.
+// marked, so the per-attempt BlockReadOnly lookup (stm-mv's and NOrec's
+// Begin) reads one pointer instead of taking the registry lock, whose
+// reader count every core would otherwise write on every begin.
 var roMarks atomic.Pointer[[]bool]
 
 // NewBlock registers an atomic-block call site under a stable name
@@ -48,12 +48,15 @@ func NewBlock(name string) BlockID { return newBlock(name, false) }
 
 // NewROBlock registers an atomic-block call site like NewBlock and marks it
 // read-mostly: the block's common path performs no Store, so runtimes with a
-// read-optimized begin path (stm-mv's snapshot reads) may start its attempts
-// on that path. The mark is a hint, not a contract — a marked block that
-// does store still commits correctly everywhere (stm-mv falls back to its
-// ordinary TL2-style write commit) — and runtimes without a read-only path
-// ignore it. The mark is sticky: re-registering a marked name through plain
-// NewBlock (the idempotent lookup idiom) does not clear it.
+// read-optimized begin path may start its first attempt on that path —
+// stm-mv's snapshot reads, and the NOrec pair's log-free reads (no read
+// log, no sequence-lock acquisition at a store-free commit). The mark is a
+// hint, not a contract — a marked block that does store still commits
+// correctly everywhere (stm-mv falls back to its ordinary TL2-style write
+// commit, NOrec to a commit from the begin snapshot), and every retry runs
+// the ordinary protocol — and runtimes without a read-only path ignore it.
+// The mark is sticky: re-registering a marked name through plain NewBlock
+// (the idempotent lookup idiom) does not clear it.
 func NewROBlock(name string) BlockID { return newBlock(name, true) }
 
 func newBlock(name string, ro bool) BlockID {

@@ -14,8 +14,9 @@ import (
 
 // Atomic-block call sites for the fuzz workload. The snapshot-sum block
 // carries the read-only mark so stm-mv serves it from the begin-timestamp
-// snapshot (ring lookups included); every other runtime ignores the mark
-// and the block behaves like a plain reader.
+// snapshot (ring lookups included) and the NOrec pair runs its first
+// attempt without a read log; every other runtime ignores the mark and the
+// block behaves like a plain reader.
 var (
 	blkFuzzSum  = tm.NewROBlock("opacity-fuzz/snapshot-sum")
 	blkFuzzXfer = tm.NewBlock("opacity-fuzz/transfer")
@@ -54,6 +55,10 @@ var (
 //   - Broken newest-record selection (`best != 0` instead of `v1 <= best`,
 //     first-found-wins): the reader is served a stale older version of an
 //     account whose newer committed value was also within the snapshot.
+//
+// Likewise for NOrec's log-free first attempts: skipping the seq compare in
+// a log-free Load (internal/tm/norec/norec.go) fails the stm-norec,
+// stm-norec-ro and stm-adaptive cases with hundreds of torn snapshots.
 func TestOpacityFuzz(t *testing.T) {
 	const (
 		threads  = 4

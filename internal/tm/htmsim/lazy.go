@@ -166,8 +166,10 @@ func (x *lazyTx) Load(a mem.Addr) uint64 {
 		x.serialRead[mem.LineOf(a)] = struct{}{}
 		return x.Mem.Load(a)
 	}
-	if v, ok := x.wbuf.Get(a); ok {
-		return v
+	if x.wbuf.MayContain(a) {
+		if v, ok := x.wbuf.Get(a); ok {
+			return v
+		}
 	}
 	if x.Killed() {
 		x.failKilled()

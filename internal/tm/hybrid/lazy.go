@@ -86,8 +86,10 @@ func (x *lazyTx) Touches(l mem.Line) bool {
 // doomed transactions never hold an inconsistent snapshot.
 func (x *lazyTx) Load(a mem.Addr) uint64 {
 	x.Loads++
-	if v, ok := x.wset.Get(a); ok {
-		return v
+	if x.wset.MayContain(a) {
+		if v, ok := x.wset.Get(a); ok {
+			return v
+		}
 	}
 	if x.Killed() {
 		x.failKilled()

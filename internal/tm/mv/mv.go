@@ -308,8 +308,10 @@ func (x *mvTx) Load(a mem.Addr) uint64 {
 		return x.LazyTx.Load(a)
 	}
 	x.Loads++
-	if v, ok := x.Wset.Get(a); ok {
-		return v
+	if x.Wset.MayContain(a) {
+		if v, ok := x.Wset.Get(a); ok {
+			return v
+		}
 	}
 	return x.snapshotLoad(x.Locks.Index(a), a)
 }

@@ -27,10 +27,35 @@
 // a comparison axis:
 //
 //	stm-norec     read-only transactions also serialize through the
-//	              sequence lock at commit (every commit ticks the clock)
+//	              sequence lock at commit (every commit ticks the clock),
+//	              except a marked block's log-free first attempt (below)
 //	stm-norec-ro  the paper's read-only fast path: a transaction with an
 //	              empty write set commits immediately, with no lock
 //	              acquisition and no clock tick
+//
+// # Log-free first attempts of marked blocks
+//
+// On both variants the first attempt of a block registered through
+// tm.NewROBlock keeps no read log — the seq-lock-only reader of TML
+// (Transactional Mutex Locks). Its load is the write-filter test, the arena
+// load and one seq == snapshot compare; a moved seq aborts the attempt with
+// seq-changed instead of revalidating (there is nothing to revalidate). An
+// attempt that stored nothing commits with no CAS and no tick.
+//
+// Opacity: every value such an attempt returns was read while seq equalled
+// its even begin snapshot, so all of them belong to the one committed state
+// at that snapshot, and the commit serializes the attempt there.
+//
+// The mark stays a hint: stores are buffered as usual, and the commit CASes
+// from the begin snapshot — a log-free attempt cannot move its snapshot
+// forward — so a failed CAS aborts with seq-changed. Every retry is an
+// ordinary logged attempt, so a block aborts log-free at most once.
+//
+// The trade: a log-free attempt aborts on any commit that lands between its
+// begin and its last load, including one that wrote nothing it read or
+// wrote back the value it saw (value validation tolerates both). It buys
+// back the read log's append per load and, on stm-norec, the commit's CAS
+// and tick on the one shared word.
 package norec
 
 import (
@@ -79,7 +104,8 @@ func (s *System) Seq() uint64 { return s.seq.Load() }
 // LockAcquires returns how many commits acquired the sequence lock, summed
 // over the workers (read after the team joins; each worker advances its
 // own count). With the read-only fast path, read-only transactions never
-// contribute here.
+// contribute here; on either variant, neither does a marked block's
+// log-free first attempt that stored nothing.
 func (s *System) LockAcquires() uint64 {
 	var n uint64
 	for _, x := range s.Txs {
@@ -107,6 +133,7 @@ type norecTx struct {
 	sys *System
 
 	snapshot uint64         // even seq value the read set is known valid at
+	logFree  bool           // a marked block's first attempt: no read log (package doc)
 	rset     txset.ReadSet  // value-validation log (NOrec validates by value)
 	wset     txset.WriteSet // redo log (insertion order = writeback order)
 
@@ -115,7 +142,11 @@ type norecTx struct {
 	_ [64]byte // keep the next worker's descriptor off this one's last line
 }
 
-func (x *norecTx) Begin(tm.BlockID, int) {
+// Begin snapshots a quiescent seq. A marked block's first attempt runs
+// log-free — the same rule stm-mv uses for its snapshot path — and every
+// retry runs logged, so progress never depends on a quiet clock.
+func (x *norecTx) Begin(b tm.BlockID, aborts int) {
+	x.logFree = aborts == 0 && tm.BlockReadOnly(b)
 	x.snapshot = x.sys.waitQuiescent()
 	x.rset.Reset()
 	x.wset.Reset()
@@ -129,29 +160,50 @@ func (x *norecTx) Begin(tm.BlockID, int) {
 // address the revalidation pass tripped on is known.
 func (x *norecTx) Rollback() {}
 
-// Load implements the NOrec read barrier: write-buffer lookup (one filter
-// word rejects the common no-possible-hit case before any probing), then a
-// read that is consistent with the snapshot. If the global clock moved since
-// the snapshot, the whole read set is revalidated by value before the read
-// is retried, so a doomed transaction can never observe a mixed-epoch state
-// (opacity).
+// Load implements the NOrec read barrier: write-buffer lookup (one inlined
+// filter word rejects the common no-possible-hit case before any probing),
+// then a read that is consistent with the snapshot — one arena load and one
+// compare of seq against it. If the global clock moved since the snapshot,
+// catchUp revalidates the whole read set by value before the read is
+// retried, so a doomed transaction can never observe a mixed-epoch state
+// (opacity). A log-free attempt skips the read log and cannot catch up.
 func (x *norecTx) Load(a mem.Addr) uint64 {
 	x.Loads++
-	if v, ok := x.wset.Get(a); ok {
-		return v
+	if x.wset.MayContain(a) {
+		if v, ok := x.wset.Get(a); ok {
+			return v
+		}
 	}
 	v := x.Mem.Load(a)
-	for x.sys.seq.Load() != x.snapshot {
+	if x.sys.seq.Load() != x.snapshot {
+		v = x.catchUp(a)
+	}
+	if !x.logFree {
+		x.rset.Add(a, v)
+	}
+	x.NoteRead(a)
+	return v
+}
+
+// catchUp is Load's slow path, taken when seq moved past the snapshot: it
+// adopts a newer snapshot the read set is still valid at and rereads a
+// there, or aborts with seq-changed. A log-free attempt always aborts — its
+// unlogged reads are known valid only at the begin snapshot — and, knowing
+// no stale address, blames none.
+func (x *norecTx) catchUp(a mem.Addr) uint64 {
+	if x.logFree {
+		x.Info.Fail(tm.CauseSeqChanged, 0, tm.NoBlock)
+	}
+	for {
 		s, bad, ok := x.revalidate()
 		if !ok {
 			x.Info.Fail(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)
 		}
 		x.snapshot = s
-		v = x.Mem.Load(a)
+		if v := x.Mem.Load(a); x.sys.seq.Load() == s {
+			return v
+		}
 	}
-	x.rset.Add(a, v)
-	x.NoteRead(a)
-	return v
 }
 
 // revalidate is NOrec's value-based validation: wait for a quiescent seq,
@@ -197,10 +249,13 @@ func (x *norecTx) EarlyRelease(mem.Addr) {}
 // set commits immediately: every Load already validated against a quiescent
 // snapshot, so the read set was atomically valid at that snapshot. On the
 // plain variant read-only commits serialize through the lock too, one
-// acquisition each (the LockAcquires contract), with an empty writeback.
+// acquisition each (the LockAcquires contract), with an empty writeback —
+// except a log-free attempt's, which commits like the fast path's. A
+// log-free attempt that stored has no read log to revalidate, so its CAS
+// must succeed from the begin snapshot or the attempt aborts.
 func (x *norecTx) Commit() bool {
 	if x.wset.Len() == 0 {
-		if x.sys.roFast {
+		if x.sys.roFast || x.logFree {
 			return true
 		}
 	} else if x.Chaos.Fire(chaos.NorecValidate, x.ID) {
@@ -211,6 +266,10 @@ func (x *norecTx) Commit() bool {
 		return false
 	}
 	for !x.sys.seq.CompareAndSwap(x.snapshot, x.snapshot+1) {
+		if x.logFree {
+			x.Info.Set(tm.CauseSeqChanged, 0, tm.NoBlock)
+			return false
+		}
 		s, bad, ok := x.revalidate()
 		if !ok {
 			x.Info.Set(tm.CauseSeqChanged, trace.AddrKey(uint64(bad)), tm.NoBlock)

@@ -83,13 +83,15 @@ func (x *LazyTx) Begin(tm.BlockID, int) {
 func (x *LazyTx) Rollback() { x.Clock.OnAbort(x.RV) }
 
 // Load implements the TL2 read barrier: write-buffer lookup first (the cost
-// the paper calls out for lazy STM read barriers — the txset write filter
-// reduces it to one multiply and a branch when the buffer cannot hit), then
-// a validated read.
+// the paper calls out for lazy STM read barriers — the inlined txset write
+// filter reduces it to one multiply and a branch when the buffer cannot
+// hit), then a validated read.
 func (x *LazyTx) Load(a mem.Addr) uint64 {
 	x.Loads++
-	if v, ok := x.Wset.Get(a); ok {
-		return v
+	if x.Wset.MayContain(a) {
+		if v, ok := x.Wset.Get(a); ok {
+			return v
+		}
 	}
 	idx := x.Locks.Index(a)
 	e1 := x.Locks.Load(idx)

@@ -14,7 +14,8 @@
 //     hashing at all — most STAMP transactions never leave this regime),
 //     and a one-word bloom-style write filter so a Load that cannot hit the
 //     write buffer — the common case in read-dominated vacation and genome —
-//     skips lookup entirely after one multiply and one branch.
+//     skips lookup entirely after one multiply and one branch, provided the
+//     barrier tests MayContain itself (see Get).
 //   - ReadSet is the append-only value-validation log NOrec revalidates,
 //     with last-entry dedup so tight re-read loops do not grow it.
 //   - IndexSet is the append-only stripe log the TL2 runtimes validate at
@@ -102,6 +103,21 @@ func (w *WriteSet) MayContain(a mem.Addr) bool { return w.filter&filterBit(a) !=
 
 // Get returns the value logged for a. The filter rejects definite misses
 // before any scanning or hashing happens.
+//
+// Get itself is over the inliner's budget (the probe behind the filter makes
+// it so, and no split of it fits: an out-of-line call alone costs most of
+// the budget), so a read barrier that calls it pays a call on every load,
+// hit or miss. Hot barriers therefore test MayContain first — that test
+// inlines — and call Get only on a possible hit:
+//
+//	if w.MayContain(a) {
+//		if v, ok := w.Get(a); ok {
+//			return v
+//		}
+//	}
+//
+// TestReadBarriersInlineFilter (internal/tm) pins that shape in every lazy
+// runtime's read barrier.
 func (w *WriteSet) Get(a mem.Addr) (uint64, bool) {
 	if w.filter&filterBit(a) == 0 {
 		return 0, false

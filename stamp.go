@@ -166,11 +166,13 @@ func NewSystem(name string, cfg Config) (System, error) { return factory.New(nam
 func NewBlock(name string) BlockID { return tm.NewBlock(name) }
 
 // NewROBlock registers an atomic-block call site like NewBlock and marks it
-// read-mostly: runtimes with a read-optimized begin path (stm-mv's snapshot
-// reads, abort-free while the per-stripe ring — MVVersions — still retains
-// the snapshot) start the block's attempts there. The mark is
-// a hint — a marked block that stores still commits correctly on every
-// runtime.
+// read-mostly: runtimes with a read-optimized begin path start the block's
+// first attempt there — stm-mv's snapshot reads (abort-free while the
+// per-stripe ring, MVVersions, still retains the snapshot) and the NOrec
+// pair's log-free reads (no read log, and no sequence-lock acquisition when
+// nothing was stored; any concurrent commit aborts the attempt once). The
+// mark is a hint — a marked block that stores still commits correctly on
+// every runtime, and retries run the ordinary protocol.
 func NewROBlock(name string) BlockID { return tm.NewROBlock(name) }
 
 // BlockName returns the registered name of a block ID ("" if unknown).
