@@ -7,7 +7,6 @@ package stamp_test
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 
 	"github.com/stamp-go/stamp"
@@ -224,11 +223,11 @@ func BenchmarkAblationGranularity(b *testing.B) {
 // BenchmarkAblationSTMProtocol: the same read-dominated vacation workload
 // across the STM concurrency-control protocols — TL2 lazy/eager
 // (ownership-record table, per-read version checks) vs NOrec (single
-// sequence lock, value-based validation) with and without the read-only
-// commit fast path. This is the lock-table-pressure vs revalidation-cost
-// trade the NOrec paper argues, measured as wall time and retries/tx.
+// sequence lock, value-based validation). This is the lock-table-pressure
+// vs revalidation-cost trade the NOrec paper argues, measured as wall time
+// and retries/tx.
 func BenchmarkAblationSTMProtocol(b *testing.B) {
-	for _, sysName := range []string{"stm-lazy", "stm-eager", "stm-norec", "stm-norec-ro"} {
+	for _, sysName := range []string{"stm-lazy", "stm-eager", "stm-norec"} {
 		b.Run(sysName, func(b *testing.B) {
 			app := vacation.New(vacation.Config{
 				QueriesPerTx: 4, QueryRange: 60, PercentUser: 90,
@@ -253,123 +252,6 @@ func BenchmarkAblationSTMProtocol(b *testing.B) {
 			}
 			b.ReportMetric(float64(aborts)/float64(max(commits, 1)), "retries/tx")
 		})
-	}
-}
-
-// BenchmarkAblationAdaptive sweeps the two static STM protocols and the
-// stm-adaptive meta-runtime over two synthetic phases with opposite
-// protocol preferences — the Synchrobench finding (protocol choice
-// dominates) as one benchmark:
-//
-//	read-dominated    long read-mostly transactions over a large array.
-//	                  NOrec reads touch only the data; every TL2 read also
-//	                  probes its hashed 8 MB stripe table, so large
-//	                  scattered read sets pay roughly one extra cache miss
-//	                  per barrier.
-//	write-heavy       small transactions with a 50% store mix on disjoint
-//	                  per-thread cells at 8 threads. TL2 commits disjoint
-//	                  write sets in parallel under per-stripe locks; NOrec
-//	                  serializes every writeback through the sequence lock
-//	                  (publish-yield batching, clock-tick revalidations).
-//
-// stm-adaptive starts on its read delegate and must land within a few
-// sampling windows on whichever static protocol wins the phase; adaptive
-// rows report the protocol handoffs and the share of commits that ran on
-// the write delegate (write-residency).
-func BenchmarkAblationAdaptive(b *testing.B) {
-	const (
-		threads   = 8
-		readPerT  = 800
-		readLen   = 128     // loads per read-dominated transaction
-		readWords = 1 << 16 // array the read phase scans (512 KB of data)
-		writePerT = 1500
-		writeOps  = 8 // load+store pairs per write-heavy transaction
-	)
-	type phase struct {
-		name string
-		run  func(sys tm.System, arena *stamp.Arena, base stamp.Addr)
-	}
-	phases := []phase{
-		{"read-dominated", func(sys tm.System, arena *stamp.Arena, base stamp.Addr) {
-			team := thread.NewTeam(threads)
-			team.Run(func(tid int) {
-				th := sys.Thread(tid)
-				idx := uint64(tid)*0x9e3779b9 + 1
-				var sink uint64
-				for j := 0; j < readPerT; j++ {
-					th.Atomic(func(tx tm.Tx) {
-						for k := 0; k < readLen; k++ {
-							idx = idx*6364136223846793005 + 1442695040888963407
-							sink += tx.Load(base + mem.Addr(idx>>40)%readWords)
-						}
-						if j%64 == 0 {
-							a := base + mem.Addr(tid)
-							tx.Store(a, tx.Load(a)+1)
-						}
-					})
-				}
-				_ = sink
-			})
-		}},
-		{"write-heavy", func(sys tm.System, arena *stamp.Arena, base stamp.Addr) {
-			team := thread.NewTeam(threads)
-			team.Run(func(tid int) {
-				th := sys.Thread(tid)
-				mine := base + mem.Addr(tid*64)
-				for j := 0; j < writePerT; j++ {
-					th.Atomic(func(tx tm.Tx) {
-						for k := 0; k < writeOps; k++ {
-							a := mine + mem.Addr((j+k*17)%64)
-							tx.Store(a, tx.Load(a)+1)
-						}
-					})
-				}
-			})
-		}},
-	}
-	for _, ph := range phases {
-		for _, sysName := range []string{"stm-norec-ro", "stm-lazy", "stm-adaptive"} {
-			b.Run(ph.name+"/"+sysName, func(b *testing.B) {
-				var switches, writeResident, commits uint64
-				for i := 0; i < b.N; i++ {
-					b.StopTimer() // arena/system construction stays out of ns/op
-					arena := stamp.NewArena(readWords + 1<<10)
-					base := arena.Alloc(readWords)
-					sys, err := factory.New(sysName, tm.Config{Arena: arena, Threads: threads})
-					if err != nil {
-						b.Fatal(err)
-					}
-					// Collect the previous iteration's system (TL2's lock
-					// table alone is 8 MB; stm-adaptive constructs two
-					// delegates) while the timer is stopped, so a GC cycle
-					// triggered by construction garbage never lands inside
-					// the measured region and biases the protocol
-					// comparison.
-					runtime.GC()
-					b.StartTimer()
-					ph.run(sys, arena, base)
-					b.StopTimer()
-					st := sys.Stats()
-					commits += st.Total.Commits
-					if ad, ok := sys.(interface {
-						Switches() uint64
-						Delegates() (string, string)
-					}); ok {
-						switches += ad.Switches()
-						_, write := ad.Delegates()
-						for _, row := range st.Blocks() {
-							writeResident += row.Residency()[write]
-						}
-					}
-					b.StartTimer()
-				}
-				if sysName == "stm-adaptive" {
-					b.ReportMetric(float64(switches)/float64(b.N), "switches/run")
-					b.ReportMetric(float64(writeResident)/float64(max(commits, 1)), "write-residency")
-				}
-				b.ReportMetric(float64(commits)/float64(b.N), "tx/run")
-			})
-		}
 	}
 }
 
@@ -678,8 +560,8 @@ var (
 
 // BenchmarkAblationMVReadHeavy: a read-dominated mix (15/16 read-only sums
 // over a shared table, 1/16 writer increments) on the multi-version STM
-// against the single-version TL2 and the read-only-optimized NOrec, across
-// thread counts. The paper's read-dominated workloads are where validation
+// against the single-version TL2 and NOrec (whose read-only commits are
+// free), across thread counts. The paper's read-dominated workloads are where validation
 // and lock-probe costs dominate STM overhead; stm-mv's claim is that its
 // snapshot readers pay zero validation and zero aborts (retries/tx stays at
 // the writers' share) at the cost of the writers' ring maintenance. The
@@ -691,7 +573,7 @@ func BenchmarkAblationMVReadHeavy(b *testing.B) {
 		sumN  = 16 // cells read per read-only transaction
 		perT  = 2000
 	)
-	for _, sysName := range []string{"stm-mv", "stm-lazy", "stm-norec-ro"} {
+	for _, sysName := range []string{"stm-mv", "stm-lazy", "stm-norec"} {
 		for _, threads := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("%s/threads=%d", sysName, threads), func(b *testing.B) {
 				var aborts, commits, lockAcqs uint64

@@ -76,8 +76,8 @@ func BenchmarkTableVI(b *testing.B) {
 }
 
 // figureSystems is every registered concurrent runtime — the paper's six
-// evaluated systems plus whatever the registry has grown since (the NOrec
-// pair, stm-adaptive). Derived from factory.Names() rather than a written
+// evaluated systems plus whatever the registry has grown since (stm-norec,
+// stm-mv). Derived from factory.Names() rather than a written
 // list so a newly registered runtime joins the protocol-comparison axis
 // automatically; only the sequential baseline is excluded (it is the
 // denominator, not a competitor).

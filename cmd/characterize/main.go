@@ -5,7 +5,7 @@
 // Usage:
 //
 //	characterize [-scale 0.25] [-retry-threads 16] [-variants genome,kmeans-high]
-//	             [-systems stm-norec,stm-norec-ro] [-cm greedy] [-clock gv4]
+//	             [-systems stm-norec,stm-mv] [-cm greedy] [-clock gv4]
 //	             [-qualitative]
 package main
 

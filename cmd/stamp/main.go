@@ -189,24 +189,22 @@ func printCauses(st stamp.Stats) {
 
 // printBlocks renders the per-block breakdown (the paper's per-region view:
 // which atomic call sites commit, abort, and how big their sets are), with
-// the protocol-residency split that shows where stm-adaptive ran each
-// block and the abort-cause mix per call site. Runs whose app predates
-// block annotation print nothing extra.
+// the abort-cause mix per call site. Runs whose app predates block
+// annotation print nothing extra.
 func printBlocks(st stamp.Stats) {
 	rows := st.Blocks()
 	if len(rows) == 0 {
 		return
 	}
-	fmt.Printf("per block    %-28s %10s %9s %8s %8s  %-24s %s\n",
-		"BLOCK", "COMMITS", "ABORTS", "LOADS/TX", "STORES/TX", "PROTOCOL RESIDENCY", "ABORT CAUSES")
+	fmt.Printf("per block    %-28s %10s %9s %8s %8s  %s\n",
+		"BLOCK", "COMMITS", "ABORTS", "LOADS/TX", "STORES/TX", "ABORT CAUSES")
 	for _, row := range rows {
 		causes := formatCauses(row.Causes[:])
 		if causes == "" {
 			causes = "-"
 		}
-		fmt.Printf("             %-28s %10d %9d %8.1f %8.1f  %-24s %s\n",
-			row.Name, row.Commits, row.Aborts, row.MeanLoads(), row.MeanStores(),
-			formatResidency(row), causes)
+		fmt.Printf("             %-28s %10d %9d %8.1f %8.1f  %s\n",
+			row.Name, row.Commits, row.Aborts, row.MeanLoads(), row.MeanStores(), causes)
 	}
 }
 
@@ -280,30 +278,4 @@ func writeTrace(path, sysName string, multi bool, res stamp.Result) error {
 	}
 	fmt.Printf("trace        %d events -> %s\n", len(res.Trace), path)
 	return nil
-}
-
-// formatResidency renders a block's commits-per-protocol split, largest
-// share first, collapsing the common single-protocol case to one name.
-func formatResidency(row stamp.BlockRow) string {
-	res := row.Residency()
-	if len(res) == 1 {
-		for proto := range res {
-			return proto
-		}
-	}
-	protos := make([]string, 0, len(res))
-	for proto := range res {
-		protos = append(protos, proto)
-	}
-	sort.Slice(protos, func(i, j int) bool {
-		if res[protos[i]] != res[protos[j]] {
-			return res[protos[i]] > res[protos[j]]
-		}
-		return protos[i] < protos[j]
-	})
-	parts := make([]string, len(protos))
-	for i, proto := range protos {
-		parts[i] = fmt.Sprintf("%s %.0f%%", proto, 100*float64(res[proto])/float64(row.Commits))
-	}
-	return strings.Join(parts, ", ")
 }

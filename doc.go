@@ -1,31 +1,24 @@
 // Package stamp is a from-scratch Go reproduction of STAMP — the Stanford
 // Transactional Applications for Multi-Processing benchmark suite (Cao Minh,
-// Chung, Kozyrakis, Olukotun; IISWC 2008) — together with eleven
-// transactional-memory runtimes: the seven the paper evaluates, two NOrec
-// STM variants, a multi-version STM whose read-only transactions never
-// abort, and an adaptive meta-runtime that picks the protocol online.
+// Chung, Kozyrakis, Olukotun; IISWC 2008) — together with nine
+// transactional-memory runtimes: the seven the paper evaluates, the NOrec
+// STM, and a multi-version STM whose read-only transactions never abort.
 //
 // The package exposes three layers:
 //
 //   - A portable transactional-memory API (System, Thread, Tx) over a
-//     word-addressed shared-memory Arena, with eleven interchangeable
+//     word-addressed shared-memory Arena, with nine interchangeable
 //     runtimes: a sequential baseline, TL2-style lazy and eager STMs,
-//     NOrec STMs with value-based validation ("stm-norec", and
-//     "stm-norec-ro" with the read-only commit fast path; on both, a block
-//     registered through NewROBlock runs its first attempt without a read
-//     log or, when it stores nothing, a sequence-lock acquisition), "stm-mv" —
-//     multi-version: writers keep per-stripe rings of Config.MVVersions
-//     committed values, and blocks registered through NewROBlock read a
-//     begin-time snapshot with zero validation and, while the per-stripe
-//     ring (MVVersions) still retains the snapshot, zero aborts —
-//     simulated TCC-style (lazy) and LogTM-style (eager) HTMs, SigTM-style
-//     lazy and eager hybrids, and "stm-adaptive", which wraps two of the
-//     STMs
-//     (NOrec and TL2 by default, Config.AdaptiveRead/AdaptiveWrite) and
-//     switches between them online from sampled commit/abort and
-//     read/write-set signals, quiescing in-flight transactions at each
-//     handoff. TMSystems() stays the paper's six evaluated systems;
-//     Systems() lists everything registered.
+//     "stm-norec" — NOrec with value-based validation, whose read-only
+//     commits take no sequence-lock acquisition and no tick, and where a
+//     block registered through NewROBlock runs its first attempt without a
+//     read log — "stm-mv" — multi-version: writers keep per-stripe rings of
+//     Config.MVVersions committed values, and blocks registered through
+//     NewROBlock read a begin-time snapshot with zero validation and, while
+//     the per-stripe ring (MVVersions) still retains the snapshot, zero
+//     aborts — simulated TCC-style (lazy) and LogTM-style (eager) HTMs, and
+//     SigTM-style lazy and eager hybrids. TMSystems() stays the paper's six
+//     evaluated systems; Systems() lists everything registered.
 //   - A transactional container library (sorted list, FIFO queue, hash
 //     table, red-black tree, binary heap, vector, bitmap) that works both
 //     inside transactions and with the non-transactional Direct accessor.
@@ -88,9 +81,8 @@
 //
 // Statistics can be attributed per atomic-block call site: register a site
 // with NewBlock and run it with Thread.AtomicAt, and Stats.Blocks() breaks
-// the run down into per-block commits, aborts, mean set sizes, and — under
-// stm-adaptive — the protocol residency of each block (the paper's
-// per-region view; cmd/stamp prints the table).
+// the run down into per-block commits, aborts, mean set sizes, and abort
+// causes (the paper's per-region view; cmd/stamp prints the table).
 //
 // Every abort is attributed to a cause from a closed taxonomy
 // (AbortCause; CauseNames lists them: "unknown" — always zero on a

@@ -20,7 +20,7 @@ import (
 )
 
 // Atomic-block call sites, registered once for per-block statistics
-// attribution (tm.Stats.Blocks) and adaptive protocol selection. The
+// attribution (tm.Stats.Blocks). The
 // learn-edge block is a long read-mostly scan (it scores every candidate
 // parent before deciding whether to insert one edge), so it carries the
 // read-only mark: on stm-mv the scan runs on the zero-abort snapshot path,

@@ -19,7 +19,7 @@ import (
 )
 
 // Atomic-block call sites, registered once for per-block statistics
-// attribution (tm.Stats.Blocks) and adaptive protocol selection. The
+// attribution (tm.Stats.Blocks). The
 // publish and link phases are read-mostly — most attempts bail out after a
 // few loads (already matched, no hash hit, failed string confirm) without
 // storing — so they carry the read-only mark and begin on stm-mv's

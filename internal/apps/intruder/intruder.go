@@ -21,7 +21,7 @@ import (
 )
 
 // Atomic-block call sites, registered once for per-block statistics
-// attribution (tm.Stats.Blocks) and adaptive protocol selection.
+// attribution (tm.Stats.Blocks).
 var (
 	blkCapture    = tm.NewBlock("intruder/capture")
 	blkReassembly = tm.NewBlock("intruder/reassembly")

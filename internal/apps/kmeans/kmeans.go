@@ -17,7 +17,7 @@ import (
 )
 
 // Atomic-block call sites, registered once for per-block statistics
-// attribution (tm.Stats.Blocks) and adaptive protocol selection.
+// attribution (tm.Stats.Blocks).
 var (
 	blkCenter = tm.NewBlock("kmeans/center-update")
 )

@@ -25,7 +25,7 @@ import (
 )
 
 // Atomic-block call sites, registered once for per-block statistics
-// attribution (tm.Stats.Blocks) and adaptive protocol selection.
+// attribution (tm.Stats.Blocks).
 var (
 	blkPopJob = tm.NewBlock("labyrinth/pop-job")
 	blkRoute  = tm.NewBlock("labyrinth/route-path")

@@ -18,7 +18,7 @@ import (
 )
 
 // Atomic-block call sites, registered once for per-block statistics
-// attribution (tm.Stats.Blocks) and adaptive protocol selection.
+// attribution (tm.Stats.Blocks).
 var (
 	blkDegree = tm.NewBlock("ssca2/degree-count")
 	blkPlace  = tm.NewBlock("ssca2/adj-place")

@@ -17,7 +17,7 @@ import (
 )
 
 // Atomic-block call sites, registered once for per-block statistics
-// attribution (tm.Stats.Blocks) and adaptive protocol selection.
+// attribution (tm.Stats.Blocks).
 var (
 	blkReserve = tm.NewBlock("vacation/make-reservation")
 	blkDelete  = tm.NewBlock("vacation/delete-customer")

@@ -70,31 +70,29 @@ func TestRunVariantSmoke(t *testing.T) {
 	}
 }
 
-// TestRunVariantNOrec drives the NOrec runtimes through the harness on the
+// TestRunVariantNOrec drives the NOrec runtime through the harness on the
 // workloads the NOrec paper argues about (read-dominated genome/vacation,
 // tiny-transaction kmeans): results must verify and every started block
 // must eventually commit at 4 threads.
 func TestRunVariantNOrec(t *testing.T) {
-	for _, sysName := range []string{"stm-norec", "stm-norec-ro"} {
-		for _, name := range []string{"genome", "vacation-low", "kmeans-high"} {
-			v, err := FindVariant(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r, err := RunVariant(v, Options{Scale: 0.05, System: sysName, Threads: 4})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", name, sysName, err)
-			}
-			if r.Verify != nil {
-				t.Fatalf("%s on %s failed verification: %v", name, sysName, r.Verify)
-			}
-			if r.Stats.Total.Commits == 0 {
-				t.Fatalf("%s on %s: no commits", name, sysName)
-			}
-			if r.Stats.Total.Starts != r.Stats.Total.Commits {
-				t.Fatalf("%s on %s: starts %d != commits %d", name, sysName,
-					r.Stats.Total.Starts, r.Stats.Total.Commits)
-			}
+	for _, name := range []string{"genome", "vacation-low", "kmeans-high"} {
+		v, err := FindVariant(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RunVariant(v, Options{Scale: 0.05, System: "stm-norec", Threads: 4})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r.Verify != nil {
+			t.Fatalf("%s failed verification: %v", name, r.Verify)
+		}
+		if r.Stats.Total.Commits == 0 {
+			t.Fatalf("%s: no commits", name)
+		}
+		if r.Stats.Total.Starts != r.Stats.Total.Commits {
+			t.Fatalf("%s: starts %d != commits %d", name,
+				r.Stats.Total.Starts, r.Stats.Total.Commits)
 		}
 	}
 }

@@ -18,8 +18,7 @@ func TestOptionsValidateFull(t *testing.T) {
 		System: "stm-mv", Threads: 4, Scale: 0.5,
 		Profile: true, CM: "greedy", Clock: "gv4",
 		Trace: 64, TraceBuf: 256, MVVersions: 4,
-		Chaos:        "1:tl2-lock-acquire:0.5",
-		AdaptiveRead: "stm-mv", AdaptiveWrite: "stm-eager",
+		Chaos:           "1:tl2-lock-acquire:0.5",
 		ProgressTimeout: time.Second,
 		RetryThreads:    8, ExtraRetrySystems: []string{"stm-norec"},
 		ThreadCounts: []int{1, 2}, Systems: []string{"stm-lazy"},
@@ -47,10 +46,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 		{"tracebuf", Options{TraceBuf: -1}, "trace ring"},
 		{"mvversions", Options{MVVersions: -1}, "mv version-ring"},
 		{"chaos", Options{Chaos: "not-a-spec"}, "chaos spec"},
-		{"adaptive-read", Options{AdaptiveRead: "stm-nope"}, "adaptive-read"},
-		{"adaptive-read-seq", Options{AdaptiveRead: "seq"}, "cannot be"},
-		{"adaptive-write", Options{AdaptiveWrite: "stm-adaptive"}, "cannot be"},
-		{"adaptive-equal", Options{AdaptiveRead: "stm-lazy"}, "must differ"},
 		{"timeout", Options{ProgressTimeout: -time.Second}, "progress timeout"},
 		{"retry-threads", Options{RetryThreads: -1}, "retry threads"},
 		{"thread-counts", Options{ThreadCounts: []int{2, 0}}, "thread counts"},

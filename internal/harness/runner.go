@@ -52,11 +52,6 @@ type Options struct {
 	// Chaos arms deterministic failpoints in the runtime's conflict and
 	// commit paths ("" = off; see tm.Config.Chaos for the spec grammar).
 	Chaos string
-	// AdaptiveRead and AdaptiveWrite name the stm-adaptive meta-runtime's
-	// two delegates ("" = the tm.Config defaults, stm-norec-ro and
-	// stm-lazy). Other runtimes ignore them.
-	AdaptiveRead  string
-	AdaptiveWrite string
 	// ProgressTimeout arms the progress watchdog: if the run's global commit
 	// count is flat for a full window, the run is halted, diagnostics are
 	// dumped to stderr, and RunOne returns an ErrStalled-wrapped error
@@ -159,29 +154,6 @@ func (o Options) Validate() error {
 			bad("chaos spec: %v", err)
 		}
 	}
-	// Resolve the delegate defaults the way tm.Config.Defaults will, so an
-	// explicit delegate that collides with the other side's default is
-	// caught here and not at NewSystem.
-	ar, aw := o.AdaptiveRead, o.AdaptiveWrite
-	if ar == "" {
-		ar = "stm-norec-ro"
-	}
-	if aw == "" {
-		aw = "stm-lazy"
-	}
-	for side, name := range map[string]string{"adaptive-read": o.AdaptiveRead, "adaptive-write": o.AdaptiveWrite} {
-		if name == "" {
-			continue
-		}
-		if !knownSystem(name) {
-			bad("unknown %s delegate %q (known: %v)", side, name, factory.Names())
-		} else if name == "seq" || name == "stm-adaptive" {
-			bad("%s delegate cannot be %q", side, name)
-		}
-	}
-	if (o.AdaptiveRead != "" || o.AdaptiveWrite != "") && ar == aw {
-		bad("adaptive delegates must differ, both resolve to %q", ar)
-	}
 	if o.ProgressTimeout < 0 {
 		bad("progress timeout must be >= 0, got %v", o.ProgressTimeout)
 	}
@@ -229,7 +201,7 @@ type Result struct {
 func (r Result) RetriesPerTx() float64 { return r.Stats.RetriesPerTx() }
 
 // Blocks is the per-block breakdown of the run (one row per annotated
-// atomic-block call site, with protocol residency — see tm.NewBlock).
+// atomic-block call site — see tm.NewBlock).
 func (r Result) Blocks() []tm.BlockRow { return r.Stats.Blocks() }
 
 // TxTimeFraction estimates the share of execution time spent inside
@@ -274,8 +246,6 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 		TraceBuf:           opt.TraceBuf,
 		MVVersions:         opt.MVVersions,
 		Chaos:              opt.Chaos,
-		AdaptiveRead:       opt.AdaptiveRead,
-		AdaptiveWrite:      opt.AdaptiveWrite,
 		Watch:              watch,
 	})
 	if err != nil {

@@ -34,8 +34,8 @@ const (
 	// OpQuery sums the free inventory of Request.Items — the read-only
 	// operation, registered through tm.NewROBlock so stm-mv serves it from
 	// begin-timestamp snapshots, abort-free while the per-stripe ring
-	// (MVVersions) still retains the snapshot, and the NOrec pair runs its
-	// first attempt without a read log or a sequence-lock tick.
+	// (MVVersions) still retains the snapshot, and NOrec runs its first
+	// attempt without a read log.
 	OpQuery
 	numOps
 )
@@ -154,14 +154,12 @@ type Options struct {
 	// ablation knob of tm.Config.NoRecycle.
 	NoRecycle bool
 
-	// CM, Clock, Chaos, MVVersions, AdaptiveRead, AdaptiveWrite mirror the
-	// harness.Options knobs of the same names.
-	CM            string
-	Clock         string
-	Chaos         string
-	MVVersions    int
-	AdaptiveRead  string
-	AdaptiveWrite string
+	// CM, Clock, Chaos and MVVersions mirror the harness.Options knobs of
+	// the same names.
+	CM         string
+	Clock      string
+	Chaos      string
+	MVVersions int
 
 	// ProgressTimeout arms the progress watchdog: if slots are leased but
 	// the global commit count stays flat across a full window, the runtime
@@ -253,8 +251,7 @@ func (o Options) Validate() error {
 	// two Options surfaces cannot drift.
 	ho := harness.Options{
 		System: o.System, CM: o.CM, Clock: o.Clock, Chaos: o.Chaos,
-		MVVersions:   o.MVVersions,
-		AdaptiveRead: o.AdaptiveRead, AdaptiveWrite: o.AdaptiveWrite,
+		MVVersions:      o.MVVersions,
 		ProgressTimeout: o.ProgressTimeout,
 	}
 	if err := ho.Validate(); err != nil {
@@ -500,8 +497,6 @@ func (s *Server) newSystem(arena *mem.Arena) (tm.System, error) {
 		Clock:              s.opt.Clock,
 		Chaos:              s.opt.Chaos,
 		MVVersions:         s.opt.MVVersions,
-		AdaptiveRead:       s.opt.AdaptiveRead,
-		AdaptiveWrite:      s.opt.AdaptiveWrite,
 		NoRecycle:          s.opt.NoRecycle,
 		Watch:              s.watch,
 		Seed:               s.opt.Seed,

@@ -10,9 +10,7 @@ import (
 // attribution (the paper's per-region breakdowns: genome's phases, the
 // vacation action mix, ...). Call sites obtain a stable ID once with
 // NewBlock and pass it to Thread.AtomicAt; plain Thread.Atomic attributes
-// to NoBlock. IDs are also the sensing granularity of the stm-adaptive
-// meta-runtime, which reads per-block commit/abort and set-size signals off
-// these records.
+// to NoBlock.
 type BlockID int32
 
 // NoBlock is the pre-registered ID every unattributed atomic block is
@@ -49,12 +47,12 @@ func NewBlock(name string) BlockID { return newBlock(name, false) }
 // NewROBlock registers an atomic-block call site like NewBlock and marks it
 // read-mostly: the block's common path performs no Store, so runtimes with a
 // read-optimized begin path may start its first attempt on that path —
-// stm-mv's snapshot reads, and the NOrec pair's log-free reads (no read
-// log, no sequence-lock acquisition at a store-free commit). The mark is a
-// hint, not a contract — a marked block that does store still commits
-// correctly everywhere (stm-mv falls back to its ordinary TL2-style write
-// commit, NOrec to a commit from the begin snapshot), and every retry runs
-// the ordinary protocol — and runtimes without a read-only path ignore it.
+// stm-mv's snapshot reads, and NOrec's log-free reads (no read log). The
+// mark is a hint, not a contract — a marked block that does store still
+// commits correctly everywhere (stm-mv falls back to its ordinary TL2-style
+// write commit, NOrec to a commit from the begin snapshot), and every retry
+// runs the ordinary protocol — and runtimes without a read-only path ignore
+// it.
 // The mark is sticky: re-registering a marked name through plain NewBlock
 // (the idempotent lookup idiom) does not clear it.
 func NewROBlock(name string) BlockID { return newBlock(name, true) }

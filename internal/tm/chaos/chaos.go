@@ -65,9 +65,6 @@ const (
 	// MVRingPublish stalls an stm-mv committer mid version-ring publish,
 	// while it holds its stripe locks.
 	MVRingPublish
-	// AdaptiveHandoff stalls the stm-adaptive switcher between quiescing
-	// the team and installing the new mode.
-	AdaptiveHandoff
 	// CMWaitDrop overrides a contention-manager wait decision
 	// (tm.WaitOrAbort) to an immediate abort.
 	CMWaitDrop
@@ -95,17 +92,16 @@ type SiteInfo struct {
 }
 
 var siteInfos = [NumSites]SiteInfo{
-	TL2LockAcquire:  {TL2LockAcquire, "tl2-lock-acquire", "spurious-abort", "TL2-style commit loses a stripe-lock acquisition (stm-lazy, stm-eager, stm-mv writers)"},
-	TL2LockRelease:  {TL2LockRelease, "tl2-lock-release", "stall", "TL2-style committer stalls holding its stripe locks, after writeback"},
-	NorecSeqTick:    {NorecSeqTick, "norec-seq-tick", "stall", "NOrec committer stalls holding the global sequence lock"},
-	NorecValidate:   {NorecValidate, "norec-validate", "spurious-abort", "NOrec value validation spuriously fails (stm-norec, stm-norec-ro)"},
-	HybridSigCheck:  {HybridSigCheck, "hybrid-sig-check", "spurious-abort", "hybrid signature probe spuriously reports a conflict (hybrid-lazy, hybrid-eager)"},
-	HTMArbitrate:    {HTMArbitrate, "htm-arbitrate", "spurious-abort", "simulated-HTM conflict detection spuriously fires (htm-lazy, htm-eager; never in serialized overflow mode)"},
-	MVRingPublish:   {MVRingPublish, "mv-ring-publish", "stall", "stm-mv committer stalls mid version-ring publish, stripe locks held"},
-	AdaptiveHandoff: {AdaptiveHandoff, "adaptive-handoff", "stall", "stm-adaptive switcher stalls between team quiesce and mode install"},
-	CMWaitDrop:      {CMWaitDrop, "cm-wait-drop", "drop-wait", "a contention-manager wait decision becomes an immediate abort"},
-	AllocExhaust:    {AllocExhaust, "alloc-exhaust", "spurious-abort", "tx.Alloc spuriously reports the arena exhausted (every runtime; the attempt retries)"},
-	SwapStall:       {SwapStall, "swap-stall", "stall", "serving-mode epoch swap stalls between worker-pool quiesce and arena install"},
+	TL2LockAcquire: {TL2LockAcquire, "tl2-lock-acquire", "spurious-abort", "TL2-style commit loses a stripe-lock acquisition (stm-lazy, stm-eager, stm-mv writers)"},
+	TL2LockRelease: {TL2LockRelease, "tl2-lock-release", "stall", "TL2-style committer stalls holding its stripe locks, after writeback"},
+	NorecSeqTick:   {NorecSeqTick, "norec-seq-tick", "stall", "NOrec committer stalls holding the global sequence lock"},
+	NorecValidate:  {NorecValidate, "norec-validate", "spurious-abort", "NOrec writer-commit validation spuriously fails (stm-norec)"},
+	HybridSigCheck: {HybridSigCheck, "hybrid-sig-check", "spurious-abort", "hybrid signature probe spuriously reports a conflict (hybrid-lazy, hybrid-eager)"},
+	HTMArbitrate:   {HTMArbitrate, "htm-arbitrate", "spurious-abort", "simulated-HTM conflict detection spuriously fires (htm-lazy, htm-eager; never in serialized overflow mode)"},
+	MVRingPublish:  {MVRingPublish, "mv-ring-publish", "stall", "stm-mv committer stalls mid version-ring publish, stripe locks held"},
+	CMWaitDrop:     {CMWaitDrop, "cm-wait-drop", "drop-wait", "a contention-manager wait decision becomes an immediate abort"},
+	AllocExhaust:   {AllocExhaust, "alloc-exhaust", "spurious-abort", "tx.Alloc spuriously reports the arena exhausted (every runtime; the attempt retries)"},
+	SwapStall:      {SwapStall, "swap-stall", "stall", "serving-mode epoch swap stalls between worker-pool quiesce and arena install"},
 }
 
 // Sites returns every registered failpoint in enum order.

@@ -105,8 +105,8 @@ func ClockNames() []string {
 func ClockDescription(name string) string { return clockRegistry[name].description }
 
 // NewVersionClock validates Config.Clock against the registry and returns a
-// fresh clock instance (one per system; the two TL2 runtimes and the
-// adaptive wrapper's TL2 delegate each own their clock). An empty
+// fresh clock instance (one per system; the TL2 runtimes and stm-mv each
+// own their clock). An empty
 // Config.Clock selects DefaultClock.
 func NewVersionClock(cfg Config) (VersionClock, error) {
 	name := cfg.Clock

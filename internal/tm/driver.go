@@ -319,7 +319,7 @@ func (w *Worker[T]) AtomicAt(b BlockID, fn func(Tx)) {
 	cm.OnCommit()
 	st.Commits++
 	st.Tracer.Emit(trace.EvCommit, CauseUnknown, id, int32(b), 0)
-	st.RecordBlock(b, c.name, uint64(aborts), c.Loads, c.Stores)
+	st.RecordBlock(b, uint64(aborts), c.Loads, c.Stores)
 	st.Loads += c.Loads
 	st.Stores += c.Stores
 	st.LoadsHist.Add(int(c.Loads))

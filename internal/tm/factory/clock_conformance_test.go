@@ -9,13 +9,6 @@ import (
 	"github.com/stamp-go/stamp/internal/tm"
 )
 
-// TestClockConformance sweeps every concurrent runtime × every commit-clock
-// scheme through the condensed correctness suite (blind-increment
-// atomicity, invariant-preserving transfers with reader snapshots, and
-// transactional allocation), mirroring TestCMConformance on the clock
-// axis. The TL2 runtimes and the adaptive wrapper's TL2 delegate exercise
-// the scheme for real; the other runtimes must ignore Config.Clock without
-// misbehaving, so a new runtime or scheme is screened automatically.
 // TestUnknownClockRejectedEverywhere: a typoed Config.Clock must error on
 // every runtime — including the ones without a version clock — so a run
 // can never be mislabeled with a scheme that does not exist.
@@ -29,6 +22,13 @@ func TestUnknownClockRejectedEverywhere(t *testing.T) {
 	}
 }
 
+// TestClockConformance sweeps every concurrent runtime × every commit-clock
+// scheme through the condensed correctness suite (blind-increment
+// atomicity, invariant-preserving transfers with reader snapshots, and
+// transactional allocation), mirroring TestCMConformance on the clock
+// axis. The TL2 runtimes and stm-mv exercise the scheme for real; the other
+// runtimes must ignore Config.Clock without misbehaving, so a new runtime or
+// scheme is screened automatically.
 func TestClockConformance(t *testing.T) {
 	const (
 		threads  = 4

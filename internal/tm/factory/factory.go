@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/stamp-go/stamp/internal/tm"
-	"github.com/stamp-go/stamp/internal/tm/adaptive"
 	"github.com/stamp-go/stamp/internal/tm/htmsim"
 	"github.com/stamp-go/stamp/internal/tm/hybrid"
 	"github.com/stamp-go/stamp/internal/tm/mv"
@@ -21,31 +20,12 @@ var constructors = map[string]func(tm.Config) (tm.System, error){
 	"stm-lazy":     func(c tm.Config) (tm.System, error) { return tl2.NewLazy(c) },
 	"stm-eager":    func(c tm.Config) (tm.System, error) { return tl2.NewEager(c) },
 	"stm-norec":    func(c tm.Config) (tm.System, error) { return norec.New(c) },
-	"stm-norec-ro": func(c tm.Config) (tm.System, error) { return norec.NewRO(c) },
+	"stm-norec-ro": func(c tm.Config) (tm.System, error) { return norec.New(c) }, // alias: stm-norec absorbed its fast path
 	"stm-mv":       func(c tm.Config) (tm.System, error) { return mv.New(c) },
 	"htm-lazy":     func(c tm.Config) (tm.System, error) { return htmsim.NewLazy(c) },
 	"htm-eager":    func(c tm.Config) (tm.System, error) { return htmsim.NewEager(c) },
 	"hybrid-lazy":  func(c tm.Config) (tm.System, error) { return hybrid.NewLazy(c) },
 	"hybrid-eager": func(c tm.Config) (tm.System, error) { return hybrid.NewEager(c) },
-}
-
-// stm-adaptive is registered in init: its constructor closes over New (to
-// build delegates by name), which would be an initialization cycle in the
-// map literal above.
-func init() {
-	constructors["stm-adaptive"] = func(c tm.Config) (tm.System, error) {
-		return adaptive.New(c, newDelegate)
-	}
-}
-
-// newDelegate constructs a delegate runtime for the adaptive meta-runtime:
-// any registered concurrent system except stm-adaptive itself (no
-// self-nesting) and seq (no concurrency control to delegate to).
-func newDelegate(name string, cfg tm.Config) (tm.System, error) {
-	if name == "stm-adaptive" || name == "seq" {
-		return nil, fmt.Errorf("factory: %q cannot be an adaptive delegate", name)
-	}
-	return New(name, cfg)
 }
 
 // New constructs the named TM system.
@@ -69,9 +49,10 @@ func Names() []string {
 
 // TMNames returns the six transactional systems of the paper's evaluation,
 // in the order Figure 1's legend lists them. It intentionally stays fixed
-// at the paper's roster even as Names() grows (stm-norec, stm-norec-ro,
-// ...), so the regenerated tables and figures keep the paper's shape;
-// extra runtimes are selected explicitly by name.
+// at the paper's roster, which Names() extends with stm-norec (also under
+// its old read-only-fast-path name, stm-norec-ro) and stm-mv,
+// so the regenerated tables and figures keep the paper's shape; the extra
+// runtimes are selected explicitly by name.
 func TMNames() []string {
 	return []string{"htm-eager", "htm-lazy", "hybrid-eager", "hybrid-lazy", "stm-eager", "stm-lazy"}
 }

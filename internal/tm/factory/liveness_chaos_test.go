@@ -26,9 +26,6 @@ var stormArms = map[string]string{
 	"hybrid-eager": "hybrid-sig-check:1",
 	"htm-lazy":     "htm-arbitrate:1",
 	"htm-eager":    "htm-arbitrate:1",
-	// The adaptive runtime delegates to TL2 and NOrec, so both commit-path
-	// sites are armed; whichever mode is live, writers cannot commit.
-	"stm-adaptive": "tl2-lock-acquire:1,norec-validate:1",
 }
 
 // allSitesSpec arms every registered failpoint at a low probability — the

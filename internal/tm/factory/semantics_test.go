@@ -44,7 +44,7 @@ func newSys(t *testing.T, name string, arena *mem.Arena, threads int) tm.System 
 func TestNamesComplete(t *testing.T) {
 	want := map[string]bool{
 		"seq": true, "stm-lazy": true, "stm-eager": true,
-		"stm-norec": true, "stm-norec-ro": true, "stm-adaptive": true, "stm-mv": true,
+		"stm-norec": true, "stm-norec-ro": true, "stm-mv": true,
 		"htm-lazy": true, "htm-eager": true, "hybrid-lazy": true, "hybrid-eager": true,
 	}
 	got := Names()
@@ -61,8 +61,8 @@ func TestNamesComplete(t *testing.T) {
 // TestRosterSupersets pins the relationship between the two rosters:
 // TMNames() stays the paper's six systems so regenerated tables and figures
 // keep their shape, while Names() must carry every registered runtime —
-// in particular the post-paper ones (stm-norec, stm-adaptive), so any sweep
-// that iterates Names() cannot silently miss them.
+// in particular the post-paper ones (stm-norec, stm-mv), so any sweep that
+// iterates Names() cannot silently miss them.
 func TestRosterSupersets(t *testing.T) {
 	if got := TMNames(); len(got) != 6 {
 		t.Fatalf("TMNames() must stay the paper's six systems, got %v", got)
@@ -73,7 +73,7 @@ func TestRosterSupersets(t *testing.T) {
 	}
 	var want []string
 	want = append(want, TMNames()...)
-	want = append(want, "stm-norec", "stm-adaptive", "stm-mv")
+	want = append(want, "stm-norec", "stm-mv")
 	for _, n := range want {
 		if !all[n] {
 			t.Fatalf("Names() = %v is missing %q", Names(), n)

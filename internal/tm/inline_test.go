@@ -29,7 +29,7 @@ func TestReadBarriersInlineFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	barriers := []struct{ file, fn string }{
-		{"internal/tm/norec/norec.go", "norecTx.Load"}, // stm-norec, stm-norec-ro
+		{"internal/tm/norec/norec.go", "norecTx.Load"}, // stm-norec
 		{"internal/tm/tl2/lazy.go", "LazyTx.Load"},     // stm-lazy, stm-mv's writers
 		{"internal/tm/mv/mv.go", "mvTx.Load"},          // stm-mv's snapshot attempts
 		{"internal/tm/hybrid/lazy.go", "lazyTx.Load"},  // hybrid-lazy

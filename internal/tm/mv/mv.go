@@ -57,31 +57,24 @@
 // # Versions are retained from the first snapshot reader on
 //
 // A ring record is only ever read by a snapshot attempt, and most workloads
-// register no read-only block at all, so rings start off: ringEpoch 0 means
-// no commit maintains them. The first snapshot attempt's Begin CASes the
-// epoch 0 -> 1 before it reads its snapshot clock; every writer loads the
-// epoch after its CommitTick and skips ring maintenance while it reads 0.
-// The stale-epoch reset and the pre-image record then rebuild each ring at
-// its stripe's next commit. No reader loses a version to the skipped
-// appends: the epoch is sequentially consistent, so a commit that read 0
-// ticked before the first reader's CAS, hence before that reader (and every
-// later one) read the clock — under gv1 and gv4, whose CommitTick leaves
-// the clock at >= wv, its wv <= rv, and a version the snapshot admits is
-// served from the arena, never from the ring. Under gv5 a commit publishes
-// clock+1 without ticking, so a commit that missed the epoch can carry
-// wv > rv; a snapshot that meets that stripe finds no record and aborts
+// register no read-only block at all, so rings start off: while ringsOn is
+// false no commit maintains them. The first snapshot attempt's Begin turns
+// ringsOn on, once and for good, before it reads its snapshot clock; every
+// writer loads the flag after its CommitTick and skips ring maintenance
+// while it reads false. No record is written while rings are off, so every
+// ring is empty at turn-on, and the pre-image record starts it at its
+// stripe's next commit. No reader loses a version to the skipped appends:
+// the flag is sequentially consistent, so a commit that read false ticked
+// before the first reader set it, hence before that reader (and every later
+// one) read the clock — under gv1 and gv4, whose CommitTick leaves the
+// clock at >= wv, its wv <= rv, and a version the snapshot admits is served
+// from the arena, never from the ring. Under gv5 a commit publishes clock+1
+// without ticking, so a commit that missed the flag can carry wv > rv; a
+// snapshot that meets that stripe finds no record and aborts
 // mv-version-missing, conservatively (it retries on the write path), never
 // wrongly. The same conservative miss meets an address whose wrapped stripe
-// (tl2.LockTable.Index) a later commit reset while writing another address.
-//
-// # Delegate handoffs
-//
-// As an stm-adaptive delegate, mv's rings go stale whenever the other
-// delegate's tenure writes the arena without appending. The meta-runtime
-// calls OnHandoff on the delegate it is about to activate (after its
-// quiesce, so no snapshot reader is live across tenures); mv bumps a
-// global ring epoch, readers treat stale-epoch rings as empty, and writers
-// lazily re-initialize a stale ring under the stripe lock at next commit.
+// (tl2.LockTable.Index) a later commit advanced while writing another
+// address.
 package mv
 
 import (
@@ -114,10 +107,10 @@ const (
 //
 // In a record cell, version holds the record's commit version biased by +1
 // (0 = empty), so pre-image records at stripe version 0 are representable.
-// In the header cell, version holds the ring's validity epoch and head the
-// index of the record the next append overwrites; head is written only by
-// the stripe-lock holder (the lock word's release/acquire chain orders the
-// holders) and readers never touch it — they scan every record.
+// The header cell uses only head, the index of the record the next append
+// overwrites; head is written only by the stripe-lock holder (the lock
+// word's release/acquire chain orders the holders) and readers never touch
+// it — they scan every record.
 //
 // Writers store a record's fields only while holding the stripe lock,
 // between a successful Acquire and Release(wv), and never mark it
@@ -143,13 +136,9 @@ type System struct {
 	slots []slot         // stripe i's run: slots[i*(k+1)] header, then k records
 	k     int            // ring depth (Config.MVVersions)
 
-	// ringEpoch is 0 until the first snapshot attempt begins (rings off: no
-	// commit appends), then only grows. Bumping it invalidates every stripe
-	// ring at once — OnHandoff does, when another stm-adaptive delegate may
-	// have written the arena behind the rings' back. A stripe whose epoch
-	// lags is treated as empty by readers and re-initialized by the next
-	// committing writer.
-	ringEpoch atomic.Uint64
+	// ringsOn is false until the first snapshot attempt begins (rings off:
+	// no commit appends), then true for the rest of the system's life.
+	ringsOn atomic.Bool
 }
 
 // New constructs the stm-mv runtime.
@@ -192,17 +181,6 @@ func (s *System) Stripes() int { return s.locks.Stripes() }
 // RingDepth returns the per-stripe ring depth (Config.MVVersions resolved).
 func (s *System) RingDepth() int { return s.k }
 
-// OnHandoff invalidates every stripe's version ring. The stm-adaptive
-// meta-runtime calls it on the delegate it is about to activate, after the
-// quiesce — so no snapshot reader is live — because the other delegate's
-// tenure wrote the arena without maintaining the rings. Rings that are
-// still off stay off.
-func (s *System) OnHandoff() {
-	if s.ringEpoch.Load() != 0 {
-		s.ringEpoch.Add(1)
-	}
-}
-
 // LockAcquires returns how many stripe-lock acquisitions the run performed
 // across all threads. Snapshot (read-only) transactions never acquire a
 // stripe lock, which ThreadLockAcquires pins per thread — the headline
@@ -225,10 +203,7 @@ func (s *System) ThreadLockAcquires(id int) uint64 { return s.Txs[id].LockAcquir
 // on the result — that recheck is what discards scans that raced a
 // committing writer's appends or evictions (see slot).
 func (s *System) ringScan(idx uint32, a mem.Addr, rv uint64) (val uint64, ok bool) {
-	hdr, recs := s.run(idx)
-	if hdr.version.Load() != s.ringEpoch.Load() {
-		return 0, false // stale ring: another delegate's tenure wrote the arena
-	}
+	_, recs := s.run(idx)
 	var best uint64 // biased: record version + 1
 	for i := range recs {
 		sl := &recs[i]
@@ -265,16 +240,6 @@ func ringAppend(hdr *slot, recs []slot, biased uint64, a mem.Addr, val uint64) {
 	}
 }
 
-// ringReset clears a stale ring and stamps it with the current epoch.
-// Caller holds the stripe lock.
-func ringReset(hdr *slot, recs []slot, epoch uint64) {
-	for i := range recs {
-		recs[i].version.Store(0)
-	}
-	hdr.head = 0
-	hdr.version.Store(epoch)
-}
-
 // mvTx is a TL2 lazy transaction plus the snapshot read path and the
 // commit-time ring appends. Its own fields come first, so the embedded
 // LazyTx's trailing pad still ends the descriptor.
@@ -292,8 +257,8 @@ type mvTx struct {
 // clock (see "Versions are retained from the first snapshot reader on").
 func (x *mvTx) Begin(b tm.BlockID, aborts int) {
 	x.ro = aborts == 0 && tm.BlockReadOnly(b)
-	if x.ro && x.sys.ringEpoch.Load() == 0 {
-		x.sys.ringEpoch.CompareAndSwap(0, 1)
+	if x.ro && !x.sys.ringsOn.Load() {
+		x.sys.ringsOn.Store(true)
 	}
 	x.LazyTx.Begin(b, aborts)
 }
@@ -369,10 +334,10 @@ func (x *mvTx) Commit() bool {
 	// Ring maintenance, before the writeback so pre-image records can read
 	// the overwritten values, while every written stripe is still locked
 	// (snapshot readers wait on the lock, so append order is invisible).
-	// The epoch is loaded after Acquire's CommitTick: that order is what
-	// makes skipping the appends at epoch 0 safe.
-	if epoch := x.sys.ringEpoch.Load(); epoch != 0 {
-		x.appendVersions(wv, epoch)
+	// The flag is loaded after Acquire's CommitTick: that order is what
+	// makes skipping the appends while rings are off safe.
+	if x.sys.ringsOn.Load() {
+		x.appendVersions(wv)
 	}
 	x.WriteBack()
 	// Failpoint: stall after ring publication and writeback, while every
@@ -383,16 +348,12 @@ func (x *mvTx) Commit() bool {
 }
 
 // appendVersions retains the write set's committed values (and, on an
-// address's first ring-era write, its pre-image) in the stripe rings,
-// resetting rings stamped with an older epoch. Caller holds every written
-// stripe at commit version wv.
-func (x *mvTx) appendVersions(wv, epoch uint64) {
+// address's first ring-era write, its pre-image) in the stripe rings.
+// Caller holds every written stripe at commit version wv.
+func (x *mvTx) appendVersions(wv uint64) {
 	for _, e := range x.Wset.Entries() {
 		idx := x.Locks.Index(e.Addr)
 		hdr, recs := x.sys.run(idx)
-		if hdr.version.Load() != epoch {
-			ringReset(hdr, recs, epoch)
-		}
 		if !ringHas(recs, e.Addr) {
 			// First ring-era write to this address: retain the pre-image
 			// from the stripe's pre-commit version, so snapshots older

@@ -303,8 +303,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestWriterOnlyRunKeepsRingsOff: with no read-only block ever begun, no
-// commit maintains a ring — every header stays at epoch 0 and every record
-// slot empty — however many writers commit.
+// commit maintains a ring — the rings stay off and every record slot
+// empty — however many writers commit.
 func TestWriterOnlyRunKeepsRingsOff(t *testing.T) {
 	const threads, perT = 4, 200
 	arena := mem.NewArena(1 << 10)
@@ -323,12 +323,12 @@ func TestWriterOnlyRunKeepsRingsOff(t *testing.T) {
 	if got := sys.Stats().Total.Commits; got != threads*perT {
 		t.Fatalf("commits = %d, want %d", got, threads*perT)
 	}
-	if e := sys.ringEpoch.Load(); e != 0 {
-		t.Errorf("ring epoch = %d after a writer-only run, want 0 (rings off)", e)
+	if sys.ringsOn.Load() {
+		t.Error("rings on after a writer-only run, want off")
 	}
 	for i := range sys.slots {
 		if v := sys.slots[i].version.Load(); v != 0 {
-			t.Fatalf("slot %d (stripe %d) holds version word %d, want every header at epoch 0 and every record empty",
+			t.Fatalf("slot %d (stripe %d) holds version word %d, want every record empty",
 				i, i/(sys.k+1), v)
 		}
 	}
@@ -337,9 +337,9 @@ func TestWriterOnlyRunKeepsRingsOff(t *testing.T) {
 // TestLateReaderZeroAborts: under gv1 and gv4 a snapshot reader that starts
 // after a writer-only history — rings still off, every stripe committed
 // without a record — reads consistent snapshots with zero aborts while the
-// writers keep committing. Every commit that missed the epoch ticked before
+// writers keep committing. Every commit that missed the flag ticked before
 // the reader read its clock, so the reader serves those versions from the
-// arena; the first commits that see the epoch rebuild the rings with
+// arena; the first commits that see the flag start the rings with
 // pre-images.
 func TestLateReaderZeroAborts(t *testing.T) {
 	for _, clock := range []string{"gv1", "gv4"} {
@@ -375,7 +375,7 @@ func TestLateReaderZeroAborts(t *testing.T) {
 					}
 				}
 				team.Barrier().Wait()
-				if tid == 0 && sys.ringEpoch.Load() != 0 {
+				if tid == 0 && sys.ringsOn.Load() {
 					t.Error("rings turned on during the writer-only history")
 				}
 				team.Barrier().Wait()
@@ -410,7 +410,7 @@ func TestLateReaderZeroAborts(t *testing.T) {
 			if got, want := arena.Load(a), uint64(2*(history+perW)); got != want || arena.Load(b) != want {
 				t.Errorf("a, b = %d, %d; want %d, %d", got, arena.Load(b), want, want)
 			}
-			if sys.ringEpoch.Load() == 0 {
+			if !sys.ringsOn.Load() {
 				t.Error("no snapshot reader turned the rings on")
 			}
 		})

@@ -19,10 +19,11 @@ import (
 // TestCommitStorm pins the one writer commit (CAS, write back, tick) under
 // load: transfers between accounts — each thread inside its own accounts
 // (disjoint write sets) or across all of them (overlapping) — interleaved
-// with read-only scans of the total, on one and two Ps. Every commit that
-// reaches the lock takes it exactly once: all of them on stm-norec, only
-// the ones that stored on stm-norec-ro. The total is conserved and no scan
-// sees it torn.
+// with read-only scans of the total, on one and two Ps. The scans run either
+// as a marked read-only block (ro: a log-free first attempt) or unmarked (a
+// logged, store-free commit). Every writer commit takes the lock exactly
+// once and ticks seq by two; no scan commit, of either kind, touches it.
+// The total is conserved and no scan sees it torn.
 func TestCommitStorm(t *testing.T) {
 	const (
 		threads   = 4
@@ -31,8 +32,12 @@ func TestCommitStorm(t *testing.T) {
 		each      = 100 // initial balance of every account
 		perT      = 1000
 	)
+	scanBlk := map[bool]tm.BlockID{
+		true:  tm.NewROBlock("norec-test/commit-storm-scan-ro"),
+		false: tm.NewBlock("norec-test/commit-storm-scan"),
+	}
 	for _, procs := range []int{1, 2} {
-		for _, ro := range []bool{false, true} {
+		for _, ro := range []bool{true, false} {
 			for _, disjoint := range []bool{true, false} {
 				t.Run(fmt.Sprintf("procs=%d/ro=%v/disjoint=%v", procs, ro, disjoint), func(t *testing.T) {
 					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -42,13 +47,13 @@ func TestCommitStorm(t *testing.T) {
 						accs[i] = arena.Alloc(1)
 						arena.Store(accs[i], each)
 					}
-					sys := newSysT(t, ro, arena, threads)
+					sys := newSysT(t, arena, threads)
 					var torn, writers [threads]uint64
 					thread.NewTeam(threads).Run(func(tid int) {
 						th := sys.Thread(tid)
 						for i := 0; i < perT; i++ {
 							if i%4 == 3 {
-								th.Atomic(func(tx tm.Tx) {
+								th.AtomicAt(scanBlk[ro], func(tx tm.Tx) {
 									var sum uint64
 									for _, a := range accs {
 										sum += tx.Load(a)
@@ -97,18 +102,14 @@ func TestCommitStorm(t *testing.T) {
 					if st.Total.Commits != threads*perT {
 						t.Errorf("commits = %d, want %d", st.Total.Commits, threads*perT)
 					}
-					want := st.Total.Commits
-					if ro {
-						want = writerCommits
+					if got := sys.LockAcquires(); got != writerCommits {
+						t.Errorf("lock acquisitions = %d, want one per writer commit, %d (commits %d)",
+							got, writerCommits, st.Total.Commits)
 					}
-					if got := sys.LockAcquires(); got != want {
-						t.Errorf("lock acquisitions = %d, want %d (commits %d, writer commits %d)",
-							got, want, st.Total.Commits, writerCommits)
+					if seq := sys.Seq(); seq != 2*writerCommits {
+						t.Errorf("seq = %d, want %d: one tick pair per writer commit", seq, 2*writerCommits)
 					}
-					if seq := sys.Seq(); seq != 2*want {
-						t.Errorf("seq = %d, want %d: one tick pair per lock acquisition", seq, 2*want)
-					}
-					t.Logf("%d commits, %d aborts, %d lock acquisitions", st.Total.Commits, st.Total.Aborts, want)
+					t.Logf("%d commits, %d aborts, %d writer commits", st.Total.Commits, st.Total.Aborts, writerCommits)
 				})
 			}
 		}

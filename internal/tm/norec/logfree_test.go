@@ -31,53 +31,47 @@ func seqChangedOnly(t *testing.T, sys *System, want uint64) {
 	}
 }
 
-// TestLogFreeFirstAttempt: on both variants, a marked block's first attempt
-// keeps no read log and commits without touching the sequence lock — no
-// acquisition, no tick. The same body in an unmarked block logs every read,
-// and on stm-norec takes the lock at commit.
+// TestLogFreeFirstAttempt: a marked block's first attempt keeps no read log
+// and commits without touching the sequence lock — no acquisition, no tick.
+// The same body in an unmarked block logs every read, and, storing nothing,
+// commits lock-free too.
 func TestLogFreeFirstAttempt(t *testing.T) {
-	for _, ro := range []bool{false, true} {
-		arena := mem.NewArena(1 << 10)
-		accs := []mem.Addr{arena.Alloc(1), arena.Alloc(1), arena.Alloc(1)}
-		for i, a := range accs {
-			arena.Store(a, uint64(10*(i+1)))
-		}
-		sys := newSysT(t, ro, arena, 1)
-		x := sys.Txs[0]
-		sum := func(tx tm.Tx) (s uint64) {
-			for _, a := range accs {
-				s += tx.Load(a)
-			}
-			return s
-		}
-		sys.Thread(0).AtomicAt(blkLFSum, func(tx tm.Tx) {
-			if s := sum(tx); s != 60 {
-				t.Errorf("ro=%v: sum = %d, want 60", ro, s)
-			}
-			if !x.logFree || x.rset.Len() != 0 {
-				t.Errorf("ro=%v: marked first attempt: logFree=%v, %d reads logged, want true, 0",
-					ro, x.logFree, x.rset.Len())
-			}
-		})
-		if acq, seq := sys.LockAcquires(), sys.Seq(); acq != 0 || seq != 0 {
-			t.Fatalf("ro=%v: log-free commit took the lock: acquisitions %d, seq %d", ro, acq, seq)
-		}
-		sys.Thread(0).Atomic(func(tx tm.Tx) {
-			sum(tx)
-			if x.logFree || x.rset.Len() != len(accs) {
-				t.Errorf("ro=%v: unmarked attempt: logFree=%v, %d reads logged, want false, %d",
-					ro, x.logFree, x.rset.Len(), len(accs))
-			}
-		})
-		want := uint64(1)
-		if ro {
-			want = 0 // the read-only fast path commits an empty write set lock-free anyway
-		}
-		if acq := sys.LockAcquires(); acq != want {
-			t.Fatalf("ro=%v: unmarked read-only commit: %d lock acquisitions, want %d", ro, acq, want)
-		}
-		seqChangedOnly(t, sys, 0)
+	arena := mem.NewArena(1 << 10)
+	accs := []mem.Addr{arena.Alloc(1), arena.Alloc(1), arena.Alloc(1)}
+	for i, a := range accs {
+		arena.Store(a, uint64(10*(i+1)))
 	}
+	sys := newSysT(t, arena, 1)
+	x := sys.Txs[0]
+	sum := func(tx tm.Tx) (s uint64) {
+		for _, a := range accs {
+			s += tx.Load(a)
+		}
+		return s
+	}
+	sys.Thread(0).AtomicAt(blkLFSum, func(tx tm.Tx) {
+		if s := sum(tx); s != 60 {
+			t.Errorf("sum = %d, want 60", s)
+		}
+		if !x.logFree || x.rset.Len() != 0 {
+			t.Errorf("marked first attempt: logFree=%v, %d reads logged, want true, 0",
+				x.logFree, x.rset.Len())
+		}
+	})
+	if acq, seq := sys.LockAcquires(), sys.Seq(); acq != 0 || seq != 0 {
+		t.Fatalf("log-free commit took the lock: acquisitions %d, seq %d", acq, seq)
+	}
+	sys.Thread(0).Atomic(func(tx tm.Tx) {
+		sum(tx)
+		if x.logFree || x.rset.Len() != len(accs) {
+			t.Errorf("unmarked attempt: logFree=%v, %d reads logged, want false, %d",
+				x.logFree, x.rset.Len(), len(accs))
+		}
+	})
+	if acq, seq := sys.LockAcquires(), sys.Seq(); acq != 0 || seq != 0 {
+		t.Fatalf("unmarked read-only commit took the lock: acquisitions %d, seq %d", acq, seq)
+	}
+	seqChangedOnly(t, sys, 0)
 }
 
 // TestLogFreeAbortsOnceOnPeerCommit: a peer commit between two loads of a
@@ -88,45 +82,43 @@ func TestLogFreeFirstAttempt(t *testing.T) {
 // Mutation-checked: with the seq compare dropped from the log-free Load,
 // this test and factory's TestOpacityFuzz both fail.
 func TestLogFreeAbortsOnceOnPeerCommit(t *testing.T) {
-	for _, ro := range []bool{false, true} {
-		arena := mem.NewArena(1 << 10)
-		a, b := arena.Alloc(1), arena.Alloc(1)
-		arena.Store(a, 5)
-		sys := newSysT(t, ro, arena, 2)
-		ready := make(chan struct{})
-		done := make(chan struct{})
-		var seen uint64
-		thread.NewTeam(2).Run(func(tid int) {
-			th := sys.Thread(tid)
-			if tid == 1 {
-				<-ready
-				th.Atomic(func(tx tm.Tx) { tx.Store(a, 9) })
-				close(done)
-				return
-			}
-			attempt := 0
-			th.AtomicAt(blkLFPeer, func(tx tm.Tx) {
-				attempt++
-				x := sys.Txs[0]
-				if x.logFree != (attempt == 1) {
-					t.Errorf("ro=%v: attempt %d: logFree = %v", ro, attempt, x.logFree)
-				}
-				_ = tx.Load(b)
-				if attempt == 1 {
-					close(ready)
-					<-done
-				}
-				seen = tx.Load(a) // the first attempt must abort here
-				if attempt == 1 {
-					t.Errorf("ro=%v: log-free attempt survived a peer commit (read %d)", ro, seen)
-				}
-			})
-		})
-		if seen != 9 {
-			t.Fatalf("ro=%v: retry read %d, want the committed 9", ro, seen)
+	arena := mem.NewArena(1 << 10)
+	a, b := arena.Alloc(1), arena.Alloc(1)
+	arena.Store(a, 5)
+	sys := newSysT(t, arena, 2)
+	ready := make(chan struct{})
+	done := make(chan struct{})
+	var seen uint64
+	thread.NewTeam(2).Run(func(tid int) {
+		th := sys.Thread(tid)
+		if tid == 1 {
+			<-ready
+			th.Atomic(func(tx tm.Tx) { tx.Store(a, 9) })
+			close(done)
+			return
 		}
-		seqChangedOnly(t, sys, 1)
+		attempt := 0
+		th.AtomicAt(blkLFPeer, func(tx tm.Tx) {
+			attempt++
+			x := sys.Txs[0]
+			if x.logFree != (attempt == 1) {
+				t.Errorf("attempt %d: logFree = %v", attempt, x.logFree)
+			}
+			_ = tx.Load(b)
+			if attempt == 1 {
+				close(ready)
+				<-done
+			}
+			seen = tx.Load(a) // the first attempt must abort here
+			if attempt == 1 {
+				t.Errorf("log-free attempt survived a peer commit (read %d)", seen)
+			}
+		})
+	})
+	if seen != 9 {
+		t.Fatalf("retry read %d, want the committed 9", seen)
 	}
+	seqChangedOnly(t, sys, 1)
 }
 
 // TestLogFreeAbortsOnSilentStore is the trade-off against
@@ -139,7 +131,7 @@ func TestLogFreeAbortsOnSilentStore(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	a, b := arena.Alloc(1), arena.Alloc(1)
 	arena.Store(a, 5)
-	sys := newSysT(t, false, arena, 2)
+	sys := newSysT(t, arena, 2)
 	ready := make(chan struct{})
 	done := make(chan struct{})
 	thread.NewTeam(2).Run(func(tid int) {
@@ -178,7 +170,7 @@ func TestLogFreeAttemptThatStores(t *testing.T) {
 		arena := mem.NewArena(1 << 10)
 		a, b := arena.Alloc(1), arena.Alloc(1)
 		arena.Store(a, 7)
-		sys := newSysT(t, false, arena, 1)
+		sys := newSysT(t, arena, 1)
 		sys.Thread(0).AtomicAt(blkLFStore, func(tx tm.Tx) {
 			tx.Store(b, tx.Load(a)+1)
 			if got := tx.Load(b); got != 8 {
@@ -197,7 +189,7 @@ func TestLogFreeAttemptThatStores(t *testing.T) {
 		arena := mem.NewArena(1 << 10)
 		a, b, c := arena.Alloc(1), arena.Alloc(1), arena.Alloc(1)
 		arena.Store(a, 7)
-		sys := newSysT(t, false, arena, 2)
+		sys := newSysT(t, arena, 2)
 		ready := make(chan struct{})
 		done := make(chan struct{})
 		thread.NewTeam(2).Run(func(tid int) {

@@ -23,24 +23,21 @@
 // moment the CAS succeeds follows from seq not having moved since the last
 // validation, which gives opacity without any per-read version check.
 //
-// Two registered variants expose the cost of the read-only commit rule as
-// a comparison axis:
-//
-//	stm-norec     read-only transactions also serialize through the
-//	              sequence lock at commit (every commit ticks the clock),
-//	              except a marked block's log-free first attempt (below)
-//	stm-norec-ro  the paper's read-only fast path: a transaction with an
-//	              empty write set commits immediately, with no lock
-//	              acquisition and no clock tick
+// Read-only commits are free, as published: a transaction that stored
+// nothing commits with no lock acquisition and no clock tick. Every Load
+// already validated against a quiescent snapshot, so the read set was
+// atomically valid at the last one, and the transaction serializes there.
+// Only writers tick seq, so only writers force in-flight readers to
+// revalidate.
 //
 // # Log-free first attempts of marked blocks
 //
-// On both variants the first attempt of a block registered through
-// tm.NewROBlock keeps no read log — the seq-lock-only reader of TML
-// (Transactional Mutex Locks). Its load is the write-filter test, the arena
-// load and one seq == snapshot compare; a moved seq aborts the attempt with
-// seq-changed instead of revalidating (there is nothing to revalidate). An
-// attempt that stored nothing commits with no CAS and no tick.
+// The first attempt of a block registered through tm.NewROBlock keeps no
+// read log — the seq-lock-only reader of TML (Transactional Mutex Locks).
+// Its load is the write-filter test, the arena load and one seq == snapshot
+// compare; a moved seq aborts the attempt with seq-changed instead of
+// revalidating (there is nothing to revalidate). An attempt that stored
+// nothing commits with no CAS and no tick, like any store-free commit.
 //
 // Opacity: every value such an attempt returns was read while seq equalled
 // its even begin snapshot, so all of them belong to the one committed state
@@ -51,11 +48,10 @@
 // forward — so a failed CAS aborts with seq-changed. Every retry is an
 // ordinary logged attempt, so a block aborts log-free at most once.
 //
-// The trade: a log-free attempt aborts on any commit that lands between its
-// begin and its last load, including one that wrote nothing it read or
-// wrote back the value it saw (value validation tolerates both). It buys
-// back the read log's append per load and, on stm-norec, the commit's CAS
-// and tick on the one shared word.
+// The trade: a log-free attempt aborts on any writer commit that lands
+// between its begin and its last load, including one that wrote nothing it
+// read or wrote back the value it saw (value validation tolerates both). It
+// buys back the read log's append per load.
 package norec
 
 import (
@@ -71,7 +67,6 @@ import (
 // algorithm is the seq word; everything else is per-thread.
 type System struct {
 	*tm.Runtime[*norecTx]
-	roFast bool // read-only commit fast path (the stm-norec-ro variant)
 
 	// seq is the global sequence lock: even = quiescent, odd = a committer
 	// is writing back. It doubles as the version clock transactions
@@ -81,19 +76,13 @@ type System struct {
 	seq tm.PaddedUint64
 }
 
-// New constructs the plain NOrec runtime ("stm-norec").
-func New(cfg tm.Config) (*System, error) { return newSystem(cfg, "stm-norec", false) }
-
-// NewRO constructs the NOrec runtime with the read-only commit fast path
-// ("stm-norec-ro").
-func NewRO(cfg tm.Config) (*System, error) { return newSystem(cfg, "stm-norec-ro", true) }
-
-func newSystem(cfg tm.Config, name string, roFast bool) (*System, error) {
-	rt, err := tm.NewRuntime[*norecTx](name, cfg, tm.DefaultCM)
+// New constructs the NOrec runtime ("stm-norec").
+func New(cfg tm.Config) (*System, error) {
+	rt, err := tm.NewRuntime[*norecTx]("stm-norec", cfg, tm.DefaultCM)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{Runtime: rt, roFast: roFast}
+	s := &System{Runtime: rt}
 	rt.Bind(func(int) *norecTx { return &norecTx{sys: s} })
 	return s, nil
 }
@@ -103,9 +92,8 @@ func (s *System) Seq() uint64 { return s.seq.Load() }
 
 // LockAcquires returns how many commits acquired the sequence lock, summed
 // over the workers (read after the team joins; each worker advances its
-// own count). With the read-only fast path, read-only transactions never
-// contribute here; on either variant, neither does a marked block's
-// log-free first attempt that stored nothing.
+// own count): one per writer commit. A commit that stored nothing never
+// contributes here.
 func (s *System) LockAcquires() uint64 {
 	var n uint64
 	for _, x := range s.Txs {
@@ -242,23 +230,19 @@ func (x *norecTx) Store(a mem.Addr, v uint64) {
 // conflicts at word granularity).
 func (x *norecTx) EarlyRelease(mem.Addr) {}
 
-// Commit acquires the sequence lock (CAS even -> odd), writes the redo log
-// back, and releases (snapshot+2). A failed CAS means some other commit
-// ticked the clock: the read set is revalidated and the CAS retried from
-// the newer snapshot. With the read-only fast path enabled, an empty write
-// set commits immediately: every Load already validated against a quiescent
-// snapshot, so the read set was atomically valid at that snapshot. On the
-// plain variant read-only commits serialize through the lock too, one
-// acquisition each (the LockAcquires contract), with an empty writeback —
-// except a log-free attempt's, which commits like the fast path's. A
+// Commit returns at once for an empty write set: every Load already
+// validated against a quiescent snapshot, so the read set was atomically
+// valid at that snapshot (see the package doc). A writer acquires the
+// sequence lock (CAS even -> odd), writes the redo log back, and releases
+// (snapshot+2). A failed CAS means some other writer ticked the clock: the
+// read set is revalidated and the CAS retried from the newer snapshot. A
 // log-free attempt that stored has no read log to revalidate, so its CAS
 // must succeed from the begin snapshot or the attempt aborts.
 func (x *norecTx) Commit() bool {
 	if x.wset.Len() == 0 {
-		if x.sys.roFast || x.logFree {
-			return true
-		}
-	} else if x.Chaos.Fire(chaos.NorecValidate, x.ID) {
+		return true
+	}
+	if x.Chaos.Fire(chaos.NorecValidate, x.ID) {
 		// Failpoint: a spurious abort at writer-commit validation looks exactly
 		// like a value-validation failure, so it carries that natural cause.
 		// Read-only commits are exempt — they have nothing to starve on.

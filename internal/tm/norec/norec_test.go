@@ -9,13 +9,9 @@ import (
 	"github.com/stamp-go/stamp/internal/tm"
 )
 
-func newSysT(t *testing.T, ro bool, arena *mem.Arena, threads int) *System {
+func newSysT(t *testing.T, arena *mem.Arena, threads int) *System {
 	t.Helper()
-	ctor := New
-	if ro {
-		ctor = NewRO
-	}
-	sys, err := ctor(tm.Config{Arena: arena, Threads: threads})
+	sys, err := New(tm.Config{Arena: arena, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,17 +22,13 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(tm.Config{Threads: 1}); err == nil {
 		t.Fatal("expected error for nil arena")
 	}
-	if _, err := NewRO(tm.Config{Arena: mem.NewArena(64), Threads: 100}); err == nil {
+	if _, err := New(tm.Config{Arena: mem.NewArena(64), Threads: 100}); err == nil {
 		t.Fatal("expected error for >64 threads")
 	}
 }
 
 func TestNames(t *testing.T) {
-	arena := mem.NewArena(64)
-	if sys := newSysT(t, false, arena, 1); sys.Name() != "stm-norec" {
-		t.Fatalf("Name() = %q", sys.Name())
-	}
-	if sys := newSysT(t, true, arena, 1); sys.Name() != "stm-norec-ro" {
+	if sys := newSysT(t, mem.NewArena(64), 1); sys.Name() != "stm-norec" {
 		t.Fatalf("Name() = %q", sys.Name())
 	}
 }
@@ -47,7 +39,7 @@ func TestNames(t *testing.T) {
 func TestWriterCommitTicksSeqByTwo(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	a := arena.Alloc(1)
-	sys := newSysT(t, false, arena, 1)
+	sys := newSysT(t, arena, 1)
 	before := sys.Seq()
 	sys.Thread(0).Atomic(func(tx tm.Tx) { tx.Store(a, 1) })
 	after := sys.Seq()
@@ -62,42 +54,80 @@ func TestWriterCommitTicksSeqByTwo(t *testing.T) {
 	}
 }
 
-// TestROFastPathSkipsLock is the acceptance-criteria hook: on stm-norec-ro,
-// read-only transactions commit without ever touching the sequence lock; on
-// plain stm-norec every commit serializes through it.
+// TestROFastPathSkipsLock: read-only transactions commit without ever
+// touching the sequence lock, however many threads run them.
 func TestROFastPathSkipsLock(t *testing.T) {
 	const threads = 4
 	const perT = 500
-	for _, ro := range []bool{true, false} {
-		arena := mem.NewArena(1 << 10)
-		a := arena.Alloc(1)
-		arena.Store(a, 7)
-		sys := newSysT(t, ro, arena, threads)
-		team := thread.NewTeam(threads)
-		team.Run(func(tid int) {
-			th := sys.Thread(tid)
-			for i := 0; i < perT; i++ {
-				th.Atomic(func(tx tm.Tx) {
-					if tx.Load(a) != 7 {
-						t.Errorf("read %d, want 7", tx.Load(a))
-					}
-				})
+	arena := mem.NewArena(1 << 10)
+	a := arena.Alloc(1)
+	arena.Store(a, 7)
+	sys := newSysT(t, arena, threads)
+	team := thread.NewTeam(threads)
+	team.Run(func(tid int) {
+		th := sys.Thread(tid)
+		for i := 0; i < perT; i++ {
+			th.Atomic(func(tx tm.Tx) {
+				if tx.Load(a) != 7 {
+					t.Errorf("read %d, want 7", tx.Load(a))
+				}
+			})
+		}
+	})
+	if st := sys.Stats(); st.Total.Commits != threads*perT {
+		t.Fatalf("commits = %d", st.Total.Commits)
+	}
+	if acq := sys.LockAcquires(); acq != 0 {
+		t.Fatalf("read-only txs acquired the lock %d times", acq)
+	}
+	if sys.Seq() != 0 {
+		t.Fatalf("read-only txs ticked the clock to %d", sys.Seq())
+	}
+}
+
+// TestStoreFreeCommitIsFree: an unmarked block keeps a read log, and when it
+// stores nothing it still commits with no CAS and no tick — alone, and after
+// a peer's writer commit lands mid-attempt and makes it revalidate. The
+// peer's writer commit ticks as always.
+func TestStoreFreeCommitIsFree(t *testing.T) {
+	arena := mem.NewArena(1 << 10)
+	a := arena.Alloc(1)
+	b := arena.Alloc(1)
+	sys := newSysT(t, arena, 2)
+	sys.Thread(0).Atomic(func(tx tm.Tx) { _ = tx.Load(a) })
+	if acq, seq := sys.LockAcquires(), sys.Seq(); acq != 0 || seq != 0 {
+		t.Fatalf("store-free commit: lock acquires %d, seq %d; want 0, 0", acq, seq)
+	}
+	ready := make(chan struct{})
+	done := make(chan struct{})
+	var sawB uint64
+	thread.NewTeam(2).Run(func(tid int) {
+		th := sys.Thread(tid)
+		if tid == 1 {
+			<-ready
+			th.Atomic(func(tx tm.Tx) { tx.Store(b, 1) })
+			close(done)
+			return
+		}
+		attempt := 0
+		th.Atomic(func(tx tm.Tx) {
+			attempt++
+			_ = tx.Load(a)
+			if attempt == 1 {
+				close(ready)
+				<-done // the peer's writer commit ticks seq here
 			}
+			sawB = tx.Load(b) // seq moved: revalidates {a} and adopts seq 2
 		})
-		st := sys.Stats()
-		if st.Total.Commits != threads*perT {
-			t.Fatalf("ro=%v: commits = %d", ro, st.Total.Commits)
-		}
-		acq := sys.LockAcquires()
-		if ro && acq != 0 {
-			t.Fatalf("stm-norec-ro read-only txs acquired the lock %d times", acq)
-		}
-		if !ro && acq != threads*perT {
-			t.Fatalf("stm-norec: lock acquires = %d, want %d", acq, threads*perT)
-		}
-		if ro && sys.Seq() != 0 {
-			t.Fatalf("stm-norec-ro read-only txs ticked the clock to %d", sys.Seq())
-		}
+	})
+	if sawB != 1 {
+		t.Fatalf("reader saw b = %d after the peer's commit, want 1", sawB)
+	}
+	if aborts := sys.Stats().Total.Aborts; aborts != 0 {
+		t.Fatalf("aborts = %d, want 0 (the writer touched nothing the reader had read)", aborts)
+	}
+	if acq, seq := sys.LockAcquires(), sys.Seq(); acq != 1 || seq != 2 {
+		t.Fatalf("lock acquires %d, seq %d; want 1, 2: only the writer commit takes the lock", acq, seq)
 	}
 }
 
@@ -109,7 +139,7 @@ func TestValueValidationToleratesSilentStore(t *testing.T) {
 	a := arena.Alloc(1)
 	b := arena.Alloc(1)
 	arena.Store(a, 5)
-	sys := newSysT(t, false, arena, 2)
+	sys := newSysT(t, arena, 2)
 	team := thread.NewTeam(2)
 	ready := make(chan struct{})
 	done := make(chan struct{})
@@ -148,7 +178,7 @@ func TestConflictingCommitAbortsReader(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	a := arena.Alloc(1)
 	arena.Store(a, 5)
-	sys := newSysT(t, false, arena, 2)
+	sys := newSysT(t, arena, 2)
 	team := thread.NewTeam(2)
 	ready := make(chan struct{})
 	done := make(chan struct{})
@@ -185,45 +215,41 @@ func TestConflictingCommitAbortsReader(t *testing.T) {
 // TestPeekAndEarlyRelease: Peek does not see buffered writes; EarlyRelease
 // is a no-op that leaves commit behaviour unchanged.
 func TestPeekAndEarlyRelease(t *testing.T) {
-	for _, ro := range []bool{false, true} {
-		arena := mem.NewArena(1 << 10)
-		a := arena.Alloc(1)
-		arena.Store(a, 5)
-		sys := newSysT(t, ro, arena, 1)
-		sys.Thread(0).Atomic(func(tx tm.Tx) {
-			tx.Store(a, 6)
-			if got := tx.Peek(a); got != 5 {
-				t.Errorf("Peek saw buffered write: %d", got)
-			}
-			tx.EarlyRelease(a) // no-op; must not disturb the write set
-		})
-		if got := arena.Load(a); got != 6 {
-			t.Fatalf("final = %d", got)
+	arena := mem.NewArena(1 << 10)
+	a := arena.Alloc(1)
+	arena.Store(a, 5)
+	sys := newSysT(t, arena, 1)
+	sys.Thread(0).Atomic(func(tx tm.Tx) {
+		tx.Store(a, 6)
+		if got := tx.Peek(a); got != 5 {
+			t.Errorf("Peek saw buffered write: %d", got)
 		}
+		tx.EarlyRelease(a) // no-op; must not disturb the write set
+	})
+	if got := arena.Load(a); got != 6 {
+		t.Fatalf("final = %d", got)
 	}
 }
 
 // TestCounterLinearizable: the basic linearizability smoke test — blind
-// concurrent increments lose no updates on either variant.
+// concurrent increments lose no updates.
 func TestCounterLinearizable(t *testing.T) {
 	const threads = 8
 	const perT = 2000
-	for _, ro := range []bool{false, true} {
-		arena := mem.NewArena(1 << 10)
-		c := arena.Alloc(1)
-		sys := newSysT(t, ro, arena, threads)
-		team := thread.NewTeam(threads)
-		team.Run(func(tid int) {
-			th := sys.Thread(tid)
-			for i := 0; i < perT; i++ {
-				th.Atomic(func(tx tm.Tx) {
-					tx.Store(c, tx.Load(c)+1)
-				})
-			}
-		})
-		if got := arena.Load(c); got != threads*perT {
-			t.Fatalf("ro=%v: counter = %d, want %d", ro, got, threads*perT)
+	arena := mem.NewArena(1 << 10)
+	c := arena.Alloc(1)
+	sys := newSysT(t, arena, threads)
+	team := thread.NewTeam(threads)
+	team.Run(func(tid int) {
+		th := sys.Thread(tid)
+		for i := 0; i < perT; i++ {
+			th.Atomic(func(tx tm.Tx) {
+				tx.Store(c, tx.Load(c)+1)
+			})
 		}
+	})
+	if got := arena.Load(c); got != threads*perT {
+		t.Fatalf("counter = %d, want %d", got, threads*perT)
 	}
 }
 
@@ -237,56 +263,54 @@ func TestSnapshotConsistency(t *testing.T) {
 		total    = 1000
 		perT     = 1200
 	)
-	for _, ro := range []bool{false, true} {
-		arena := mem.NewArena(1 << 12)
-		accs := make([]mem.Addr, accounts)
-		for i := range accs {
-			accs[i] = arena.Alloc(1)
-		}
-		arena.Store(accs[0], total)
-		sys := newSysT(t, ro, arena, threads)
-		team := thread.NewTeam(threads)
-		var torn [threads]int64
-		team.Run(func(tid int) {
-			th := sys.Thread(tid)
-			r := rng.New(uint64(tid) + 99)
-			for i := 0; i < perT; i++ {
-				if i%4 == 0 {
-					th.Atomic(func(tx tm.Tx) {
-						var sum uint64
-						for _, a := range accs {
-							sum += tx.Load(a)
-						}
-						if sum != total {
-							torn[tid]++
-						}
-					})
-					continue
-				}
-				from, to := r.Intn(accounts), r.Intn(accounts)
-				amount := uint64(r.Intn(4))
+	arena := mem.NewArena(1 << 12)
+	accs := make([]mem.Addr, accounts)
+	for i := range accs {
+		accs[i] = arena.Alloc(1)
+	}
+	arena.Store(accs[0], total)
+	sys := newSysT(t, arena, threads)
+	team := thread.NewTeam(threads)
+	var torn [threads]int64
+	team.Run(func(tid int) {
+		th := sys.Thread(tid)
+		r := rng.New(uint64(tid) + 99)
+		for i := 0; i < perT; i++ {
+			if i%4 == 0 {
 				th.Atomic(func(tx tm.Tx) {
-					f := tx.Load(accs[from])
-					if f < amount {
-						return
+					var sum uint64
+					for _, a := range accs {
+						sum += tx.Load(a)
 					}
-					tx.Store(accs[from], f-amount)
-					tx.Store(accs[to], tx.Load(accs[to])+amount)
+					if sum != total {
+						torn[tid]++
+					}
 				})
+				continue
 			}
-		})
-		for tid, v := range torn {
-			if v != 0 {
-				t.Fatalf("ro=%v: thread %d observed %d torn snapshots", ro, tid, v)
-			}
+			from, to := r.Intn(accounts), r.Intn(accounts)
+			amount := uint64(r.Intn(4))
+			th.Atomic(func(tx tm.Tx) {
+				f := tx.Load(accs[from])
+				if f < amount {
+					return
+				}
+				tx.Store(accs[from], f-amount)
+				tx.Store(accs[to], tx.Load(accs[to])+amount)
+			})
 		}
-		var sum uint64
-		for _, a := range accs {
-			sum += arena.Load(a)
+	})
+	for tid, v := range torn {
+		if v != 0 {
+			t.Fatalf("thread %d observed %d torn snapshots", tid, v)
 		}
-		if sum != total {
-			t.Fatalf("ro=%v: total = %d, want %d", ro, sum, total)
-		}
+	}
+	var sum uint64
+	for _, a := range accs {
+		sum += arena.Load(a)
+	}
+	if sum != total {
+		t.Fatalf("total = %d, want %d", sum, total)
 	}
 }
 
@@ -299,7 +323,7 @@ func TestStatsAccounting(t *testing.T) {
 	const perT = 200
 	arena := mem.NewArena(1 << 10)
 	hot := arena.Alloc(1)
-	sys := newSysT(t, false, arena, threads)
+	sys := newSysT(t, arena, threads)
 	team := thread.NewTeam(threads)
 	team.Run(func(tid int) {
 		th := sys.Thread(tid)

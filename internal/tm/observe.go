@@ -135,22 +135,10 @@ func (a *AbortInfo) BailAlloc() {
 	panic(AllocFailure{Err: err})
 }
 
-// eventSource is the optional System interface for runtimes whose worker
-// rings are not reachable through Thread.Stats() — the adaptive
-// meta-runtime implements it to expose both delegates' rings.
-type eventSource interface {
-	TraceEvents() []TraceEvent
-}
-
 // TraceEvents collects a system's sampled tracer events across all worker
 // rings, time-sorted. It returns nil when tracing was off. Pass the result
 // to trace.WriteChrome for a Perfetto-loadable timeline.
 func TraceEvents(sys System) []TraceEvent {
-	if src, ok := sys.(eventSource); ok {
-		evs := src.TraceEvents()
-		sort.Slice(evs, func(i, j int) bool { return evs[i].TimeNs < evs[j].TimeNs })
-		return evs
-	}
 	var evs []TraceEvent
 	for id := 0; id < sys.NThreads(); id++ {
 		evs = append(evs, sys.Thread(id).Stats().Tracer.Snapshot()...)

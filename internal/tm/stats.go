@@ -91,10 +91,7 @@ func (h *Hist) Merge(o *Hist) {
 // site (see NewBlock / Thread.AtomicAt). Loads and Stores count the
 // barriers of committed attempts, so Loads/Commits and Stores/Commits are
 // the block's mean read- and write-set sizes in barrier terms (the same
-// convention as the aggregate LoadsHist/StoresHist means). Residency()
-// reports commits per runtime name: on a static runtime all under that
-// runtime's own name, while merged stm-adaptive records show how the
-// block's commits were split across the delegate protocols.
+// convention as the aggregate LoadsHist/StoresHist means).
 type BlockStats struct {
 	Commits uint64
 	Aborts  uint64
@@ -104,44 +101,6 @@ type BlockStats struct {
 	// Causes breaks Aborts down by AbortCause (see RecordAbort); entries
 	// sum to Aborts once the block's attempts have all completed.
 	Causes [trace.NumCauses]uint64
-
-	// Protocol residency. A live per-thread record only ever sees its own
-	// runtime's name, so the hot path (RecordBlock, once per commit) is an
-	// inline pointer-equal string compare and an add — no map operation. A
-	// second protocol appears only when records are merged (stm-adaptive
-	// folding its two delegates together), which spills into the map.
-	proto        string
-	protoCommits uint64
-	spill        map[string]uint64
-}
-
-// addResidency credits n commits under proto (see the field comment for
-// why the single-protocol case stays off the map).
-func (b *BlockStats) addResidency(proto string, n uint64) {
-	switch {
-	case b.proto == proto:
-		b.protoCommits += n
-	case b.proto == "" && b.spill == nil:
-		b.proto, b.protoCommits = proto, n
-	default:
-		if b.spill == nil {
-			b.spill = make(map[string]uint64, 2)
-		}
-		b.spill[proto] += n
-	}
-}
-
-// Residency returns the block's commits per runtime name (a fresh map per
-// call).
-func (b *BlockStats) Residency() map[string]uint64 {
-	m := make(map[string]uint64, 1+len(b.spill))
-	if b.protoCommits != 0 {
-		m[b.proto] = b.protoCommits
-	}
-	for proto, n := range b.spill {
-		m[proto] += n
-	}
-	return m
 }
 
 // MeanLoads returns the block's mean read barriers per committed block.
@@ -168,12 +127,6 @@ func (b *BlockStats) merge(o *BlockStats) {
 	b.Stores += o.Stores
 	for c := range o.Causes {
 		b.Causes[c] += o.Causes[c]
-	}
-	if o.protoCommits != 0 {
-		b.addResidency(o.proto, o.protoCommits)
-	}
-	for proto, n := range o.spill {
-		b.addResidency(proto, n)
 	}
 }
 
@@ -258,21 +211,20 @@ func (s *ThreadStats) RecordAbort(b BlockID, cause trace.AbortCause, key trace.K
 }
 
 // RecordBlock attributes one committed atomic block to call site b: one
-// commit under runtime proto, the attempt's failed tries, and the committed
-// attempt's barrier counts. Runtimes call it once per completed Atomic /
-// AtomicAt, right where they bump the aggregate Commits counter.
-func (s *ThreadStats) RecordBlock(b BlockID, proto string, aborts, loads, stores uint64) {
+// commit, the attempt's failed tries, and the committed attempt's barrier
+// counts. Runtimes call it once per completed Atomic / AtomicAt, right where
+// they bump the aggregate Commits counter.
+func (s *ThreadStats) RecordBlock(b BlockID, aborts, loads, stores uint64) {
 	blk := s.blockAt(b)
 	blk.Commits++
 	blk.Aborts += aborts
 	blk.Loads += loads
 	blk.Stores += stores
-	blk.addResidency(proto, 1)
 }
 
 // Merge folds o into s. It exists for aggregation across worker records
-// (and, in the adaptive meta-runtime, across delegate records); workers
-// never share a record during a run.
+// (and across runs, as the benchmark driver does); workers never share a
+// record during a run.
 func (s *ThreadStats) Merge(o *ThreadStats) { s.merge(o) }
 
 // merge folds o into s (used for aggregation only).

@@ -19,13 +19,13 @@ func TestThreadStatsMergeAsymmetric(t *testing.T) {
 		long.RecordAbort(3, trace.CauseWriteWrite, trace.AddrKey(42), 2)
 		long.RecordAbort(3, trace.CauseReadValidation, trace.AddrKey(42), 2)
 		long.Commits = 1
-		long.RecordBlock(3, "stm-lazy", 2, 10, 5)
+		long.RecordBlock(3, 2, 10, 5)
 
 		short = &ThreadStats{}
 		short.Aborts = 1
 		short.RecordAbort(1, trace.CauseSeqChanged, trace.StripeKey(7), 0)
 		short.Commits = 1
-		short.RecordBlock(1, "stm-norec", 1, 4, 2)
+		short.RecordBlock(1, 1, 4, 2)
 		return long, short
 	}
 

@@ -20,10 +20,9 @@ import (
 // tm.Config.LockTableBits pins it; either way it stays within
 // [minLockTableBits, maxLockTableBits]. The historical table was a fixed
 // 2^20 stripes (8 MiB of metadata) regardless of workload — small
-// workloads paid that in cold cache misses on every barrier, and
-// stm-adaptive paid it twice. Beyond 2^maxLockTableBits words the table
-// wraps (see Index), which only introduces (rare, harmless) false
-// conflicts.
+// workloads paid that in cold cache misses on every barrier. Beyond
+// 2^maxLockTableBits words the table wraps (see Index), which only
+// introduces (rare, harmless) false conflicts.
 const (
 	minLockTableBits = 12 // 4096 stripes, 32 KiB — floor for tiny arenas
 	maxLockTableBits = 20 // 2^20 stripes, 8 MiB — the historical fixed size

@@ -8,21 +8,14 @@
 //	stm-lazy      TL2-style lazy STM (write buffer, commit-time locking, word granularity)
 //	stm-eager     eager TL2 variant (undo log, encounter-time locking, word granularity)
 //	stm-norec     NOrec STM (single global sequence lock, value-based validation,
-//	              no per-location metadata; every commit serializes through
-//	              the lock)
-//	stm-norec-ro  NOrec with the read-only commit fast path (empty write set
-//	              commits without acquiring the sequence lock)
+//	              no per-location metadata; every writer commit serializes
+//	              through the lock, read-only commits take no lock and no tick)
 //	htm-lazy      simulated TCC-style HTM (lazy versioning, commit arbitration,
 //	              line granularity, capacity overflow => serialized execution)
 //	htm-eager     simulated LogTM-style HTM (eager versioning, directory conflict
 //	              detection, requester loses, priority after 32 aborts, Bloom overflow)
 //	hybrid-lazy   simulated SigTM (software write buffer + hardware signatures)
 //	hybrid-eager  eager SigTM variant (software undo log + hardware signatures)
-//	stm-adaptive  meta-runtime wrapping two of the STMs above (NOrec with the
-//	              read-only fast path, and TL2 lazy, by default) and switching
-//	              between them online from sampled commit/abort and
-//	              read/write-set signals, with an epoch-based quiesce so no
-//	              transaction straddles a protocol handoff
 //	stm-mv        multi-version STM: TL2-style writers append committed values
 //	              to per-stripe bounded version rings (Config.MVVersions), so
 //	              read-only transactions read a consistent snapshot at their
@@ -32,8 +25,9 @@
 //	              commit concurrently
 //
 // The paper's evaluation covers six of these (factory.TMNames()); the NOrec
-// and adaptive runtimes extend the comparison axis beyond the paper and are
-// selected explicitly by name (factory.Names() lists everything registered).
+// and multi-version runtimes extend the comparison axis beyond the paper and
+// are selected explicitly by name (factory.Names() lists everything
+// registered).
 //
 // Transactional data lives in a mem.Arena; Tx.Load and Tx.Store are the read
 // and write barriers. Conflicts abort the current attempt by panicking with
@@ -150,8 +144,7 @@ type Config struct {
 	// or "gv5" (commits publish clock+1 without ticking; aborts advance
 	// the clock). Empty selects DefaultClock (gv1), reproducing the
 	// original TL2 behavior. Runtimes without a version clock (NOrec, the
-	// simulated HTMs, the hybrids) ignore this field; the adaptive
-	// meta-runtime forwards it to its TL2 delegate.
+	// simulated HTMs, the hybrids) ignore this field.
 	Clock string
 
 	// AllocChunk is the per-thread arena reservation size in words: each
@@ -185,9 +178,8 @@ type Config struct {
 	// LockTableBits sizes the TL2 versioned-lock table at 2^bits stripes.
 	// 0 derives the size from the arena (one stripe per word, rounded up
 	// to a power of two, clamped to [2^12, 2^20]), so small workloads stop
-	// paying 8 MiB of cold lock-table metadata per TL2 instance — doubled
-	// under stm-adaptive, which constructs two delegates. Explicit values
-	// are clamped to the same range. Only the TL2 runtimes read this.
+	// paying 8 MiB of cold lock-table metadata per TL2 instance. Explicit
+	// values are clamped to the same range. Only the TL2 runtimes read this.
 	LockTableBits int
 
 	// CM selects the contention-management policy by registry name (see
@@ -216,25 +208,6 @@ type Config struct {
 	// HTM simulators ("since early-release is not available on all TM
 	// systems, its use can be disabled").
 	EnableEarlyRelease bool
-
-	// AdaptiveRead and AdaptiveWrite name the two delegate runtimes of the
-	// stm-adaptive meta-runtime: the protocol preferred in read-dominated /
-	// low-contention phases and the one preferred under write-heavy commit
-	// pressure. Defaults are "stm-norec-ro" (NOrec with the paper's
-	// read-only commit rule) and "stm-lazy" (TL2). Other runtimes ignore
-	// these fields.
-	AdaptiveRead  string
-	AdaptiveWrite string
-
-	// AdaptiveWindow is the number of committed blocks per stm-adaptive
-	// sampling window (default 128); at each window boundary the selection
-	// policy re-evaluates the sampled signals.
-	AdaptiveWindow int
-
-	// AdaptiveHysteresis is how many consecutive windows must agree on the
-	// other protocol before stm-adaptive performs a handoff (default 2), so
-	// one noisy window cannot trigger a quiesce.
-	AdaptiveHysteresis int
 
 	// ProfileSets makes the sequential system track read/write line sets for
 	// characterization (the concurrent systems track them anyway).
@@ -316,18 +289,6 @@ func (c Config) Defaults() Config {
 	if c.MVVersions == 0 {
 		c.MVVersions = DefaultMVVersions
 	}
-	if c.AdaptiveRead == "" {
-		c.AdaptiveRead = "stm-norec-ro"
-	}
-	if c.AdaptiveWrite == "" {
-		c.AdaptiveWrite = "stm-lazy"
-	}
-	if c.AdaptiveWindow == 0 {
-		c.AdaptiveWindow = 128
-	}
-	if c.AdaptiveHysteresis == 0 {
-		c.AdaptiveHysteresis = 2
-	}
 	if c.Seed == 0 {
 		c.Seed = 0x5742757374616d70
 	}
@@ -395,10 +356,8 @@ const DefaultMVVersions = 8
 // DefaultAllocChunk, and any chunk is capped to Cap/(Threads*16) so the
 // reserved-but-unconsumed tails can never exhaust a tightly sized arena
 // (a cap of 0 degrades to passthrough, which is exactly right for tiny
-// test arenas). The divisor budgets for *two* reservers per thread — the
-// stm-adaptive meta-runtime constructs two delegate systems over one
-// arena — keeping worst-case stranded tails at or below 1/8 of the arena
-// even there.
+// test arenas). With one reserver per thread, worst-case stranded tails
+// stay at or below 1/16 of the arena.
 func (c Config) ReserveChunk() int {
 	if c.AllocChunk < 0 {
 		return 0

@@ -41,7 +41,7 @@ type (
 	// statistics (NewBlock, Thread.AtomicAt).
 	BlockID = tm.BlockID
 	// BlockRow is one per-block line of Stats.Blocks(): commits, aborts,
-	// mean set sizes, and protocol residency for one call site.
+	// mean set sizes, and abort causes for one call site.
 	BlockRow = tm.BlockRow
 	// Team is the fork/join worker group with a reusable barrier.
 	Team = thread.Team
@@ -154,23 +154,22 @@ func ParseChaos(spec string) (string, error) {
 func NewArena(nWords int) *Arena { return mem.NewArena(nWords) }
 
 // NewSystem constructs a TM runtime by name: "seq", "stm-lazy", "stm-eager",
-// "stm-norec", "stm-norec-ro", "stm-mv", "stm-adaptive", "htm-lazy",
-// "htm-eager", "hybrid-lazy", or "hybrid-eager".
+// "stm-norec", "stm-mv", "htm-lazy", "htm-eager", "hybrid-lazy", or
+// "hybrid-eager".
 func NewSystem(name string, cfg Config) (System, error) { return factory.New(name, cfg) }
 
 // NewBlock registers an atomic-block call site under a stable name and
 // returns its ID for Thread.AtomicAt, so a run's statistics can be broken
-// down per block (Stats.Blocks) — and so the stm-adaptive runtime can
-// attribute its protocol choices to call sites. Registration is idempotent:
-// the same name always yields the same ID.
+// down per block (Stats.Blocks). Registration is idempotent: the same name
+// always yields the same ID.
 func NewBlock(name string) BlockID { return tm.NewBlock(name) }
 
 // NewROBlock registers an atomic-block call site like NewBlock and marks it
 // read-mostly: runtimes with a read-optimized begin path start the block's
 // first attempt there — stm-mv's snapshot reads (abort-free while the
-// per-stripe ring, MVVersions, still retains the snapshot) and the NOrec
-// pair's log-free reads (no read log, and no sequence-lock acquisition when
-// nothing was stored; any concurrent commit aborts the attempt once). The
+// per-stripe ring, MVVersions, still retains the snapshot) and NOrec's
+// log-free reads (no read log; any concurrent writer commit aborts the
+// attempt once). The
 // mark is a hint — a marked block that stores still commits correctly on
 // every runtime, and retries run the ordinary protocol.
 func NewROBlock(name string) BlockID { return tm.NewROBlock(name) }
