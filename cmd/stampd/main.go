@@ -210,10 +210,10 @@ func benchCell(opts stamp.ServerOptions, cfg benchConfig, nc, roPct int) error {
 	fmt.Printf("# tm          starts=%d commits=%d aborts=%d escalations=%d cm-waits=%d\n",
 		tot.Starts, tot.Commits, tot.Aborts, tot.Escalations, tot.CMWaits)
 	if g := srv.Snapshot(); g.Swaps > 0 {
-		fmt.Printf("# lifecycle   epoch=%d swaps=%d swap-pause-total=%v swap-pause-last=%v swap-pause-max=%v arena=%d/%d words\n",
+		fmt.Printf("# lifecycle   epoch=%d swaps=%d swap-pause-total=%v swap-pause-last=%v swap-pause-max=%v arena=%d/%d words reclaimed=%d words\n",
 			g.Epoch, g.Swaps, time.Duration(g.SwapPauseNs).Round(time.Microsecond),
 			time.Duration(g.LastSwapPauseNs).Round(time.Microsecond),
-			time.Duration(g.MaxSwapPauseNs).Round(time.Microsecond), g.ArenaUsed, g.ArenaCap)
+			time.Duration(g.MaxSwapPauseNs).Round(time.Microsecond), g.ArenaUsed, g.ArenaCap, g.ReclaimedWords)
 	}
 	names := stamp.CauseNames()
 	var causes []string

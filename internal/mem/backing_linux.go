@@ -17,9 +17,9 @@ import (
 // zero pages and commits one only when it is first written, so a fresh
 // arena costs no zeroing pass and no resident memory for words nobody
 // draws. MAP_NORESERVE keeps an over-provisioned arena from being charged
-// against the commit limit up front. There is deliberately no madvise: huge
+// against the commit limit up front. No huge-page advice is given: huge
 // pages were measured no faster on the long-transaction workloads and make
-// resident memory move in 2 MiB steps.
+// resident memory move in 2 MiB steps. The one madvise is drop's.
 func back(a *Arena, n int) []uint64 {
 	page := uint64(syscall.Getpagesize())
 	size := (uint64(n)*8 + page - 1) &^ (page - 1)
@@ -41,6 +41,18 @@ func unmap(b []byte) {
 	}
 	mapped.Add(-int64(len(b)))
 	unmapped.Add(int64(len(b)))
+}
+
+// drop hands words' resident pages back to the kernel at once
+// (MADV_DONTNEED). The mapping stays valid: a later read sees zero pages
+// until the cleanup unmaps it. words is a whole mapping from back, so its
+// start is page-aligned, and the kernel rounds the length up to the page
+// that back rounded the mapping to.
+func drop(words []uint64) {
+	b := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), len(words)*8)
+	if err := syscall.Madvise(b, syscall.MADV_DONTNEED); err != nil {
+		panic(fmt.Sprintf("mem: releasing an arena's pages: %v", err))
+	}
 }
 
 // collectFloor is the smallest mapped total at which NewArena forces a

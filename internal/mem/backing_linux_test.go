@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"unsafe"
 )
 
 // residentMiB reads this process's resident set (VmRSS) in MiB.
@@ -79,4 +81,52 @@ func TestDroppedArenasAreReturned(t *testing.T) {
 		}
 	}
 	t.Logf("peak VmRSS over %d arenas of 64 MiB: %.0f MiB", arenas, peak)
+}
+
+// residentPages counts the pages of a's mapping that are resident, by
+// mincore(2).
+func residentPages(t *testing.T, a *Arena) int {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (len(a.words)*8 + page - 1) &^ (page - 1)
+	vec := make([]byte, size/page)
+	_, _, errno := syscall.Syscall(syscall.SYS_MINCORE,
+		uintptr(unsafe.Pointer(unsafe.SliceData(a.words))), uintptr(size), uintptr(unsafe.Pointer(&vec[0])))
+	runtime.KeepAlive(a)
+	if errno != 0 {
+		t.Fatalf("mincore: %v", errno)
+	}
+	n := 0
+	for _, b := range vec {
+		n += int(b & 1)
+	}
+	return n
+}
+
+// TestReleaseDropsResidentPages: Release of an arena written on every page
+// leaves none of its pages resident, the words read zero, and the mapping
+// stays valid (a read after Release does not fault, it only brings back a
+// zero page).
+func TestReleaseDropsResidentPages(t *testing.T) {
+	const (
+		words     = 8 << 20 / 8 // 8 MiB
+		pageWords = 512
+	)
+	a := NewArena(words)
+	for w := 0; w < words; w += pageWords {
+		a.Store(Addr(w), uint64(w)+1)
+	}
+	pages := len(a.words) * 8 / syscall.Getpagesize()
+	if got := residentPages(t, a); got != pages {
+		t.Fatalf("%d of %d pages resident after writing every page", got, pages)
+	}
+	a.Release()
+	if got := residentPages(t, a); got != 0 {
+		t.Fatalf("%d of %d pages still resident after Release", got, pages)
+	}
+	for w := 0; w < words; w += pageWords {
+		if v := a.Load(Addr(w)); v != 0 {
+			t.Fatalf("word %d reads %d after Release, want 0", w, v)
+		}
+	}
 }

@@ -61,9 +61,10 @@ var ErrArenaFull = errors.New("mem: arena exhausted")
 // that is unmapped by a cleanup once the *Arena is unreachable. That is
 // sound because of how words are reached:
 //
-//   - only through the Load, Store and CompareAndSwap methods — nothing in
-//     this package returns a slice of the words or a pointer into them, and
-//     every other method touches only the bump pointer and the capacity;
+//   - only through the Load, Store and CompareAndSwap methods, and Release,
+//     which drops them all — nothing in this package returns a slice of the
+//     words or a pointer into them, and every other method touches only the
+//     bump pointer and the capacity;
 //   - each of those methods keeps its receiver reachable until the access
 //     has completed (runtime.KeepAlive), so a caller that holds the *Arena
 //     for a call holds the mapping for that call, even if the call is its
@@ -104,6 +105,21 @@ func NewArena(nWords int) *Arena {
 	a.words = back(a, nWords)
 	a.next.Store(WordsPerLine) // burn line 0 so Nil is never allocated
 	return a
+}
+
+// Release hands the arena back while it is still reachable: it exhausts the
+// bump pointer, so every later TryAlloc, Alloc or Reserver refill fails
+// with ErrArenaFull (and Used reads Cap), and on Linux it returns the
+// resident pages to the kernel at once. The mapping stays valid until the
+// cleanup unmaps it, and a read of a released word sees zero. On the heap
+// fallback the pages are not returned — the words keep their values until
+// the collector frees the arena — so there Release only exhausts the
+// arena. Call it once nothing reads the arena's contents any more: an
+// epoch swap's retired arena, whose store was compacted elsewhere.
+func (a *Arena) Release() {
+	a.next.Store(uint32(len(a.words)))
+	drop(a.words)
+	runtime.KeepAlive(a)
 }
 
 // Cap returns the arena capacity in words.

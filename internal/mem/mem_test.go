@@ -46,6 +46,33 @@ func TestAllocExhaustionPanics(t *testing.T) {
 	a.Alloc(100)
 }
 
+// TestReleasedArenaIsExhausted: after Release every allocation path reports
+// ErrArenaFull — directly and through a Reserver refill — and Used reads
+// Cap, while Used and Cap stay safe to read during the Release.
+func TestReleasedArenaIsExhausted(t *testing.T) {
+	a := NewArena(1 << 12)
+	a.Store(a.Alloc(4), 1)
+	r := a.NewReserver(64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for a.Used() < a.Cap() {
+			runtime.Gosched()
+		}
+	}()
+	a.Release()
+	<-done
+	if _, err := a.TryAlloc(1); !errors.Is(err, ErrArenaFull) {
+		t.Fatalf("TryAlloc after Release: %v, want ErrArenaFull", err)
+	}
+	if _, err := r.TxAlloc(1); !errors.Is(err, ErrArenaFull) {
+		t.Fatalf("Reserver refill after Release: %v, want ErrArenaFull", err)
+	}
+	if a.Used() != a.Cap() {
+		t.Fatalf("Used = %d after Release, want Cap = %d", a.Used(), a.Cap())
+	}
+}
+
 // TestHugeRequestsDoNotWrapTheBumpPointer: a request whose end lies past
 // 2^32 words must fail like any other capacity miss and leave the bump
 // pointer alone. Computed in 32 bits, 1<<32 - 8 words from address 14 ended

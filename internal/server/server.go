@@ -315,6 +315,11 @@ type Gauges struct {
 	SwapPauseNs     int64  `json:"swap_pause_ns_total"`
 	LastSwapPauseNs int64  `json:"last_swap_pause_ns"`
 	MaxSwapPauseNs  int64  `json:"max_swap_pause_ns"`
+	// ReclaimedWords sums, over all swaps, the retired arena's Used minus
+	// the fresh arena's Used after compaction: the bump high-water each
+	// swap won back. A swap that reclaims little is one that will soon be
+	// followed by another.
+	ReclaimedWords int64 `json:"reclaimed_words"`
 
 	Latency LatSummary            `json:"latency"`
 	PerOp   map[string]LatSummary `json:"per_op"`
@@ -399,11 +404,15 @@ type Server struct {
 
 	// waitMu and freed park the goroutines waiting in lease. swapMu
 	// single-flights the quiescers (swaps and Close) and guards retired,
-	// the retired epochs' transactional statistics.
+	// the retired epochs' transactional statistics folded into one record.
 	waitMu  sync.Mutex
 	freed   sync.Cond
 	swapMu  sync.Mutex
-	retired []tm.Stats
+	retired tm.ThreadStats
+
+	// onRetire, when set (tests only, before any request), is called by
+	// each swap with the arena it retired, after releasing it.
+	onRetire func(*mem.Arena)
 
 	mu     sync.RWMutex // guards queue close vs Submit sends
 	queue  chan *Request
@@ -422,6 +431,7 @@ type Server struct {
 	swapPauseNs     atomic.Int64
 	lastSwapPauseNs atomic.Int64
 	maxSwapPauseNs  atomic.Int64
+	reclaimedWords  atomic.Int64
 }
 
 // New builds the store in a fresh long-lived arena, constructs the TM
@@ -776,11 +786,12 @@ func (s *Server) serve(ep *epochState, sl *slot, req *Request) (resp Response) {
 }
 
 // trySwap retires the epoch numbered fromEpoch: it quiesces the server,
-// compacts the live store into a fresh arena, installs a new system, and
-// resumes. The caller holds no slot. Swaps are single-flight — concurrent
-// triggers for the same epoch collapse into one, and a caller whose epoch
-// has already been retired returns immediately (its request simply retries
-// on the fresh one).
+// compacts the live store into a fresh arena, installs a new system,
+// resumes, and then releases the retired arena (mem.Arena.Release), so its
+// pages go back without waiting for a collection. The caller holds no
+// slot. Swaps are single-flight — concurrent triggers for the same epoch
+// collapse into one, and a caller whose epoch has already been retired
+// returns immediately (its request simply retries on the fresh one).
 func (s *Server) trySwap(fromEpoch uint64) {
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
@@ -790,7 +801,6 @@ func (s *Server) trySwap(fromEpoch uint64) {
 	}
 	start := time.Now()
 	s.quiesce()
-	defer s.resume()
 	// Failpoint: wedge between quiesce and arena install — the window where
 	// every request waits for a slot.
 	s.chaos.Stall(chaos.SwapStall, 0)
@@ -800,18 +810,30 @@ func (s *Server) trySwap(fromEpoch uint64) {
 	if err != nil {
 		// Unreachable in practice: the same options built the old epoch.
 		s.fail(fmt.Errorf("server: epoch swap: %w", err))
+		s.resume()
 		return
 	}
 	// Every slot is ours, so the retiring system's per-thread counters are
-	// exact; bank them for TMStats before dropping the epoch (and its
-	// arena) to the collector.
-	s.retired = append(s.retired, old.sys.Stats())
+	// exact; bank them for TMStats before dropping the epoch to the
+	// collector.
+	retiring := old.sys.Stats()
+	s.retired.Merge(&retiring.Total)
+	s.reclaimedWords.Add(int64(old.arena.Used() - arena.Used()))
 	s.cur.Store(&epochState{epoch: old.epoch + 1, arena: arena, sys: sys, store: store})
 	pause := time.Since(start).Nanoseconds()
 	s.swaps.Add(1)
 	s.swapPauseNs.Add(pause)
 	s.lastSwapPauseNs.Store(pause)
 	s.maxSwapPauseNs.Store(max(pause, s.maxSwapPauseNs.Load())) // single writer: swapMu
+	s.resume()
+	// Every request that could read the old arena ran under a slot the
+	// swap held, so none is left, and new ones see the new epoch. Releasing
+	// after resume keeps the page drop out of the pause; Snapshot may still
+	// read the old arena's Used and Cap, which stay valid.
+	old.arena.Release()
+	if s.onRetire != nil {
+		s.onRetire(old.arena)
+	}
 }
 
 // monitor is the serving-mode progress watchdog: unlike the batch
@@ -912,6 +934,7 @@ func (s *Server) Snapshot() Gauges {
 		SwapPauseNs:     s.swapPauseNs.Load(),
 		LastSwapPauseNs: s.lastSwapPauseNs.Load(),
 		MaxSwapPauseNs:  s.maxSwapPauseNs.Load(),
+		ReclaimedWords:  s.reclaimedWords.Load(),
 		PerOp:           make(map[string]LatSummary, int(numOps)),
 	}
 	var all latCounts
@@ -944,13 +967,8 @@ func (s *Server) Snapshot() Gauges {
 func (s *Server) TMStats() tm.Stats {
 	cur := s.cur.Load().sys.Stats()
 	s.swapMu.Lock()
-	per := make([]*tm.ThreadStats, 0, len(s.retired)+1)
-	for i := range s.retired {
-		per = append(per, &s.retired[i].Total)
-	}
+	st := tm.Aggregate([]*tm.ThreadStats{&s.retired, &cur.Total})
 	s.swapMu.Unlock()
-	per = append(per, &cur.Total)
-	st := tm.Aggregate(per)
 	st.Threads = s.opt.Workers
 	return st
 }
@@ -969,7 +987,9 @@ func (s *Server) CheckInvariants() error {
 // Close stops admission, drains the queue, joins the pool goroutines, waits
 // out every request still running on a caller's goroutine (a Do racing
 // Close either completes or returns ErrClosed), joins the watchdog monitor,
-// and returns the server's fatal error, if any.
+// and returns the server's fatal error, if any. It does not release the
+// live epoch's arena: callers still run CheckInvariants and TMStats after
+// Close, and the collector returns the arena once the Server is dropped.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	first := !s.closed

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"github.com/stamp-go/stamp/internal/apps/vacation"
+	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/rng"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/factory"
@@ -99,7 +101,8 @@ func soak(t *testing.T, s *Server, want uint64) (completed uint64) {
 // whose arena is far too small for its cumulative churn survives a mixed
 // read-write load through at least three epoch swaps with no failed or
 // hanging request, table invariants intact, statistics continuous across
-// the retired epochs, and the abort-cause taxonomy still closed.
+// the retired epochs, the abort-cause taxonomy still closed, and every
+// retired epoch's arena released: exhausted and, on Linux, reading zero.
 func TestServerEpochSwapSoak(t *testing.T) {
 	for _, sys := range []string{"stm-norec", "stm-mv", "stm-lazy"} {
 		t.Run(sys, func(t *testing.T) {
@@ -108,6 +111,8 @@ func TestServerEpochSwapSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
+			var retired []*mem.Arena // appended under swapMu, read after the load
+			s.onRetire = func(a *mem.Arena) { retired = append(retired, a) }
 			completed := soak(t, s, 3)
 
 			g := s.Snapshot()
@@ -124,6 +129,28 @@ func TestServerEpochSwapSoak(t *testing.T) {
 			}
 			if g.ArenaUsed > g.ArenaCap {
 				t.Fatalf("arena gauge %d/%d", g.ArenaUsed, g.ArenaCap)
+			}
+			if g.ReclaimedWords <= 0 || g.ReclaimedWords > int64(g.Swaps)*int64(g.ArenaCap) {
+				t.Fatalf("reclaimed %d words over %d swaps of %d-word arenas", g.ReclaimedWords, g.Swaps, g.ArenaCap)
+			}
+			s.swapMu.Lock()
+			arenas := retired[:len(retired):len(retired)]
+			s.swapMu.Unlock()
+			if uint64(len(arenas)) != g.Swaps {
+				t.Fatalf("%d arenas retired over %d swaps", len(arenas), g.Swaps)
+			}
+			for i, a := range arenas {
+				if _, err := a.TryAlloc(1); !errors.Is(err, mem.ErrArenaFull) || a.Used() != a.Cap() {
+					t.Fatalf("epoch %d's arena not released: TryAlloc err %v, used %d of %d", i, err, a.Used(), a.Cap())
+				}
+				if runtime.GOOS != "linux" {
+					continue
+				}
+				for w := mem.Addr(0); int(w) < a.Cap(); w++ {
+					if v := a.Load(w); v != 0 {
+						t.Fatalf("epoch %d's arena reads %d at word %d after its release, want 0", i, v, w)
+					}
+				}
 			}
 			if err := s.CheckInvariants(); err != nil {
 				t.Fatalf("invariants after %d swaps: %v", g.Swaps, err)

@@ -57,27 +57,34 @@
 // # Versions are retained from the first snapshot reader on
 //
 // A ring record is only ever read by a snapshot attempt, and most workloads
-// register no read-only block at all, so rings start off: while ringsOn is
-// false no commit maintains them. The first snapshot attempt's Begin turns
-// ringsOn on, once and for good, before it reads its snapshot clock; every
-// writer loads the flag after its CommitTick and skips ring maintenance
-// while it reads false. No record is written while rings are off, so every
+// register no read-only block at all, so rings start off: New allocates no
+// ring slab, and while the rings pointer is nil no commit maintains one.
+// The first snapshot attempt's Begin allocates the slab, exactly once
+// (racing first readers serialize on a sync.Once, and the losers find it
+// published), and publishes it before it reads its snapshot clock; every
+// writer loads the pointer after its CommitTick and skips ring maintenance
+// while it reads nil. No record is written while rings are off, so every
 // ring is empty at turn-on, and the pre-image record starts it at its
 // stripe's next commit. No reader loses a version to the skipped appends:
-// the flag is sequentially consistent, so a commit that read false ticked
-// before the first reader set it, hence before that reader (and every later
-// one) read the clock — under gv1 and gv4, whose CommitTick leaves the
-// clock at >= wv, its wv <= rv, and a version the snapshot admits is served
-// from the arena, never from the ring. Under gv5 a commit publishes clock+1
-// without ticking, so a commit that missed the flag can carry wv > rv; a
-// snapshot that meets that stripe finds no record and aborts
-// mv-version-missing, conservatively (it retries on the write path), never
-// wrongly. The same conservative miss meets an address whose wrapped stripe
-// (tl2.LockTable.Index) a later commit advanced while writing another
-// address.
+// the pointer is sequentially consistent, so a commit that read nil ticked
+// before the first reader published the slab, hence before that reader (and
+// every later one) read the clock — under gv1 and gv4, whose CommitTick
+// leaves the clock at >= wv, its wv <= rv, and a version the snapshot admits
+// is served from the arena, never from the ring. Under gv5 a commit
+// publishes clock+1 without ticking, so a commit that missed the slab can
+// carry wv > rv; a snapshot that meets that stripe finds no record and
+// aborts mv-version-missing, conservatively (it retries on the write path),
+// never wrongly. The same conservative miss meets an address whose wrapped
+// stripe (tl2.LockTable.Index) a later commit advanced while writing
+// another address.
+//
+// Ring memory is therefore paid from turn-on, not from New: 0 bytes until
+// the first snapshot reader, then stripes × (MVVersions+1) × 24 B for the
+// rest of the system's life.
 package mv
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
@@ -90,12 +97,14 @@ import (
 
 // Stripe-table size bounds, in log2 stripes. Same derivation as the TL2
 // lock table (one stripe per arena word, clamped), but with a lower
-// ceiling: each mv stripe carries a ring header plus MVVersions ring slots
-// besides its lock word, so 2^20 stripes would cost hundreds of megabytes
-// where TL2 pays eight. Beyond 2^maxTableBits words the table wraps
-// (tl2.LockTable.Index folds the high address bits in), which only adds
-// (rare, harmless) false conflicts — and makes addresses share a ring,
-// which the pre-image records keep correct.
+// ceiling: once a snapshot reader turns the rings on, each mv stripe
+// carries a ring header plus MVVersions ring slots besides its lock word,
+// so 2^20 stripes would cost hundreds of megabytes where TL2 pays eight
+// (2^16 stripes at the default depth cost 13.5 MiB, paid at turn-on).
+// Beyond 2^maxTableBits words the table wraps (tl2.LockTable.Index folds
+// the high address bits in), which only adds (rare, harmless) false
+// conflicts — and makes addresses share a ring, which the pre-image
+// records keep correct.
 const (
 	minTableBits = 12
 	maxTableBits = 16
@@ -133,12 +142,14 @@ type System struct {
 	*tm.Runtime[*mvTx]
 	clock tm.VersionClock
 	locks *tl2.LockTable // the unit of conflict detection and version retention
-	slots []slot         // stripe i's run: slots[i*(k+1)] header, then k records
 	k     int            // ring depth (Config.MVVersions)
 
-	// ringsOn is false until the first snapshot attempt begins (rings off:
-	// no commit appends), then true for the rest of the system's life.
-	ringsOn atomic.Bool
+	// rings is the ring slab — stripe i's run is (*rings)[i*(k+1)], the
+	// header, then k records. It is nil until the first snapshot attempt
+	// begins (rings off: no commit appends), then set once, by ringsOnce,
+	// for the rest of the system's life.
+	rings     atomic.Pointer[[]slot]
+	ringsOnce sync.Once
 }
 
 // New constructs the stm-mv runtime.
@@ -156,7 +167,6 @@ func New(cfg tm.Config) (*System, error) {
 		Runtime: rt,
 		clock:   clock,
 		locks:   locks,
-		slots:   make([]slot, locks.Stripes()*(rt.Cfg.MVVersions+1)),
 		k:       rt.Cfg.MVVersions,
 	}
 	rt.Bind(func(int) *mvTx { return &mvTx{LazyTx: tl2.LazyTx{Locks: locks, Clock: clock}, sys: s} })
@@ -166,9 +176,18 @@ func New(cfg tm.Config) (*System, error) {
 // index maps a word address to its stripe.
 func (s *System) index(a mem.Addr) uint32 { return s.locks.Index(a) }
 
-// run returns stripe idx's ring header and its k records.
-func (s *System) run(idx uint32) (hdr *slot, recs []slot) {
-	r := s.slots[int(idx)*(s.k+1):][:s.k+1]
+// turnRingsOn allocates and publishes the ring slab, once for the system's
+// life; a caller racing the allocation returns after it is published.
+func (s *System) turnRingsOn() {
+	s.ringsOnce.Do(func() {
+		slab := make([]slot, s.locks.Stripes()*(s.k+1))
+		s.rings.Store(&slab)
+	})
+}
+
+// run returns stripe idx's ring header and its k records in slab.
+func (s *System) run(slab []slot, idx uint32) (hdr *slot, recs []slot) {
+	r := slab[int(idx)*(s.k+1):][:s.k+1]
 	return &r[0], r[1:]
 }
 
@@ -201,9 +220,10 @@ func (s *System) ThreadLockAcquires(id int) uint64 { return s.Txs[id].LockAcquir
 // in stripe idx. The caller must have read the stripe lock word unlocked
 // before the scan and must re-check it unchanged afterwards before acting
 // on the result — that recheck is what discards scans that raced a
-// committing writer's appends or evictions (see slot).
+// committing writer's appends or evictions (see slot). The rings must be
+// on: the caller is a snapshot attempt, whose Begin turned them on.
 func (s *System) ringScan(idx uint32, a mem.Addr, rv uint64) (val uint64, ok bool) {
-	_, recs := s.run(idx)
+	_, recs := s.run(*s.rings.Load(), idx)
 	var best uint64 // biased: record version + 1
 	for i := range recs {
 		sl := &recs[i]
@@ -257,8 +277,8 @@ type mvTx struct {
 // clock (see "Versions are retained from the first snapshot reader on").
 func (x *mvTx) Begin(b tm.BlockID, aborts int) {
 	x.ro = aborts == 0 && tm.BlockReadOnly(b)
-	if x.ro && !x.sys.ringsOn.Load() {
-		x.sys.ringsOn.Store(true)
+	if x.ro && x.sys.rings.Load() == nil {
+		x.sys.turnRingsOn()
 	}
 	x.LazyTx.Begin(b, aborts)
 }
@@ -334,10 +354,10 @@ func (x *mvTx) Commit() bool {
 	// Ring maintenance, before the writeback so pre-image records can read
 	// the overwritten values, while every written stripe is still locked
 	// (snapshot readers wait on the lock, so append order is invisible).
-	// The flag is loaded after Acquire's CommitTick: that order is what
-	// makes skipping the appends while rings are off safe.
-	if x.sys.ringsOn.Load() {
-		x.appendVersions(wv)
+	// The slab pointer is loaded after Acquire's CommitTick: that order is
+	// what makes skipping the appends while rings are off safe.
+	if slab := x.sys.rings.Load(); slab != nil {
+		x.appendVersions(*slab, wv)
 	}
 	x.WriteBack()
 	// Failpoint: stall after ring publication and writeback, while every
@@ -350,10 +370,10 @@ func (x *mvTx) Commit() bool {
 // appendVersions retains the write set's committed values (and, on an
 // address's first ring-era write, its pre-image) in the stripe rings.
 // Caller holds every written stripe at commit version wv.
-func (x *mvTx) appendVersions(wv uint64) {
+func (x *mvTx) appendVersions(slab []slot, wv uint64) {
 	for _, e := range x.Wset.Entries() {
 		idx := x.Locks.Index(e.Addr)
-		hdr, recs := x.sys.run(idx)
+		hdr, recs := x.sys.run(slab, idx)
 		if !ringHas(recs, e.Addr) {
 			// First ring-era write to this address: retain the pre-image
 			// from the stripe's pre-commit version, so snapshots older

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/thread"
@@ -303,8 +304,8 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // TestWriterOnlyRunKeepsRingsOff: with no read-only block ever begun, no
-// commit maintains a ring — the rings stay off and every record slot
-// empty — however many writers commit.
+// commit maintains a ring — the ring slab is never allocated — however
+// many writers commit.
 func TestWriterOnlyRunKeepsRingsOff(t *testing.T) {
 	const threads, perT = 4, 200
 	arena := mem.NewArena(1 << 10)
@@ -323,14 +324,80 @@ func TestWriterOnlyRunKeepsRingsOff(t *testing.T) {
 	if got := sys.Stats().Total.Commits; got != threads*perT {
 		t.Fatalf("commits = %d, want %d", got, threads*perT)
 	}
-	if sys.ringsOn.Load() {
-		t.Error("rings on after a writer-only run, want off")
+	if sys.rings.Load() != nil {
+		t.Error("ring slab allocated by a writer-only run, want rings off")
 	}
-	for i := range sys.slots {
-		if v := sys.slots[i].version.Load(); v != 0 {
-			t.Fatalf("slot %d (stripe %d) holds version word %d, want every record empty",
-				i, i/(sys.k+1), v)
+}
+
+// ringSlabBytes is the size of a turned-on ring slab.
+func ringSlabBytes(sys *System) uint64 {
+	return uint64(sys.Stripes()) * uint64(sys.RingDepth()+1) * uint64(unsafe.Sizeof(slot{}))
+}
+
+// totalAlloc returns the bytes the Go heap has allocated so far.
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestWriterOnlySystemAllocatesNoRings: an stm-mv system over an arena big
+// enough for the full 2^16-stripe table, driven by writer-only blocks,
+// allocates far less than one ring slab (13.5 MiB at the default depth) —
+// New allocates none, and no commit turns the rings on.
+func TestWriterOnlySystemAllocatesNoRings(t *testing.T) {
+	const words = 1 << 16
+	arena := mem.NewArena(words)
+	x := arena.Alloc(1)
+	before := totalAlloc()
+	sys := newSys(t, tm.Config{Arena: arena, Threads: 2})
+	if sys.Stripes() != 1<<maxTableBits {
+		t.Fatalf("stripes = %d, want %d", sys.Stripes(), 1<<maxTableBits)
+	}
+	th := sys.Thread(0)
+	for i := 0; i < 1000; i++ {
+		th.Atomic(func(tx tm.Tx) { tx.Store(x, tx.Load(x)+1) })
+	}
+	grew := totalAlloc() - before
+	if grew >= 2<<20 {
+		t.Fatalf("New plus 1000 writer commits allocated %d B, want < 2 MiB (one ring slab is %d B)",
+			grew, ringSlabBytes(sys))
+	}
+	runtime.KeepAlive(sys)
+}
+
+// TestRacingFirstReadersAllocateOneSlab: first snapshot readers that begin
+// at once all find the rings on when their attempt starts, and only one of
+// them allocates the slab.
+func TestRacingFirstReadersAllocateOneSlab(t *testing.T) {
+	const readers = 8
+	blk := tm.NewROBlock("mv-test/racing-first-readers")
+	arena := mem.NewArena(1 << 16)
+	x := arena.Alloc(1)
+	sys := newSys(t, tm.Config{Arena: arena, Threads: readers})
+	slab := ringSlabBytes(sys)
+	team := thread.NewTeam(readers)
+	var on [readers]bool
+	before := totalAlloc()
+	team.Run(func(tid int) {
+		th := sys.Thread(tid)
+		team.Barrier().Wait()
+		th.AtomicAt(blk, func(tx tm.Tx) {
+			on[tid] = sys.rings.Load() != nil
+			_ = tx.Load(x)
+		})
+	})
+	grew := totalAlloc() - before
+	for tid, ok := range on {
+		if !ok {
+			t.Errorf("reader %d ran its snapshot attempt with the rings off", tid)
 		}
+	}
+	if p := sys.rings.Load(); p == nil || uint64(len(*p))*uint64(unsafe.Sizeof(slot{})) != slab {
+		t.Fatalf("ring slab not published at its full size of %d B", slab)
+	}
+	if grew < slab || grew >= 2*slab {
+		t.Fatalf("racing first readers allocated %d B, want one ring slab (%d B)", grew, slab)
 	}
 }
 
@@ -375,7 +442,7 @@ func TestLateReaderZeroAborts(t *testing.T) {
 					}
 				}
 				team.Barrier().Wait()
-				if tid == 0 && sys.ringsOn.Load() {
+				if tid == 0 && sys.rings.Load() != nil {
 					t.Error("rings turned on during the writer-only history")
 				}
 				team.Barrier().Wait()
@@ -410,7 +477,7 @@ func TestLateReaderZeroAborts(t *testing.T) {
 			if got, want := arena.Load(a), uint64(2*(history+perW)); got != want || arena.Load(b) != want {
 				t.Errorf("a, b = %d, %d; want %d, %d", got, arena.Load(b), want, want)
 			}
-			if !sys.ringsOn.Load() {
+			if sys.rings.Load() == nil {
 				t.Error("no snapshot reader turned the rings on")
 			}
 		})
