@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: early
-// release, contention-management backoff, speculative-buffer associativity,
+// release, contention management, speculative-buffer associativity,
 // and conflict-detection granularity. Each reports the metric the paper
 // argues about (read-set size, retries, overflow serializations) alongside
 // wall time.
@@ -48,44 +48,6 @@ func BenchmarkAblationEarlyRelease(b *testing.B) {
 			}
 			b.ReportMetric(float64(readP90), "readset-p90-lines")
 			b.ReportMetric(float64(aborts)/float64(b.N), "aborts/run")
-		})
-	}
-}
-
-// BenchmarkAblationBackoff: a contended counter on the lazy STM with and
-// without randomized linear backoff (the paper's contention manager kicks
-// in after 3 aborts; BackoffAfter beyond any abort count disables it).
-func BenchmarkAblationBackoff(b *testing.B) {
-	for _, backoff := range []bool{true, false} {
-		b.Run(fmt.Sprintf("backoff=%v", backoff), func(b *testing.B) {
-			after := 3
-			if !backoff {
-				after = 1 << 30
-			}
-			var aborts, commits uint64
-			for i := 0; i < b.N; i++ {
-				arena := stamp.NewArena(1 << 10)
-				hot := arena.Alloc(1)
-				sys, err := factory.New("stm-lazy", tm.Config{
-					Arena: arena, Threads: 8, BackoffAfter: after,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				team := thread.NewTeam(8)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					for j := 0; j < 2000; j++ {
-						th.Atomic(func(tx tm.Tx) {
-							tx.Store(hot, tx.Load(hot)+1)
-						})
-					}
-				})
-				st := sys.Stats()
-				aborts += st.Total.Aborts
-				commits += st.Total.Commits
-			}
-			b.ReportMetric(float64(aborts)/float64(commits), "retries/tx")
 		})
 	}
 }
@@ -251,69 +213,6 @@ func BenchmarkAblationSTMProtocol(b *testing.B) {
 				commits += st.Total.Commits
 			}
 			b.ReportMetric(float64(aborts)/float64(max(commits, 1)), "retries/tx")
-		})
-	}
-}
-
-// BenchmarkAblationClockScheme sweeps the TL2 commit-clock schemes (gv1
-// fetch-add, gv4 pass-on-failure CAS, gv5 no-tick) over a clock-contended
-// workload: tiny write transactions on disjoint per-thread cells at 8
-// threads on stm-lazy, so the global version clock is the only shared
-// write the protocol performs per commit. clock-advances/run counts the
-// actual clock writes (read off the scheme before and after the run):
-// gv1 writes once per writer commit, gv4 collapses racing committers onto
-// one write, and gv5 only writes on the aborts its conservatism causes
-// (reported as retries/tx). Caveat for reading ns/op: on a host with
-// fewer cores than threads the clock line is never actually contended, so
-// the wall-time separation shows up only on parallel hardware — the
-// clock-advance counts are the protocol-level effect that translates to
-// cache-line traffic there.
-func BenchmarkAblationClockScheme(b *testing.B) {
-	const (
-		threads  = 8
-		perT     = 1500
-		cellsPer = 16
-	)
-	for _, clock := range stamp.ClockNames() {
-		b.Run("clock="+clock, func(b *testing.B) {
-			var advances, aborts, commits uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer() // arena/system construction stays out of ns/op
-				arena := stamp.NewArena(1 << 14)
-				cells := make([]stamp.Addr, threads*cellsPer)
-				for j := range cells {
-					cells[j] = arena.AllocLines(1)
-				}
-				sys, err := factory.New("stm-lazy", tm.Config{
-					Arena: arena, Threads: threads, Clock: clock,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				cn := sys.(interface{ ClockNow() uint64 })
-				before := cn.ClockNow()
-				b.StartTimer()
-				team := thread.NewTeam(threads)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					mine := cells[tid*cellsPer : (tid+1)*cellsPer]
-					for j := 0; j < perT; j++ {
-						th.Atomic(func(tx tm.Tx) {
-							a := mine[j%cellsPer]
-							tx.Store(a, tx.Load(a)+1)
-						})
-					}
-				})
-				b.StopTimer()
-				advances += cn.ClockNow() - before
-				st := sys.Stats()
-				aborts += st.Total.Aborts
-				commits += st.Total.Commits
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(advances)/float64(b.N), "clock-advances/run")
-			b.ReportMetric(float64(aborts)/float64(max(commits, 1)), "retries/tx")
-			b.ReportMetric(float64(commits)/float64(b.N), "tx/run")
 		})
 	}
 }

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	characterize [-scale 0.25] [-retry-threads 16] [-variants genome,kmeans-high]
-//	             [-systems stm-norec,stm-mv] [-cm greedy] [-clock gv4]
+//	             [-systems stm-norec,stm-mv] [-cm greedy]
 //	             [-qualitative]
 package main
 
@@ -26,7 +26,6 @@ func main() {
 		only        = flag.String("variants", "", "comma-separated variant subset (default: all 20 simulation variants)")
 		sysFlag     = flag.String("systems", "", "comma-separated extra retry-column systems beyond the paper's six (see stamp -list-systems)")
 		cmFlag      = flag.String("cm", "", "contention-manager policy for the retry-column runs (see stamp -list-cms; default: per-runtime)")
-		clockFlag   = flag.String("clock", "", "TL2 commit-clock scheme for the retry-column runs (see stamp -list-clocks; default: gv1)")
 		mvVers      = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default 8)")
 		chaosArg    = flag.String("chaos", "", "arm deterministic failpoints for the retry-column runs: seed:site:prob[,...] (see stamp -list-chaos)")
 		timeout     = flag.Duration("timeout", 0, "progress watchdog per run: fail if no commits for this long (0 = off)")
@@ -35,11 +34,6 @@ func main() {
 	flag.Parse()
 
 	cm, err := stamp.ParseCM(*cmFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "characterize:", err)
-		os.Exit(2)
-	}
-	clock, err := stamp.ParseClock(*clockFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "characterize:", err)
 		os.Exit(2)
@@ -89,7 +83,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "characterizing %s (scale %g)...\n", v.Name, *scale)
 		c, err := harness.Characterize(v, harness.Options{
 			Scale: *scale, RetryThreads: *retry, ExtraRetrySystems: extraSystems,
-			CM: cm, Clock: clock, MVVersions: *mvVers,
+			CM: cm, MVVersions: *mvVers,
 			Chaos: chaosSpec, ProgressTimeout: *timeout,
 		})
 		if err != nil {

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	speedup [-scale 0.25] [-threads 1,2,4,8,16] [-variants genome,intruder]
-//	        [-systems stm-lazy,stm-norec] [-cm greedy] [-clock gv4] [-csv]
+//	        [-systems stm-lazy,stm-norec] [-cm greedy] [-csv]
 package main
 
 import (
@@ -20,25 +20,19 @@ import (
 
 func main() {
 	var (
-		scale     = flag.Float64("scale", 0.25, "workload scale (1 = the paper's configuration)")
-		threads   = flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
-		only      = flag.String("variants", "", "comma-separated variant subset (default: all 20 simulation variants)")
-		sysFlag   = flag.String("systems", "", "comma-separated TM systems (default: the paper's six; see stamp -list-systems)")
-		cmFlag    = flag.String("cm", "", "contention-manager policy for every TM run (see stamp -list-cms; default: per-runtime)")
-		clockFlag = flag.String("clock", "", "TL2 commit-clock scheme for every TM run (see stamp -list-clocks; default: gv1)")
-		mvVers    = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default 8)")
-		chaosArg  = flag.String("chaos", "", "arm deterministic failpoints for every TM run: seed:site:prob[,...] (see stamp -list-chaos)")
-		timeout   = flag.Duration("timeout", 0, "progress watchdog per run: fail if no commits for this long (0 = off)")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text")
+		scale    = flag.Float64("scale", 0.25, "workload scale (1 = the paper's configuration)")
+		threads  = flag.String("threads", "1,2,4,8,16", "comma-separated thread counts")
+		only     = flag.String("variants", "", "comma-separated variant subset (default: all 20 simulation variants)")
+		sysFlag  = flag.String("systems", "", "comma-separated TM systems (default: the paper's six; see stamp -list-systems)")
+		cmFlag   = flag.String("cm", "", "contention-manager policy for every TM run (see stamp -list-cms; default: per-runtime)")
+		mvVers   = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default 8)")
+		chaosArg = flag.String("chaos", "", "arm deterministic failpoints for every TM run: seed:site:prob[,...] (see stamp -list-chaos)")
+		timeout  = flag.Duration("timeout", 0, "progress watchdog per run: fail if no commits for this long (0 = off)")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
 	)
 	flag.Parse()
 
 	cm, err := stamp.ParseCM(*cmFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "speedup:", err)
-		os.Exit(2)
-	}
-	clock, err := stamp.ParseClock(*clockFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "speedup:", err)
 		os.Exit(2)
@@ -89,7 +83,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "measuring %s (scale %g)...\n", v.Name, *scale)
 		s, err := harness.MeasureSpeedup(v, harness.Options{
 			Scale: *scale, ThreadCounts: ts, Systems: systems,
-			CM: cm, Clock: clock, MVVersions: *mvVers,
+			CM: cm, MVVersions: *mvVers,
 			Chaos: chaosSpec, ProgressTimeout: *timeout,
 		})
 		if err != nil {

@@ -7,10 +7,9 @@
 //	stamp -list
 //	stamp -list-systems
 //	stamp -list-cms
-//	stamp -list-clocks
 //	stamp -list-causes
 //	stamp -list-chaos
-//	stamp -variant vacation-low -systems stm-lazy,stm-norec -threads 8 [-scale 1] [-cm greedy] [-clock gv4] [-mv-versions 16]
+//	stamp -variant vacation-low -systems stm-lazy,stm-norec -threads 8 [-scale 1] [-cm greedy] [-mv-versions 16]
 //	stamp -variant vacation-low -systems stm-lazy -threads 8 -trace 16 -trace-out tx.trace.json
 //	stamp -variant vacation-low -systems stm-lazy -threads 8 -chaos 42:tl2-lock-acquire:0.01 -timeout 30s
 package main
@@ -32,14 +31,12 @@ func main() {
 		list     = flag.Bool("list", false, "list all Table IV variants and exit")
 		listSys  = flag.Bool("list-systems", false, "list all registered TM systems and exit")
 		listCMs  = flag.Bool("list-cms", false, "list all registered contention-manager policies and exit")
-		listClks = flag.Bool("list-clocks", false, "list all registered TL2 commit-clock schemes and exit")
 		listCaus = flag.Bool("list-causes", false, "list the abort-cause taxonomy and exit")
 		variant  = flag.String("variant", "", "variant name (see -list)")
 		sysNames = flag.String("systems", "stm-lazy", "comma-separated TM systems (see -list-systems)")
 		threads  = flag.Int("threads", 4, "worker threads")
 		scale    = flag.Float64("scale", 1.0, "workload scale (1 = the paper's configuration)")
 		cmFlag   = flag.String("cm", "", "contention-manager policy (see -list-cms; default: per-runtime)")
-		clkFlag  = flag.String("clock", "", "TL2 commit-clock scheme (see -list-clocks; default: gv1)")
 		mvVers   = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default 8; 1 = single-version)")
 		traceN   = flag.Int("trace", 0, "sample every Nth atomic block into the event tracer (0 = off)")
 		traceOut = flag.String("trace-out", "", "write sampled events as Chrome trace-event JSON (Perfetto-loadable); implies -trace 1 if -trace is unset")
@@ -71,12 +68,6 @@ func main() {
 		}
 		return
 	}
-	if *listClks {
-		for _, name := range stamp.ClockNames() {
-			fmt.Printf("%-10s %s\n", name, stamp.ClockDescription(name))
-		}
-		return
-	}
 	if *listCaus {
 		for _, name := range stamp.CauseNames() {
 			fmt.Println(name)
@@ -103,11 +94,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "stamp:", err)
 		os.Exit(2)
 	}
-	clock, err := stamp.ParseClock(*clkFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "stamp:", err)
-		os.Exit(2)
-	}
 	chaosSpec, err := stamp.ParseChaos(*chaosArg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "stamp:", err)
@@ -125,7 +111,7 @@ func main() {
 		}
 		res, err := stamp.Run(*variant, stamp.Options{
 			System: sysName, Threads: n, Scale: *scale,
-			CM: cm, Clock: clock, Trace: *traceN, MVVersions: *mvVers,
+			CM: cm, Trace: *traceN, MVVersions: *mvVers,
 			Chaos: chaosSpec, ProgressTimeout: *timeout})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stamp:", err)
@@ -146,11 +132,6 @@ func main() {
 			fmt.Printf("escalations  %d (%d committed irrevocably)\n",
 				e, res.Stats.Total.EscalatedCommits)
 		}
-		clockName := res.Clock
-		if clockName == "" {
-			clockName = "default (gv1)"
-		}
-		fmt.Printf("clock        %s\n", clockName)
 		fmt.Printf("wall time    %v\n", res.Wall)
 		fmt.Printf("transactions %d\n", res.Stats.Total.Commits)
 		fmt.Printf("aborts       %d (%.3f retries/tx)\n", res.Stats.Total.Aborts, res.RetriesPerTx())

@@ -60,7 +60,6 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "workload and store seed")
 
 		cmFlag  = flag.String("cm", "", "contention-manager policy (default: per-runtime)")
-		clkFlag = flag.String("clock", "", "TL2 commit-clock scheme (default: gv1)")
 		chaos   = flag.String("chaos", "", "deterministic failpoints: seed:site:prob[,site:prob...]")
 		mvVers  = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default)")
 		timeout = flag.Duration("timeout", 0, "progress watchdog: halt the runtime and fail pending requests if commits stall this long with work in flight (0 = off)")
@@ -77,15 +76,13 @@ func main() {
 
 	cm, err := stamp.ParseCM(*cmFlag)
 	fatal(err)
-	clock, err := stamp.ParseClock(*clkFlag)
-	fatal(err)
 	chaosSpec, err := stamp.ParseChaos(*chaos)
 	fatal(err)
 
 	opts := stamp.ServerOptions{
 		System: *system, Workers: *workers, Queue: *queueN,
 		Records: *records, OpBudget: *budget,
-		CM: cm, Clock: clock, Chaos: chaosSpec, MVVersions: *mvVers,
+		CM: cm, Chaos: chaosSpec, MVVersions: *mvVers,
 		SwapAt: *swapAt, RequestDeadline: *deadline, RequestRetries: *retries,
 		NoRecycle:       *noRecycle,
 		ProgressTimeout: *timeout, Seed: *seed,

@@ -50,9 +50,9 @@
 // counts are reported in Stats.
 //
 // Liveness is a layer of its own, inherited by every policy and runtime:
-// past Config.StarveAfter consecutive aborts (or Config.StarveAfterNs of
-// age) a block escalates to irrevocable mode — it acquires a global
-// token, drains in-flight peers, runs alone, and must commit
+// past Config.StarveAfter consecutive aborts a block escalates to
+// irrevocable mode — it acquires a global token, drains in-flight peers,
+// runs alone, and must commit
 // (Stats.Escalations/EscalatedCommits; displaced victims abort with the
 // "killed-for-irrevocable" cause). Deterministic fault injection
 // (Config.Chaos or -chaos, spec "seed:site:prob[,...]"; ChaosSites lists
@@ -63,13 +63,12 @@
 // stays flat, dumps diagnostics, and fails with ErrStalled instead of
 // hanging.
 //
-// The TM hot path's shared serial points are configurable too. The TL2
-// commit clock is a pluggable scheme (ClockNames: "gv1" fetch-add — the
-// default, "gv4" pass-on-failure CAS, "gv5" no-tick; Config.Clock or the
-// -clock flag), transactional allocation draws from thread-private,
-// line-aligned reservation chunks (Config.AllocChunk; one contended
-// atomic per chunk instead of per tx.Alloc), and the TL2 stripe-lock
-// table is sized from the arena instead of a fixed 8 MiB
+// The TL2 commit clock is TL2's own fetch-add clock, one code path for
+// stm-lazy, stm-eager and stm-mv. The TM hot path's other shared serial
+// points are configurable: transactional allocation draws from
+// thread-private, line-aligned reservation chunks (Config.AllocChunk; one
+// contended atomic per chunk instead of per tx.Alloc), and the TL2
+// stripe-lock table is sized from the arena instead of a fixed 8 MiB
 // (Config.LockTableBits). Allocation is transactional in both
 // directions: tx.Free defers to commit and feeds per-thread free lists,
 // aborted attempts' allocations are reclaimed, and abandoned chunk

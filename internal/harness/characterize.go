@@ -35,8 +35,8 @@ type Characterization struct {
 // the lazy HTM provides read/write sets and time-in-transactions (as in
 // the paper), and every TM system at opt.RetryThreads threads (0 = 16, the
 // paper's) provides retries per transaction. The remaining per-run knobs
-// of opt apply to the retry-column runs (contention management and the
-// commit-clock scheme are what those columns vary; the zero Options keeps
+// of opt apply to the retry-column runs (contention management is what
+// those columns vary; the zero Options keeps
 // each runtime's defaults). opt.ExtraRetrySystems adds retry columns for
 // runtimes beyond the paper's six (e.g. "stm-norec"); opt.System and
 // opt.Threads are ignored — the columns pick their own.

@@ -16,7 +16,7 @@ func TestOptionsValidateFull(t *testing.T) {
 	// A fully-populated valid Options round-trips through Validate.
 	opt := Options{
 		System: "stm-mv", Threads: 4, Scale: 0.5,
-		Profile: true, CM: "greedy", Clock: "gv4",
+		Profile: true, CM: "greedy",
 		Trace: 64, TraceBuf: 256, MVVersions: 4,
 		Chaos:           "1:tl2-lock-acquire:0.5",
 		ProgressTimeout: time.Second,
@@ -41,7 +41,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 		{"seq-threads", Options{System: "seq", Threads: 4}, "seq"},
 		{"scale", Options{Scale: -0.5}, "scale"},
 		{"cm", Options{CM: "nope"}, "unknown contention manager"},
-		{"clock", Options{Clock: "gv9"}, "unknown clock scheme"},
 		{"trace", Options{Trace: -1}, "trace sampling"},
 		{"tracebuf", Options{TraceBuf: -1}, "trace ring"},
 		{"mvversions", Options{MVVersions: -1}, "mv version-ring"},
@@ -72,7 +71,6 @@ func TestOptionsValidateAllAtOnce(t *testing.T) {
 	err := Options{
 		System: "stm-nope",
 		CM:     "nope",
-		Clock:  "gv9",
 		Chaos:  "bad",
 		Trace:  -1,
 	}.Validate()
@@ -81,7 +79,7 @@ func TestOptionsValidateAllAtOnce(t *testing.T) {
 	}
 	for _, want := range []string{
 		"unknown system", "unknown contention manager",
-		"unknown clock scheme", "chaos spec", "trace sampling",
+		"chaos spec", "trace sampling",
 	} {
 		if !strings.Contains(err.Error(), want) {
 			t.Fatalf("joined error %q is missing %q", err, want)

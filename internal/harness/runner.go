@@ -36,9 +36,6 @@ type Options struct {
 	// CM selects the contention-management policy (tm.CMNames); empty keeps
 	// each runtime's default.
 	CM string
-	// Clock selects the TL2 commit-clock scheme (tm.ClockNames); empty
-	// keeps the default (gv1). Runtimes without a version clock ignore it.
-	Clock string
 	// Trace samples every Nth atomic block into per-thread event rings
 	// (0 = tracing off; see tm.Config.Trace).
 	Trace int
@@ -128,18 +125,6 @@ func (o Options) Validate() error {
 			bad("unknown contention manager %q (known: %v)", o.CM, tm.CMNames())
 		}
 	}
-	if o.Clock != "" {
-		found := false
-		for _, name := range tm.ClockNames() {
-			if name == o.Clock {
-				found = true
-				break
-			}
-		}
-		if !found {
-			bad("unknown clock scheme %q (known: %v)", o.Clock, tm.ClockNames())
-		}
-	}
 	if o.Trace < 0 {
 		bad("trace sampling interval must be >= 0, got %d", o.Trace)
 	}
@@ -186,7 +171,6 @@ type Result struct {
 	System  string
 	Threads int
 	CM      string // contention manager requested ("" = runtime default)
-	Clock   string // commit-clock scheme requested ("" = gv1)
 
 	Wall time.Duration // wall time of the parallel region (app.Run)
 	// ArenaUsed is the arena's high-water mark in words (mem.Arena.Used)
@@ -241,7 +225,6 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 		EnableEarlyRelease: true,
 		ProfileSets:        opt.Profile,
 		CM:                 opt.CM,
-		Clock:              opt.Clock,
 		Trace:              opt.Trace,
 		TraceBuf:           opt.TraceBuf,
 		MVVersions:         opt.MVVersions,
@@ -267,7 +250,6 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 		System:    opt.System,
 		Threads:   opt.Threads,
 		CM:        opt.CM,
-		Clock:     opt.Clock,
 		Wall:      wall,
 		ArenaUsed: arena.Used(),
 		Stats:     sys.Stats(),

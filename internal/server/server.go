@@ -154,10 +154,9 @@ type Options struct {
 	// ablation knob of tm.Config.NoRecycle.
 	NoRecycle bool
 
-	// CM, Clock, Chaos and MVVersions mirror the harness.Options knobs of
-	// the same names.
+	// CM, Chaos and MVVersions mirror the harness.Options knobs of the same
+	// names.
 	CM         string
-	Clock      string
 	Chaos      string
 	MVVersions int
 
@@ -250,7 +249,7 @@ func (o Options) Validate() error {
 	// Delegate the per-knob registry checks to the harness validator so the
 	// two Options surfaces cannot drift.
 	ho := harness.Options{
-		System: o.System, CM: o.CM, Clock: o.Clock, Chaos: o.Chaos,
+		System: o.System, CM: o.CM, Chaos: o.Chaos,
 		MVVersions:      o.MVVersions,
 		ProgressTimeout: o.ProgressTimeout,
 	}
@@ -504,7 +503,6 @@ func (s *Server) newSystem(arena *mem.Arena) (tm.System, error) {
 		Threads:            s.opt.Workers,
 		EnableEarlyRelease: true,
 		CM:                 s.opt.CM,
-		Clock:              s.opt.Clock,
 		Chaos:              s.opt.Chaos,
 		MVVersions:         s.opt.MVVersions,
 		NoRecycle:          s.opt.NoRecycle,

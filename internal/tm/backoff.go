@@ -6,6 +6,10 @@ import (
 	"github.com/stamp-go/stamp/internal/thread"
 )
 
+// backoffAborts is the abort count after which the delay-based contention
+// managers (randlin, expo, karma, serialize) start delaying: the paper's 3.
+const backoffAborts = 3
+
 // backoffUnit is the spin-loop budget per abort past the threshold for the
 // delay-based contention managers (see cm.go). Each iteration is an atomic
 // load (~a few ns), so the maximum delay stays in the microsecond range for

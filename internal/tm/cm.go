@@ -71,15 +71,15 @@ type cmEntry struct {
 
 var cmRegistry = map[string]cmEntry{
 	"randlin": {
-		description: "randomized linear backoff after BackoffAfter aborts (the paper's policy; default)",
+		description: "randomized linear backoff after 3 aborts (the paper's policy; default)",
 		make: func(p *CMPool, id int, st *ThreadStats) ContentionManager {
-			return &randlinCM{cmBase: p.base(id, st), after: p.cfg.BackoffAfter}
+			return &randlinCM{cmBase: p.base(id, st)}
 		},
 	},
 	"expo": {
-		description: "randomized exponential backoff after BackoffAfter aborts, capped",
+		description: "randomized exponential backoff after 3 aborts, capped",
 		make: func(p *CMPool, id int, st *ThreadStats) ContentionManager {
-			return &expoCM{cmBase: p.base(id, st), after: p.cfg.BackoffAfter}
+			return &expoCM{cmBase: p.base(id, st)}
 		},
 	},
 	"greedy": {
@@ -91,13 +91,13 @@ var cmRegistry = map[string]cmEntry{
 	"karma": {
 		description: "work-based priority accrued across aborted attempts; ties lose, plus linear delay",
 		make: func(p *CMPool, id int, st *ThreadStats) ContentionManager {
-			return &karmaCM{cmBase: p.base(id, st), after: p.cfg.BackoffAfter}
+			return &karmaCM{cmBase: p.base(id, st)}
 		},
 	},
 	"serialize": {
 		description: "randlin, then irrevocable escalation: after SerializeAfter aborts the block drains peers and runs alone",
 		make: func(p *CMPool, id int, st *ThreadStats) ContentionManager {
-			return &serializeCM{cmBase: p.base(id, st), after: p.cfg.BackoffAfter}
+			return &serializeCM{cmBase: p.base(id, st)}
 		},
 	},
 	"none": {
@@ -146,9 +146,8 @@ type CMPool struct {
 	chaos *chaos.Injector
 	watch *Watch
 
-	starveAfter int   // consecutive-abort escalation threshold (<= 0: off)
-	starveNs    int64 // age-based escalation threshold (0: off)
-	serializeAt int   // the serialize policy's own threshold (0 for others)
+	starveAfter int // consecutive-abort escalation threshold (<= 0: off)
+	serializeAt int // the serialize policy's own threshold (0 for others)
 }
 
 // NewCMPool validates Config.CM against the registry and returns the pool.
@@ -183,7 +182,6 @@ func NewCMPool(cfg Config, fallback string) (*CMPool, error) {
 		chaos:       inj,
 		watch:       cfg.Watch,
 		starveAfter: cfg.StarveAfter,
-		starveNs:    cfg.StarveAfterNs,
 	}
 	if name == "serialize" {
 		p.serializeAt = cfg.SerializeAfter
@@ -253,11 +251,10 @@ func WaitOrAbort(self, enemy ContentionManager, w *thread.Waiter) bool {
 	return false
 }
 
-// randlin is the paper's contention manager: no delay for the first `after`
+// randlin is the paper's contention manager: no delay for the first 3
 // aborts, then a delay drawn uniformly from a linearly growing budget.
 type randlinCM struct {
 	cmBase
-	after int
 }
 
 func (c *randlinCM) Name() string       { return "randlin" }
@@ -269,17 +266,16 @@ func (c *randlinCM) Priority() uint64   { return 0 }
 func (c *randlinCM) ShouldAbort(ContentionManager) bool { return true }
 
 func (c *randlinCM) delayFor(aborts int) int {
-	if aborts <= c.after {
+	if aborts <= backoffAborts {
 		return 0
 	}
-	return c.r.Intn((aborts-c.after)*backoffUnit) + 1
+	return c.r.Intn((aborts-backoffAborts)*backoffUnit) + 1
 }
 
 // expoCM backs off exponentially: the delay budget doubles per abort past
 // the threshold, capped so the worst delay stays sub-millisecond.
 type expoCM struct {
 	cmBase
-	after int
 }
 
 // expoUnit is the spin budget of the first exponential step; expoCap bounds
@@ -298,10 +294,10 @@ func (c *expoCM) Priority() uint64   { return 0 }
 func (c *expoCM) ShouldAbort(ContentionManager) bool { return true }
 
 func (c *expoCM) delayFor(aborts int) int {
-	if aborts <= c.after {
+	if aborts <= backoffAborts {
 		return 0
 	}
-	exp := aborts - c.after
+	exp := aborts - backoffAborts
 	if exp > expoCap {
 		exp = expoCap
 	}
@@ -350,7 +346,6 @@ func (c *greedyCM) ShouldAbort(enemy ContentionManager) bool {
 // delay keeps equal-karma storms from spinning hot.
 type karmaCM struct {
 	cmBase
-	after int
 	karma atomic.Uint64
 }
 
@@ -358,8 +353,8 @@ func (c *karmaCM) Name() string { return "karma" }
 func (c *karmaCM) OnStart()     {}
 func (c *karmaCM) OnAbort(aborts int) {
 	c.karma.Add(1)
-	if aborts > c.after {
-		c.delay(c.r.Intn((aborts-c.after)*backoffUnit/4) + 1)
+	if aborts > backoffAborts {
+		c.delay(c.r.Intn((aborts-backoffAborts)*backoffUnit/4) + 1)
 	}
 }
 func (c *karmaCM) OnCommit()        { c.karma.Store(0) }
@@ -380,14 +375,13 @@ func (c *karmaCM) ShouldAbort(enemy ContentionManager) bool {
 // every policy's starvation watchdog uses.
 type serializeCM struct {
 	cmBase
-	after int
 }
 
 func (c *serializeCM) Name() string { return "serialize" }
 func (c *serializeCM) OnStart()     {}
 func (c *serializeCM) OnAbort(aborts int) {
-	if aborts > c.after {
-		c.delay(c.r.Intn((aborts-c.after)*backoffUnit) + 1)
+	if aborts > backoffAborts {
+		c.delay(c.r.Intn((aborts-backoffAborts)*backoffUnit) + 1)
 	}
 }
 func (c *serializeCM) OnCommit()                          {}

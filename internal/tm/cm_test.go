@@ -70,13 +70,13 @@ func TestNewCMPoolFallback(t *testing.T) {
 func TestRandlinDelayGrowth(t *testing.T) {
 	var st ThreadStats
 	c := unwrap(cmPool(t, "randlin").ForThread(0, &st)).(*randlinCM)
-	for aborts := 1; aborts <= c.after; aborts++ {
+	for aborts := 1; aborts <= backoffAborts; aborts++ {
 		if d := c.delayFor(aborts); d != 0 {
 			t.Fatalf("delay before threshold: %d at %d aborts", d, aborts)
 		}
 	}
 	for k := 1; k <= 20; k++ {
-		d := c.delayFor(c.after + k)
+		d := c.delayFor(backoffAborts + k)
 		if d < 1 || d > k*backoffUnit {
 			t.Fatalf("randlin delay at +%d aborts = %d, want [1, %d]", k, d, k*backoffUnit)
 		}
@@ -88,7 +88,7 @@ func TestRandlinDelayGrowth(t *testing.T) {
 func TestExpoDelayGrowth(t *testing.T) {
 	var st ThreadStats
 	c := unwrap(cmPool(t, "expo").ForThread(0, &st)).(*expoCM)
-	if d := c.delayFor(c.after); d != 0 {
+	if d := c.delayFor(backoffAborts); d != 0 {
 		t.Fatalf("delay at threshold: %d", d)
 	}
 	for k := 1; k <= expoCap+5; k++ {
@@ -96,7 +96,7 @@ func TestExpoDelayGrowth(t *testing.T) {
 		if exp > expoCap {
 			exp = expoCap
 		}
-		d := c.delayFor(c.after + k)
+		d := c.delayFor(backoffAborts + k)
 		if d < 1 || d > (1<<uint(exp))*expoUnit {
 			t.Fatalf("expo delay at +%d aborts = %d, want [1, %d]", k, d, (1<<uint(exp))*expoUnit)
 		}

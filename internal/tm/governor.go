@@ -2,7 +2,6 @@ package tm
 
 import (
 	"sync/atomic"
-	"time"
 
 	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm/chaos"
@@ -15,11 +14,11 @@ import (
 // contention-manager calls:
 //
 //   - starvation escalation: past Config.StarveAfter consecutive aborts (or
-//     Config.StarveAfterNs of age, or the serialize policy's own threshold),
-//     the block acquires the pool's global irrevocability token, drains
-//     every in-flight peer, and runs alone with fault injection suppressed —
-//     so it must commit. This is a guarantee, not a heuristic: it works
-//     under every policy, including "none".
+//     the serialize policy's own threshold), the block acquires the pool's
+//     global irrevocability token, drains every in-flight peer, and runs
+//     alone with fault injection suppressed — so it must commit. This is a
+//     guarantee, not a heuristic: it works under every policy, including
+//     "none".
 //   - watchdog polling: every attempt boundary and every wait loop the
 //     governor owns polls Config.Watch, so a halted run unwinds with
 //     HaltSignal instead of spinning forever.
@@ -49,9 +48,6 @@ type governor struct {
 	// caller to yield to a pending escalation, consumed by
 	// CauseOrDisplaced at the abort site.
 	displaced bool
-	// t0 is the block's first-attempt wall clock (ns), stamped only when
-	// the age trigger is armed.
-	t0 int64
 }
 
 // Name returns the wrapped policy's registry name, so Result.CM and the
@@ -62,9 +58,6 @@ func (g *governor) OnStart() {
 	p := g.pool
 	p.watch.Poll()
 	g.displaced = false
-	if p.starveNs > 0 {
-		g.t0 = time.Now().UnixNano()
-	}
 	g.enterGate()
 	g.inner.OnStart()
 }
@@ -99,10 +92,6 @@ func (g *governor) OnAbort(aborts int) {
 	p.watch.Poll()
 	viaSerialize := p.serializeAt > 0 && aborts >= p.serializeAt
 	starving := p.starveAfter > 0 && aborts >= p.starveAfter
-	if !starving && p.starveNs > 0 && g.t0 != 0 &&
-		time.Now().UnixNano()-g.t0 >= p.starveNs {
-		starving = true
-	}
 	if viaSerialize || starving {
 		g.escalate(viaSerialize)
 		return
@@ -161,7 +150,6 @@ func (g *governor) OnCommit() {
 	} else {
 		p.flags[g.id].Store(0)
 	}
-	g.t0 = 0
 	// The wrapped policy's OnCommit is the centralized reset point for all
 	// per-block state (karma, greedy timestamps), escalated or not.
 	g.inner.OnCommit()
@@ -228,7 +216,6 @@ func AbandonBlock(cm ContentionManager) {
 	} else {
 		p.flags[g.id].Store(0)
 	}
-	g.t0 = 0
 	g.inner.OnCommit()
 }
 

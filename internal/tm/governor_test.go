@@ -86,22 +86,6 @@ func TestStarvationEscalation(t *testing.T) {
 	}
 }
 
-// TestAgeEscalation: with StarveAfterNs armed, a long-lived block escalates
-// on its next abort even though its abort count is below StarveAfter.
-func TestAgeEscalation(t *testing.T) {
-	cfg := Config{Arena: mem.NewArena(64), Threads: 1, CM: "randlin", StarveAfterNs: 1}
-	p := governorPool(t, cfg)
-	var st ThreadStats
-	g := p.ForThread(0, &st).(*governor)
-	g.OnStart()
-	time.Sleep(time.Millisecond)
-	g.OnAbort(1)
-	if st.Escalations != 1 {
-		t.Fatalf("Escalations = %d, want 1 (age trigger)", st.Escalations)
-	}
-	g.OnCommit()
-}
-
 // TestStarveAfterDisabled: a negative StarveAfter turns abort-count
 // escalation off entirely.
 func TestStarveAfterDisabled(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // detection is early (at access time, through a line-ownership directory
 // that models the coherence protocol), granularity is the 32-byte line, the
 // requester loses on conflict and restarts immediately with no backoff, a
-// transaction that has aborted PriorityAfter (32) times gains high priority
+// transaction that has aborted priorityAborts (32) times gains high priority
 // so others cannot abort it (the livelock escape), and capacity overflow
 // moves a transaction's addresses into a Bloom-filter signature whose false
 // positives cause the conservative extra aborts the paper observes.
@@ -27,6 +27,10 @@ type Eager struct {
 	*tm.Runtime[*eagerTx]
 	dir *directory
 }
+
+// priorityAborts is the abort count after which a block's attempts run with
+// high priority: the paper's livelock escape, 32.
+const priorityAborts = 32
 
 // NewEager constructs the LogTM-style HTM simulation.
 func NewEager(cfg tm.Config) (*Eager, error) {
@@ -66,12 +70,12 @@ type eagerTx struct {
 	writeSig   sig.Signature
 }
 
-// Begin opens the attempt; a block that has aborted PriorityAfter times
+// Begin opens the attempt; a block that has aborted priorityAborts times
 // runs it with high priority (the paper's livelock escape).
 func (x *eagerTx) Begin(_ tm.BlockID, aborts int) {
 	x.sets.reset()
 	x.undo.Reset()
-	x.priority.Store(aborts >= x.Cfg.PriorityAfter)
+	x.priority.Store(aborts >= priorityAborts)
 	x.readSig.Clear()
 	x.writeSig.Clear()
 	x.overflowed.Store(false)

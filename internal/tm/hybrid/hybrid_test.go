@@ -29,7 +29,7 @@ func TestEagerSignatureConflictRequesterLoses(t *testing.T) {
 	// signature must retry until the writer finishes.
 	arena := mem.NewArena(1 << 12)
 	a := arena.AllocLines(1)
-	sys, err := NewEager(tm.Config{Arena: arena, Threads: 2, BackoffAfter: 1})
+	sys, err := NewEager(tm.Config{Arena: arena, Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

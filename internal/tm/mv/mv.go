@@ -1,7 +1,7 @@
 // Package mv implements stm-mv, a multi-version STM for abort-free
 // read-only traffic. Writers are TL2 itself — the transaction embeds
 // tl2.LazyTx and shares its versioned-lock table, commit clock
-// (tm.VersionClock) and commit phases — and, from the first snapshot
+// (tl2.Clock) and commit phases — and, from the first snapshot
 // reader on, additionally append every committed value to a bounded
 // per-stripe ring of (version, address, value) records between acquiring
 // their stripes and writing back. Read-only
@@ -33,8 +33,8 @@
 //     (waiting is not aborting) — this also excludes the one dangerous
 //     window where a writer has ticked the clock but not yet published its
 //     writeback. Once unlocked, every version <= rv is fully published,
-//     and any later lock holder commits with wv > rv (the clock schemes'
-//     monotonicity: a CommitTick after the reader's Begin exceeds rv).
+//     and any later lock holder commits with wv > rv (clock monotonicity:
+//     a CommitTick after the reader's Begin exceeds rv).
 //   - An unlocked stripe at version <= rv: the arena holds the newest
 //     value, whose version is <= rv. Re-reading the lock word after the
 //     arena load rejects the race where a writer locked in between.
@@ -68,15 +68,12 @@
 // stripe's next commit. No reader loses a version to the skipped appends:
 // the pointer is sequentially consistent, so a commit that read nil ticked
 // before the first reader published the slab, hence before that reader (and
-// every later one) read the clock — under gv1 and gv4, whose CommitTick
-// leaves the clock at >= wv, its wv <= rv, and a version the snapshot admits
-// is served from the arena, never from the ring. Under gv5 a commit
-// publishes clock+1 without ticking, so a commit that missed the slab can
-// carry wv > rv; a snapshot that meets that stripe finds no record and
-// aborts mv-version-missing, conservatively (it retries on the write path),
-// never wrongly. The same conservative miss meets an address whose wrapped
+// every later one) read the clock — CommitTick leaves the clock at >= wv, so
+// its wv <= rv, and a version the snapshot admits is served from the arena,
+// never from the ring. A snapshot that meets an address whose wrapped
 // stripe (tl2.LockTable.Index) a later commit advanced while writing
-// another address.
+// another address finds no record and aborts mv-version-missing,
+// conservatively (it retries on the write path), never wrongly.
 //
 // Ring memory is therefore paid from turn-on, not from New: 0 bytes until
 // the first snapshot reader, then stripes × (MVVersions+1) × 24 B for the
@@ -140,7 +137,7 @@ type slot struct {
 // System is the stm-mv runtime.
 type System struct {
 	*tm.Runtime[*mvTx]
-	clock tm.VersionClock
+	clock *tl2.Clock
 	locks *tl2.LockTable // the unit of conflict detection and version retention
 	k     int            // ring depth (Config.MVVersions)
 
@@ -158,10 +155,7 @@ func New(cfg tm.Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock, err := tm.NewVersionClock(rt.Cfg)
-	if err != nil {
-		return nil, err
-	}
+	clock := new(tl2.Clock)
 	locks := tl2.NewLockTable(tl2.TableBits(rt.Cfg, minTableBits, maxTableBits))
 	s := &System{
 		Runtime: rt,
@@ -190,9 +184,6 @@ func (s *System) run(slab []slot, idx uint32) (hdr *slot, recs []slot) {
 	r := slab[int(idx)*(s.k+1):][:s.k+1]
 	return &r[0], r[1:]
 }
-
-// ClockNow returns the current version-clock value (stats/bench hook).
-func (s *System) ClockNow() uint64 { return s.clock.Now() }
 
 // Stripes returns the stripe count of this instance's version table.
 func (s *System) Stripes() int { return s.locks.Stripes() }

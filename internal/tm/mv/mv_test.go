@@ -2,6 +2,7 @@ package mv
 
 import (
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -228,13 +229,13 @@ func TestRingScanHistory(t *testing.T) {
 	}
 	th := sys.Thread(0)
 	th.AtomicAt(tm.NewROBlock("mv-test/history-reader"), func(tx tm.Tx) { _ = tx.Load(x) })
-	c0 := sys.ClockNow()
+	c0 := sys.clock.Now()
 	for i := 1; i <= 5; i++ {
 		v := uint64(i * 10)
 		th.Atomic(func(tx tm.Tx) { tx.Store(x, v) })
 	}
 	idx := sys.index(x)
-	// gv1 ticks once per writing commit: versions c0+1 .. c0+5.
+	// The clock ticks once per writing commit: versions c0+1 .. c0+5.
 	wantAt := map[uint64]uint64{
 		c0:     7, // pre-image record
 		c0 + 1: 10,
@@ -286,12 +287,14 @@ func TestROBlockStoreFallsBack(t *testing.T) {
 }
 
 // TestConfigValidation pins the MVVersions config contract: zero resolves
-// to the default depth, negatives are rejected, and the table-size clamp
-// respects its mv-specific ceiling.
+// to the default depth, negatives are rejected with a message that says so,
+// and the table-size clamp respects its mv-specific ceiling.
 func TestConfigValidation(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	if _, err := New(tm.Config{Arena: arena, Threads: 1, MVVersions: -1}); err == nil {
 		t.Error("negative MVVersions accepted")
+	} else if !strings.Contains(err.Error(), ">= 0 (0 = default)") {
+		t.Errorf("negative MVVersions error %q does not say 0 selects the default", err)
 	}
 	sys := newSys(t, tm.Config{Arena: arena, Threads: 1})
 	if got := sys.RingDepth(); got != tm.DefaultMVVersions {
@@ -401,120 +404,107 @@ func TestRacingFirstReadersAllocateOneSlab(t *testing.T) {
 	}
 }
 
-// TestLateReaderZeroAborts: under gv1 and gv4 a snapshot reader that starts
-// after a writer-only history — rings still off, every stripe committed
-// without a record — reads consistent snapshots with zero aborts while the
-// writers keep committing. Every commit that missed the flag ticked before
-// the reader read its clock, so the reader serves those versions from the
-// arena; the first commits that see the flag start the rings with
-// pre-images.
+// TestLateReaderZeroAborts: a snapshot reader that starts after a
+// writer-only history — rings still off, every stripe committed without a
+// record — reads consistent snapshots with zero aborts while the writers
+// keep committing. Every commit that missed the slab ticked before the
+// reader read its clock, so the reader serves those versions from the
+// arena; the first commits that see the slab start the rings with
+// pre-images. (The subtest name is the clock, GV1 in the TL2 paper.)
 func TestLateReaderZeroAborts(t *testing.T) {
-	for _, clock := range []string{"gv1", "gv4"} {
-		t.Run(clock, func(t *testing.T) {
-			const (
-				threads = 4 // readers 0,1; writers 2,3
-				history = 100
-				perW    = 100
-				ringK   = 256 // > 2*perW + pre-images: eviction can't outrun a snapshot
-			)
-			blk := tm.NewROBlock("mv-test/late-reader-sum")
-			arena := mem.NewArena(1 << 12)
-			a := arena.Alloc(1)
-			b := arena.Alloc(1)
-			sys := newSys(t, tm.Config{Arena: arena, Threads: threads, MVVersions: ringK, Clock: clock})
-			bump := func(th tm.Thread) {
-				th.Atomic(func(tx tm.Tx) {
+	t.Run("gv1", func(t *testing.T) {
+		const (
+			threads = 4 // readers 0,1; writers 2,3
+			history = 100
+			perW    = 100
+			ringK   = 256 // > 2*perW + pre-images: eviction can't outrun a snapshot
+		)
+		blk := tm.NewROBlock("mv-test/late-reader-sum")
+		arena := mem.NewArena(1 << 12)
+		a := arena.Alloc(1)
+		b := arena.Alloc(1)
+		sys := newSys(t, tm.Config{Arena: arena, Threads: threads, MVVersions: ringK})
+		bump := func(th tm.Thread) {
+			th.Atomic(func(tx tm.Tx) {
+				la := tx.Load(a)
+				runtime.Gosched() // let readers interleave mid-attempt
+				tx.Store(a, la+1)
+				tx.Store(b, tx.Load(b)+1)
+			})
+		}
+
+		var done atomic.Bool
+		var torn [2]int64
+		team := thread.NewTeam(threads)
+		team.Run(func(tid int) {
+			th := sys.Thread(tid)
+			if tid >= 2 {
+				for i := 0; i < history; i++ {
+					bump(th)
+				}
+			}
+			team.Barrier().Wait()
+			if tid == 0 && sys.rings.Load() != nil {
+				t.Error("rings turned on during the writer-only history")
+			}
+			team.Barrier().Wait()
+			if tid >= 2 {
+				for i := 0; i < perW; i++ {
+					bump(th)
+				}
+				if tid == 3 {
+					done.Store(true)
+				}
+				return
+			}
+			for !done.Load() {
+				th.AtomicAt(blk, func(tx tm.Tx) {
 					la := tx.Load(a)
-					runtime.Gosched() // let readers interleave mid-attempt
-					tx.Store(a, la+1)
-					tx.Store(b, tx.Load(b)+1)
+					runtime.Gosched() // a commit landing here forces a ring read
+					if lb := tx.Load(b); la != lb {
+						torn[tid]++
+					}
 				})
 			}
-
-			var done atomic.Bool
-			var torn [2]int64
-			team := thread.NewTeam(threads)
-			team.Run(func(tid int) {
-				th := sys.Thread(tid)
-				if tid >= 2 {
-					for i := 0; i < history; i++ {
-						bump(th)
-					}
-				}
-				team.Barrier().Wait()
-				if tid == 0 && sys.rings.Load() != nil {
-					t.Error("rings turned on during the writer-only history")
-				}
-				team.Barrier().Wait()
-				if tid >= 2 {
-					for i := 0; i < perW; i++ {
-						bump(th)
-					}
-					if tid == 3 {
-						done.Store(true)
-					}
-					return
-				}
-				for !done.Load() {
-					th.AtomicAt(blk, func(tx tm.Tx) {
-						la := tx.Load(a)
-						runtime.Gosched() // a commit landing here forces a ring read
-						if lb := tx.Load(b); la != lb {
-							torn[tid]++
-						}
-					})
-				}
-			})
-
-			for tid := 0; tid < 2; tid++ {
-				if torn[tid] != 0 {
-					t.Errorf("reader %d observed %d torn a/b pairs", tid, torn[tid])
-				}
-				if got := sys.Thread(tid).Stats().Aborts; got != 0 {
-					t.Errorf("reader %d recorded %d aborts, want 0: %v", tid, got, sys.Stats().AbortCauses())
-				}
-			}
-			if got, want := arena.Load(a), uint64(2*(history+perW)); got != want || arena.Load(b) != want {
-				t.Errorf("a, b = %d, %d; want %d, %d", got, arena.Load(b), want, want)
-			}
-			if sys.rings.Load() == nil {
-				t.Error("no snapshot reader turned the rings on")
-			}
 		})
-	}
+
+		for tid := 0; tid < 2; tid++ {
+			if torn[tid] != 0 {
+				t.Errorf("reader %d observed %d torn a/b pairs", tid, torn[tid])
+			}
+			if got := sys.Thread(tid).Stats().Aborts; got != 0 {
+				t.Errorf("reader %d recorded %d aborts, want 0: %v", tid, got, sys.Stats().AbortCauses())
+			}
+		}
+		if got, want := arena.Load(a), uint64(2*(history+perW)); got != want || arena.Load(b) != want {
+			t.Errorf("a, b = %d, %d; want %d, %d", got, arena.Load(b), want, want)
+		}
+		if sys.rings.Load() == nil {
+			t.Error("no snapshot reader turned the rings on")
+		}
+	})
 }
 
-// TestFirstReaderAfterUnrecordedCommit pins the one place retention from
-// the first reader on costs an abort, deterministically on one thread: a
-// commit with the rings off, then the first snapshot reader of that word.
-// gv1 and gv4 tick the clock at commit, so the reader's snapshot admits the
-// commit and it reads the arena with no abort. gv5 publishes clock+1
-// without ticking, so the commit is newer than the reader's snapshot, no
-// ring holds the older value, and the reader aborts mv-version-missing
-// once — conservative, never wrong: the abort advances gv5's clock and the
-// write-path retry reads the committed value.
+// TestFirstReaderAfterUnrecordedCommit pins that retention from the first
+// reader on costs no abort, deterministically on one thread: a commit with
+// the rings off, then the first snapshot reader of that word. The commit
+// ticked the clock, so the reader's snapshot admits it and it reads the
+// arena with no abort.
 func TestFirstReaderAfterUnrecordedCommit(t *testing.T) {
 	blk := tm.NewROBlock("mv-test/first-reader")
-	for _, c := range []struct {
-		clock   string
-		missing uint64
-	}{{"gv1", 0}, {"gv4", 0}, {"gv5", 1}} {
-		t.Run(c.clock, func(t *testing.T) {
-			arena := mem.NewArena(1 << 10)
-			x := arena.Alloc(1)
-			sys := newSys(t, tm.Config{Arena: arena, Threads: 1, Clock: c.clock})
-			th := sys.Thread(0)
-			th.Atomic(func(tx tm.Tx) { tx.Store(x, 42) })
-			var got uint64
-			th.AtomicAt(blk, func(tx tm.Tx) { got = tx.Load(x) })
-			if got != 42 {
-				t.Errorf("reader saw %d, want 42", got)
-			}
-			st := sys.Stats()
-			causes := st.AbortCauses()
-			if st.Total.Aborts != c.missing || causes[tm.CauseMVVersionMissing] != c.missing {
-				t.Errorf("aborts = %d (%v), want %d, all mv-version-missing", st.Total.Aborts, causes, c.missing)
-			}
-		})
-	}
+	t.Run("gv1", func(t *testing.T) {
+		arena := mem.NewArena(1 << 10)
+		x := arena.Alloc(1)
+		sys := newSys(t, tm.Config{Arena: arena, Threads: 1})
+		th := sys.Thread(0)
+		th.Atomic(func(tx tm.Tx) { tx.Store(x, 42) })
+		var got uint64
+		th.AtomicAt(blk, func(tx tm.Tx) { got = tx.Load(x) })
+		if got != 42 {
+			t.Errorf("reader saw %d, want 42", got)
+		}
+		if st := sys.Stats(); st.Total.Aborts != 0 {
+			t.Errorf("aborts = %d (%v), want 0", st.Total.Aborts, st.AbortCauses())
+		}
+	})
 }

@@ -9,15 +9,10 @@ import (
 	"github.com/stamp-go/stamp/internal/tm"
 )
 
-// tl2System abstracts the two runtimes for the clock-scheme tests.
-type tl2System interface {
-	tm.System
-	ClockNow() uint64
-}
-
-func newTL2(t *testing.T, eager bool, cfg tm.Config) tl2System {
+// newTL2 builds the eager or the lazy TL2 runtime for the clock tests.
+func newTL2(t *testing.T, eager bool, cfg tm.Config) tm.System {
 	t.Helper()
-	var sys tl2System
+	var sys tm.System
 	var err error
 	if eager {
 		sys, err = NewEager(cfg)
@@ -30,75 +25,94 @@ func newTL2(t *testing.T, eager bool, cfg tm.Config) tl2System {
 	return sys
 }
 
-// TestClockSchemeOpacityForcedRace is the gv4/gv5 opacity regression test:
-// a reader snapshots two words with a writer's commit forced into the
-// middle of its read set — begin, read X, *then* let the writer commit
-// {X, Y}, then read Y. Whatever the clock scheme does (share a write
-// version on a failed CAS, publish clock+1 without ticking), the reader
-// must never return X-old together with Y-new: it has to abort and re-run
-// with a consistent snapshot. The orchestration is deterministic, so every
-// iteration exercises exactly the clock-race window; a violation here is a
-// stale read the scheme let through.
-func TestClockSchemeOpacityForcedRace(t *testing.T) {
-	const iters = 200
-	for _, scheme := range tm.ClockNames() {
-		for _, eager := range []bool{false, true} {
-			name := scheme + "/lazy"
-			if eager {
-				name = scheme + "/eager"
-			}
-			t.Run(name, func(t *testing.T) {
-				arena := mem.NewArena(1 << 12)
-				x := arena.AllocLines(1)
-				y := arena.AllocLines(1)
-				sys := newTL2(t, eager, tm.Config{Arena: arena, Threads: 2, Clock: scheme})
-				for i := 0; i < iters; i++ {
-					arena.Store(x, 0)
-					arena.Store(y, 0)
-					readX := make(chan struct{}) // reader has read X
-					wrote := make(chan struct{}) // writer has committed
-					var torn bool
-					var wg sync.WaitGroup
-					wg.Add(2)
-					go func() {
-						defer wg.Done()
-						first := true
-						sys.Thread(0).Atomic(func(tx tm.Tx) {
-							vx := tx.Load(x)
-							if first {
-								first = false
-								close(readX)
-								<-wrote // the writer commits inside our read set
-							}
-							vy := tx.Load(y)
-							if vx != vy {
-								torn = true
-							}
-						})
-					}()
-					go func() {
-						defer wg.Done()
-						<-readX
-						sys.Thread(1).Atomic(func(tx tm.Tx) {
-							tx.Store(x, uint64(i)+1)
-							tx.Store(y, uint64(i)+1)
-						})
-						close(wrote)
-					}()
-					wg.Wait()
-					if torn {
-						t.Fatalf("iteration %d: reader observed X and Y from different snapshots", i)
-					}
-				}
-			})
-		}
+// TestGV1Semantics: every commit fetch-adds; validation is skipped exactly
+// when no commit intervened since begin.
+func TestGV1Semantics(t *testing.T) {
+	var c Clock
+	rv := c.Begin()
+	wv, validate := c.CommitTick(rv)
+	if wv != rv+1 || validate {
+		t.Fatalf("uncontended tick: wv=%d validate=%v (rv=%d)", wv, validate, rv)
+	}
+	// A commit between begin and tick forces validation.
+	rv = c.Begin()
+	c.CommitTick(c.Begin()) // an intervening committer
+	wv, validate = c.CommitTick(rv)
+	if wv != rv+2 || !validate {
+		t.Fatalf("contended tick: wv=%d validate=%v (rv=%d)", wv, validate, rv)
+	}
+	if c.Now() != wv {
+		t.Fatalf("Now() = %d after tick to %d", c.Now(), wv)
 	}
 }
 
-// TestClockSchemeInvariantStress runs the bank-transfer invariant over
-// every scheme on both TL2 runtimes at full concurrency (run with -race):
-// no scheme may admit a torn total, and gv5's non-ticking commits must not
-// livelock the retry loop.
+// clockCases are the subtests of the clock sweeps below: both TL2 runtimes
+// on the one clock, GV1 in the TL2 paper's naming.
+var clockCases = []struct {
+	name  string
+	eager bool
+}{{"gv1/lazy", false}, {"gv1/eager", true}}
+
+// TestClockSchemeOpacityForcedRace: a reader snapshots two words with a
+// writer's commit forced into the middle of its read set — begin, read X,
+// *then* let the writer commit {X, Y}, then read Y. The reader must never
+// return X-old together with Y-new: it has to abort and re-run with a
+// consistent snapshot. The orchestration is deterministic, so every
+// iteration exercises exactly the clock-race window; a violation here is a
+// stale read the clock let through.
+func TestClockSchemeOpacityForcedRace(t *testing.T) {
+	const iters = 200
+	for _, tc := range clockCases {
+		t.Run(tc.name, func(t *testing.T) {
+			arena := mem.NewArena(1 << 12)
+			x := arena.AllocLines(1)
+			y := arena.AllocLines(1)
+			sys := newTL2(t, tc.eager, tm.Config{Arena: arena, Threads: 2})
+			for i := 0; i < iters; i++ {
+				arena.Store(x, 0)
+				arena.Store(y, 0)
+				readX := make(chan struct{}) // reader has read X
+				wrote := make(chan struct{}) // writer has committed
+				var torn bool
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					first := true
+					sys.Thread(0).Atomic(func(tx tm.Tx) {
+						vx := tx.Load(x)
+						if first {
+							first = false
+							close(readX)
+							<-wrote // the writer commits inside our read set
+						}
+						vy := tx.Load(y)
+						if vx != vy {
+							torn = true
+						}
+					})
+				}()
+				go func() {
+					defer wg.Done()
+					<-readX
+					sys.Thread(1).Atomic(func(tx tm.Tx) {
+						tx.Store(x, uint64(i)+1)
+						tx.Store(y, uint64(i)+1)
+					})
+					close(wrote)
+				}()
+				wg.Wait()
+				if torn {
+					t.Fatalf("iteration %d: reader observed X and Y from different snapshots", i)
+				}
+			}
+		})
+	}
+}
+
+// TestClockSchemeInvariantStress runs the bank-transfer invariant on both
+// TL2 runtimes at full concurrency (run with -race): no reader may see a
+// torn total, and the final total must be conserved.
 func TestClockSchemeInvariantStress(t *testing.T) {
 	const (
 		threads  = 8
@@ -106,141 +120,62 @@ func TestClockSchemeInvariantStress(t *testing.T) {
 		total    = 800
 		perT     = 400
 	)
-	for _, scheme := range tm.ClockNames() {
-		for _, eager := range []bool{false, true} {
-			name := scheme + "/lazy"
-			if eager {
-				name = scheme + "/eager"
-			}
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				arena := mem.NewArena(1 << 12)
-				accs := make([]mem.Addr, accounts)
-				for i := range accs {
-					accs[i] = arena.AllocLines(1)
-				}
-				arena.Store(accs[0], total)
-				sys := newTL2(t, eager, tm.Config{Arena: arena, Threads: threads, Clock: scheme})
-				var violations [threads]int64
-				var wg sync.WaitGroup
-				for tid := 0; tid < threads; tid++ {
-					wg.Add(1)
-					go func(tid int) {
-						defer wg.Done()
-						th := sys.Thread(tid)
-						r := rng.New(uint64(tid)*131 + 7)
-						for i := 0; i < perT; i++ {
-							if i%4 == 0 {
-								th.Atomic(func(tx tm.Tx) {
-									var sum uint64
-									for _, a := range accs {
-										sum += tx.Load(a)
-									}
-									if sum != total {
-										violations[tid]++
-									}
-								})
-								continue
-							}
-							from, to := r.Intn(accounts), r.Intn(accounts)
-							amount := uint64(r.Intn(4))
-							th.Atomic(func(tx tm.Tx) {
-								f := tx.Load(accs[from])
-								if f < amount {
-									return
-								}
-								tx.Store(accs[from], f-amount)
-								tx.Store(accs[to], tx.Load(accs[to])+amount)
-							})
-						}
-					}(tid)
-				}
-				wg.Wait()
-				for tid, v := range violations {
-					if v != 0 {
-						t.Fatalf("thread %d observed %d torn snapshots under %s", tid, v, scheme)
-					}
-				}
-				var sum uint64
-				for _, a := range accs {
-					sum += arena.Load(a)
-				}
-				if sum != total {
-					t.Fatalf("final total = %d, want %d", sum, total)
-				}
-			})
-		}
-	}
-}
-
-// TestGV5SystemMakesProgress pins the abort-hook plumbing: on a hot word,
-// every gv5 commit leaves a version the next begin's stale snapshot trips
-// on, so only the OnAbort bump lets each retry through — if a runtime
-// forgot to call OnAbort this test would spin forever instead of
-// finishing. (This worst-case workload advances the clock about once per
-// commit; the quiet-clock property is pinned separately below.)
-func TestGV5SystemMakesProgress(t *testing.T) {
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		if eager {
-			name = "eager"
-		}
-		t.Run(name, func(t *testing.T) {
-			arena := mem.NewArena(1 << 10)
-			hot := arena.Alloc(1)
-			sys := newTL2(t, eager, tm.Config{Arena: arena, Threads: 1, Clock: "gv5"})
-			th := sys.Thread(0)
-			const n = 500
-			for i := 0; i < n; i++ {
-				th.Atomic(func(tx tm.Tx) {
-					tx.Store(hot, tx.Load(hot)+1)
-				})
-			}
-			if got := arena.Load(hot); got != n {
-				t.Fatalf("counter = %d, want %d", got, n)
-			}
-		})
-	}
-}
-
-// TestGV5ClockStaysQuietWithoutRereads pins gv5's reason to exist: a
-// workload that does not re-read its own recent writes (disjoint cells,
-// visited round-robin with a long revisit distance) commits without a
-// single clock write — ClockNow must stay far below the commit count. A
-// regression that ticked the clock per commit (gv1-like behavior behind
-// the gv5 name) fails this immediately.
-func TestGV5ClockStaysQuietWithoutRereads(t *testing.T) {
-	for _, eager := range []bool{false, true} {
-		name := "lazy"
-		if eager {
-			name = "eager"
-		}
-		t.Run(name, func(t *testing.T) {
-			const cells = 64
-			const n = 1000
+	for _, tc := range clockCases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			arena := mem.NewArena(1 << 12)
-			addrs := make([]mem.Addr, cells)
-			for i := range addrs {
-				addrs[i] = arena.AllocLines(1)
+			accs := make([]mem.Addr, accounts)
+			for i := range accs {
+				accs[i] = arena.AllocLines(1)
 			}
-			sys := newTL2(t, eager, tm.Config{Arena: arena, Threads: 1, Clock: "gv5"})
-			th := sys.Thread(0)
-			for i := 0; i < n; i++ {
-				a := addrs[i%cells]
-				th.Atomic(func(tx tm.Tx) {
-					tx.Store(a, uint64(i)) // blind store: no read of a stale-epoch version
-				})
+			arena.Store(accs[0], total)
+			sys := newTL2(t, tc.eager, tm.Config{Arena: arena, Threads: threads})
+			var violations [threads]int64
+			var wg sync.WaitGroup
+			for tid := 0; tid < threads; tid++ {
+				wg.Add(1)
+				go func(tid int) {
+					defer wg.Done()
+					th := sys.Thread(tid)
+					r := rng.New(uint64(tid)*131 + 7)
+					for i := 0; i < perT; i++ {
+						if i%4 == 0 {
+							th.Atomic(func(tx tm.Tx) {
+								var sum uint64
+								for _, a := range accs {
+									sum += tx.Load(a)
+								}
+								if sum != total {
+									violations[tid]++
+								}
+							})
+							continue
+						}
+						from, to := r.Intn(accounts), r.Intn(accounts)
+						amount := uint64(r.Intn(4))
+						th.Atomic(func(tx tm.Tx) {
+							f := tx.Load(accs[from])
+							if f < amount {
+								return
+							}
+							tx.Store(accs[from], f-amount)
+							tx.Store(accs[to], tx.Load(accs[to])+amount)
+						})
+					}
+				}(tid)
 			}
-			// Blind stores to cells whose versions only trip the commit-time
-			// write-lock guard on revisit: each cell is revisited after 63
-			// other commits, and since none of those ticked the clock the
-			// revisit still sees version rv+1 and aborts once per epoch at
-			// most. The clock must stay an order of magnitude below commits.
-			if now := sys.ClockNow(); now > n/10 {
-				t.Fatalf("gv5 clock advanced %d times over %d commits (want rare advances)", now, n)
+			wg.Wait()
+			for tid, v := range violations {
+				if v != 0 {
+					t.Fatalf("thread %d observed %d torn snapshots", tid, v)
+				}
 			}
-			if st := sys.Stats(); st.Total.Commits != n {
-				t.Fatalf("commits = %d, want %d", st.Total.Commits, n)
+			var sum uint64
+			for _, a := range accs {
+				sum += arena.Load(a)
+			}
+			if sum != total {
+				t.Fatalf("final total = %d, want %d", sum, total)
 			}
 		})
 	}

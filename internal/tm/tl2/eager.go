@@ -19,7 +19,7 @@ import (
 type Eager struct {
 	*tm.Runtime[*eagerTx]
 	locks *LockTable
-	clock tm.VersionClock
+	clock *Clock
 }
 
 // NewEager constructs the eager STM.
@@ -28,17 +28,10 @@ func NewEager(cfg tm.Config) (*Eager, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock, err := tm.NewVersionClock(rt.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := &Eager{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: clock}
-	rt.Bind(func(slot int) *eagerTx { return &eagerTx{locks: s.locks, clock: clock, slot: uint64(slot)} })
+	s := &Eager{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: new(Clock)}
+	rt.Bind(func(slot int) *eagerTx { return &eagerTx{locks: s.locks, clock: s.clock, slot: uint64(slot)} })
 	return s, nil
 }
-
-// ClockNow returns the current version-clock value (stats/bench hook).
-func (s *Eager) ClockNow() uint64 { return s.clock.Now() }
 
 // LockTableStripes returns the stripe count of this instance's lock table.
 func (s *Eager) LockTableStripes() int { return s.locks.Stripes() }
@@ -46,7 +39,7 @@ func (s *Eager) LockTableStripes() int { return s.locks.Stripes() }
 type eagerTx struct {
 	tm.TxCore
 	locks *LockTable
-	clock tm.VersionClock
+	clock *Clock
 	slot  uint64
 
 	rv       uint64
@@ -64,11 +57,9 @@ func (x *eagerTx) Begin(tm.BlockID, int) {
 	x.undo.Reset()
 }
 
-// Rollback replays the undo log (newest first), releases the stripe locks
-// (restoring their pre-acquisition entries), and notifies the clock scheme
-// (gv5 advances an epoch the aborted attempt tripped on).
+// Rollback replays the undo log (newest first) and releases the stripe
+// locks (restoring their pre-acquisition entries).
 func (x *eagerTx) Rollback() {
-	x.clock.OnAbort(x.rv)
 	undo := x.undo.Entries()
 	for i := len(undo) - 1; i >= 0; i-- {
 		x.Mem.Store(undo[i].Addr, undo[i].Val)

@@ -15,15 +15,13 @@ import (
 // validate against the transaction's read version on every load, so doomed
 // transactions never observe inconsistent state (opacity).
 //
-// The two shared serial points are configurable: the version clock's
-// commit scheme through tm.Config.Clock (gv1 fetch-add, gv4
-// pass-on-failure CAS, gv5 no-tick; see tm.ClockNames) and the stripe
-// table size through tm.Config.LockTableBits (derived from the arena by
-// default).
+// The two shared serial points are the fetch-add version clock (Clock)
+// and the stripe table, sized through tm.Config.LockTableBits (derived
+// from the arena by default).
 type Lazy struct {
 	*tm.Runtime[*LazyTx]
 	locks *LockTable
-	clock tm.VersionClock
+	clock *Clock
 }
 
 // NewLazy constructs the lazy STM.
@@ -32,18 +30,10 @@ func NewLazy(cfg tm.Config) (*Lazy, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock, err := tm.NewVersionClock(rt.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	s := &Lazy{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: clock}
-	rt.Bind(func(int) *LazyTx { return &LazyTx{Locks: s.locks, Clock: clock} })
+	s := &Lazy{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: new(Clock)}
+	rt.Bind(func(int) *LazyTx { return &LazyTx{Locks: s.locks, Clock: s.clock} })
 	return s, nil
 }
-
-// ClockNow returns the current version-clock value (stats/bench hook: the
-// delta over a run counts the clock writes the selected scheme performed).
-func (s *Lazy) ClockNow() uint64 { return s.clock.Now() }
 
 // LockTableStripes returns the stripe count of this instance's lock table.
 func (s *Lazy) LockTableStripes() int { return s.locks.Stripes() }
@@ -54,7 +44,7 @@ func (s *Lazy) LockTableStripes() int { return s.locks.Stripes() }
 type LazyTx struct {
 	tm.TxCore
 	Locks *LockTable
-	Clock tm.VersionClock
+	Clock *Clock
 
 	RV    uint64         // read version: the clock at begin
 	Reads txset.IndexSet // stripe indices for commit-time validation
@@ -77,10 +67,9 @@ func (x *LazyTx) Begin(tm.BlockID, int) {
 	x.acquired = x.acquired[:0]
 }
 
-// Rollback releases nothing (locks are only held inside Commit, which
-// releases them itself on failure); it only notifies the clock scheme, which
-// gv5 uses to advance an epoch the aborted attempt tripped on.
-func (x *LazyTx) Rollback() { x.Clock.OnAbort(x.RV) }
+// Rollback has nothing to undo: locks are only held inside Commit, which
+// releases them itself on failure.
+func (x *LazyTx) Rollback() {}
 
 // Load implements the TL2 read barrier: write-buffer lookup first (the cost
 // the paper calls out for lazy STM read barriers — the inlined txset write

@@ -117,16 +117,6 @@ func TestLockTableRightSizing(t *testing.T) {
 	}
 }
 
-func TestUnknownClockSchemeErrors(t *testing.T) {
-	cfg := tm.Config{Arena: mem.NewArena(64), Threads: 1, Clock: "gv9"}
-	if _, err := NewLazy(cfg); err == nil {
-		t.Fatal("NewLazy accepted an unknown clock scheme")
-	}
-	if _, err := NewEager(cfg); err == nil {
-		t.Fatal("NewEager accepted an unknown clock scheme")
-	}
-}
-
 func TestLazyReadOnlyCommitsWithoutClockTick(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	a := arena.Alloc(1)

@@ -138,15 +138,6 @@ type Config struct {
 	// filling it. Set to 0 to model a fully associative buffer.
 	CapacityAssoc int
 
-	// Clock selects the TL2 commit-clock scheme by registry name (see
-	// ClockNames): "gv1" (fetch-add per writer commit), "gv4"
-	// (pass-on-failure CAS; concurrent committers share one clock write),
-	// or "gv5" (commits publish clock+1 without ticking; aborts advance
-	// the clock). Empty selects DefaultClock (gv1), reproducing the
-	// original TL2 behavior. Runtimes without a version clock (NOrec, the
-	// simulated HTMs, the hybrids) ignore this field.
-	Clock string
-
 	// AllocChunk is the per-thread arena reservation size in words: each
 	// worker's tx.Alloc bump-allocates from a private, line-aligned chunk
 	// of this many words and touches the shared arena pointer only to
@@ -189,20 +180,10 @@ type Config struct {
 	// simulated HTMs — so the zero value reproduces the paper's behavior.
 	CM string
 
-	// BackoffAfter is the abort count after which the delay-based
-	// contention managers (randlin, expo, karma, serialize) start delaying
-	// (the paper uses 3).
-	BackoffAfter int
-
 	// SerializeAfter is the abort count after which the "serialize"
 	// contention manager falls back to running the block alone under a
 	// global lock (default 8). Ignored by every other policy.
 	SerializeAfter int
-
-	// PriorityAfter is the abort count after which the eager HTM grants a
-	// transaction high priority so others cannot abort it (the paper's
-	// livelock escape, 32).
-	PriorityAfter int
 
 	// EnableEarlyRelease controls whether EarlyRelease has any effect on the
 	// HTM simulators ("since early-release is not available on all TM
@@ -233,14 +214,6 @@ type Config struct {
 	// DefaultStarveAfter; negative disables escalation — the watchdog
 	// mutation-test arm, which reintroduces the possibility of livelock.
 	StarveAfter int
-
-	// StarveAfterNs is the age-based escalation trigger: a block whose
-	// first attempt started more than this many wall nanoseconds ago
-	// escalates at its next abort even below the StarveAfter count. 0 —
-	// the default — disables the age trigger (the abort-count trigger is
-	// the deterministic one; age catches long transactions starved at a
-	// low abort rate).
-	StarveAfterNs int64
 
 	// Watch, when non-nil, is the liveness watchdog's shared progress
 	// counter: every runtime bumps the committing thread's slot on commit,
@@ -277,14 +250,8 @@ func (c Config) Defaults() Config {
 			c.CapacityAssoc = 4
 		}
 	}
-	if c.BackoffAfter == 0 {
-		c.BackoffAfter = 3
-	}
 	if c.SerializeAfter == 0 {
 		c.SerializeAfter = 8
-	}
-	if c.PriorityAfter == 0 {
-		c.PriorityAfter = 32
 	}
 	if c.MVVersions == 0 {
 		c.MVVersions = DefaultMVVersions
@@ -313,32 +280,21 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tm: trace sampling interval must be >= 0, got %d", c.Trace)
 	}
 	if c.MVVersions < 0 {
-		return fmt.Errorf("tm: mv version-ring depth must be >= 1, got %d", c.MVVersions)
+		return fmt.Errorf("tm: mv version-ring depth must be >= 0 (0 = default), got %d", c.MVVersions)
 	}
-	// Clock is validated here — not just in the TL2 constructors that
-	// consume it — so a typoed scheme errors uniformly on every runtime
-	// instead of being silently ignored (and mislabeling Result.Clock) on
-	// the runtimes without a version clock.
-	if c.Clock != "" {
-		if _, ok := clockRegistry[c.Clock]; !ok {
-			return fmt.Errorf("tm: unknown clock scheme %q (known: %v)", c.Clock, ClockNames())
-		}
-	}
-	// Chaos is likewise validated on every runtime (including seq, which
+	// Chaos is validated on every runtime (including seq, which
 	// ignores the armed sites) so a typoed spec errors instead of silently
 	// running an un-injected experiment.
 	if _, err := chaos.Parse(c.Chaos); err != nil {
 		return fmt.Errorf("tm: %w", err)
-	}
-	if c.StarveAfterNs < 0 {
-		return fmt.Errorf("tm: StarveAfterNs must be >= 0, got %d", c.StarveAfterNs)
 	}
 	return nil
 }
 
 // DefaultStarveAfter is the consecutive-abort escalation threshold when
 // Config.StarveAfter is 0. It sits far above the other thresholds that act
-// on the same counter (BackoffAfter 3, SerializeAfter 8, PriorityAfter 32):
+// on the same counter (the CMs' backoff after 3, SerializeAfter 8, the eager
+// HTM's priority after 32):
 // escalation drains the whole system, so it is the last resort — but unlike
 // every policy below it, it is a guarantee, not a heuristic.
 const DefaultStarveAfter = 512

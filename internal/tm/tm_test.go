@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -116,13 +117,22 @@ func TestRetriesPerTxEmpty(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Threads != 1 || c.CapacityLines != 2048 || c.BackoffAfter != 3 || c.PriorityAfter != 32 {
+	if c.Threads != 1 || c.CapacityLines != 2048 || c.SerializeAfter != 8 || c.StarveAfter != DefaultStarveAfter {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	// Explicit values survive.
 	c2 := Config{Threads: 7, CapacityLines: 16}.Defaults()
 	if c2.Threads != 7 || c2.CapacityLines != 16 {
 		t.Fatalf("explicit values overwritten: %+v", c2)
+	}
+}
+
+// TestConfigFieldCount is a ratchet on the knob count: a field added to
+// Config must update this number, and a field removed must lower it.
+func TestConfigFieldCount(t *testing.T) {
+	const want = 18
+	if got := reflect.TypeOf(Config{}).NumField(); got != want {
+		t.Fatalf("tm.Config has %d fields, want %d; ROADMAP item 7 targets <= 16 — update this count with the change that moves it", got, want)
 	}
 }
 

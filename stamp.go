@@ -83,9 +83,8 @@ type (
 	Variant = harness.Variant
 	// Options is the single per-run configuration struct: what to run on
 	// (System, Threads, Scale) plus every per-run knob — set profiling,
-	// contention-manager policy (CM), commit-clock scheme (Clock), tracing,
-	// chaos, the progress watchdog, and the Characterize/MeasureSpeedup
-	// sweep shapes. Options.Validate reports every invalid field at once.
+	// contention-manager policy (CM), tracing, chaos, the progress
+	// watchdog, and the Characterize/MeasureSpeedup sweep shapes. Options.Validate reports every invalid field at once.
 	Options = harness.Options
 	// Result is the outcome of one app × system × threads run.
 	Result = harness.Result
@@ -251,34 +250,6 @@ func CMNames() []string { return tm.CMNames() }
 // CMDescription returns the one-line description of a registered
 // contention-manager policy (empty for unknown names).
 func CMDescription(name string) string { return tm.CMDescription(name) }
-
-// ClockNames returns every registered TL2 commit-clock scheme, sorted:
-// "gv1" (fetch-add per writer commit, the default), "gv4" (pass-on-failure
-// CAS — concurrent committers share one clock write), "gv5" (commits
-// publish clock+1 without ticking; aborts advance the clock). Schemes are
-// selected per run through Config.Clock (or the -clock flag of the
-// commands); runtimes without a version clock ignore the setting.
-func ClockNames() []string { return tm.ClockNames() }
-
-// ClockDescription returns the one-line description of a registered
-// commit-clock scheme (empty for unknown names).
-func ClockDescription(name string) string { return tm.ClockDescription(name) }
-
-// ParseClock validates a commit-clock scheme name against ClockNames. The
-// empty string is allowed and means the default scheme (gv1).
-func ParseClock(name string) (string, error) {
-	name = strings.TrimSpace(name)
-	if name == "" {
-		return "", nil
-	}
-	for _, known := range ClockNames() {
-		if name == known {
-			return name, nil
-		}
-	}
-	return "", fmt.Errorf("unknown clock scheme %q (known: %s)",
-		name, strings.Join(ClockNames(), ", "))
-}
 
 // ParseCM validates a contention-manager name against CMNames. The empty
 // string is allowed and means "each runtime's default policy".

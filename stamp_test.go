@@ -81,57 +81,6 @@ func TestParseCM(t *testing.T) {
 	}
 }
 
-func TestClockRoster(t *testing.T) {
-	names := stamp.ClockNames()
-	want := []string{"gv1", "gv4", "gv5"}
-	if len(names) != len(want) {
-		t.Fatalf("ClockNames() = %v", names)
-	}
-	for i, name := range want {
-		if names[i] != name {
-			t.Fatalf("ClockNames() = %v, want %v", names, want)
-		}
-		if stamp.ClockDescription(name) == "" {
-			t.Fatalf("scheme %q has no description", name)
-		}
-	}
-}
-
-func TestParseClock(t *testing.T) {
-	if got, err := stamp.ParseClock(" gv4 "); err != nil || got != "gv4" {
-		t.Fatalf("ParseClock(gv4) = %q, %v (want trimmed name)", got, err)
-	}
-	if got, err := stamp.ParseClock(""); err != nil || got != "" {
-		t.Fatalf("ParseClock(\"\") = %q, %v (empty means the gv1 default)", got, err)
-	}
-	if _, err := stamp.ParseClock("gv9"); err == nil {
-		t.Fatal("unknown clock scheme accepted")
-	}
-}
-
-// TestRunClockEndToEnd: every registered clock scheme must run a real
-// variant to a verified result on both TL2 runtimes (the runtimes that
-// consume the setting) and be carried into the Result.
-func TestRunClockEndToEnd(t *testing.T) {
-	for _, clock := range stamp.ClockNames() {
-		for _, sys := range []string{"stm-lazy", "stm-eager"} {
-			res, err := stamp.Run("ssca2", stamp.Options{Scale: 0.05, System: sys, Threads: 4, Clock: clock})
-			if err != nil {
-				t.Fatalf("%s on %s: %v", clock, sys, err)
-			}
-			if res.Verify != nil {
-				t.Fatalf("%s on %s failed verification: %v", clock, sys, res.Verify)
-			}
-			if res.Clock != clock {
-				t.Fatalf("result Clock = %q, want %q", res.Clock, clock)
-			}
-		}
-	}
-	if _, err := stamp.Run("ssca2", stamp.Options{Scale: 0.05, System: "stm-lazy", Threads: 2, Clock: "gv9"}); err == nil {
-		t.Fatal("unknown clock scheme accepted by Run")
-	}
-}
-
 // TestRunCMEndToEnd: every registered policy must run a real variant to a
 // verified result on a word-granularity and a line-granularity runtime.
 func TestRunCMEndToEnd(t *testing.T) {
