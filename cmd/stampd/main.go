@@ -1,8 +1,8 @@
 // Command stampd runs the STAMP vacation workload as a long-lived service:
 // a persistent transactional arena served on a fixed set of leased
-// transaction slots (a bounded queue takes the overflow), with open-loop
-// load generation and tail-latency reporting — the serving-mode counterpart
-// of the batch `stamp` command.
+// transaction slots (a bounded number of requests park for one when all are
+// busy), with open-loop load generation and tail-latency reporting — the
+// serving-mode counterpart of the batch `stamp` command.
 //
 // Usage:
 //
@@ -46,7 +46,7 @@ func main() {
 		system  = flag.String("system", "", "TM runtime the slots run on (default: the server's, see stamp.ServerOptions.System)")
 		systems = flag.String("systems", "", "comma-separated TM runtimes to sweep in bench mode (overrides -system)")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "TM thread slots = most transactions at once (max 64); requests run on their caller's goroutine while a slot is free")
-		queueN  = flag.Int("queue", 0, "overflow queue bound (0 = 4×workers); with every slot busy and the queue full, requests are rejected, not buffered")
+		queueN  = flag.Int("queue", 0, "most requests parked for a slot (0 = 4×workers); with every slot busy and this many parked, requests are rejected, not buffered")
 		records = flag.Int("records", 16384, "rows per reservation table (vacation -r)")
 		budget  = flag.Int("op-budget", 0, "arena slack in operations the server can absorb (0 = 1<<18)")
 

@@ -28,10 +28,11 @@
 //   - A serving mode (Serve, ServerOptions, RunLoad, LoadOptions; the
 //     cmd/stampd daemon) that runs the vacation workload as a long-lived
 //     service: a persistent arena and a fixed set of Thread slots that
-//     Server.Do leases to run each request on its caller's goroutine,
-//     with a bounded overflow queue that sheds load with ErrQueueFull
-//     when full, client-observed p50/p99/p999 latency histograms and the
-//     same per-block transactional statistics as batch runs.
+//     Server.Do leases to run each request on its caller's goroutine —
+//     a bounded number of callers park for a slot when all are busy, the
+//     rest are shed with ErrQueueFull — client-observed p50/p99/p999
+//     latency histograms and the same per-block transactional statistics
+//     as batch runs.
 //
 // The measurement entrypoints take one consolidated Options struct —
 // Run("vacation-high", Options{System: "stm-mv", Threads: 8}) — whose

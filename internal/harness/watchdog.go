@@ -59,14 +59,10 @@ func runWatched(app apps.App, sys tm.System, team *thread.Team, w *tm.Watch, win
 			w.Halt(reason)
 			// Grace period: let the workers observe the halt and unwind, so
 			// the diagnostics below can read quiesced (exact) statistics.
-			grace := window
-			if grace < time.Second {
-				grace = time.Second
-			}
 			quiesced := true
 			select {
 			case <-done:
-			case <-time.After(grace):
+			case <-time.After(max(window, time.Second)):
 				quiesced = false // a worker is wedged somewhere unpolled
 			}
 			dumpStall(os.Stderr, sys, w, reason, quiesced)
@@ -88,22 +84,8 @@ func dumpStall(out io.Writer, sys tm.System, w *tm.Watch, reason string, quiesce
 		fmt.Fprintf(out, "harness: team did not quiesce within the grace period; partial diagnostics only\n")
 		return
 	}
-	st := sys.Stats()
-	fmt.Fprintf(out, "  starts=%d commits=%d aborts=%d escalations=%d\n",
-		st.Total.Starts, st.Total.Commits, st.Total.Aborts, st.Total.Escalations)
+	sys.Stats().WriteStall(out)
 	names := tm.CauseNames()
-	for c, n := range st.AbortCauses() {
-		if n != 0 {
-			fmt.Fprintf(out, "  cause %-24s %d\n", names[c], n)
-		}
-	}
-	conflicts := st.TopConflicts()
-	if len(conflicts) > 8 {
-		conflicts = conflicts[:8]
-	}
-	for _, row := range conflicts {
-		fmt.Fprintf(out, "  conflict %-16s aborts=%d\n", row.Key.String(), row.Count)
-	}
 	events := tm.TraceEvents(sys)
 	if len(events) > 16 {
 		events = events[len(events)-16:]

@@ -1,7 +1,7 @@
 // Package server is the serving harness: a long-lived transactional arena
 // and a fixed set of tm.Thread slots that callers lease to run the vacation
 // operations (see internal/apps/vacation.Store) to completion on their own
-// goroutines, with a bounded queue and a small pool for the overflow — the
+// goroutines, parking a bounded number of them when every slot is busy — the
 // paper's batch benchmark recast as a service with tail-latency accounting.
 package server
 

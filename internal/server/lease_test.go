@@ -12,8 +12,7 @@ import (
 )
 
 // TestDoRunsInline: with a slot free, Do executes on the caller's
-// goroutine — every request is counted Inline and the overflow queue is
-// never touched.
+// goroutine — every request is counted Inline and none ever parks.
 func TestDoRunsInline(t *testing.T) {
 	s, err := New(testOptions())
 	if err != nil {
@@ -39,9 +38,9 @@ func TestDoRunsInline(t *testing.T) {
 	}
 }
 
-// TestDoOverflowsToQueue: with every slot wedged Do parks in the bounded
-// queue, the Queue+1-th admission is shed, and everything answers once the
-// slots come back.
+// TestDoOverflowsToQueue: with every slot wedged Do parks in the lease, the
+// Queue+1-th parked request is shed, and everything answers once the slots
+// come back.
 func TestDoOverflowsToQueue(t *testing.T) {
 	opt := testOptions()
 	opt.Workers = 2
@@ -52,23 +51,13 @@ func TestDoOverflowsToQueue(t *testing.T) {
 	}
 	defer s.Close()
 	release, wedged := wedge(t, s, opt.Workers)
+	wedges := s.Snapshot().Inline // the wedging Do calls found their slots free
 
-	parked := make(chan Response, opt.Queue)
-	for i := 0; i < opt.Queue; i++ {
-		go func() { parked <- s.Do(&Request{Op: OpQuery}) }()
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for s.Snapshot().QueueDepth < opt.Queue {
-		if time.Now().After(deadline) {
-			t.Fatalf("Do calls did not park: %+v", s.Snapshot())
+	parked := park(t, s, opt.Queue)
+	for i := 0; i < 2; i++ {
+		if resp := s.Do(&Request{Op: OpQuery}); !errors.Is(resp.Err, ErrQueueFull) {
+			t.Fatalf("Do %d past the queue bound: got %v, want ErrQueueFull", i, resp.Err)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := s.Submit(&Request{Op: OpQuery}); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("Submit past the queue bound: got %v, want ErrQueueFull", err)
-	}
-	if resp := s.Do(&Request{Op: OpQuery}); !errors.Is(resp.Err, ErrQueueFull) {
-		t.Fatalf("Do past the queue bound: got %v, want ErrQueueFull", resp.Err)
 	}
 
 	close(release)
@@ -83,11 +72,11 @@ func TestDoOverflowsToQueue(t *testing.T) {
 		}
 	}
 	g := s.Snapshot()
-	if g.Inline != 0 || g.Rejected != 2 || int(g.QueueHW) != opt.Queue || int(g.Served) != opt.Workers+opt.Queue {
+	if g.Inline-wedges != 0 || g.Rejected != 2 || int(g.QueueHW) != opt.Queue || int(g.Served) != opt.Workers+opt.Queue {
 		t.Fatalf("gauges after the overflow: %+v", g)
 	}
 	// The slots are free again: the next Do is inline.
-	if resp := s.Do(&Request{Op: OpQuery}); resp.Err != nil || s.Snapshot().Inline != 1 {
+	if resp := s.Do(&Request{Op: OpQuery}); resp.Err != nil || s.Snapshot().Inline-wedges != 1 {
 		t.Fatalf("Do after the overflow: %+v, gauges %+v", resp, s.Snapshot())
 	}
 }

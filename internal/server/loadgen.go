@@ -156,12 +156,12 @@ func nextRequest(r *rng.Rand, opt LoadOptions, records int) *Request {
 	}
 }
 
-// RunLoad drives opt's request mix at the server — closed-loop clients
-// through Do, open-loop ones through Submit — and blocks until every
-// accepted request has answered (or a drain timeout expires — a halted pool
-// answers its queue fast, so a long drain means a wedged slot). The server
-// stays open: callers own its lifecycle and may run several loads in
-// sequence.
+// RunLoad drives opt's request mix at the server through Do — a closed-loop
+// client calls it in turn, an open-loop one in a goroutine per arrival —
+// and blocks until every accepted request has answered (or a drain timeout
+// expires — a halted server answers its parked requests fast, so a long
+// drain means a wedged slot). The server stays open: callers own its
+// lifecycle and may run several loads in sequence.
 func RunLoad(s *Server, opt LoadOptions) (Report, error) {
 	if err := opt.Validate(); err != nil {
 		return Report{}, fmt.Errorf("server: invalid load options: %w", err)
@@ -169,99 +169,66 @@ func RunLoad(s *Server, opt LoadOptions) (Report, error) {
 	opt = opt.withDefaults()
 	rep := Report{Options: opt, PerOp: make(map[string]LatSummary)}
 
-	var offered, rejected, accepted, collected atomic.Uint64
-	responses := make(chan Response, 1024)
-
-	// Collector: single goroutine owns the per-run histograms (the server's
-	// own histograms are cumulative across runs). Every response's send —
-	// by the client that ran it or the pool goroutine that did — happens
-	// after its transaction and before its receive here, and the
-	// collector's exit happens-before RunLoad returns — that chain is what
-	// makes the final TMStats read race-free.
+	// The run's own tallies and histograms (the server's are cumulative
+	// across runs), shared by every goroutine that answers a request:
+	// LatHist.Add is atomic.
+	var offered, rejected, completed, failed, torn atomic.Uint64
 	var latAll LatHist
 	var latOp [numOps]LatHist
-	var completed, failed, torn uint64
-	stopCollect := make(chan struct{})
-	collectorDone := make(chan struct{})
-	collect := func(resp Response) {
-		collected.Add(1)
-		if resp.Err != nil {
-			failed++
-			return
-		}
-		completed++
-		torn += resp.Torn
-		latAll.Add(resp.Latency)
-		if resp.Op >= 0 && resp.Op < numOps {
-			latOp[resp.Op].Add(resp.Latency)
-		}
-	}
-	go func() {
-		defer close(collectorDone)
-		for {
-			select {
-			case resp := <-responses:
-				collect(resp)
-			case <-stopCollect:
-				for {
-					select {
-					case resp := <-responses:
-						collect(resp)
-					default:
-						return
-					}
-				}
+	record := func(resp Response) {
+		switch {
+		case errors.Is(resp.Err, ErrQueueFull):
+			rejected.Add(1)
+		case resp.Err != nil:
+			failed.Add(1)
+		default:
+			completed.Add(1)
+			torn.Add(resp.Torn)
+			latAll.Add(resp.Latency)
+			if resp.Op >= 0 && resp.Op < numOps {
+				latOp[resp.Op].Add(resp.Latency)
 			}
 		}
-	}()
+	}
 
 	start := time.Now()
 	deadline := start.Add(opt.Duration)
-	var clientWG sync.WaitGroup
+	var clientWG, arrivals sync.WaitGroup
 	for c := 0; c < opt.Clients; c++ {
 		clientWG.Add(1)
 		go func(c int) {
 			defer clientWG.Done()
 			r := rng.New(opt.Seed ^ 0x6c6f6164 ^ uint64(c)<<32)
 			if opt.Rate > 0 {
-				// Open loop: fixed wall-clock arrival schedule; responses
-				// flow straight to the shared collector.
+				// Open loop: fixed wall-clock arrival schedule, each arrival
+				// a Do of its own, so a slow answer never delays the next
+				// one.
 				interval := time.Duration(float64(opt.Clients) / opt.Rate * float64(time.Second))
 				if interval <= 0 {
 					interval = time.Nanosecond
 				}
 				next := start.Add(time.Duration(c) * interval / time.Duration(opt.Clients))
-				for time.Now().Before(deadline) {
+				for time.Now().Before(deadline) && s.Err() == nil && !s.stopped.Load() {
 					if wait := time.Until(next); wait > 0 {
 						time.Sleep(wait)
 					}
 					next = next.Add(interval) // no catch-up compression when behind
 					req := nextRequest(r, opt, s.opt.Records)
-					req.done = responses
 					offered.Add(1)
-					if err := s.Submit(req); err != nil {
-						if errors.Is(err, ErrQueueFull) {
-							rejected.Add(1)
-							continue // shed and keep the schedule
-						}
-						return // halted or closed
-					}
-					accepted.Add(1)
+					arrivals.Add(1)
+					go func() {
+						defer arrivals.Done()
+						record(s.Do(req))
+					}()
 				}
 				return
 			}
-			// Closed loop: Do runs each request on this goroutine when a
-			// slot is free; its response goes to the collector and the
-			// next request follows.
+			// Closed loop: Do runs each request on this goroutine; the
+			// next request follows its answer.
 			for time.Now().Before(deadline) {
 				offered.Add(1)
 				resp := s.Do(nextRequest(r, opt, s.opt.Records))
-				if errors.Is(resp.Err, ErrQueueFull) {
-					rejected.Add(1)
-					continue
-				}
-				accepted.Add(1)
-				responses <- resp
+				record(resp)
 				if resp.Err != nil && (s.Err() != nil || errors.Is(resp.Err, ErrClosed)) {
 					return // halted or closed
 				}
@@ -271,23 +238,23 @@ func RunLoad(s *Server, opt LoadOptions) (Report, error) {
 	clientWG.Wait()
 	rep.Elapsed = time.Since(start)
 
-	// Drain: each accepted request produces exactly one response (a halted
-	// pool answers its queue with fast errors), so wait for the counts to
-	// meet. Only a wedged slot can make this time out.
-	drainDeadline := time.Now().Add(30 * time.Second)
-	for collected.Load() < accepted.Load() && time.Now().Before(drainDeadline) {
-		time.Sleep(2 * time.Millisecond)
+	// Drain: wait for the open loop's arrivals to answer (a halted server
+	// answers its parked requests with fast errors). Only a wedged slot can
+	// make this time out.
+	drained := make(chan struct{})
+	go func() { arrivals.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
 	}
-	close(stopCollect)
-	<-collectorDone
 
 	rep.Offered = offered.Load()
 	rep.Rejected = rejected.Load()
-	rep.Completed = completed
-	rep.Failed = failed
-	rep.Torn = torn
-	if acc := accepted.Load(); completed+failed < acc {
-		rep.Lost = acc - completed - failed
+	rep.Completed = completed.Load()
+	rep.Failed = failed.Load()
+	rep.Torn = torn.Load()
+	if answered := rep.Rejected + rep.Completed + rep.Failed; answered < rep.Offered {
+		rep.Lost = rep.Offered - answered
 	}
 	rep.Latency = latAll.Summary()
 	for op := OpKind(0); op < numOps; op++ {
@@ -296,9 +263,10 @@ func RunLoad(s *Server, opt LoadOptions) (Report, error) {
 		}
 	}
 	if rep.Lost == 0 {
-		// Quiescent: every request's response delivery happens-before
-		// this read. With lost requests one may still be running, so
-		// leave TM zeroed rather than read unsynchronized counters.
+		// Quiescent: every Do returned before its goroutine joined the
+		// waits above, so it happens-before this read. With lost requests
+		// one may still be running, so leave TM zeroed rather than read
+		// unsynchronized counters.
 		rep.TM = s.TMStats()
 	}
 	return rep, nil

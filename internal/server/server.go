@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -75,18 +76,18 @@ var (
 // harness.ErrStalled so one sentinel spans batch and serving modes.
 var (
 	// ErrQueueFull reports an admission rejection: every slot was busy and
-	// the bounded overflow queue was at capacity when the request arrived.
+	// all Options.Queue parking places were taken when the request arrived.
 	// Open-loop clients count it and move on; closed-loop clients may retry
 	// with backoff.
 	ErrQueueFull = errors.New("server: admission queue full")
-	// ErrClosed reports a Submit or Do after Close.
+	// ErrClosed reports a Do after (or parked across) Close.
 	ErrClosed = errors.New("server: closed")
-	// ErrStalled re-exports the progress-watchdog sentinel: once the pool
-	// is halted every pending and future request fails wrapping it.
+	// ErrStalled re-exports the progress-watchdog sentinel: once the
+	// runtime is halted every parked and future request fails wrapping it.
 	ErrStalled = harness.ErrStalled
 	// ErrDeadline reports that a request exceeded Options.RequestDeadline
-	// (measured from admission, so queue wait and epoch-swap hold time
-	// count). The request was abandoned without (further) execution.
+	// (measured from admission, so the wait for a slot and epoch-swap hold
+	// time count). The request was abandoned without (further) execution.
 	ErrDeadline = errors.New("server: request deadline exceeded")
 	// ErrRetriesExhausted reports that a request hit arena exhaustion on
 	// every attempt of its Options.RequestRetries budget, each retry
@@ -109,14 +110,13 @@ type Options struct {
 	System string
 	// Workers is the number of tm.Thread slots, i.e. the most transactions
 	// that run at once: Do leases one for the length of a request and runs
-	// it on the caller's goroutine; the same number of pool goroutines drain
-	// the overflow queue, leasing a slot per request like any other caller
-	// (0 = 4; max 64, the runtime's reader-mask width).
+	// it on the caller's goroutine (0 = 4; max 64, the runtime's reader-mask
+	// width).
 	Workers int
-	// Queue bounds the overflow queue (0 = 4×Workers): where Submit's
-	// requests wait for a pool goroutine, and Do's when every slot is busy.
-	// Both reject with ErrQueueFull when it is at capacity — load shedding,
-	// not buffering, is the overload response.
+	// Queue bounds the requests parked for a slot (0 = 4×Workers): a Do
+	// that finds every slot busy waits in the lease while one of Queue
+	// parking places is free, and answers ErrQueueFull otherwise — load
+	// shedding, not buffering, is the overload response.
 	Queue int
 	// Records sizes the store: rows per reservation table (0 = 16384, the
 	// paper's vacation-high -r).
@@ -162,9 +162,9 @@ type Options struct {
 
 	// ProgressTimeout arms the progress watchdog: if slots are leased but
 	// the global commit count stays flat across a full window, the runtime
-	// is halted, diagnostics are dumped to Diagnostics,
-	// and every pending and future request fails with an
-	// ErrStalled-wrapped error instead of the listener hanging (0 = off).
+	// is halted, diagnostics are dumped to Diagnostics, and every parked
+	// and future request fails with an ErrStalled-wrapped error instead of
+	// the listener hanging (0 = off).
 	ProgressTimeout time.Duration
 	// Diagnostics receives the stall post-mortem (nil = os.Stderr).
 	Diagnostics io.Writer
@@ -268,11 +268,10 @@ type Request struct {
 
 	arrive time.Time
 	probe  func(tm.Tx) // opProbe body (tests only)
-	done   chan Response
 }
 
 // Response is one operation's outcome. Latency is measured from admission
-// (Submit or Do) to completion, so it includes any wait for a slot — the
+// (the call to Do) to completion, so it includes any wait for a slot — the
 // client-visible number, not just service time.
 type Response struct {
 	Op      OpKind // echoes the request's op (shared-channel consumers key on it)
@@ -289,14 +288,14 @@ type Gauges struct {
 	Served   uint64 `json:"served"`
 	Rejected uint64 `json:"rejected"`
 	Failed   uint64 `json:"failed"`
-	// Inline counts the requests that ran on their caller's goroutine (Do
-	// found a free slot); the rest of Served+Failed came through the queue.
+	// Inline counts the requests that found a slot free and never parked;
+	// the rest of Served+Failed waited in the lease first.
 	Inline uint64 `json:"inline"`
 	// Inflight is the number of leased slots; an epoch swap in progress
 	// holds all of them.
 	Inflight int64 `json:"inflight"`
-	// QueueDepth, QueueCap and QueueHW describe the overflow queue: a load
-	// that never finds every slot busy leaves the high-water mark at 0.
+	// QueueDepth counts the requests parked for a slot now, QueueCap is
+	// Options.Queue, QueueHW the most ever parked (0 if no slot ran out).
 	QueueDepth int   `json:"queue_depth"`
 	QueueCap   int   `json:"queue_cap"`
 	QueueHW    int64 `json:"queue_high_water"`
@@ -374,13 +373,13 @@ func (sl *slot) bind() {
 }
 
 // Server serves vacation operations on a fixed set of tm.Thread slots over
-// a sequence of arena epochs. The slot lease is its one concurrency
-// mechanism: a request runs, on whichever goroutine brought it, while that
-// goroutine holds a slot; an epoch swap and Close quiesce the server by
-// leasing every slot. When the current arena's high-water crosses
-// Options.SwapAt (or a request actually hits exhaustion), the live store is
-// compacted into a fresh arena under such a quiesce and serving resumes on
-// the new epoch.
+// a sequence of arena epochs. The slot lease is its one concurrency and
+// admission mechanism: a request runs on its caller's goroutine while that
+// goroutine holds a slot, parking in the lease when none is free; an epoch
+// swap and Close quiesce the server by leasing every slot. When the
+// current arena's high-water crosses Options.SwapAt (or a request actually
+// hits exhaustion), the live store is compacted into a fresh arena under
+// such a quiesce and serving resumes on the new epoch.
 type Server struct {
 	opt        Options
 	arenaWords int // per-epoch arena size
@@ -392,7 +391,7 @@ type Server struct {
 	// goroutine about to block for a slot.
 	cur     atomic.Pointer[epochState] // replaced only with every slot held
 	fatal   atomic.Pointer[error]
-	stopped atomic.Bool  // Close has drained the queue; slots answer ErrClosed
+	stopped atomic.Bool  // Close has begun: requests answer ErrClosed
 	waiters atomic.Int32 // goroutines blocked in lease; see tryLease
 
 	// free has bit i set while slot i is unleased: the one word every
@@ -401,11 +400,12 @@ type Server struct {
 	free atomic.Uint64
 	_    [56]byte
 
-	// waitMu and freed park the goroutines waiting in lease. swapMu
-	// single-flights the quiescers (swaps and Close) and guards retired,
-	// the retired epochs' transactional statistics folded into one record.
+	// waitMu guards waitq, the goroutines waiting in lease in arrival
+	// order. swapMu single-flights the quiescers (swaps and Close) and
+	// guards retired, the retired epochs' transactional statistics folded
+	// into one record.
 	waitMu  sync.Mutex
-	freed   sync.Cond
+	waitq   []waiter
 	swapMu  sync.Mutex
 	retired tm.ThreadStats
 
@@ -413,16 +413,12 @@ type Server struct {
 	// each swap with the arena it retired, after releasing it.
 	onRetire func(*mem.Arena)
 
-	mu     sync.RWMutex // guards queue close vs Submit sends
-	queue  chan *Request
-	closed bool
-
-	wg          sync.WaitGroup
 	stopMonitor chan struct{}
 	monitorDone chan struct{}
 
-	// Written off the per-request path only: by a rejection, by an answer
-	// given without a slot (halted pool), by a queued admission, by a swap.
+	// Written off the inline path only: by a parked request, a rejection,
+	// an answer given without a slot (failed or closed server), a swap.
+	parked          atomic.Int64 // requests holding a parking place; see lease
 	rejected        atomic.Uint64
 	failedNoSlot    atomic.Uint64
 	queueHW         atomic.Int64
@@ -433,8 +429,9 @@ type Server struct {
 	reclaimedWords  atomic.Int64
 }
 
-// New builds the store in a fresh long-lived arena, constructs the TM
-// system with one thread slot per worker, and starts the overflow pool.
+// New builds the store in a fresh long-lived arena and constructs the TM
+// system with one thread slot per worker; it starts no goroutine but the
+// watchdog's (Options.ProgressTimeout).
 func New(opt Options) (*Server, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, fmt.Errorf("server: invalid options: %w", err)
@@ -455,11 +452,9 @@ func New(opt Options) (*Server, error) {
 		opt:         opt,
 		arenaWords:  words,
 		slots:       make([]slot, opt.Workers),
-		queue:       make(chan *Request, opt.Queue),
 		stopMonitor: make(chan struct{}),
 		monitorDone: make(chan struct{}),
 	}
-	s.freed.L = &s.waitMu
 	for i := range s.slots {
 		s.slots[i].id = i
 		s.slots[i].bind()
@@ -483,10 +478,6 @@ func New(opt Options) (*Server, error) {
 	}
 	s.cur.Store(&epochState{arena: arena, sys: sys, store: store})
 	s.free.Store(^uint64(0) >> (64 - len(s.slots))) // every slot unleased
-	s.wg.Add(opt.Workers)
-	for i := 0; i < opt.Workers; i++ {
-		go s.worker()
-	}
 	if s.watch != nil {
 		go s.monitor()
 	} else {
@@ -513,7 +504,7 @@ func (s *Server) newSystem(arena *mem.Arena) (tm.System, error) {
 
 // Err returns the server's fatal error: non-nil once the runtime has been
 // halted by the watchdog or a request hit an unrecoverable panic. Every
-// Submit and Do after that fails fast with it.
+// parked request and every Do after that fails fast with it.
 func (s *Server) Err() error {
 	if p := s.fatal.Load(); p != nil {
 		return *p
@@ -521,7 +512,12 @@ func (s *Server) Err() error {
 	return nil
 }
 
-func (s *Server) fail(err error) { s.fatal.CompareAndSwap(nil, &err) }
+// fail latches the fatal error; the first sends parked requests away with it.
+func (s *Server) fail(err error) {
+	if s.fatal.CompareAndSwap(nil, &err) {
+		s.wake()
+	}
+}
 
 // leased counts the slots held right now.
 func (s *Server) leased() int { return len(s.slots) - bits.OnesCount64(s.free.Load()) }
@@ -542,7 +538,7 @@ func (s *Server) grab() *slot {
 }
 
 // tryLease is Do's non-blocking lease. It stands aside while anyone is
-// parked in lease: a queued request or a quiescing swap gets the next free
+// waiting in lease: a parked request or a quiescing swap gets the next free
 // slot, not whichever caller arrives as it is released — otherwise a
 // closed loop of inline callers could starve both forever.
 func (s *Server) tryLease() *slot {
@@ -552,33 +548,82 @@ func (s *Server) tryLease() *slot {
 	return s.grab()
 }
 
-// lease blocks until it holds a slot. Announcing itself in waiters before
-// the last failed grab, and release reading waiters after freeing its bit,
-// means one of the two always sees the other: no wake-up is lost.
-func (s *Server) lease() *slot {
-	if sl := s.tryLease(); sl != nil {
-		return sl
-	}
-	s.waitMu.Lock()
-	s.waiters.Add(1)
-	sl := s.grab()
-	for sl == nil {
-		s.freed.Wait()
-		sl = s.grab()
-	}
-	s.waiters.Add(-1)
-	s.waitMu.Unlock()
-	return sl
+// waiter is a goroutine blocked in lease: handOff sends it a slot, or nil
+// once the server has failed or is closing if it is a parked request.
+type waiter struct {
+	slot   chan *slot
+	parked bool
 }
 
-// release returns a leased slot and wakes one waiter, if there is any.
+// lease blocks until it holds a slot. A parked request first takes one of
+// Options.Queue parking places, ErrQueueFull when none is left, and gets
+// the fatal error or ErrClosed if the server fails or closes while it
+// waits; a quiescer waits regardless. Announcing itself in waiters before
+// its own handOff, and release reading waiters after freeing its bit,
+// means one of the two hands that bit on: no wake-up is lost.
+func (s *Server) lease(parked bool) (*slot, error) {
+	s.waitMu.Lock()
+	if parked {
+		if s.parked.Load() >= int64(s.opt.Queue) {
+			s.waitMu.Unlock()
+			s.rejected.Add(1)
+			return nil, ErrQueueFull
+		}
+		s.queueHW.Store(max(s.queueHW.Load(), s.parked.Add(1))) // both written under waitMu only
+	}
+	w := waiter{make(chan *slot, 1), parked}
+	s.waiters.Add(1)
+	s.waitq = append(s.waitq, w)
+	s.handOff()
+	s.waitMu.Unlock()
+	if sl := <-w.slot; sl != nil {
+		return sl, nil
+	}
+	s.failedNoSlot.Add(1)
+	return nil, cmp.Or(s.Err(), ErrClosed)
+}
+
+// handOff, under waitMu, gives free slots to the waiters first come first
+// served (a request that has just released a slot queues behind those
+// already waiting) and, once the server has failed or is closing, sends
+// the parked ones away. Either way they leave their parking places here,
+// so none is taken once Close's handOff has run.
+func (s *Server) handOff() {
+	gone := s.fatal.Load() != nil || s.stopped.Load()
+	q := s.waitq[:0]
+	for _, w := range s.waitq {
+		var sl *slot
+		if !w.parked || !gone {
+			if len(q) == 0 { // nobody ahead of w still waits
+				sl = s.grab()
+			}
+			if sl == nil {
+				q = append(q, w)
+				continue
+			}
+		}
+		if w.parked {
+			s.parked.Add(-1)
+		}
+		s.waiters.Add(-1)
+		w.slot <- sl
+	}
+	clear(s.waitq[len(q):])
+	s.waitq = q
+}
+
+func (s *Server) wake() {
+	s.waitMu.Lock()
+	s.handOff()
+	s.waitMu.Unlock()
+}
+
+// release returns a leased slot and hands it on if anyone waits.
 func (s *Server) release(sl *slot) {
 	sl.ep, sl.req = nil, nil // a retired epoch's arena must not outlive its last request here
 	s.free.Or(1 << sl.id)
 	if s.waiters.Load() != 0 {
-		s.waitMu.Lock()
-		s.freed.Signal()
-		s.waitMu.Unlock()
+		s.wake()
 	}
 }
 
@@ -586,11 +631,11 @@ func (s *Server) release(sl *slot) {
 // none can start; resume gives them all back. The caller holds swapMu and
 // no slot. It cannot deadlock: there is one quiescer at a time, it starts
 // with nothing, and a slot holder never waits for a second slot or for
-// swapMu — so every held slot is released after a bounded wait, and tryLease
-// lets nobody take it before the quiescer does.
+// swapMu — so every held slot is released after a bounded wait, and
+// handOff serves the quiescer after at most the requests parked before it.
 func (s *Server) quiesce() {
 	for range s.slots {
-		s.lease()
+		s.lease(false)
 	}
 }
 
@@ -600,42 +645,10 @@ func (s *Server) resume() {
 	}
 }
 
-// Submit enqueues a request without blocking: ErrQueueFull when the
-// overflow queue is at capacity, ErrClosed after Close, the fatal error
-// once the runtime is halted. On success the response is delivered on
-// req.done (if non-nil) when a pool goroutine completes the operation.
-func (s *Server) Submit(req *Request) error {
-	if err := s.Err(); err != nil {
-		return err
-	}
-	req.arrive = time.Now()
-	return s.enqueue(req)
-}
-
-func (s *Server) enqueue(req *Request) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	select {
-	case s.queue <- req:
-		if d := int64(len(s.queue)); d > s.queueHW.Load() {
-			s.queueHW.Store(d) // racy max: a gauge, not an invariant
-		}
-		return nil
-	default:
-		s.rejected.Add(1)
-		return fmt.Errorf("%w (capacity %d)", ErrQueueFull, cap(s.queue))
-	}
-}
-
-// Do runs req to completion and returns its response. With a slot free —
-// the common case whenever callers number no more than Options.Workers —
-// the operation executes right here, on the caller's goroutine: no queue,
-// no goroutine switch, no reply channel. Only with every slot busy (or a
-// swap quiescing them) does the request go through the overflow queue to
-// the pool, and Do waits for the reply; a full queue answers ErrQueueFull.
+// Do runs req to completion on the caller's goroutine and returns its
+// response. With a slot free — the common case whenever callers number no
+// more than Options.Workers — the operation executes at once. With every
+// slot busy (or a swap quiescing them) Do parks in lease for one.
 func (s *Server) Do(req *Request) Response {
 	if err := s.Err(); err != nil {
 		return Response{Op: req.Op, Err: err}
@@ -645,34 +658,11 @@ func (s *Server) Do(req *Request) Response {
 		sl.inline.Add(1)
 		return s.run(sl, req)
 	}
-	done := make(chan Response, 1)
-	req.done = done
-	resp := Response{Op: req.Op, Err: s.enqueue(req)}
-	if resp.Err == nil {
-		resp = <-done
+	sl, err := s.lease(true)
+	if err != nil {
+		return Response{Op: req.Op, Err: err, Latency: time.Since(req.arrive)}
 	}
-	req.done = nil // the caller may reuse req; nobody reads this channel again
-	return resp
-}
-
-// worker drains the overflow queue, leasing a slot for each request like
-// any inline caller.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for req := range s.queue {
-		var resp Response
-		if err := s.Err(); err != nil {
-			// Halted: answer the queue with fast errors and wait for no
-			// slot — a halted or panicked protocol may never release one.
-			s.failedNoSlot.Add(1)
-			resp = Response{Op: req.Op, Err: err, Latency: time.Since(req.arrive)}
-		} else {
-			resp = s.run(s.lease(), req)
-		}
-		if req.done != nil {
-			req.done <- resp
-		}
-	}
+	return s.run(sl, req)
 }
 
 // run executes req on the leased slot sl, books the outcome on the slot it
@@ -734,7 +724,7 @@ func (s *Server) execute(sl *slot, req *Request) (Response, *slot) {
 		// included.
 		s.release(sl)
 		s.trySwap(ep.epoch)
-		sl = s.lease()
+		sl, _ = s.lease(false)
 	}
 }
 
@@ -858,33 +848,24 @@ func (s *Server) monitor() {
 			}
 			reason := fmt.Sprintf("no commit progress for %v with requests in flight (commits stuck at %d)",
 				window, commits)
-			err := fmt.Errorf("%w: %s", ErrStalled, reason)
-			s.fail(err)
+			s.fail(fmt.Errorf("%w: %s", ErrStalled, reason))
 			s.watch.Halt(reason)
 			// Grace period: slot holders observe the halt at their next
 			// poll and unwind; if every in-flight request drains we can
 			// read exact statistics, otherwise dump partial counters only.
-			grace := window
-			if grace < time.Second {
-				grace = time.Second
-			}
-			deadline := time.Now().Add(grace)
-			quiesced := false
-			for time.Now().Before(deadline) {
-				if s.leased() == 0 {
-					quiesced = true
-					break
-				}
+			deadline := time.Now().Add(max(window, time.Second))
+			for s.leased() != 0 && time.Now().Before(deadline) {
 				time.Sleep(5 * time.Millisecond)
 			}
-			s.dumpStall(reason, quiesced)
+			s.dumpStall(reason, s.leased() == 0)
 			return
 		}
 	}
 }
 
-// dumpStall writes the serving-mode post-mortem: pool gauges plus (when the
-// pool quiesced) the abort-cause table and hottest conflicts.
+// dumpStall writes the serving-mode post-mortem: the gauge line plus (when
+// the slots quiesced) the statistics Stats.WriteStall shares with batch
+// runs.
 func (s *Server) dumpStall(reason string, quiesced bool) {
 	out := s.opt.Diagnostics
 	fmt.Fprintf(out, "server: progress watchdog: %s\n", reason)
@@ -892,37 +873,22 @@ func (s *Server) dumpStall(reason string, quiesced bool) {
 	fmt.Fprintf(out, "server: system=%s workers=%d epoch=%d served=%d rejected=%d inflight=%d queued=%d/%d\n",
 		s.System(), g.Workers, g.Epoch, g.Served, g.Rejected, g.Inflight, g.QueueDepth, g.QueueCap)
 	if !quiesced {
-		fmt.Fprintf(out, "server: pool did not quiesce within the grace period; partial diagnostics only\n")
+		fmt.Fprintf(out, "server: slots did not quiesce within the grace period; partial diagnostics only\n")
 		return
 	}
-	st := s.TMStats()
-	fmt.Fprintf(out, "  starts=%d commits=%d aborts=%d escalations=%d cm-waits=%d\n",
-		st.Total.Starts, st.Total.Commits, st.Total.Aborts, st.Total.Escalations, st.Total.CMWaits)
-	names := tm.CauseNames()
-	for c, n := range st.AbortCauses() {
-		if n != 0 {
-			fmt.Fprintf(out, "  cause %-24s %d\n", names[c], n)
-		}
-	}
-	conflicts := st.TopConflicts()
-	if len(conflicts) > 8 {
-		conflicts = conflicts[:8]
-	}
-	for _, row := range conflicts {
-		fmt.Fprintf(out, "  conflict %-16s aborts=%d\n", row.Key.String(), row.Count)
-	}
+	s.TMStats().WriteStall(out)
 }
 
 // Snapshot returns the live gauges: the slots' counters and latency
-// histograms summed, queue depth and high-water, arena usage, swap pauses.
+// histograms summed, parked count and high-water, arena usage, swap pauses.
 func (s *Server) Snapshot() Gauges {
 	ep := s.cur.Load()
 	g := Gauges{
 		Rejected:        s.rejected.Load(),
 		Failed:          s.failedNoSlot.Load(),
 		Inflight:        int64(s.leased()),
-		QueueDepth:      len(s.queue),
-		QueueCap:        cap(s.queue),
+		QueueDepth:      int(s.parked.Load()),
+		QueueCap:        s.opt.Queue,
 		QueueHW:         s.queueHW.Load(),
 		Workers:         s.opt.Workers,
 		ArenaUsed:       ep.arena.Used(),
@@ -960,8 +926,8 @@ func (s *Server) Snapshot() Gauges {
 // escalations, CM waits, per-block rows), merged across every retired
 // epoch plus the current one. The live system's per-thread counters are
 // unsynchronized by design, so call it quiescently: after Close, or after
-// every submitted request has completed (a response delivery
-// happens-before this read for that requester).
+// every Do has returned (its return happens-before this read for that
+// caller).
 func (s *Server) TMStats() tm.Stats {
 	cur := s.cur.Load().sys.Stats()
 	s.swapMu.Lock()
@@ -982,25 +948,16 @@ func (s *Server) CheckInvariants() error {
 	return ep.store.Check(mem.Direct{A: ep.arena}, s.opt.Records)
 }
 
-// Close stops admission, drains the queue, joins the pool goroutines, waits
-// out every request still running on a caller's goroutine (a Do racing
-// Close either completes or returns ErrClosed), joins the watchdog monitor,
-// and returns the server's fatal error, if any. It does not release the
-// live epoch's arena: callers still run CheckInvariants and TMStats after
-// Close, and the collector returns the arena once the Server is dropped.
+// Close refuses new requests with ErrClosed, sends the parked ones away to
+// answer it, waits out every request still running on a slot, joins the
+// watchdog monitor, and returns the server's fatal error, if any: on
+// return no request runs and none is parked. It does
+// not release the live epoch's arena: callers still run CheckInvariants and
+// TMStats after Close, and the collector returns the arena once the Server
+// is dropped.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	first := !s.closed
-	if first {
-		s.closed = true
-		close(s.queue)
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	if first {
-		// A request that leased before it could see stopped is still
-		// running; every later one answers ErrClosed from its slot.
-		s.stopped.Store(true)
+	if !s.stopped.Swap(true) {
+		s.wake()
 		s.swapMu.Lock()
 		s.quiesce()
 		s.resume()

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -70,7 +71,7 @@ func TestLoadOptionsValidate(t *testing.T) {
 // table invariants, snapshot consistency, and abort-cause hygiene. Run
 // under -race this is also the data-race proof for the whole lease →
 // execute → release → stats path, and (8 clients on 4 slots) for the
-// overflow queue beside it. Every (clients, roPct) cell is a fixed request
+// parked requests beside it. Every (clients, roPct) cell is a fixed request
 // count through drive, so what the test covers does not depend on how fast
 // the host is.
 func TestServerMixedLoad(t *testing.T) {
@@ -170,17 +171,14 @@ func TestServerOpenLoopRate(t *testing.T) {
 	}
 }
 
-// wedge blocks n slots (each under a pool goroutine) inside transactions
-// until release is closed.
+// wedge blocks n slots (each under a goroutine calling Do) inside
+// transactions until release is closed; each Do's response arrives on done.
 func wedge(t *testing.T, s *Server, n int) (release chan struct{}, done chan Response) {
 	t.Helper()
 	release = make(chan struct{})
 	done = make(chan Response, n)
 	for i := 0; i < n; i++ {
-		req := &Request{Op: opProbe, probe: func(tm.Tx) { <-release }, done: done}
-		if err := s.Submit(req); err != nil {
-			t.Fatalf("wedge submit %d: %v", i, err)
-		}
+		go func() { done <- s.Do(&Request{Op: opProbe, probe: func(tm.Tx) { <-release }}) }()
 	}
 	// Wait until all n probes are actually running on slots.
 	deadline := time.Now().Add(2 * time.Second)
@@ -193,8 +191,8 @@ func wedge(t *testing.T, s *Server, n int) (release chan struct{}, done chan Res
 	return release, done
 }
 
-// TestServerQueueRejection: with every slot wedged, the bounded queue
-// fills and Submit sheds load with ErrQueueFull instead of buffering.
+// TestServerQueueRejection: with every slot wedged, the parking places
+// fill and Do sheds load with ErrQueueFull instead of buffering.
 func TestServerQueueRejection(t *testing.T) {
 	opt := testOptions()
 	opt.Workers = 2
@@ -206,29 +204,47 @@ func TestServerQueueRejection(t *testing.T) {
 	defer s.Close()
 	release, done := wedge(t, s, 2)
 
-	// The slots are busy; the next Queue submissions park, then rejection.
-	for i := 0; i < opt.Queue; i++ {
-		if err := s.Submit(&Request{Op: OpQuery, Items: nil, done: done}); err != nil {
-			t.Fatalf("fill submit %d: %v", i, err)
-		}
-	}
-	err = s.Submit(&Request{Op: OpQuery, done: done})
-	if !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("over-capacity submit: got %v, want ErrQueueFull", err)
+	// The slots are busy; the next Queue requests park, then rejection.
+	parked := park(t, s, opt.Queue)
+	if resp := s.Do(&Request{Op: OpQuery}); !errors.Is(resp.Err, ErrQueueFull) {
+		t.Fatalf("over-capacity Do: got %v, want ErrQueueFull", resp.Err)
 	}
 	if g := s.Snapshot(); g.Rejected != 1 || g.QueueDepth != opt.Queue {
 		t.Fatalf("gauges after rejection: %+v", g)
 	}
 
 	close(release)
-	for i := 0; i < 2+opt.Queue; i++ {
+	for i := 0; i < 2; i++ {
 		if resp := <-done; resp.Err != nil {
-			t.Fatalf("drained request %d failed: %v", i, resp.Err)
+			t.Fatalf("wedged request %d failed: %v", i, resp.Err)
+		}
+	}
+	for i := 0; i < opt.Queue; i++ {
+		if resp := <-parked; resp.Err != nil {
+			t.Fatalf("parked request %d failed: %v", i, resp.Err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// park starts n goroutines each calling Do with a query and waits until all
+// n are parked for a slot; their responses arrive on the returned channel.
+func park(t *testing.T, s *Server, n int) chan Response {
+	t.Helper()
+	parked := make(chan Response, n)
+	for i := 0; i < n; i++ {
+		go func() { parked <- s.Do(&Request{Op: OpQuery}) }()
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for s.Snapshot().QueueDepth < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("Do calls did not park: %+v", s.Snapshot())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return parked
 }
 
 // TestServerStallWatchdog: a wedged pool with work in flight must trip the
@@ -259,8 +275,8 @@ func TestServerStallWatchdog(t *testing.T) {
 	if !errors.Is(s.Err(), ErrStalled) {
 		t.Fatalf("fatal error %v is not ErrStalled", s.Err())
 	}
-	if err := s.Submit(&Request{Op: OpQuery}); !errors.Is(err, ErrStalled) {
-		t.Fatalf("post-stall submit: got %v, want ErrStalled", err)
+	if resp := s.Do(&Request{Op: OpQuery}); !errors.Is(resp.Err, ErrStalled) {
+		t.Fatalf("post-stall Do: got %v, want ErrStalled", resp.Err)
 	}
 
 	close(release) // un-wedge so Close can join the workers
@@ -296,7 +312,66 @@ func TestServerIdleNoFalseStall(t *testing.T) {
 	}
 }
 
-func TestServerSubmitAfterClose(t *testing.T) {
+// TestServerStallFailsParkedRequests: requests parked behind wedged slots
+// answer ErrStalled as soon as the watchdog trips, while the slots are
+// still wedged — not only once the wedge lets go.
+func TestServerStallFailsParkedRequests(t *testing.T) {
+	opt := testOptions()
+	opt.System = "stm-lazy"
+	opt.Workers = 2
+	opt.ProgressTimeout = 30 * time.Millisecond
+	s, err := New(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	release, done := wedge(t, s, 2)
+	defer func() {
+		close(release)
+		for i := 0; i < 2; i++ {
+			<-done
+		}
+		s.Close()
+	}()
+	parked := park(t, s, 3)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Err() == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("watchdog never tripped")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	timeout := time.After(2 * time.Second)
+	for i := 0; i < 3; i++ {
+		select {
+		case resp := <-parked:
+			if !errors.Is(resp.Err, ErrStalled) {
+				t.Fatalf("parked request %d: got %v, want ErrStalled", i, resp.Err)
+			}
+		case <-timeout:
+			t.Fatalf("%d of 3 parked requests answered within 2s of the stall", i)
+		}
+	}
+	if g := s.Snapshot(); g.Inflight != 2 || g.QueueDepth != 0 || g.Failed != 3 {
+		t.Fatalf("gauges after failing the parked requests: %+v", g)
+	}
+}
+
+// TestIdleServerRunsNoGoroutines: without a watchdog, a server is slots and
+// state only — requests run on their callers' goroutines.
+func TestIdleServerRunsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New started %d goroutines", after-before)
+	}
+}
+
+func TestServerDoAfterClose(t *testing.T) {
 	s, err := New(testOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -304,8 +379,8 @@ func TestServerSubmitAfterClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Submit(&Request{Op: OpQuery}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("submit after close: got %v, want ErrClosed", err)
+	if resp := s.Do(&Request{Op: OpQuery}); !errors.Is(resp.Err, ErrClosed) {
+		t.Fatalf("Do after close: got %v, want ErrClosed", resp.Err)
 	}
 	if err := s.Close(); err != nil { // idempotent
 		t.Fatal(err)
@@ -372,20 +447,19 @@ func TestServerHTTP(t *testing.T) {
 		hr.Body.Close()
 	}
 
-	// Load shedding over HTTP: wedge both workers, fill the queue, and the
-	// next request must answer 503 with the queue-full error.
+	// Load shedding over HTTP: wedge both slots, fill the parking places,
+	// and the next request must answer 503 with the queue-full error.
 	release, done := wedge(t, s, 2)
-	for i := 0; i < opt.Queue; i++ {
-		if err := s.Submit(&Request{Op: OpQuery, done: done}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	parked := park(t, s, opt.Queue)
 	if code, out := post("/query", `{}`); code != 503 || !strings.Contains(out.Error, "queue full") {
 		t.Fatalf("over-capacity POST: %d %+v", code, out)
 	}
 	close(release)
-	for i := 0; i < 2+opt.Queue; i++ {
+	for i := 0; i < 2; i++ {
 		<-done
+	}
+	for i := 0; i < opt.Queue; i++ {
+		<-parked
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ func swapOptions(system string) Options {
 
 // driveCallers is how many goroutines the swap tests drive with, each
 // calling Do in a closed loop: twice the four slots of the servers they
-// drive, so requests also take the overflow path, not only the inline one.
+// drive, so requests also park for a slot, not only run inline.
 const driveCallers = 8
 
 // drive runs one round of n requests through Do from callers goroutines:
@@ -275,20 +275,15 @@ func TestServerRequestDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	done := make(chan Response, 1)
-	if err := s.Submit(&Request{Op: OpQuery, done: done}); err != nil {
-		t.Fatal(err)
-	}
-	resp := <-done
-	if !errors.Is(resp.Err, ErrDeadline) {
+	if resp := s.Do(&Request{Op: OpQuery}); !errors.Is(resp.Err, ErrDeadline) {
 		t.Fatalf("response error %v, want ErrDeadline", resp.Err)
 	}
-	// An inline caller gets the same typed failure, booked on its slot.
+	// Every request gets the same typed failure, booked on its slot.
 	probe := func(tm.Tx) { t.Error("request past its deadline was served") }
 	if resp := s.Do(&Request{Op: opProbe, probe: probe}); !errors.Is(resp.Err, ErrDeadline) {
 		t.Fatalf("Do response error %v, want ErrDeadline", resp.Err)
 	}
-	if g := s.Snapshot(); g.Failed != 2 || g.Inline != 1 {
+	if g := s.Snapshot(); g.Failed != 2 || g.Inline != 2 {
 		t.Fatalf("deadline misses not booked on the slots: %+v", g)
 	}
 	if s.Err() != nil {

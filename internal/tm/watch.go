@@ -1,6 +1,10 @@
 package tm
 
-import "sync/atomic"
+import (
+	"fmt"
+	"io"
+	"sync/atomic"
+)
 
 // HaltSignal is the panic value a worker unwinds with when the liveness
 // watchdog has halted the run (see Watch.Halt). It deliberately is not
@@ -93,4 +97,25 @@ func (w *Watch) Poll() {
 		return
 	}
 	panic(HaltSignal{Reason: w.Reason()})
+}
+
+// WriteStall writes the statistics every stall post-mortem shares: the
+// counter line, the abort-cause table and the eight hottest conflict rows.
+// st must be read quiescently (no worker left inside a transaction).
+func (st Stats) WriteStall(out io.Writer) {
+	fmt.Fprintf(out, "  starts=%d commits=%d aborts=%d escalations=%d cm-waits=%d\n",
+		st.Total.Starts, st.Total.Commits, st.Total.Aborts, st.Total.Escalations, st.Total.CMWaits)
+	names := CauseNames()
+	for c, n := range st.AbortCauses() {
+		if n != 0 {
+			fmt.Fprintf(out, "  cause %-24s %d\n", names[c], n)
+		}
+	}
+	conflicts := st.TopConflicts()
+	if len(conflicts) > 8 {
+		conflicts = conflicts[:8]
+	}
+	for _, row := range conflicts {
+		fmt.Fprintf(out, "  conflict %-16s aborts=%d\n", row.Key.String(), row.Count)
+	}
 }

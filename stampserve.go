@@ -7,10 +7,10 @@ import (
 // Serving mode: the batch benchmark recast as a long-lived service. Serve
 // builds a persistent transactional arena and a fixed set of tm.Thread
 // slots; Server.Do leases one and runs the vacation operation on the
-// caller's goroutine, a bounded queue and a small pool take the overflow
-// (and Server.Submit's asynchronous requests); RunLoad drives an open- or
+// caller's goroutine, parking for a slot (at most ServerOptions.Queue
+// callers at once) when every slot is busy; RunLoad drives an open- or
 // closed-loop client mix at it and reports tail latency plus the slots'
-// transactional statistics.
+// transactional statistics. A caller that must not wait runs go srv.Do(req).
 
 // Server is a long-lived serving instance (see Serve).
 type Server = server.Server
@@ -22,7 +22,7 @@ type Server = server.Server
 // snapshot); Validate reports every invalid field at once.
 type ServerOptions = server.Options
 
-// ServerRequest is one operation submission for Server.Submit / Server.Do.
+// ServerRequest is one operation for Server.Do.
 type ServerRequest = server.Request
 
 // ServerResponse is one operation's outcome, including client-observed
@@ -52,9 +52,9 @@ const (
 	OpQuery   = server.OpQuery
 )
 
-// ErrQueueFull reports an admission rejection: with every slot busy and its
-// bounded overflow queue full, the server sheds load rather than buffering
-// without bound.
+// ErrQueueFull reports an admission rejection: with every slot busy and
+// ServerOptions.Queue callers already parked for one, the server sheds load
+// rather than buffering without bound.
 var ErrQueueFull = server.ErrQueueFull
 
 // ErrDeadline reports a served request that exceeded
@@ -68,11 +68,12 @@ var ErrDeadline = server.ErrDeadline
 var ErrRetriesExhausted = server.ErrRetriesExhausted
 
 // Serve starts a serving-mode instance: it populates the store in a fresh
-// long-lived arena, builds opt.Workers tm.Thread slots (and as many pool
-// goroutines for the overflow queue), and begins accepting requests. It
+// long-lived arena, builds opt.Workers tm.Thread slots, and begins
+// accepting requests; requests run on their callers' goroutines, so an idle
+// server runs none (but the watchdog's, with opt.ProgressTimeout set). It
 // fails, wrapping ErrArenaFull, when the arena cannot hold the store. The
 // caller owns the lifecycle and must Close it. With opt.ProgressTimeout
-// set, a stalled runtime is halted and every pending and future request
+// set, a stalled runtime is halted and every parked and future request
 // fails with an ErrStalled-wrapped error instead of hanging.
 func Serve(opt ServerOptions) (*Server, error) { return server.New(opt) }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestServeEndToEnd exercises the public serving-mode surface: Serve,
-// Submit/Do, RunLoad, live gauges, and invariant checking.
+// Do, RunLoad, live gauges, and invariant checking.
 func TestServeEndToEnd(t *testing.T) {
 	srv, err := stamp.Serve(stamp.ServerOptions{
 		Workers: 2, Records: 256, OpBudget: 1 << 14, Seed: 11,
