@@ -55,13 +55,13 @@ func BenchmarkAblationEarlyRelease(b *testing.B) {
 // BenchmarkAblationContentionManager sweeps every registered contention-
 // management policy over the same contended workload — a hot counter plus
 // scattered transfers on the lazy STM at 8 threads — reporting retries/tx,
-// CM delays, and serialize-fallback escalations per policy. This is the
+// CM delays, and starvation escalations per policy. This is the
 // policy-curve ablation the Synchrobench comparison argues for: protocol
 // fixed, contention manager varied.
 func BenchmarkAblationContentionManager(b *testing.B) {
 	for _, cm := range stamp.CMNames() {
 		b.Run("cm="+cm, func(b *testing.B) {
-			var aborts, commits, waits, serialized uint64
+			var aborts, commits, waits, escalations uint64
 			for i := 0; i < b.N; i++ {
 				arena := stamp.NewArena(1 << 12)
 				hot := arena.Alloc(1)
@@ -97,11 +97,11 @@ func BenchmarkAblationContentionManager(b *testing.B) {
 				aborts += st.Total.Aborts
 				commits += st.Total.Commits
 				waits += st.Total.CMWaits
-				serialized += st.Total.CMSerialized
+				escalations += st.Total.Escalations
 			}
 			b.ReportMetric(float64(aborts)/float64(max(commits, 1)), "retries/tx")
 			b.ReportMetric(float64(waits)/float64(b.N), "cm-waits/run")
-			b.ReportMetric(float64(serialized)/float64(b.N), "serialized/run")
+			b.ReportMetric(float64(escalations)/float64(b.N), "escalations/run")
 		})
 	}
 }

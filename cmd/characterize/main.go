@@ -26,7 +26,6 @@ func main() {
 		only        = flag.String("variants", "", "comma-separated variant subset (default: all 20 simulation variants)")
 		sysFlag     = flag.String("systems", "", "comma-separated extra retry-column systems beyond the paper's six (see stamp -list-systems)")
 		cmFlag      = flag.String("cm", "", "contention-manager policy for the retry-column runs (see stamp -list-cms; default: per-runtime)")
-		mvVers      = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default 8)")
 		chaosArg    = flag.String("chaos", "", "arm deterministic failpoints for the retry-column runs: seed:site:prob[,...] (see stamp -list-chaos)")
 		timeout     = flag.Duration("timeout", 0, "progress watchdog per run: fail if no commits for this long (0 = off)")
 		qualitative = flag.Bool("qualitative", false, "also print the derived Table III buckets")
@@ -83,8 +82,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "characterizing %s (scale %g)...\n", v.Name, *scale)
 		c, err := harness.Characterize(v, harness.Options{
 			Scale: *scale, RetryThreads: *retry, ExtraRetrySystems: extraSystems,
-			CM: cm, MVVersions: *mvVers,
-			Chaos: chaosSpec, ProgressTimeout: *timeout,
+			CM: cm, Chaos: chaosSpec, ProgressTimeout: *timeout,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "characterize:", err)

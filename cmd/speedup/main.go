@@ -25,7 +25,6 @@ func main() {
 		only     = flag.String("variants", "", "comma-separated variant subset (default: all 20 simulation variants)")
 		sysFlag  = flag.String("systems", "", "comma-separated TM systems (default: the paper's six; see stamp -list-systems)")
 		cmFlag   = flag.String("cm", "", "contention-manager policy for every TM run (see stamp -list-cms; default: per-runtime)")
-		mvVers   = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default 8)")
 		chaosArg = flag.String("chaos", "", "arm deterministic failpoints for every TM run: seed:site:prob[,...] (see stamp -list-chaos)")
 		timeout  = flag.Duration("timeout", 0, "progress watchdog per run: fail if no commits for this long (0 = off)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned text")
@@ -83,8 +82,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "measuring %s (scale %g)...\n", v.Name, *scale)
 		s, err := harness.MeasureSpeedup(v, harness.Options{
 			Scale: *scale, ThreadCounts: ts, Systems: systems,
-			CM: cm, MVVersions: *mvVers,
-			Chaos: chaosSpec, ProgressTimeout: *timeout,
+			CM: cm, Chaos: chaosSpec, ProgressTimeout: *timeout,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "speedup:", err)

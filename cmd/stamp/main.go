@@ -9,7 +9,7 @@
 //	stamp -list-cms
 //	stamp -list-causes
 //	stamp -list-chaos
-//	stamp -variant vacation-low -systems stm-lazy,stm-norec -threads 8 [-scale 1] [-cm greedy] [-mv-versions 16]
+//	stamp -variant vacation-low -systems stm-lazy,stm-norec -threads 8 [-scale 1] [-cm greedy]
 //	stamp -variant vacation-low -systems stm-lazy -threads 8 -trace 16 -trace-out tx.trace.json
 //	stamp -variant vacation-low -systems stm-lazy -threads 8 -chaos 42:tl2-lock-acquire:0.01 -timeout 30s
 package main
@@ -37,7 +37,6 @@ func main() {
 		threads  = flag.Int("threads", 4, "worker threads")
 		scale    = flag.Float64("scale", 1.0, "workload scale (1 = the paper's configuration)")
 		cmFlag   = flag.String("cm", "", "contention-manager policy (see -list-cms; default: per-runtime)")
-		mvVers   = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default 8; 1 = single-version)")
 		traceN   = flag.Int("trace", 0, "sample every Nth atomic block into the event tracer (0 = off)")
 		traceOut = flag.String("trace-out", "", "write sampled events as Chrome trace-event JSON (Perfetto-loadable); implies -trace 1 if -trace is unset")
 		chaosArg = flag.String("chaos", "", "arm deterministic failpoints: seed:site:prob[,site:prob...] (see -list-chaos)")
@@ -111,7 +110,7 @@ func main() {
 		}
 		res, err := stamp.Run(*variant, stamp.Options{
 			System: sysName, Threads: n, Scale: *scale,
-			CM: cm, Trace: *traceN, MVVersions: *mvVers,
+			CM: cm, Trace: *traceN,
 			Chaos: chaosSpec, ProgressTimeout: *timeout})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "stamp:", err)
@@ -124,10 +123,9 @@ func main() {
 		fmt.Printf("variant      %s\n", res.Variant)
 		fmt.Printf("system       %s\n", res.System)
 		fmt.Printf("threads      %d\n", res.Threads)
-		fmt.Printf("cm           %s (%d waits, %v waiting, %d serialized)\n",
+		fmt.Printf("cm           %s (%d waits, %v waiting)\n",
 			cmName, res.Stats.Total.CMWaits,
-			time.Duration(res.Stats.Total.CMWaitNs).Round(time.Microsecond),
-			res.Stats.Total.CMSerialized)
+			time.Duration(res.Stats.Total.CMWaitNs).Round(time.Microsecond))
 		if e := res.Stats.Total.Escalations; e > 0 {
 			fmt.Printf("escalations  %d (%d committed irrevocably)\n",
 				e, res.Stats.Total.EscalatedCommits)

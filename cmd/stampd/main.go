@@ -61,7 +61,6 @@ func main() {
 
 		cmFlag  = flag.String("cm", "", "contention-manager policy (default: per-runtime)")
 		chaos   = flag.String("chaos", "", "deterministic failpoints: seed:site:prob[,site:prob...]")
-		mvVers  = flag.Int("mv-versions", 0, "stm-mv per-stripe version-ring depth (0 = default)")
 		timeout = flag.Duration("timeout", 0, "progress watchdog: halt the runtime and fail pending requests if commits stall this long with work in flight (0 = off)")
 
 		swapAt    = flag.Float64("swap-at", 0, "arena high-water fraction that triggers an epoch swap (0 = 0.85)")
@@ -82,7 +81,7 @@ func main() {
 	opts := stamp.ServerOptions{
 		System: *system, Workers: *workers, Queue: *queueN,
 		Records: *records, OpBudget: *budget,
-		CM: cm, Chaos: chaosSpec, MVVersions: *mvVers,
+		CM: cm, Chaos: chaosSpec,
 		SwapAt: *swapAt, RequestDeadline: *deadline, RequestRetries: *retries,
 		NoRecycle:       *noRecycle,
 		ProgressTimeout: *timeout, Seed: *seed,

@@ -42,12 +42,11 @@
 // a per-thread, seeded policy from a registry — CMNames() lists "randlin"
 // (the paper's randomized linear backoff, the STM/hybrid default), "expo"
 // (exponential backoff), "greedy" (timestamp priority: older wins, younger
-// aborts), "karma" (priority accrued across aborted attempts), "serialize"
-// (delay, then guaranteed irrevocable escalation after SerializeAfter
-// aborts), and "none" (immediate restart, the simulated HTMs' default).
+// aborts), "karma" (priority accrued across aborted attempts), and "none"
+// (immediate restart, the simulated HTMs' default).
 // Select one with Config.CM or the -cm flag of the commands; leave it
 // empty for each runtime's historical default. Priority policies arbitrate
-// at encounter-time conflict points; per-policy delay and serialization
+// at encounter-time conflict points; per-policy delay and escalation
 // counts are reported in Stats.
 //
 // Liveness is a layer of its own, inherited by every policy and runtime:
@@ -66,12 +65,11 @@
 //
 // The TL2 commit clock is TL2's own fetch-add clock, one code path for
 // stm-lazy, stm-eager and stm-mv. The TM hot path's other shared serial
-// points are configurable: transactional allocation draws from
+// points are kept small: transactional allocation draws from
 // thread-private, line-aligned reservation chunks (Config.AllocChunk; one
 // contended atomic per chunk instead of per tx.Alloc), and the TL2
-// stripe-lock table is sized from the arena instead of a fixed 8 MiB
-// (Config.LockTableBits). Allocation is transactional in both
-// directions: tx.Free defers to commit and feeds per-thread free lists,
+// stripe-lock table is sized from the arena instead of a fixed 8 MiB.
+// Allocation is transactional in both directions: tx.Free defers to commit and feeds per-thread free lists,
 // aborted attempts' allocations are reclaimed, and abandoned chunk
 // tails are retired, so balanced churn runs at a bounded arena
 // high-water (Config.NoRecycle restores the original suite's leaky

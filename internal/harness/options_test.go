@@ -17,7 +17,7 @@ func TestOptionsValidateFull(t *testing.T) {
 	opt := Options{
 		System: "stm-mv", Threads: 4, Scale: 0.5,
 		Profile: true, CM: "greedy",
-		Trace: 64, TraceBuf: 256, MVVersions: 4,
+		Trace:           64,
 		Chaos:           "1:tl2-lock-acquire:0.5",
 		ProgressTimeout: time.Second,
 		RetryThreads:    8, ExtraRetrySystems: []string{"stm-norec"},
@@ -42,8 +42,6 @@ func TestOptionsValidatePerField(t *testing.T) {
 		{"scale", Options{Scale: -0.5}, "scale"},
 		{"cm", Options{CM: "nope"}, "unknown contention manager"},
 		{"trace", Options{Trace: -1}, "trace sampling"},
-		{"tracebuf", Options{TraceBuf: -1}, "trace ring"},
-		{"mvversions", Options{MVVersions: -1}, "mv version-ring"},
 		{"chaos", Options{Chaos: "not-a-spec"}, "chaos spec"},
 		{"timeout", Options{ProgressTimeout: -time.Second}, "progress timeout"},
 		{"retry-threads", Options{RetryThreads: -1}, "retry threads"},

@@ -39,13 +39,6 @@ type Options struct {
 	// Trace samples every Nth atomic block into per-thread event rings
 	// (0 = tracing off; see tm.Config.Trace).
 	Trace int
-	// TraceBuf overrides the per-thread ring capacity in events
-	// (0 = tm.DefaultTraceBuf).
-	TraceBuf int
-	// MVVersions sizes the stm-mv per-stripe version ring
-	// (0 = tm.DefaultMVVersions; see tm.Config.MVVersions). Other runtimes
-	// ignore it.
-	MVVersions int
 	// Chaos arms deterministic failpoints in the runtime's conflict and
 	// commit paths ("" = off; see tm.Config.Chaos for the spec grammar).
 	Chaos string
@@ -127,12 +120,6 @@ func (o Options) Validate() error {
 	}
 	if o.Trace < 0 {
 		bad("trace sampling interval must be >= 0, got %d", o.Trace)
-	}
-	if o.TraceBuf < 0 {
-		bad("trace ring capacity must be >= 0, got %d", o.TraceBuf)
-	}
-	if o.MVVersions < 0 {
-		bad("mv version-ring depth must be >= 0 (0 = default), got %d", o.MVVersions)
 	}
 	if o.Chaos != "" {
 		if _, err := chaos.Parse(o.Chaos); err != nil {
@@ -226,8 +213,6 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 		ProfileSets:        opt.Profile,
 		CM:                 opt.CM,
 		Trace:              opt.Trace,
-		TraceBuf:           opt.TraceBuf,
-		MVVersions:         opt.MVVersions,
 		Chaos:              opt.Chaos,
 		Watch:              watch,
 	})

@@ -154,11 +154,9 @@ type Options struct {
 	// ablation knob of tm.Config.NoRecycle.
 	NoRecycle bool
 
-	// CM, Chaos and MVVersions mirror the harness.Options knobs of the same
-	// names.
-	CM         string
-	Chaos      string
-	MVVersions int
+	// CM and Chaos mirror the harness.Options knobs of the same names.
+	CM    string
+	Chaos string
 
 	// ProgressTimeout arms the progress watchdog: if slots are leased but
 	// the global commit count stays flat across a full window, the runtime
@@ -250,7 +248,6 @@ func (o Options) Validate() error {
 	// two Options surfaces cannot drift.
 	ho := harness.Options{
 		System: o.System, CM: o.CM, Chaos: o.Chaos,
-		MVVersions:      o.MVVersions,
 		ProgressTimeout: o.ProgressTimeout,
 	}
 	if err := ho.Validate(); err != nil {
@@ -495,7 +492,6 @@ func (s *Server) newSystem(arena *mem.Arena) (tm.System, error) {
 		EnableEarlyRelease: true,
 		CM:                 s.opt.CM,
 		Chaos:              s.opt.Chaos,
-		MVVersions:         s.opt.MVVersions,
 		NoRecycle:          s.opt.NoRecycle,
 		Watch:              s.watch,
 		Seed:               s.opt.Seed,

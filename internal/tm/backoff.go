@@ -7,7 +7,7 @@ import (
 )
 
 // backoffAborts is the abort count after which the delay-based contention
-// managers (randlin, expo, karma, serialize) start delaying: the paper's 3.
+// managers (randlin, expo, karma) start delaying: the paper's 3.
 const backoffAborts = 3
 
 // backoffUnit is the spin-loop budget per abort past the threshold for the

@@ -31,8 +31,7 @@ type ContentionManager interface {
 	// Name returns the registry name of the policy (e.g. "randlin").
 	Name() string
 	// OnStart is called once when an atomic block is entered, before the
-	// first attempt (timestamp policies stamp the block here; the serialize
-	// policy joins the global reader group).
+	// first attempt (timestamp policies stamp the block here).
 	OnStart()
 	// OnAbort is called after the aborts-th failed attempt of the current
 	// block (1 = first abort). The policy applies its delay before
@@ -94,12 +93,6 @@ var cmRegistry = map[string]cmEntry{
 			return &karmaCM{cmBase: p.base(id, st)}
 		},
 	},
-	"serialize": {
-		description: "randlin, then irrevocable escalation: after SerializeAfter aborts the block drains peers and runs alone",
-		make: func(p *CMPool, id int, st *ThreadStats) ContentionManager {
-			return &serializeCM{cmBase: p.base(id, st)}
-		},
-	},
 	"none": {
 		description: "no delay, requester always aborts (immediate restart; the HTM simulators' default)",
 		make: func(p *CMPool, id int, st *ThreadStats) ContentionManager {
@@ -147,7 +140,6 @@ type CMPool struct {
 	watch *Watch
 
 	starveAfter int // consecutive-abort escalation threshold (<= 0: off)
-	serializeAt int // the serialize policy's own threshold (0 for others)
 }
 
 // NewCMPool validates Config.CM against the registry and returns the pool.
@@ -182,9 +174,6 @@ func NewCMPool(cfg Config, fallback string) (*CMPool, error) {
 		chaos:       inj,
 		watch:       cfg.Watch,
 		starveAfter: cfg.StarveAfter,
-	}
-	if name == "serialize" {
-		p.serializeAt = cfg.SerializeAfter
 	}
 	return p, nil
 }
@@ -366,27 +355,6 @@ func (c *karmaCM) ShouldAbort(enemy ContentionManager) bool {
 	}
 	return enemy.Priority() >= c.Priority()
 }
-
-// serializeCM is randlin-style delay; its signature trait — escalating a
-// block that aborted SerializeAfter times to run alone and irrevocably — is
-// implemented by the governor, which watches CMPool.serializeAt (set only for
-// this policy). Moving the escalation into the governor turned it from a
-// policy-local mutual-exclusion fallback into the same guaranteed-commit path
-// every policy's starvation watchdog uses.
-type serializeCM struct {
-	cmBase
-}
-
-func (c *serializeCM) Name() string { return "serialize" }
-func (c *serializeCM) OnStart()     {}
-func (c *serializeCM) OnAbort(aborts int) {
-	if aborts > backoffAborts {
-		c.delay(c.r.Intn((aborts-backoffAborts)*backoffUnit) + 1)
-	}
-}
-func (c *serializeCM) OnCommit()                          {}
-func (c *serializeCM) Priority() uint64                   { return 0 }
-func (c *serializeCM) ShouldAbort(ContentionManager) bool { return true }
 
 // noneCM applies no delay and always aborts the requester — the simulated
 // HTMs' immediate-restart behavior, and a useful ablation baseline.

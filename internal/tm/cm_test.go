@@ -2,7 +2,6 @@ package tm
 
 import (
 	"testing"
-	"time"
 
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/thread"
@@ -26,7 +25,7 @@ func cmPool(t *testing.T, name string) *CMPool {
 
 func TestCMRegistry(t *testing.T) {
 	names := CMNames()
-	want := []string{"expo", "greedy", "karma", "none", "randlin", "serialize"}
+	want := []string{"expo", "greedy", "karma", "none", "randlin"}
 	if len(names) != len(want) {
 		t.Fatalf("CMNames() = %v", names)
 	}
@@ -162,61 +161,6 @@ func TestKarmaPriority(t *testing.T) {
 	}
 }
 
-// TestSerializeEscalation: past the threshold the block escalates to
-// irrevocable mode through the governor's gate (counted in CMSerialized and
-// Escalations) and stalls other blocks' OnStart until it commits.
-func TestSerializeEscalation(t *testing.T) {
-	cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: "serialize", SerializeAfter: 2}.Defaults()
-	p, err := NewCMPool(cfg, DefaultCM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st0, st1 ThreadStats
-	a := p.ForThread(0, &st0)
-	b := p.ForThread(1, &st1)
-
-	a.OnStart()
-	a.OnAbort(1)
-	if st0.CMSerialized != 0 {
-		t.Fatal("escalated below the threshold")
-	}
-	a.OnAbort(2) // reaches SerializeAfter: acquires the irrevocability token
-	if st0.CMSerialized != 1 {
-		t.Fatalf("CMSerialized = %d, want 1", st0.CMSerialized)
-	}
-	if st0.Escalations != 1 {
-		t.Fatalf("Escalations = %d, want 1", st0.Escalations)
-	}
-
-	entered := make(chan struct{})
-	go func() {
-		b.OnStart() // must park until a commits
-		close(entered)
-		b.OnCommit()
-	}()
-	select {
-	case <-entered:
-		t.Fatal("peer entered a block while the escalated transaction held the token")
-	case <-time.After(20 * time.Millisecond):
-	}
-	a.OnCommit()
-	select {
-	case <-entered:
-	case <-time.After(2 * time.Second):
-		t.Fatal("peer still blocked after the escalated transaction committed")
-	}
-	if st0.EscalatedCommits != 1 {
-		t.Fatalf("EscalatedCommits = %d, want 1", st0.EscalatedCommits)
-	}
-
-	// The escalation state must not leak into a's next block.
-	a.OnStart()
-	a.OnCommit()
-	if st0.CMSerialized != 1 || st0.Escalations != 1 {
-		t.Fatalf("escalation counters after clean block = %d/%d", st0.CMSerialized, st0.Escalations)
-	}
-}
-
 // TestWaitOrAbortBounds: requester-loses policies abort immediately; a
 // waiting policy pauses its waiter once per probe and is cut off after
 // exactly maxConflictProbes of them.
@@ -266,10 +210,10 @@ func TestCMWaitStats(t *testing.T) {
 
 // TestCMStatsMerge: the new counters aggregate across thread records.
 func TestCMStatsMerge(t *testing.T) {
-	a := &ThreadStats{CMWaits: 2, CMWaitNs: 100, CMSerialized: 1}
+	a := &ThreadStats{CMWaits: 2, CMWaitNs: 100, Escalations: 1}
 	b := &ThreadStats{CMWaits: 3, CMWaitNs: 50}
 	s := Aggregate([]*ThreadStats{a, b})
-	if s.Total.CMWaits != 5 || s.Total.CMWaitNs != 150 || s.Total.CMSerialized != 1 {
+	if s.Total.CMWaits != 5 || s.Total.CMWaitNs != 150 || s.Total.Escalations != 1 {
 		t.Fatalf("merged CM stats = %+v", s.Total)
 	}
 }

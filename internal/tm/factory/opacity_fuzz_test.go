@@ -79,9 +79,9 @@ func TestOpacityFuzz(t *testing.T) {
 				// The yields make the eager in-place runtimes livelock-prone
 				// (attempts perpetually killing each other — the simulated
 				// HTMs default to no contention manager at all), so every
-				// runtime gets the serialize fallback, which guarantees
+				// runtime escalates after 3 aborts, which guarantees
 				// progress without muting any conflict.
-				CM: "serialize", SerializeAfter: 3,
+				CM: "randlin", StarveAfter: 3,
 			})
 			if err != nil {
 				t.Fatalf("New(%s): %v", name, err)

@@ -636,7 +636,9 @@ func TestSeqMatchesModel(t *testing.T) {
 // atomicity plus invariant-preserving transfers with reader snapshots — over
 // every concurrent runtime × every registered contention manager, so a new
 // policy (or a new runtime) is automatically screened against lost updates,
-// torn reads, and livelock under all arbitration paths.
+// torn reads, and livelock under all arbitration paths. The extra "escalate"
+// arm is randlin with a starvation threshold low enough that irrevocable
+// escalation fires on a workload this short.
 func TestCMConformance(t *testing.T) {
 	const (
 		threads  = 4
@@ -644,9 +646,17 @@ func TestCMConformance(t *testing.T) {
 		accounts = 8
 		total    = 400
 	)
-	for _, cmName := range tm.CMNames() {
+	type cmArm struct {
+		name, cm    string
+		starveAfter int
+	}
+	arms := []cmArm{{name: "escalate", cm: "randlin", starveAfter: 4}}
+	for _, name := range tm.CMNames() {
+		arms = append(arms, cmArm{name: name, cm: name})
+	}
+	for _, arm := range arms {
 		for _, sysName := range concurrentNames() {
-			t.Run(cmName+"/"+sysName, func(t *testing.T) {
+			t.Run(arm.name+"/"+sysName, func(t *testing.T) {
 				t.Parallel()
 				arena := mem.NewArena(1 << 12)
 				counter := arena.Alloc(1)
@@ -656,13 +666,10 @@ func TestCMConformance(t *testing.T) {
 				}
 				arena.Store(accs[0], total)
 				sys, err := New(sysName, tm.Config{
-					Arena: arena, Threads: threads, CM: cmName,
-					// A low threshold exercises the serialize fallback on a
-					// workload this short; other policies ignore it.
-					SerializeAfter: 4,
+					Arena: arena, Threads: threads, CM: arm.cm, StarveAfter: arm.starveAfter,
 				})
 				if err != nil {
-					t.Fatalf("New(%s, cm=%s): %v", sysName, cmName, err)
+					t.Fatalf("New(%s, %s): %v", sysName, arm.name, err)
 				}
 				team := thread.NewTeam(threads)
 				var violations [threads]int64

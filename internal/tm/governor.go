@@ -13,12 +13,11 @@ import (
 // concurrent runtime inherits three guarantees through the driver's three
 // contention-manager calls:
 //
-//   - starvation escalation: past Config.StarveAfter consecutive aborts (or
-//     the serialize policy's own threshold), the block acquires the pool's
-//     global irrevocability token, drains every in-flight peer, and runs
-//     alone with fault injection suppressed — so it must commit. This is a
-//     guarantee, not a heuristic: it works under every policy, including
-//     "none".
+//   - starvation escalation: past Config.StarveAfter consecutive aborts,
+//     the block acquires the pool's global irrevocability token, drains
+//     every in-flight peer, and runs alone with fault injection suppressed
+//     — so it must commit. This is a guarantee, not a heuristic: it works
+//     under every policy, including "none".
 //   - watchdog polling: every attempt boundary and every wait loop the
 //     governor owns polls Config.Watch, so a halted run unwinds with
 //     HaltSignal instead of spinning forever.
@@ -90,10 +89,8 @@ func (g *governor) OnAbort(aborts int) {
 		return
 	}
 	p.watch.Poll()
-	viaSerialize := p.serializeAt > 0 && aborts >= p.serializeAt
-	starving := p.starveAfter > 0 && aborts >= p.starveAfter
-	if viaSerialize || starving {
-		g.escalate(viaSerialize)
+	if p.starveAfter > 0 && aborts >= p.starveAfter {
+		g.escalate()
 		return
 	}
 	if p.gatePending.Load() > 0 {
@@ -110,7 +107,7 @@ func (g *governor) OnAbort(aborts int) {
 // back, and a queued second escalator must not wait on our flag), take the
 // token lock, drain every peer's flag, and rejoin as the sole runner with
 // fault injection suppressed.
-func (g *governor) escalate(viaSerialize bool) {
+func (g *governor) escalate() {
 	p := g.pool
 	p.gatePending.Add(1)
 	p.flags[g.id].Store(0)
@@ -133,9 +130,6 @@ func (g *governor) escalate(viaSerialize bool) {
 	p.chaos.Suppress(g.id, true)
 	g.irrevocable.Store(true)
 	g.st.Escalations++
-	if viaSerialize {
-		g.st.CMSerialized++
-	}
 }
 
 func (g *governor) OnCommit() {
@@ -170,10 +164,10 @@ func (g *governor) ShouldAbort(enemy ContentionManager) bool {
 		return false
 	}
 	if e, ok := enemy.(*governor); ok && e.irrevocable.Load() {
-		// Never abort at a conflict with an irrevocable (or serialized)
-		// holder: it is guaranteed to commit and release promptly, so
-		// waiting is bounded and aborting is wasted work — uniformly,
-		// regardless of the wrapped policy.
+		// Never abort at a conflict with an irrevocable holder: it is
+		// guaranteed to commit and release promptly, so waiting is bounded
+		// and aborting is wasted work — uniformly, regardless of the
+		// wrapped policy.
 		return false
 	}
 	p := g.pool

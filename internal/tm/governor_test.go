@@ -19,7 +19,7 @@ func governorPool(t *testing.T, cfg Config) *CMPool {
 
 // TestIrrevocableHolderNeverAborted pins the uniform arbitration guarantee:
 // under every registered policy, ShouldAbort against an irrevocable
-// (escalated or serialized) holder returns false — the requester waits the
+// (escalated) holder returns false — the requester waits the
 // bounded probe window instead of killing a transaction that must commit.
 func TestIrrevocableHolderNeverAborted(t *testing.T) {
 	for _, name := range CMNames() {
@@ -46,7 +46,8 @@ func TestIrrevocableHolderNeverAborted(t *testing.T) {
 
 // TestStarvationEscalation: past StarveAfter aborts, any policy (here karma)
 // escalates to irrevocable mode, commits, and resets all per-block policy
-// state at commit so escalation bias does not leak into the next block.
+// state at commit so escalation bias does not leak into the next block,
+// which starts, aborts below the threshold and commits without escalating.
 func TestStarvationEscalation(t *testing.T) {
 	cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: "karma", StarveAfter: 3}
 	p := governorPool(t, cfg)
@@ -83,6 +84,15 @@ func TestStarvationEscalation(t *testing.T) {
 	// (one per abort) must be gone.
 	if g.Priority() != 0 {
 		t.Fatalf("karma after escalated commit = %d", g.Priority())
+	}
+	g.OnStart()
+	g.OnAbort(1)
+	if g.irrevocable.Load() || p.gatePending.Load() != 0 {
+		t.Fatal("next block started escalated")
+	}
+	g.OnCommit()
+	if st.Escalations != 1 || st.EscalatedCommits != 1 {
+		t.Fatalf("escalation counters after clean block = %d/%d", st.Escalations, st.EscalatedCommits)
 	}
 }
 

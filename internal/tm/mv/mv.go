@@ -156,7 +156,7 @@ func New(cfg tm.Config) (*System, error) {
 		return nil, err
 	}
 	clock := new(tl2.Clock)
-	locks := tl2.NewLockTable(tl2.TableBits(rt.Cfg, minTableBits, maxTableBits))
+	locks := tl2.NewLockTable(tl2.TableBits(rt.Cfg.Arena.Cap(), minTableBits, maxTableBits))
 	s := &System{
 		Runtime: rt,
 		clock:   clock,

@@ -300,7 +300,7 @@ func TestConfigValidation(t *testing.T) {
 	if got := sys.RingDepth(); got != tm.DefaultMVVersions {
 		t.Errorf("default ring depth = %d, want %d", got, tm.DefaultMVVersions)
 	}
-	big := newSys(t, tm.Config{Arena: arena, Threads: 1, LockTableBits: 30})
+	big := newSys(t, tm.Config{Arena: mem.NewArena(1 << 18), Threads: 1})
 	if got := big.Stripes(); got != 1<<maxTableBits {
 		t.Errorf("stripes = %d, want the clamped %d", got, 1<<maxTableBits)
 	}

@@ -60,9 +60,9 @@ const (
 // CauseNames returns every abort-cause name in enum order, "unknown" first.
 func CauseNames() []string { return trace.CauseNames() }
 
-// DefaultTraceBuf is the per-thread tracer ring capacity (in events) when
-// Config.TraceBuf is 0.
-const DefaultTraceBuf = 4096
+// traceRingEvents is the per-thread tracer ring capacity in events. The ring
+// keeps the newest events when it wraps.
+const traceRingEvents = 4096
 
 // NewTracer allocates one per-thread event ring according to the config, or
 // returns nil when tracing is off (Config.Trace == 0) — the nil ring's
@@ -72,11 +72,7 @@ func (c Config) NewTracer() *trace.Ring {
 	if c.Trace <= 0 {
 		return nil
 	}
-	size := c.TraceBuf
-	if size <= 0 {
-		size = DefaultTraceBuf
-	}
-	return trace.NewRing(size, c.Trace)
+	return trace.NewRing(traceRingEvents, c.Trace)
 }
 
 // AbortInfo is the pending-abort registers a transaction carries between

@@ -145,9 +145,8 @@ type ThreadStats struct {
 	TxTimeNs int64 // wall time inside Atomic, all attempts
 
 	// Contention-manager accounting (see tm.ContentionManager).
-	CMWaits      uint64 // delays applied by the policy's OnAbort hook
-	CMWaitNs     int64  // time spent in those delays
-	CMSerialized uint64 // escalations triggered by the serialize policy's threshold
+	CMWaits  uint64 // delays applied by the policy's OnAbort hook
+	CMWaitNs int64  // time spent in those delays
 
 	// Starvation-escalation accounting (see Config.StarveAfter): blocks
 	// that acquired the irrevocability token, and the commits they then
@@ -238,7 +237,6 @@ func (s *ThreadStats) merge(o *ThreadStats) {
 	s.TxTimeNs += o.TxTimeNs
 	s.CMWaits += o.CMWaits
 	s.CMWaitNs += o.CMWaitNs
-	s.CMSerialized += o.CMSerialized
 	s.Escalations += o.Escalations
 	s.EscalatedCommits += o.EscalatedCommits
 	for c := range o.AbortCauses {

@@ -28,7 +28,7 @@ func NewEager(cfg tm.Config) (*Eager, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Eager{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: new(Clock)}
+	s := &Eager{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg.Arena.Cap(), minTableBits, maxTableBits)), clock: new(Clock)}
 	rt.Bind(func(slot int) *eagerTx { return &eagerTx{locks: s.locks, clock: s.clock, slot: uint64(slot)} })
 	return s, nil
 }

@@ -16,8 +16,7 @@ import (
 // transactions never observe inconsistent state (opacity).
 //
 // The two shared serial points are the fetch-add version clock (Clock)
-// and the stripe table, sized through tm.Config.LockTableBits (derived
-// from the arena by default).
+// and the stripe table, sized from the arena (see TableBits).
 type Lazy struct {
 	*tm.Runtime[*LazyTx]
 	locks *LockTable
@@ -30,7 +29,7 @@ func NewLazy(cfg tm.Config) (*Lazy, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Lazy{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg, minLockTableBits, maxLockTableBits)), clock: new(Clock)}
+	s := &Lazy{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg.Arena.Cap(), minTableBits, maxTableBits)), clock: new(Clock)}
 	rt.Bind(func(int) *LazyTx { return &LazyTx{Locks: s.locks, Clock: s.clock} })
 	return s, nil
 }

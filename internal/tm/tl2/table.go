@@ -16,31 +16,26 @@ import (
 )
 
 // Lock-table size bounds, in log2 stripes. The table is sized from the
-// arena (one stripe per word, next power of two) unless
-// tm.Config.LockTableBits pins it; either way it stays within
-// [minLockTableBits, maxLockTableBits]. The historical table was a fixed
+// arena (one stripe per word, next power of two) within
+// [minTableBits, maxTableBits]. The historical table was a fixed
 // 2^20 stripes (8 MiB of metadata) regardless of workload — small
 // workloads paid that in cold cache misses on every barrier. Beyond
-// 2^maxLockTableBits words the table wraps (see Index), which only
+// 2^maxTableBits words the table wraps (see Index), which only
 // introduces (rare, harmless) false conflicts.
 const (
-	minLockTableBits = 12 // 4096 stripes, 32 KiB — floor for tiny arenas
-	maxLockTableBits = 20 // 2^20 stripes, 8 MiB — the historical fixed size
+	minTableBits = 12 // 4096 stripes, 32 KiB — floor for tiny arenas
+	maxTableBits = 20 // 2^20 stripes, 8 MiB — the historical fixed size
 )
 
-// TableBits derives the stripe count for a config within [lo, hi] log2
-// stripes: explicit LockTableBits clamped to the bounds, else the smallest
-// power of two covering the arena word for word.
-func TableBits(cfg tm.Config, lo, hi int) int {
-	bits := cfg.LockTableBits
-	if bits == 0 {
-		bits = lo
-		for bits < hi && 1<<bits < cfg.Arena.Cap() {
-			bits++
-		}
-		return bits
+// TableBits returns the log2 stripe count for an arena of the given
+// capacity in words: the smallest power of two covering it word for word,
+// clamped to [lo, hi].
+func TableBits(words, lo, hi int) int {
+	bits := lo
+	for bits < hi && 1<<bits < words {
+		bits++
 	}
-	return min(max(bits, lo), hi)
+	return bits
 }
 
 // LockTable is the per-stripe versioned-lock array. An entry encodes either

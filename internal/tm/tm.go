@@ -166,24 +166,12 @@ type Config struct {
 	// the stm-mv runtime reads this field.
 	MVVersions int
 
-	// LockTableBits sizes the TL2 versioned-lock table at 2^bits stripes.
-	// 0 derives the size from the arena (one stripe per word, rounded up
-	// to a power of two, clamped to [2^12, 2^20]), so small workloads stop
-	// paying 8 MiB of cold lock-table metadata per TL2 instance. Explicit
-	// values are clamped to the same range. Only the TL2 runtimes read this.
-	LockTableBits int
-
 	// CM selects the contention-management policy by registry name (see
-	// CMNames): "randlin", "expo", "greedy", "karma", "serialize", or
-	// "none". Empty selects the runtime's historical default — randomized
-	// linear backoff for STMs and hybrids, immediate restart for the
-	// simulated HTMs — so the zero value reproduces the paper's behavior.
+	// CMNames): "randlin", "expo", "greedy", "karma", or "none". Empty
+	// selects the runtime's historical default — randomized linear backoff
+	// for STMs and hybrids, immediate restart for the simulated HTMs — so
+	// the zero value reproduces the paper's behavior.
 	CM string
-
-	// SerializeAfter is the abort count after which the "serialize"
-	// contention manager falls back to running the block alone under a
-	// global lock (default 8). Ignored by every other policy.
-	SerializeAfter int
 
 	// EnableEarlyRelease controls whether EarlyRelease has any effect on the
 	// HTM simulators ("since early-release is not available on all TM
@@ -230,11 +218,6 @@ type Config struct {
 	// is a nil-receiver no-op.
 	Trace int
 
-	// TraceBuf is the per-thread tracer ring capacity in events (rounded up
-	// to a power of two; 0 selects DefaultTraceBuf). The ring keeps the
-	// newest events when it wraps.
-	TraceBuf int
-
 	// Seed seeds per-thread backoff jitter.
 	Seed uint64
 }
@@ -249,9 +232,6 @@ func (c Config) Defaults() Config {
 		if c.CapacityAssoc == 0 {
 			c.CapacityAssoc = 4
 		}
-	}
-	if c.SerializeAfter == 0 {
-		c.SerializeAfter = 8
 	}
 	if c.MVVersions == 0 {
 		c.MVVersions = DefaultMVVersions
@@ -293,10 +273,9 @@ func (c Config) Validate() error {
 
 // DefaultStarveAfter is the consecutive-abort escalation threshold when
 // Config.StarveAfter is 0. It sits far above the other thresholds that act
-// on the same counter (the CMs' backoff after 3, SerializeAfter 8, the eager
-// HTM's priority after 32):
-// escalation drains the whole system, so it is the last resort — but unlike
-// every policy below it, it is a guarantee, not a heuristic.
+// on the same counter (the CMs' backoff after 3, the eager HTM's priority
+// after 32): escalation drains the whole system, so it is the last resort —
+// but unlike every policy below it, it is a guarantee, not a heuristic.
 const DefaultStarveAfter = 512
 
 // DefaultAllocChunk is the per-thread reservation size tx.Alloc refills in

@@ -117,7 +117,7 @@ func TestRetriesPerTxEmpty(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Threads != 1 || c.CapacityLines != 2048 || c.SerializeAfter != 8 || c.StarveAfter != DefaultStarveAfter {
+	if c.Threads != 1 || c.CapacityLines != 2048 || c.StarveAfter != DefaultStarveAfter {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	// Explicit values survive.
@@ -130,9 +130,9 @@ func TestConfigDefaults(t *testing.T) {
 // TestConfigFieldCount is a ratchet on the knob count: a field added to
 // Config must update this number, and a field removed must lower it.
 func TestConfigFieldCount(t *testing.T) {
-	const want = 18
+	const want = 15
 	if got := reflect.TypeOf(Config{}).NumField(); got != want {
-		t.Fatalf("tm.Config has %d fields, want %d; ROADMAP item 7 targets <= 16 — update this count with the change that moves it", got, want)
+		t.Fatalf("tm.Config has %d fields, want %d; ROADMAP item 6 targets <= 16 — update this count with the change that moves it", got, want)
 	}
 }
 

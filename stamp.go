@@ -240,7 +240,7 @@ func WriteChromeTrace(w io.Writer, events []TraceEvent) error {
 }
 
 // CMNames returns every registered contention-manager policy name, sorted:
-// "expo", "greedy", "karma", "none", "randlin", "serialize". Policies are
+// "expo", "greedy", "karma", "none", "randlin". Policies are
 // selected per run through Config.CM (or the -cm flag of the commands);
 // an empty Config.CM keeps each runtime's historical default — randomized
 // linear backoff ("randlin") for STMs and hybrids, immediate restart

@@ -59,7 +59,7 @@ func TestParseSystems(t *testing.T) {
 
 func TestCMRoster(t *testing.T) {
 	names := stamp.CMNames()
-	if len(names) != 6 {
+	if len(names) != 5 {
 		t.Fatalf("CMNames() = %v", names)
 	}
 	for _, name := range names {
@@ -295,7 +295,7 @@ func ExampleRun_readOnlySnapshot() {
 // Config.CM) selects from.
 func ExampleCMNames() {
 	fmt.Println(strings.Join(stamp.CMNames(), " "))
-	// Output: expo greedy karma none randlin serialize
+	// Output: expo greedy karma none randlin
 }
 
 func TestTableIVArgsPinned(t *testing.T) {
