@@ -1,4 +1,4 @@
-// Ablation benchmarks for the design choices DESIGN.md calls out: early
+// Ablation benchmarks for the design choices the paper argues about: early
 // release, contention management, speculative-buffer associativity,
 // and conflict-detection granularity. Each reports the metric the paper
 // argues about (read-set size, retries, overflow serializations) alongside

@@ -1,8 +1,9 @@
 // Benchmarks regenerating the paper's evaluation artifacts. One benchmark
-// family exists per table/figure (see DESIGN.md §5 for the index):
+// family exists per table/figure (README's "Reproducing the paper" names
+// the command behind each and the proxies Table VI measures):
 //
 //	BenchmarkTableVI    — the characterization runs behind Table VI
-//	                      (seq profiling run per variant)
+//	                      (seq run per variant)
 //	BenchmarkFigure1    — one workload execution per variant × TM system
 //	                      at a fixed thread count
 //	BenchmarkFigure1Scaling — the thread sweep (1..16) for representative
@@ -11,7 +12,7 @@
 //	                      parameters (signatures, barriers)
 //
 // Workloads run at benchScale of the paper's configuration so the full
-// matrix finishes in minutes; use cmd/characterize and cmd/speedup with
+// matrix finishes in minutes; use cmd/stamp -table 3 and -figure 1 with
 // -scale 1 for full-size runs. Use -benchtime=1x for a single pass.
 package stamp_test
 
@@ -65,7 +66,7 @@ func max(a, b uint64) uint64 {
 	return b
 }
 
-// BenchmarkTableVI times the sequential profiling run that produces each
+// BenchmarkTableVI times the sequential run that produces each
 // Table VI row's barrier counts and per-transaction proxies.
 func BenchmarkTableVI(b *testing.B) {
 	for _, v := range stamp.SimVariants() {
@@ -116,7 +117,7 @@ func BenchmarkFigure1Scaling(b *testing.B) {
 		}
 		for _, sys := range figureSystems() {
 			// Three representative points of the paper's 1..16 sweep keep
-			// the full matrix tractable; cmd/speedup runs the full sweep.
+			// the full matrix tractable; cmd/stamp -figure 1 runs the full sweep.
 			for _, threads := range []int{1, 4, 16} {
 				b.Run(fmt.Sprintf("%s/%s/t%d", name, sys, threads), func(b *testing.B) {
 					benchRun(b, v, sys, threads)

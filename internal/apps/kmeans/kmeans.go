@@ -9,6 +9,7 @@ package kmeans
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/rng"
@@ -42,6 +43,9 @@ const maxIterations = 500
 type App struct {
 	cfg    Config
 	points []float64 // Points × Dims, read-only after generation
+	// refSSE is the sequential reference SSE Verify checks every run
+	// against; it depends only on the input and K, so it is computed once.
+	refSSE func() float64
 
 	// Arena layout (per clustering run, reused across K):
 	// accumulators: K rows of (Dims sums + 1 count).
@@ -75,7 +79,9 @@ func New(cfg Config) *App {
 			pts[p*cfg.Dims+d] = centers[c*cfg.Dims+d] + r.NormFloat64()*0.05
 		}
 	}
-	return &App{cfg: cfg, points: pts}
+	a := &App{cfg: cfg, points: pts}
+	a.refSSE = sync.OnceValue(func() float64 { return a.referenceSSE(cfg.MaxClusters) })
+	return a
 }
 
 // Name implements apps.App.
@@ -230,7 +236,7 @@ func (a *App) Verify(*mem.Arena) error {
 	if !a.converged && a.iterations < maxIterations {
 		return fmt.Errorf("kmeans: stopped without converging after %d iterations", a.iterations)
 	}
-	ref := a.referenceSSE(a.cfg.MaxClusters)
+	ref := a.refSSE()
 	if ref == 0 {
 		return nil
 	}

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 )
 
 // Characterization is one Table VI row, with the paper's "instructions per
 // transaction" replaced by two documented proxies (barriers per transaction
-// and sequential ns per transaction — see DESIGN.md substitution 2).
+// and sequential ns per transaction — see README, "Reproducing the paper").
 type Characterization struct {
 	Variant string
 
@@ -48,7 +47,7 @@ func Characterize(v Variant, opt Options) (Characterization, error) {
 	opt = opt.withDefaults()
 	app := v.Make(opt.Scale)
 
-	seq, err := RunOne(app, v.Name, Options{System: "seq", Threads: 1, Profile: true})
+	seq, err := RunOne(app, v.Name, Options{System: "seq", Threads: 1})
 	if err != nil {
 		return c, err
 	}
@@ -63,7 +62,7 @@ func Characterize(v Variant, opt Options) (Characterization, error) {
 	c.MeanLoads = seq.Stats.MeanLoads()
 	c.MeanStores = seq.Stats.MeanStores()
 
-	htm, err := RunOne(app, v.Name, Options{System: "htm-lazy", Threads: 1, Profile: true})
+	htm, err := RunOne(app, v.Name, Options{System: "htm-lazy", Threads: 1})
 	if err != nil {
 		return c, err
 	}
@@ -208,6 +207,3 @@ func WriteTableIII(w io.Writer, rows []Qualitative) {
 		fmt.Fprintf(w, "%-16s %-8s %-8s %-8s %-10s\n", q.Variant, q.TxLength, q.RWSet, q.TxTime, q.Contention)
 	}
 }
-
-// FormatDuration pretty-prints a wall time for report output.
-func FormatDuration(d time.Duration) string { return d.Round(time.Millisecond).String() }

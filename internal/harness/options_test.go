@@ -16,7 +16,7 @@ func TestOptionsValidateFull(t *testing.T) {
 	// A fully-populated valid Options round-trips through Validate.
 	opt := Options{
 		System: "stm-mv", Threads: 4, Scale: 0.5,
-		Profile: true, CM: "greedy",
+		CM:              "greedy",
 		Trace:           64,
 		Chaos:           "1:tl2-lock-acquire:0.5",
 		ProgressTimeout: time.Second,

@@ -31,8 +31,6 @@ type Options struct {
 	// an already-built app and ignores it.
 	Scale float64
 
-	// Profile makes the run track read/write line sets (Table VI columns).
-	Profile bool
 	// CM selects the contention-management policy (tm.CMNames); empty keeps
 	// each runtime's default.
 	CM string
@@ -210,7 +208,6 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 		Arena:              arena,
 		Threads:            opt.Threads,
 		EnableEarlyRelease: true,
-		ProfileSets:        opt.Profile,
 		CM:                 opt.CM,
 		Trace:              opt.Trace,
 		Chaos:              opt.Chaos,

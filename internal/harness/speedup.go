@@ -16,8 +16,8 @@ type SpeedupSeries struct {
 
 	// Wall[sys][i] is the wall ns at Threads[i]; Speedup = Baseline/Wall.
 	Wall map[string][]float64
-	// ModelSpeedup[sys][i] applies the documented cycle model (see
-	// EXPERIMENTS.md): it discounts the software cost of simulating
+	// ModelSpeedup[sys][i] applies the cycle model documented on
+	// ModelSpeedup: it discounts the software cost of simulating
 	// hardware barriers so HTM/hybrid systems are compared the way the
 	// paper's simulator compares them.
 	ModelSpeedup map[string][]float64
@@ -147,7 +147,7 @@ func WriteFigure1CSV(w io.Writer, series []SpeedupSeries) {
 
 // ModelSpeedup estimates the speedup a hardware implementation of the
 // system would achieve, from the measured run. The model is deliberately
-// simple and fully documented in EXPERIMENTS.md:
+// simple and fully documented here:
 //
 //	perThreadWork = seqWall/threads            (perfect division of real work)
 //	barrierCost   = committed barriers × cost(system) / threads

@@ -93,12 +93,6 @@ type TxCore struct {
 	CM    ContentionManager // this worker's manager, for arbitration sites
 	Stats *ThreadStats      // this worker's record, for protocol counters
 
-	// ReadLines and WriteLines are the unique lines the attempt touched.
-	// Nil unless Config.ProfileSets asked for them or the runtime allocated
-	// them itself as protocol state (htm-eager's directory marks).
-	ReadLines  map[mem.Line]struct{}
-	WriteLines map[mem.Line]struct{}
-
 	res *mem.Reserver // thread-private allocation chunk and free lists
 
 	// curBlock publishes the block this worker is inside, so enemies that
@@ -112,30 +106,11 @@ func (c *TxCore) core() *TxCore { return c }
 func (c *TxCore) reset() {
 	c.Info.Reset()
 	c.Loads, c.Stores = 0, 0
-	if c.ReadLines != nil {
-		clear(c.ReadLines)
-		clear(c.WriteLines)
-	}
 }
 
-// NoteRead records a's line in the profiling read set.
-func (c *TxCore) NoteRead(a mem.Addr) {
-	if c.ReadLines != nil {
-		c.ReadLines[mem.LineOf(a)] = struct{}{}
-	}
-}
-
-// NoteWrite records a's line in the profiling write set.
-func (c *TxCore) NoteWrite(a mem.Addr) {
-	if c.WriteLines != nil {
-		c.WriteLines[mem.LineOf(a)] = struct{}{}
-	}
-}
-
-// LineCounts implements Protocol from the line maps.
-func (c *TxCore) LineCounts() (reads, writes int, ok bool) {
-	return len(c.ReadLines), len(c.WriteLines), c.ReadLines != nil
-}
+// LineCounts implements Protocol for runtimes that keep no line sets; the
+// simulated HTMs, whose conflict detection tracks lines, override it.
+func (c *TxCore) LineCounts() (reads, writes int, ok bool) { return 0, 0, false }
 
 // Alloc carves from the thread's reserver: free lists, then the private
 // line-aligned chunk, then the shared arena. Line-aligned chunks keep one
@@ -207,9 +182,7 @@ func NewRuntime[T Protocol](name string, cfg Config, fallbackCM string) (*Runtim
 
 // Bind builds the worker slots: mk returns each slot's transaction with the
 // protocol's own fields set, and Bind fills the embedded core — slot,
-// arena, tracer, contention manager, reserver, and the profiling line sets
-// when Config.ProfileSets is on and mk did not allocate them as protocol
-// state.
+// arena, tracer, contention manager and reserver.
 func (rt *Runtime[T]) Bind(mk func(slot int) T) {
 	cfg := rt.Cfg
 	for i := 0; i < cfg.Threads; i++ {
@@ -219,10 +192,6 @@ func (rt *Runtime[T]) Bind(mk func(slot int) T) {
 		c.Shared, c.ID, c.Mem, c.Stats = &rt.Shared, i, cfg.Arena, &w.stats
 		c.CM = rt.cmFor(i, &w.stats)
 		c.res = cfg.NewReserver()
-		if cfg.ProfileSets && c.ReadLines == nil {
-			c.ReadLines = make(map[mem.Line]struct{})
-			c.WriteLines = make(map[mem.Line]struct{})
-		}
 		w.core = c
 		rt.workers = append(rt.workers, w)
 		rt.Txs = append(rt.Txs, w.tx)

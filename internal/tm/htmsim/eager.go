@@ -44,12 +44,8 @@ func NewEager(cfg tm.Config) (*Eager, error) {
 	}
 	s := &Eager{Runtime: rt, dir: newDirectory()}
 	rt.Bind(func(int) *eagerTx {
-		x := &eagerTx{sys: s, sets: newSetTracker(rt.Cfg)}
-		// The line maps are protocol state here, not profiling: the lines
-		// this transaction holds directory marks (or signature entries) on.
-		x.ReadLines = make(map[mem.Line]struct{})
-		x.WriteLines = make(map[mem.Line]struct{})
-		return x
+		return &eagerTx{sys: s, sets: newSetTracker(rt.Cfg),
+			readLines: make(map[mem.Line]struct{}), writeLines: make(map[mem.Line]struct{})}
 	})
 	return s, nil
 }
@@ -63,6 +59,11 @@ type eagerTx struct {
 	sets     *setTracker    // associativity model (Table V: 4-way)
 	undo     txset.WriteSet // addr → old value; doubles as the written-set
 
+	// The lines this attempt holds directory marks (or, past capacity,
+	// signature entries) on; LineCounts reports them as its set sizes.
+	readLines  map[mem.Line]struct{}
+	writeLines map[mem.Line]struct{}
+
 	// Overflow mode: addresses past capacity live in signatures instead of
 	// the directory; other transactions test them conservatively.
 	overflowed atomic.Bool
@@ -75,6 +76,8 @@ type eagerTx struct {
 func (x *eagerTx) Begin(_ tm.BlockID, aborts int) {
 	x.sets.reset()
 	x.undo.Reset()
+	clear(x.readLines)
+	clear(x.writeLines)
 	x.priority.Store(aborts >= priorityAborts)
 	x.readSig.Clear()
 	x.writeSig.Clear()
@@ -110,11 +113,16 @@ func (x *eagerTx) Commit() bool {
 	return true
 }
 
+// LineCounts overrides the core's with the attempt's marked lines.
+func (x *eagerTx) LineCounts() (reads, writes int, ok bool) {
+	return len(x.readLines), len(x.writeLines), true
+}
+
 func (x *eagerTx) releaseMarks() {
-	for l := range x.ReadLines {
+	for l := range x.readLines {
 		x.sys.dir.dropReader(l, x.ID)
 	}
-	for l := range x.WriteLines {
+	for l := range x.writeLines {
 		x.sys.dir.dropWriter(l, x.ID)
 	}
 	// Signatures are cleared only after memory is restored (rollback runs
@@ -180,7 +188,7 @@ func (x *eagerTx) checkOverflowSigs(l mem.Line, write bool) {
 // reports whether the speculative buffer still holds everything (false
 // means the transaction must spill to signatures).
 func (x *eagerTx) trackCapacity(l mem.Line) bool {
-	if len(x.ReadLines)+len(x.WriteLines) >= x.Cfg.CapacityLines {
+	if len(x.readLines)+len(x.writeLines) >= x.Cfg.CapacityLines {
 		return false
 	}
 	return x.sets.add(l)
@@ -191,10 +199,10 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 	x.Loads++
 	x.pollAbort()
 	l := mem.LineOf(a)
-	if _, mine := x.ReadLines[l]; mine {
+	if _, mine := x.readLines[l]; mine {
 		return x.Mem.Load(a)
 	}
-	if _, mine := x.WriteLines[l]; mine {
+	if _, mine := x.writeLines[l]; mine {
 		return x.Mem.Load(a)
 	}
 	// Ordering matters: (1) publish our own access (signature bit when
@@ -202,7 +210,7 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 	// directory-tracked transactions), (3) probe other transactions'
 	// signatures, (4) touch memory. With every transaction publishing
 	// before it probes, at least one side of any race sees the other.
-	x.ReadLines[l] = struct{}{}
+	x.readLines[l] = struct{}{}
 	if !x.overflowed.Load() && !x.trackCapacity(l) {
 		x.spillToSignatures()
 	}
@@ -234,10 +242,10 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 	if x.Chaos.Fire(chaos.HTMArbitrate, x.ID) {
 		x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)), tm.NoBlock)
 	}
-	if _, mine := x.WriteLines[l]; !mine {
+	if _, mine := x.writeLines[l]; !mine {
 		// Publish-then-probe; see the ordering comment in Load.
-		x.WriteLines[l] = struct{}{}
-		if _, alsoRead := x.ReadLines[l]; !alsoRead && !x.overflowed.Load() && !x.trackCapacity(l) {
+		x.writeLines[l] = struct{}{}
+		if _, alsoRead := x.readLines[l]; !alsoRead && !x.overflowed.Load() && !x.trackCapacity(l) {
 			x.spillToSignatures()
 		}
 		sigOnly := x.overflowed.Load()
@@ -295,10 +303,10 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 // conservatively. Directory marks for already-held lines are kept (they are
 // precise and harmless); new lines stop acquiring directory marks.
 func (x *eagerTx) spillToSignatures() {
-	for l := range x.ReadLines {
+	for l := range x.readLines {
 		x.readSig.Insert(uint32(l))
 	}
-	for l := range x.WriteLines {
+	for l := range x.writeLines {
 		x.writeSig.Insert(uint32(l))
 	}
 	x.overflowed.Store(true)
@@ -313,17 +321,17 @@ func (x *eagerTx) EarlyRelease(a mem.Addr) {
 		return
 	}
 	l := mem.LineOf(a)
-	if _, mine := x.ReadLines[l]; !mine {
+	if _, mine := x.readLines[l]; !mine {
 		return
 	}
-	if _, alsoWrite := x.WriteLines[l]; alsoWrite {
+	if _, alsoWrite := x.writeLines[l]; alsoWrite {
 		return
 	}
 	if x.overflowed.Load() {
 		return // cannot remove from a Bloom filter
 	}
 	x.sys.dir.dropReader(l, x.ID)
-	delete(x.ReadLines, l)
+	delete(x.readLines, l)
 }
 
 // directory models the coherence-protocol side of conflict detection: for

@@ -75,8 +75,8 @@ type undoRec struct {
 	v uint64
 }
 
-// LineCounts overrides the core's: the line sets live in the speculative
-// buffer model (or the serial maps), not in the profiling maps.
+// LineCounts overrides the core's with the line sets of the speculative
+// buffer model (or the serial maps).
 func (x *lazyTx) LineCounts() (reads, writes int, ok bool) {
 	if x.serial {
 		return len(x.serialRead), len(x.serialWrit), true

@@ -100,7 +100,6 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 			}
 		}
 	}
-	x.NoteRead(a)
 	return x.Mem.Load(a)
 }
 
@@ -133,7 +132,6 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 		x.undo.Insert(a, x.Mem.Load(a))
 	}
 	x.Mem.Store(a, v)
-	x.NoteWrite(a)
 }
 
 // EarlyRelease is unsupported on signatures (no removal from a Bloom

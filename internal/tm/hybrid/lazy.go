@@ -99,7 +99,6 @@ func (x *lazyTx) Load(a mem.Addr) uint64 {
 	if !ok {
 		x.failKilled()
 	}
-	x.NoteRead(a)
 	return v
 }
 
@@ -111,7 +110,6 @@ func (x *lazyTx) Store(a mem.Addr, v uint64) {
 	}
 	x.wset.Put(a, v)
 	x.writeSig.Insert(uint32(mem.LineOf(a)))
-	x.NoteWrite(a)
 }
 
 // EarlyRelease cannot remove a line from a Bloom filter; like SigTM, the

@@ -313,7 +313,7 @@ func (x *mvTx) snapshotLoad(idx uint32, a mem.Addr) uint64 {
 			if x.Locks.Load(idx) != e1 {
 				continue // a writer locked mid-read; retry
 			}
-			x.NoteLoad(idx, a)
+			x.Reads.Add(idx)
 			return v
 		}
 		// Committed past the snapshot: the ring is the only source.
@@ -324,7 +324,7 @@ func (x *mvTx) snapshotLoad(idx uint32, a mem.Addr) uint64 {
 		if !ok {
 			x.Info.Fail(tm.CauseMVVersionMissing, trace.AddrKey(uint64(a)), tm.NoBlock)
 		}
-		x.NoteLoad(idx, a)
+		x.Reads.Add(idx)
 		return v
 	}
 }

@@ -169,7 +169,6 @@ func (x *norecTx) Load(a mem.Addr) uint64 {
 	if !x.logFree {
 		x.rset.Add(a, v)
 	}
-	x.NoteRead(a)
 	return v
 }
 
@@ -221,7 +220,6 @@ func (x *norecTx) revalidate() (seq uint64, bad mem.Addr, ok bool) {
 func (x *norecTx) Store(a mem.Addr, v uint64) {
 	x.Stores++
 	x.wset.Put(a, v)
-	x.NoteWrite(a)
 }
 
 // EarlyRelease is a no-op: there is no per-location metadata to release,

@@ -352,24 +352,3 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("hist N = %d", st.Total.LoadsHist.N())
 	}
 }
-
-// TestProfileSetsTracked: with ProfileSets the read/write line histograms
-// fill in (the characterization harness relies on this).
-func TestProfileSetsTracked(t *testing.T) {
-	arena := mem.NewArena(1 << 10)
-	a := arena.AllocLines(1)
-	b := arena.AllocLines(1)
-	sys, err := New(tm.Config{Arena: arena, Threads: 1, ProfileSets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Thread(0).Atomic(func(tx tm.Tx) {
-		_ = tx.Load(a)
-		tx.Store(b, 1)
-	})
-	st := sys.Stats()
-	if st.Total.ReadLinesHist.Mean() != 1 || st.Total.WriteLinesHist.Mean() != 1 {
-		t.Fatalf("line sets = %v/%v, want 1/1",
-			st.Total.ReadLinesHist.Mean(), st.Total.WriteLinesHist.Mean())
-	}
-}

@@ -5,8 +5,8 @@ import "github.com/stamp-go/stamp/internal/mem"
 // Seq is the sequential baseline system: no concurrency control at all.
 // It is the denominator of every Figure 1 speedup curve ("normalized to
 // sequential execution with code that does not have extra overhead from the
-// annotations") and, with ProfileSets, the measurement vehicle for the
-// per-transaction characterization proxies in Table VI.
+// annotations") and the measurement vehicle for Table VI's barrier and
+// time-per-transaction proxies.
 //
 // Seq supports any thread count so the harness can reuse the same driver
 // code, but correctness is only guaranteed at Threads == 1 (it performs no
@@ -55,18 +55,12 @@ func (x *seqTx) Rollback()          {}
 
 func (x *seqTx) Load(a mem.Addr) uint64 {
 	x.Loads++
-	x.NoteRead(a)
 	return x.Mem.Load(a)
 }
 
 func (x *seqTx) Store(a mem.Addr, v uint64) {
 	x.Stores++
-	x.NoteWrite(a)
 	x.Mem.Store(a, v)
 }
 
-func (x *seqTx) EarlyRelease(a mem.Addr) {
-	if x.ReadLines != nil {
-		delete(x.ReadLines, mem.LineOf(a))
-	}
-}
+func (x *seqTx) EarlyRelease(mem.Addr) {}

@@ -100,7 +100,6 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 		x.Info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
 	}
 	x.reads.Add(idx)
-	x.NoteRead(a)
 	return v
 }
 
@@ -143,7 +142,6 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 		x.undo.Insert(a, x.Mem.Load(a))
 	}
 	x.Mem.Store(a, v)
-	x.NoteWrite(a)
 }
 
 // EarlyRelease is a no-op for the STM, as in the paper.

@@ -102,21 +102,14 @@ func (x *LazyTx) Load(a mem.Addr) uint64 {
 	if e2 != e1 || VersionOf(e1) > x.RV {
 		x.Info.Fail(tm.CauseReadValidation, trace.AddrKey(uint64(a)), tm.NoBlock)
 	}
-	x.NoteLoad(idx, a)
-	return v
-}
-
-// NoteLoad records a validated read of a in stripe idx.
-func (x *LazyTx) NoteLoad(idx uint32, a mem.Addr) {
 	x.Reads.Add(idx)
-	x.NoteRead(a)
+	return v
 }
 
 // Store implements the lazy write barrier: buffer the value.
 func (x *LazyTx) Store(a mem.Addr, v uint64) {
 	x.Stores++
 	x.Wset.Put(a, v)
-	x.NoteWrite(a)
 }
 
 // EarlyRelease is a no-op: TL2's commit-time validation makes removal of

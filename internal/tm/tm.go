@@ -178,10 +178,6 @@ type Config struct {
 	// systems, its use can be disabled").
 	EnableEarlyRelease bool
 
-	// ProfileSets makes the sequential system track read/write line sets for
-	// characterization (the concurrent systems track them anyway).
-	ProfileSets bool
-
 	// Chaos arms the deterministic fault-injection layer with a spec of the
 	// form "seed:site:prob[,site:prob...]" — see internal/tm/chaos for the
 	// site registry (tl2-lock-acquire, norec-seq-tick, hybrid-sig-check,

@@ -130,7 +130,7 @@ func TestConfigDefaults(t *testing.T) {
 // TestConfigFieldCount is a ratchet on the knob count: a field added to
 // Config must update this number, and a field removed must lower it.
 func TestConfigFieldCount(t *testing.T) {
-	const want = 15
+	const want = 14
 	if got := reflect.TypeOf(Config{}).NumField(); got != want {
 		t.Fatalf("tm.Config has %d fields, want %d; ROADMAP item 6 targets <= 16 — update this count with the change that moves it", got, want)
 	}
@@ -183,45 +183,6 @@ func TestAttemptPropagatesRealPanic(t *testing.T) {
 		}
 	}()
 	Attempt(th, func(Tx) { panic("app bug") })
-}
-
-func TestSeqProfileSets(t *testing.T) {
-	arena := mem.NewArena(1 << 10)
-	s, err := NewSeq(Config{Arena: arena, Threads: 1, ProfileSets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := arena.AllocLines(3 * mem.WordsPerLine)
-	th := s.Thread(0)
-	th.Atomic(func(tx Tx) {
-		tx.Load(base)                        // line 1
-		tx.Load(base + 1)                    // same line
-		tx.Load(base + mem.WordsPerLine)     // line 2
-		tx.Store(base+2*mem.WordsPerLine, 1) // line 3
-	})
-	st := s.Stats()
-	if got := st.ReadSetP90(); got != 2 {
-		t.Fatalf("read lines = %d, want 2", got)
-	}
-	if got := st.WriteSetP90(); got != 1 {
-		t.Fatalf("write lines = %d, want 1", got)
-	}
-	if st.MeanLoads() != 3 || st.MeanStores() != 1 {
-		t.Fatalf("barrier means = %v/%v", st.MeanLoads(), st.MeanStores())
-	}
-}
-
-func TestSeqEarlyReleaseDropsProfiledLine(t *testing.T) {
-	arena := mem.NewArena(1 << 10)
-	s, _ := NewSeq(Config{Arena: arena, Threads: 1, ProfileSets: true})
-	base := arena.AllocLines(mem.WordsPerLine)
-	s.Thread(0).Atomic(func(tx Tx) {
-		tx.Load(base)
-		tx.EarlyRelease(base)
-	})
-	if got := s.Stats().ReadSetP90(); got != 0 {
-		t.Fatalf("read lines after release = %d", got)
-	}
 }
 
 func TestFloatHelpers(t *testing.T) {

@@ -82,9 +82,10 @@ type (
 	// Variant is one Table IV configuration row.
 	Variant = harness.Variant
 	// Options is the single per-run configuration struct: what to run on
-	// (System, Threads, Scale) plus every per-run knob — set profiling,
-	// contention-manager policy (CM), tracing, chaos, the progress
-	// watchdog, and the Characterize/MeasureSpeedup sweep shapes. Options.Validate reports every invalid field at once.
+	// (System, Threads, Scale) plus every per-run knob — contention-manager
+	// policy (CM), tracing, chaos, the progress watchdog, and the
+	// Characterize/MeasureSpeedup sweep shapes. Options.Validate reports
+	// every invalid field at once.
 	Options = harness.Options
 	// Result is the outcome of one app × system × threads run.
 	Result = harness.Result
