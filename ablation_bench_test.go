@@ -1,6 +1,5 @@
 // Ablation benchmarks for the design choices the paper argues about: early
-// release, contention management, speculative-buffer associativity,
-// and conflict-detection granularity. Each reports the metric the paper
+// release, contention management, and conflict-detection granularity. Each reports the metric the paper
 // argues about (read-set size, retries, overflow serializations) alongside
 // wall time.
 package stamp_test
@@ -106,49 +105,6 @@ func BenchmarkAblationContentionManager(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAssociativity: bayes-sized read sets on the lazy HTM
-// with the Table V 4-way buffer vs a fully associative one. The 4-way
-// buffer overflows on footprints far below its total capacity, reproducing
-// why the paper's bayes serializes on HTM.
-func BenchmarkAblationAssociativity(b *testing.B) {
-	for _, assoc := range []int{4, 0} {
-		name := "4-way"
-		if assoc == 0 {
-			name = "full"
-		}
-		b.Run(name, func(b *testing.B) {
-			var aborts uint64
-			for i := 0; i < b.N; i++ {
-				arena := stamp.NewArena(1 << 22)
-				// ~700 scattered lines per transaction: below the 2048-line
-				// total, above what 4-way sets absorb reliably.
-				addrs := make([]stamp.Addr, 700)
-				for j := range addrs {
-					arena.Alloc(int(j%13) + 1) // scatter
-					addrs[j] = arena.AllocLines(1)
-				}
-				sys, err := factory.New("htm-lazy", tm.Config{
-					Arena: arena, Threads: 1,
-					CapacityLines: 2048, CapacityAssoc: assoc,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				th := sys.Thread(0)
-				for k := 0; k < 10; k++ {
-					th.Atomic(func(tx tm.Tx) {
-						for _, a := range addrs {
-							tx.Store(a, tx.Load(a)+1)
-						}
-					})
-				}
-				aborts += sys.Stats().Total.Aborts
-			}
-			b.ReportMetric(float64(aborts)/float64(b.N), "overflow-serializations/run")
-		})
-	}
-}
-
 // BenchmarkAblationGranularity: vacation on word-granularity (stm-lazy)
 // vs line-granularity (hybrid-lazy) conflict detection at equal versioning
 // policy. Line granularity manufactures false conflicts on the tree nodes
@@ -213,70 +169,6 @@ func BenchmarkAblationSTMProtocol(b *testing.B) {
 				commits += st.Total.Commits
 			}
 			b.ReportMetric(float64(aborts)/float64(max(commits, 1)), "retries/tx")
-		})
-	}
-}
-
-// BenchmarkAblationAllocChunk is the allocation-path contention
-// microbench: 8 threads running allocation-heavy transactions (vacation/
-// genome-shaped: allocate a node, link it into a per-thread list) with
-// per-thread arena reservation disabled (chunk=direct — every tx.Alloc
-// fetch-adds the shared bump pointer) versus enabled (the default ~4096-
-// word chunks — one contended atomic per chunk). Unlike the cross-core
-// protocol ablations, the reservation win is visible even single-core:
-// the private-chunk path replaces a lock-prefixed RMW with a plain field
-// bump on every allocation.
-func BenchmarkAblationAllocChunk(b *testing.B) {
-	const (
-		threads = 8
-		perT    = 1500
-		allocsN = 8 // allocations per transaction
-	)
-	for _, arm := range []struct {
-		name  string
-		chunk int
-	}{
-		{"chunk=direct", -1},
-		{"chunk=default", 0},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			var commits uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				// threads × perT × allocsN × 2 words plus reservation tails.
-				arena := stamp.NewArena(1 << 19)
-				heads := make([]stamp.Addr, threads)
-				for j := range heads {
-					heads[j] = arena.AllocLines(1)
-				}
-				sys, err := factory.New("stm-lazy", tm.Config{
-					Arena: arena, Threads: threads, AllocChunk: arm.chunk,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				team := thread.NewTeam(threads)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					head := heads[tid]
-					for j := 0; j < perT; j++ {
-						th.Atomic(func(tx tm.Tx) {
-							for k := 0; k < allocsN; k++ {
-								node := tx.Alloc(2)
-								tx.Store(node, uint64(j*allocsN+k))
-								tx.Store(node+1, tx.Load(head))
-								tx.Store(head, uint64(node))
-							}
-						})
-					}
-				})
-				b.StopTimer()
-				commits += sys.Stats().Total.Commits
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(commits)/float64(b.N), "tx/run")
-			b.ReportMetric(float64(commits*allocsN)/float64(b.N), "allocs/run")
 		})
 	}
 }
@@ -421,35 +313,6 @@ func BenchmarkAblationChaosOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationHTMCapacity sweeps the lazy HTM's speculative capacity
-// on labyrinth-style transactions, locating the serialization cliff.
-func BenchmarkAblationHTMCapacity(b *testing.B) {
-	for _, capacity := range []int{64, 256, 1024, 4096} {
-		b.Run(fmt.Sprintf("lines=%d", capacity), func(b *testing.B) {
-			app := labyrinth.New(labyrinth.Config{X: 16, Y: 16, Z: 3, Paths: 16, Seed: 5})
-			var aborts uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				arena := mem.NewArena(app.ArenaWords())
-				app.Setup(arena)
-				sys, err := factory.New("htm-lazy", tm.Config{
-					Arena: arena, Threads: 4,
-					CapacityLines: capacity, EnableEarlyRelease: true,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				app.Run(sys, thread.NewTeam(4))
-				if err := app.Verify(arena); err != nil {
-					b.Fatal(err)
-				}
-				aborts += sys.Stats().Total.Aborts
-			}
-			b.ReportMetric(float64(aborts)/float64(b.N), "aborts/run")
-		})
-	}
-}
-
 // mvBenchBlocks are registered once: the read-only mark is what routes the
 // sum blocks onto stm-mv's snapshot path (the other runtimes ignore it).
 var (
@@ -521,61 +384,6 @@ func BenchmarkAblationMVReadHeavy(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkAblationTransactionalFree is the allocator-lifecycle ablation:
-// the same balanced alloc/free churn with the reserver free lists on (the
-// default) vs off (NoRecycle, the seed's leak-everything tmalloc). Both
-// arms get an arena big enough to survive without recycling, so the
-// comparison isolates the free lists' speed and their effect on the arena
-// high-water mark — the recycle arm's high-water must stay near the live
-// set while the leak arm's grows with every transaction.
-func BenchmarkAblationTransactionalFree(b *testing.B) {
-	const (
-		threads   = 8
-		perT      = 1500
-		nodeWords = 6
-	)
-	for _, arm := range []struct {
-		name      string
-		noRecycle bool
-	}{
-		{"recycle=on", false},
-		{"recycle=off", true},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			var highWater uint64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				// The leak arm burns threads×perT×nodeWords plus chunk tails.
-				arena := stamp.NewArena(1 << 17)
-				sys, err := factory.New("stm-lazy", tm.Config{
-					Arena: arena, Threads: threads, NoRecycle: arm.noRecycle,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				team := thread.NewTeam(threads)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					for j := 0; j < perT; j++ {
-						th.Atomic(func(tx tm.Tx) {
-							node := tx.Alloc(nodeWords)
-							for w := 0; w < nodeWords; w++ {
-								tx.Store(node+mem.Addr(w), uint64(j+w))
-							}
-							tx.Free(node, nodeWords)
-						})
-					}
-				})
-				b.StopTimer()
-				highWater += uint64(arena.Used())
-				b.StartTimer()
-			}
-			b.ReportMetric(float64(highWater)/float64(b.N), "high-water-words/run")
-		})
 	}
 }
 

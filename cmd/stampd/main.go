@@ -63,10 +63,9 @@ func main() {
 		chaos   = flag.String("chaos", "", "deterministic failpoints: seed:site:prob[,site:prob...]")
 		timeout = flag.Duration("timeout", 0, "progress watchdog: halt the runtime and fail pending requests if commits stall this long with work in flight (0 = off)")
 
-		swapAt    = flag.Float64("swap-at", 0, "arena high-water fraction that triggers an epoch swap (0 = 0.85)")
-		deadline  = flag.Duration("deadline", 0, "per-request deadline from admission to completion (0 = none)")
-		retries   = flag.Int("retries", 0, "retry budget for requests that hit arena exhaustion, one epoch swap per retry (0 = 3)")
-		noRecycle = flag.Bool("no-recycle", false, "disable the transactional free lists (every tx.Free leaks, as in the original tmalloc) — the ablation baseline")
+		swapAt   = flag.Float64("swap-at", 0, "arena high-water fraction that triggers an epoch swap (0 = 0.85)")
+		deadline = flag.Duration("deadline", 0, "per-request deadline from admission to completion (0 = none)")
+		retries  = flag.Int("retries", 0, "retry budget for requests that hit arena exhaustion, one epoch swap per retry (0 = 3)")
 	)
 	flag.Parse()
 	if *workers > 64 {
@@ -83,7 +82,6 @@ func main() {
 		Records: *records, OpBudget: *budget,
 		CM: cm, Chaos: chaosSpec,
 		SwapAt: *swapAt, RequestDeadline: *deadline, RequestRetries: *retries,
-		NoRecycle:       *noRecycle,
 		ProgressTimeout: *timeout, Seed: *seed,
 	}
 	sweep := []string{*system}

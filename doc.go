@@ -66,16 +66,16 @@
 // The TL2 commit clock is TL2's own fetch-add clock, one code path for
 // stm-lazy, stm-eager and stm-mv. The TM hot path's other shared serial
 // points are kept small: transactional allocation draws from
-// thread-private, line-aligned reservation chunks (Config.AllocChunk; one
-// contended atomic per chunk instead of per tx.Alloc), and the TL2
-// stripe-lock table is sized from the arena instead of a fixed 8 MiB.
-// Allocation is transactional in both directions: tx.Free defers to commit and feeds per-thread free lists,
-// aborted attempts' allocations are reclaimed, and abandoned chunk
-// tails are retired, so balanced churn runs at a bounded arena
-// high-water (Config.NoRecycle restores the original suite's leaky
-// tmalloc as an ablation arm). Arena exhaustion is typed and
-// recoverable, not a panic: tx.Alloc aborts with the "alloc-exhausted"
-// cause and the run fails with an error matching ErrArenaFull.
+// thread-private, line-aligned reservation chunks (one contended atomic
+// per chunk instead of per tx.Alloc), and the TL2 stripe-lock table is
+// sized from the arena instead of a fixed 8 MiB. Allocation is
+// transactional in both directions: tx.Free defers to commit and feeds
+// per-thread free lists, aborted attempts' allocations are reclaimed, and
+// abandoned chunk tails are retired, so balanced churn runs at a bounded
+// arena high-water where the original suite's tmalloc leaked every free.
+// Arena exhaustion is typed and recoverable, not a panic: tx.Alloc aborts
+// with the "alloc-exhausted" cause and the run fails with an error
+// matching ErrArenaFull.
 //
 // Statistics can be attributed per atomic-block call site: register a site
 // with NewBlock and run it with Thread.AtomicAt, and Stats.Blocks() breaks

@@ -139,7 +139,7 @@ func (a *App) Name() string { return "bayes" }
 // ArenaWords implements apps.App. Setup's part is counted, not estimated:
 // the layout Setup allocates is replayed on a word counter. Run adds at
 // most one list node per learnable edge, allocated through per-thread
-// tx.Alloc chunks whose unused tails tm.Config.ReserveChunk keeps under an
+// tx.Alloc chunks whose unused tails tm.Config.NewReserver keeps under an
 // eighth of the arena; the rest of that eighth's headroom covers the
 // chunks' line alignment.
 func (a *App) ArenaWords() int {

@@ -133,31 +133,6 @@ func TestTxAllocBoundedHighWater(t *testing.T) {
 	}
 }
 
-// TestSetRecycleOffLeaks pins the ablation arm: with recycling disabled the
-// same churn loop must exhaust the arena (the seed behavior the free lists
-// exist to fix).
-func TestSetRecycleOffLeaks(t *testing.T) {
-	a := NewArena(1 << 10)
-	r := a.NewReserver(64)
-	r.SetRecycle(false)
-	exhausted := false
-	for i := 0; i < 1<<12; i++ {
-		addr, err := r.TxAlloc(6)
-		if err != nil {
-			if !errors.Is(err, ErrArenaFull) {
-				t.Fatalf("iteration %d: err = %v, want ErrArenaFull", i, err)
-			}
-			exhausted = true
-			break
-		}
-		r.TxFree(addr, 6)
-		r.OnCommit()
-	}
-	if !exhausted {
-		t.Fatal("norecycle churn loop never exhausted the arena — frees were recycled despite SetRecycle(false)")
-	}
-}
-
 // TestReserverTailRetiredAtRefill: the words abandoned at the end of a chunk
 // when a refill happens must land in the free lists, not leak — observable
 // as recycled volume once an allocation is served from them.

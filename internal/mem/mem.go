@@ -237,8 +237,6 @@ type Reserver struct {
 	chunk   uint32 // refill size in words (0: passthrough to Arena.TryAlloc)
 	refills uint64 // shared-pointer refills (the contended-atomic count)
 
-	norecycle bool // ablation arm: drop frees and tails (the seed behavior)
-
 	// Free lists: classes[n] holds blocks of exactly n words (n <=
 	// freeClasses); spares holds larger blocks and retired chunk tails.
 	classes  [freeClasses + 1][]Addr
@@ -265,9 +263,8 @@ type span struct {
 // NewReserver returns a reservation handle that refills chunkWords words
 // (rounded up to whole lines) at a time. chunkWords < 1 yields a
 // passthrough Reserver whose every miss hits the shared bump pointer
-// directly — the pre-reservation behavior, kept for ablations and for
-// arenas too small to reserve from. Free-list recycling works in both
-// modes.
+// directly — the path for arenas too small to reserve from. Free-list
+// recycling works in both modes.
 func (a *Arena) NewReserver(chunkWords int) *Reserver {
 	if chunkWords < 1 {
 		return &Reserver{a: a}
@@ -275,12 +272,6 @@ func (a *Arena) NewReserver(chunkWords int) *Reserver {
 	c := (chunkWords + WordsPerLine - 1) &^ (WordsPerLine - 1)
 	return &Reserver{a: a, chunk: uint32(c)}
 }
-
-// SetRecycle enables or disables free-list recycling (enabled by default).
-// Disabled, TxFree drops its argument and chunk tails leak at refill — the
-// seed allocator's behavior, kept as the ablation arm behind
-// tm.Config.NoRecycle.
-func (r *Reserver) SetRecycle(on bool) { r.norecycle = !on }
 
 // Alloc bump-allocates n words, panicking when the arena is exhausted — the
 // setup-phase convenience, like Arena.Alloc. Transactional paths use
@@ -301,7 +292,7 @@ func (r *Reserver) Alloc(n int) Addr {
 // an alloc-exhausted abort instead of a panic.
 func (r *Reserver) TxAlloc(n int) (Addr, error) {
 	addr, err := r.alloc(n)
-	if err == nil && !r.norecycle {
+	if err == nil {
 		r.allocLog = append(r.allocLog, span{addr, allocSize(n)})
 	}
 	return addr, err
@@ -363,7 +354,7 @@ func (r *Reserver) alloc(n int) (Addr, error) {
 // a new chunk: a recycled spare when one is big enough for the pending
 // request, otherwise a fresh line-aligned block from the shared pointer.
 func (r *Reserver) refill(need uint32) error {
-	if tail := r.limit - r.next; tail > 0 && !r.norecycle {
+	if tail := r.limit - r.next; tail > 0 {
 		r.release(Addr(r.next), tail)
 	}
 	r.next, r.limit = 0, 0
@@ -418,7 +409,7 @@ func (r *Reserver) carveSpare(n uint32) (Addr, bool) {
 
 // release files a free block under its size class (or the spares).
 func (r *Reserver) release(addr Addr, n uint32) {
-	if r.norecycle || addr == Nil || n == 0 {
+	if addr == Nil || n == 0 {
 		return
 	}
 	if n <= freeClasses {
@@ -433,7 +424,7 @@ func (r *Reserver) release(addr Addr, n uint32) {
 // (OnCommit), so an aborted attempt's frees — whose loads may have been
 // inconsistent — never recycle live memory.
 func (r *Reserver) TxFree(addr Addr, n int) {
-	if r.norecycle || addr == Nil || n <= 0 {
+	if addr == Nil || n <= 0 {
 		return
 	}
 	r.freeLog = append(r.freeLog, span{addr, uint32(n)})

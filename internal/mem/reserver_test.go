@@ -108,7 +108,7 @@ func TestReserverChunksLineAligned(t *testing.T) {
 }
 
 // TestReserverPassthrough: chunk < 1 must behave exactly like Arena.Alloc
-// (the ablation arm) and never refill.
+// (the path of arenas too small to reserve from) and never refill.
 func TestReserverPassthrough(t *testing.T) {
 	arena := NewArena(1 << 10)
 	r := arena.NewReserver(0)

@@ -33,6 +33,7 @@ type apiResponse struct {
 //	GET  /stats    live Gauges (always safe; server-side atomics only)
 //	GET  /healthz  200 while serving, 500 once the pool is halted
 //
+// A malformed body or a Typ outside the reservation tables maps to 400.
 // Admission rejections, deadline misses, and arena-exhaustion failures
 // (retry budget spent) map to 503 Service Unavailable with a Retry-After
 // hint (shed load, retry after the epoch swap or queue drain completes); a
@@ -64,6 +65,8 @@ func (s *Server) Handler() http.Handler {
 			if resp.Err != nil {
 				out.Error = resp.Err.Error()
 				switch {
+				case errors.Is(resp.Err, ErrBadRequest):
+					status = http.StatusBadRequest
 				case errors.Is(resp.Err, ErrQueueFull),
 					errors.Is(resp.Err, ErrDeadline),
 					errors.Is(resp.Err, ErrRetriesExhausted),

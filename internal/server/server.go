@@ -97,6 +97,9 @@ var (
 	// ErrArenaFull re-exports the arena capacity sentinel so callers can
 	// match overload responses without importing internal/mem.
 	ErrArenaFull = mem.ErrArenaFull
+	// ErrBadRequest reports a request Do refused before leasing a slot: an
+	// Item or Update whose Typ names no reservation table.
+	ErrBadRequest = errors.New("server: bad request")
 )
 
 // Options configures a Server. The zero value serves the default store on
@@ -149,10 +152,6 @@ type Options struct {
 	// exhaustion is retried, each retry behind an epoch swap, before
 	// failing with ErrRetriesExhausted (0 = 3).
 	RequestRetries int
-	// NoRecycle disables the runtime's transactional free lists (every
-	// tx.Free becomes a leak, as in the original suite's tmalloc) — the
-	// ablation knob of tm.Config.NoRecycle.
-	NoRecycle bool
 
 	// CM and Chaos mirror the harness.Options knobs of the same names.
 	CM    string
@@ -492,7 +491,6 @@ func (s *Server) newSystem(arena *mem.Arena) (tm.System, error) {
 		EnableEarlyRelease: true,
 		CM:                 s.opt.CM,
 		Chaos:              s.opt.Chaos,
-		NoRecycle:          s.opt.NoRecycle,
 		Watch:              s.watch,
 		Seed:               s.opt.Seed,
 	})
@@ -649,6 +647,9 @@ func (s *Server) Do(req *Request) Response {
 	if err := s.Err(); err != nil {
 		return Response{Op: req.Op, Err: err}
 	}
+	if err := req.check(); err != nil {
+		return Response{Op: req.Op, Err: err}
+	}
 	req.arrive = time.Now()
 	if sl := s.tryLease(); sl != nil {
 		sl.inline.Add(1)
@@ -659,6 +660,23 @@ func (s *Server) Do(req *Request) Response {
 		return Response{Op: req.Op, Err: err, Latency: time.Since(req.arrive)}
 	}
 	return s.run(sl, req)
+}
+
+// check rejects a request naming a reservation table outside
+// [0, vacation.NumTypes): the store indexes its tables by Typ, so the
+// request would panic inside the runtime and fail the whole server.
+func (req *Request) check() error {
+	for _, it := range req.Items {
+		if uint(it.Typ) >= vacation.NumTypes {
+			return fmt.Errorf("%w: item type %d", ErrBadRequest, it.Typ)
+		}
+	}
+	for _, u := range req.Updates {
+		if uint(u.Typ) >= vacation.NumTypes {
+			return fmt.Errorf("%w: update type %d", ErrBadRequest, u.Typ)
+		}
+	}
+	return nil
 }
 
 // run executes req on the leased slot sl, books the outcome on the slot it

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/stamp-go/stamp/internal/apps/vacation"
 	"github.com/stamp-go/stamp/internal/tm"
 )
 
@@ -463,5 +465,51 @@ func TestServerHTTP(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServerRejectsBadType: a request naming a reservation table outside
+// [0, NumTypes) is answered 400 (ErrBadRequest from Do) without reaching
+// the store, and the server keeps serving afterwards.
+func TestServerRejectsBadType(t *testing.T) {
+	s, err := New(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/query", `{"items":[{"Typ":9,"ID":1}]}`); code != http.StatusBadRequest {
+		t.Fatalf("/query with Typ 9: %d, want 400", code)
+	}
+	if code := post("/update", `{"updates":[{"Typ":-1,"ID":1,"Add":true,"Num":1,"Price":5}]}`); code != http.StatusBadRequest {
+		t.Fatalf("/update with Typ -1: %d, want 400", code)
+	}
+	if resp := s.Do(&Request{Op: OpReserve, Customer: 1, Items: []vacation.Item{{Typ: vacation.NumTypes, ID: 1}}}); !errors.Is(resp.Err, ErrBadRequest) {
+		t.Fatalf("Do with Typ NumTypes: err = %v, want ErrBadRequest", resp.Err)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz after bad requests: %d, want 200", resp.StatusCode)
+	}
+	if code := post("/query", `{"items":[{"Typ":0,"ID":1}]}`); code != http.StatusOK {
+		t.Fatalf("valid /query after bad requests: %d, want 200", code)
+	}
+	if err := s.Err(); err != nil {
+		t.Fatalf("Err() = %v after bad requests, want nil", err)
 	}
 }

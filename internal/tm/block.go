@@ -32,9 +32,9 @@ var blockReg = struct {
 }
 
 // roMarks is a copy of blockReg.ro, replaced whole whenever a block is
-// marked, so the per-attempt BlockReadOnly lookup (stm-mv's and NOrec's
-// Begin) reads one pointer instead of taking the registry lock, whose
-// reader count every core would otherwise write on every begin.
+// marked, so the BlockReadOnly lookup the driver makes on every block entry
+// reads one pointer instead of taking the registry lock, whose reader count
+// every core would otherwise write on every block.
 var roMarks atomic.Pointer[[]bool]
 
 // NewBlock registers an atomic-block call site under a stable name

@@ -21,11 +21,15 @@ import (
 // The type must embed TxCore, which supplies Alloc, Free, Peek, Restart,
 // LineCounts and the accounting registers the driver reads.
 //
-//	Begin(b, aborts)  start attempt number aborts (0 = first) of block b.
-//	                  The core's registers are already reset. State that
-//	                  must not leak from one block into the next (htm-lazy's
-//	                  serial mode, htm-eager's priority, stm-mv's snapshot
-//	                  mode) is a function of aborts, decided here.
+//	Begin(aborts, readOnly)
+//	                  start attempt number aborts (0 = first) of the block;
+//	                  readOnly is the block's NewROBlock mark, looked up
+//	                  once per block entry by the driver. The core's
+//	                  registers are already reset. State that must not leak
+//	                  from one block into the next (htm-lazy's serial mode,
+//	                  htm-eager's priority, stm-mv's snapshot mode, NOrec's
+//	                  log-free mode) is a function of aborts and readOnly,
+//	                  decided here.
 //	Commit()          try to commit after the body returned normally. True:
 //	                  the attempt is durable and every protocol resource is
 //	                  released. False: stamp Info with the cause and leave
@@ -37,7 +41,7 @@ import (
 //	                  a serial mode.
 type Protocol interface {
 	Tx
-	Begin(b BlockID, aborts int)
+	Begin(aborts int, readOnly bool)
 	Commit() bool
 	Rollback()
 	// LineCounts reports the committed attempt's unique 32-byte lines read
@@ -252,10 +256,11 @@ func (w *Worker[T]) AtomicAt(b BlockID, fn func(Tx)) {
 	st.Tracer.SampleBlock(id, int32(b))
 	c.curBlock.Store(int32(b))
 	cm.OnStart()
+	ro := BlockReadOnly(b)
 	aborts := 0
 	for {
 		c.reset()
-		tx.Begin(b, aborts)
+		tx.Begin(aborts, ro)
 		if Attempt(tx, fn) && tx.Commit() {
 			break
 		}

@@ -28,8 +28,8 @@ func (x *fakeTx) logf(format string, args ...any) {
 	*x.log = append(*x.log, fmt.Sprintf(format, args...))
 }
 
-func (x *fakeTx) Begin(b BlockID, aborts int) {
-	x.logf("begin block=%d attempt=%d barriers=%d", b, aborts, x.Loads+x.Stores)
+func (x *fakeTx) Begin(aborts int, readOnly bool) {
+	x.logf("begin attempt=%d ro=%t barriers=%d", aborts, readOnly, x.Loads+x.Stores)
 }
 
 func (x *fakeTx) Commit() bool {
@@ -80,7 +80,7 @@ func TestDriverContract(t *testing.T) {
 			body: func(tx Tx, _ int) { tx.Store(1, tx.Load(1)+1) },
 			want: []string{
 				"cm.start",
-				"begin block=7 attempt=0 barriers=0",
+				"begin attempt=0 ro=false barriers=0",
 				"commit=true",
 				"cm.reset block=0",
 			},
@@ -97,14 +97,14 @@ func TestDriverContract(t *testing.T) {
 			},
 			want: []string{
 				"cm.start",
-				"begin block=7 attempt=0 barriers=0",
+				"begin attempt=0 ro=false barriers=0",
 				"rollback accounted=0", // the body unwound; Commit never ran
 				"cm.abort 1 accounted=1",
-				"begin block=7 attempt=1 barriers=0", // registers reset before Begin
+				"begin attempt=1 ro=false barriers=0", // registers reset before Begin
 				"commit=false",
 				"rollback accounted=1",
 				"cm.abort 2 accounted=2",
-				"begin block=7 attempt=2 barriers=0",
+				"begin attempt=2 ro=false barriers=0",
 				"commit=true",
 				"cm.reset block=0",
 			},
@@ -121,7 +121,7 @@ func TestDriverContract(t *testing.T) {
 			bails: true,
 			want: []string{
 				"cm.start",
-				"begin block=7 attempt=0 barriers=0",
+				"begin attempt=0 ro=false barriers=0",
 				"rollback accounted=0",
 				"cm.reset block=0", // AbandonBlock, after curBlock cleared; no cm.abort
 			},
@@ -204,6 +204,24 @@ func TestDriverContract(t *testing.T) {
 // outside tests, Attempt is called from driver.go and nowhere else in the
 // module.
 func TestOneRetryLoop(t *testing.T) {
+	if callers, want := tmCallers(t, "Attempt"), []string{"internal/tm/driver.go"}; !reflect.DeepEqual(callers, want) {
+		t.Fatalf("tm.Attempt is called from %v, want only %v: every runtime runs under the driver's loop", callers, want)
+	}
+}
+
+// TestOneReadOnlyLookup is the fence around the read-only mark: outside
+// tests, only the driver looks BlockReadOnly up — once per block entry —
+// and runtimes read it from Begin's readOnly argument.
+func TestOneReadOnlyLookup(t *testing.T) {
+	if callers, want := tmCallers(t, "BlockReadOnly"), []string{"internal/tm/driver.go"}; !reflect.DeepEqual(callers, want) {
+		t.Fatalf("tm.BlockReadOnly is called from %v, want only %v: the driver passes the mark to Begin", callers, want)
+	}
+}
+
+// tmCallers lists, one entry per call, the non-test files of the module
+// (bench/ is another module) that call package tm's function fn.
+func tmCallers(t *testing.T, fn string) []string {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
@@ -235,11 +253,11 @@ func TestOneRetryLoop(t *testing.T) {
 			}
 			switch fun := call.Fun.(type) {
 			case *ast.SelectorExpr:
-				if pkg, ok := fun.X.(*ast.Ident); !ok || pkg.Name != "tm" || fun.Sel.Name != "Attempt" {
+				if pkg, ok := fun.X.(*ast.Ident); !ok || pkg.Name != "tm" || fun.Sel.Name != fn {
 					return true
 				}
 			case *ast.Ident:
-				if fun.Name != "Attempt" || f.Name.Name != "tm" {
+				if fun.Name != fn || f.Name.Name != "tm" {
 					return true
 				}
 			default:
@@ -254,7 +272,5 @@ func TestOneRetryLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"internal/tm/driver.go"}; !reflect.DeepEqual(callers, want) {
-		t.Fatalf("tm.Attempt is called from %v, want only %v: every runtime runs under the driver's loop", callers, want)
-	}
+	return callers
 }

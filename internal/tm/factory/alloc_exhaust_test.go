@@ -114,17 +114,16 @@ func TestAllocExhaustedTerminalTyped(t *testing.T) {
 // — observable as B's own htm-capacity abort — instead of inheriting A's
 // serial mode and taking the system-wide lock for an overflow it never had.
 func TestHTMLazySerialModeEndsWithItsBlock(t *testing.T) {
-	const capLines = 8
-	arena := mem.NewArena(1 << 12)
-	base := arena.AllocLines(4 * capLines * mem.WordsPerLine)
-	sys, err := New("htm-lazy", tm.Config{Arena: arena, Threads: 1, CapacityLines: capLines})
+	arena := mem.NewArena(1 << 15)
+	lines := sameSetLines(arena, 8) // twice the set's 4 ways
+	sys, err := New("htm-lazy", tm.Config{Arena: arena, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	th := sys.Thread(0)
 	overCapacity := func(tx tm.Tx) {
-		for l := 0; l < 2*capLines; l++ {
-			tx.Load(base + mem.Addr(l*mem.WordsPerLine))
+		for _, a := range lines {
+			tx.Load(a)
 		}
 	}
 	func() {
@@ -190,7 +189,7 @@ func TestTransactionalFreeRecyclesAcrossRuntimes(t *testing.T) {
 	for _, name := range concurrentNames() {
 		t.Run(name, func(t *testing.T) {
 			arena := mem.NewArena(1 << 13) // 8k words: must be recycled to fit
-			sys, err := New(name, tm.Config{Arena: arena, Threads: threads, AllocChunk: 256})
+			sys, err := New(name, tm.Config{Arena: arena, Threads: threads})
 			if err != nil {
 				t.Fatal(err)
 			}

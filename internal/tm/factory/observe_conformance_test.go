@@ -119,17 +119,13 @@ func TestCauseConformanceContended(t *testing.T) {
 }
 
 // TestCauseHTMCapacityAttribution overflows the lazy HTM's speculative
-// buffer deterministically (64 written lines against an 8-line capacity)
-// and checks the aborts land in the htm-capacity bucket with the tripping
-// line in the conflict heatmap.
+// buffer deterministically (16 written lines in one 4-way set) and checks
+// the aborts land in the htm-capacity bucket with the tripping line in the
+// conflict heatmap.
 func TestCauseHTMCapacityAttribution(t *testing.T) {
-	const lines = 64
-	arena := mem.NewArena(1 << 14)
-	addrs := make([]mem.Addr, lines)
-	for i := range addrs {
-		addrs[i] = arena.AllocLines(1)
-	}
-	sys, err := New("htm-lazy", tm.Config{Arena: arena, Threads: 1, CapacityLines: 8})
+	arena := mem.NewArena(1 << 16)
+	addrs := sameSetLines(arena, 16)
+	sys, err := New("htm-lazy", tm.Config{Arena: arena, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +139,7 @@ func TestCauseHTMCapacityAttribution(t *testing.T) {
 	}
 	st := sys.Stats()
 	if st.Total.Aborts == 0 {
-		t.Fatal("htm-lazy: 64-line transactions against 8-line capacity produced no aborts")
+		t.Fatal("htm-lazy: 16 lines in one 4-way set produced no aborts")
 	}
 	if got := st.AbortCauses()[tm.CauseHTMCapacity]; got == 0 {
 		t.Errorf("htm-lazy: no aborts attributed to htm-capacity (%v)", st.AbortCauses())

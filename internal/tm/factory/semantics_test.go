@@ -347,18 +347,27 @@ func TestAllocInsideTx(t *testing.T) {
 	}
 }
 
+// sameSetLines allocates n line-aligned addresses 512 lines (2048 words)
+// apart, so all of them map to one set of the simulated HTMs' Table V L1
+// (512 sets of 4 ways): a transaction touching five or more overflows it.
+func sameSetLines(arena *mem.Arena, n int) []mem.Addr {
+	const stride = 512 * mem.WordsPerLine
+	base := arena.AllocLines(n * stride)
+	addrs := make([]mem.Addr, n)
+	for i := range addrs {
+		addrs[i] = base + mem.Addr(i*stride)
+	}
+	return addrs
+}
+
 // TestHTMLazyOverflowSerializes: transactions exceeding HTM capacity must
 // still commit (via serialized execution) and stay correct under
 // concurrency.
 func TestHTMLazyOverflowSerializes(t *testing.T) {
 	const threads = 4
-	const lines = 64 // >> capacity below
-	arena := mem.NewArena(1 << 14)
-	addrs := make([]mem.Addr, lines)
-	for i := range addrs {
-		addrs[i] = arena.AllocLines(1)
-	}
-	sys, err := New("htm-lazy", tm.Config{Arena: arena, Threads: threads, CapacityLines: 8})
+	arena := mem.NewArena(1 << 16)
+	addrs := sameSetLines(arena, 16) // 4x the set's ways
+	sys, err := New("htm-lazy", tm.Config{Arena: arena, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +389,9 @@ func TestHTMLazyOverflowSerializes(t *testing.T) {
 			t.Fatalf("lost updates under overflow: %d, want %d", got, threads*perT)
 		}
 	}
+	if sys.Stats().AbortCauses()[tm.CauseHTMCapacity] == 0 {
+		t.Fatal("no transaction overflowed the speculative buffer")
+	}
 }
 
 // TestHTMEagerOverflowSignatures: the eager HTM must survive capacity
@@ -387,13 +399,9 @@ func TestHTMLazyOverflowSerializes(t *testing.T) {
 // no lost updates.
 func TestHTMEagerOverflowSignatures(t *testing.T) {
 	const threads = 4
-	const lines = 48
-	arena := mem.NewArena(1 << 14)
-	addrs := make([]mem.Addr, lines)
-	for i := range addrs {
-		addrs[i] = arena.AllocLines(1)
-	}
-	sys, err := New("htm-eager", tm.Config{Arena: arena, Threads: threads, CapacityLines: 8})
+	arena := mem.NewArena(1 << 16)
+	addrs := sameSetLines(arena, 12) // 3x the set's ways
+	sys, err := New("htm-eager", tm.Config{Arena: arena, Threads: threads})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,6 +421,39 @@ func TestHTMEagerOverflowSignatures(t *testing.T) {
 		if got := arena.Load(a); got != threads*perT {
 			t.Fatalf("lost updates under sig overflow: %d, want %d", got, threads*perT)
 		}
+	}
+
+	// Witness the spill deterministically: while slot 0 holds the lines in
+	// its signatures, slot 1 reading the last one (past the set's ways, so
+	// never directory-marked) must abort with signature-conflict.
+	before := sys.Stats().AbortCauses()[tm.CauseSignatureConflict]
+	ready, spilled, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		<-ready
+		attempt := 0
+		sys.Thread(1).Atomic(func(tx tm.Tx) {
+			if attempt++; attempt == 2 {
+				close(spilled)
+				<-release
+			}
+			tx.Load(addrs[len(addrs)-1])
+		})
+	}()
+	sys.Thread(0).Atomic(func(tx tm.Tx) {
+		for _, a := range addrs {
+			tx.Store(a, tx.Load(a))
+		}
+		close(ready)
+		select {
+		case <-spilled:
+		case <-done: // slot 1 committed without a conflict: no spill
+		}
+	})
+	close(release)
+	<-done
+	if got := sys.Stats().AbortCauses()[tm.CauseSignatureConflict] - before; got != 1 {
+		t.Fatalf("reader of a spilled line recorded %d signature-conflict aborts, want 1", got)
 	}
 }
 

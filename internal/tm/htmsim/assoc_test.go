@@ -8,44 +8,38 @@ import (
 )
 
 func TestSetTrackerWays(t *testing.T) {
-	s := newSetTracker(tm.Config{CapacityLines: 16, CapacityAssoc: 2}) // 8 sets, 2 ways
-	// Lines mapping to the same set: multiples of 8.
-	if !s.add(8) || !s.add(16) {
-		t.Fatal("first two ways must fit")
+	var s setTracker
+	// Lines capacitySets apart share one set.
+	same := func(i int) mem.Line { return mem.Line(3 + i*capacitySets) }
+	for i := 0; i < capacityAssoc; i++ {
+		if !s.add(same(i)) {
+			t.Fatalf("way %d of %d must fit", i+1, capacityAssoc)
+		}
 	}
-	if s.add(24) {
-		t.Fatal("third way in one set must overflow")
+	if s.add(same(capacityAssoc)) {
+		t.Fatal("one line past the ways in one set must overflow")
 	}
-	s.drop(8)
-	if !s.add(24) {
+	if !s.add(4) {
+		t.Fatal("a full set must not block its neighbour")
+	}
+	s.drop(same(0))
+	if !s.add(same(capacityAssoc)) {
 		t.Fatal("way freed by drop not reusable")
 	}
 	s.reset()
-	if !s.add(8) || !s.add(16) {
-		t.Fatal("reset did not clear counters")
-	}
-}
-
-func TestSetTrackerDisabled(t *testing.T) {
-	s := newSetTracker(tm.Config{CapacityLines: 16, CapacityAssoc: 0})
-	for l := mem.Line(0); l < 1000; l++ {
-		if !s.add(l) {
-			t.Fatal("disabled tracker must never overflow")
+	for i := 0; i < capacityAssoc; i++ {
+		if !s.add(same(i)) {
+			t.Fatal("reset did not clear counters")
 		}
 	}
-	s.drop(1) // must not panic
-	s.reset()
 }
 
 // TestLazyAssociativityOverflow: a transaction whose lines collide in one
 // cache set must overflow (serialize) even though its total footprint is
-// far below CapacityLines — the paper's bayes/labyrinth+ behaviour.
+// far below capacityLines — the paper's bayes/labyrinth+ behaviour.
 func TestLazyAssociativityOverflow(t *testing.T) {
 	arena := mem.NewArena(1 << 20)
-	sys, err := NewLazy(tm.Config{
-		Arena: arena, Threads: 1,
-		CapacityLines: 1024, CapacityAssoc: 2, // 512 sets, 2 ways
-	})
+	sys, err := NewLazy(tm.Config{Arena: arena, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +50,7 @@ func TestLazyAssociativityOverflow(t *testing.T) {
 	}
 	th := sys.Thread(0)
 	th.Atomic(func(tx tm.Tx) {
-		for i := 0; i < 6; i++ { // 6 lines, one set, 2 ways => overflow
+		for i := 0; i < 6; i++ { // 6 lines, one set, 4 ways => overflow
 			tx.Store(mem.Addr(4+i*step), uint64(i))
 		}
 	})
@@ -74,10 +68,7 @@ func TestLazyAssociativityOverflow(t *testing.T) {
 // on an associativity conflict and still commit correctly.
 func TestEagerAssociativitySpills(t *testing.T) {
 	arena := mem.NewArena(1 << 20)
-	sys, err := NewEager(tm.Config{
-		Arena: arena, Threads: 1,
-		CapacityLines: 1024, CapacityAssoc: 2,
-	})
+	sys, err := NewEager(tm.Config{Arena: arena, Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +78,9 @@ func TestEagerAssociativitySpills(t *testing.T) {
 	th.Atomic(func(tx tm.Tx) {
 		for i := 0; i < 6; i++ {
 			tx.Store(mem.Addr(4+i*step), uint64(i)+100)
+		}
+		if !sys.Txs[0].overflowed.Load() {
+			t.Error("6 lines in one 4-way set did not spill to signatures")
 		}
 	})
 	for i := 0; i < 6; i++ {

@@ -1,47 +1,32 @@
 package htmsim
 
-import (
-	"github.com/stamp-go/stamp/internal/mem"
-	"github.com/stamp-go/stamp/internal/tm"
+import "github.com/stamp-go/stamp/internal/mem"
+
+// The simulated HTMs' speculative buffer is Table V's L1: 64 KB, 4-way
+// set-associative, 32 B lines => 2048 lines in 512 sets of 4 ways. A
+// transaction overflows when more than capacityAssoc of its lines map to
+// one set — which is how the paper's bayes and labyrinth+ footprints
+// (~450-780 lines) overflow the L1 long before filling it — or when its
+// footprint exceeds capacityLines.
+const (
+	capacityLines = 2048
+	capacityAssoc = 4
+	capacitySets  = capacityLines / capacityAssoc
 )
 
-// setTracker models the set-associative structure of the speculative buffer
-// (Table V: 64 KB, 4-way, 32 B lines => 512 sets of 4 ways). A transaction
-// whose footprint puts more than `ways` distinct lines into one set cannot
-// keep them all buffered and must take its system's overflow path — this is
-// what makes the paper's bayes and labyrinth+ working sets overflow long
-// before the total line budget is reached. ways == 0 disables the model
-// (fully associative buffer).
+// setTracker models the set-associative structure of the speculative
+// buffer. A transaction whose footprint puts more than capacityAssoc
+// distinct lines into one set cannot keep them all buffered and must take
+// its system's overflow path.
 type setTracker struct {
-	counts []uint16
-	mask   uint32
-	ways   uint16
-}
-
-func newSetTracker(cfg tm.Config) *setTracker {
-	if cfg.CapacityAssoc <= 0 {
-		return &setTracker{}
-	}
-	nSets := cfg.CapacityLines / cfg.CapacityAssoc
-	n := uint32(1)
-	for int(n) < nSets {
-		n <<= 1
-	}
-	return &setTracker{
-		counts: make([]uint16, n),
-		mask:   n - 1,
-		ways:   uint16(cfg.CapacityAssoc),
-	}
+	counts [capacitySets]uint16
 }
 
 // add records a newly tracked line; it reports false when the line's set is
 // already full (capacity overflow).
 func (s *setTracker) add(l mem.Line) bool {
-	if s.counts == nil {
-		return true
-	}
-	i := uint32(l) & s.mask
-	if s.counts[i] >= s.ways {
+	i := uint32(l) % capacitySets
+	if s.counts[i] >= capacityAssoc {
 		return false
 	}
 	s.counts[i]++
@@ -50,18 +35,11 @@ func (s *setTracker) add(l mem.Line) bool {
 
 // drop releases a tracked line (early release).
 func (s *setTracker) drop(l mem.Line) {
-	if s.counts == nil {
-		return
-	}
-	i := uint32(l) & s.mask
+	i := uint32(l) % capacitySets
 	if s.counts[i] > 0 {
 		s.counts[i]--
 	}
 }
 
 // reset clears all set counters for the next transaction.
-func (s *setTracker) reset() {
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
-}
+func (s *setTracker) reset() { clear(s.counts[:]) }

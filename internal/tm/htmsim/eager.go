@@ -44,7 +44,7 @@ func NewEager(cfg tm.Config) (*Eager, error) {
 	}
 	s := &Eager{Runtime: rt, dir: newDirectory()}
 	rt.Bind(func(int) *eagerTx {
-		return &eagerTx{sys: s, sets: newSetTracker(rt.Cfg),
+		return &eagerTx{sys: s, sets: new(setTracker),
 			readLines: make(map[mem.Line]struct{}), writeLines: make(map[mem.Line]struct{})}
 	})
 	return s, nil
@@ -73,7 +73,7 @@ type eagerTx struct {
 
 // Begin opens the attempt; a block that has aborted priorityAborts times
 // runs it with high priority (the paper's livelock escape).
-func (x *eagerTx) Begin(_ tm.BlockID, aborts int) {
+func (x *eagerTx) Begin(aborts int, _ bool) {
 	x.sets.reset()
 	x.undo.Reset()
 	clear(x.readLines)
@@ -188,7 +188,7 @@ func (x *eagerTx) checkOverflowSigs(l mem.Line, write bool) {
 // reports whether the speculative buffer still holds everything (false
 // means the transaction must spill to signatures).
 func (x *eagerTx) trackCapacity(l mem.Line) bool {
-	if len(x.readLines)+len(x.writeLines) >= x.Cfg.CapacityLines {
+	if len(x.readLines)+len(x.writeLines) >= capacityLines {
 		return false
 	}
 	return x.sets.add(l)

@@ -38,9 +38,9 @@ func NewLazy(cfg tm.Config) (*Lazy, error) {
 	rt.Bind(func(int) *lazyTx {
 		return &lazyTx{
 			sys:        s,
-			readSet:    newLineSet(rt.Cfg.CapacityLines),
-			writeSet:   newLineSet(rt.Cfg.CapacityLines),
-			sets:       newSetTracker(rt.Cfg),
+			readSet:    newLineSet(capacityLines),
+			writeSet:   newLineSet(capacityLines),
+			sets:       new(setTracker),
 			serialRead: make(map[mem.Line]struct{}),
 			serialWrit: make(map[mem.Line]struct{}),
 		}
@@ -88,7 +88,7 @@ func (x *lazyTx) LineCounts() (reads, writes int, ok bool) {
 // the first attempt clears it — on every exit path of the previous block,
 // commit or terminal unwind alike, the next block must not serialize the
 // system for an overflow it did not have.
-func (x *lazyTx) Begin(_ tm.BlockID, aborts int) {
+func (x *lazyTx) Begin(aborts int, _ bool) {
 	if aborts == 0 {
 		x.serial = false
 	}
@@ -176,7 +176,7 @@ func (x *lazyTx) Load(a mem.Addr) uint64 {
 	}
 	l := mem.LineOf(a)
 	added, ok := x.readSet.insert(l)
-	if !ok || (added && x.readSet.len()+x.writeSet.len() > x.Cfg.CapacityLines) {
+	if !ok || (added && x.readSet.len()+x.writeSet.len() > capacityLines) {
 		x.overflow(l)
 	}
 	if added && !x.writeSet.contains(l) && !x.sets.add(l) {
@@ -204,7 +204,7 @@ func (x *lazyTx) Store(a mem.Addr, v uint64) {
 	x.wbuf.Put(a, v)
 	l := mem.LineOf(a)
 	added, ok := x.writeSet.insert(l)
-	if !ok || (added && x.readSet.len()+x.writeSet.len() > x.Cfg.CapacityLines) {
+	if !ok || (added && x.readSet.len()+x.writeSet.len() > capacityLines) {
 		x.overflow(l)
 	}
 	if added && !x.readSet.contains(l) && !x.sets.add(l) {

@@ -46,7 +46,7 @@ type eagerTx struct {
 	undo     txset.WriteSet // addr → old value; doubles as the written-set
 }
 
-func (x *eagerTx) Begin(tm.BlockID, int) {
+func (x *eagerTx) Begin(int, bool) {
 	x.readSig.Clear()
 	x.writeSig.Clear()
 	x.undo.Reset()

@@ -50,7 +50,7 @@ type lazyTx struct {
 	wset     txset.WriteSet // redo log (insertion order = writeback order)
 }
 
-func (x *lazyTx) Begin(tm.BlockID, int) {
+func (x *lazyTx) Begin(int, bool) {
 	x.readSig.Clear()
 	x.writeSig.Clear()
 	x.wset.Reset()

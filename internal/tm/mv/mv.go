@@ -266,12 +266,12 @@ type mvTx struct {
 // TL2 so progress never depends on ring retention. The first snapshot
 // attempt of the system's life turns the rings on, before it reads the
 // clock (see "Versions are retained from the first snapshot reader on").
-func (x *mvTx) Begin(b tm.BlockID, aborts int) {
-	x.ro = aborts == 0 && tm.BlockReadOnly(b)
+func (x *mvTx) Begin(aborts int, readOnly bool) {
+	x.ro = aborts == 0 && readOnly
 	if x.ro && x.sys.rings.Load() == nil {
 		x.sys.turnRingsOn()
 	}
-	x.LazyTx.Begin(b, aborts)
+	x.LazyTx.Begin(aborts, readOnly)
 }
 
 // Load is the read barrier: the TL2 validated read, or for snapshot attempts

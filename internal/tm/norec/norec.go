@@ -133,8 +133,8 @@ type norecTx struct {
 // Begin snapshots a quiescent seq. A marked block's first attempt runs
 // log-free — the same rule stm-mv uses for its snapshot path — and every
 // retry runs logged, so progress never depends on a quiet clock.
-func (x *norecTx) Begin(b tm.BlockID, aborts int) {
-	x.logFree = aborts == 0 && tm.BlockReadOnly(b)
+func (x *norecTx) Begin(aborts int, readOnly bool) {
+	x.logFree = aborts == 0 && readOnly
 	x.snapshot = x.sys.waitQuiescent()
 	x.rset.Reset()
 	x.wset.Reset()

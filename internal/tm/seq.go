@@ -49,9 +49,9 @@ type seqTx struct {
 	TxCore
 }
 
-func (x *seqTx) Begin(BlockID, int) {}
-func (x *seqTx) Commit() bool       { return true }
-func (x *seqTx) Rollback()          {}
+func (x *seqTx) Begin(int, bool) {}
+func (x *seqTx) Commit() bool    { return true }
+func (x *seqTx) Rollback()       {}
 
 func (x *seqTx) Load(a mem.Addr) uint64 {
 	x.Loads++

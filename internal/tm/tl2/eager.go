@@ -50,7 +50,7 @@ type eagerTx struct {
 	_ [64]byte // keep the next worker's descriptor off this one's last line
 }
 
-func (x *eagerTx) Begin(tm.BlockID, int) {
+func (x *eagerTx) Begin(int, bool) {
 	x.rv = x.clock.Begin()
 	x.reads.Reset()
 	x.acquired = x.acquired[:0]

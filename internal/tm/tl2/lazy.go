@@ -59,7 +59,7 @@ type LazyTx struct {
 }
 
 // Begin implements tm.Protocol.
-func (x *LazyTx) Begin(tm.BlockID, int) {
+func (x *LazyTx) Begin(int, bool) {
 	x.RV = x.Clock.Begin()
 	x.Reads.Reset()
 	x.Wset.Reset()

@@ -125,37 +125,6 @@ type Config struct {
 	Arena   *mem.Arena
 	Threads int
 
-	// CapacityLines is the speculative-buffer capacity of the simulated
-	// HTMs, in 32-byte lines. Table V's machine has a 64 KB L1 with 32 B
-	// lines => 2048 lines.
-	CapacityLines int
-
-	// CapacityAssoc is the associativity of the speculative buffer
-	// (Table V: 4-way). A transaction overflows when more than
-	// CapacityAssoc of its lines map to one of the CapacityLines /
-	// CapacityAssoc sets — which is how the paper's bayes and labyrinth+
-	// footprints (~450-780 lines) overflow a 2048-line L1 long before
-	// filling it. Set to 0 to model a fully associative buffer.
-	CapacityAssoc int
-
-	// AllocChunk is the per-thread arena reservation size in words: each
-	// worker's tx.Alloc bump-allocates from a private, line-aligned chunk
-	// of this many words and touches the shared arena pointer only to
-	// refill — one contended atomic per chunk instead of per allocation.
-	// 0 selects the default (4096 words, capped to a fraction of the
-	// arena so reservation tails cannot exhaust small arenas); a negative
-	// value disables reservation entirely (every tx.Alloc hits the shared
-	// pointer, the pre-reservation behavior — the ablation arm).
-	AllocChunk int
-
-	// NoRecycle disables the per-thread free-list recycling of
-	// transactional allocation (mem.Reserver): tx.Free drops its argument,
-	// aborted attempts leak their allocations, and chunk tails abandoned at
-	// refill are never reused — the seed allocator's behavior, kept as the
-	// ablation arm (BenchmarkAblationTransactionalFree) and for A/B
-	// comparisons of arena high-water growth. Recycling is on by default.
-	NoRecycle bool
-
 	// MVVersions is the per-stripe version-ring depth of the stm-mv
 	// runtime: how many committed (version, address, value) records each
 	// stripe retains for snapshot readers. 0 selects DefaultMVVersions (8).
@@ -223,12 +192,6 @@ func (c Config) Defaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = 1
 	}
-	if c.CapacityLines == 0 {
-		c.CapacityLines = 2048
-		if c.CapacityAssoc == 0 {
-			c.CapacityAssoc = 4
-		}
-	}
 	if c.MVVersions == 0 {
 		c.MVVersions = DefaultMVVersions
 	}
@@ -275,44 +238,22 @@ func (c Config) Validate() error {
 const DefaultStarveAfter = 512
 
 // DefaultAllocChunk is the per-thread reservation size tx.Alloc refills in
-// when Config.AllocChunk is 0 (in words; ~32 KiB of arena per refill).
+// (in words; ~32 KiB of arena per refill) when the arena is large enough.
 const DefaultAllocChunk = 4096
 
 // DefaultMVVersions is the stm-mv per-stripe version-ring depth when
 // Config.MVVersions is 0.
 const DefaultMVVersions = 8
 
-// ReserveChunk resolves Config.AllocChunk to the effective per-thread
-// reservation size: negative disables reservation (returns 0), 0 selects
-// DefaultAllocChunk, and any chunk is capped to Cap/(Threads*16) so the
-// reserved-but-unconsumed tails can never exhaust a tightly sized arena
-// (a cap of 0 degrades to passthrough, which is exactly right for tiny
-// test arenas). With one reserver per thread, worst-case stranded tails
-// stay at or below 1/16 of the arena.
-func (c Config) ReserveChunk() int {
-	if c.AllocChunk < 0 {
-		return 0
-	}
-	chunk := c.AllocChunk
-	if chunk == 0 {
-		chunk = DefaultAllocChunk
-	}
-	if c.Arena != nil && c.Threads > 0 {
-		if most := c.Arena.Cap() / (c.Threads * 16); chunk > most {
-			chunk = most
-		}
-	}
-	return chunk
-}
-
-// NewReserver builds one worker slot's allocation handle per the config:
-// chunk size from ReserveChunk, free-list recycling per NoRecycle.
-// Runtime.Bind calls this once per slot, so tx.Alloc/tx.Free share one
-// policy across protocols.
+// NewReserver builds one worker slot's allocation handle: it reserves
+// DefaultAllocChunk words at a time, capped to Cap/(16·Threads) so the
+// reserved-but-unconsumed tails of all slots stay at or below 1/16 of the
+// arena and cannot exhaust a tightly sized one. An arena under 16·Threads
+// words caps the chunk to 0 and gets a passthrough Reserver. c must pass
+// Validate. Runtime.Bind calls this once per slot, so tx.Alloc/tx.Free
+// share one policy across protocols.
 func (c Config) NewReserver() *mem.Reserver {
-	r := c.Arena.NewReserver(c.ReserveChunk())
-	r.SetRecycle(!c.NoRecycle)
-	return r
+	return c.Arena.NewReserver(min(DefaultAllocChunk, c.Arena.Cap()/(16*c.Threads)))
 }
 
 // RetrySignal is the panic value used to unwind an aborted attempt. It is

@@ -117,12 +117,12 @@ func TestRetriesPerTxEmpty(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.Threads != 1 || c.CapacityLines != 2048 || c.StarveAfter != DefaultStarveAfter {
+	if c.Threads != 1 || c.MVVersions != DefaultMVVersions || c.StarveAfter != DefaultStarveAfter {
 		t.Fatalf("defaults wrong: %+v", c)
 	}
 	// Explicit values survive.
-	c2 := Config{Threads: 7, CapacityLines: 16}.Defaults()
-	if c2.Threads != 7 || c2.CapacityLines != 16 {
+	c2 := Config{Threads: 7, MVVersions: 3}.Defaults()
+	if c2.Threads != 7 || c2.MVVersions != 3 {
 		t.Fatalf("explicit values overwritten: %+v", c2)
 	}
 }
@@ -130,9 +130,40 @@ func TestConfigDefaults(t *testing.T) {
 // TestConfigFieldCount is a ratchet on the knob count: a field added to
 // Config must update this number, and a field removed must lower it.
 func TestConfigFieldCount(t *testing.T) {
-	const want = 14
+	const want = 10
 	if got := reflect.TypeOf(Config{}).NumField(); got != want {
 		t.Fatalf("tm.Config has %d fields, want %d; ROADMAP item 6 targets <= 16 — update this count with the change that moves it", got, want)
+	}
+}
+
+// TestNewReserverChunk pins the reservation size Config.NewReserver derives
+// from the arena: DefaultAllocChunk, capped to Cap/(16·Threads), and
+// passthrough (no refills) under 16·Threads words. A chunk of c words
+// costs one refill for the first c one-word allocations and a second on
+// the next one.
+func TestNewReserverChunk(t *testing.T) {
+	cases := []struct {
+		name            string
+		words, threads  int
+		allocs, refills uint64
+	}{
+		{"default chunk fills", 1 << 20, 2, DefaultAllocChunk, 1},
+		{"default chunk refills", 1 << 20, 2, DefaultAllocChunk + 1, 2},
+		{"capped chunk fills", 1 << 13, 2, 256, 1},
+		{"capped chunk refills", 1 << 13, 2, 257, 2},
+		{"passthrough", 31, 2, 8, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			arena := mem.NewArena(c.words)
+			r := Config{Arena: arena, Threads: c.threads}.NewReserver()
+			for range c.allocs {
+				r.Alloc(1)
+			}
+			if got := r.Refills(); got != c.refills {
+				t.Fatalf("%d one-word allocations cost %d refills, want %d", c.allocs, got, c.refills)
+			}
+		})
 	}
 }
 

@@ -67,6 +67,10 @@ var ErrDeadline = server.ErrDeadline
 // behind an epoch swap.
 var ErrRetriesExhausted = server.ErrRetriesExhausted
 
+// ErrBadRequest reports a request Server.Do refused before leasing a slot:
+// an Item or Update whose Typ names no reservation table.
+var ErrBadRequest = server.ErrBadRequest
+
 // Serve starts a serving-mode instance: it populates the store in a fresh
 // long-lived arena, builds opt.Workers tm.Thread slots, and begins
 // accepting requests; requests run on their callers' goroutines, so an idle
