@@ -1,6 +1,11 @@
 package yada
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"math/big"
+	"slices"
+)
 
 // Point is a 2-D vertex.
 type Point struct{ X, Y float64 }
@@ -13,16 +18,55 @@ func orient(a, b, c Point) float64 {
 	return (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
 }
 
+// inCircleErrBound is Shewchuk's bound on the relative error of the float64
+// in-circle determinant below, (10 + 96ε)ε with ε = 2^-53 ("Adaptive
+// Precision Floating-Point Arithmetic and Fast Robust Geometric Predicates",
+// 1997): a computed determinant larger in magnitude than this times its
+// permanent has the exact determinant's sign.
+const inCircleErrBound = (10 + 96*0x1p-53) * 0x1p-53
+
 // inCircumcircle reports whether p lies strictly inside the circumcircle of
 // the counter-clockwise triangle (a, b, c).
+//
+// It is a filtered exact predicate: the float64 determinant decides when it
+// clears its error bound, and the rare near-cocircular case falls back to
+// exact rational arithmetic. An approximate answer there is not enough:
+// Bowyer–Watson's cavity must be exactly the triangles whose circumcircle
+// holds p, or it stops being star-shaped around p and re-triangulating it
+// leaves edges with three triangles.
 func inCircumcircle(a, b, c, p Point) bool {
 	ax, ay := a.X-p.X, a.Y-p.Y
 	bx, by := b.X-p.X, b.Y-p.Y
 	cx, cy := c.X-p.X, c.Y-p.Y
-	det := (ax*ax+ay*ay)*(bx*cy-cx*by) -
-		(bx*bx+by*by)*(ax*cy-cx*ay) +
-		(cx*cx+cy*cy)*(ax*by-bx*ay)
-	return det > geomEps
+	bxcy, cxby := bx*cy, cx*by
+	cxay, axcy := cx*ay, ax*cy
+	axby, bxay := ax*by, bx*ay
+	alift, blift, clift := ax*ax+ay*ay, bx*bx+by*by, cx*cx+cy*cy
+	det := alift*(bxcy-cxby) + blift*(cxay-axcy) + clift*(axby-bxay)
+	permanent := (math.Abs(bxcy)+math.Abs(cxby))*alift +
+		(math.Abs(cxay)+math.Abs(axcy))*blift +
+		(math.Abs(axby)+math.Abs(bxay))*clift
+	if bound := inCircleErrBound * permanent; det > bound || -det > bound {
+		return det > 0
+	}
+	return inCircleExact(a, b, c, p) > 0
+}
+
+// inCircleExact returns the sign of the in-circle determinant of (a, b, c,
+// p), computed without rounding.
+func inCircleExact(a, b, c, p Point) int {
+	rat := func(f float64) *big.Rat { return new(big.Rat).SetFloat64(f) }
+	sub := func(x, y float64) *big.Rat { return new(big.Rat).Sub(rat(x), rat(y)) }
+	mul := func(x, y *big.Rat) *big.Rat { return new(big.Rat).Mul(x, y) }
+	ax, ay := sub(a.X, p.X), sub(a.Y, p.Y)
+	bx, by := sub(b.X, p.X), sub(b.Y, p.Y)
+	cx, cy := sub(c.X, p.X), sub(c.Y, p.Y)
+	lift := func(x, y *big.Rat) *big.Rat { return new(big.Rat).Add(mul(x, x), mul(y, y)) }
+	cross := func(x1, y1, x2, y2 *big.Rat) *big.Rat { return new(big.Rat).Sub(mul(x1, y2), mul(x2, y1)) }
+	det := mul(lift(ax, ay), cross(bx, by, cx, cy))
+	det.Add(det, mul(lift(bx, by), cross(cx, cy, ax, ay)))
+	det.Add(det, mul(lift(cx, cy), cross(ax, ay, bx, by)))
+	return det.Sign()
 }
 
 // circumcenter returns the circumcenter of (a, b, c); ok is false for
@@ -132,6 +176,11 @@ func triangulate(pts []Point) [][3]int32 {
 				boundary = append(boundary, key)
 			}
 		}
+		// Map order is random; sort so the same points always give the
+		// same triangle order, and with it the same staged arena.
+		slices.SortFunc(boundary, func(x, y [2]int32) int {
+			return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+		})
 		tris = keep
 		for _, e := range boundary {
 			nt := tri{e[0], e[1], int32(pi)}

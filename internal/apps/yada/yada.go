@@ -11,6 +11,7 @@ package yada
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/container"
@@ -45,7 +46,7 @@ type App struct {
 	cfg      Config
 	initPts  []Point
 	initTris [][3]int32
-	boundary map[uint64]bool // initial boundary segment keys
+	boundary []uint64 // initial boundary segment keys, ascending
 
 	ms   mesh
 	init int // initial point count
@@ -91,12 +92,12 @@ func New(cfg Config) *App {
 		edgeUse[edgeKey(t[1], t[2])]++
 		edgeUse[edgeKey(t[2], t[0])]++
 	}
-	a.boundary = map[uint64]bool{}
 	for k, n := range edgeUse {
 		if n == 1 {
-			a.boundary[k] = true
+			a.boundary = append(a.boundary, k)
 		}
 	}
+	slices.Sort(a.boundary) // Setup inserts them in this order
 	return a
 }
 
@@ -143,7 +144,7 @@ func (a *App) Setup(ar *mem.Arena) {
 			a.ms.work.Push(d, badnessKey(ang), uint64(addr))
 		}
 	}
-	for k := range a.boundary {
+	for _, k := range a.boundary {
 		a.ms.segments.Insert(d, k, 1)
 	}
 	a.skipped.Store(0)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"github.com/stamp-go/stamp/internal/mem"
 )
 
 func TestVariantRegistryShape(t *testing.T) {
@@ -161,6 +163,39 @@ func TestFootprintIsWhatTheSeqRunDrew(t *testing.T) {
 	mb := func(words int) string { return fmt.Sprintf("%.1fMB", float64(words)*8/(1<<20)) }
 	if !strings.HasSuffix(strings.TrimSpace(buf.String()), " "+mb(seq.ArenaUsed)) {
 		t.Fatalf("Table VI row does not end in the drawn footprint %s (estimate %s):\n%s", mb(seq.ArenaUsed), mb(estimate), buf.String())
+	}
+}
+
+// TestSetupIsDeterministic stages every simulation variant twice from its
+// constructor and requires the same arena both times: the same high-water
+// mark and the same value in every word. A seq run, and any golden table
+// taken from one, is only reproducible if its input is.
+func TestSetupIsDeterministic(t *testing.T) {
+	const scale = 0.05
+	stage := func(v Variant) *mem.Arena {
+		app := v.Make(scale)
+		a := mem.NewArena(app.ArenaWords())
+		app.Setup(a)
+		return a
+	}
+	for _, v := range SimVariants() {
+		a, b := stage(v), stage(v)
+		if a.Used() != b.Used() {
+			t.Errorf("%s: staged %d words, then %d", v.Name, a.Used(), b.Used())
+			continue
+		}
+		differ, first := 0, mem.Nil
+		for w := mem.Addr(0); int(w) < a.Used(); w++ {
+			if a.Load(w) != b.Load(w) {
+				if differ == 0 {
+					first = w
+				}
+				differ++
+			}
+		}
+		if differ != 0 {
+			t.Errorf("%s: %d of %d staged words differ between two stagings (first at word %d)", v.Name, differ, a.Used(), first)
+		}
 	}
 }
 

@@ -8,9 +8,12 @@
 // (4-word) cache line index, matching the line size of the paper's simulated
 // machine (Table V).
 //
-// All word accesses use sync/atomic so that concurrent transactional systems
-// built on top of the arena are free of Go data races even while they race
-// at the semantic level (that is what the TM layers arbitrate).
+// Every word access that can run beside another goroutine's uses
+// sync/atomic (Arena.Load, Store and CompareAndSwap), so that concurrent
+// transactional systems built on top of the arena are free of Go data races
+// even while they race at the semantic level (that is what the TM layers
+// arbitrate). Direct.Store is the one plain write: Direct is for code that
+// has the arena to itself, and the race detector checks that it does.
 package mem
 
 import (
@@ -56,15 +59,15 @@ var ErrArenaFull = errors.New("mem: arena exhausted")
 // Reserver free lists (mirroring STAMP's tmalloc, where transactional frees
 // are deferred and most benchmark allocations live for the whole run).
 //
-// The words live in a platform backing store (see back): on Linux an
-// anonymous mapping that the kernel commits page by page on first write and
-// that is unmapped by a cleanup once the *Arena is unreachable. That is
-// sound because of how words are reached:
+// The words live in a platform backing store (see back): on Linux, outside
+// race-enabled builds, an anonymous mapping that the kernel commits page by
+// page on first write and that is unmapped by a cleanup once the *Arena is
+// unreachable. That is sound because of how words are reached:
 //
-//   - only through the Load, Store and CompareAndSwap methods, and Release,
-//     which drops them all — nothing in this package returns a slice of the
-//     words or a pointer into them, and every other method touches only the
-//     bump pointer and the capacity;
+//   - only through the Load, Store and CompareAndSwap methods,
+//     Direct.Store, and Release, which drops them all — nothing in this
+//     package returns a slice of the words or a pointer into them, and
+//     every other method touches only the bump pointer and the capacity;
 //   - each of those methods keeps its receiver reachable until the access
 //     has completed (runtime.KeepAlive), so a caller that holds the *Arena
 //     for a call holds the mapping for that call, even if the call is its
@@ -470,11 +473,11 @@ func (r *Reserver) Refills() uint64 { return r.refills }
 // arena high-water mark.
 func (r *Reserver) Recycled() uint64 { return r.recycled }
 
-// The three word accessors end in runtime.KeepAlive(a): the receiver must
-// stay reachable until the access completes, or the backing store's cleanup
-// could unmap the word between the address computation and the access (see
-// Arena). KeepAlive is not a call; it costs at most a spill of the receiver
-// to the stack.
+// The three word accessors, and Direct.Store, end in runtime.KeepAlive: the
+// arena must stay reachable until the access completes, or the backing
+// store's cleanup could unmap the word between the address computation and
+// the access (see Arena). KeepAlive is not a call; it costs at most a spill
+// of the receiver to the stack.
 
 // Load atomically reads the word at addr.
 func (a *Arena) Load(addr Addr) uint64 {
@@ -509,13 +512,27 @@ func W2F(w uint64) float64 { return math.Float64frombits(w) }
 // same read/write/alloc contract as a transaction (tm.Mem), which lets the
 // container library and application setup code run outside any transaction
 // — exactly like STAMP's sequential initialization phases.
+//
+// Direct is for code that has the arena to itself: staging before the
+// workers start, checking after they join, a master phase between two
+// barriers (kmeans, ssca2, genome), a server's store population, and an
+// epoch swap's compaction into the arena it has not yet published. Its
+// Store is a plain write, not a locked exchange, so it must not run beside
+// any other goroutine's access to the same words; a race-enabled build
+// reports one that does (arenas are heap-backed there, see back).
 type Direct struct{ A *Arena }
 
-// Load reads the word at addr without any transactional bookkeeping.
+// Load reads the word at addr without any transactional bookkeeping. It is
+// the arena's atomic load, which on amd64 is already a plain MOV, so a
+// plain read would save nothing.
 func (d Direct) Load(addr Addr) uint64 { return d.A.Load(addr) }
 
-// Store writes the word at addr without any transactional bookkeeping.
-func (d Direct) Store(addr Addr, v uint64) { d.A.Store(addr, v) }
+// Store writes the word at addr with a plain store and no transactional
+// bookkeeping. Like the Arena accessors it ends in runtime.KeepAlive.
+func (d Direct) Store(addr Addr, v uint64) {
+	d.A.words[addr] = v
+	runtime.KeepAlive(d.A)
+}
 
 // Alloc allocates from the underlying arena.
 func (d Direct) Alloc(n int) Addr { return d.A.Alloc(n) }

@@ -242,3 +242,27 @@ func TestDirectSatisfiesContract(t *testing.T) {
 	}
 	d.Free(addr, 1) // no-op, must not panic
 }
+
+// storeSpan is the region the store benchmarks sweep: 4096 words (32 KiB),
+// small enough to stay in L1, so a store's cost is the instruction's.
+const storeSpan = 4096
+
+// BenchmarkArenaStore is the per-word cost of Arena.Store, the atomic store
+// every transactional write uses (a locked XCHG on amd64).
+func BenchmarkArenaStore(b *testing.B) {
+	a := NewArena(storeSpan)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Store(Addr(i&(storeSpan-1)), uint64(i))
+	}
+}
+
+// BenchmarkDirectStore is the per-word cost of Direct.Store, the plain
+// store that staging, checking and compaction use.
+func BenchmarkDirectStore(b *testing.B) {
+	d := Direct{A: NewArena(storeSpan)}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Store(Addr(i&(storeSpan-1)), uint64(i))
+	}
+}

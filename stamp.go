@@ -23,7 +23,8 @@ type (
 	// Addr is a word index into an Arena; Nil (0) is the null address.
 	Addr = mem.Addr
 	// Direct is a non-transactional accessor over an Arena, for setup and
-	// verification phases.
+	// verification phases: code that has the arena to itself. Its stores
+	// are plain writes, so it must not run beside a transaction.
 	Direct = mem.Direct
 	// Mem is the load/store/alloc contract shared by Tx and Direct.
 	Mem = tm.Mem
