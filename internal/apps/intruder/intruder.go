@@ -10,6 +10,7 @@ package intruder
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -82,7 +83,9 @@ const (
 	fragmentBytes   = 16
 )
 
-var alphabet = []byte("abcdefghijklmnopqrstuvwxyz0123456789")
+// alphabet is a constant so that r.Intn(len(alphabet)), inlined, divides
+// by a constant: a multiply, not a 64-bit DIV per payload byte.
+const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 // New generates the attack dictionary, the flows (AttackPercent of which
 // embed a random signature), and the shuffled fragment stream.
@@ -95,35 +98,48 @@ func New(cfg Config) *App {
 	}
 	a := &App{cfg: cfg}
 	r := rng.New(cfg.Seed ^ 0x696e7472)
-	randString := func(n int) string {
-		var sb strings.Builder
-		for i := 0; i < n; i++ {
-			sb.WriteByte(alphabet[r.Intn(len(alphabet))])
+	// Every string's symbols are drawn into buf, which only ever grows to
+	// the longest flow; each string then costs one allocation, its own.
+	var buf []byte
+	randBytes := func(n int) []byte {
+		buf = slices.Grow(buf[:0], n)[:n]
+		for i := range buf {
+			buf[i] = alphabet[r.Intn(len(alphabet))]
 		}
-		return sb.String()
+		return buf
 	}
 	for i := 0; i < dictionarySize; i++ {
-		a.dictionary = append(a.dictionary, strings.ToUpper(randString(signatureLength)))
+		a.dictionary = append(a.dictionary, strings.ToUpper(string(randBytes(signatureLength))))
 	}
 	a.detector = NewDetector(a.dictionary)
 	a.flows = make([]string, cfg.Flows)
 	a.attacked = make([]bool, cfg.Flows)
+	nfrags := make([]int32, cfg.Flows)
+	total := 0
 	nAttacks := cfg.Flows * cfg.AttackPercent / 100
 	for f := 0; f < cfg.Flows; f++ {
 		nfrag := 1 + r.Intn(cfg.MaxPackets)
-		content := randString(nfrag * fragmentBytes)
+		content := randBytes(nfrag * fragmentBytes)
 		if f < nAttacks {
 			a.attacked[f] = true
 			sig := a.dictionary[r.Intn(dictionarySize)]
 			pos := r.Intn(len(content) - len(sig) + 1)
-			content = content[:pos] + sig + content[pos+len(sig):]
+			copy(content[pos:], sig)
 		}
-		a.flows[f] = content
-		for frag := 0; frag < nfrag; frag++ {
+		a.flows[f] = string(content)
+		nfrags[f] = int32(nfrag)
+		total += nfrag
+	}
+	// The fragments draw nothing from r, so they can be cut once the flows
+	// are known, into a slice of exactly their number.
+	a.packets = make([]packet, 0, total)
+	for f, content := range a.flows {
+		nfrag := nfrags[f]
+		for frag := int32(0); frag < nfrag; frag++ {
 			a.packets = append(a.packets, packet{
 				flow:  int32(f),
-				frag:  int32(frag),
-				nfrag: int32(nfrag),
+				frag:  frag,
+				nfrag: nfrag,
 				data:  content[frag*fragmentBytes : (frag+1)*fragmentBytes],
 			})
 		}
@@ -137,9 +153,11 @@ func New(cfg Config) *App {
 // Name implements apps.App.
 func (a *App) Name() string { return "intruder" }
 
-// ArenaWords implements apps.App. Aborted attempts leak their allocations
-// (bump allocator, like STAMP's tmalloc), so the budget includes generous
-// retry churn on top of the live-data estimate.
+// ArenaWords implements apps.App: the live-data estimate times a generous
+// factor. Aborted attempts do not leak their allocations (each worker's
+// mem.Reserver takes them back for its retry), so the factor is headroom —
+// reservation chunks, session records and fragment lists — not retry churn;
+// words never drawn cost only address space (mem.NewArena).
 func (a *App) ArenaWords() int {
 	perFlow := sesWords + 8 /* rb node */ + 2 /* list hdr */ + 3
 	perPkt := 3 /* list node */

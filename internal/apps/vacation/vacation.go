@@ -84,27 +84,41 @@ func New(cfg Config) *App {
 	if queryRange < 1 {
 		queryRange = 1
 	}
-	for s := 0; s < cfg.Transactions; s++ {
+	// Every reserve session has QueriesPerTx items and every update session
+	// QueriesPerTx updates, so each kind appends to one backing array and a
+	// session slices its own out of it. The arrays start at the expected
+	// count plus a margin far beyond its spread; a count past that regrows
+	// them, and the sessions already sliced keep the old array.
+	n := cfg.QueriesPerTx
+	deleteBelow := cfg.PercentUser + (100-cfg.PercentUser)/2
+	a.sessions = make([]session, max(cfg.Transactions, 0))
+	expect := func(percent int) int {
+		e := len(a.sessions) * percent / 100
+		return n * max(e+e/16+16, 0)
+	}
+	items := make([]Item, 0, expect(cfg.PercentUser))
+	updates := make([]Update, 0, expect(100-deleteBelow))
+	for s := range a.sessions {
+		ses := &a.sessions[s]
 		action := r.Intn(100)
-		var ses session
 		switch {
 		case action < cfg.PercentUser:
 			ses.kind = 0
 			ses.cust = r.Intn(queryRange) + 1
-			n := cfg.QueriesPerTx
 			for i := 0; i < n; i++ {
-				ses.items = append(ses.items, Item{
+				items = append(items, Item{
 					Typ: r.Intn(numTypes),
 					ID:  r.Intn(queryRange) + 1,
 				})
 			}
-		case action < cfg.PercentUser+(100-cfg.PercentUser)/2:
+			ses.items = items[len(items)-n : len(items) : len(items)]
+		case action < deleteBelow:
 			ses.kind = 1
 			ses.cust = r.Intn(queryRange) + 1
 		default:
 			ses.kind = 2
-			for i := 0; i < cfg.QueriesPerTx; i++ {
-				ses.updates = append(ses.updates, Update{
+			for i := 0; i < n; i++ {
+				updates = append(updates, Update{
 					Typ:   r.Intn(numTypes),
 					ID:    r.Intn(queryRange) + 1,
 					Add:   r.Intn(2) == 0,
@@ -112,8 +126,8 @@ func New(cfg Config) *App {
 					Price: r.Intn(450) + 50,
 				})
 			}
+			ses.updates = updates[len(updates)-n : len(updates) : len(updates)]
 		}
-		a.sessions = append(a.sessions, ses)
 	}
 	return a
 }
@@ -122,12 +136,13 @@ func New(cfg Config) *App {
 func (a *App) Name() string { return "vacation" }
 
 // ArenaWords implements apps.App: trees, records, customer lists, and slack
-// for session-created records plus abort-retry allocation churn (the bump
-// allocator leaks aborted attempts' allocations, like STAMP's tmalloc). As
-// in StoreWords, a tree node is counted as 8 words and a customer as 8 + 4
-// where NewStore draws 6 and 6 + 2: deliberate upper bounds. The surplus
-// is headroom for the list nodes and records Run adds, and words never
-// drawn cost only address space (mem.NewArena).
+// for the records and list nodes sessions create. Aborted attempts'
+// allocations do not leak (each worker's mem.Reserver takes them back for
+// its retry), so the slack is headroom, not retry churn. As in StoreWords,
+// a tree node is counted as 8 words and a customer as 8 + 4 where NewStore
+// draws 6 and 6 + 2: deliberate upper bounds. The surplus is headroom for
+// the list nodes and records Run adds, and words never drawn cost only
+// address space (mem.NewArena).
 func (a *App) ArenaWords() int {
 	perRecord := resWords + 8 /* rb node (6 words) rounded up */
 	perCustomer := 8 + 4      /* rb node (6) + list header (2), rounded up */

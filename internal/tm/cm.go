@@ -194,16 +194,19 @@ func (p *CMPool) ForThread(id int, st *ThreadStats) ContentionManager {
 }
 
 func (p *CMPool) base(id int, st *ThreadStats) cmBase {
-	return cmBase{pool: p, id: id, st: st, r: rng.New(p.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15)}
+	return cmBase{pool: p, id: id, st: st, r: *rng.New(p.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15)}
 }
 
 // cmBase is the state shared by the policy implementations: the pool, the
 // owning thread's id and statistics record, and a per-thread jitter stream.
+// The stream is held by value, inside the policy, so each draw writes the
+// policy's own padded lines rather than a small separate allocation that
+// sits beside the next worker's.
 type cmBase struct {
 	pool *CMPool
 	id   int
 	st   *ThreadStats
-	r    *rng.Rand
+	r    rng.Rand
 }
 
 // delay spins for n iterations and accounts the wait in the thread's stats
@@ -244,6 +247,7 @@ func WaitOrAbort(self, enemy ContentionManager, w *thread.Waiter) bool {
 // aborts, then a delay drawn uniformly from a linearly growing budget.
 type randlinCM struct {
 	cmBase
+	_ [64]byte // keep the next worker's policy off this one's last line
 }
 
 func (c *randlinCM) Name() string       { return "randlin" }
@@ -265,6 +269,7 @@ func (c *randlinCM) delayFor(aborts int) int {
 // the threshold, capped so the worst delay stays sub-millisecond.
 type expoCM struct {
 	cmBase
+	_ [64]byte // keep the next worker's policy off this one's last line
 }
 
 // expoUnit is the spin budget of the first exponential step; expoCap bounds
@@ -301,6 +306,7 @@ func (c *expoCM) delayFor(aborts int) int {
 type greedyCM struct {
 	cmBase
 	ts atomic.Uint64 // timestamp of the current block; 0 = not in a block
+	_  [64]byte      // keep the next worker's policy off this one's last line
 }
 
 func (c *greedyCM) Name() string { return "greedy" }
@@ -336,6 +342,7 @@ func (c *greedyCM) ShouldAbort(enemy ContentionManager) bool {
 type karmaCM struct {
 	cmBase
 	karma atomic.Uint64
+	_     [64]byte // keep the next worker's policy off this one's last line
 }
 
 func (c *karmaCM) Name() string { return "karma" }

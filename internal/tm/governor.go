@@ -47,6 +47,10 @@ type governor struct {
 	// caller to yield to a pending escalation, consumed by
 	// CauseOrDisplaced at the abort site.
 	displaced bool
+
+	// OnStart writes displaced on every block: keep the next worker's
+	// governor, allocated right after this one, off this one's last line.
+	_ [64]byte
 }
 
 // Name returns the wrapped policy's registry name, so Result.CM and the

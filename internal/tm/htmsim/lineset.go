@@ -25,10 +25,16 @@ const (
 // conflict detection. All slot accesses are atomic, so probes are race-free;
 // a probe that overlaps an insert may miss it, which the lazy HTM's commit
 // epoch protocol compensates for (see lazy.go).
+//
+// used lists every slot an insert has taken from empty since the last
+// clear, so clear costs the footprint, not the table: every slot off the
+// list is already empty, and a concurrent probe sees the same empty slots
+// after a clear of the list as after a sweep of the whole table.
 type lineSet struct {
 	slots []atomic.Uint32
 	mask  uint32
-	count int // live entries; owner-only
+	count int      // live entries; owner-only
+	used  []uint32 // slots filled from empty since clear; owner-only
 }
 
 func newLineSet(capacity int) *lineSet {
@@ -36,7 +42,7 @@ func newLineSet(capacity int) *lineSet {
 	for int(n) < 2*capacity {
 		n <<= 1
 	}
-	return &lineSet{slots: make([]atomic.Uint32, n), mask: n - 1}
+	return &lineSet{slots: make([]atomic.Uint32, n), mask: n - 1, used: make([]uint32, 0, n)}
 }
 
 func (s *lineSet) hash(l mem.Line) uint32 {
@@ -57,6 +63,7 @@ func (s *lineSet) insert(l mem.Line) (added, ok bool) {
 		case emptySlot:
 			if free == 0xffffffff {
 				free = i
+				s.used = append(s.used, i) // a tombstone's slot is listed already
 			}
 			s.slots[free].Store(uint32(l))
 			s.count++
@@ -109,13 +116,13 @@ func (s *lineSet) remove(l mem.Line) {
 	}
 }
 
-// clear empties the set (including tombstones). Owner-only.
+// clear empties the set (including tombstones): only the slots on used can
+// be non-empty. Owner-only.
 func (s *lineSet) clear() {
-	for i := range s.slots {
-		if s.slots[i].Load() != emptySlot {
-			s.slots[i].Store(emptySlot)
-		}
+	for _, i := range s.used {
+		s.slots[i].Store(emptySlot)
 	}
+	s.used = s.used[:0]
 	s.count = 0
 }
 

@@ -5,6 +5,8 @@ import (
 	"testing/quick"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/rng"
+	"github.com/stamp-go/stamp/internal/tm"
 )
 
 func TestLineSetInsertContains(t *testing.T) {
@@ -129,5 +131,79 @@ func TestLineSetModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLineSetClearEmptiesEverySlot: clear resets only the slots inserts
+// filled, so after any mix of inserts (through tombstones too), removes and
+// clears, every slot of the table must read empty again. A clear that
+// skips one filled slot leaves a stale line a committer can still find.
+func TestLineSetClearEmptiesEverySlot(t *testing.T) {
+	s := newLineSet(64)
+	r := rng.New(1)
+	for round := 0; round < 200; round++ {
+		for i := r.Intn(100); i >= 0; i-- {
+			l := mem.Line(1 + r.Intn(300))
+			if r.Intn(4) == 0 {
+				s.remove(l)
+			} else {
+				s.insert(l)
+			}
+		}
+		s.clear()
+		for i := range s.slots {
+			if v := s.slots[i].Load(); v != emptySlot {
+				t.Fatalf("round %d: slot %d holds %#x after clear", round, i, v)
+			}
+		}
+	}
+}
+
+// TestLazyStaleLineKillsNoFreshAttempt: a line an earlier transaction of
+// one thread read or wrote must not be in the line sets of its next
+// transaction. If Begin's clear left one behind, a committer writing that
+// line would kill the fresh attempt, which never touched it.
+func TestLazyStaleLineKillsNoFreshAttempt(t *testing.T) {
+	arena := mem.NewArena(1 << 16)
+	base := arena.AllocLines(256 * mem.WordsPerLine)
+	sys, err := NewLazy(tm.Config{Arena: arena, Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := func(i int) mem.Addr { return base + mem.Addr(i*mem.WordsPerLine) }
+	const footprint = 128 // lines 0..63 read, 64..127 written
+	fresh := line(200)
+	th0, th1 := sys.Thread(0), sys.Thread(1)
+	th0.Atomic(func(tx tm.Tx) {
+		for i := 0; i < footprint/2; i++ {
+			tx.Load(line(i))
+			tx.Store(line(footprint/2+i), 1)
+		}
+	})
+	open, committed := make(chan struct{}), make(chan struct{})
+	attempts := 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		th0.Atomic(func(tx tm.Tx) {
+			attempts++
+			tx.Load(fresh)
+			if attempts == 1 {
+				close(open)
+				<-committed
+			}
+			tx.Store(fresh, tx.Load(fresh)+1)
+		})
+	}()
+	<-open
+	th1.Atomic(func(tx tm.Tx) {
+		for i := 0; i < footprint; i++ {
+			tx.Store(line(i), 2)
+		}
+	})
+	close(committed)
+	<-done
+	if attempts != 1 {
+		t.Fatalf("the fresh transaction ran %d attempts: a committer killed it over a line only its predecessor touched", attempts)
 	}
 }

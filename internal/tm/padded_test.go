@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
@@ -24,5 +25,25 @@ func TestPaddedUint64Isolation(t *testing.T) {
 	}
 	if pair[1].Load() != 0 {
 		t.Fatal("neighbor clobbered")
+	}
+}
+
+// TestPerWorkerStateIsolation pins the same contract for the per-worker
+// liveness state every block writes — the governor's displaced flag, the
+// policies' timestamps, karma and jitter streams. Each is allocated once
+// per worker, back to back, so each must end in at least a line of padding:
+// then two workers' written fields can never share a cache line.
+func TestPerWorkerStateIsolation(t *testing.T) {
+	for _, v := range []any{governor{}, randlinCM{}, expoCM{}, greedyCM{}, karmaCM{}} {
+		typ := reflect.TypeOf(v)
+		end := uintptr(0) // end of the last field that is not padding
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.Name != "_" {
+				end = f.Offset + f.Type.Size()
+			}
+		}
+		if pad := typ.Size() - end; pad < 64 {
+			t.Errorf("%s: only %d bytes of padding after its last field", typ.Name(), pad)
+		}
 	}
 }

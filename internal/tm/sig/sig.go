@@ -66,10 +66,15 @@ func hash4(line uint32) uint32 {
 	return x % Bits
 }
 
-// Insert adds a line address to the signature.
+// Insert adds a line address to the signature. A bit already set costs a
+// load, not a locked OR: only the owner sets bits, so none can be cleared
+// between the test and the skipped set.
 func (s *Signature) Insert(line uint32) {
 	for _, h := range [4]uint32{hash1(line), hash2(line), hash3(line), hash4(line)} {
-		s.w[h/64].Or(1 << (h % 64))
+		w, bit := &s.w[h/64], uint64(1)<<(h%64)
+		if w.Load()&bit == 0 {
+			w.Or(bit)
+		}
 	}
 }
 
@@ -83,10 +88,13 @@ func (s *Signature) Test(line uint32) bool {
 	return true
 }
 
-// Clear empties the signature.
+// Clear empties the signature, storing only to the words that hold a bit.
+// Owner-only, like Insert.
 func (s *Signature) Clear() {
 	for i := range s.w {
-		s.w[i].Store(0)
+		if s.w[i].Load() != 0 {
+			s.w[i].Store(0)
+		}
 	}
 }
 
