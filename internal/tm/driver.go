@@ -157,7 +157,7 @@ func (c *TxCore) Restart() { c.Info.Fail(CauseExplicitRetry, 0, NoBlock) }
 // Runtime is the protocol-independent half of a TM system: the worker
 // slots, their statistics and contention managers, and the System
 // accessors. A runtime's system type embeds *Runtime[T] next to its own
-// shared protocol state (lock table, sequence lock, directory, ...).
+// shared protocol state (lock table, sequence lock, claim locks, ...).
 type Runtime[T Protocol] struct {
 	Shared
 	// Txs is every slot's transaction, for protocols whose conflict

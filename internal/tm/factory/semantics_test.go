@@ -424,36 +424,39 @@ func TestHTMEagerOverflowSignatures(t *testing.T) {
 	}
 
 	// Witness the spill deterministically: while slot 0 holds the lines in
-	// its signatures, slot 1 reading the last one (past the set's ways, so
-	// never directory-marked) must abort with signature-conflict.
-	before := sys.Stats().AbortCauses()[tm.CauseSignatureConflict]
-	ready, spilled, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		<-ready
-		attempt := 0
-		sys.Thread(1).Atomic(func(tx tm.Tx) {
-			if attempt++; attempt == 2 {
-				close(spilled)
-				<-release
+	// its signatures, slot 1 reading one must abort with signature-conflict
+	// — the last line (past the set's ways, so only ever in the signatures)
+	// and the first (held before the spill, which moved it there too).
+	for _, probe := range []mem.Addr{addrs[len(addrs)-1], addrs[0]} {
+		before := sys.Stats().AbortCauses()[tm.CauseSignatureConflict]
+		ready, spilled, release, done := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(done)
+			<-ready
+			attempt := 0
+			sys.Thread(1).Atomic(func(tx tm.Tx) {
+				if attempt++; attempt == 2 {
+					close(spilled)
+					<-release
+				}
+				tx.Load(probe)
+			})
+		}()
+		sys.Thread(0).Atomic(func(tx tm.Tx) {
+			for _, a := range addrs {
+				tx.Store(a, tx.Load(a))
 			}
-			tx.Load(addrs[len(addrs)-1])
+			close(ready)
+			select {
+			case <-spilled:
+			case <-done: // slot 1 committed without a conflict: no spill
+			}
 		})
-	}()
-	sys.Thread(0).Atomic(func(tx tm.Tx) {
-		for _, a := range addrs {
-			tx.Store(a, tx.Load(a))
+		close(release)
+		<-done
+		if got := sys.Stats().AbortCauses()[tm.CauseSignatureConflict] - before; got != 1 {
+			t.Fatalf("reader of spilled line %d recorded %d signature-conflict aborts, want 1", probe, got)
 		}
-		close(ready)
-		select {
-		case <-spilled:
-		case <-done: // slot 1 committed without a conflict: no spill
-		}
-	})
-	close(release)
-	<-done
-	if got := sys.Stats().AbortCauses()[tm.CauseSignatureConflict] - before; got != 1 {
-		t.Fatalf("reader of a spilled line recorded %d signature-conflict aborts, want 1", got)
 	}
 }
 

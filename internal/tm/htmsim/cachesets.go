@@ -4,10 +4,11 @@ import "github.com/stamp-go/stamp/internal/mem"
 
 // The simulated HTMs' speculative buffer is Table V's L1: 64 KB, 4-way
 // set-associative, 32 B lines => 2048 lines in 512 sets of 4 ways. A
-// transaction overflows when more than capacityAssoc of its lines map to
-// one set — which is how the paper's bayes and labyrinth+ footprints
-// (~450-780 lines) overflow the L1 long before filling it — or when its
-// footprint exceeds capacityLines.
+// transaction overflows when more than capacityAssoc of its distinct lines
+// map to one set — which is how the paper's bayes and labyrinth+ footprints
+// (~450-780 lines) overflow the L1 long before filling it. A line both read
+// and written takes one way, and the ways cap a footprint at capacityLines,
+// so the setTracker is the whole capacity rule.
 const (
 	capacityLines = 2048
 	capacityAssoc = 4

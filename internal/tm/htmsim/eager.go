@@ -1,7 +1,6 @@
 package htmsim
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -16,16 +15,25 @@ import (
 
 // Eager simulates the paper's LogTM-style eager HTM: data versioning is
 // eager (writes go to memory in place, old values to an undo log), conflict
-// detection is early (at access time, through a line-ownership directory
-// that models the coherence protocol), granularity is the 32-byte line, the
-// requester loses on conflict and restarts immediately with no backoff, a
-// transaction that has aborted priorityAborts (32) times gains high priority
-// so others cannot abort it (the livelock escape), and capacity overflow
-// moves a transaction's addresses into a Bloom-filter signature whose false
-// positives cause the conservative extra aborts the paper observes.
+// detection is early (at access time: a barrier probes every running peer's
+// line sets, as the coherence protocol would snoop their caches),
+// granularity is the 32-byte line, the requester loses on conflict and
+// restarts immediately with no backoff, a transaction that has aborted
+// priorityAborts (32) times gains high priority so others cannot abort it
+// (the livelock escape), and capacity overflow moves a transaction's
+// addresses into a Bloom-filter signature whose false positives cause the
+// conservative extra aborts the paper observes.
 type Eager struct {
 	*tm.Runtime[*eagerTx]
-	dir *directory
+	// claims serializes the probe-then-mark step of the barriers on the
+	// lines that hash to each lock, so of two conflicting accesses to a
+	// line the second always sees the first's mark.
+	claims [256]claimLock
+}
+
+type claimLock struct {
+	sync.Mutex
+	_ [56]byte // pad locks apart
 }
 
 // priorityAborts is the abort count after which a block's attempts run with
@@ -42,10 +50,10 @@ func NewEager(cfg tm.Config) (*Eager, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Eager{Runtime: rt, dir: newDirectory()}
+	s := &Eager{Runtime: rt}
 	rt.Bind(func(int) *eagerTx {
 		return &eagerTx{sys: s, sets: new(setTracker),
-			readLines: make(map[mem.Line]struct{}), writeLines: make(map[mem.Line]struct{})}
+			reads: newLineSet(capacityLines), writes: newLineSet(capacityLines)}
 	})
 	return s, nil
 }
@@ -59,46 +67,44 @@ type eagerTx struct {
 	sets     *setTracker    // associativity model (Table V: 4-way)
 	undo     txset.WriteSet // addr → old value; doubles as the written-set
 
-	// The lines this attempt holds directory marks (or, past capacity,
-	// signature entries) on; LineCounts reports them as its set sizes.
-	readLines  map[mem.Line]struct{}
-	writeLines map[mem.Line]struct{}
+	// The lines this attempt has read and written; peers probe them under
+	// the line's claim lock, and LineCounts reports their sizes.
+	reads  *lineSet
+	writes *lineSet
 
-	// Overflow mode: addresses past capacity live in signatures instead of
-	// the directory; other transactions test them conservatively.
+	// Overflow mode: peers test the signatures, which hold every line the
+	// attempt has, instead of its line sets.
 	overflowed atomic.Bool
 	readSig    sig.Signature
 	writeSig   sig.Signature
 }
 
 // Begin opens the attempt; a block that has aborted priorityAborts times
-// runs it with high priority (the paper's livelock escape).
+// runs it with high priority (the paper's livelock escape). The previous
+// attempt's line sets are cleared here, before Arm makes the attempt
+// visible (peers skip an inactive transaction), so LineCounts can still
+// read them after Commit.
 func (x *eagerTx) Begin(aborts int, _ bool) {
 	x.sets.reset()
 	x.undo.Reset()
-	clear(x.readLines)
-	clear(x.writeLines)
+	x.reads.clear()
+	x.writes.clear()
 	x.priority.Store(aborts >= priorityAborts)
-	x.readSig.Clear()
-	x.writeSig.Clear()
-	x.overflowed.Store(false)
 	x.Arm()
 }
 
-// Rollback restores memory from the undo log and withdraws all conflict-
-// detection state, then leaves the transaction inactive.
+// Rollback restores memory from the undo log and withdraws the attempt's
+// marks, then leaves the transaction inactive.
 func (x *eagerTx) Rollback() {
 	undo := x.undo.Entries()
 	for i := len(undo) - 1; i >= 0; i-- {
 		x.Mem.Store(undo[i].Addr, undo[i].Val)
 	}
-	x.undo.Reset()
-	x.releaseMarks()
-	x.Active.Store(false)
+	x.release()
 }
 
-// Commit publishes by withdrawing conflict-detection state; the data is
-// already in place.
+// Commit publishes by withdrawing the attempt's marks; the data is already
+// in place.
 func (x *eagerTx) Commit() bool {
 	// Eager conflict detection keeps running transactions disjoint, so no
 	// commit-time validation is needed; only a pending abort request (from a
@@ -107,30 +113,25 @@ func (x *eagerTx) Commit() bool {
 		x.Blame(&x.Info, tm.CauseCMKill)
 		return false
 	}
-	x.undo.Reset()
-	x.releaseMarks()
-	x.Active.Store(false)
+	x.release()
 	return true
 }
 
-// LineCounts overrides the core's with the attempt's marked lines.
-func (x *eagerTx) LineCounts() (reads, writes int, ok bool) {
-	return len(x.readLines), len(x.writeLines), true
-}
-
-func (x *eagerTx) releaseMarks() {
-	for l := range x.readLines {
-		x.sys.dir.dropReader(l, x.ID)
-	}
-	for l := range x.writeLines {
-		x.sys.dir.dropWriter(l, x.ID)
-	}
-	// Signatures are cleared only after memory is restored (rollback runs
-	// the undo log first), so a reader that raced past a cleared signature
-	// can only observe restored or committed data.
+// release leaves overflow mode and the attempt. Signatures are cleared
+// only after memory is restored (Rollback replays the undo log first), so
+// a reader that raced past a cleared signature can only observe restored
+// or committed data; the line sets, which hold every line, stay exact
+// until the transaction goes inactive.
+func (x *eagerTx) release() {
 	x.readSig.Clear()
 	x.writeSig.Clear()
 	x.overflowed.Store(false)
+	x.Active.Store(false)
+}
+
+// LineCounts overrides the core's with the attempt's line sets.
+func (x *eagerTx) LineCounts() (reads, writes int, ok bool) {
+	return x.reads.len(), x.writes.len(), true
 }
 
 func (x *eagerTx) pollAbort() {
@@ -142,7 +143,7 @@ func (x *eagerTx) pollAbort() {
 }
 
 // conflictWith resolves a conflict on line l against victim, attributing a
-// requester-loses abort to cause (htm-conflict for precise directory hits,
+// requester-loses abort to cause (htm-conflict for precise line-set hits,
 // signature-conflict for Bloom hits). Requester loses: the caller aborts
 // itself — unless it holds priority and outranks the victim, in which case
 // the victim is flagged and the caller waits for it to withdraw (the
@@ -150,9 +151,6 @@ func (x *eagerTx) pollAbort() {
 // wins, so priority conflicts always have a global winner and cannot
 // livelock. Returns only when the caller may retry the barrier.
 func (x *eagerTx) conflictWith(victim *eagerTx, l mem.Line, cause tm.AbortCause) {
-	if victim == nil {
-		x.Info.Fail(cause, trace.LineKey(uint64(l)), tm.NoBlock)
-	}
 	win := x.priority.Load() && (!victim.priority.Load() || x.ID < victim.ID)
 	if !win {
 		// Requester loses; blame the line's current holder.
@@ -166,32 +164,53 @@ func (x *eagerTx) conflictWith(victim *eagerTx, l mem.Line, cause tm.AbortCause)
 	}
 }
 
-// checkOverflowSigs tests every other overflowed transaction's signatures
-// for line l. write=true also conflicts with readers. The caller has
-// already published its own mark (directory entry or signature bit), so of
-// two racing conflicting transactions at least one sees the other.
-func (x *eagerTx) checkOverflowSigs(l mem.Line, write bool) {
-	for _, other := range x.sys.Txs {
-		if other == x {
+// probe returns the first active peer whose marks conflict with accessing
+// line l — its write mark, or for a write any mark — and the cause a
+// conflict with it carries. The caller holds l's claim lock.
+func (x *eagerTx) probe(l mem.Line, write bool) (*eagerTx, tm.AbortCause) {
+	for _, p := range x.sys.Txs {
+		if p == x || !p.Active.Load() {
 			continue
 		}
-		for other.Active.Load() && other.overflowed.Load() &&
-			(other.writeSig.Test(uint32(l)) || (write && other.readSig.Test(uint32(l)))) {
-			// Retries us, or waits out the victim. Bloom hits include false
-			// positives, so they carry their own cause.
-			x.conflictWith(other, l, tm.CauseSignatureConflict)
+		if p.overflowed.Load() {
+			// Bloom hits include false positives, so they carry their own cause.
+			if p.writeSig.Test(uint32(l)) || write && p.readSig.Test(uint32(l)) {
+				return p, tm.CauseSignatureConflict
+			}
+		} else if p.writes.contains(l) || write && p.reads.contains(l) {
+			return p, tm.CauseHTMConflict
 		}
 	}
+	return nil, 0
 }
 
-// trackCapacity accounts a newly acquired line in the capacity model and
-// reports whether the speculative buffer still holds everything (false
-// means the transaction must spill to signatures).
-func (x *eagerTx) trackCapacity(l mem.Line) bool {
-	if len(x.readLines)+len(x.writeLines) >= capacityLines {
-		return false
+// claim marks line l in set (and, in overflow mode, in sg) once no peer
+// holds a conflicting mark. The probe and the mark are one step under l's
+// claim lock. On a conflict the requester loses; a priority requester
+// marks anyway — a reservation that turns away new accesses to l, so it
+// drains the current holders instead of chasing rejoining readers forever
+// (LogTM's sticky-state trick) — and waits out each victim it flags.
+func (x *eagerTx) claim(l mem.Line, set *lineSet, sg *sig.Signature, write bool) {
+	if x.overflowed.Load() && set.len() >= len(set.slots)/2 {
+		x.grow(set)
 	}
-	return x.sets.add(l)
+	mu := &x.sys.claims[(uint32(l)*2654435761)>>24]
+	for {
+		x.pollAbort()
+		mu.Lock()
+		victim, cause := x.probe(l, write)
+		if victim == nil || x.priority.Load() {
+			if x.overflowed.Load() {
+				sg.Insert(uint32(l))
+			}
+			set.insert(l)
+		}
+		mu.Unlock()
+		if victim == nil {
+			return
+		}
+		x.conflictWith(victim, l, cause)
+	}
 }
 
 // Load implements the eager read barrier.
@@ -199,34 +218,12 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 	x.Loads++
 	x.pollAbort()
 	l := mem.LineOf(a)
-	if _, mine := x.readLines[l]; mine {
-		return x.Mem.Load(a)
-	}
-	if _, mine := x.writeLines[l]; mine {
-		return x.Mem.Load(a)
-	}
-	// Ordering matters: (1) publish our own access (signature bit when
-	// overflowed), (2) the directory operation (atomic publish+check for
-	// directory-tracked transactions), (3) probe other transactions'
-	// signatures, (4) touch memory. With every transaction publishing
-	// before it probes, at least one side of any race sees the other.
-	x.readLines[l] = struct{}{}
-	if !x.overflowed.Load() && !x.trackCapacity(l) {
-		x.spillToSignatures()
-	}
-	sigOnly := x.overflowed.Load()
-	if sigOnly {
-		x.readSig.Insert(uint32(l))
-	}
-	for {
-		x.pollAbort()
-		writer := x.sys.dir.addReader(l, x.ID, sigOnly)
-		if writer < 0 {
-			break
+	if !x.reads.contains(l) && !x.writes.contains(l) {
+		if !x.overflowed.Load() && !x.sets.add(l) {
+			x.spillToSignatures()
 		}
-		x.conflictWith(x.sys.Txs[writer], l, tm.CauseHTMConflict)
+		x.claim(l, x.reads, &x.readSig, false)
 	}
-	x.checkOverflowSigs(l, false)
 	return x.Mem.Load(a)
 }
 
@@ -237,59 +234,16 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 	x.pollAbort()
 	l := mem.LineOf(a)
 	// Failpoint: a spurious abort at the ownership claim looks exactly like
-	// a precise directory conflict, so it carries that site's natural cause.
+	// a precise line conflict, so it carries that site's natural cause.
 	// The undo log makes aborting here safe at any point in the attempt.
 	if x.Chaos.Fire(chaos.HTMArbitrate, x.ID) {
 		x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)), tm.NoBlock)
 	}
-	if _, mine := x.writeLines[l]; !mine {
-		// Publish-then-probe; see the ordering comment in Load.
-		x.writeLines[l] = struct{}{}
-		if _, alsoRead := x.readLines[l]; !alsoRead && !x.overflowed.Load() && !x.trackCapacity(l) {
+	if !x.writes.contains(l) {
+		if !x.reads.contains(l) && !x.overflowed.Load() && !x.sets.add(l) {
 			x.spillToSignatures()
 		}
-		sigOnly := x.overflowed.Load()
-		if sigOnly {
-			x.writeSig.Insert(uint32(l))
-		}
-		for {
-			x.pollAbort()
-			writerVictim, readers := x.sys.dir.claimWriter(l, x.ID, sigOnly, x.priority.Load())
-			if writerVictim >= 0 {
-				x.conflictWith(x.sys.Txs[writerVictim], l, tm.CauseHTMConflict)
-				continue
-			}
-			if readers == 0 {
-				break
-			}
-			if !x.priority.Load() {
-				// Requester loses against the reader set; blame the first
-				// reader holding the line.
-				x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)),
-					x.BlockOf(bits.TrailingZeros64(readers)))
-			}
-			// Priority: the reservation above blocks new readers; flag the
-			// current ones and wait until each drops its mark.
-			for r := 0; r < 64; r++ {
-				if readers&(1<<uint(r)) == 0 {
-					continue
-				}
-				victim := x.sys.Txs[r]
-				w := thread.Waiter{Parties: x.Cfg.Threads}
-				for x.sys.dir.hasReader(l, r) {
-					x.pollAbort()
-					if !victim.priority.Load() || x.ID < victim.ID {
-						victim.Kill(x.BlockOf(x.ID), l)
-					} else {
-						// Outranked; give way.
-						x.Info.Fail(tm.CauseHTMConflict, trace.LineKey(uint64(l)),
-							x.BlockOf(victim.ID))
-					}
-					w.Pause()
-				}
-			}
-		}
-		x.checkOverflowSigs(l, true)
+		x.claim(l, x.writes, &x.writeSig, true)
 	}
 	// Log the old value only on the first store to a.
 	if !x.undo.Contains(a) {
@@ -298,166 +252,49 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 	x.Mem.Store(a, v)
 }
 
-// spillToSignatures enters overflow mode: current and future lines are
-// summarized in Bloom signatures that other transactions check
-// conservatively. Directory marks for already-held lines are kept (they are
-// precise and harmless); new lines stop acquiring directory marks.
+// spillToSignatures enters overflow mode: every line the attempt holds goes
+// into its signatures before peers switch to testing them. It takes no
+// claim lock: a peer that still sees the attempt unspilled probes its line
+// sets, which stay exact, and from then on claim marks each new line in
+// both.
 func (x *eagerTx) spillToSignatures() {
-	for l := range x.readLines {
+	for l := range x.reads.all() {
 		x.readSig.Insert(uint32(l))
 	}
-	for l := range x.writeLines {
+	for l := range x.writes.all() {
 		x.writeSig.Insert(uint32(l))
 	}
 	x.overflowed.Store(true)
 }
 
-// EarlyRelease drops the reader mark for a line ("the eager HTM cannot
+// grow lets an overflowed attempt's line set outgrow Table V's capacity,
+// so its counts stay exact. Replacing the table is not safe against a
+// concurrent probe, so it runs under every claim lock: a probe that saw the
+// attempt unspilled has finished, and every later one tests the
+// signatures instead.
+func (x *eagerTx) grow(set *lineSet) {
+	for i := range x.sys.claims {
+		x.sys.claims[i].Lock()
+	}
+	set.grow()
+	for i := range x.sys.claims {
+		x.sys.claims[i].Unlock()
+	}
+}
+
+// EarlyRelease drops the reader mark for a line and frees its way in the
+// simulated L1, as htm-lazy's does ("the eager HTM cannot
 // perform early-release on addresses that hit in the Bloom filter", so in
 // overflow mode the signature entry stays and keeps generating conflicts —
 // the exact labyrinth+ behaviour from Section V).
 func (x *eagerTx) EarlyRelease(a mem.Addr) {
-	if !x.Cfg.EnableEarlyRelease {
-		return
-	}
-	l := mem.LineOf(a)
-	if _, mine := x.readLines[l]; !mine {
-		return
-	}
-	if _, alsoWrite := x.writeLines[l]; alsoWrite {
-		return
-	}
-	if x.overflowed.Load() {
+	if !x.Cfg.EnableEarlyRelease || x.overflowed.Load() {
 		return // cannot remove from a Bloom filter
 	}
-	x.sys.dir.dropReader(l, x.ID)
-	delete(x.readLines, l)
-}
-
-// directory models the coherence-protocol side of conflict detection: for
-// each line touched by a running transaction it records the writing
-// transaction (exclusive) and the reader set (shared), sharded by line hash.
-type directory struct {
-	shards [256]dirShard
-}
-
-type dirShard struct {
-	mu sync.Mutex
-	m  map[mem.Line]lineOwn
-	_  [40]byte // pad shards apart
-}
-
-type lineOwn struct {
-	writer  int32 // slot, or -1
-	readers uint64
-}
-
-func newDirectory() *directory {
-	d := &directory{}
-	for i := range d.shards {
-		d.shards[i].m = make(map[mem.Line]lineOwn)
-	}
-	return d
-}
-
-func (d *directory) shard(l mem.Line) *dirShard {
-	return &d.shards[(uint32(l)*2654435761)>>24]
-}
-
-// addReader records slot as a reader of l unless another transaction holds
-// the writer mark; it returns that writer's slot, or -1 on success. In
-// overflow mode (sigOnly) the conflict check still happens but no mark is
-// recorded (the caller records a signature instead).
-func (d *directory) addReader(l mem.Line, slot int, sigOnly bool) int32 {
-	s := d.shard(l)
-	s.mu.Lock()
-	own, ok := s.m[l]
-	if !ok {
-		own = lineOwn{writer: -1}
-	}
-	if own.writer >= 0 && own.writer != int32(slot) {
-		w := own.writer
-		s.mu.Unlock()
-		return w
-	}
-	if !sigOnly {
-		own.readers |= 1 << uint(slot)
-		s.m[l] = own
-	}
-	s.mu.Unlock()
-	return -1
-}
-
-// claimWriter tries to make slot the exclusive writer of l.
-//
-// It returns (writerConflict, readerMask): writerConflict >= 0 names another
-// transaction holding the writer slot; otherwise readerMask holds the other
-// current readers (0 = success, the line is ours). With reserve set (the
-// high-priority escape), the writer slot is claimed even while readers
-// remain — the reservation blocks new readers so the priority transaction
-// can drain the existing ones instead of chasing rejoining readers forever
-// (LogTM's sticky-state trick; without it a priority writer livelocks
-// against a crowd of readers on a hot line).
-func (d *directory) claimWriter(l mem.Line, slot int, sigOnly, reserve bool) (int32, uint64) {
-	s := d.shard(l)
-	s.mu.Lock()
-	own, ok := s.m[l]
-	if !ok {
-		own = lineOwn{writer: -1}
-	}
-	if own.writer >= 0 && own.writer != int32(slot) {
-		w := own.writer
-		s.mu.Unlock()
-		return w, 0
-	}
-	others := own.readers &^ (1 << uint(slot))
-	switch {
-	case others == 0 && !sigOnly:
-		own.writer = int32(slot) // clean exclusive claim
-		s.m[l] = own
-	case others != 0 && reserve:
-		own.writer = int32(slot) // reservation: block new readers, drain old
-		s.m[l] = own
-	}
-	s.mu.Unlock()
-	return -1, others
-}
-
-// hasReader reports whether slot currently holds a reader mark on l.
-func (d *directory) hasReader(l mem.Line, slot int) bool {
-	s := d.shard(l)
-	s.mu.Lock()
-	own, ok := s.m[l]
-	s.mu.Unlock()
-	return ok && own.readers&(1<<uint(slot)) != 0
-}
-
-// dropReader removes slot's reader mark on l.
-func (d *directory) dropReader(l mem.Line, slot int) {
-	s := d.shard(l)
-	s.mu.Lock()
-	if own, ok := s.m[l]; ok {
-		own.readers &^= 1 << uint(slot)
-		if own.readers == 0 && own.writer < 0 {
-			delete(s.m, l)
-		} else {
-			s.m[l] = own
+	if l := mem.LineOf(a); !x.writes.contains(l) {
+		if x.reads.contains(l) {
+			x.sets.drop(l)
 		}
+		x.reads.remove(l)
 	}
-	s.mu.Unlock()
-}
-
-// dropWriter removes slot's writer mark on l.
-func (d *directory) dropWriter(l mem.Line, slot int) {
-	s := d.shard(l)
-	s.mu.Lock()
-	if own, ok := s.m[l]; ok && own.writer == int32(slot) {
-		own.writer = -1
-		if own.readers == 0 {
-			delete(s.m, l)
-		} else {
-			s.m[l] = own
-		}
-	}
-	s.mu.Unlock()
 }

@@ -175,12 +175,8 @@ func (x *lazyTx) Load(a mem.Addr) uint64 {
 		x.failKilled()
 	}
 	l := mem.LineOf(a)
-	added, ok := x.readSet.insert(l)
-	if !ok || (added && x.readSet.len()+x.writeSet.len() > capacityLines) {
-		x.overflow(l)
-	}
-	if added && !x.writeSet.contains(l) && !x.sets.add(l) {
-		x.overflow(l) // associativity conflict in the speculative buffer
+	if added, ok := x.readSet.insert(l); !ok || added && !x.writeSet.contains(l) && !x.sets.add(l) {
+		x.overflow(l) // the line's set of the speculative buffer is full
 	}
 	v, ok := x.sys.arb.Read(&x.Flagged, x.Mem, a)
 	if !ok {
@@ -203,11 +199,7 @@ func (x *lazyTx) Store(a mem.Addr, v uint64) {
 	}
 	x.wbuf.Put(a, v)
 	l := mem.LineOf(a)
-	added, ok := x.writeSet.insert(l)
-	if !ok || (added && x.readSet.len()+x.writeSet.len() > capacityLines) {
-		x.overflow(l)
-	}
-	if added && !x.readSet.contains(l) && !x.sets.add(l) {
+	if added, ok := x.writeSet.insert(l); !ok || added && !x.readSet.contains(l) && !x.sets.add(l) {
 		x.overflow(l)
 	}
 }

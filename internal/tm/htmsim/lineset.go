@@ -9,6 +9,7 @@
 package htmsim
 
 import (
+	"iter"
 	"sync/atomic"
 
 	"github.com/stamp-go/stamp/internal/mem"
@@ -19,12 +20,14 @@ const (
 	tombstoneSlot = 0xffffffff // deleted marker (early release)
 )
 
-// lineSet is a fixed-capacity open-addressing hash set of cache lines with
-// single-writer / multi-reader atomicity: the owning transaction inserts and
-// removes, while committing transactions probe it concurrently during
-// conflict detection. All slot accesses are atomic, so probes are race-free;
-// a probe that overlaps an insert may miss it, which the lazy HTM's commit
-// epoch protocol compensates for (see lazy.go).
+// lineSet is an open-addressing hash set of cache lines, fixed-size while
+// peers may probe it, with single-writer / multi-reader atomicity: the
+// owning transaction inserts and removes, while peers probe it concurrently
+// during conflict detection — htm-lazy's committers, and htm-eager's
+// barriers under the line's claim lock. All slot accesses are atomic, so
+// probes are race-free; a probe that overlaps an insert may miss it, which
+// the lazy HTM's commit epoch protocol compensates for (see lazy.go) and
+// the eager HTM's claim lock rules out (see eager.go).
 //
 // used lists every slot an insert has taken from empty since the last
 // clear, so clear costs the footprint, not the table: every slot off the
@@ -128,3 +131,25 @@ func (s *lineSet) clear() {
 
 // len returns the number of live entries. Owner-only.
 func (s *lineSet) len() int { return s.count }
+
+// all yields every live entry: only the slots on used can hold one.
+// Owner-only.
+func (s *lineSet) all() iter.Seq[mem.Line] {
+	return func(yield func(mem.Line) bool) {
+		for _, i := range s.used {
+			if v := s.slots[i].Load(); v != emptySlot && v != tombstoneSlot && !yield(mem.Line(v)) {
+				return
+			}
+		}
+	}
+}
+
+// grow doubles the table, keeping the live entries. Owner-only, and only
+// while no other goroutine probes the set (htm-eager's overflow mode).
+func (s *lineSet) grow() {
+	g := newLineSet(len(s.slots))
+	for l := range s.all() {
+		g.insert(l)
+	}
+	*s = *g
+}

@@ -127,6 +127,32 @@ func TestLineSetModelProperty(t *testing.T) {
 				return false
 			}
 		}
+		// all yields each live entry once, and grow keeps exactly them.
+		yielded := map[mem.Line]bool{}
+		for l := range s.all() {
+			if !model[l] || yielded[l] {
+				return false
+			}
+			yielded[l] = true
+		}
+		if len(yielded) != len(model) {
+			return false
+		}
+		n := len(s.slots)
+		s.grow()
+		if len(s.slots) != 2*n || s.len() != len(model) {
+			return false
+		}
+		for l := range s.all() {
+			if !model[l] {
+				return false
+			}
+		}
+		for l := range model {
+			if !s.contains(l) {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

@@ -12,8 +12,8 @@
 //	              through the lock, read-only commits take no lock and no tick)
 //	htm-lazy      simulated TCC-style HTM (lazy versioning, commit arbitration,
 //	              line granularity, capacity overflow => serialized execution)
-//	htm-eager     simulated LogTM-style HTM (eager versioning, directory conflict
-//	              detection, requester loses, priority after 32 aborts, Bloom overflow)
+//	htm-eager     simulated LogTM-style HTM (eager versioning, access-time line
+//	              conflicts, requester loses, priority after 32 aborts, Bloom overflow)
 //	hybrid-lazy   simulated SigTM (software write buffer + hardware signatures)
 //	hybrid-eager  eager SigTM variant (software undo log + hardware signatures)
 //	stm-mv        multi-version STM: TL2-style writers append committed values

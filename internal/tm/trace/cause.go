@@ -36,8 +36,8 @@ const (
 	// positives the paper attributes to signatures).
 	CauseSignatureConflict
 	// CauseHTMConflict is a precise line conflict on the simulated HTMs:
-	// committer-wins arbitration (lazy) or requester-loses directory
-	// conflicts (eager).
+	// committer-wins arbitration (lazy) or a requester-loses hit in a
+	// peer's line sets at access time (eager).
 	CauseHTMConflict
 	// CauseHTMCapacity is a speculative-buffer overflow on the lazy HTM
 	// (capacity or associativity); the next attempt runs serialized.
