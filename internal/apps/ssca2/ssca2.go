@@ -8,8 +8,9 @@
 package ssca2
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/rng"
@@ -193,45 +194,46 @@ func (a *App) Run(sys tm.System, team *thread.Team) {
 // generated edge multiset, segmented by source node.
 func (a *App) Verify(ar *mem.Arena) error {
 	d := mem.Direct{A: ar}
-	// Degree check.
+	// Degree check. idx[v] is node v's run start (the prefix sum of the
+	// generated degrees); idx[a.n] is the edge count.
 	want := make([]uint64, a.n)
 	for _, u := range a.src {
 		want[u]++
 	}
-	var sum uint64
+	idx := make([]uint64, a.n+1)
 	for v := 0; v < a.n; v++ {
 		got := d.Load(a.degBase + mem.Addr(v))
 		if got != want[v] {
 			return fmt.Errorf("ssca2: node %d degree = %d, want %d", v, got, want[v])
 		}
-		if idx := d.Load(a.idxBase + mem.Addr(v)); idx != sum {
-			return fmt.Errorf("ssca2: node %d index = %d, want %d", v, idx, sum)
+		if i := d.Load(a.idxBase + mem.Addr(v)); i != idx[v] {
+			return fmt.Errorf("ssca2: node %d index = %d, want %d", v, i, idx[v])
 		}
 		if cur := d.Load(a.curBase + mem.Addr(v)); cur != want[v] {
 			return fmt.Errorf("ssca2: node %d cursor = %d, want %d", v, cur, want[v])
 		}
-		sum += want[v]
+		idx[v+1] = idx[v] + want[v]
 	}
-	// Edge multiset check per node: (dst, weight) pairs must match.
-	wantAdj := make(map[int32][]ew, a.n)
-	for e := range a.src {
-		wantAdj[a.src[e]] = append(wantAdj[a.src[e]], ew{uint64(a.dst[e]), uint64(a.weights[e])})
+	// Edge multiset check per node: (dst, weight) pairs must match. The
+	// expected adjacency is one array laid out like the arena's, each
+	// node's generated edges placed in its run (want counts down as they
+	// go in); each run is sorted on both sides and compared.
+	exp := make([]ew, len(a.src))
+	got := make([]ew, len(a.src))
+	for e, u := range a.src {
+		want[u]--
+		exp[idx[u]+want[u]] = ew{uint64(a.dst[e]), uint64(a.weights[e])}
+	}
+	for i := range got {
+		got[i] = ew{d.Load(a.adjBase + mem.Addr(i)), d.Load(a.wgtBase + mem.Addr(i))}
 	}
 	for v := 0; v < a.n; v++ {
-		start := d.Load(a.idxBase + mem.Addr(v))
-		var got []ew
-		for i := uint64(0); i < want[v]; i++ {
-			got = append(got, ew{
-				d.Load(a.adjBase + mem.Addr(start+i)),
-				d.Load(a.wgtBase + mem.Addr(start+i)),
-			})
-		}
-		exp := wantAdj[int32(v)]
-		sortEW(got)
-		sortEW(exp)
-		for i := range exp {
-			if got[i] != exp[i] {
-				return fmt.Errorf("ssca2: node %d adjacency mismatch at %d: %v != %v", v, i, got[i], exp[i])
+		g, x := got[idx[v]:idx[v+1]], exp[idx[v]:idx[v+1]]
+		slices.SortFunc(g, ew.cmp)
+		slices.SortFunc(x, ew.cmp)
+		for i := range x {
+			if g[i] != x[i] {
+				return fmt.Errorf("ssca2: node %d adjacency mismatch at %d: %v != %v", v, i, g[i], x[i])
 			}
 		}
 	}
@@ -244,11 +246,10 @@ type ew struct {
 	w uint64
 }
 
-func sortEW(s []ew) {
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].v != s[j].v {
-			return s[i].v < s[j].v
-		}
-		return s[i].w < s[j].w
-	})
+// cmp orders pairs by destination, then weight.
+func (x ew) cmp(y ew) int {
+	if c := cmp.Compare(x.v, y.v); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.w, y.w)
 }

@@ -64,10 +64,11 @@ var ErrArenaFull = errors.New("mem: arena exhausted")
 // page on first write and that is unmapped by a cleanup once the *Arena is
 // unreachable. That is sound because of how words are reached:
 //
-//   - only through the Load, Store and CompareAndSwap methods,
-//     Direct.Store, and Release, which drops them all — nothing in this
-//     package returns a slice of the words or a pointer into them, and
-//     every other method touches only the bump pointer and the capacity;
+//   - only through the Load, Store, StoreOwned and CompareAndSwap
+//     methods, Direct.Store, and Release, which drops them all — nothing
+//     in this package returns a slice of the words or a pointer into
+//     them, and every other method touches only the bump pointer and the
+//     capacity;
 //   - each of those methods keeps its receiver reachable until the access
 //     has completed (runtime.KeepAlive), so a caller that holds the *Arena
 //     for a call holds the mapping for that call, even if the call is its
@@ -473,7 +474,8 @@ func (r *Reserver) Refills() uint64 { return r.refills }
 // arena high-water mark.
 func (r *Reserver) Recycled() uint64 { return r.recycled }
 
-// The three word accessors, and Direct.Store, end in runtime.KeepAlive: the
+// The word accessors (StoreOwned among them, in store_amd64.go and
+// store_other.go), and Direct.Store, end in runtime.KeepAlive: the
 // arena must stay reachable until the access completes, or the backing
 // store's cleanup could unmap the word between the address computation and
 // the access (see Arena). KeepAlive is not a call; it costs at most a spill
@@ -486,7 +488,8 @@ func (a *Arena) Load(addr Addr) uint64 {
 	return v
 }
 
-// Store atomically writes the word at addr.
+// Store atomically writes the word at addr. A committing STM, which owns
+// the words it writes back, uses StoreOwned instead.
 func (a *Arena) Store(addr Addr, v uint64) {
 	atomic.StoreUint64(&a.words[addr], v)
 	runtime.KeepAlive(a)

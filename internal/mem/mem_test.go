@@ -248,12 +248,23 @@ func TestDirectSatisfiesContract(t *testing.T) {
 const storeSpan = 4096
 
 // BenchmarkArenaStore is the per-word cost of Arena.Store, the atomic store
-// every transactional write uses (a locked XCHG on amd64).
+// seq, the simulated HTMs and the hybrids write with (a locked XCHG on
+// amd64).
 func BenchmarkArenaStore(b *testing.B) {
 	a := NewArena(storeSpan)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Store(Addr(i&(storeSpan-1)), uint64(i))
+	}
+}
+
+// BenchmarkStoreOwned is the per-word cost of Arena.StoreOwned, the store a
+// committing STM writes back with (a plain MOV on amd64 outside -race).
+func BenchmarkStoreOwned(b *testing.B) {
+	a := NewArena(storeSpan)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.StoreOwned(Addr(i&(storeSpan-1)), uint64(i))
 	}
 }
 

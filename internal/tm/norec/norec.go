@@ -261,11 +261,11 @@ func (x *norecTx) Commit() bool {
 	}
 	x.lockAcquires++
 	for _, e := range x.wset.Entries() {
-		x.Mem.Store(e.Addr, e.Val)
+		x.Mem.StoreOwned(e.Addr, e.Val)
 	}
 	// Failpoint: stall between writeback and the release tick — the window
 	// where this committer holds the one global lock and everyone waits.
 	x.Chaos.Stall(chaos.NorecSeqTick, x.ID)
-	x.sys.seq.Store(x.snapshot + 2)
+	x.sys.seq.StoreRelease(x.snapshot + 2)
 	return true
 }

@@ -1,6 +1,10 @@
 package tm
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"github.com/stamp-go/stamp/internal/mem"
+)
 
 // PaddedUint64 is an atomic uint64 alone on its cache line. The TL2 global
 // version clock and NOrec's sequence lock are the hottest shared words in
@@ -18,6 +22,10 @@ func (p *PaddedUint64) Load() uint64 { return p.v.Load() }
 
 // Store atomically writes the value.
 func (p *PaddedUint64) Store(x uint64) { p.v.Store(x) }
+
+// StoreRelease writes the value as a release (mem.StoreRelease): only the
+// owner of a lock word may use it, to unlock it after its last store.
+func (p *PaddedUint64) StoreRelease(x uint64) { mem.StoreRelease(&p.v, x) }
 
 // Add atomically adds d and returns the new value.
 func (p *PaddedUint64) Add(d uint64) uint64 { return p.v.Add(d) }

@@ -23,6 +23,10 @@ func TestPaddedUint64Isolation(t *testing.T) {
 	if !pair[0].CompareAndSwap(42, 7) || pair[0].Load() != 7 {
 		t.Fatal("CompareAndSwap broken")
 	}
+	pair[0].StoreRelease(9)
+	if pair[0].Load() != 9 {
+		t.Fatal("StoreRelease/Load broken")
+	}
 	if pair[1].Load() != 0 {
 		t.Fatal("neighbor clobbered")
 	}

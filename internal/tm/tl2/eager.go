@@ -62,7 +62,7 @@ func (x *eagerTx) Begin(int, bool) {
 func (x *eagerTx) Rollback() {
 	undo := x.undo.Entries()
 	for i := len(undo) - 1; i >= 0; i-- {
-		x.Mem.Store(undo[i].Addr, undo[i].Val)
+		x.Mem.StoreOwned(undo[i].Addr, undo[i].Val)
 	}
 	x.undo.Reset()
 	x.locks.restore(x.acquired)
@@ -141,7 +141,7 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 	if !x.undo.Contains(a) {
 		x.undo.Insert(a, x.Mem.Load(a))
 	}
-	x.Mem.Store(a, v)
+	x.Mem.StoreOwned(a, v) // after the stripe CAS: readers see the lock first
 }
 
 // EarlyRelease is a no-op for the STM, as in the paper.

@@ -191,10 +191,11 @@ func (x *LazyTx) OldVersion(idx uint32) uint64 {
 	return 0 // unreachable: every written stripe is in acquired
 }
 
-// WriteBack applies the redo log to the arena. Caller holds the stripes.
+// WriteBack applies the redo log to the arena. Caller holds the stripes, so
+// each word is written with an owned store; Release publishes them.
 func (x *LazyTx) WriteBack() {
 	for _, e := range x.Wset.Entries() {
-		x.Mem.Store(e.Addr, e.Val)
+		x.Mem.StoreOwned(e.Addr, e.Val)
 	}
 }
 

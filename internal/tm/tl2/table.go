@@ -76,7 +76,10 @@ func (t *LockTable) Index(a mem.Addr) uint32 {
 // Load returns stripe idx's entry.
 func (t *LockTable) Load(idx uint32) uint64 { return t.entries[idx].Load() }
 
-func (t *LockTable) store(idx uint32, v uint64) { t.entries[idx].Store(v) }
+// release unlocks stripe idx at entry v. Only the stripe's owner calls it,
+// after its last store under the lock (mem.StoreRelease orders them).
+func (t *LockTable) release(idx uint32, v uint64) { mem.StoreRelease(&t.entries[idx], v) }
+
 func (t *LockTable) cas(idx uint32, o, n uint64) bool {
 	return t.entries[idx].CompareAndSwap(o, n)
 }
@@ -97,14 +100,14 @@ type lockRec struct {
 // newest first.
 func (t *LockTable) restore(acquired []lockRec) {
 	for i := len(acquired) - 1; i >= 0; i-- {
-		t.store(acquired[i].idx, acquired[i].old)
+		t.release(acquired[i].idx, acquired[i].old)
 	}
 }
 
 // publish releases acquired stripes at the commit version wv.
 func (t *LockTable) publish(acquired []lockRec, wv uint64) {
 	for _, rec := range acquired {
-		t.store(rec.idx, wv<<1)
+		t.release(rec.idx, wv<<1)
 	}
 }
 

@@ -152,6 +152,38 @@ func TestLazyLocksReleasedAfterCommit(t *testing.T) {
 	}
 }
 
+// TestLockTableReleaseReadsBack: the entries restore and publish write with
+// mem.StoreRelease are the ones Load reads back, stripe by stripe.
+func TestLockTableReleaseReadsBack(t *testing.T) {
+	lt := NewLockTable(minTableBits)
+	held := []lockRec{{idx: 3, old: 5 << 1}, {idx: 4, old: 0}, {idx: uint32(lt.Stripes() - 1), old: 9 << 1}}
+	lock := func() {
+		for _, r := range held {
+			lt.release(r.idx, r.old)
+			if !lt.cas(r.idx, r.old, 7<<1|1) {
+				t.Fatalf("stripe %d: CAS from its released entry %#x failed", r.idx, r.old)
+			}
+		}
+	}
+	lock()
+	lt.restore(held)
+	for _, r := range held {
+		if got := lt.Load(r.idx); got != r.old {
+			t.Fatalf("restore: stripe %d reads %#x, want %#x", r.idx, got, r.old)
+		}
+	}
+	lock()
+	lt.publish(held, 11)
+	for _, r := range held {
+		if got := lt.Load(r.idx); got != 11<<1 {
+			t.Fatalf("publish: stripe %d reads %#x, want %#x", r.idx, got, 11<<1)
+		}
+	}
+	if lt.Load(5) != 0 {
+		t.Fatal("a stripe nobody held was written")
+	}
+}
+
 func TestEagerLocksReleasedAfterAbortAndCommit(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	a := arena.Alloc(1)
