@@ -1,7 +1,7 @@
-// Ablation benchmarks for the design choices the paper argues about: early
-// release, contention management, and conflict-detection granularity. Each reports the metric the paper
-// argues about (read-set size, retries, overflow serializations) alongside
-// wall time.
+// Ablation benchmarks for the design choices the paper argues about:
+// contention management and conflict-detection granularity. Each reports
+// the metric the paper argues about (retries, overflow serializations)
+// alongside wall time.
 package stamp_test
 
 import (
@@ -9,47 +9,12 @@ import (
 	"testing"
 
 	"github.com/stamp-go/stamp"
-	"github.com/stamp-go/stamp/internal/apps/labyrinth"
 	"github.com/stamp-go/stamp/internal/apps/vacation"
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
 	"github.com/stamp-go/stamp/internal/tm/factory"
 )
-
-// BenchmarkAblationEarlyRelease: labyrinth on the lazy HTM with early
-// release enabled vs disabled. Disabled, every privatization read stays in
-// the speculative read set, so transactions overflow and serialize — the
-// exact mechanism Section III.B.5 describes.
-func BenchmarkAblationEarlyRelease(b *testing.B) {
-	for _, enabled := range []bool{true, false} {
-		b.Run(fmt.Sprintf("earlyRelease=%v", enabled), func(b *testing.B) {
-			app := labyrinth.New(labyrinth.Config{X: 24, Y: 24, Z: 3, Paths: 24, Seed: 3})
-			var readP90 int
-			var aborts uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				arena := mem.NewArena(app.ArenaWords())
-				app.Setup(arena)
-				sys, err := factory.New("htm-lazy", tm.Config{
-					Arena: arena, Threads: 4, EnableEarlyRelease: enabled,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				app.Run(sys, thread.NewTeam(4))
-				if err := app.Verify(arena); err != nil {
-					b.Fatal(err)
-				}
-				st := sys.Stats()
-				readP90 = st.ReadSetP90()
-				aborts += st.Total.Aborts
-			}
-			b.ReportMetric(float64(readP90), "readset-p90-lines")
-			b.ReportMetric(float64(aborts)/float64(b.N), "aborts/run")
-		})
-	}
-}
 
 // BenchmarkAblationContentionManager sweeps every registered contention-
 // management policy over the same contended workload — a hot counter plus

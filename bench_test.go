@@ -41,9 +41,7 @@ func benchRun(b *testing.B, v stamp.Variant, sysName string, threads int) {
 	for i := 0; i < b.N; i++ {
 		arena := mem.NewArena(app.ArenaWords())
 		app.Setup(arena)
-		sys, err := factory.New(sysName, tm.Config{
-			Arena: arena, Threads: threads, EnableEarlyRelease: true,
-		})
+		sys, err := factory.New(sysName, tm.Config{Arena: arena, Threads: threads})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -49,10 +49,10 @@
 // at encounter-time conflict points; per-policy delay and escalation
 // counts are reported in Stats.
 //
-// Liveness is a layer of its own, inherited by every policy and runtime:
-// past Config.StarveAfter consecutive aborts a block escalates to
-// irrevocable mode — it acquires a global token, drains in-flight peers,
-// runs alone, and must commit
+// Liveness lives in the one transaction driver, so every policy and
+// runtime inherits it: past Config.StarveAfter consecutive aborts a block
+// escalates to irrevocable mode — it acquires a global token, drains
+// in-flight peers, runs alone, and must commit
 // (Stats.Escalations/EscalatedCommits; displaced victims abort with the
 // "killed-for-irrevocable" cause). Deterministic fault injection
 // (Config.Chaos or -chaos, spec "seed:site:prob[,...]"; ChaosSites lists

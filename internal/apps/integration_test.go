@@ -18,9 +18,7 @@ import (
 // mustSys builds a TM system or fails the test.
 func mustSys(t *testing.T, sysName string, arena *mem.Arena, threads int) tm.System {
 	t.Helper()
-	sys, err := factory.New(sysName, tm.Config{
-		Arena: arena, Threads: threads, EnableEarlyRelease: true,
-	})
+	sys, err := factory.New(sysName, tm.Config{Arena: arena, Threads: threads})
 	if err != nil {
 		t.Fatalf("factory.New(%s): %v", sysName, err)
 	}

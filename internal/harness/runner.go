@@ -205,13 +205,12 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 		watch = tm.NewWatch(opt.Threads)
 	}
 	sys, err := factory.New(opt.System, tm.Config{
-		Arena:              arena,
-		Threads:            opt.Threads,
-		EnableEarlyRelease: true,
-		CM:                 opt.CM,
-		Trace:              opt.Trace,
-		Chaos:              opt.Chaos,
-		Watch:              watch,
+		Arena:   arena,
+		Threads: opt.Threads,
+		CM:      opt.CM,
+		Trace:   opt.Trace,
+		Chaos:   opt.Chaos,
+		Watch:   watch,
 	})
 	if err != nil {
 		return Result{}, fmt.Errorf("harness: %w", err)

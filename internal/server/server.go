@@ -486,13 +486,12 @@ func New(opt Options) (*Server, error) {
 // server-lifetime watch so commit progress accumulates across swaps.
 func (s *Server) newSystem(arena *mem.Arena) (tm.System, error) {
 	return factory.New(s.opt.System, tm.Config{
-		Arena:              arena,
-		Threads:            s.opt.Workers,
-		EnableEarlyRelease: true,
-		CM:                 s.opt.CM,
-		Chaos:              s.opt.Chaos,
-		Watch:              s.watch,
-		Seed:               s.opt.Seed,
+		Arena:   arena,
+		Threads: s.opt.Workers,
+		CM:      s.opt.CM,
+		Chaos:   s.opt.Chaos,
+		Watch:   s.watch,
+		Seed:    s.opt.Seed,
 	})
 }
 

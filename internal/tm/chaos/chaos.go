@@ -65,8 +65,8 @@ const (
 	// MVRingPublish stalls an stm-mv committer mid version-ring publish,
 	// while it holds its stripe locks.
 	MVRingPublish
-	// CMWaitDrop overrides a contention-manager wait decision
-	// (tm.WaitOrAbort) to an immediate abort.
+	// CMWaitDrop overrides a contention-manager wait decision at a
+	// conflict site (tm.TxCore.Conflict) to an immediate abort.
 	CMWaitDrop
 	// AllocExhaust fires in every runtime's tx.Alloc: a spurious
 	// alloc-exhausted abort, as if the arena had run dry at that allocation

@@ -7,19 +7,20 @@ import (
 	"time"
 
 	"github.com/stamp-go/stamp/internal/rng"
-	"github.com/stamp-go/stamp/internal/thread"
-	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/trace"
 )
 
-// ContentionManager is the per-thread contention-management policy a runtime
-// consults around its retry loop. The runtime drives the three lifecycle
-// hooks — OnStart when an atomic block is entered, OnAbort after each failed
-// attempt (where the policy applies its delay), OnCommit when the block
-// finally commits (where per-block state such as abort counters and
-// timestamps resets, uniformly across runtimes) — and, at conflict points
-// where the enemy transaction is identifiable, asks ShouldAbort whether to
-// abort itself or wait the enemy out.
+// ContentionManager is the per-thread contention-management policy the
+// driver consults around its retry loop. The driver calls the three
+// lifecycle hooks — OnStart when an atomic block is entered, OnAbort after
+// each failed attempt (where the policy applies its delay), OnCommit when
+// the block finally commits (where per-block state such as abort counters
+// and timestamps resets, uniformly across runtimes) — and, at conflict
+// points where the enemy transaction is identifiable (TxCore.Conflict),
+// asks ShouldAbort whether to abort itself or wait the enemy out. A policy
+// is bare: starvation escalation, watchdog polling and commit accounting
+// belong to the driver, and a conflict involving an irrevocable holder or a
+// pending escalation never reaches the policy.
 //
 // Lifecycle hooks are called only by the owning thread. Priority and
 // ShouldAbort are also called by *other* threads' arbitration, so
@@ -37,8 +38,9 @@ type ContentionManager interface {
 	// block (1 = first abort). The policy applies its delay before
 	// returning; the runtime then retries the block.
 	OnAbort(aborts int)
-	// OnCommit is called when the current block commits. All per-block
-	// policy state (timestamps, consecutive-abort escalation) resets here,
+	// OnCommit is called when the current block commits, or is abandoned
+	// on a terminal allocation failure. All per-block policy state
+	// (timestamps, karma) resets here,
 	// so a block's aborts never bleed into the next block's priority or
 	// delay — every runtime gets the same reset semantics for free.
 	OnCommit()
@@ -116,39 +118,21 @@ func CMNames() []string {
 func CMDescription(name string) string { return cmRegistry[name].description }
 
 // CMPool holds one TM system's contention-management state: the selected
-// policy, the cross-thread pieces some policies need (the greedy timestamp
-// clock), and the liveness layer's shared state — the irrevocability gate
-// every governor coordinates through, the fault injector, and the watchdog.
-// Runtime constructors create one pool and draw a per-thread manager for
-// each worker slot.
+// policy and the cross-thread pieces some policies need (the greedy
+// timestamp clock). Runtime constructors create one pool and draw a
+// per-thread manager for each worker slot.
 type CMPool struct {
 	name  string
 	cfg   Config
 	entry cmEntry
 
 	clock atomic.Uint64 // greedy timestamps, shared by the pool's managers
-
-	// Liveness layer (see governor.go). flags[i] != 0 means worker i is
-	// inside an atomic block; gatePending counts escalations queued or
-	// running; gateLock is the irrevocability token, a CAS spinlock so
-	// every wait on it can poll the watch.
-	flags       []PaddedUint64
-	gateLock    atomic.Uint32
-	gatePending atomic.Int32
-
-	chaos *chaos.Injector
-	watch *Watch
-
-	starveAfter int // consecutive-abort escalation threshold (<= 0: off)
 }
 
 // NewCMPool validates Config.CM against the registry and returns the pool.
 // An empty Config.CM selects fallback — the runtime's historical default
 // (DefaultCM for STMs and hybrids, NoCM for the simulated HTMs), keeping
-// default behavior identical to the pre-plug-in runtimes. The pool also
-// builds the system's fault injector from Config.Chaos and carries the
-// escalation thresholds and watchdog, so every runtime inherits the
-// liveness layer through the one seam it already has.
+// default behavior identical to the pre-plug-in runtimes.
 func NewCMPool(cfg Config, fallback string) (*CMPool, error) {
 	name := cfg.CM
 	if name == "" {
@@ -158,39 +142,17 @@ func NewCMPool(cfg Config, fallback string) (*CMPool, error) {
 	if !ok {
 		return nil, fmt.Errorf("tm: unknown contention manager %q (known: %v)", name, CMNames())
 	}
-	inj, err := chaos.New(cfg.Chaos, cfg.Threads)
-	if err != nil {
-		return nil, fmt.Errorf("tm: %w", err)
-	}
-	threads := cfg.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	p := &CMPool{
-		name:        name,
-		cfg:         cfg,
-		entry:       entry,
-		flags:       make([]PaddedUint64, threads),
-		chaos:       inj,
-		watch:       cfg.Watch,
-		starveAfter: cfg.StarveAfter,
-	}
-	return p, nil
+	return &CMPool{name: name, cfg: cfg, entry: entry}, nil
 }
 
 // Name returns the resolved policy name.
 func (p *CMPool) Name() string { return p.name }
 
-// Chaos returns the pool's fault injector (nil when Config.Chaos is empty).
-// Runtimes fetch it once at construction and test it per failpoint site.
-func (p *CMPool) Chaos() *chaos.Injector { return p.chaos }
-
 // ForThread returns worker slot id's manager, recording its delay statistics
-// into st. The selected policy is wrapped in the liveness governor, which
-// adds starvation escalation, watchdog polling, and displacement arbitration
-// uniformly across policies (see governor.go).
+// into st. The driver calls the policy directly; the liveness guarantees
+// every policy runs under live in the driver's escalation gate (gate.go).
 func (p *CMPool) ForThread(id int, st *ThreadStats) ContentionManager {
-	return &governor{inner: p.entry.make(p, id, st), pool: p, id: id, st: st}
+	return p.entry.make(p, id, st)
 }
 
 func (p *CMPool) base(id int, st *ThreadStats) cmBase {
@@ -220,27 +182,6 @@ func (b *cmBase) delay(n int) {
 	t0 := time.Now()
 	Spin(n)
 	b.st.CMWaitNs += int64(time.Since(t0))
-}
-
-// maxConflictProbes bounds how many times a waiting policy may re-probe one
-// conflict before the runtime forces the requester to abort anyway, so no
-// policy choice can deadlock or livelock a runtime.
-const maxConflictProbes = 512
-
-// WaitOrAbort is the conflict-point arbitration helper runtimes call when
-// the enemy transaction is identifiable. It returns true when the caller
-// must abort its attempt now; false means the policy chose to wait — w has
-// paced the wait (a spin while every thread holds a P, else a yield, since
-// the enemy may need this core to finish or to notice it lost and roll
-// back) and the caller should re-probe the conflicting location. w is the
-// caller's waiter for this one conflict; past maxConflictProbes pauses the
-// wait is cut off.
-func WaitOrAbort(self, enemy ContentionManager, w *thread.Waiter) bool {
-	if self == nil || w.Polls() >= maxConflictProbes || self.ShouldAbort(enemy) {
-		return true
-	}
-	w.Pause()
-	return false
 }
 
 // randlin is the paper's contention manager: no delay for the first 3

@@ -7,12 +7,6 @@ import (
 	"github.com/stamp-go/stamp/internal/thread"
 )
 
-// unwrap strips the liveness governor off a ForThread manager so tests can
-// reach the wrapped policy's internals.
-func unwrap(cm ContentionManager) ContentionManager {
-	return cm.(*governor).inner
-}
-
 func cmPool(t *testing.T, name string) *CMPool {
 	t.Helper()
 	cfg := Config{Arena: mem.NewArena(64), Threads: 4, CM: name}.Defaults()
@@ -68,7 +62,7 @@ func TestNewCMPoolFallback(t *testing.T) {
 // from a linearly growing budget.
 func TestRandlinDelayGrowth(t *testing.T) {
 	var st ThreadStats
-	c := unwrap(cmPool(t, "randlin").ForThread(0, &st)).(*randlinCM)
+	c := cmPool(t, "randlin").ForThread(0, &st).(*randlinCM)
 	for aborts := 1; aborts <= backoffAborts; aborts++ {
 		if d := c.delayFor(aborts); d != 0 {
 			t.Fatalf("delay before threshold: %d at %d aborts", d, aborts)
@@ -86,7 +80,7 @@ func TestRandlinDelayGrowth(t *testing.T) {
 // is capped at 2^expoCap steps.
 func TestExpoDelayGrowth(t *testing.T) {
 	var st ThreadStats
-	c := unwrap(cmPool(t, "expo").ForThread(0, &st)).(*expoCM)
+	c := cmPool(t, "expo").ForThread(0, &st).(*expoCM)
 	if d := c.delayFor(backoffAborts); d != 0 {
 		t.Fatalf("delay at threshold: %d", d)
 	}
@@ -161,35 +155,33 @@ func TestKarmaPriority(t *testing.T) {
 	}
 }
 
-// TestWaitOrAbortBounds: requester-loses policies abort immediately; a
-// waiting policy pauses its waiter once per probe and is cut off after
+// TestWaitOrAbortBounds: at a conflict site (TxCore.Conflict, which took
+// over from the WaitOrAbort helper) requester-loses policies abort at once;
+// a waiting policy pauses its waiter once per probe and is cut off after
 // exactly maxConflictProbes of them.
 func TestWaitOrAbortBounds(t *testing.T) {
-	if !WaitOrAbort(nil, nil, &thread.Waiter{}) {
-		t.Fatal("nil self must abort")
-	}
-	var st ThreadStats
-	rl := cmPool(t, "randlin").ForThread(0, &st)
-	if !WaitOrAbort(rl, nil, &thread.Waiter{}) {
+	rl := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: "randlin"})
+	if aborted, _ := conflict(rl.cores[0], 1, CauseWriteWrite, &thread.Waiter{}); !aborted {
 		t.Fatal("randlin must abort at any conflict")
 	}
-	p := cmPool(t, "greedy")
-	var st0, st1 ThreadStats
-	older := p.ForThread(0, &st0)
-	younger := p.ForThread(1, &st1)
-	older.OnStart()
-	younger.OnStart()
+	if aborted, _ := conflict(rl.cores[0], 99, CauseWriteWrite, &thread.Waiter{}); !aborted {
+		t.Fatal("an unknown enemy slot must abort the requester")
+	}
+	gr := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: "greedy"})
+	older, younger := gr.cores[0], gr.cores[1]
+	older.cm.OnStart()
+	younger.cm.OnStart()
 	w := thread.Waiter{Parties: 2}
 	for probe := 0; probe < maxConflictProbes; probe++ {
-		if WaitOrAbort(older, younger, &w) {
+		if aborted, _ := conflict(older, younger.ID, CauseWriteWrite, &w); aborted {
 			t.Fatalf("older greedy transaction aborted at probe %d, want it to wait", probe)
 		}
 	}
 	if w.Polls() != maxConflictProbes {
 		t.Fatalf("waiter paused %d times over %d probes", w.Polls(), maxConflictProbes)
 	}
-	if !WaitOrAbort(older, younger, &w) {
-		t.Fatal("probe bound did not cut the wait off")
+	if aborted, info := conflict(older, younger.ID, CauseWriteWrite, &w); !aborted || info.Cause != CauseWriteWrite {
+		t.Fatalf("probe bound did not cut the wait off (aborted=%v, cause=%v)", aborted, info.Cause)
 	}
 }
 

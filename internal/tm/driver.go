@@ -1,6 +1,7 @@
 package tm
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -57,16 +58,13 @@ type Shared struct {
 	Chaos *chaos.Injector // nil unless Config.Chaos armed failpoints
 
 	name  string
-	cores []*TxCore // per slot, for conflict arbitration and blame
-}
+	cores []*TxCore // per slot, for conflict arbitration, blame and the drain
 
-// CMOf returns the contention manager of the transaction occupying slot, or
-// nil for an out-of-range slot (a corrupt lock word arbitrates as unknown).
-func (s *Shared) CMOf(slot int) ContentionManager {
-	if uint(slot) < uint(len(s.cores)) {
-		return s.cores[slot].CM
-	}
-	return nil
+	// The escalation gate (gate.go): gatePending counts escalations queued
+	// or running; gateLock is the irrevocability token, a CAS spinlock so
+	// every wait on it can poll the watch.
+	gatePending atomic.Int32
+	gateLock    atomic.Uint32
 }
 
 // BlockOf returns the atomic block the transaction occupying slot is
@@ -74,7 +72,7 @@ func (s *Shared) CMOf(slot int) ContentionManager {
 // enemy call site in conflict attribution.
 func (s *Shared) BlockOf(slot int) BlockID {
 	if uint(slot) < uint(len(s.cores)) {
-		return BlockID(s.cores[slot].curBlock.Load())
+		return s.cores[slot].block()
 	}
 	return NoBlock
 }
@@ -92,19 +90,31 @@ type TxCore struct {
 	Loads  uint64
 	Stores uint64
 
-	ID    int               // worker slot
-	Mem   *mem.Arena        // Cfg.Arena, one dereference closer to the barriers
-	CM    ContentionManager // this worker's manager, for arbitration sites
-	Stats *ThreadStats      // this worker's record, for protocol counters
+	ID    int          // worker slot
+	Mem   *mem.Arena   // Cfg.Arena, one dereference closer to the barriers
+	Stats *ThreadStats // this worker's record, for protocol counters
 
-	res *mem.Reserver // thread-private allocation chunk and free lists
+	cm  ContentionManager // this worker's policy: the driver's hooks, Conflict
+	res *mem.Reserver     // thread-private allocation chunk and free lists
 
-	// curBlock publishes the block this worker is inside, so enemies that
-	// abort against it (or that it kills) can blame the call site.
+	// curBlock publishes the block this worker is inside, or outside, so
+	// enemies that abort against it (or that it kills) can blame the call
+	// site; it is also the escalation gate's in-a-block flag.
 	curBlock atomic.Int32
+	// irrevocable is set while this worker holds the escalation token; it
+	// is read cross-thread at conflict sites.
+	irrevocable atomic.Bool
 }
 
 func (c *TxCore) core() *TxCore { return c }
+
+// block reads curBlock as a BlockID, outside reading as NoBlock.
+func (c *TxCore) block() BlockID {
+	if b := c.curBlock.Load(); b != outside {
+		return BlockID(b)
+	}
+	return NoBlock
+}
 
 // reset clears the per-attempt registers.
 func (c *TxCore) reset() {
@@ -169,8 +179,8 @@ type Runtime[T Protocol] struct {
 }
 
 // NewRuntime runs the constructor prologue every runtime shares: complete
-// and validate the config, and resolve the contention-management policy
-// (fallback when Config.CM is empty) and with it the fault injector. The
+// and validate the config, resolve the contention-management policy
+// (fallback when Config.CM is empty) and build the fault injector. The
 // caller then builds its protocol state from rt.Cfg and calls Bind.
 func NewRuntime[T Protocol](name string, cfg Config, fallbackCM string) (*Runtime[T], error) {
 	cfg = cfg.Defaults()
@@ -181,7 +191,11 @@ func NewRuntime[T Protocol](name string, cfg Config, fallbackCM string) (*Runtim
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime[T]{Shared: Shared{Cfg: cfg, Chaos: pool.Chaos(), name: name}, cmFor: pool.ForThread}, nil
+	inj, err := chaos.New(cfg.Chaos, cfg.Threads)
+	if err != nil {
+		return nil, fmt.Errorf("tm: %w", err)
+	}
+	return &Runtime[T]{Shared: Shared{Cfg: cfg, Chaos: inj, name: name}, cmFor: pool.ForThread}, nil
 }
 
 // Bind builds the worker slots: mk returns each slot's transaction with the
@@ -194,8 +208,9 @@ func (rt *Runtime[T]) Bind(mk func(slot int) T) {
 		w.stats.Tracer = cfg.NewTracer()
 		c := w.tx.core()
 		c.Shared, c.ID, c.Mem, c.Stats = &rt.Shared, i, cfg.Arena, &w.stats
-		c.CM = rt.cmFor(i, &w.stats)
+		c.cm = rt.cmFor(i, &w.stats)
 		c.res = cfg.NewReserver()
+		c.curBlock.Store(outside)
 		w.core = c
 		rt.workers = append(rt.workers, w)
 		rt.Txs = append(rt.Txs, w.tx)
@@ -251,10 +266,16 @@ var blockClockOrigin = time.Now()
 func (w *Worker[T]) AtomicAt(b BlockID, fn func(Tx)) {
 	start := time.Since(blockClockOrigin)
 	st, c, tx := &w.stats, w.core, w.tx
-	id, cm := c.ID, c.CM
+	id, cm := c.ID, c.cm
 	st.Starts++
 	st.Tracer.SampleBlock(id, int32(b))
+	c.Cfg.Watch.Poll()
+	// Enter the escalation gate: publish the block, then look for a pending
+	// escalation — the Dekker pair the escalator's drain rests on.
 	c.curBlock.Store(int32(b))
+	if c.gatePending.Load() != 0 {
+		c.park(b)
+	}
 	cm.OnStart()
 	ro := BlockReadOnly(b)
 	aborts := 0
@@ -274,23 +295,48 @@ func (w *Worker[T]) AtomicAt(b BlockID, fn func(Tx)) {
 		if c.Info.Err != nil {
 			// Terminal alloc exhaustion: the abort is accounted, Rollback
 			// released the protocol's state and the reserver reclaimed the
-			// attempt's allocations — unwind the block instead of retrying
+			// attempt's allocations — leave the gate (handing back the token
+			// without counting an escalated commit), reset the policy as at
+			// a block end, and unwind the block instead of retrying
 			// (exhaustion does not heal by optimism).
-			c.curBlock.Store(int32(NoBlock))
-			AbandonBlock(cm)
+			c.curBlock.Store(outside)
+			if c.irrevocable.Load() {
+				c.release()
+			}
+			cm.OnCommit()
 			c.Info.BailAlloc()
 		}
-		// The policy applies its delay here. Runtimes whose conflicts have
-		// no identifiable enemy (NOrec's value validation, the commit-time
-		// flag kills of htm-lazy and hybrid-lazy) have no arbitration point
-		// inside the attempt, so this hook is their whole policy surface;
-		// the simulated HTMs default to "none" — immediate restart, the
-		// undo-log replay being the only delay (Section IV).
-		cm.OnAbort(aborts)
+		c.Cfg.Watch.Poll()
+		switch {
+		case c.irrevocable.Load():
+			// Already alone: only an explicit Restart or an HTM capacity
+			// retry aborts an irrevocable attempt; the next keeps the token.
+		case c.Cfg.StarveAfter > 0 && aborts >= c.Cfg.StarveAfter:
+			c.escalate(b)
+		default:
+			if c.gatePending.Load() != 0 {
+				// Someone else is escalating: leave the block so their
+				// drain completes, and rejoin before retrying.
+				c.park(b)
+			}
+			// The policy applies its delay here. Runtimes whose conflicts
+			// have no identifiable enemy (NOrec's value validation, the
+			// commit-time flag kills of htm-lazy and hybrid-lazy) have no
+			// arbitration point inside the attempt, so this hook is their
+			// whole policy surface; the simulated HTMs default to "none" —
+			// immediate restart, the undo-log replay being the only delay
+			// (Section IV).
+			cm.OnAbort(aborts)
+		}
 	}
 	c.res.OnCommit()
-	c.curBlock.Store(int32(NoBlock))
+	c.curBlock.Store(outside)
+	if c.irrevocable.Load() {
+		c.release()
+		st.EscalatedCommits++
+	}
 	cm.OnCommit()
+	c.Cfg.Watch.Bump(id)
 	st.Commits++
 	st.Tracer.Emit(trace.EvCommit, CauseUnknown, id, int32(b), 0)
 	st.RecordBlock(b, uint64(aborts), c.Loads, c.Stores)

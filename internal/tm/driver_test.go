@@ -17,7 +17,7 @@ import (
 )
 
 // fakeTx is a protocol whose hooks only log what the driver had done by the
-// time it called them.
+// time it called them (nothing when log is nil).
 type fakeTx struct {
 	TxCore
 	log         *[]string
@@ -25,7 +25,9 @@ type fakeTx struct {
 }
 
 func (x *fakeTx) logf(format string, args ...any) {
-	*x.log = append(*x.log, fmt.Sprintf(format, args...))
+	if x.log != nil {
+		*x.log = append(*x.log, fmt.Sprintf(format, args...))
+	}
 }
 
 func (x *fakeTx) Begin(aborts int, readOnly bool) {
@@ -49,8 +51,8 @@ func (x *fakeTx) Load(a mem.Addr) uint64     { x.Loads++; return x.Mem.Load(a) }
 func (x *fakeTx) Store(a mem.Addr, v uint64) { x.Stores++; x.Mem.Store(a, v) }
 func (x *fakeTx) EarlyRelease(mem.Addr)      {}
 
-// logCM is the policy under the governor; the governor forwards the three
-// lifecycle hooks to it (OnCommit also from AbandonBlock, as the reset).
+// logCM is the policy the driver calls; OnCommit also runs when a terminal
+// allocation failure abandons the block, as the reset.
 type logCM struct {
 	noneCM
 	tx *fakeTx
@@ -58,7 +60,7 @@ type logCM struct {
 
 func (c *logCM) OnStart()      { c.tx.logf("cm.start") }
 func (c *logCM) OnAbort(n int) { c.tx.logf("cm.abort %d accounted=%d", n, c.tx.Stats.Aborts) }
-func (c *logCM) OnCommit()     { c.tx.logf("cm.reset block=%d", c.tx.curBlock.Load()) }
+func (c *logCM) OnCommit()     { c.tx.logf("cm.reset block=%d", c.tx.block()) }
 
 // TestDriverContract pins the order of hooks and accounting in the one
 // retry loop, for the three ways a block can end.
@@ -123,7 +125,7 @@ func TestDriverContract(t *testing.T) {
 				"cm.start",
 				"begin attempt=0 ro=false barriers=0",
 				"rollback accounted=0",
-				"cm.reset block=0", // AbandonBlock, after curBlock cleared; no cm.abort
+				"cm.reset block=0", // abandoned after curBlock cleared; no cm.abort
 			},
 			causes: map[AbortCause]uint64{CauseAllocExhausted: 1},
 			stats:  outcome{starts: 1, aborts: 1, wasted: 1},
@@ -133,15 +135,9 @@ func TestDriverContract(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			var log []string
 			cfg := Config{Arena: mem.NewArena(1 << 10)}.Defaults()
-			pool, err := NewCMPool(cfg, NoCM)
-			if err != nil {
-				t.Fatal(err)
-			}
 			tx := &fakeTx{log: &log, failCommits: c.failCommits}
 			rt := &Runtime[*fakeTx]{Shared: Shared{Cfg: cfg, name: "fake"}}
-			rt.cmFor = func(id int, st *ThreadStats) ContentionManager {
-				return &governor{inner: &logCM{tx: tx}, pool: pool, id: id, st: st}
-			}
+			rt.cmFor = func(int, *ThreadStats) ContentionManager { return &logCM{tx: tx} }
 			rt.Bind(func(int) *fakeTx { return tx })
 
 			attempt := 0
@@ -184,7 +180,7 @@ func TestDriverContract(t *testing.T) {
 			if got := rt.BlockOf(0); got != NoBlock {
 				t.Errorf("curBlock = %d after the block ended, want NoBlock", got)
 			}
-			if pool.flags[0].Load() != 0 || pool.gatePending.Load() != 0 {
+			if tx.curBlock.Load() != outside || rt.gatePending.Load() != 0 {
 				t.Error("the block left its liveness-gate claim behind")
 			}
 			if c.bails {

@@ -20,7 +20,6 @@ var constructors = map[string]func(tm.Config) (tm.System, error){
 	"stm-lazy":     func(c tm.Config) (tm.System, error) { return tl2.NewLazy(c) },
 	"stm-eager":    func(c tm.Config) (tm.System, error) { return tl2.NewEager(c) },
 	"stm-norec":    func(c tm.Config) (tm.System, error) { return norec.New(c) },
-	"stm-norec-ro": func(c tm.Config) (tm.System, error) { return norec.New(c) }, // alias: stm-norec absorbed its fast path
 	"stm-mv":       func(c tm.Config) (tm.System, error) { return mv.New(c) },
 	"htm-lazy":     func(c tm.Config) (tm.System, error) { return htmsim.NewLazy(c) },
 	"htm-eager":    func(c tm.Config) (tm.System, error) { return htmsim.NewEager(c) },
@@ -49,8 +48,7 @@ func Names() []string {
 
 // TMNames returns the six transactional systems of the paper's evaluation,
 // in the order Figure 1's legend lists them. It intentionally stays fixed
-// at the paper's roster, which Names() extends with stm-norec (also under
-// its old read-only-fast-path name, stm-norec-ro) and stm-mv,
+// at the paper's roster, which Names() extends with stm-norec and stm-mv,
 // so the regenerated tables and figures keep the paper's shape; the extra
 // runtimes are selected explicitly by name.
 func TMNames() []string {

@@ -21,7 +21,6 @@ var stormArms = map[string]string{
 	"stm-eager":    "tl2-lock-acquire:1",
 	"stm-mv":       "tl2-lock-acquire:1",
 	"stm-norec":    "norec-validate:1",
-	"stm-norec-ro": "norec-validate:1",
 	"hybrid-lazy":  "hybrid-sig-check:1",
 	"hybrid-eager": "hybrid-sig-check:1",
 	"htm-lazy":     "htm-arbitrate:1",

@@ -34,7 +34,7 @@ var eagerInPlace = map[string]bool{
 
 func newSys(t *testing.T, name string, arena *mem.Arena, threads int) tm.System {
 	t.Helper()
-	sys, err := New(name, tm.Config{Arena: arena, Threads: threads, EnableEarlyRelease: true})
+	sys, err := New(name, tm.Config{Arena: arena, Threads: threads})
 	if err != nil {
 		t.Fatalf("New(%s): %v", name, err)
 	}
@@ -44,7 +44,7 @@ func newSys(t *testing.T, name string, arena *mem.Arena, threads int) tm.System 
 func TestNamesComplete(t *testing.T) {
 	want := map[string]bool{
 		"seq": true, "stm-lazy": true, "stm-eager": true,
-		"stm-norec": true, "stm-norec-ro": true, "stm-mv": true,
+		"stm-norec": true, "stm-mv": true,
 		"htm-lazy": true, "htm-eager": true, "hybrid-lazy": true, "hybrid-eager": true,
 	}
 	got := Names()

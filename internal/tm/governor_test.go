@@ -1,43 +1,56 @@
 package tm
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/stamp-go/stamp/internal/mem"
+	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm/trace"
 )
 
-func governorPool(t *testing.T, cfg Config) *CMPool {
+// gateRuntime builds a runtime of fakeTx slots (driver_test.go) under cfg,
+// so the escalation gate runs exactly as it does for a real protocol.
+func gateRuntime(t *testing.T, cfg Config) *Runtime[*fakeTx] {
 	t.Helper()
-	p, err := NewCMPool(cfg.Defaults(), DefaultCM)
+	rt, err := NewRuntime[*fakeTx]("fake", cfg, DefaultCM)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	rt.Bind(func(int) *fakeTx { return &fakeTx{} })
+	return rt
+}
+
+// conflict runs one probe of c's conflict with slot enemy, as a barrier
+// would, and reports whether it aborted the attempt and with what cause and
+// blame.
+func conflict(c *TxCore, enemy int, cause AbortCause, w *thread.Waiter) (aborted bool, info AbortInfo) {
+	c.reset()
+	ok := Attempt(nil, func(Tx) { c.Conflict(enemy, cause, 0, w) })
+	return !ok, c.Info
 }
 
 // TestIrrevocableHolderNeverAborted pins the uniform arbitration guarantee:
-// under every registered policy, ShouldAbort against an irrevocable
-// (escalated) holder returns false — the requester waits the
-// bounded probe window instead of killing a transaction that must commit.
+// under every registered policy, a conflict with an irrevocable (escalated)
+// holder waits — the requester pauses for the probe window instead of
+// killing a transaction that must commit — and the holder waits out any
+// conflict of its own.
 func TestIrrevocableHolderNeverAborted(t *testing.T) {
 	for _, name := range CMNames() {
-		cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: name}
-		p := governorPool(t, cfg)
-		var st0, st1 ThreadStats
-		holder := p.ForThread(0, &st0).(*governor)
-		requester := p.ForThread(1, &st1)
-		holder.OnStart()
-		requester.OnStart()
+		rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: name})
+		holder, requester := rt.cores[0], rt.cores[1]
+		holder.cm.OnStart()
+		requester.cm.OnStart()
 		holder.irrevocable.Store(true)
-		if requester.ShouldAbort(holder) {
-			t.Errorf("%s: requester aborted an irrevocable holder", name)
+		w := thread.Waiter{Parties: 2}
+		if aborted, _ := conflict(requester, holder.ID, CauseWriteWrite, &w); aborted || w.Polls() != 1 {
+			t.Errorf("%s: requester aborted an irrevocable holder (aborted=%v, pauses=%d)", name, aborted, w.Polls())
 		}
-		if holder.Priority() != ^uint64(0) {
-			t.Errorf("%s: irrevocable holder priority = %d", name, holder.Priority())
-		}
-		if holder.ShouldAbort(requester) {
+		w = thread.Waiter{Parties: 2}
+		if aborted, _ := conflict(holder, requester.ID, CauseWriteWrite, &w); aborted || w.Polls() != 1 {
 			t.Errorf("%s: irrevocable holder yielded to a requester", name)
 		}
 		holder.irrevocable.Store(false)
@@ -47,50 +60,54 @@ func TestIrrevocableHolderNeverAborted(t *testing.T) {
 // TestStarvationEscalation: past StarveAfter aborts, any policy (here karma)
 // escalates to irrevocable mode, commits, and resets all per-block policy
 // state at commit so escalation bias does not leak into the next block,
-// which starts, aborts below the threshold and commits without escalating.
+// which aborts below the threshold and commits without escalating.
 func TestStarvationEscalation(t *testing.T) {
-	cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: "karma", StarveAfter: 3}
-	p := governorPool(t, cfg)
-	var st ThreadStats
-	g := p.ForThread(0, &st).(*governor)
-
-	g.OnStart()
-	g.OnAbort(1)
-	g.OnAbort(2)
-	if st.Escalations != 0 {
-		t.Fatal("escalated below StarveAfter")
+	rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: "karma", StarveAfter: 3})
+	c, th := rt.cores[0], rt.Thread(0)
+	attempt := 0
+	th.AtomicAt(NoBlock, func(tx Tx) {
+		attempt++
+		if attempt <= 3 {
+			if c.irrevocable.Load() {
+				t.Errorf("irrevocable at attempt %d, below StarveAfter", attempt)
+			}
+			tx.Restart()
+		}
+		if !c.irrevocable.Load() {
+			t.Error("not irrevocable after escalation")
+		}
+		if rt.gatePending.Load() != 1 || rt.gateLock.Load() != 1 {
+			t.Error("gate not held after escalation")
+		}
+		// Two aborts reached the policy; the third escalated instead.
+		if c.cm.Priority() != 2 {
+			t.Errorf("karma in the escalated attempt = %d, want 2", c.cm.Priority())
+		}
+	})
+	st := th.Stats()
+	if st.Escalations != 1 || st.EscalatedCommits != 1 {
+		t.Fatalf("Escalations/EscalatedCommits = %d/%d, want 1/1", st.Escalations, st.EscalatedCommits)
 	}
-	g.OnAbort(3)
-	if st.Escalations != 1 {
-		t.Fatalf("Escalations = %d, want 1", st.Escalations)
-	}
-	if !g.irrevocable.Load() {
-		t.Fatal("not irrevocable after escalation")
-	}
-	if p.gatePending.Load() != 1 || p.gateLock.Load() != 1 {
-		t.Fatal("gate not held after escalation")
-	}
-	g.OnCommit()
-	if st.EscalatedCommits != 1 {
-		t.Fatalf("EscalatedCommits = %d, want 1", st.EscalatedCommits)
-	}
-	if g.irrevocable.Load() {
+	if c.irrevocable.Load() {
 		t.Fatal("still irrevocable after commit")
 	}
-	if p.gatePending.Load() != 0 || p.gateLock.Load() != 0 {
+	if rt.gatePending.Load() != 0 || rt.gateLock.Load() != 0 {
 		t.Fatal("gate not released after escalated commit")
 	}
-	// Centralized OnCommit reset: karma accrued during the starving block
-	// (one per abort) must be gone.
-	if g.Priority() != 0 {
-		t.Fatalf("karma after escalated commit = %d", g.Priority())
+	// The policy's OnCommit reset: karma accrued during the starving block
+	// (one per non-escalating abort) must be gone.
+	if c.cm.Priority() != 0 {
+		t.Fatalf("karma after escalated commit = %d", c.cm.Priority())
 	}
-	g.OnStart()
-	g.OnAbort(1)
-	if g.irrevocable.Load() || p.gatePending.Load() != 0 {
-		t.Fatal("next block started escalated")
-	}
-	g.OnCommit()
+	attempt = 0
+	th.AtomicAt(NoBlock, func(tx Tx) {
+		if attempt++; attempt == 1 {
+			tx.Restart()
+		}
+		if c.irrevocable.Load() || rt.gatePending.Load() != 0 {
+			t.Error("next block ran escalated")
+		}
+	})
 	if st.Escalations != 1 || st.EscalatedCommits != 1 {
 		t.Fatalf("escalation counters after clean block = %d/%d", st.Escalations, st.EscalatedCommits)
 	}
@@ -99,73 +116,69 @@ func TestStarvationEscalation(t *testing.T) {
 // TestStarveAfterDisabled: a negative StarveAfter turns abort-count
 // escalation off entirely.
 func TestStarveAfterDisabled(t *testing.T) {
-	cfg := Config{Arena: mem.NewArena(64), Threads: 1, CM: "none", StarveAfter: -1}
-	p := governorPool(t, cfg)
-	if p.starveAfter > 0 {
-		t.Fatalf("starveAfter = %d, want disabled", p.starveAfter)
+	rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 1, CM: "none", StarveAfter: -1})
+	if rt.Cfg.StarveAfter > 0 {
+		t.Fatalf("StarveAfter = %d, want disabled", rt.Cfg.StarveAfter)
 	}
-	var st ThreadStats
-	g := p.ForThread(0, &st).(*governor)
-	g.OnStart()
-	g.OnAbort(100000)
-	if st.Escalations != 0 {
-		t.Fatal("escalated with StarveAfter < 0")
+	attempt := 0
+	rt.Thread(0).Atomic(func(tx Tx) {
+		if attempt++; attempt <= 4*DefaultStarveAfter {
+			tx.Restart()
+		}
+	})
+	if st := rt.Thread(0).Stats(); st.Escalations != 0 || st.Aborts != 4*DefaultStarveAfter {
+		t.Fatalf("escalations=%d aborts=%d with StarveAfter < 0", st.Escalations, st.Aborts)
 	}
-	g.OnCommit()
 }
 
-// TestDisplacedCause: a requester that yields to a pending escalation is
-// stamped killed-for-irrevocable by CauseOrDisplaced; the flag is one-shot,
-// and a chaos-dropped wait keeps the site's natural cause.
+// TestDisplacedCause: a requester that meets a conflict while an escalation
+// is pending yields at once and is stamped killed-for-irrevocable, blaming
+// the enemy's block; the stamp belongs to that conflict only — with no
+// escalation pending the site's natural cause stands.
 func TestDisplacedCause(t *testing.T) {
-	cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: "karma"}
-	p := governorPool(t, cfg)
-	var st0, st1 ThreadStats
-	a := p.ForThread(0, &st0)
-	b := p.ForThread(1, &st1)
-	a.OnStart()
-	b.OnStart()
+	rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: "karma"})
+	a, b := rt.cores[0], rt.cores[1]
+	blk := NewBlock("governor-test/enemy")
+	a.curBlock.Store(int32(blk))
 
-	p.gatePending.Add(1) // simulate a third party announcing escalation
-	if !b.ShouldAbort(a) {
-		t.Fatal("requester did not yield to the pending escalation")
+	rt.gatePending.Add(1) // simulate a third party announcing escalation
+	w := thread.Waiter{Parties: 2}
+	aborted, info := conflict(b, a.ID, CauseWriteWrite, &w)
+	if !aborted || w.Polls() != 0 {
+		t.Fatalf("requester did not yield to the pending escalation (aborted=%v, pauses=%d)", aborted, w.Polls())
 	}
-	if got := CauseOrDisplaced(b, trace.CauseWriteWrite); got != trace.CauseKilledForIrrevocable {
-		t.Fatalf("cause = %v, want killed-for-irrevocable", got)
+	if info.Cause != trace.CauseKilledForIrrevocable || info.Blame != blk {
+		t.Fatalf("cause/blame = %v/%d, want killed-for-irrevocable/%d", info.Cause, info.Blame, blk)
 	}
-	if got := CauseOrDisplaced(b, trace.CauseWriteWrite); got != trace.CauseWriteWrite {
-		t.Fatalf("displaced flag not consumed: second cause = %v", got)
-	}
-	p.gatePending.Add(-1)
+	rt.gatePending.Add(-1)
 
 	// Without a pending escalation the natural cause stands.
-	if got := CauseOrDisplaced(b, trace.CauseStripeLockBusy); got != trace.CauseStripeLockBusy {
-		t.Fatalf("cause without displacement = %v", got)
+	if _, info := conflict(b, a.ID, CauseStripeLockBusy, &thread.Waiter{}); info.Cause != trace.CauseStripeLockBusy {
+		t.Fatalf("cause without displacement = %v", info.Cause)
 	}
-	// Non-governor managers pass through.
-	if got := CauseOrDisplaced(noneCM{}, trace.CauseSeqChanged); got != trace.CauseSeqChanged {
-		t.Fatalf("non-governor pass-through = %v", got)
+	// An enemy between blocks is blamed as NoBlock.
+	a.curBlock.Store(outside)
+	if _, info := conflict(b, a.ID, CauseWriteWrite, &thread.Waiter{}); info.Blame != NoBlock {
+		t.Fatalf("blame of an idle enemy = %d", info.Blame)
 	}
 }
 
 // TestChaosWaitDrop: an armed cm-wait-drop site forces conflicts to abort
-// (requester-loses) without touching the displaced flag, so the natural
-// cause is kept.
+// (requester-loses) and keeps the site's natural cause.
 func TestChaosWaitDrop(t *testing.T) {
-	cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: "greedy", Chaos: "7:cm-wait-drop:1"}
-	p := governorPool(t, cfg)
-	var st0, st1 ThreadStats
-	older := p.ForThread(0, &st0)
-	younger := p.ForThread(1, &st1)
-	older.OnStart()
-	younger.OnStart()
-	// Greedy would normally let the older transaction wait; the injector
-	// drops the wait.
-	if !older.ShouldAbort(younger) {
-		t.Fatal("cm-wait-drop did not force the abort")
-	}
-	if got := CauseOrDisplaced(older, trace.CauseWriteWrite); got != trace.CauseWriteWrite {
-		t.Fatalf("chaos drop changed the cause to %v", got)
+	for _, spec := range []string{"", "7:cm-wait-drop:1"} {
+		rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: "greedy", Chaos: spec})
+		older, younger := rt.cores[0], rt.cores[1]
+		older.cm.OnStart()
+		younger.cm.OnStart()
+		// Greedy lets the older transaction wait; the injector drops the
+		// wait.
+		aborted, info := conflict(older, younger.ID, CauseWriteWrite, &thread.Waiter{Parties: 2})
+		if armed := spec != ""; aborted != armed {
+			t.Fatalf("chaos %q: aborted = %v, want %v", spec, aborted, armed)
+		} else if armed && info.Cause != trace.CauseWriteWrite {
+			t.Fatalf("chaos drop changed the cause to %v", info.Cause)
+		}
 	}
 }
 
@@ -173,48 +186,115 @@ func TestChaosWaitDrop(t *testing.T) {
 // peer to finish its attempt, and newcomers park until the escalated block
 // commits.
 func TestEscalationDrainsPeers(t *testing.T) {
-	cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: "none", StarveAfter: 1}
-	p := governorPool(t, cfg)
-	var st0, st1 ThreadStats
-	a := p.ForThread(0, &st0)
-	b := p.ForThread(1, &st1)
-
-	b.OnStart() // peer is mid-attempt
-	a.OnStart()
-	escalated := make(chan struct{})
+	rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: "none", StarveAfter: 1})
+	peerIn, peerGo, peerDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	go func() {
-		a.OnAbort(1) // must block draining b's flag
-		close(escalated)
+		defer close(peerDone)
+		rt.Thread(1).Atomic(func(Tx) { // the peer is mid-attempt
+			close(peerIn)
+			<-peerGo
+		})
+	}()
+	<-peerIn
+	escalated, commit, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		attempt := 0
+		rt.Thread(0).Atomic(func(tx Tx) {
+			if attempt++; attempt == 1 {
+				tx.Restart() // the first abort escalates (StarveAfter 1)
+			}
+			close(escalated)
+			<-commit
+		})
 	}()
 	select {
 	case <-escalated:
 		t.Fatal("escalation completed while a peer was still in its attempt")
 	case <-time.After(20 * time.Millisecond):
 	}
-	b.OnCommit() // peer drains
+	close(peerGo) // the peer commits and drains
 	select {
 	case <-escalated:
 	case <-time.After(2 * time.Second):
 		t.Fatal("escalation still blocked after the peer drained")
 	}
-	// Newcomer parks until the escalated block commits.
+	<-peerDone
+	// A newcomer parks until the escalated block commits.
 	entered := make(chan struct{})
-	go func() {
-		b.OnStart()
-		close(entered)
-	}()
+	go rt.Thread(1).Atomic(func(Tx) { close(entered) })
 	select {
 	case <-entered:
 		t.Fatal("newcomer entered during an escalated block")
 	case <-time.After(20 * time.Millisecond):
 	}
-	a.OnCommit()
+	close(commit)
 	select {
 	case <-entered:
 	case <-time.After(2 * time.Second):
 		t.Fatal("newcomer still parked after the escalated commit")
 	}
-	b.OnCommit()
+	<-done
+}
+
+// TestGateDekkerOrder pins the order of the gate's Dekker pair: a worker
+// publishes curBlock before it reads gatePending, and an escalator
+// publishes gatePending before it reads its peers' curBlock. One worker
+// escalates on every block while three peers run short blocks; each marks
+// its attempt, and no peer attempt may overlap an irrevocable one. Reading
+// gatePending before the publish lets a peer slip past a drain that has
+// already counted it out; the escalator yields between blocks and inside its
+// irrevocable attempt, so on one P a peer preempted inside that window runs
+// its attempt while the escalated one is still live.
+func TestGateDekkerOrder(t *testing.T) {
+	const threads, blocks = 4, 2000
+	rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: threads, CM: "none", StarveAfter: 1})
+	var irrevocable, peers atomic.Int32
+	var overlaps atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for p := 1; p < threads; p++ {
+		wg.Add(1)
+		go func(th Thread) {
+			defer wg.Done()
+			for !stop.Load() {
+				th.Atomic(func(Tx) {
+					peers.Add(1)
+					if irrevocable.Load() != 0 {
+						overlaps.Add(1)
+					}
+					peers.Add(-1)
+				})
+			}
+		}(rt.Thread(p))
+	}
+	th := rt.Thread(0)
+	escalated := uint64(0)
+	for deadline := time.Now().Add(200 * time.Millisecond); escalated < blocks && time.Now().Before(deadline); escalated++ {
+		runtime.Gosched() // let the peers run between escalations
+		attempt := 0
+		th.Atomic(func(tx Tx) {
+			if attempt++; attempt == 1 {
+				tx.Restart() // StarveAfter 1: the retry runs irrevocably
+			}
+			irrevocable.Store(1)
+			for range 4 {
+				runtime.Gosched()
+				if peers.Load() != 0 {
+					overlaps.Add(1)
+				}
+			}
+			irrevocable.Store(0)
+		})
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d probes saw a peer attempt overlap an irrevocable one", n)
+	}
+	if st := th.Stats(); st.EscalatedCommits != escalated {
+		t.Fatalf("EscalatedCommits = %d, want %d", st.EscalatedCommits, escalated)
+	}
 }
 
 // TestWatchBasics: commit accounting, halt latch, and Poll unwinding.
@@ -249,16 +329,13 @@ func TestWatchBasics(t *testing.T) {
 	t.Fatal("Poll did not panic after Halt")
 }
 
-// TestWatchUnparksGate: a worker parked at the governor's gate unwinds with
+// TestWatchUnparksGate: a worker parked at the escalation gate unwinds with
 // HaltSignal when the watch halts, instead of spinning forever.
 func TestWatchUnparksGate(t *testing.T) {
 	w := NewWatch(2)
-	cfg := Config{Arena: mem.NewArena(64), Threads: 2, CM: "none", Watch: w}
-	p := governorPool(t, cfg)
-	var st ThreadStats
-	g := p.ForThread(0, &st)
+	rt := gateRuntime(t, Config{Arena: mem.NewArena(64), Threads: 2, CM: "none", Watch: w})
 
-	p.gatePending.Add(1) // a never-finishing escalation keeps the gate shut
+	rt.gatePending.Add(1) // a never-finishing escalation keeps the gate shut
 	unwound := make(chan HaltSignal, 1)
 	go func() {
 		defer func() {
@@ -266,7 +343,7 @@ func TestWatchUnparksGate(t *testing.T) {
 				unwound <- hs
 			}
 		}()
-		g.OnStart() // parks at the gate
+		rt.Thread(0).Atomic(func(Tx) { t.Error("block ran behind a shut gate") })
 	}()
 	time.Sleep(10 * time.Millisecond)
 	w.Halt("watchdog test")
@@ -278,5 +355,5 @@ func TestWatchUnparksGate(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("parked worker did not unwind after Halt")
 	}
-	p.gatePending.Add(-1)
+	rt.gatePending.Add(-1)
 }

@@ -127,7 +127,7 @@ func TestCapacityIsTheL1(t *testing.T) {
 			}
 		}
 		cfg := func(arena *mem.Arena) tm.Config {
-			return tm.Config{Arena: arena, Threads: 1, EnableEarlyRelease: c.release}
+			return tm.Config{Arena: arena, Threads: 1}
 		}
 		t.Run(c.name+"/htm-lazy", func(t *testing.T) {
 			arena := mem.NewArena(1 << 16)

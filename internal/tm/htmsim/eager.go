@@ -288,7 +288,7 @@ func (x *eagerTx) grow(set *lineSet) {
 // overflow mode the signature entry stays and keeps generating conflicts —
 // the exact labyrinth+ behaviour from Section V).
 func (x *eagerTx) EarlyRelease(a mem.Addr) {
-	if !x.Cfg.EnableEarlyRelease || x.overflowed.Load() {
+	if x.overflowed.Load() {
 		return // cannot remove from a Bloom filter
 	}
 	if l := mem.LineOf(a); !x.writes.contains(l) {

@@ -208,9 +208,6 @@ func (x *lazyTx) Store(a mem.Addr, v uint64) {
 // raises conflicts — the labyrinth optimization. Lines also in the write set
 // stay tracked.
 func (x *lazyTx) EarlyRelease(a mem.Addr) {
-	if !x.Cfg.EnableEarlyRelease {
-		return
-	}
 	l := mem.LineOf(a)
 	if x.serial {
 		delete(x.serialRead, l)

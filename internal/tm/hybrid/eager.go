@@ -94,10 +94,7 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 		}
 		w := thread.Waiter{Parties: x.Cfg.Threads}
 		for other.active.Load() && other.writeSig.Test(l) {
-			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), &w) {
-				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
-					x.BlockOf(other.ID))
-			}
+			x.Conflict(other.ID, tm.CauseSignatureConflict, trace.LineKey(uint64(l)), &w)
 		}
 	}
 	return x.Mem.Load(a)
@@ -121,10 +118,7 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 		}
 		w := thread.Waiter{Parties: x.Cfg.Threads}
 		for other.active.Load() && (other.readSig.Test(l) || other.writeSig.Test(l)) {
-			if tm.WaitOrAbort(x.CM, x.CMOf(other.ID), &w) {
-				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseSignatureConflict), trace.LineKey(uint64(l)),
-					x.BlockOf(other.ID))
-			}
+			x.Conflict(other.ID, tm.CauseSignatureConflict, trace.LineKey(uint64(l)), &w)
 		}
 	}
 	// Log the old value only on the first store to a.

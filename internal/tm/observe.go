@@ -47,7 +47,7 @@ const (
 	CauseMVVersionMissing  = trace.CauseMVVersionMissing
 	// CauseKilledForIrrevocable marks victims displaced by a starving
 	// transaction's escalation to irrevocable mode (see Config.StarveAfter
-	// and CauseOrDisplaced).
+	// and TxCore.Conflict).
 	CauseKilledForIrrevocable = trace.CauseKilledForIrrevocable
 	// CauseAllocExhausted marks a tx.Alloc that found the arena out of
 	// capacity; a real miss unwinds the block with AllocFailure after the
@@ -123,8 +123,8 @@ func (a *AbortInfo) FailAlloc(err error) {
 // BailAlloc finishes a terminal alloc-exhaustion abort from the retry loop:
 // called after the abort has been accounted, it clears the pending error
 // and unwinds the whole atomic block with AllocFailure. The driver calls it
-// when Err is non-nil, after releasing the block's contention-manager state
-// (see AbandonBlock). It never returns.
+// when Err is non-nil, after leaving the escalation gate (handing back the
+// token if the block held it) and resetting the policy. It never returns.
 func (a *AbortInfo) BailAlloc() {
 	err := a.Err
 	a.Err = nil

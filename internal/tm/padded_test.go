@@ -33,12 +33,12 @@ func TestPaddedUint64Isolation(t *testing.T) {
 }
 
 // TestPerWorkerStateIsolation pins the same contract for the per-worker
-// liveness state every block writes — the governor's displaced flag, the
-// policies' timestamps, karma and jitter streams. Each is allocated once
+// policy state every block writes — the timestamps, karma and jitter
+// streams. Each is allocated once
 // per worker, back to back, so each must end in at least a line of padding:
 // then two workers' written fields can never share a cache line.
 func TestPerWorkerStateIsolation(t *testing.T) {
-	for _, v := range []any{governor{}, randlinCM{}, expoCM{}, greedyCM{}, karmaCM{}} {
+	for _, v := range []any{randlinCM{}, expoCM{}, greedyCM{}, karmaCM{}} {
 		typ := reflect.TypeOf(v)
 		end := uintptr(0) // end of the last field that is not padding
 		for i := 0; i < typ.NumField(); i++ {

@@ -16,30 +16,20 @@ type Seq struct {
 }
 
 // NewSeq constructs the sequential system. It runs under the same driver as
-// the concurrent runtimes with a contention manager that never delays,
-// never arbitrates and only credits the watchdog: Config.CM and Config.Chaos
-// are validated but have nothing to act on.
+// the concurrent runtimes with the "none" policy, no fault injector and
+// starvation escalation off: Config.CM, Config.Chaos and Config.StarveAfter
+// have nothing to act on (Validate still rejects a malformed Chaos spec).
 func NewSeq(cfg Config) (*Seq, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg.StarveAfter = -1
 	rt := &Runtime[*seqTx]{Shared: Shared{Cfg: cfg, name: "seq"}}
-	rt.cmFor = func(id int, _ *ThreadStats) ContentionManager { return seqCM{watch: cfg.Watch, id: id} }
+	rt.cmFor = func(int, *ThreadStats) ContentionManager { return noneCM{} }
 	rt.Bind(func(int) *seqTx { return &seqTx{} })
 	return &Seq{rt}, nil
 }
-
-// seqCM is noneCM plus the one duty the liveness governor performs for the
-// concurrent runtimes that seq still needs: crediting commits to the
-// watchdog.
-type seqCM struct {
-	noneCM
-	watch *Watch
-	id    int
-}
-
-func (c seqCM) OnCommit() { c.watch.Bump(c.id) }
 
 // seqTx applies every barrier directly to the arena. A user Restart or a
 // terminal allocation miss still unwinds and is accounted like any abort;

@@ -87,9 +87,7 @@ func (x *eagerTx) Load(a mem.Addr) uint64 {
 		// Early conflict detection: the stripe is held by a running writer.
 		// Requester-loses policies fail fast here; priority policies may
 		// wait the holder out and re-probe.
-		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), &w) {
-			x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
-		}
+		x.Conflict(int(owner), tm.CauseStripeLockBusy, trace.AddrKey(uint64(a)), &w)
 		e1 = x.locks.Load(idx)
 	}
 	if VersionOf(e1) > x.rv {
@@ -121,9 +119,7 @@ func (x *eagerTx) Store(a mem.Addr, v uint64) {
 			break // stripe already held
 		}
 		if locked {
-			if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), &w) {
-				x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseWriteWrite), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
-			}
+			x.Conflict(int(owner), tm.CauseWriteWrite, trace.AddrKey(uint64(a)), &w)
 			continue
 		}
 		if VersionOf(e) > x.rv {

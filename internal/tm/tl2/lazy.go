@@ -92,9 +92,7 @@ func (x *LazyTx) Load(a mem.Addr) uint64 {
 		// Conflict point: the stripe is locked by a committing writer.
 		// Arbitrate — requester-loses policies abort here; priority
 		// policies may wait the (short) commit out and re-probe.
-		if tm.WaitOrAbort(x.CM, x.CMOf(int(owner)), &w) {
-			x.Info.Fail(tm.CauseOrDisplaced(x.CM, tm.CauseStripeLockBusy), trace.AddrKey(uint64(a)), x.BlockOf(int(owner)))
-		}
+		x.Conflict(int(owner), tm.CauseStripeLockBusy, trace.AddrKey(uint64(a)), &w)
 		e1 = x.Locks.Load(idx)
 	}
 	v := x.Mem.Load(a)

@@ -142,9 +142,14 @@ type Config struct {
 	// the zero value reproduces the paper's behavior.
 	CM string
 
-	// EnableEarlyRelease controls whether EarlyRelease has any effect on the
-	// HTM simulators ("since early-release is not available on all TM
-	// systems, its use can be disabled").
+	// EnableEarlyRelease is ignored: the simulated HTMs always honor
+	// EarlyRelease. Labyrinth is its only caller, and with release off its
+	// privatization reads stayed tracked (read set 1 728 lines at p90
+	// against 18), a configuration no caller chose. The field remains only
+	// because the benchmark module (bench/batch.go) still sets it; it goes
+	// with the next change there.
+	//
+	// Deprecated: has no effect.
 	EnableEarlyRelease bool
 
 	// Chaos arms the deterministic fault-injection layer with a spec of the

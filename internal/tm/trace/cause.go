@@ -54,9 +54,11 @@ const (
 	CauseMVVersionMissing
 	// CauseKilledForIrrevocable is an attempt that aborted itself to yield
 	// to a starving transaction escalating to irrevocable mode (the
-	// guaranteed-progress fallback; see tm.Config.StarveAfter). The
-	// escalator drains in-flight peers, runs alone, and must commit; the
-	// displaced victims retry once it releases the irrevocability token.
+	// guaranteed-progress fallback; see tm.Config.StarveAfter): it met a
+	// conflict (tm.TxCore.Conflict) while the driver's escalation gate had
+	// an escalation pending. The escalator drains in-flight peers, runs
+	// alone, and must commit; the displaced victims retry once it releases
+	// the irrevocability token.
 	CauseKilledForIrrevocable
 	// CauseAllocExhausted is a tx.Alloc that found the arena (and the
 	// thread's recycling free lists) out of capacity. The attempt aborts

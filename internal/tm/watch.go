@@ -37,9 +37,8 @@ func NewWatch(threads int) *Watch {
 	return &Watch{slots: make([]PaddedUint64, threads)}
 }
 
-// Bump credits one commit to worker tid. Runtimes call it once per committed
-// atomic block (the Governor does it for every CM-managed runtime; seq bumps
-// directly).
+// Bump credits one commit to worker tid. The driver calls it once per
+// committed atomic block, on every runtime.
 func (w *Watch) Bump(tid int) {
 	if w == nil {
 		return

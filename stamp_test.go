@@ -10,7 +10,7 @@ import (
 
 func TestSystemsRoster(t *testing.T) {
 	got := stamp.Systems()
-	if len(got) != 10 {
+	if len(got) != 9 {
 		t.Fatalf("Systems() = %v", got)
 	}
 	// TMSystems stays pinned to the paper's six evaluated systems even as
@@ -28,7 +28,7 @@ func TestSystemsRoster(t *testing.T) {
 	for _, name := range got {
 		all[name] = true
 	}
-	for _, name := range append(tm, "stm-norec", "stm-norec-ro", "stm-mv") {
+	for _, name := range append(tm, "stm-norec", "stm-mv") {
 		if !all[name] {
 			t.Fatalf("Systems() = %v is missing %q", got, name)
 		}
