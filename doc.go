@@ -68,7 +68,8 @@
 // points are kept small: transactional allocation draws from
 // thread-private, line-aligned reservation chunks (one contended atomic
 // per chunk instead of per tx.Alloc), and the TL2 stripe-lock table is
-// sized from the arena instead of a fixed 8 MiB. Allocation is
+// sized from the arena, one stripe per word capped at 2^16 stripes
+// (512 KiB), the same rule for stm-lazy, stm-eager and stm-mv. Allocation is
 // transactional in both directions: tx.Free defers to commit and feeds
 // per-thread free lists, aborted attempts' allocations are reclaimed, and
 // abandoned chunk tails are retired, so balanced churn runs at a bounded

@@ -2,6 +2,7 @@ package factory
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/stamp-go/stamp/internal/mem"
@@ -84,6 +85,17 @@ func TestRosterSupersets(t *testing.T) {
 func TestUnknownNameErrors(t *testing.T) {
 	if _, err := New("nope", tm.Config{Arena: mem.NewArena(64), Threads: 1}); err == nil {
 		t.Fatal("expected error for unknown system")
+	}
+}
+
+// TestUnknownCMErrors: every runtime refuses a contention manager name that
+// is not registered, seq too, though it never consults one.
+func TestUnknownCMErrors(t *testing.T) {
+	for _, name := range Names() {
+		_, err := New(name, tm.Config{Arena: mem.NewArena(64), Threads: 1, CM: "no-such-policy"})
+		if err == nil || !strings.Contains(err.Error(), "tm: unknown contention manager") {
+			t.Errorf("New(%s, CM: no-such-policy) error = %v, want tm: unknown contention manager", name, err)
+		}
 	}
 }
 

@@ -77,7 +77,10 @@
 //
 // Ring memory is therefore paid from turn-on, not from New: 0 bytes until
 // the first snapshot reader, then stripes × (MVVersions+1) × 24 B for the
-// rest of the system's life.
+// rest of the system's life. The stripe table is TL2's, sized by
+// tl2.TableBits, so the slab is at most 2^16 runs (13.5 MiB at the default
+// depth); arenas beyond 2^16 words wrap onto it, and addresses that share
+// a stripe share its ring, which the pre-image records keep correct.
 package mv
 
 import (
@@ -90,21 +93,6 @@ import (
 	"github.com/stamp-go/stamp/internal/tm/chaos"
 	"github.com/stamp-go/stamp/internal/tm/tl2"
 	"github.com/stamp-go/stamp/internal/tm/trace"
-)
-
-// Stripe-table size bounds, in log2 stripes. Same derivation as the TL2
-// lock table (one stripe per arena word, clamped), but with a lower
-// ceiling: once a snapshot reader turns the rings on, each mv stripe
-// carries a ring header plus MVVersions ring slots besides its lock word,
-// so 2^20 stripes would cost hundreds of megabytes where TL2 pays eight
-// (2^16 stripes at the default depth cost 13.5 MiB, paid at turn-on).
-// Beyond 2^maxTableBits words the table wraps (tl2.LockTable.Index folds
-// the high address bits in), which only adds (rare, harmless) false
-// conflicts — and makes addresses share a ring, which the pre-image
-// records keep correct.
-const (
-	minTableBits = 12
-	maxTableBits = 16
 )
 
 // slot is one 24-byte cell of a stripe's run. A run is a header cell
@@ -156,7 +144,7 @@ func New(cfg tm.Config) (*System, error) {
 		return nil, err
 	}
 	clock := new(tl2.Clock)
-	locks := tl2.NewLockTable(tl2.TableBits(rt.Cfg.Arena.Cap(), minTableBits, maxTableBits))
+	locks := tl2.NewLockTable(tl2.TableBits(rt.Cfg.Arena.Cap()))
 	s := &System{
 		Runtime: rt,
 		clock:   clock,
@@ -185,7 +173,7 @@ func (s *System) run(slab []slot, idx uint32) (hdr *slot, recs []slot) {
 	return &r[0], r[1:]
 }
 
-// Stripes returns the stripe count of this instance's version table.
+// Stripes returns the stripe count of this instance's lock table.
 func (s *System) Stripes() int { return s.locks.Stripes() }
 
 // RingDepth returns the per-stripe ring depth (Config.MVVersions resolved).

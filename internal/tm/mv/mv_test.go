@@ -1,6 +1,7 @@
 package mv
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -10,7 +11,12 @@ import (
 	"github.com/stamp-go/stamp/internal/mem"
 	"github.com/stamp-go/stamp/internal/thread"
 	"github.com/stamp-go/stamp/internal/tm"
+	"github.com/stamp-go/stamp/internal/tm/tl2"
 )
+
+// capStripes is the TL2 family's stripe cap, which stm-mv shares: the table
+// size of an arena too large to cover word for word.
+var capStripes = 1 << tl2.TableBits(math.MaxInt32)
 
 func newSys(t *testing.T, cfg tm.Config) *System {
 	t.Helper()
@@ -288,7 +294,7 @@ func TestROBlockStoreFallsBack(t *testing.T) {
 
 // TestConfigValidation pins the MVVersions config contract: zero resolves
 // to the default depth, negatives are rejected with a message that says so,
-// and the table-size clamp respects its mv-specific ceiling.
+// and the table size is clamped to the TL2 family's cap.
 func TestConfigValidation(t *testing.T) {
 	arena := mem.NewArena(1 << 10)
 	if _, err := New(tm.Config{Arena: arena, Threads: 1, MVVersions: -1}); err == nil {
@@ -301,8 +307,8 @@ func TestConfigValidation(t *testing.T) {
 		t.Errorf("default ring depth = %d, want %d", got, tm.DefaultMVVersions)
 	}
 	big := newSys(t, tm.Config{Arena: mem.NewArena(1 << 18), Threads: 1})
-	if got := big.Stripes(); got != 1<<maxTableBits {
-		t.Errorf("stripes = %d, want the clamped %d", got, 1<<maxTableBits)
+	if got := big.Stripes(); got != capStripes {
+		t.Errorf("stripes = %d, want the clamped %d", got, capStripes)
 	}
 }
 
@@ -354,8 +360,8 @@ func TestWriterOnlySystemAllocatesNoRings(t *testing.T) {
 	x := arena.Alloc(1)
 	before := totalAlloc()
 	sys := newSys(t, tm.Config{Arena: arena, Threads: 2})
-	if sys.Stripes() != 1<<maxTableBits {
-		t.Fatalf("stripes = %d, want %d", sys.Stripes(), 1<<maxTableBits)
+	if sys.Stripes() != capStripes {
+		t.Fatalf("stripes = %d, want %d", sys.Stripes(), capStripes)
 	}
 	th := sys.Thread(0)
 	for i := 0; i < 1000; i++ {

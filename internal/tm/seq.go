@@ -18,10 +18,15 @@ type Seq struct {
 // NewSeq constructs the sequential system. It runs under the same driver as
 // the concurrent runtimes with the "none" policy, no fault injector and
 // starvation escalation off: Config.CM, Config.Chaos and Config.StarveAfter
-// have nothing to act on (Validate still rejects a malformed Chaos spec).
+// have nothing to act on. They are still checked like every runtime's:
+// Validate rejects a malformed Chaos spec, and an unknown Config.CM is
+// refused by resolving it in a pool that is then discarded.
 func NewSeq(cfg Config) (*Seq, error) {
 	cfg = cfg.Defaults()
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := NewCMPool(cfg, DefaultCM); err != nil {
 		return nil, err
 	}
 	cfg.StarveAfter = -1

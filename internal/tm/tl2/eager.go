@@ -28,13 +28,13 @@ func NewEager(cfg tm.Config) (*Eager, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Eager{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg.Arena.Cap(), minTableBits, maxTableBits)), clock: new(Clock)}
+	s := &Eager{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg.Arena.Cap())), clock: new(Clock)}
 	rt.Bind(func(slot int) *eagerTx { return &eagerTx{locks: s.locks, clock: s.clock, slot: uint64(slot)} })
 	return s, nil
 }
 
-// LockTableStripes returns the stripe count of this instance's lock table.
-func (s *Eager) LockTableStripes() int { return s.locks.Stripes() }
+// Stripes returns the stripe count of this instance's lock table.
+func (s *Eager) Stripes() int { return s.locks.Stripes() }
 
 type eagerTx struct {
 	tm.TxCore

@@ -29,13 +29,13 @@ func NewLazy(cfg tm.Config) (*Lazy, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Lazy{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg.Arena.Cap(), minTableBits, maxTableBits)), clock: new(Clock)}
+	s := &Lazy{Runtime: rt, locks: NewLockTable(TableBits(rt.Cfg.Arena.Cap())), clock: new(Clock)}
 	rt.Bind(func(int) *LazyTx { return &LazyTx{Locks: s.locks, Clock: s.clock} })
 	return s, nil
 }
 
-// LockTableStripes returns the stripe count of this instance's lock table.
-func (s *Lazy) LockTableStripes() int { return s.locks.Stripes() }
+// Stripes returns the stripe count of this instance's lock table.
+func (s *Lazy) Stripes() int { return s.locks.Stripes() }
 
 // LazyTx is the TL2 lazy transaction: stm-lazy's whole protocol, and the
 // writer half of stm-mv (which embeds it, adds the snapshot read path, and

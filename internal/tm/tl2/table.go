@@ -15,24 +15,25 @@ import (
 	"github.com/stamp-go/stamp/internal/tm/trace"
 )
 
-// Lock-table size bounds, in log2 stripes. The table is sized from the
-// arena (one stripe per word, next power of two) within
-// [minTableBits, maxTableBits]. The historical table was a fixed
-// 2^20 stripes (8 MiB of metadata) regardless of workload — small
-// workloads paid that in cold cache misses on every barrier. Beyond
-// 2^maxTableBits words the table wraps (see Index), which only
-// introduces (rare, harmless) false conflicts.
+// Lock-table size bounds, in log2 stripes, for the whole TL2 family
+// (stm-lazy, stm-eager and stm-mv): one stripe per arena word, next power
+// of two, within [minTableBits, maxTableBits]. The cap keeps the metadata
+// cache-sized — 2^16 stripes are 512 KiB of lock words, a quarter of a
+// 2 MiB per-core L2 — and bounds stm-mv's ring slab, one run per stripe;
+// at 2^14, aliased stripes already show as false conflicts on tx-long.
+// Beyond 2^maxTableBits words the table wraps (see Index), which only adds
+// false conflicts, never lost updates.
 const (
 	minTableBits = 12 // 4096 stripes, 32 KiB — floor for tiny arenas
-	maxTableBits = 20 // 2^20 stripes, 8 MiB — the historical fixed size
+	maxTableBits = 16 // 65536 stripes, 512 KiB — the cap
 )
 
 // TableBits returns the log2 stripe count for an arena of the given
 // capacity in words: the smallest power of two covering it word for word,
-// clamped to [lo, hi].
-func TableBits(words, lo, hi int) int {
-	bits := lo
-	for bits < hi && 1<<bits < words {
+// clamped to [minTableBits, maxTableBits].
+func TableBits(words int) int {
+	bits := minTableBits
+	for bits < maxTableBits && 1<<bits < words {
 		bits++
 	}
 	return bits
@@ -63,11 +64,13 @@ func (t *LockTable) Stripes() int { return len(t.entries) }
 //     one aligned 64-byte table line (a>>bits is constant across the line,
 //     so the xor only permutes entries within the group): a transaction
 //     that touches one data line touches one metadata line.
-//   - With stripes >= arena words (the default sizing) a>>bits is 0 and the
-//     map is the identity: injective, so no false conflicts.
-//   - When the table wraps, the bits above the table size are xor-folded
-//     in, so addresses a power-of-two stride of the table size (or a
-//     multiple) apart land on distinct stripes instead of all on one.
+//   - With stripes >= arena words (every arena up to 2^maxTableBits words)
+//     a>>bits is 0 and the map is the identity: injective, so no false
+//     conflicts.
+//   - When the table wraps (every larger arena), the bits above the table
+//     size are xor-folded in, so addresses a power-of-two stride of the
+//     table size (or a multiple) apart land on distinct stripes instead of
+//     all on one.
 func (t *LockTable) Index(a mem.Addr) uint32 {
 	x := uint32(a)
 	return (x ^ x>>t.bits) & uint32(len(t.entries)-1)

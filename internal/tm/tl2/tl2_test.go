@@ -21,7 +21,7 @@ func TestLockEntryEncoding(t *testing.T) {
 }
 
 func TestLockTableIndexStable(t *testing.T) {
-	for _, bits := range []int{minTableBits, 16, maxTableBits} {
+	for _, bits := range []int{minTableBits, 14, maxTableBits} {
 		lt := NewLockTable(bits)
 		for _, a := range []mem.Addr{0, 1, 4, 1 << 20, 1<<31 - 1} {
 			if lt.Index(a) != lt.Index(a) {
@@ -43,7 +43,7 @@ func TestLockTableIndexStable(t *testing.T) {
 // addresses — a plain a&mask puts them all on one.
 func TestStripeMapProperties(t *testing.T) {
 	const words = 8 // per 64-byte line, arena and table alike
-	for _, bits := range []int{minTableBits, 16, maxTableBits} {
+	for _, bits := range []int{minTableBits, 14, maxTableBits} {
 		lt := NewLockTable(bits)
 		n := uint32(lt.Stripes())
 
@@ -78,37 +78,6 @@ func TestStripeMapProperties(t *testing.T) {
 			if len(distinct) < addrs/2 {
 				t.Errorf("bits=%d: %d addresses at stride %d share %d stripes, want >= %d", bits, addrs, stride, len(distinct), addrs/2)
 			}
-		}
-	}
-}
-
-// TestLockTableRightSizing pins the arena-derived table size, clamped to
-// [2^minTableBits, 2^maxTableBits] stripes.
-func TestLockTableRightSizing(t *testing.T) {
-	cases := []struct {
-		arenaWords int
-		want       int // stripes
-	}{
-		{1 << 10, 1 << minTableBits}, // tiny arena: floor
-		{1 << 14, 1 << 14},           // one stripe per word
-		{1<<14 + 1, 1 << 15},         // rounds up to the next power of two
-		{1 << 24, 1 << maxTableBits}, // huge arena: historical cap
-	}
-	for _, c := range cases {
-		cfg := tm.Config{Arena: mem.NewArena(c.arenaWords), Threads: 2}
-		lazy, err := NewLazy(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := lazy.LockTableStripes(); got != c.want {
-			t.Errorf("lazy stripes(arena=%d) = %d, want %d", c.arenaWords, got, c.want)
-		}
-		eager, err := NewEager(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := eager.LockTableStripes(); got != c.want {
-			t.Errorf("eager stripes(arena=%d) = %d, want %d", c.arenaWords, got, c.want)
 		}
 	}
 }
