@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"github.com/stamp-go/stamp/internal/apps"
 )
 
 // Characterization is one Table VI row, with the paper's "instructions per
@@ -29,50 +31,27 @@ type Characterization struct {
 	FootprintWords int
 }
 
-// Characterize reproduces one Table VI row for a variant at opt.Scale: the
-// seq run provides the barrier counts and the per-transaction time proxy,
-// the lazy HTM provides read/write sets and time-in-transactions (as in
-// the paper), and every TM system at opt.RetryThreads threads (0 = 16, the
-// paper's) provides retries per transaction. The remaining per-run knobs
+// Characterize reproduces one Table VI row for a variant at opt.Scale:
+// Shape's seq and lazy-HTM runs give every column but the retries (the HTM
+// gives read/write sets and time-in-transactions, as in the paper), and
+// every TM system at opt.RetryThreads threads (0 = 16, the paper's)
+// provides retries per transaction. The remaining per-run knobs
 // of opt apply to the retry-column runs (contention management is what
 // those columns vary; the zero Options keeps
 // each runtime's defaults). opt.ExtraRetrySystems adds retry columns for
 // runtimes beyond the paper's six (e.g. "stm-norec"); opt.System and
 // opt.Threads are ignored — the columns pick their own.
 func Characterize(v Variant, opt Options) (Characterization, error) {
-	c := Characterization{Variant: v.Name, Retries: map[string]float64{}}
 	if err := opt.Validate(); err != nil {
-		return c, fmt.Errorf("harness: invalid options: %w", err)
+		return Characterization{Variant: v.Name}, fmt.Errorf("harness: invalid options: %w", err)
 	}
 	opt = opt.withDefaults()
 	app := v.Make(opt.Scale)
-
-	seq, err := RunOne(app, v.Name, Options{System: "seq", Threads: 1})
+	c, err := Shape(app, v.Name)
 	if err != nil {
 		return c, err
 	}
-	if seq.Verify != nil {
-		return c, fmt.Errorf("characterize %s: seq run failed verification: %w", v.Name, seq.Verify)
-	}
-	c.FootprintWords = seq.ArenaUsed
-	c.TxCount = seq.Stats.Total.Commits
-	if c.TxCount > 0 {
-		c.NsPerTx = float64(seq.Stats.Total.TxTimeNs) / float64(c.TxCount)
-	}
-	c.MeanLoads = seq.Stats.MeanLoads()
-	c.MeanStores = seq.Stats.MeanStores()
-
-	htm, err := RunOne(app, v.Name, Options{System: "htm-lazy", Threads: 1})
-	if err != nil {
-		return c, err
-	}
-	if htm.Verify != nil {
-		return c, fmt.Errorf("characterize %s: htm-lazy run failed verification: %w", v.Name, htm.Verify)
-	}
-	c.ReadSetP90 = htm.Stats.ReadSetP90()
-	c.WriteSetP90 = htm.Stats.WriteSetP90()
-	c.TxTimePct = htm.TxTimeFraction() * 100
-
+	c.Retries = map[string]float64{}
 	for _, sysName := range append(TMSystems(), opt.ExtraRetrySystems...) {
 		ro := opt
 		ro.System = sysName
@@ -86,6 +65,42 @@ func Characterize(v Variant, opt Options) (Characterization, error) {
 		}
 		c.Retries[sysName] = r.RetriesPerTx()
 	}
+	return c, nil
+}
+
+// Shape computes the columns of one Table VI row that time nothing, from
+// the two one-thread runs they need and no retry runs: TxCount, MeanLoads,
+// MeanStores and FootprintWords from seq, ReadSetP90 and WriteSetP90 from
+// htm-lazy. Each is a pure function of (variant, scale, seed); the Table VI
+// golden file pins them. The same runs also fill the timed NsPerTx and
+// TxTimePct, which vary run to run.
+func Shape(app apps.App, name string) (Characterization, error) {
+	c := Characterization{Variant: name}
+	seq, err := RunOne(app, name, Options{System: "seq", Threads: 1})
+	if err != nil {
+		return c, err
+	}
+	if seq.Verify != nil {
+		return c, fmt.Errorf("characterize %s: seq run failed verification: %w", name, seq.Verify)
+	}
+	c.FootprintWords = seq.ArenaUsed
+	c.TxCount = seq.Stats.Total.Commits
+	if c.TxCount > 0 {
+		c.NsPerTx = float64(seq.Stats.Total.TxTimeNs) / float64(c.TxCount)
+	}
+	c.MeanLoads = seq.Stats.MeanLoads()
+	c.MeanStores = seq.Stats.MeanStores()
+
+	htm, err := RunOne(app, name, Options{System: "htm-lazy", Threads: 1})
+	if err != nil {
+		return c, err
+	}
+	if htm.Verify != nil {
+		return c, fmt.Errorf("characterize %s: htm-lazy run failed verification: %w", name, htm.Verify)
+	}
+	c.ReadSetP90 = htm.Stats.ReadSetP90()
+	c.WriteSetP90 = htm.Stats.WriteSetP90()
+	c.TxTimePct = htm.TxTimeFraction() * 100
 	return c, nil
 }
 

@@ -167,7 +167,7 @@ var variants = []Variant{
 	{
 		Name: "labyrinth++", App: "labyrinth", Args: "-i random-x512-y512-z7-n512", Sim: false,
 		Make: func(s float64) apps.App {
-			return labyrinth.New(labyrinth.Config{X: 512, Y: 512, Z: 7,
+			return labyrinth.New(labyrinth.Config{X: scaled(512, s, 32), Y: scaled(512, s, 32), Z: 7,
 				Paths: scaled(512, s, 8), Seed: defaultSeed})
 		},
 	},
