@@ -18,8 +18,8 @@ func TestInputDigest(t *testing.T) {
 		seed         uint64
 		input, arena uint64
 	}{
-		{1, 0x19e58714545d2f1a, 0x2894b5d5625f1cfd},
-		{2, 0x3c5be71811534ff8, 0x119a6151644aca8e},
+		{1, 0x19e58714545d2f1a, 0x4fcf65fcabcaf7c8},
+		{2, 0x3c5be71811534ff8, 0x74ad6fd6df12453f},
 	} {
 		a := New(Config{AttackPercent: 10, MaxPackets: 128, Flows: 2048, Seed: tc.seed})
 		if got := inputDigest(a); got != tc.input {

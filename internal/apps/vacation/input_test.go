@@ -17,8 +17,8 @@ func TestInputDigest(t *testing.T) {
 		seed         uint64
 		input, arena uint64
 	}{
-		{1, 0xf9ada4b05e131403, 0x3615fdda598fad8a},
-		{2, 0x821b9b9d720e1090, 0x573e5ef7e08a42b8},
+		{1, 0xf9ada4b05e131403, 0x619e0a12850d02e2},
+		{2, 0x821b9b9d720e1090, 0xf873a06b9b53b6f4},
 	} {
 		a := New(Config{QueriesPerTx: 4, QueryRange: 60, PercentUser: 90,
 			Records: 32768, Transactions: 40000, Seed: tc.seed})

@@ -165,11 +165,9 @@ const cavityGuard = 256
 // Run implements apps.App.
 func (a *App) Run(sys tm.System, team *thread.Team) {
 	a.created = make([][]mem.Addr, team.N())
-	var inflight atomic.Int64
 	team.Run(func(tid int) {
 		th := sys.Thread(tid)
 		for {
-			inflight.Add(1)
 			var triAddr mem.Addr
 			have := false
 			th.AtomicAt(blkPopWork, func(tx tm.Tx) {
@@ -177,17 +175,10 @@ func (a *App) Run(sys tm.System, team *thread.Team) {
 				have = ok
 				triAddr = mem.Addr(v)
 			})
-			if have {
-				a.refine(th, tid, triAddr)
-				inflight.Add(-1)
-				continue
-			}
-			// Queue empty: if no one is mid-refinement, no new work can
-			// appear (pushes only happen between the inflight inc/dec).
-			if inflight.Add(-1) == 0 {
+			if !have {
 				return
 			}
-			tm.Spin(200)
+			a.refine(th, tid, triAddr)
 		}
 	})
 	a.ran = true

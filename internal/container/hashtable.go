@@ -7,15 +7,15 @@ import (
 
 // Hashtable is a fixed-bucket chained hash map with unique uint64 keys,
 // mirroring the original suite's hashtable.c (genome's segment set, among
-// others). Each bucket is a sorted List. The handle addresses a 3-word
-// header: [nbuckets, size, bucketsPtr]; bucket i's list header address is
-// stored at bucketsPtr+i.
+// others). Each bucket is a sorted List. The handle addresses a 2-word
+// header: [nbuckets, bucketsPtr]; bucket i's list header address is stored
+// at bucketsPtr+i. Like STAMP's, the table keeps no element count: inserts
+// and removes into different buckets touch no common word, so they commute.
 type Hashtable struct{ H mem.Addr }
 
 const (
 	htBuckets = 0
-	htSize    = 1
-	htData    = 2
+	htData    = 1
 )
 
 // NewHashtable allocates a table with nBuckets chains.
@@ -23,10 +23,9 @@ func NewHashtable(m tm.Mem, nBuckets int) Hashtable {
 	if nBuckets < 1 {
 		nBuckets = 1
 	}
-	h := m.Alloc(3)
+	h := m.Alloc(2)
 	data := m.Alloc(nBuckets)
 	m.Store(h+htBuckets, uint64(nBuckets))
-	m.Store(h+htSize, 0)
 	m.Store(h+htData, uint64(data))
 	for i := 0; i < nBuckets; i++ {
 		l := NewList(m)
@@ -51,26 +50,19 @@ func (t Hashtable) bucket(m tm.Mem, k uint64) List {
 	return List{H: mem.Addr(m.Load(data + mem.Addr(i)))}
 }
 
-// Len returns the element count.
-func (t Hashtable) Len(m tm.Mem) int { return int(m.Load(t.H + htSize)) }
+// Len counts the elements with a walk of every bucket: O(n), and like
+// mem.Direct for quiescent use only (verification, tests).
+func (t Hashtable) Len(m tm.Mem) int {
+	n := 0
+	t.Each(m, func(_, _ uint64) bool { n++; return true })
+	return n
+}
 
 // Insert adds (k, v); it reports false if k is already present.
-func (t Hashtable) Insert(m tm.Mem, k, v uint64) bool {
-	if !t.bucket(m, k).Insert(m, k, v) {
-		return false
-	}
-	m.Store(t.H+htSize, m.Load(t.H+htSize)+1)
-	return true
-}
+func (t Hashtable) Insert(m tm.Mem, k, v uint64) bool { return t.bucket(m, k).Insert(m, k, v) }
 
 // Remove deletes k, reporting whether it was present.
-func (t Hashtable) Remove(m tm.Mem, k uint64) bool {
-	if !t.bucket(m, k).Remove(m, k) {
-		return false
-	}
-	m.Store(t.H+htSize, m.Load(t.H+htSize)-1)
-	return true
-}
+func (t Hashtable) Remove(m tm.Mem, k uint64) bool { return t.bucket(m, k).Remove(m, k) }
 
 // Get returns the value stored under k.
 func (t Hashtable) Get(m tm.Mem, k uint64) (uint64, bool) {

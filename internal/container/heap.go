@@ -8,7 +8,9 @@ import (
 // Heap is a growable binary min-heap of (key, value) pairs ordered by key
 // (the original suite's heap.c, used by yada's work queue of skinny
 // triangles). The handle addresses a 3-word header: [size, cap, dataPtr];
-// entry i occupies data[2i] (key) and data[2i+1] (value).
+// entry i occupies data[2i] (key) and data[2i+1] (value). Unlike Hashtable
+// and RBTree it keeps its size word: STAMP's yada shares one heap among all
+// threads too, and Pop must read the count to find the last entry.
 type Heap struct{ H mem.Addr }
 
 const (

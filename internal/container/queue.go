@@ -8,7 +8,9 @@ import (
 // Queue is a growable circular-buffer FIFO of words, mirroring the original
 // suite's queue.c (used by intruder's packet capture phase and labyrinth's
 // work distribution). The handle addresses a 4-word header:
-// [capacity, size, head, dataPtr].
+// [capacity, size, head, dataPtr]. Unlike Hashtable and RBTree it keeps its
+// size word: STAMP's intruder shares one queue among all threads too, and
+// Pop must read the count to find it empty.
 type Queue struct{ H mem.Addr }
 
 const (

@@ -10,7 +10,7 @@ import (
 // RBLoader bulk-builds an RBTree from keys appended in strictly ascending
 // order. The arena it leaves is word for word the one NewRBTree followed by
 // the same Insert calls leaves: the same allocations in the same order, the
-// same final node words and the same [root, size] header. What it saves is
+// same final node words and the same [root] header. What it saves is
 // the work: Insert descends from the root and rewrites links and colors
 // during fix-up, while the loader writes each node word exactly once, when
 // the word has become final, and never loads.
@@ -39,7 +39,6 @@ type RBLoader struct {
 	m     tm.Mem
 	h     mem.Addr
 	spine []spineNode // root first; spine[i+1] is spine[i]'s right child
-	size  uint64
 	last  uint64
 }
 
@@ -50,20 +49,19 @@ type spineNode struct {
 	c, lc uint64
 }
 
-// NewRBLoader allocates the tree header, as NewRBTree does; the header words
-// are written by Finish.
+// NewRBLoader allocates the tree header, as NewRBTree does; Finish writes
+// it.
 func NewRBLoader(m tm.Mem) RBLoader {
-	return RBLoader{m: m, h: m.Alloc(2)}
+	return RBLoader{m: m, h: m.Alloc(1)}
 }
 
 // Append adds (k, v) as Insert would. It panics unless k is greater than
 // every key appended before it.
 func (b *RBLoader) Append(k, v uint64) {
-	if b.size > 0 && k <= b.last {
+	if len(b.spine) > 0 && k <= b.last {
 		panic(fmt.Sprintf("container: RBLoader.Append(%d) after %d: keys must ascend", k, b.last))
 	}
 	b.last = k
-	b.size++
 	z := b.m.Alloc(rbNodeWords)
 	b.m.Store(z+rnKey, k)
 	b.m.Store(z+rnVal, v)
@@ -129,6 +127,5 @@ func (b *RBLoader) Finish() RBTree {
 		b.bury(s.l, s.lc, s.n)
 	}
 	b.m.Store(b.h+rbRoot, uint64(root))
-	b.m.Store(b.h+rbSize, b.size)
 	return RBTree{H: b.h}
 }

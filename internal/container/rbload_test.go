@@ -115,12 +115,12 @@ func firstDiff(a, b []uint64) int {
 }
 
 // TestRBLoaderWritesEachWordOnce pins the write-once property: six stores
-// per node, two for the header, no loads.
+// per node, one for the header, no loads.
 func TestRBLoaderWritesEachWordOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000, 4097} {
 		m := &countMem{Mem: newWordMem()}
 		loadTree(m, n)
-		if want := rbNodeWords*n + 2; m.stores != want || m.loads != 0 {
+		if want := rbNodeWords*n + 1; m.stores != want || m.loads != 0 {
 			t.Fatalf("n=%d: %d stores and %d loads, want %d and 0", n, m.stores, m.loads, want)
 		}
 	}

@@ -8,13 +8,13 @@ import (
 // RBTree is a red-black tree map with unique uint64 keys, mirroring the
 // original suite's rbtree.c (vacation's database tables, intruder's session
 // dictionary — "a dictionary implemented by a self-balancing tree"). The
-// handle addresses a 2-word header: [root, size]. Nodes are 6 words:
-// [key, val, left, right, parent, color].
+// handle addresses a 1-word header: [root]. Like STAMP's, the tree keeps no
+// element count for every Insert and Remove to write and conflict on.
+// Nodes are 6 words: [key, val, left, right, parent, color].
 type RBTree struct{ H mem.Addr }
 
 const (
 	rbRoot = 0
-	rbSize = 1
 
 	rnKey       = 0
 	rnVal       = 1
@@ -30,14 +30,18 @@ const (
 
 // NewRBTree allocates an empty tree.
 func NewRBTree(m tm.Mem) RBTree {
-	h := m.Alloc(2)
+	h := m.Alloc(1)
 	m.Store(h+rbRoot, uint64(mem.Nil))
-	m.Store(h+rbSize, 0)
 	return RBTree{H: h}
 }
 
-// Len returns the element count.
-func (t RBTree) Len(m tm.Mem) int { return int(m.Load(t.H + rbSize)) }
+// Len counts the elements with an in-order walk: O(n), and like mem.Direct
+// for quiescent use only (verification, tests).
+func (t RBTree) Len(m tm.Mem) int {
+	n := 0
+	t.Each(m, func(_, _ uint64) bool { n++; return true })
+	return n
+}
 
 func (t RBTree) root(m tm.Mem) mem.Addr { return mem.Addr(m.Load(t.H + rbRoot)) }
 
@@ -166,7 +170,6 @@ func (t RBTree) Insert(m tm.Mem, k, v uint64) bool {
 		m.Store(p+rnRight, uint64(z))
 	}
 	t.insertFixup(m, z)
-	m.Store(t.H+rbSize, m.Load(t.H+rbSize)+1)
 	return true
 }
 
@@ -279,7 +282,6 @@ func (t RBTree) Remove(m tm.Mem, k uint64) bool {
 		t.removeFixup(m, x, xp)
 	}
 	m.Free(z, rbNodeWords)
-	m.Store(t.H+rbSize, m.Load(t.H+rbSize)-1)
 	return true
 }
 
