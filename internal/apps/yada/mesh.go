@@ -8,10 +8,11 @@ import (
 
 // Arena mesh representation.
 //
-// Points live in a flat array of (x, y) float64 pairs with an append cursor;
-// triangle records are [v0, v1, v2, alive]; undirected edges map (through a
-// transactional hash table) to a 2-slot record of adjacent triangle
-// addresses; boundary segments are a hash set of edge keys.
+// Points live in a flat array of (x, y) float64 pairs, appended through one
+// cursor per worker (see App.Run); triangle records are [v0, v1, v2,
+// alive]; undirected edges map (through a transactional hash table) to a
+// 2-slot record of adjacent triangle addresses; boundary segments are a
+// hash set of edge keys.
 
 const (
 	triV0    = 0
@@ -27,8 +28,8 @@ const (
 
 // mesh bundles the arena handles; the struct itself is immutable during Run.
 type mesh struct {
-	ptsBase   mem.Addr // capacity*2 float64 words
-	ptsCursor mem.Addr // next point index
+	ptsBase   mem.Addr   // capacity*2 float64 words
+	cursors   []mem.Addr // worker tid's next point index, one line each
 	maxPoints int
 
 	edges    container.Hashtable // edgeKey -> edge record addr
@@ -43,16 +44,22 @@ func edgeKey(u, w int32) uint64 {
 	return uint64(uint32(u))<<32 | uint64(uint32(w))
 }
 
-// addPoint appends a point and returns its index.
-func (ms *mesh) addPoint(m tm.Mem, p Point) int32 {
-	idx := m.Load(ms.ptsCursor)
-	m.Store(ms.ptsCursor, idx+1)
+// addPoint appends a point through cursor cur, which steps over the other
+// workers' indices, and returns its index.
+func (ms *mesh) addPoint(m tm.Mem, cur mem.Addr, p Point) int32 {
+	idx := m.Load(cur)
+	m.Store(cur, idx+uint64(len(ms.cursors)))
 	if int(idx) >= ms.maxPoints {
 		panic("yada: point capacity exceeded (raise the refinement cap)")
 	}
-	tm.StoreF64(m, ms.ptsBase+mem.Addr(2*idx), p.X)
-	tm.StoreF64(m, ms.ptsBase+mem.Addr(2*idx+1), p.Y)
+	ms.setPoint(m, int32(idx), p)
 	return int32(idx)
+}
+
+// setPoint writes point i's coordinates.
+func (ms *mesh) setPoint(m tm.Mem, i int32, p Point) {
+	tm.StoreF64(m, ms.ptsBase+mem.Addr(2*int(i)), p.X)
+	tm.StoreF64(m, ms.ptsBase+mem.Addr(2*int(i)+1), p.Y)
 }
 
 // point reads point i's coordinates.

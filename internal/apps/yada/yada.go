@@ -125,14 +125,13 @@ func (a *App) Setup(ar *mem.Arena) {
 	mp := a.maxPoints()
 	a.ms = mesh{
 		ptsBase:   ar.Alloc(2 * mp),
-		ptsCursor: ar.Alloc(1),
 		maxPoints: mp,
 		edges:     container.NewHashtable(d, maxInt(mp/2, 64)),
 		segments:  container.NewHashtable(d, 256),
 		work:      container.NewHeap(d, maxInt(len(a.initTris), 16)),
 	}
-	for _, p := range a.initPts {
-		a.ms.addPoint(d, p)
+	for i, p := range a.initPts {
+		a.ms.setPoint(d, int32(i), p)
 	}
 	a.init = len(a.initPts)
 	a.initTriAddrs = a.initTriAddrs[:0]
@@ -165,6 +164,15 @@ const cavityGuard = 256
 // Run implements apps.App.
 func (a *App) Run(sys tm.System, team *thread.Team) {
 	a.created = make([][]mem.Addr, team.N())
+	// Worker tid numbers its k-th new point init + tid + k·N through a
+	// cursor on a line of its own, so refines share no cursor to conflict
+	// on, and one worker numbers points as a single cursor would.
+	ar := sys.Arena()
+	a.ms.cursors = make([]mem.Addr, team.N())
+	for tid := range a.ms.cursors {
+		a.ms.cursors[tid] = ar.AllocLines(1)
+		mem.Direct{A: ar}.Store(a.ms.cursors[tid], uint64(a.init+tid))
+	}
 	team.Run(func(tid int) {
 		th := sys.Thread(tid)
 		for {
@@ -203,7 +211,7 @@ func (a *App) refine(th tm.Thread, tid int, triAddr mem.Addr) {
 		if minAngleDeg(p0, p1, p2) >= a.cfg.MinAngle {
 			return
 		}
-		if int(tx.Load(ms.ptsCursor)) >= ms.maxPoints-4 {
+		if int(tx.Load(ms.cursors[tid])) >= ms.maxPoints-4 {
 			a.capped.Store(true)
 			return // growth cap: stop refining, keep the mesh consistent
 		}
@@ -243,7 +251,7 @@ func (a *App) refine(th tm.Thread, tid int, triAddr mem.Addr) {
 				return
 			}
 			// Commit point: insert, kill the cavity, fan the rim.
-			pi := ms.addPoint(tx, insertion)
+			pi := ms.addPoint(tx, ms.cursors[tid], insertion)
 			for _, t := range cav {
 				ms.killTriangle(tx, t)
 			}
@@ -387,7 +395,7 @@ func (a *App) Verify(ar *mem.Arena) error {
 	if skinny > 0 && !a.capped.Load() && a.skipped.Load() == 0 {
 		return fmt.Errorf("yada: %d skinny triangles remain without a cap/guard event", skinny)
 	}
-	if final := int(d.Load(ms.ptsCursor)); final <= a.init && skinny == 0 && len(a.initTris) > 0 {
+	if a.added(d) == 0 && skinny == 0 && len(a.initTris) > 0 {
 		// No refinement at all is only acceptable if the input had no
 		// skinny triangles to begin with.
 		for _, t := range a.initTris {
@@ -399,10 +407,17 @@ func (a *App) Verify(ar *mem.Arena) error {
 	return nil
 }
 
-// FinalPoints returns the refined point count (for tests).
-func (a *App) FinalPoints(ar *mem.Arena) int {
-	return int(mem.Direct{A: ar}.Load(a.ms.ptsCursor))
+// added returns the number of points the workers' cursors handed out.
+func (a *App) added(d mem.Direct) int {
+	n := 0
+	for tid, c := range a.ms.cursors {
+		n += (int(d.Load(c)) - a.init - tid) / len(a.ms.cursors)
+	}
+	return n
 }
+
+// FinalPoints returns the refined point count (for tests).
+func (a *App) FinalPoints(ar *mem.Arena) int { return a.init + a.added(mem.Direct{A: ar}) }
 
 // Skipped returns the number of guard-dropped work items (for tests).
 func (a *App) Skipped() int { return int(a.skipped.Load()) }
