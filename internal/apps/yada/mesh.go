@@ -8,11 +8,10 @@ import (
 
 // Arena mesh representation.
 //
-// Points live in a flat array of (x, y) float64 pairs, appended through one
-// cursor per worker (see App.Run); triangle records are [v0, v1, v2,
-// alive]; undirected edges map (through a transactional hash table) to a
-// 2-slot record of adjacent triangle addresses; boundary segments are a
-// hash set of edge keys.
+// Points live in a flat array of (x, y) float64 pairs, one append cursor
+// per worker; triangle records are [v0, v1, v2, alive]; undirected edges map
+// (through a transactional hash table) to a 2-slot record of adjacent
+// triangle addresses; boundary segments are a hash set of edge keys.
 
 const (
 	triV0    = 0

@@ -126,9 +126,9 @@ func (a *App) Setup(ar *mem.Arena) {
 	a.ms = mesh{
 		ptsBase:   ar.Alloc(2 * mp),
 		maxPoints: mp,
-		edges:     container.NewHashtable(d, maxInt(mp/2, 64)),
+		edges:     container.NewHashtable(d, max(mp/2, 64)),
 		segments:  container.NewHashtable(d, 256),
-		work:      container.NewHeap(d, maxInt(len(a.initTris), 16)),
+		work:      container.NewHeap(d, max(len(a.initTris), 16)),
 	}
 	for i, p := range a.initPts {
 		a.ms.setPoint(d, int32(i), p)
@@ -151,13 +151,6 @@ func (a *App) Setup(ar *mem.Arena) {
 	a.ran = false
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // cavityGuard bounds cavity growth against numerical blowup.
 const cavityGuard = 256
 
@@ -167,11 +160,10 @@ func (a *App) Run(sys tm.System, team *thread.Team) {
 	// Worker tid numbers its k-th new point init + tid + k·N through a
 	// cursor on a line of its own, so refines share no cursor to conflict
 	// on, and one worker numbers points as a single cursor would.
-	ar := sys.Arena()
 	a.ms.cursors = make([]mem.Addr, team.N())
 	for tid := range a.ms.cursors {
-		a.ms.cursors[tid] = ar.AllocLines(1)
-		mem.Direct{A: ar}.Store(a.ms.cursors[tid], uint64(a.init+tid))
+		a.ms.cursors[tid] = sys.Arena().AllocLines(1)
+		mem.Direct{A: sys.Arena()}.Store(a.ms.cursors[tid], uint64(a.init+tid))
 	}
 	team.Run(func(tid int) {
 		th := sys.Thread(tid)
@@ -395,7 +387,7 @@ func (a *App) Verify(ar *mem.Arena) error {
 	if skinny > 0 && !a.capped.Load() && a.skipped.Load() == 0 {
 		return fmt.Errorf("yada: %d skinny triangles remain without a cap/guard event", skinny)
 	}
-	if a.added(d) == 0 && skinny == 0 && len(a.initTris) > 0 {
+	if a.FinalPoints(ar) == a.init && skinny == 0 && len(a.initTris) > 0 {
 		// No refinement at all is only acceptable if the input had no
 		// skinny triangles to begin with.
 		for _, t := range a.initTris {
@@ -407,17 +399,15 @@ func (a *App) Verify(ar *mem.Arena) error {
 	return nil
 }
 
-// added returns the number of points the workers' cursors handed out.
-func (a *App) added(d mem.Direct) int {
-	n := 0
+// FinalPoints returns the refined point count: the initial points and those
+// the workers' cursors handed out.
+func (a *App) FinalPoints(ar *mem.Arena) int {
+	n := a.init
 	for tid, c := range a.ms.cursors {
-		n += (int(d.Load(c)) - a.init - tid) / len(a.ms.cursors)
+		n += (int(mem.Direct{A: ar}.Load(c)) - a.init - tid) / len(a.ms.cursors)
 	}
 	return n
 }
-
-// FinalPoints returns the refined point count (for tests).
-func (a *App) FinalPoints(ar *mem.Arena) int { return a.init + a.added(mem.Direct{A: ar}) }
 
 // Skipped returns the number of guard-dropped work items (for tests).
 func (a *App) Skipped() int { return int(a.skipped.Load()) }

@@ -52,8 +52,7 @@ func (t Hashtable) bucket(m tm.Mem, k uint64) List {
 
 // Len counts the elements with a walk of every bucket: O(n), and like
 // mem.Direct for quiescent use only (verification, tests).
-func (t Hashtable) Len(m tm.Mem) int {
-	n := 0
+func (t Hashtable) Len(m tm.Mem) (n int) {
 	t.Each(m, func(_, _ uint64) bool { n++; return true })
 	return n
 }
@@ -84,18 +83,11 @@ func (t Hashtable) Update(m tm.Mem, k, v uint64) bool {
 func (t Hashtable) Each(m tm.Mem, fn func(k, v uint64) bool) {
 	n := int(m.Load(t.H + htBuckets))
 	data := mem.Addr(m.Load(t.H + htData))
-	for i := 0; i < n; i++ {
-		l := List{H: mem.Addr(m.Load(data + mem.Addr(i)))}
-		stop := false
-		l.Each(m, func(k, v uint64) bool {
-			if !fn(k, v) {
-				stop = true
-				return false
-			}
-			return true
+	stop := false
+	for i := 0; i < n && !stop; i++ {
+		List{H: mem.Addr(m.Load(data + mem.Addr(i)))}.Each(m, func(k, v uint64) bool {
+			stop = !fn(k, v)
+			return !stop
 		})
-		if stop {
-			return
-		}
 	}
 }

@@ -49,8 +49,7 @@ type spineNode struct {
 	c, lc uint64
 }
 
-// NewRBLoader allocates the tree header, as NewRBTree does; Finish writes
-// it.
+// NewRBLoader allocates the tree header as NewRBTree does; Finish writes it.
 func NewRBLoader(m tm.Mem) RBLoader {
 	return RBLoader{m: m, h: m.Alloc(1)}
 }

@@ -37,8 +37,7 @@ func NewRBTree(m tm.Mem) RBTree {
 
 // Len counts the elements with an in-order walk: O(n), and like mem.Direct
 // for quiescent use only (verification, tests).
-func (t RBTree) Len(m tm.Mem) int {
-	n := 0
+func (t RBTree) Len(m tm.Mem) (n int) {
 	t.Each(m, func(_, _ uint64) bool { n++; return true })
 	return n
 }

@@ -68,12 +68,10 @@ func Characterize(v Variant, opt Options) (Characterization, error) {
 	return c, nil
 }
 
-// Shape computes the columns of one Table VI row that time nothing, from
-// the two one-thread runs they need and no retry runs: TxCount, MeanLoads,
-// MeanStores and FootprintWords from seq, ReadSetP90 and WriteSetP90 from
-// htm-lazy. Each is a pure function of (variant, scale, seed); the Table VI
-// golden file pins them. The same runs also fill the timed NsPerTx and
-// TxTimePct, which vary run to run.
+// Shape runs a Table VI row's one-thread seq and htm-lazy runs, no retry
+// runs. Its untimed columns (TxCount, MeanLoads, MeanStores, FootprintWords
+// from seq; ReadSetP90, WriteSetP90 from htm-lazy) are a pure function of
+// (variant, scale, seed); the timed NsPerTx and TxTimePct vary run to run.
 func Shape(app apps.App, name string) (Characterization, error) {
 	c := Characterization{Variant: name}
 	seq, err := RunOne(app, name, Options{System: "seq", Threads: 1})
