@@ -157,17 +157,14 @@ func (a *App) ArenaWords() int {
 func (a *App) Setup(ar *mem.Arena) {
 	d := mem.Direct{A: ar}
 	a.adRoot, a.parents, a.edges, a.tasks = a.layout(d)
-	for v := 0; v < a.cfg.Vars; v++ {
-		a.tasks.Push(d, uint64(v))
-	}
 	a.ran = false
 }
 
 // layout allocates and fills Setup's arena structures through m: the
 // adtree, an empty learned-parent list per variable, the learned-edge
-// counters and the task queue — sized Vars+1, so Setup's pushes and Run's
-// re-pushes never grow it. It never reads m, so ArenaWords can replay it
-// on a wordCounter.
+// counters and the task queue, loaded with every variable — sized Vars+1,
+// so Run's re-pushes never grow it. It never reads m, so ArenaWords can
+// replay it on a wordCounter.
 func (a *App) layout(m tm.Mem) (root mem.Addr, parents []container.List, edges mem.Addr, tasks container.Queue) {
 	subset := make([]int, len(a.records))
 	for i := range subset {
@@ -179,7 +176,7 @@ func (a *App) layout(m tm.Mem) (root mem.Addr, parents []container.List, edges m
 		parents[v] = container.NewList(m)
 	}
 	edges = m.Alloc(a.cfg.Vars)
-	tasks = container.NewQueue(m, a.cfg.Vars+1)
+	tasks = container.LoadQueue(m, a.cfg.Vars+1, a.cfg.Vars, func(v int) uint64 { return uint64(v) })
 	return root, parents, edges, tasks
 }
 

@@ -165,13 +165,12 @@ func (a *App) ArenaWords() int {
 	return live*24 + 1<<18
 }
 
-// Setup implements apps.App: loads the capture queue with every fragment.
+// Setup implements apps.App: loads the capture queue with every fragment's
+// index in stream order, in one pass (container.LoadQueue leaves the words
+// that NewQueue and one Push per fragment leave).
 func (a *App) Setup(ar *mem.Arena) {
 	d := mem.Direct{A: ar}
-	a.capture = container.NewQueue(d, len(a.packets)+1)
-	for i := range a.packets {
-		a.capture.Push(d, uint64(i))
-	}
+	a.capture = container.LoadQueue(d, len(a.packets)+1, len(a.packets), func(i int) uint64 { return uint64(i) })
 	a.sessions = container.NewRBTree(d)
 	a.detected = container.NewList(d)
 	a.reassembled = nil

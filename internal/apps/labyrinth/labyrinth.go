@@ -108,11 +108,7 @@ func (a *App) ArenaWords() int {
 // Setup implements apps.App.
 func (a *App) Setup(ar *mem.Arena) {
 	a.gridBase = ar.AllocLines(a.cells * mem.WordsPerLine)
-	a.workQ = container.NewQueue(mem.Direct{A: ar}, len(a.work)+1)
-	d := mem.Direct{A: ar}
-	for _, w := range a.work {
-		a.workQ.Push(d, w)
-	}
+	a.workQ = container.LoadQueue(mem.Direct{A: ar}, len(a.work)+1, len(a.work), func(i int) uint64 { return a.work[i] })
 	a.routed = nil
 	a.failed = nil
 }

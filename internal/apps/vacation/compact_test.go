@@ -2,6 +2,7 @@ package vacation
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/stamp-go/stamp/internal/container"
@@ -177,6 +178,49 @@ func TestNewStoreMatchesInsertBuild(t *testing.T) {
 			t.Fatalf("records=%d: table headers %+v, reference %+v", records, st, want)
 		}
 		sameArena(t, fmt.Sprintf("NewStore(%d)", records), ref, got)
+	}
+}
+
+// loaderStore is NewStore as it was before the carve: one arena Alloc per
+// header, record and node, and one stream drawn in order, on the calling
+// goroutine. It is the reference the carved, concurrently filled NewStore
+// must match word for word.
+func loaderStore(m tm.Mem, records int, seed uint64) Store {
+	var st Store
+	r := rng.New(seed ^ 0x696e6974)
+	for t := 0; t < NumTypes; t++ {
+		tl := container.NewRBLoader(m)
+		for id := 1; id <= records; id++ {
+			rec := newReservation(m, id, r.Intn(300)+100, r.Intn(450)+50)
+			tl.Append(uint64(id), uint64(rec))
+		}
+		st.Tables[t] = tl.Finish()
+	}
+	cl := container.NewRBLoader(m)
+	for id := 1; id <= records; id++ {
+		cl.Append(uint64(id), uint64(newCustomer(m)))
+	}
+	st.Customers = cl.Finish()
+	return st
+}
+
+// TestNewStoreMatchesSequentialBuild: the carved store, its four blocks
+// filled on four goroutines, is word for word the one the sequential
+// per-object build leaves, with one P and with two. It runs under -short
+// too, so the race detector sees the concurrent fill.
+func TestNewStoreMatchesSequentialBuild(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, records := range []int{1, 17, 4096, 32768} {
+			words := StoreWords(records) + 1<<10
+			ref, got := mem.NewArena(words), mem.NewArena(words)
+			want := loaderStore(mem.Direct{A: ref}, records, 5)
+			if st := NewStore(mem.Direct{A: got}, records, 5); st != want {
+				t.Fatalf("GOMAXPROCS=%d records=%d: table headers %+v, reference %+v", procs, records, st, want)
+			}
+			sameArena(t, fmt.Sprintf("GOMAXPROCS=%d NewStore(%d)", procs, records), ref, got)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package vacation
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/stamp-go/stamp/internal/container"
 	"github.com/stamp-go/stamp/internal/mem"
@@ -42,26 +43,76 @@ type Store struct {
 // a batch run over equal seeds start from identical databases. Rows are
 // loaded in ascending id order (container.RBLoader), which leaves the same
 // arena words as inserting them one by one.
-func NewStore(m tm.Mem, records int, seed uint64) Store {
+//
+// Each table is one block drawn from the arena with one Alloc, in the
+// order a row-by-row build draws its header and rows, so every address is
+// the one that build gives: a reservation table's block is its header plus
+// records × 11 words (record, then tree node), the customers' block its
+// header plus records × 8 (list header, then node). The four blocks are
+// then filled at once, one goroutine each, through a plain bump pointer
+// over the block, each table's prices and seat counts drawn from the one
+// stream jumped ahead to where the row-by-row build reaches that table.
+// The goroutines write disjoint words, and NewStore returns once all are
+// done, so the store is as if one goroutine had built it. The parameter is
+// mem.Direct because that is the contract that makes this safe: nothing
+// else touches the arena while NewStore runs.
+func NewStore(d mem.Direct, records int, seed uint64) Store {
 	if records < 1 {
 		records = 1
 	}
 	var st Store
+	var wg sync.WaitGroup
+	fill := func(words int, build func(m tm.Mem)) {
+		c := &carve{Direct: d, next: d.Alloc(words)}
+		c.end = c.next + mem.Addr(words)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			build(c)
+			if c.next != c.end {
+				panic(fmt.Sprintf("vacation: NewStore filled %d of a %d-word block", words-int(c.end-c.next), words))
+			}
+		}()
+	}
 	r := rng.New(seed ^ 0x696e6974)
 	for t := 0; t < NumTypes; t++ {
-		tl := container.NewRBLoader(m)
+		tr := *r
+		r.Jump(2 * uint64(records)) // a row draws its seat count and price
+		fill(1+records*(resWords+container.RBNodeWords), func(m tm.Mem) {
+			tl := container.NewRBLoader(m)
+			for id := 1; id <= records; id++ {
+				rec := newReservation(m, id, tr.Intn(300)+100, tr.Intn(450)+50)
+				tl.Append(uint64(id), uint64(rec))
+			}
+			st.Tables[t] = tl.Finish()
+		})
+	}
+	fill(1+records*(container.ListHeaderWords+container.RBNodeWords), func(m tm.Mem) {
+		cl := container.NewRBLoader(m)
 		for id := 1; id <= records; id++ {
-			rec := newReservation(m, id, r.Intn(300)+100, r.Intn(450)+50)
-			tl.Append(uint64(id), uint64(rec))
+			cl.Append(uint64(id), uint64(newCustomer(m)))
 		}
-		st.Tables[t] = tl.Finish()
-	}
-	cl := container.NewRBLoader(m)
-	for id := 1; id <= records; id++ {
-		cl.Append(uint64(id), uint64(newCustomer(m)))
-	}
-	st.Customers = cl.Finish()
+		st.Customers = cl.Finish()
+	})
+	wg.Wait()
 	return st
+}
+
+// carve is the tm.Mem NewStore fills a block through: Alloc bumps a plain,
+// goroutine-private pointer through [next, end) instead of the arena's
+// shared one, and Load and Store are mem.Direct's.
+type carve struct {
+	mem.Direct
+	next, end mem.Addr
+}
+
+func (c *carve) Alloc(n int) mem.Addr {
+	a := c.next
+	if n > int(c.end-a) {
+		panic(fmt.Sprintf("vacation: %d-word Alloc past the end of a carved block", n))
+	}
+	c.next += mem.Addr(n)
+	return a
 }
 
 // StoreWords bounds the arena words NewStore allocates for records rows;

@@ -36,9 +36,12 @@ const (
 // arenas that lists grow into.
 const ListNodeWords = 3
 
+// ListHeaderWords is the arena footprint of an empty list (its header).
+const ListHeaderWords = 2
+
 // NewList allocates an empty list.
 func NewList(m tm.Mem) List {
-	h := m.Alloc(2)
+	h := m.Alloc(ListHeaderWords)
 	m.Store(h+listSize, 0)
 	m.Store(h+listFirst, uint64(mem.Nil))
 	return List{H: h}
@@ -147,7 +150,7 @@ type ListLoader struct {
 // NewListLoader allocates the list header, as NewList does; the header
 // words are written by Append and Finish.
 func NewListLoader(m tm.Mem) ListLoader {
-	return ListLoader{m: m, h: m.Alloc(2)}
+	return ListLoader{m: m, h: m.Alloc(ListHeaderWords)}
 }
 
 // Append adds (k, v) as Insert would. It panics unless k is greater than

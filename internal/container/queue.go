@@ -34,6 +34,38 @@ func NewQueue(m tm.Mem, capacity int) Queue {
 	return Queue{H: h}
 }
 
+// LoadQueue builds the queue that NewQueue(m, capacity) followed by Push
+// calls of v(0), v(1), ..., v(n-1) leaves, word for word, but writes each
+// word once and never loads. Push doubles a full buffer, so when n exceeds
+// capacity the loader draws the same run of buffers in the same order,
+// each retired one holding the values it held when Push outgrew it (freed
+// as Push frees it). Like the other loaders it is for quiescent use
+// (setup): the queue is unreadable until it returns.
+func LoadQueue(m tm.Mem, capacity, n int, v func(i int) uint64) Queue {
+	if capacity < 2 {
+		capacity = 2
+	}
+	h := m.Alloc(4)
+	data := m.Alloc(capacity)
+	fill := func(data mem.Addr, k int) {
+		for i := 0; i < k; i++ {
+			m.Store(data+mem.Addr(i), v(i))
+		}
+	}
+	for n > capacity {
+		fill(data, capacity)
+		grown := m.Alloc(2 * capacity)
+		m.Free(data, capacity)
+		data, capacity = grown, 2*capacity
+	}
+	fill(data, n)
+	m.Store(h+qCap, uint64(capacity))
+	m.Store(h+qSize, uint64(max(n, 0)))
+	m.Store(h+qHead, 0)
+	m.Store(h+qData, uint64(data))
+	return Queue{H: h}
+}
+
 // Len returns the number of queued elements.
 func (q Queue) Len(m tm.Mem) int { return int(m.Load(q.H + qSize)) }
 

@@ -61,7 +61,7 @@ func (b *RBLoader) Append(k, v uint64) {
 		panic(fmt.Sprintf("container: RBLoader.Append(%d) after %d: keys must ascend", k, b.last))
 	}
 	b.last = k
-	z := b.m.Alloc(rbNodeWords)
+	z := b.m.Alloc(RBNodeWords)
 	b.m.Store(z+rnKey, k)
 	b.m.Store(z+rnVal, v)
 	b.spine = append(b.spine, spineNode{n: z, l: mem.Nil, c: red, lc: black})

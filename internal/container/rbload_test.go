@@ -82,7 +82,7 @@ func TestRBLoaderMatchesInsert(t *testing.T) {
 		}
 	}
 	for _, n := range []int{16384, 32768} {
-		words := rbNodeWords*n + 64
+		words := RBNodeWords*n + 64
 		a, b := mem.NewArena(words), mem.NewArena(words)
 		insertTree(mem.Direct{A: a}, n)
 		lt := loadTree(mem.Direct{A: b}, n)
@@ -120,7 +120,7 @@ func TestRBLoaderWritesEachWordOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000, 4097} {
 		m := &countMem{Mem: newWordMem()}
 		loadTree(m, n)
-		if want := rbNodeWords*n + 1; m.stores != want || m.loads != 0 {
+		if want := RBNodeWords*n + 1; m.stores != want || m.loads != 0 {
 			t.Fatalf("n=%d: %d stores and %d loads, want %d and 0", n, m.stores, m.loads, want)
 		}
 	}
@@ -178,6 +178,33 @@ func TestListLoaderMatchesInsert(t *testing.T) {
 		}
 		if i := firstDiff(ins.w, ld.w); i >= 0 {
 			t.Fatalf("n=%d: arenas differ at word %d", n, i)
+		}
+	}
+}
+
+// TestQueueLoaderMatchesPush: LoadQueue leaves the words of NewQueue plus
+// n Pushes, for n in 0..3 and at intruder's 131072 packets, both sized to
+// fit (as every Setup sizes its queue) and from the minimum capacity, so
+// that the doubling buffers are drawn too. It writes each word once and
+// never loads.
+func TestQueueLoaderMatchesPush(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 131072} {
+		for _, capacity := range []int{0, n + 1} {
+			pushed, ld := newWordMem(), newWordMem()
+			q := NewQueue(pushed, capacity)
+			for i := 0; i < n; i++ {
+				q.Push(pushed, loaderVal(i))
+			}
+			cm := &countMem{Mem: ld}
+			if got := LoadQueue(cm, capacity, n, loaderVal); got != q {
+				t.Fatalf("n=%d capacity=%d: loader header at %d, NewQueue's at %d", n, capacity, got.H, q.H)
+			}
+			if i := firstDiff(pushed.w, ld.w); i >= 0 {
+				t.Fatalf("n=%d capacity=%d: arenas differ at word %d", n, capacity, i)
+			}
+			if written := len(ld.w) - mem.WordsPerLine; cm.loads != 0 || cm.stores > written {
+				t.Fatalf("n=%d capacity=%d: %d loads and %d stores into %d words", n, capacity, cm.loads, cm.stores, written)
+			}
 		}
 	}
 }

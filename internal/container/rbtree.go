@@ -13,16 +13,19 @@ import (
 // Nodes are 6 words: [key, val, left, right, parent, color].
 type RBTree struct{ H mem.Addr }
 
+// RBNodeWords is the arena footprint of one tree node, for sizing the
+// blocks a tree's nodes are drawn from.
+const RBNodeWords = 6
+
 const (
 	rbRoot = 0
 
-	rnKey       = 0
-	rnVal       = 1
-	rnLeft      = 2
-	rnRight     = 3
-	rnParent    = 4
-	rnColor     = 5
-	rbNodeWords = 6
+	rnKey    = 0
+	rnVal    = 1
+	rnLeft   = 2
+	rnRight  = 3
+	rnParent = 4
+	rnColor  = 5
 
 	black = 0
 	red   = 1
@@ -153,7 +156,7 @@ func (t RBTree) Insert(m tm.Mem, k, v uint64) bool {
 			return false
 		}
 	}
-	z := m.Alloc(rbNodeWords)
+	z := m.Alloc(RBNodeWords)
 	m.Store(z+rnKey, k)
 	m.Store(z+rnVal, v)
 	m.Store(z+rnLeft, uint64(mem.Nil))
@@ -280,7 +283,7 @@ func (t RBTree) Remove(m tm.Mem, k uint64) bool {
 	if yColor == black {
 		t.removeFixup(m, x, xp)
 	}
-	m.Free(z, rbNodeWords)
+	m.Free(z, RBNodeWords)
 	return true
 }
 

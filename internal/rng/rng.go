@@ -28,14 +28,24 @@ func (r *Rand) Split() *Rand {
 	return New(r.Uint64() ^ 0x9e3779b97f4a7c15)
 }
 
+// gamma is splitmix64's state increment: each draw adds it once.
+const gamma = 0x9e3779b97f4a7c15
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// Jump advances r past k draws of Uint64 in O(1): the state is a counter
+// stepped by gamma, so k steps are one multiply-add (mod 2^64). It leaves
+// NormFloat64's cached spare alone. Stagers use it to hand each table of
+// one logical stream its own starting point, so the tables can be filled
+// apart and still hold the values one stream drawn in order gives.
+func (r *Rand) Jump(k uint64) { r.state += k * gamma }
 
 // Uint32 returns 32 uniformly distributed bits.
 func (r *Rand) Uint32() uint32 { return uint32(r.Uint64() >> 32) }

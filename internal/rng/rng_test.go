@@ -138,3 +138,20 @@ func TestUint32NotConstant(t *testing.T) {
 	}
 	t.Fatal("Uint32 appears constant")
 }
+
+// TestJumpMatchesDraws: Jump(k) must leave the stream where k Uint64 draws
+// leave it, for k across the ranges stagers jump by.
+func TestJumpMatchesDraws(t *testing.T) {
+	for _, k := range []uint64{0, 1, 2, 3, 17, 1000, 65536, 196608} {
+		drawn, jumped := New(0x696e6974^1), New(0x696e6974^1)
+		for i := uint64(0); i < k; i++ {
+			drawn.Uint64()
+		}
+		jumped.Jump(k)
+		for i := 0; i < 4; i++ {
+			if d, j := drawn.Uint64(), jumped.Uint64(); d != j {
+				t.Fatalf("Jump(%d): draw %d is %#x, want %#x", k, i, j, d)
+			}
+		}
+	}
+}

@@ -32,12 +32,26 @@ const (
 // used lists every slot an insert has taken from empty since the last
 // clear, so clear costs the footprint, not the table: every slot off the
 // list is already empty, and a concurrent probe sees the same empty slots
-// after a clear of the list as after a sweep of the whole table.
+// after a clear of the list as after a sweep of the whole table. listed
+// marks the slots on used, so a slot a remove emptied is listed once
+// however often it is filled again.
+//
+// remove leaves a tombstone unless the slot after it is empty; then it
+// empties its own slot and the run of tombstones just before it. Without
+// that, a transaction that inserts and early-releases more lines than
+// there are slots leaves no slot empty, and every probe walks the whole
+// table. Emptying is safe without a lock: a live line sits at the end of
+// an unbroken run of non-empty slots from its home slot, so no live line's
+// run can cross the empty slot after the removed one, and none can reach
+// into the run being emptied. A concurrent probe for a live line never
+// reads those slots, and a probe for the removed line may miss it, as it
+// may miss a line the owner removes by tombstone.
 type lineSet struct {
-	slots []atomic.Uint32
-	mask  uint32
-	count int      // live entries; owner-only
-	used  []uint32 // slots filled from empty since clear; owner-only
+	slots  []atomic.Uint32
+	mask   uint32
+	count  int      // live entries; owner-only
+	used   []uint32 // slots filled from empty since clear; owner-only
+	listed []bool   // listed[i]: slot i is on used; owner-only
 }
 
 func newLineSet(capacity int) *lineSet {
@@ -45,7 +59,8 @@ func newLineSet(capacity int) *lineSet {
 	for int(n) < 2*capacity {
 		n <<= 1
 	}
-	return &lineSet{slots: make([]atomic.Uint32, n), mask: n - 1, used: make([]uint32, 0, n)}
+	return &lineSet{slots: make([]atomic.Uint32, n), mask: n - 1,
+		used: make([]uint32, 0, n), listed: make([]bool, n)}
 }
 
 func (s *lineSet) hash(l mem.Line) uint32 {
@@ -66,7 +81,10 @@ func (s *lineSet) insert(l mem.Line) (added, ok bool) {
 		case emptySlot:
 			if free == 0xffffffff {
 				free = i
-				s.used = append(s.used, i) // a tombstone's slot is listed already
+				if !s.listed[i] { // a slot remove emptied may be listed already
+					s.listed[i] = true
+					s.used = append(s.used, i)
+				}
 			}
 			s.slots[free].Store(uint32(l))
 			s.count++
@@ -102,15 +120,24 @@ func (s *lineSet) contains(l mem.Line) bool {
 	return false
 }
 
-// remove deletes l if present (early release). Owner-only.
+// remove deletes l if present (early release), emptying its slot and the
+// tombstones before it when the next slot is empty (see lineSet).
+// Owner-only.
 func (s *lineSet) remove(l mem.Line) {
 	i := s.hash(l)
 	for probes := uint32(0); probes <= s.mask; probes++ {
 		v := s.slots[i].Load()
 		switch v {
 		case uint32(l):
-			s.slots[i].Store(tombstoneSlot)
 			s.count--
+			if s.slots[(i+1)&s.mask].Load() != emptySlot {
+				s.slots[i].Store(tombstoneSlot)
+				return
+			}
+			s.slots[i].Store(emptySlot)
+			for j := (i - 1) & s.mask; j != i && s.slots[j].Load() == tombstoneSlot; j = (j - 1) & s.mask {
+				s.slots[j].Store(emptySlot)
+			}
 			return
 		case emptySlot:
 			return
@@ -124,6 +151,7 @@ func (s *lineSet) remove(l mem.Line) {
 func (s *lineSet) clear() {
 	for _, i := range s.used {
 		s.slots[i].Store(emptySlot)
+		s.listed[i] = false
 	}
 	s.used = s.used[:0]
 	s.count = 0

@@ -233,3 +233,42 @@ func TestLazyStaleLineKillsNoFreshAttempt(t *testing.T) {
 		t.Fatalf("the fresh transaction ran %d attempts: a committer killed it over a line only its predecessor touched", attempts)
 	}
 }
+
+// longestRun is the longest cyclic run of non-empty slots: no probe of the
+// set reads more slots than one more than it.
+func (s *lineSet) longestRun() int {
+	n := len(s.slots)
+	best, run := 0, 0
+	for i := 0; i < 2*n && best < n; i++ {
+		if s.slots[i%n].Load() == emptySlot {
+			run = 0
+			continue
+		}
+		run++
+		best = max(best, run)
+	}
+	return best
+}
+
+// TestLineSetChurnKeepsProbesShort: a transaction that reads and
+// early-releases a million distinct lines, as labyrinth's grid copy does at
+// the paper's size, must keep every probe of its read set short. Were each
+// remove to leave a tombstone, no slot would be empty after a few thousand
+// pairs and each insert would probe the whole table.
+func TestLineSetChurnKeepsProbesShort(t *testing.T) {
+	s := newLineSet(capacityLines)
+	worst := 0
+	for i := 1; i <= 1_000_000; i++ {
+		if _, ok := s.insert(mem.Line(i)); !ok {
+			t.Fatalf("pair %d: insert overflowed", i)
+		}
+		s.remove(mem.Line(i))
+		if i%4096 == 0 {
+			worst = max(worst, s.longestRun())
+		}
+	}
+	if worst > 1 || s.len() != 0 {
+		t.Fatalf("after 10^6 insert/remove pairs: a probe run of %d of %d slots and %d live lines, want at most 1 and 0",
+			worst, len(s.slots), s.len())
+	}
+}
