@@ -1,7 +1,11 @@
 // Ablation benchmarks for the design choices the paper argues about:
 // contention management and conflict-detection granularity. Each reports
 // the metric the paper argues about (retries, overflow serializations)
-// alongside wall time.
+// alongside wall time. The per-layer and end-to-end numbers are the
+// benchmark module's (bench/README.md); these ablations are the ones it has
+// no probe for. Run each once, as CI does, with
+//
+//	go test -run '^$' -bench . -benchtime 1x .
 package stamp_test
 
 import (
@@ -16,48 +20,67 @@ import (
 	"github.com/stamp-go/stamp/internal/tm/factory"
 )
 
+// contended runs the contended workload of the contention-manager, trace
+// and chaos ablations once: 8 stm-lazy workers, each making 1 500
+// transactions, three in four incrementing one hot counter and the fourth
+// incrementing two of 32 line-padded cells. cfg carries the knob under
+// test. Arena and system construction stay out of ns/op; a lost increment
+// fails the benchmark. It returns the system for its statistics.
+func contended(b *testing.B, cfg tm.Config) tm.System {
+	const threads, perT = 8, 1500
+	b.StopTimer()
+	arena := stamp.NewArena(1 << 12)
+	hot := arena.Alloc(1)
+	cells := make([]stamp.Addr, 32)
+	for j := range cells {
+		cells[j] = arena.AllocLines(1)
+	}
+	cfg.Arena, cfg.Threads = arena, threads
+	sys, err := factory.New("stm-lazy", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.StartTimer()
+	thread.NewTeam(threads).Run(func(tid int) {
+		th := sys.Thread(tid)
+		for j := 0; j < perT; j++ {
+			if j%4 == 0 {
+				a := cells[(tid*7+j)%len(cells)]
+				c := cells[(tid+j*5)%len(cells)]
+				th.Atomic(func(tx tm.Tx) {
+					tx.Store(a, tx.Load(a)+1)
+					tx.Store(c, tx.Load(c)+1)
+				})
+				continue
+			}
+			th.Atomic(func(tx tm.Tx) {
+				tx.Store(hot, tx.Load(hot)+1)
+			})
+		}
+	})
+	b.StopTimer()
+	sum := arena.Load(hot)
+	for _, c := range cells {
+		sum += arena.Load(c)
+	}
+	if want := uint64(threads * perT * 5 / 4); sum != want {
+		b.Fatalf("increments sum to %d, want %d", sum, want)
+	}
+	b.StartTimer()
+	return sys
+}
+
 // BenchmarkAblationContentionManager sweeps every registered contention-
-// management policy over the same contended workload — a hot counter plus
-// scattered transfers on the lazy STM at 8 threads — reporting retries/tx,
-// CM delays, and starvation escalations per policy. This is the
-// policy-curve ablation the Synchrobench comparison argues for: protocol
-// fixed, contention manager varied.
+// management policy over the contended workload, reporting retries/tx, CM
+// delays, and starvation escalations per policy. This is the policy-curve
+// ablation the Synchrobench comparison argues for: protocol fixed,
+// contention manager varied.
 func BenchmarkAblationContentionManager(b *testing.B) {
 	for _, cm := range stamp.CMNames() {
 		b.Run("cm="+cm, func(b *testing.B) {
 			var aborts, commits, waits, escalations uint64
 			for i := 0; i < b.N; i++ {
-				arena := stamp.NewArena(1 << 12)
-				hot := arena.Alloc(1)
-				cells := make([]stamp.Addr, 32)
-				for j := range cells {
-					cells[j] = arena.AllocLines(1)
-				}
-				sys, err := factory.New("stm-lazy", tm.Config{
-					Arena: arena, Threads: 8, CM: cm,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				team := thread.NewTeam(8)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					for j := 0; j < 1500; j++ {
-						if j%4 == 0 {
-							a := cells[(tid*7+j)%len(cells)]
-							c := cells[(tid+j*5)%len(cells)]
-							th.Atomic(func(tx tm.Tx) {
-								tx.Store(a, tx.Load(a)+1)
-								tx.Store(c, tx.Load(c)+1)
-							})
-							continue
-						}
-						th.Atomic(func(tx tm.Tx) {
-							tx.Store(hot, tx.Load(hot)+1)
-						})
-					}
-				})
-				st := sys.Stats()
+				st := contended(b, tm.Config{CM: cm}).Stats()
 				aborts += st.Total.Aborts
 				commits += st.Total.Commits
 				waits += st.Total.CMWaits
@@ -138,19 +161,14 @@ func BenchmarkAblationSTMProtocol(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationTraceOverhead measures what the observability layer
-// costs on a contended workload (hot counter plus scattered transfers on
-// the lazy STM at 8 threads — the same shape as the contention-manager
-// ablation, where the abort path with its cause stamping and sketch
-// recording actually runs): tracing off (the default; the acceptance bar is
-// that the always-on attribution keeps ns/op within noise of the
-// pre-observability baseline), sampling every 64th block, and tracing every
-// block. The sampled arms also report how many ring events a run produces
-// and the abort-cause mix, so the BENCH_*.json trajectory carries the cause
-// counters.
+// BenchmarkAblationTraceOverhead measures what the event tracer
+// (tm.Config.Trace) costs on the contended workload, where the abort path
+// with its cause stamping and sketch recording runs: tracing off (the
+// default, a nil-receiver test per event site), sampling every 64th block,
+// and tracing every block. The sampled arms also report the ring events a
+// run produces. The benchmark module's trace.overhead_share times its own
+// span recorder, not this tracer.
 func BenchmarkAblationTraceOverhead(b *testing.B) {
-	const threads = 8
-	const perT = 1500
 	for _, arm := range []struct {
 		name  string
 		trace int
@@ -161,70 +179,26 @@ func BenchmarkAblationTraceOverhead(b *testing.B) {
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			var aborts, commits, events uint64
-			var causes [tm.NumCauses]uint64
 			for i := 0; i < b.N; i++ {
-				b.StopTimer() // arena/system construction stays out of ns/op
-				arena := stamp.NewArena(1 << 12)
-				hot := arena.Alloc(1)
-				cells := make([]stamp.Addr, 32)
-				for j := range cells {
-					cells[j] = arena.AllocLines(1)
-				}
-				sys, err := factory.New("stm-lazy", tm.Config{
-					Arena: arena, Threads: threads, Trace: arm.trace,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				team := thread.NewTeam(threads)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					for j := 0; j < perT; j++ {
-						if j%4 == 0 {
-							a := cells[(tid*7+j)%len(cells)]
-							c := cells[(tid+j*5)%len(cells)]
-							th.Atomic(func(tx tm.Tx) {
-								tx.Store(a, tx.Load(a)+1)
-								tx.Store(c, tx.Load(c)+1)
-							})
-							continue
-						}
-						th.Atomic(func(tx tm.Tx) {
-							tx.Store(hot, tx.Load(hot)+1)
-						})
-					}
-				})
-				b.StopTimer()
+				sys := contended(b, tm.Config{Trace: arm.trace})
 				st := sys.Stats()
 				aborts += st.Total.Aborts
 				commits += st.Total.Commits
-				for c, n := range st.AbortCauses() {
-					causes[c] += n
-				}
 				events += uint64(len(tm.TraceEvents(sys)))
-				b.StartTimer()
 			}
 			b.ReportMetric(float64(aborts)/float64(max(commits, 1)), "retries/tx")
 			b.ReportMetric(float64(events)/float64(b.N), "events/run")
-			for c, n := range causes {
-				if n != 0 {
-					b.ReportMetric(float64(n)/float64(b.N), tm.AbortCause(c).String()+"/run")
-				}
-			}
 		})
 	}
 }
 
 // BenchmarkAblationChaosOverhead pins the cost of the fault-injection layer
-// on the contended stm-lazy workload of the trace ablation: chaos off (the
-// default — every site is one nil-pointer test) against an armed injector
-// whose probabilities are all zero (the sites draw no randomness but do load
-// per-thread injector state). The acceptance bar is that both arms stay
-// within noise of each other — chaos must cost nothing when it cannot fire.
+// on the contended workload: chaos off (the default — every site is one
+// nil-pointer test) against an armed injector whose probabilities are all
+// zero (the sites draw no randomness but do load per-thread injector state).
+// The acceptance bar is that both arms stay within noise of each other —
+// chaos must cost nothing when it cannot fire.
 func BenchmarkAblationChaosOverhead(b *testing.B) {
-	const threads = 8
-	const perT = 1500
 	for _, arm := range []struct {
 		name string
 		spec string
@@ -235,43 +209,9 @@ func BenchmarkAblationChaosOverhead(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			var aborts, commits uint64
 			for i := 0; i < b.N; i++ {
-				b.StopTimer() // arena/system construction stays out of ns/op
-				arena := stamp.NewArena(1 << 12)
-				hot := arena.Alloc(1)
-				cells := make([]stamp.Addr, 32)
-				for j := range cells {
-					cells[j] = arena.AllocLines(1)
-				}
-				sys, err := factory.New("stm-lazy", tm.Config{
-					Arena: arena, Threads: threads, Chaos: arm.spec,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				team := thread.NewTeam(threads)
-				team.Run(func(tid int) {
-					th := sys.Thread(tid)
-					for j := 0; j < perT; j++ {
-						if j%4 == 0 {
-							a := cells[(tid*7+j)%len(cells)]
-							c := cells[(tid+j*5)%len(cells)]
-							th.Atomic(func(tx tm.Tx) {
-								tx.Store(a, tx.Load(a)+1)
-								tx.Store(c, tx.Load(c)+1)
-							})
-							continue
-						}
-						th.Atomic(func(tx tm.Tx) {
-							tx.Store(hot, tx.Load(hot)+1)
-						})
-					}
-				})
-				b.StopTimer()
-				st := sys.Stats()
+				st := contended(b, tm.Config{Chaos: arm.spec}).Stats()
 				aborts += st.Total.Aborts
 				commits += st.Total.Commits
-				b.StartTimer()
 			}
 			b.ReportMetric(float64(aborts)/float64(max(commits, 1)), "retries/tx")
 		})

@@ -14,8 +14,7 @@
 // Bench mode prints one human-readable report per (system × clients ×
 // ro-mix) cell plus `go test -bench`-formatted result lines
 // (BenchmarkStampd/...) whose ns/op is the mean client-observed latency,
-// with p50-ns/p99-ns/p999-ns and req/s as extra metrics — pipe through
-// `benchjson` to record or compare. -systems sweeps several runtimes in one
+// with p50-ns/p99-ns/p999-ns and req/s as extra metrics. -systems sweeps several runtimes in one
 // invocation (each cell gets a fresh server); it overrides -system.
 //
 // Listen mode serves the operations over HTTP with JSON bodies
@@ -220,9 +219,9 @@ func benchCell(opts stamp.ServerOptions, cfg benchConfig, nc, roPct int) error {
 		fmt.Printf("# aborts      %s\n", strings.Join(causes, ", "))
 	}
 
-	// The machine-readable line: go test -bench format, one per cell, so
-	// `benchjson` records mean latency as ns/op and the tail percentiles as
-	// extra metrics. The -N suffix slots the worker count where go puts
+	// The machine-readable line: go test -bench format, one per cell, with
+	// mean latency as ns/op and the tail percentiles as extra metrics, so
+	// benchstat and other go test -bench readers take it. The -N suffix slots the worker count where go puts
 	// GOMAXPROCS.
 	if rep.Completed > 0 {
 		fmt.Printf("BenchmarkStampd/%s/c%d/ro%d-%d\t%d\t%.0f ns/op\t%d p50-ns\t%d p99-ns\t%d p999-ns\t%.0f req/s\n",

@@ -9,7 +9,8 @@ import (
 	"github.com/stamp-go/stamp/internal/tm"
 )
 
-// BenchmarkEagerActivePeers times BenchmarkBarrier's readset-64r1w shape on
+// BenchmarkEagerActivePeers times the readset-64r1w barrier shape (the
+// benchmark module's tm.htm-eager.barrier.readset-64r1w_ns probe) on
 // htm-eager while peers-1 other threads sit inside a transaction, each
 // holding 64 read and 8 written lines of its own. A barrier probes every
 // running peer, so this is the shape's cost as Threads grows; there are no

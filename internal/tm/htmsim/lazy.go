@@ -37,12 +37,10 @@ func NewLazy(cfg tm.Config) (*Lazy, error) {
 	s.arb.Parties = rt.Cfg.Threads
 	rt.Bind(func(int) *lazyTx {
 		return &lazyTx{
-			sys:        s,
-			readSet:    newLineSet(capacityLines),
-			writeSet:   newLineSet(capacityLines),
-			sets:       new(setTracker),
-			serialRead: make(map[mem.Line]struct{}),
-			serialWrit: make(map[mem.Line]struct{}),
+			sys:      s,
+			readSet:  newLineSet(capacityLines),
+			writeSet: newLineSet(capacityLines),
+			sets:     new(setTracker),
 		}
 	})
 	return s, nil
@@ -59,13 +57,12 @@ type lazyTx struct {
 	wbuf     txset.WriteSet // speculative word buffer (redo log)
 
 	// serial (overflow) mode: the transaction runs alone with direct memory
-	// access; plain maps suffice and have no capacity limit. serial selects
-	// the mode for the block's next attempt; heldSerial records which lock
-	// the current attempt actually took (overflow flips serial mid-attempt).
+	// access, tracking its lines in readSet and writeSet, which grow past
+	// Table V's capacity (see track). serial selects the mode for the
+	// block's next attempt; heldSerial records which lock the current
+	// attempt actually took (overflow flips serial mid-attempt).
 	serial     bool
 	heldSerial bool
-	serialRead map[mem.Line]struct{}
-	serialWrit map[mem.Line]struct{}
 	serialUndo []undoRec // old values of serial-mode in-place stores
 }
 
@@ -75,12 +72,8 @@ type undoRec struct {
 	v uint64
 }
 
-// LineCounts overrides the core's with the line sets of the speculative
-// buffer model (or the serial maps).
+// LineCounts overrides the core's with the attempt's line sets.
 func (x *lazyTx) LineCounts() (reads, writes int, ok bool) {
-	if x.serial {
-		return len(x.serialRead), len(x.serialWrit), true
-	}
 	return x.readSet.len(), x.writeSet.len(), true
 }
 
@@ -98,8 +91,8 @@ func (x *lazyTx) Begin(aborts int, _ bool) {
 		// then execute non-speculatively ("temporarily serializes the
 		// execution of transactions").
 		x.sys.serialMu.Lock()
-		clear(x.serialRead)
-		clear(x.serialWrit)
+		x.readSet.clear()
+		x.writeSet.clear()
 		x.serialUndo = x.serialUndo[:0]
 		return
 	}
@@ -150,6 +143,16 @@ func (x *lazyTx) end() {
 	x.sys.serialMu.RUnlock()
 }
 
+// track adds l to a serial attempt's line set, doubling the set when half
+// full. Replacing the table is safe: serial mode holds serialMu
+// exclusively, so no committer probes the set.
+func track(set *lineSet, l mem.Line) {
+	if set.len() >= len(set.slots)/2 {
+		set.grow()
+	}
+	set.insert(l)
+}
+
 // overflow switches the next attempt to serial mode and aborts this one,
 // attributing the abort to the line whose insert tripped the capacity or
 // associativity limit.
@@ -163,7 +166,7 @@ func (x *lazyTx) overflow(l mem.Line) {
 func (x *lazyTx) Load(a mem.Addr) uint64 {
 	x.Loads++
 	if x.serial {
-		x.serialRead[mem.LineOf(a)] = struct{}{}
+		track(x.readSet, mem.LineOf(a))
 		return x.Mem.Load(a)
 	}
 	if x.wbuf.MayContain(a) {
@@ -189,7 +192,7 @@ func (x *lazyTx) Load(a mem.Addr) uint64 {
 func (x *lazyTx) Store(a mem.Addr, v uint64) {
 	x.Stores++
 	if x.serial {
-		x.serialWrit[mem.LineOf(a)] = struct{}{}
+		track(x.writeSet, mem.LineOf(a))
 		x.serialUndo = append(x.serialUndo, undoRec{a: a, v: x.Mem.Load(a)})
 		x.Mem.Store(a, v)
 		return
@@ -210,7 +213,7 @@ func (x *lazyTx) Store(a mem.Addr, v uint64) {
 func (x *lazyTx) EarlyRelease(a mem.Addr) {
 	l := mem.LineOf(a)
 	if x.serial {
-		delete(x.serialRead, l)
+		x.readSet.remove(l)
 		return
 	}
 	if !x.writeSet.contains(l) {

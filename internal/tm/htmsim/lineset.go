@@ -36,16 +36,18 @@ const (
 // marks the slots on used, so a slot a remove emptied is listed once
 // however often it is filled again.
 //
-// remove leaves a tombstone unless the slot after it is empty; then it
-// empties its own slot and the run of tombstones just before it. Without
-// that, a transaction that inserts and early-releases more lines than
-// there are slots leaves no slot empty, and every probe walks the whole
-// table. Emptying is safe without a lock: a live line sits at the end of
-// an unbroken run of non-empty slots from its home slot, so no live line's
-// run can cross the empty slot after the removed one, and none can reach
-// into the run being emptied. A concurrent probe for a live line never
-// reads those slots, and a probe for the removed line may miss it, as it
-// may miss a line the owner removes by tombstone.
+// remove leaves a tombstone in its slot i only if a live line later in i's
+// run (the non-empty slots after i, up to the next empty one) has its home
+// slot at or before i, so that a probe for it reads i. Otherwise it empties
+// i and the run of tombstones just before it; else a transaction that
+// inserts and early-releases more lines than there are slots would leave no
+// slot empty, and every probe would walk the whole table. No live line
+// moves, so emptying is safe without a lock: a live line ends an unbroken
+// run of non-empty slots from its home slot (inserts stop at the first
+// empty one), and a probe for it reads only that run. No such run reaches
+// i, nor the tombstones before it (a run through one would cross i). A
+// probe for the removed line may miss it, as it may miss a line the owner
+// removes by tombstone.
 type lineSet struct {
 	slots  []atomic.Uint32
 	mask   uint32
@@ -121,16 +123,15 @@ func (s *lineSet) contains(l mem.Line) bool {
 }
 
 // remove deletes l if present (early release), emptying its slot and the
-// tombstones before it when the next slot is empty (see lineSet).
-// Owner-only.
+// tombstones before it when no live line probes through the slot (see
+// lineSet). Owner-only.
 func (s *lineSet) remove(l mem.Line) {
 	i := s.hash(l)
 	for probes := uint32(0); probes <= s.mask; probes++ {
-		v := s.slots[i].Load()
-		switch v {
+		switch s.slots[i].Load() {
 		case uint32(l):
 			s.count--
-			if s.slots[(i+1)&s.mask].Load() != emptySlot {
+			if s.probedThrough(i) {
 				s.slots[i].Store(tombstoneSlot)
 				return
 			}
@@ -144,6 +145,22 @@ func (s *lineSet) remove(l mem.Line) {
 		}
 		i = (i + 1) & s.mask
 	}
+}
+
+// probedThrough reports whether a live line after slot i in its run has its
+// home slot at or before i, so that a probe for it reads slot i.
+func (s *lineSet) probedThrough(i uint32) bool {
+	for d := uint32(1); d <= s.mask; d++ {
+		k := (i + d) & s.mask
+		v := s.slots[k].Load()
+		if v == emptySlot {
+			return false
+		}
+		if v != tombstoneSlot && (k-s.hash(mem.Line(v)))&s.mask >= d {
+			return true
+		}
+	}
+	return false
 }
 
 // clear empties the set (including tombstones): only the slots on used can

@@ -127,3 +127,28 @@ func TestHashesInRange(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkInsert and BenchmarkTest time the two signature operations of
+// Table V's machine: an eager-HTM barrier in overflow mode inserts each new
+// line, and every peer's barrier tests it.
+func BenchmarkInsert(b *testing.B) {
+	var s Signature
+	for i := 0; i < b.N; i++ {
+		s.Insert(uint32(i))
+	}
+}
+
+func BenchmarkTest(b *testing.B) {
+	var s Signature
+	for i := 0; i < 1024; i++ {
+		s.Insert(uint32(i * 7))
+	}
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		if s.Test(uint32(i)) {
+			hits++
+		}
+	}
+	_ = hits
+}

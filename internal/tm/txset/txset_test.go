@@ -291,7 +291,7 @@ func TestIndexSetDedup(t *testing.T) {
 }
 
 // Microbenchmarks of the structure itself; the runtime-level barrier costs
-// are tracked by BenchmarkBarrier in the repository root.
+// are the benchmark module's tm.<rt>.barrier.* probes (bench/probes.go).
 
 func BenchmarkWriteSetFilterSkip(b *testing.B) {
 	var w WriteSet
