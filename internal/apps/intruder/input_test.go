@@ -62,7 +62,7 @@ func inputDigest(a *App) uint64 {
 		word(uint64(p.flow))
 		word(uint64(p.frag))
 		word(uint64(p.nfrag))
-		str(p.data)
+		str(a.flows[p.flow][p.frag*fragmentBytes : (p.frag+1)*fragmentBytes])
 	}
 	return h.Sum64()
 }

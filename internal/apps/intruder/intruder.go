@@ -38,12 +38,13 @@ type Config struct {
 	Seed          uint64 // -s
 }
 
-// packet is one generated fragment (immutable input).
+// packet is one generated fragment (immutable input). Its bytes are not
+// kept apart: fragment frag of a flow is the flow's content from
+// frag*fragmentBytes on (see App.fragment).
 type packet struct {
 	flow  int32
 	frag  int32
 	nfrag int32
-	data  string
 }
 
 // App is one intruder instance.
@@ -133,21 +134,21 @@ func New(cfg Config) *App {
 	// The fragments draw nothing from r, so they can be cut once the flows
 	// are known, into a slice of exactly their number.
 	a.packets = make([]packet, 0, total)
-	for f, content := range a.flows {
-		nfrag := nfrags[f]
+	for f, nfrag := range nfrags {
 		for frag := int32(0); frag < nfrag; frag++ {
-			a.packets = append(a.packets, packet{
-				flow:  int32(f),
-				frag:  frag,
-				nfrag: nfrag,
-				data:  content[frag*fragmentBytes : (frag+1)*fragmentBytes],
-			})
+			a.packets = append(a.packets, packet{flow: int32(f), frag: frag, nfrag: nfrag})
 		}
 	}
 	r.Shuffle(len(a.packets), func(i, j int) {
 		a.packets[i], a.packets[j] = a.packets[j], a.packets[i]
 	})
 	return a
+}
+
+// fragment returns packet i's payload.
+func (a *App) fragment(i int) string {
+	p := &a.packets[i]
+	return a.flows[p.flow][p.frag*fragmentBytes : (p.frag+1)*fragmentBytes]
 }
 
 // Name implements apps.App.
@@ -244,7 +245,7 @@ func (a *App) Run(sys tm.System, team *thread.Team) {
 			// transaction to publish the verdict).
 			var sb strings.Builder
 			for _, pi := range completed {
-				sb.WriteString(a.packets[pi].data)
+				sb.WriteString(a.fragment(pi))
 			}
 			content := sb.String()
 			a.reassembled[tid] = append(a.reassembled[tid], flowResult{flow: pkt.flow, content: content})

@@ -181,26 +181,33 @@ func TestNewStoreMatchesInsertBuild(t *testing.T) {
 	}
 }
 
-// loaderStore is NewStore as it was before the carve: one arena Alloc per
-// header, record and node, and one stream drawn in order, on the calling
-// goroutine. It is the reference the carved, concurrently filled NewStore
-// must match word for word.
-func loaderStore(m tm.Mem, records int, seed uint64) Store {
+// loaderStore is NewStore built sequentially: one block over the rest of
+// the arena, the tables loaded one after another on the calling goroutine,
+// and one stream drawn in order. It is the reference the carved,
+// concurrently filled NewStore must match word for word.
+func loaderStore(d mem.Direct, records int, seed uint64) Store {
 	var st Store
 	r := rng.New(seed ^ 0x696e6974)
+	b := d.A.Carve(d.A.Cap() - d.A.Used())
 	for t := 0; t < NumTypes; t++ {
-		tl := container.NewRBLoader(m)
+		tl := container.NewRBLoader(b)
 		for id := 1; id <= records; id++ {
-			rec := newReservation(m, id, r.Intn(300)+100, r.Intn(450)+50)
+			total, price := uint64(r.Intn(300)+100), uint64(r.Intn(450)+50)
+			rec := b.Alloc(resWords)
+			for w, v := range [resWords]uint64{resID: uint64(id), resFree: total, resTotal: total, resPrice: price} {
+				b.Store(rec+mem.Addr(w), v)
+			}
 			tl.Append(uint64(id), uint64(rec))
 		}
 		st.Tables[t] = tl.Finish()
 	}
-	cl := container.NewRBLoader(m)
+	cl := container.NewRBLoader(b)
 	for id := 1; id <= records; id++ {
-		cl.Append(uint64(id), uint64(newCustomer(m)))
+		cust := container.NewListLoader(b)
+		cl.Append(uint64(id), uint64(cust.Finish().H))
 	}
 	st.Customers = cl.Finish()
+	b.Trim()
 	return st
 }
 

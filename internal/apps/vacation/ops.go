@@ -44,17 +44,17 @@ type Store struct {
 // loaded in ascending id order (container.RBLoader), which leaves the same
 // arena words as inserting them one by one.
 //
-// Each table is one block drawn from the arena with one Alloc, in the
-// order a row-by-row build draws its header and rows, so every address is
-// the one that build gives: a reservation table's block is its header plus
-// records × 11 words (record, then tree node), the customers' block its
-// header plus records × 8 (list header, then node). The four blocks are
-// then filled at once, one goroutine each, through a plain bump pointer
-// over the block, each table's prices and seat counts drawn from the one
-// stream jumped ahead to where the row-by-row build reaches that table.
-// The goroutines write disjoint words, and NewStore returns once all are
-// done, so the store is as if one goroutine had built it. The parameter is
-// mem.Direct because that is the contract that makes this safe: nothing
+// Each table is one mem.Block carved from the arena, in the order a
+// row-by-row build draws its header and rows, so every address is the one
+// that build gives: a reservation table's block is its header plus records
+// × 11 words (record, then tree node), the customers' block its header plus
+// records × 8 (list header, then node). The four blocks are then filled at
+// once, one goroutine each, each table's prices and seat counts drawn from
+// the one stream jumped ahead to where the row-by-row build reaches that
+// table. Every build writes its whole block, so each block is populated
+// first. The goroutines write disjoint words, and NewStore returns once all
+// are done, so the store is as if one goroutine had built it. The parameter
+// is mem.Direct because that is the contract that makes this safe: nothing
 // else touches the arena while NewStore runs.
 func NewStore(d mem.Direct, records int, seed uint64) Store {
 	if records < 1 {
@@ -62,15 +62,15 @@ func NewStore(d mem.Direct, records int, seed uint64) Store {
 	}
 	var st Store
 	var wg sync.WaitGroup
-	fill := func(words int, build func(m tm.Mem)) {
-		c := &carve{Direct: d, next: d.Alloc(words)}
-		c.end = c.next + mem.Addr(words)
+	fill := func(words int, build func(b *mem.Block)) {
+		b := d.A.Carve(words)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			build(c)
-			if c.next != c.end {
-				panic(fmt.Sprintf("vacation: NewStore filled %d of a %d-word block", words-int(c.end-c.next), words))
+			b.Populate()
+			build(b)
+			if b.Left() != 0 {
+				panic(fmt.Sprintf("vacation: NewStore filled %d of a %d-word block", words-b.Left(), words))
 			}
 		}()
 	}
@@ -78,41 +78,31 @@ func NewStore(d mem.Direct, records int, seed uint64) Store {
 	for t := 0; t < NumTypes; t++ {
 		tr := *r
 		r.Jump(2 * uint64(records)) // a row draws its seat count and price
-		fill(1+records*(resWords+container.RBNodeWords), func(m tm.Mem) {
-			tl := container.NewRBLoader(m)
+		fill(1+records*(resWords+container.RBNodeWords), func(b *mem.Block) {
+			tl := container.NewRBLoader(b)
 			for id := 1; id <= records; id++ {
-				rec := newReservation(m, id, tr.Intn(300)+100, tr.Intn(450)+50)
+				total := uint64(tr.Intn(300) + 100)
+				rec := b.Alloc(resWords) // newReservation's words
+				b.Store(rec+resID, uint64(id))
+				b.Store(rec+resUsed, 0)
+				b.Store(rec+resFree, total)
+				b.Store(rec+resTotal, total)
+				b.Store(rec+resPrice, uint64(tr.Intn(450)+50))
 				tl.Append(uint64(id), uint64(rec))
 			}
 			st.Tables[t] = tl.Finish()
 		})
 	}
-	fill(1+records*(container.ListHeaderWords+container.RBNodeWords), func(m tm.Mem) {
-		cl := container.NewRBLoader(m)
+	fill(1+records*(container.ListHeaderWords+container.RBNodeWords), func(b *mem.Block) {
+		cl := container.NewRBLoader(b)
 		for id := 1; id <= records; id++ {
-			cl.Append(uint64(id), uint64(newCustomer(m)))
+			cust := container.NewListLoader(b) // newCustomer's empty list
+			cl.Append(uint64(id), uint64(cust.Finish().H))
 		}
 		st.Customers = cl.Finish()
 	})
 	wg.Wait()
 	return st
-}
-
-// carve is the tm.Mem NewStore fills a block through: Alloc bumps a plain,
-// goroutine-private pointer through [next, end) instead of the arena's
-// shared one, and Load and Store are mem.Direct's.
-type carve struct {
-	mem.Direct
-	next, end mem.Addr
-}
-
-func (c *carve) Alloc(n int) mem.Addr {
-	a := c.next
-	if n > int(c.end-a) {
-		panic(fmt.Sprintf("vacation: %d-word Alloc past the end of a carved block", n))
-	}
-	c.next += mem.Addr(n)
-	return a
 }
 
 // StoreWords bounds the arena words NewStore allocates for records rows;
@@ -266,30 +256,35 @@ func (st *Store) QueryFree(tx tm.Mem, items []Item) (free uint64, torn int) {
 // lists are copied, so the destination arena's high-water restarts at the
 // live set — everything the bump allocator leaked to aborted attempts and
 // everything the free lists could not recycle is left behind in the source
-// arena. Quiescent use only (both sides are typically mem.Direct).
+// arena. Quiescent use only: dst is mem.Direct for the reason NewStore's
+// parameter is.
 //
 // Every table and list is walked in ascending key order and rebuilt by
 // appending (container.RBLoader, container.ListLoader), so the copy costs
 // O(live) and its words are exactly those that inserting the same rows one
-// by one would leave.
-func (st *Store) CompactInto(src, dst tm.Mem) Store {
+// by one would leave. The copy is written through one mem.Block over the
+// rest of dst's arena, whose undrawn tail is given back at the end, so
+// dst's Used is what the row-by-row copy leaves. The block is not
+// populated: the copy fills only part of it.
+func (st *Store) CompactInto(src tm.Mem, dst mem.Direct) Store {
 	var out Store
+	b := dst.A.Carve(dst.A.Cap() - dst.A.Used())
 	for t := 0; t < NumTypes; t++ {
-		tl := container.NewRBLoader(dst)
+		tl := container.NewRBLoader(b)
 		st.Tables[t].Each(src, func(id, recA uint64) bool {
 			rec := mem.Addr(recA)
-			nrec := dst.Alloc(resWords)
-			for w := 0; w < resWords; w++ {
-				dst.Store(nrec+mem.Addr(w), src.Load(rec+mem.Addr(w)))
+			nrec := b.Alloc(resWords)
+			for w := mem.Addr(0); w < resWords; w++ {
+				b.Store(nrec+w, src.Load(rec+w))
 			}
 			tl.Append(id, uint64(nrec))
 			return true
 		})
 		out.Tables[t] = tl.Finish()
 	}
-	cl := container.NewRBLoader(dst)
+	cl := container.NewRBLoader(b)
 	st.Customers.Each(src, func(id, custA uint64) bool {
-		ll := container.NewListLoader(dst)
+		ll := container.NewListLoader(b)
 		container.List{H: mem.Addr(custA)}.Each(src, func(k, v uint64) bool {
 			ll.Append(k, v)
 			return true
@@ -298,6 +293,7 @@ func (st *Store) CompactInto(src, dst tm.Mem) Store {
 		return true
 	})
 	out.Customers = cl.Finish()
+	b.Trim()
 	return out
 }
 

@@ -140,16 +140,18 @@ func (l List) Each(m tm.Mem, fn func(k, v uint64) bool) {
 // order, leaving word for word the arena that NewList followed by the same
 // Insert calls leaves. Each append links at the tail instead of walking the
 // list from its head, and, as with RBLoader, each word is written once, when
-// it is final. Quiescent use only: the list is unreadable until Finish.
+// it is final, through a mem.Block. Quiescent use only: the list is
+// unreadable until Finish. A loader finished with no Append is NewList's
+// empty list.
 type ListLoader struct {
-	m          tm.Mem
+	m          *mem.Block
 	h, tail    mem.Addr
 	size, last uint64
 }
 
-// NewListLoader allocates the list header, as NewList does; the header
-// words are written by Append and Finish.
-func NewListLoader(m tm.Mem) ListLoader {
+// NewListLoader allocates the list header from m, as NewList does; the
+// header words are written by Append and Finish.
+func NewListLoader(m *mem.Block) ListLoader {
 	return ListLoader{m: m, h: m.Alloc(ListHeaderWords)}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/stamp-go/stamp/internal/mem"
-	"github.com/stamp-go/stamp/internal/tm"
 )
 
 // RBLoader bulk-builds an RBTree from keys appended in strictly ascending
@@ -32,11 +31,13 @@ import (
 // Finish writes what is still pending: the spine nodes, their open roots
 // and the header. The loader keeps only the spine in Go memory, O(log n).
 //
-// Like mem.Direct, the loader is for quiescent use only (setup,
-// verification, an epoch swap that holds every slot): the tree is
-// unreadable until Finish returns.
+// It builds through a mem.Block: allocations come off the block's private
+// bump pointer and writes are its plain stores, and the block has no Load,
+// so "never loads" is a property of the type. Like the block, the loader is
+// for quiescent use only (staging, an epoch swap that holds every slot):
+// the tree is unreadable until Finish returns.
 type RBLoader struct {
-	m     tm.Mem
+	m     *mem.Block
 	h     mem.Addr
 	spine []spineNode // root first; spine[i+1] is spine[i]'s right child
 	last  uint64
@@ -49,8 +50,9 @@ type spineNode struct {
 	c, lc uint64
 }
 
-// NewRBLoader allocates the tree header as NewRBTree does; Finish writes it.
-func NewRBLoader(m tm.Mem) RBLoader {
+// NewRBLoader allocates the tree header from m as NewRBTree does; Finish
+// writes it.
+func NewRBLoader(m *mem.Block) RBLoader {
 	return RBLoader{m: m, h: m.Alloc(1)}
 }
 

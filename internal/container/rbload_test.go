@@ -1,6 +1,7 @@
 package container
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -9,27 +10,28 @@ import (
 	"github.com/stamp-go/stamp/internal/tm"
 )
 
-// wordMem is a growable, resettable tm.Mem over a plain slice, so a sweep
-// can rebuild thousands of trees without mapping an arena for each. Like an
-// arena, it never hands out address 0 (mem.Nil). Unlike a fresh arena, it
-// hands out words that are not zero, so a word a builder forgets to write —
-// a nil link, say — shows up as a difference.
-type wordMem struct{ w []uint64 }
-
+// unwritten is what every word of a poisoned arena holds before a build
+// writes it. A fresh arena's words are zero, so a word a builder forgets to
+// write — a nil link, say — would read as if written; against this value
+// it shows up as a difference.
 const unwritten = 0x5a5a5a5a5a5a5a5a
 
-func newWordMem() *wordMem { return &wordMem{w: make([]uint64, mem.WordsPerLine)} }
-
-func (m *wordMem) reset()                     { m.w = m.w[:mem.WordsPerLine] }
-func (m *wordMem) Load(a mem.Addr) uint64     { return m.w[a] }
-func (m *wordMem) Store(a mem.Addr, v uint64) { m.w[a] = v }
-func (m *wordMem) Free(mem.Addr, int)         {}
-func (m *wordMem) Alloc(n int) mem.Addr {
-	a := mem.Addr(len(m.w))
-	for range n {
-		m.w = append(m.w, unwritten)
+// poisoned returns an arena of capacity words whose words past line 0 (the
+// ones Alloc and Carve can hand out) all hold unwritten.
+func poisoned(words int) *mem.Arena {
+	a := mem.NewArena(words)
+	d := mem.Direct{A: a}
+	for w := mem.WordsPerLine; w < a.Cap(); w++ {
+		d.Store(mem.Addr(w), unwritten)
 	}
 	return a
+}
+
+// carved returns a block of exactly words words, carved first from a
+// poisoned arena with room for extra more words after it.
+func carved(words, extra int) (*mem.Arena, *mem.Block) {
+	a := poisoned(mem.WordsPerLine + words + extra)
+	return a, a.Carve(words)
 }
 
 // countMem counts the accesses made through it.
@@ -46,12 +48,24 @@ func (m *countMem) Store(a mem.Addr, v uint64) { m.stores++; m.Mem.Store(a, v) }
 func loaderKey(i int) uint64 { return uint64(3*i + 1) }
 func loaderVal(i int) uint64 { return uint64(7*i + 5) }
 
-func loadTree(m tm.Mem, n int) RBTree {
-	b := NewRBLoader(m)
+// treeWords is what a tree of n nodes draws: its header and n nodes.
+func treeWords(n int) int { return 1 + RBNodeWords*n }
+
+// loadTree loads n rows through an exactly sized block, carved first from a
+// poisoned arena with room for extra more words, and checks that the
+// loader drew the whole block.
+func loadTree(t testing.TB, n, extra int) (*mem.Arena, RBTree) {
+	t.Helper()
+	a, b := carved(treeWords(n), extra)
+	l := NewRBLoader(b)
 	for i := 0; i < n; i++ {
-		b.Append(loaderKey(i), loaderVal(i))
+		l.Append(loaderKey(i), loaderVal(i))
 	}
-	return b.Finish()
+	tr := l.Finish()
+	if b.Left() != 0 {
+		t.Fatalf("n=%d: the loader left %d of its %d words undrawn", n, b.Left(), treeWords(n))
+	}
+	return a, tr
 }
 
 func insertTree(m tm.Mem, n int) RBTree {
@@ -62,66 +76,67 @@ func insertTree(m tm.Mem, n int) RBTree {
 	return tr
 }
 
+// sameWords returns "" when a and b drew the same words and hold the same
+// value in each, and otherwise where they first differ.
+func sameWords(a, b *mem.Arena) string {
+	if a.Used() != b.Used() {
+		return fmt.Sprintf("Used %d vs %d", a.Used(), b.Used())
+	}
+	for w := mem.Addr(0); int(w) < a.Used(); w++ {
+		if x, y := a.Load(w), b.Load(w); x != y {
+			return fmt.Sprintf("word %d is %#x vs %#x", w, x, y)
+		}
+	}
+	return ""
+}
+
 // TestRBLoaderMatchesInsert pins the loader's contract: for every n in
 // 0..3000, and at the vacation sizes 16384 and 32768, it leaves exactly the
 // words of NewRBTree plus n ascending Inserts — same allocations, same node
-// words, same header.
+// words, same header — and writes every word it draws (the arenas start
+// poisoned).
 func TestRBLoaderMatchesInsert(t *testing.T) {
-	ins, ld := newWordMem(), newWordMem()
-	tr := NewRBTree(ins)
+	ins := poisoned(mem.WordsPerLine + treeWords(3000))
+	tr := NewRBTree(mem.Direct{A: ins})
 	for n := 0; n <= 3000; n++ {
 		if n > 0 {
-			tr.Insert(ins, loaderKey(n-1), loaderVal(n-1))
+			tr.Insert(mem.Direct{A: ins}, loaderKey(n-1), loaderVal(n-1))
 		}
-		ld.reset()
-		if got := loadTree(ld, n); got != tr {
+		ld, got := loadTree(t, n, 0)
+		if got != tr {
 			t.Fatalf("n=%d: loader header at %d, Insert's at %d", n, got.H, tr.H)
 		}
-		if i := firstDiff(ins.w, ld.w); i >= 0 {
-			t.Fatalf("n=%d: arenas differ at word %d (insert %d words, loader %d)", n, i, len(ins.w), len(ld.w))
+		if d := sameWords(ins, ld); d != "" {
+			t.Fatalf("n=%d: Insert and the loader differ: %s", n, d)
 		}
 	}
 	for _, n := range []int{16384, 32768} {
-		words := RBNodeWords*n + 64
-		a, b := mem.NewArena(words), mem.NewArena(words)
-		insertTree(mem.Direct{A: a}, n)
-		lt := loadTree(mem.Direct{A: b}, n)
-		if a.Used() != b.Used() {
-			t.Fatalf("n=%d: Used %d after Insert, %d after the loader", n, a.Used(), b.Used())
+		ins := poisoned(mem.WordsPerLine + treeWords(n))
+		insertTree(mem.Direct{A: ins}, n)
+		ld, lt := loadTree(t, n, 0)
+		if d := sameWords(ins, ld); d != "" {
+			t.Fatalf("n=%d: Insert and the loader differ: %s", n, d)
 		}
-		for w := 0; w < a.Used(); w++ {
-			if x, y := a.Load(mem.Addr(w)), b.Load(mem.Addr(w)); x != y {
-				t.Fatalf("n=%d: word %d is %d after Insert, %d after the loader", n, w, x, y)
-			}
-		}
-		if lt.checkInvariants(mem.Direct{A: b}) < 0 {
+		if lt.checkInvariants(mem.Direct{A: ld}) < 0 {
 			t.Fatalf("n=%d: loaded tree violates the red-black invariants", n)
 		}
 	}
 }
 
-// firstDiff returns the first index where a and b differ (length included),
-// or -1.
-func firstDiff(a, b []uint64) int {
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	if len(a) != len(b) {
-		return min(len(a), len(b))
-	}
-	return -1
-}
-
-// TestRBLoaderWritesEachWordOnce pins the write-once property: six stores
-// per node, one for the header, no loads.
+// TestRBLoaderWritesEachWordOnce pins what a load costs: six words per node
+// and one for the header, drawn from an exactly sized block and every one
+// of them written (none is left poisoned), and no loads, which the loader
+// cannot make: it holds only a mem.Block, which has no Load.
 func TestRBLoaderWritesEachWordOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000, 4097} {
-		m := &countMem{Mem: newWordMem()}
-		loadTree(m, n)
-		if want := RBNodeWords*n + 1; m.stores != want || m.loads != 0 {
-			t.Fatalf("n=%d: %d stores and %d loads, want %d and 0", n, m.stores, m.loads, want)
+		a, _ := loadTree(t, n, 0)
+		if a.Used() != mem.WordsPerLine+RBNodeWords*n+1 {
+			t.Fatalf("n=%d: the load drew %d words, want %d", n, a.Used()-mem.WordsPerLine, RBNodeWords*n+1)
+		}
+		for w := mem.Addr(mem.WordsPerLine); int(w) < a.Used(); w++ {
+			if a.Load(w) == unwritten {
+				t.Fatalf("n=%d: word %d was drawn and never written", n, w)
+			}
 		}
 	}
 }
@@ -130,17 +145,19 @@ func TestRBLoaderWritesEachWordOnce(t *testing.T) {
 // first key may be anything, 0 included.
 func TestLoadersRejectNonAscendingKeys(t *testing.T) {
 	for _, second := range []uint64{5, 4, 0} {
-		rb := NewRBLoader(newWordMem())
+		_, b := carved(2*treeWords(2), 0)
+		rb := NewRBLoader(b)
 		rb.Append(5, 0)
 		mustPanic(t, "keys must ascend", func() { rb.Append(second, 0) })
-		l := NewListLoader(newWordMem())
+		l := NewListLoader(b)
 		l.Append(5, 0)
 		mustPanic(t, "keys must ascend", func() { l.Append(second, 0) })
 	}
-	m := newWordMem()
-	rb := NewRBLoader(m)
+	a, b := carved(treeWords(2), 0)
+	rb := NewRBLoader(b)
 	rb.Append(0, 1)
 	rb.Append(1, 2)
+	m := mem.Direct{A: a}
 	if tr := rb.Finish(); tr.Len(m) != 2 {
 		t.Fatalf("Len = %d after appending keys 0 and 1", tr.Len(m))
 	} else if v, ok := tr.Get(m, 0); !ok || v != 1 {
@@ -160,24 +177,26 @@ func mustPanic(t *testing.T, want string, fn func()) {
 }
 
 // TestListLoaderMatchesInsert: the list loader leaves the words of NewList
-// plus ascending Inserts, for every length up to 200.
+// plus ascending Inserts, for every length up to 200, and writes every word
+// it draws.
 func TestListLoaderMatchesInsert(t *testing.T) {
-	ins, ld := newWordMem(), newWordMem()
-	l := NewList(ins)
+	listWords := func(n int) int { return ListHeaderWords + ListNodeWords*n }
+	ins := poisoned(mem.WordsPerLine + listWords(200))
+	l := NewList(mem.Direct{A: ins})
 	for n := 0; n <= 200; n++ {
 		if n > 0 {
-			l.Insert(ins, loaderKey(n-1), loaderVal(n-1))
+			l.Insert(mem.Direct{A: ins}, loaderKey(n-1), loaderVal(n-1))
 		}
-		ld.reset()
-		b := NewListLoader(ld)
+		ld, blk := carved(listWords(n), 0)
+		b := NewListLoader(blk)
 		for i := 0; i < n; i++ {
 			b.Append(loaderKey(i), loaderVal(i))
 		}
 		if got := b.Finish(); got != l {
 			t.Fatalf("n=%d: loader header at %d, Insert's at %d", n, got.H, l.H)
 		}
-		if i := firstDiff(ins.w, ld.w); i >= 0 {
-			t.Fatalf("n=%d: arenas differ at word %d", n, i)
+		if d := sameWords(ins, ld); d != "" || blk.Left() != 0 {
+			t.Fatalf("n=%d: Insert and the loader differ: %s (%d words undrawn)", n, d, blk.Left())
 		}
 	}
 }
@@ -190,19 +209,20 @@ func TestListLoaderMatchesInsert(t *testing.T) {
 func TestQueueLoaderMatchesPush(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 131072} {
 		for _, capacity := range []int{0, n + 1} {
-			pushed, ld := newWordMem(), newWordMem()
-			q := NewQueue(pushed, capacity)
+			words := mem.WordsPerLine + 4 + 2*max(n, capacity, 2)*2
+			pushed, ld := poisoned(words), poisoned(words)
+			q := NewQueue(mem.Direct{A: pushed}, capacity)
 			for i := 0; i < n; i++ {
-				q.Push(pushed, loaderVal(i))
+				q.Push(mem.Direct{A: pushed}, loaderVal(i))
 			}
-			cm := &countMem{Mem: ld}
+			cm := &countMem{Mem: mem.Direct{A: ld}}
 			if got := LoadQueue(cm, capacity, n, loaderVal); got != q {
 				t.Fatalf("n=%d capacity=%d: loader header at %d, NewQueue's at %d", n, capacity, got.H, q.H)
 			}
-			if i := firstDiff(pushed.w, ld.w); i >= 0 {
-				t.Fatalf("n=%d capacity=%d: arenas differ at word %d", n, capacity, i)
+			if d := sameWords(pushed, ld); d != "" {
+				t.Fatalf("n=%d capacity=%d: Push and the loader differ: %s", n, capacity, d)
 			}
-			if written := len(ld.w) - mem.WordsPerLine; cm.loads != 0 || cm.stores > written {
+			if written := ld.Used() - mem.WordsPerLine; cm.loads != 0 || cm.stores > written {
 				t.Fatalf("n=%d capacity=%d: %d loads and %d stores into %d words", n, capacity, cm.loads, cm.stores, written)
 			}
 		}
@@ -221,8 +241,11 @@ func FuzzRBTreeLoader(f *testing.F) {
 	f.Add(uint16(4096), []byte{0, 0, 0, 7}, []byte{1, 0, 0, 1, 16, 0, 0, 8, 0, 1, 63, 255})
 	f.Fuzz(func(t *testing.T, n uint16, gaps, ops []byte) {
 		n %= 4097
-		ld, ins := newWordMem(), newWordMem()
-		b := NewRBLoader(ld)
+		// Room for every op to insert a node past the loaded tree.
+		extra := RBNodeWords * (len(ops)/3 + 1)
+		ldA, blk := carved(treeWords(int(n)), extra)
+		ins := mem.Direct{A: poisoned(mem.WordsPerLine + treeWords(int(n)))}
+		b := NewRBLoader(blk)
 		ref := NewRBTree(ins)
 		model := map[uint64]uint64{}
 		var key uint64
@@ -238,9 +261,10 @@ func FuzzRBTreeLoader(f *testing.F) {
 			model[key] = uint64(i)
 		}
 		tr := b.Finish()
-		if i := firstDiff(ins.w, ld.w); i >= 0 {
-			t.Fatalf("n=%d: loader and Insert differ at word %d", n, i)
+		if d := sameWords(ins.A, ldA); d != "" {
+			t.Fatalf("n=%d: loader and Insert differ: %s", n, d)
 		}
+		ld := mem.Direct{A: ldA}
 		check := func(step int) {
 			if tr.checkInvariants(ld) < 0 {
 				t.Fatalf("step %d: red-black invariants violated", step)

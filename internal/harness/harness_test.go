@@ -2,10 +2,13 @@ package harness
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/stamp-go/stamp/internal/apps"
+	"github.com/stamp-go/stamp/internal/apps/vacation"
 	"github.com/stamp-go/stamp/internal/mem"
 )
 
@@ -195,6 +198,42 @@ func TestSetupIsDeterministic(t *testing.T) {
 		}
 		if differ != 0 {
 			t.Errorf("%s: %d of %d staged words differ between two stagings (first at word %d)", v.Name, differ, a.Used(), first)
+		}
+	}
+}
+
+// shortArena under-reports its app's ArenaWords.
+type shortArena struct {
+	apps.App
+	words int
+}
+
+func (s shortArena) ArenaWords() int { return s.words }
+
+// TestSetupOnAShortArenaFailsTyped: when Setup outruns an arena that
+// ArenaWords under-sized, RunOne returns an error matching mem.ErrArenaFull
+// instead of panicking — for vacation at 1024 records in 1000 words, and for
+// every simulation variant in half the words its staging draws.
+func TestSetupOnAShortArenaFailsTyped(t *testing.T) {
+	cases := []struct {
+		name string
+		app  apps.App
+	}{{"vacation at 1024 records", shortArena{vacation.New(vacation.Config{Records: 1024, Seed: 1}), 1000}}}
+	if !testing.Short() {
+		for _, v := range SimVariants() {
+			app := v.Make(0.05)
+			a := mem.NewArena(app.ArenaWords())
+			app.Setup(a)
+			cases = append(cases, struct {
+				name string
+				app  apps.App
+			}{v.Name, shortArena{app, a.Used() / 2}})
+		}
+	}
+	for _, c := range cases {
+		_, err := RunOne(c.app, c.name, Options{System: "seq"})
+		if !errors.Is(err, mem.ErrArenaFull) {
+			t.Errorf("%s: RunOne on a short arena returned %v, want an error matching mem.ErrArenaFull", c.name, err)
 		}
 	}
 }

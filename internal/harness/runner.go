@@ -199,7 +199,9 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 	}
 	opt = opt.withDefaults()
 	arena := mem.NewArena(app.ArenaWords())
-	app.Setup(arena)
+	if err := setup(app, arena); err != nil {
+		return Result{}, err
+	}
 	var watch *tm.Watch
 	if opt.ProgressTimeout > 0 {
 		watch = tm.NewWatch(opt.Threads)
@@ -237,6 +239,26 @@ func RunOne(app apps.App, variant string, opt Options) (Result, error) {
 		Trace:     tm.TraceEvents(sys),
 		Verify:    app.Verify(arena),
 	}, nil
+}
+
+// setup stages app into arena, converting an arena-exhaustion panic (an
+// error wrapping mem.ErrArenaFull, which mem's Alloc and Carve raise when
+// ArenaWords under-sizes the staging) into that error. Any other panic is
+// the application's and propagates.
+func setup(app apps.App, arena *mem.Arena) (err error) {
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if e, ok := r.(error); ok && errors.Is(e, mem.ErrArenaFull) {
+			err = fmt.Errorf("harness: %s setup: %w", app.Name(), e)
+			return
+		}
+		panic(r)
+	}()
+	app.Setup(arena)
+	return nil
 }
 
 // runApp executes the parallel region, converting an arena-exhaustion

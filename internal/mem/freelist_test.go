@@ -25,20 +25,29 @@ func TestTryAllocTypedFailure(t *testing.T) {
 }
 
 // TestAllocPanicMessageStable pins the setup-path panic: same wording family
-// as the seed ("mem: arena exhausted"), now derived from the typed sentinel.
+// as the seed ("mem: arena exhausted"), and an error that wraps the typed
+// sentinel, so a recovering caller can tell it from any other panic — for
+// Arena.Alloc and for a Block carved from the arena.
 func TestAllocPanicMessageStable(t *testing.T) {
-	a := NewArena(4)
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Alloc past capacity did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "mem: arena exhausted") {
-			t.Fatalf("panic value %v, want string containing %q", r, "mem: arena exhausted")
-		}
-	}()
-	a.Alloc(64)
+	for name, alloc := range map[string]func(){
+		"Arena.Alloc": func() { NewArena(4).Alloc(64) },
+		"Block.Alloc": func() { NewArena(64).Carve(8).Alloc(9) },
+		"Carve":       func() { NewArena(4).Carve(64) },
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("%s past capacity did not panic", name)
+				}
+				err, ok := r.(error)
+				if !ok || !errors.Is(err, ErrArenaFull) || !strings.Contains(err.Error(), "mem: arena exhausted") {
+					t.Fatalf("%s: panic value %v, want an error wrapping ErrArenaFull", name, r)
+				}
+			}()
+			alloc()
+		}()
+	}
 }
 
 // TestTxFreeRecyclesOnCommit: a committed free reaches the size-class lists

@@ -12,8 +12,9 @@
 // sync/atomic (Arena.Load, Store and CompareAndSwap), so that concurrent
 // transactional systems built on top of the arena are free of Go data races
 // even while they race at the semantic level (that is what the TM layers
-// arbitrate). Direct.Store is the one plain write: Direct is for code that
-// has the arena to itself, and the race detector checks that it does.
+// arbitrate). Direct.Store and Block.Store are the plain writes: Direct is
+// for code that has the arena to itself, a Block for one goroutine's bulk
+// build of words nobody else reads yet, and the race detector checks both.
 package mem
 
 import (
@@ -65,14 +66,15 @@ var ErrArenaFull = errors.New("mem: arena exhausted")
 // unreachable. That is sound because of how words are reached:
 //
 //   - only through the Load, Store, StoreOwned and CompareAndSwap
-//     methods, Direct.Store, and Release, which drops them all — nothing
-//     in this package returns a slice of the words or a pointer into
-//     them, and every other method touches only the bump pointer and the
-//     capacity;
+//     methods, Direct.Store, Block.Store and Block.Populate, and Release,
+//     which drops them all — nothing in this package returns a slice of
+//     the words or a pointer into them (a Block keeps its slice private,
+//     beside the *Arena it was carved from), and every other method
+//     touches only the bump pointer and the capacity;
 //   - each of those methods keeps its receiver reachable until the access
 //     has completed (runtime.KeepAlive), so a caller that holds the *Arena
-//     for a call holds the mapping for that call, even if the call is its
-//     last use of the arena.
+//     (or a *Block) for a call holds the mapping for that call, even if the
+//     call is its last use of the arena.
 //
 // So the cleanup, which runs only after the *Arena is unreachable, cannot
 // unmap a word that some caller is about to touch. Keep both points true:
@@ -164,14 +166,16 @@ func (a *Arena) TryAlloc(n int) (Addr, error) {
 }
 
 // Alloc bump-allocates n words and returns the address of the first.
-// It panics if the arena is exhausted — the convenience form for setup and
-// verification phases, where arenas are sized per workload by the harness
-// and exhaustion is a configuration bug. Runtime allocation paths use
-// TryAlloc (via Reserver.TxAlloc) and recover instead.
+// It panics with TryAlloc's ErrArenaFull-wrapped error if the arena is
+// exhausted — the convenience form for setup and verification phases,
+// where arenas are sized per workload by the harness and exhaustion is a
+// configuration bug (harness.RunOne recovers it from Setup as that error).
+// Runtime allocation paths use TryAlloc (via Reserver.TxAlloc) and recover
+// instead.
 func (a *Arena) Alloc(n int) Addr {
 	addr, err := a.TryAlloc(n)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return addr
 }
@@ -186,7 +190,7 @@ func (a *Arena) AllocLines(n int) Addr {
 	}
 	addr, err := a.tryAllocAligned(n)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return addr
 }
@@ -277,13 +281,14 @@ func (a *Arena) NewReserver(chunkWords int) *Reserver {
 	return &Reserver{a: a, chunk: uint32(c)}
 }
 
-// Alloc bump-allocates n words, panicking when the arena is exhausted — the
-// setup-phase convenience, like Arena.Alloc. Transactional paths use
+// Alloc bump-allocates n words, panicking with an ErrArenaFull-wrapped error
+// when the arena is exhausted — the setup-phase convenience, like
+// Arena.Alloc. Transactional paths use
 // TxAlloc and recover.
 func (r *Reserver) Alloc(n int) Addr {
 	addr, err := r.alloc(n)
 	if err != nil {
-		panic(err.Error())
+		panic(err)
 	}
 	return addr
 }
@@ -517,12 +522,12 @@ func W2F(w uint64) float64 { return math.Float64frombits(w) }
 // — exactly like STAMP's sequential initialization phases.
 //
 // Direct is for code that has the arena to itself: staging before the
-// workers start, checking after they join, a master phase between two
-// barriers (kmeans, ssca2, genome), a server's store population, and an
-// epoch swap's compaction into the arena it has not yet published. Its
-// Store is a plain write, not a locked exchange, so it must not run beside
-// any other goroutine's access to the same words; a race-enabled build
-// reports one that does (arenas are heap-backed there, see back).
+// workers start, checking after they join, and a master phase between two
+// barriers (kmeans, ssca2, genome). Its Store is a plain write, not a
+// locked exchange, so it must not run beside any other goroutine's access
+// to the same words; a race-enabled build reports one that does (arenas
+// are heap-backed there, see back). vacation's NewStore and CompactInto
+// take a Direct as the token of that ownership but write through Blocks.
 type Direct struct{ A *Arena }
 
 // Load reads the word at addr without any transactional bookkeeping. It is

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -149,8 +150,8 @@ func TestReserverExhaustionPanics(t *testing.T) {
 		if rec == nil {
 			t.Fatal("expected exhaustion panic")
 		}
-		msg, ok := rec.(string)
-		if !ok || !strings.Contains(msg, "mem: arena exhausted (cap 16 words") {
+		err, ok := rec.(error)
+		if !ok || !errors.Is(err, ErrArenaFull) || !strings.Contains(err.Error(), "mem: arena exhausted (cap 16 words") {
 			t.Fatalf("panic %v lacks the actionable arena-exhausted message", rec)
 		}
 	}()
