@@ -1,6 +1,7 @@
 package vacation
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -193,11 +194,7 @@ func loaderStore(d mem.Direct, records int, seed uint64) Store {
 		tl := container.NewRBLoader(b)
 		for id := 1; id <= records; id++ {
 			total, price := uint64(r.Intn(300)+100), uint64(r.Intn(450)+50)
-			rec := b.Alloc(resWords)
-			for w, v := range [resWords]uint64{resID: uint64(id), resFree: total, resTotal: total, resPrice: price} {
-				b.Store(rec+mem.Addr(w), v)
-			}
-			tl.Append(uint64(id), uint64(rec))
+			tl.Append(uint64(id), uint64(writeReservation(b, uint64(id), total, price)))
 		}
 		st.Tables[t] = tl.Finish()
 	}
@@ -227,6 +224,28 @@ func TestNewStoreMatchesSequentialBuild(t *testing.T) {
 				t.Fatalf("GOMAXPROCS=%d records=%d: table headers %+v, reference %+v", procs, records, st, want)
 			}
 			sameArena(t, fmt.Sprintf("GOMAXPROCS=%d NewStore(%d)", procs, records), ref, got)
+		}
+	}
+}
+
+// TestNewStoreOnAShortArenaStartsNoBuild: in an arena with room for the
+// reservation tables' blocks but not the customers', NewStore panics with
+// an error wrapping mem.ErrArenaFull before any build starts, so every word
+// of the arena is still zero and nothing writes it after the panic.
+func TestNewStoreOnAShortArenaStartsNoBuild(t *testing.T) {
+	const records = 4096
+	a := mem.NewArena(mem.WordsPerLine + NumTypes*(1+records*(resWords+container.RBNodeWords)) + 10)
+	var err error
+	func() {
+		defer func() { err, _ = recover().(error) }()
+		NewStore(mem.Direct{A: a}, records, 1)
+	}()
+	if !errors.Is(err, mem.ErrArenaFull) {
+		t.Fatalf("NewStore on a short arena: recovered %v, want an error wrapping mem.ErrArenaFull", err)
+	}
+	for w := mem.Addr(0); int(w) < a.Cap(); w++ {
+		if v := a.Load(w); v != 0 {
+			t.Fatalf("word %d is %#x after NewStore failed to carve: a build ran", w, v)
 		}
 	}
 }

@@ -48,27 +48,35 @@ type Store struct {
 // row-by-row build draws its header and rows, so every address is the one
 // that build gives: a reservation table's block is its header plus records
 // × 11 words (record, then tree node), the customers' block its header plus
-// records × 8 (list header, then node). The four blocks are then filled at
-// once, one goroutine each, each table's prices and seat counts drawn from
-// the one stream jumped ahead to where the row-by-row build reaches that
-// table. Every build writes its whole block, so each block is populated
-// first. The goroutines write disjoint words, and NewStore returns once all
-// are done, so the store is as if one goroutine had built it. The parameter
-// is mem.Direct because that is the contract that makes this safe: nothing
-// else touches the arena while NewStore runs.
+// records × 8 (list header, then node). Once all four are carved they are
+// filled at once, one goroutine each, each table's prices and seat counts
+// drawn from the one stream jumped ahead to where the row-by-row build
+// reaches that table. The goroutines write disjoint words, and NewStore
+// returns once all are done, so the store is as if one goroutine had built
+// it. The parameter is mem.Direct because that is the contract that makes
+// this safe: nothing else touches the arena while NewStore runs.
 func NewStore(d mem.Direct, records int, seed uint64) Store {
 	if records < 1 {
 		records = 1
 	}
+	// Every block is carved before any build starts, so a carve that does
+	// not fit panics with no build running.
+	var blocks [NumTypes + 1]*mem.Block
+	for t := range blocks {
+		words := 1 + records*(resWords+container.RBNodeWords)
+		if t == NumTypes {
+			words = 1 + records*(container.ListHeaderWords+container.RBNodeWords)
+		}
+		blocks[t] = d.A.Carve(words)
+	}
 	var st Store
 	var wg sync.WaitGroup
-	fill := func(words int, build func(b *mem.Block)) {
-		b := d.A.Carve(words)
+	fill := func(b *mem.Block, build func()) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			b.Populate()
-			build(b)
+			words := b.Left()
+			build()
 			if b.Left() != 0 {
 				panic(fmt.Sprintf("vacation: NewStore filled %d of a %d-word block", words-b.Left(), words))
 			}
@@ -78,22 +86,19 @@ func NewStore(d mem.Direct, records int, seed uint64) Store {
 	for t := 0; t < NumTypes; t++ {
 		tr := *r
 		r.Jump(2 * uint64(records)) // a row draws its seat count and price
-		fill(1+records*(resWords+container.RBNodeWords), func(b *mem.Block) {
+		b := blocks[t]
+		fill(b, func() {
 			tl := container.NewRBLoader(b)
 			for id := 1; id <= records; id++ {
 				total := uint64(tr.Intn(300) + 100)
-				rec := b.Alloc(resWords) // newReservation's words
-				b.Store(rec+resID, uint64(id))
-				b.Store(rec+resUsed, 0)
-				b.Store(rec+resFree, total)
-				b.Store(rec+resTotal, total)
-				b.Store(rec+resPrice, uint64(tr.Intn(450)+50))
+				rec := writeReservation(b, uint64(id), total, uint64(tr.Intn(450)+50))
 				tl.Append(uint64(id), uint64(rec))
 			}
 			st.Tables[t] = tl.Finish()
 		})
 	}
-	fill(1+records*(container.ListHeaderWords+container.RBNodeWords), func(b *mem.Block) {
+	b := blocks[NumTypes]
+	fill(b, func() {
 		cl := container.NewRBLoader(b)
 		for id := 1; id <= records; id++ {
 			cust := container.NewListLoader(b) // newCustomer's empty list
@@ -264,8 +269,7 @@ func (st *Store) QueryFree(tx tm.Mem, items []Item) (free uint64, torn int) {
 // O(live) and its words are exactly those that inserting the same rows one
 // by one would leave. The copy is written through one mem.Block over the
 // rest of dst's arena, whose undrawn tail is given back at the end, so
-// dst's Used is what the row-by-row copy leaves. The block is not
-// populated: the copy fills only part of it.
+// dst's Used is what the row-by-row copy leaves.
 func (st *Store) CompactInto(src tm.Mem, dst mem.Direct) Store {
 	var out Store
 	b := dst.A.Carve(dst.A.Cap() - dst.A.Used())

@@ -166,6 +166,18 @@ func newReservation(m tm.Mem, id, total, price int) mem.Addr {
 	return rec
 }
 
+// writeReservation is newReservation for a bulk build: it draws the record
+// from b and writes the same words.
+func writeReservation(b *mem.Block, id, total, price uint64) mem.Addr {
+	rec := b.Alloc(resWords)
+	b.Store(rec+resID, id)
+	b.Store(rec+resUsed, 0)
+	b.Store(rec+resFree, total)
+	b.Store(rec+resTotal, total)
+	b.Store(rec+resPrice, price)
+	return rec
+}
+
 // newCustomer allocates a customer record: a list of (type<<32|id) ->
 // booked price.
 func newCustomer(m tm.Mem) mem.Addr {

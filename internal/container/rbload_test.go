@@ -123,15 +123,22 @@ func TestRBLoaderMatchesInsert(t *testing.T) {
 	}
 }
 
-// TestRBLoaderWritesEachWordOnce pins what a load costs: six words per node
-// and one for the header, drawn from an exactly sized block and every one
-// of them written (none is left poisoned), and no loads, which the loader
-// cannot make: it holds only a mem.Block, which has no Load.
+// TestRBLoaderWritesEachWordOnce pins what a load costs: exactly six
+// stores per node and one for the header, counted through the block, which
+// are as many as the words it draws from an exactly sized block, and every
+// one of those words is written (none is left poisoned) — so each is
+// written once. It makes no loads, which the loader cannot: it holds only a
+// mem.Block, which has no Load.
 func TestRBLoaderWritesEachWordOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000, 4097} {
-		a, _ := loadTree(t, n, 0)
-		if a.Used() != mem.WordsPerLine+RBNodeWords*n+1 {
-			t.Fatalf("n=%d: the load drew %d words, want %d", n, a.Used()-mem.WordsPerLine, RBNodeWords*n+1)
+		a, b := carved(treeWords(n), 0)
+		l := NewRBLoader(b)
+		for i := 0; i < n; i++ {
+			l.Append(loaderKey(i), loaderVal(i))
+		}
+		l.Finish()
+		if want := RBNodeWords*n + 1; b.Stores() != want || b.Left() != 0 {
+			t.Fatalf("n=%d: %d stores and %d words left undrawn, want %d stores and none left", n, b.Stores(), b.Left(), want)
 		}
 		for w := mem.Addr(mem.WordsPerLine); int(w) < a.Used(); w++ {
 			if a.Load(w) == unwritten {

@@ -21,8 +21,7 @@ import (
 // draws. MAP_NORESERVE keeps an over-provisioned arena from being charged
 // against the commit limit up front. No huge-page advice is given: huge
 // pages were measured no faster on the long-transaction workloads and make
-// resident memory move in 2 MiB steps. The other madvise calls are drop's
-// and populate's.
+// resident memory move in 2 MiB steps. The other madvise call is drop's.
 func back(a *Arena, n int) []uint64 {
 	page := uint64(syscall.Getpagesize())
 	size := (uint64(n)*8 + page - 1) &^ (page - 1)
@@ -56,27 +55,6 @@ func drop(words []uint64) {
 	if err := syscall.Madvise(b, syscall.MADV_DONTNEED); err != nil {
 		panic(fmt.Sprintf("mem: releasing an arena's pages: %v", err))
 	}
-}
-
-// madvPopulateWrite is MADV_POPULATE_WRITE (Linux 5.14), which the
-// syscall package predates.
-const madvPopulateWrite = 23
-
-// populate faults in, writable, every page that lies wholly inside words,
-// with one madvise instead of a page fault per page. The pages at either end
-// that words shares with other words are left alone: they fault in when
-// first written, so nothing outside words becomes resident. A kernel that
-// refuses the advice leaves every page to fault in as before.
-func populate(words []uint64) {
-	page := uintptr(syscall.Getpagesize())
-	start := uintptr(unsafe.Pointer(unsafe.SliceData(words)))
-	lo := (start + page - 1) &^ (page - 1)
-	hi := (start + uintptr(len(words))*8) &^ (page - 1)
-	if lo >= hi {
-		return
-	}
-	b := unsafe.Slice((*byte)(unsafe.Pointer(&words[(lo-start)/8])), hi-lo)
-	_ = syscall.Madvise(b, madvPopulateWrite)
 }
 
 // collectFloor is the smallest mapped total at which NewArena forces a

@@ -132,22 +132,3 @@ func TestReleaseDropsResidentPages(t *testing.T) {
 		}
 	}
 }
-
-// TestPopulateFaultsInOnlyTheBlocksWholePages: Populate makes resident
-// every page wholly inside the block and no other: not the pages it shares
-// with words outside it, nor anything past it.
-func TestPopulateFaultsInOnlyTheBlocksWholePages(t *testing.T) {
-	pageWords := syscall.Getpagesize() / 8
-	a := NewArena(64 * pageWords)
-	a.Alloc(pageWords + 10 - a.Used()) // the block starts 10 words into page 1
-	b := a.Carve(8 * pageWords)        // and ends 10 words into page 9
-	if got := residentPages(t, a); got != 0 {
-		t.Fatalf("%d pages resident before Populate", got)
-	}
-	b.Populate()
-	got := residentPages(t, a)
-	t.Logf("%d pages resident after Populate", got)
-	if got != 7 && got != 0 { // 0: the kernel refused the advice
-		t.Fatalf("%d pages resident after populating a block with 7 whole pages", got)
-	}
-}

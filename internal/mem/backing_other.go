@@ -14,6 +14,3 @@ func back(_ *Arena, n int) []uint64 { return make([]uint64, n) }
 // drop is a no-op: heap words go back only when the collector frees the
 // arena.
 func drop([]uint64) {}
-
-// populate is a no-op: the heap words are already resident.
-func populate([]uint64) {}

@@ -14,18 +14,18 @@ import (
 //   - quiescent: nothing reads its words until the build is done and handed
 //     over (a WaitGroup, a return), so its stores are plain stores;
 //   - write-only: it has Alloc and Store and no Load, so a build through it
-//     never reads back what it wrote;
-//   - populated only when filled whole (Populate): a build that draws part
-//     of it leaves the rest unfaulted.
+//     never reads back what it wrote.
 //
 // Store is bounds-checked against the block, not only the arena, so a build
-// cannot write past what it carved. Like every accessor it keeps the arena
-// reachable until the write completes (see Arena).
+// cannot write past what it carved, and it counts its calls (Stores), so a
+// test can pin how many words a build writes. Like every accessor it keeps
+// the arena reachable until the write completes (see Arena).
 type Block struct {
-	a     *Arena
-	words []uint64 // a.words[base:base+len(words)]
-	base  Addr
-	next  Addr // next undrawn word
+	a      *Arena
+	words  []uint64 // a.words[base:base+len(words)]
+	base   Addr
+	next   Addr // next undrawn word
+	stores int  // Store calls
 }
 
 // Carve draws n words off the arena's shared bump pointer as one block. It
@@ -61,21 +61,12 @@ func (b *Block) Left() int { return len(b.words) - int(b.next-b.base) }
 // store.
 func (b *Block) Store(addr Addr, v uint64) {
 	b.words[addr-b.base] = v
+	b.stores++
 	runtime.KeepAlive(b)
 }
 
-// Populate faults in every page that lies wholly inside the block, in one
-// call, before the build writes them: on Linux one
-// madvise(MADV_POPULATE_WRITE) instead of a page fault per page. Call it
-// only for a build that writes every word of the block, or it makes
-// resident pages nobody writes. The pages at either end that the block
-// shares with other words are left to fault in as the build writes them.
-// It is a no-op where the kernel refuses the advice and on the heap
-// backing.
-func (b *Block) Populate() {
-	populate(b.words)
-	runtime.KeepAlive(b)
-}
+// Stores returns how many times Store has been called on the block.
+func (b *Block) Stores() int { return b.stores }
 
 // Trim gives the undrawn tail back to the arena's shared bump pointer, so
 // Used reads as if the build had drawn its words one Alloc at a time. It

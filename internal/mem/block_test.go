@@ -6,8 +6,9 @@ import (
 )
 
 // TestBlockDrawsAndWritesInPlace: a block's Allocs hand out its words in
-// order from where Carve drew it, its Stores land in the arena, and a Store
-// outside the block panics even where the arena has room.
+// order from where Carve drew it, its Stores land in the arena and are
+// counted, and a Store outside the block panics even where the arena has
+// room.
 func TestBlockDrawsAndWritesInPlace(t *testing.T) {
 	a := NewArena(256)
 	a.Alloc(3)
@@ -22,8 +23,8 @@ func TestBlockDrawsAndWritesInPlace(t *testing.T) {
 	}
 	b.Store(x, 7)
 	b.Store(y+5, 9)
-	if a.Load(x) != 7 || a.Load(y+5) != 9 {
-		t.Fatalf("block stores read back %d and %d", a.Load(x), a.Load(y+5))
+	if a.Load(x) != 7 || a.Load(y+5) != 9 || b.Stores() != 2 {
+		t.Fatalf("block stores read back %d and %d, counted %d", a.Load(x), a.Load(y+5), b.Stores())
 	}
 	for _, addr := range []Addr{x - 1, y + 6} {
 		func() {

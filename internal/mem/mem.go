@@ -66,7 +66,7 @@ var ErrArenaFull = errors.New("mem: arena exhausted")
 // unreachable. That is sound because of how words are reached:
 //
 //   - only through the Load, Store, StoreOwned and CompareAndSwap
-//     methods, Direct.Store, Block.Store and Block.Populate, and Release,
+//     methods, Direct.Store and Block.Store, and Release,
 //     which drops them all — nothing in this package returns a slice of
 //     the words or a pointer into them (a Block keeps its slice private,
 //     beside the *Arena it was carved from), and every other method
